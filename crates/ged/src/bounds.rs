@@ -29,8 +29,15 @@ pub fn multiset_overlap(a: &[u32], b: &[u32]) -> usize {
 /// where unequal paired labels cost `sub` (capped by `2·indel`) and the count
 /// difference costs `indel` each.
 pub fn multiset_bound(a: &[u32], b: &[u32], sub: f64, indel: f64) -> f64 {
-    let overlap = multiset_overlap(a, b);
-    let (r1, r2) = (a.len(), b.len());
+    count_bound(multiset_overlap(a, b), a.len(), b.len(), sub, indel)
+}
+
+/// [`multiset_bound`] from the counts alone: multisets of `r1` and `r2`
+/// labels sharing `overlap` of them. The exact searches evaluate their
+/// heuristic through this (see [`crate::tables`]), so it is the one place
+/// the bound's arithmetic lives.
+#[inline]
+pub(crate) fn count_bound(overlap: usize, r1: usize, r2: usize, sub: f64, indel: f64) -> f64 {
     let pairs = r1.min(r2).saturating_sub(overlap);
     pairs as f64 * sub.min(2.0 * indel) + r1.abs_diff(r2) as f64 * indel
 }

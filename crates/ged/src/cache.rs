@@ -352,6 +352,12 @@ impl DistanceOracle {
         self.graphs.is_empty()
     }
 
+    /// The precomputed profile of graph `i`, for callers that take one of
+    /// this oracle's graphs to an engine's `*_profiled` entry points.
+    pub fn profile(&self, i: GraphId) -> &GraphProfile {
+        &self.profiles[i as usize]
+    }
+
     /// The engine (for counter access).
     pub fn engine(&self) -> &GedEngine {
         &self.engine

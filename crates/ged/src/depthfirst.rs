@@ -3,22 +3,24 @@
 //! An alternative to the A\* search of [`crate::exact`]: explores the same
 //! mapping space depth-first, keeping only the current path in memory
 //! (`O(n)` instead of the A\* frontier), pruning with the identical
-//! admissible heuristic against the best complete edit path found so far.
+//! admissible heuristic — both searches read the same per-pair tables —
+//! against the best complete edit path found so far.
 //! Best-first usually expands fewer states; depth-first is preferable when
 //! memory is the binding constraint. Cross-validated against A\* in tests —
 //! both must return the same distances.
 
 use crate::bipartite::bp_upper_bound_in;
 use crate::cost::CostModel;
-use crate::exact::{heuristic, G1View, HeurBufs};
-use graphrep_graph::{Graph, NodeId};
+use crate::tables::{Frame, PairTables};
+use graphrep_graph::Graph;
 
-/// Reusable DF-GED buffers: the current partial map and the shared
-/// child-ordering stack (sliced per recursion level). Lives in the
-/// per-thread [`crate::scratch::SearchScratch`].
+/// Reusable DF-GED buffers: the current partial map (the `b_mat` column
+/// taken at each depth) and the shared child-ordering stack (sliced per
+/// recursion level). Lives in the per-thread
+/// [`crate::scratch::SearchScratch`].
 #[derive(Debug, Default)]
 pub(crate) struct DfBufs {
-    map: Vec<u8>,
+    cols: Vec<u8>,
     children: Vec<(f64, u8)>,
 }
 
@@ -32,113 +34,57 @@ pub struct DfResult {
 }
 
 struct Dfs<'a> {
-    a: &'a Graph,
-    b: &'a Graph,
-    view: &'a G1View,
+    t: &'a PairTables,
+    frame: &'a mut Frame,
     cost: &'a CostModel,
-    n1: usize,
-    n2: usize,
-    e2_total: usize,
-    /// map[g1 node] = g2 node or EPS.
-    map: &'a mut Vec<u8>,
+    /// cols[depth] = b node (or n2 for ε) the a-node at `depth` maps to.
+    cols: &'a mut Vec<u8>,
     /// Shared child-ordering stack; each recursion level uses the slice it
     /// pushed and truncates back before returning.
     children: &'a mut Vec<(f64, u8)>,
-    heur: &'a mut HeurBufs,
     best: f64,
     visited: u64,
 }
 
-const EPS_NODE: u8 = 0xFF;
 const TOL: f64 = 1e-9;
 
 impl Dfs<'_> {
-    fn completion(&self, used: u32, g: f64) -> f64 {
-        let unused = self.n2 - used.count_ones() as usize;
-        let e2_internal = self
-            .b
-            .edges()
-            .iter()
-            .filter(|e| used & (1 << e.u) != 0 && used & (1 << e.v) != 0)
-            .count();
-        g + unused as f64 * self.cost.node_indel
-            + (self.e2_total - e2_internal) as f64 * self.cost.edge_indel
-    }
-
-    // graphrep: hot-path
-    fn step_cost(&self, depth: usize, k: NodeId, j: Option<NodeId>) -> f64 {
-        match j {
-            Some(j) => {
-                let mut step = self
-                    .cost
-                    .node_subst(self.a.node_label(k), self.b.node_label(j));
-                for d in 0..depth {
-                    let p = self.view.order(d);
-                    let e1 = self.a.edge_label(k, p);
-                    let pm = self.map[p as usize];
-                    let e2 = if pm == EPS_NODE {
-                        None
-                    } else {
-                        self.b.edge_label(j, pm as NodeId)
-                    };
-                    step += match (e1, e2) {
-                        (Some(l1), Some(l2)) => self.cost.edge_subst(l1, l2),
-                        (Some(_), None) | (None, Some(_)) => self.cost.edge_indel,
-                        (None, None) => 0.0,
-                    };
-                }
-                step
-            }
-            None => {
-                let mut step = self.cost.node_indel;
-                for d in 0..depth {
-                    if self.a.edge_label(k, self.view.order(d)).is_some() {
-                        step += self.cost.edge_indel;
-                    }
-                }
-                step
-            }
-        }
-    }
-
     // graphrep: hot-path
     fn rec(&mut self, depth: usize, used: u32, g: f64) {
         self.visited += 1;
-        if depth == self.n1 {
-            let total = self.completion(used, g);
+        let (t, cost) = (self.t, self.cost);
+        self.frame.enter(t, depth, used);
+        if depth == t.n1() {
+            // Completion: insert all unused b nodes and every b edge not
+            // fully inside the used set.
+            let (unused, pending) = self.frame.remaining();
+            let total = g + unused as f64 * cost.node_indel + pending as f64 * cost.edge_indel;
             if total < self.best {
                 self.best = total;
             }
             return;
         }
-        if g + heuristic(self.b, self.view, depth, used, self.cost, self.heur) >= self.best - TOL {
+        if g + self.frame.heuristic(t, cost) >= self.best - TOL {
             return;
         }
-        let k = self.view.order(depth);
         // Order children by step cost (cheapest first) to find good complete
         // paths early and tighten the bound. This level's slice of the shared
         // stack is `start..end`; recursion pushes beyond `end` and truncates
         // back, so the slice stays valid across the loop.
         let start = self.children.len();
-        for j in 0..self.n2 as u8 {
-            if used & (1 << j) == 0 {
-                let c = self.step_cost(depth, k, Some(j as NodeId));
-                self.children.push((c, j));
-            }
+        for (col, _) in t.children(used) {
+            let c = t.step_cost(depth, col, &self.cols[..depth], cost);
+            self.children.push((c, col as u8));
         }
-        let c_eps = self.step_cost(depth, k, None);
-        self.children.push((c_eps, EPS_NODE));
         self.children[start..].sort_by(|a, b| a.0.total_cmp(&b.0));
         let end = self.children.len();
         for ci in start..end {
-            let (step, j) = self.children[ci];
+            let (step, col) = self.children[ci];
             if g + step >= self.best - TOL {
                 continue;
             }
-            self.map[k as usize] = j;
-            let used2 = if j == EPS_NODE { used } else { used | (1 << j) };
-            self.rec(depth + 1, used2, g + step);
-            self.map[k as usize] = 0xFE;
+            self.cols[depth] = col;
+            self.rec(depth + 1, t.taking(used, col as usize), g + step);
         }
         self.children.truncate(start);
     }
@@ -152,12 +98,9 @@ pub fn ged_depth_first(g1: &Graph, g2: &Graph, cost: &CostModel, cutoff: f64) ->
     } else {
         (g2, g1)
     };
-    assert!(b.node_count() <= 32, "DF-GED bitmask supports ≤ 32 nodes");
     let n1 = a.node_count();
-    let n2 = b.node_count();
-    let e2_total = b.edge_count();
     if n1 == 0 {
-        let d = n2 as f64 * cost.node_indel + e2_total as f64 * cost.edge_indel;
+        let d = b.node_count() as f64 * cost.node_indel + b.edge_count() as f64 * cost.edge_indel;
         return DfResult {
             distance: (d <= cutoff + TOL).then_some(d),
             visited: 1,
@@ -165,26 +108,25 @@ pub fn ged_depth_first(g1: &Graph, g2: &Graph, cost: &CostModel, cutoff: f64) ->
     }
     crate::scratch::with_scratch(|s| {
         let crate::scratch::SearchScratch {
-            view, heur, bp, df, ..
+            tables,
+            frame,
+            bp,
+            df,
+            ..
         } = s;
-        view.rebuild(a);
+        tables.rebuild(a, b);
         // Seed with the bipartite upper bound: a tight initial best prunes
         // hard.
         let seed = bp_upper_bound_in(a, b, cost, bp);
-        df.map.clear();
-        df.map.resize(n1, 0xFE);
+        df.cols.clear();
+        df.cols.resize(n1, 0);
         df.children.clear();
         let mut dfs = Dfs {
-            a,
-            b,
-            view,
+            t: tables,
+            frame,
             cost,
-            n1,
-            n2,
-            e2_total,
-            map: &mut df.map,
+            cols: &mut df.cols,
             children: &mut df.children,
-            heur,
             // +TOL so a complete path *equal* to the seed is still recorded.
             best: seed.min(cutoff) + 2.0 * TOL,
             visited: 0,

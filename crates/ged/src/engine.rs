@@ -99,28 +99,8 @@ impl GedEngine {
     /// case the bipartite upper bound is returned and
     /// [`GedCounters::budget_fallbacks`] is incremented.
     pub fn distance(&self, g1: &Graph, g2: &Graph) -> f64 {
-        let c = &self.config.cost;
-        let lb = label_lower_bound(g1, g2, c);
-        self.counters.add(&self.counters.bp_calls, 1);
-        let ub = bp_upper_bound(g1, g2, c);
-        if (ub - lb).abs() <= 1e-9 {
-            return ub;
-        }
-        if !self.use_exact(g1, g2) {
-            return ub;
-        }
-        self.counters.add(&self.counters.exact_searches, 1);
-        let r = ged_exact(g1, g2, c, ub, self.config.budget);
-        self.counters.add(&self.counters.expansions, r.expansions);
-        match r.outcome {
-            Outcome::Distance(d) => d,
-            // The true distance is ≤ ub; with cutoff = ub the search can only
-            // fail by budget, where ub is the best certificate we hold.
-            Outcome::ExceedsCutoff | Outcome::BudgetExhausted => {
-                self.counters.add(&self.counters.budget_fallbacks, 1);
-                ub
-            }
-        }
+        let lb = label_lower_bound(g1, g2, &self.config.cost);
+        self.distance_from_lb(g1, g2, lb)
     }
 
     /// Returns `Some(d)` iff `ged(g1, g2) = d ≤ tau` (within budget).
@@ -144,28 +124,8 @@ impl GedEngine {
         p1: &GraphProfile,
         p2: &GraphProfile,
     ) -> f64 {
-        let c = &self.config.cost;
-        let lb = label_lower_bound_profiled(p1, p2, c);
-        self.counters.add(&self.counters.bp_calls, 1);
-        let ub = bp_upper_bound(g1, g2, c);
-        if (ub - lb).abs() <= 1e-9 {
-            return ub;
-        }
-        if !self.use_exact(g1, g2) {
-            return ub;
-        }
-        self.counters.add(&self.counters.exact_searches, 1);
-        let r = ged_exact(g1, g2, c, ub, self.config.budget);
-        self.counters.add(&self.counters.expansions, r.expansions);
-        match r.outcome {
-            Outcome::Distance(d) => d,
-            // The true distance is ≤ ub; with cutoff = ub the search can only
-            // fail by budget, where ub is the best certificate we hold.
-            Outcome::ExceedsCutoff | Outcome::BudgetExhausted => {
-                self.counters.add(&self.counters.budget_fallbacks, 1);
-                ub
-            }
-        }
+        let lb = label_lower_bound_profiled(p1, p2, &self.config.cost);
+        self.distance_from_lb(g1, g2, lb)
     }
 
     /// [`GedEngine::distance_within`] with precomputed [`GraphProfile`]s:
@@ -196,6 +156,32 @@ impl GedEngine {
             return None;
         }
         self.distance_within_from_lb(g1, g2, tau, lb)
+    }
+
+    /// Shared tail of the full-distance paths, entered with the label lower
+    /// bound.
+    fn distance_from_lb(&self, g1: &Graph, g2: &Graph, lb: f64) -> f64 {
+        let c = &self.config.cost;
+        self.counters.add(&self.counters.bp_calls, 1);
+        let ub = bp_upper_bound(g1, g2, c);
+        if (ub - lb).abs() <= 1e-9 {
+            return ub;
+        }
+        if !self.use_exact(g1, g2) {
+            return ub;
+        }
+        self.counters.add(&self.counters.exact_searches, 1);
+        let r = ged_exact(g1, g2, c, ub, self.config.budget);
+        self.counters.add(&self.counters.expansions, r.expansions);
+        match r.outcome {
+            Outcome::Distance(d) => d,
+            // The true distance is ≤ ub; with cutoff = ub the search can only
+            // fail by budget, where ub is the best certificate we hold.
+            Outcome::ExceedsCutoff | Outcome::BudgetExhausted => {
+                self.counters.add(&self.counters.budget_fallbacks, 1);
+                ub
+            }
+        }
     }
 
     /// Shared tail of the `within` paths, entered with a label lower bound

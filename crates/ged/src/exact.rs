@@ -11,16 +11,11 @@
 //! θ-membership tests, Sec 5–6 of the paper) and an expansion `budget`
 //! (so index construction can fall back to the bipartite upper bound).
 
-use crate::bounds::multiset_bound;
 use crate::cost::CostModel;
-use graphrep_graph::{Graph, NodeId};
+use crate::tables::{Frame, PairTables};
+use graphrep_graph::Graph;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Sentinel meaning "mapped to ε" (node deleted).
-const EPS: u8 = 0xFF;
-/// Sentinel meaning "not yet processed".
-const UNPROC: u8 = 0xFE;
 
 /// Result of an exact GED search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +43,8 @@ struct Node {
     g: f64,
     used: u32,
     depth: u8,
-    j: u8,
+    /// The `b_mat` column the a-node at `depth - 1` went to (`n2` = ε).
+    col: u8,
 }
 
 #[derive(Debug)]
@@ -79,107 +75,20 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Precomputed, depth-indexed views of the first graph.
-///
-/// Stored as flat arrays with per-depth offsets so a reusable instance (in
-/// the per-thread [`crate::scratch::SearchScratch`]) can be rebuilt for each
-/// pair without allocating once its buffers have warmed up.
-#[derive(Debug, Default)]
-pub(crate) struct G1View {
-    /// Processing order: `order[d]` is the g1 node handled at depth `d`.
-    order: Vec<NodeId>,
-    /// `rank[u]` is the depth at which node `u` is processed.
-    rank: Vec<usize>,
-    /// Sorted labels of nodes not yet processed, flattened over depths.
-    suffix_node_labels: Vec<u32>,
-    /// `suffix_node_labels` slice offsets, one per depth `0..=n`, plus end.
-    suffix_off: Vec<usize>,
-    /// Sorted labels of edges still pending (≥ one endpoint unprocessed).
-    pending_edge_labels: Vec<u32>,
-    /// `pending_edge_labels` slice offsets, one per depth `0..=n`, plus end.
-    pending_off: Vec<usize>,
-}
-
-impl G1View {
-    /// Recomputes the view for `g`, reusing all buffers.
-    // graphrep: hot-path
-    pub(crate) fn rebuild(&mut self, g: &Graph) {
-        let n = g.node_count();
-        // Degree-descending order: high-degree nodes first constrain more.
-        self.order.clear();
-        self.order.extend(0..n as NodeId);
-        self.order.sort_by_key(|&u| std::cmp::Reverse(g.degree(u)));
-        self.rank.clear();
-        self.rank.resize(n, 0);
-        for (d, &u) in self.order.iter().enumerate() {
-            self.rank[u as usize] = d;
-        }
-        self.suffix_node_labels.clear();
-        self.suffix_off.clear();
-        self.pending_edge_labels.clear();
-        self.pending_off.clear();
-        for d in 0..=n {
-            let nstart = self.suffix_node_labels.len();
-            self.suffix_off.push(nstart);
-            for i in d..n {
-                let u = self.order[i];
-                self.suffix_node_labels.push(g.node_label(u));
-            }
-            self.suffix_node_labels[nstart..].sort_unstable();
-            let estart = self.pending_edge_labels.len();
-            self.pending_off.push(estart);
-            for e in g.edges() {
-                if self.rank[e.u as usize] >= d || self.rank[e.v as usize] >= d {
-                    self.pending_edge_labels.push(e.label);
-                }
-            }
-            self.pending_edge_labels[estart..].sort_unstable();
-        }
-        self.suffix_off.push(self.suffix_node_labels.len());
-        self.pending_off.push(self.pending_edge_labels.len());
-    }
-
-    /// The g1 node processed at depth `d`.
-    #[inline]
-    pub(crate) fn order(&self, d: usize) -> NodeId {
-        self.order[d]
-    }
-
-    /// Sorted labels of g1 nodes not yet processed at depth `d`.
-    #[inline]
-    fn suffix(&self, d: usize) -> &[u32] {
-        &self.suffix_node_labels[self.suffix_off[d]..self.suffix_off[d + 1]]
-    }
-
-    /// Sorted labels of g1 edges with an unprocessed endpoint at depth `d`.
-    #[inline]
-    fn pending(&self, d: usize) -> &[u32] {
-        &self.pending_edge_labels[self.pending_off[d]..self.pending_off[d + 1]]
-    }
-}
-
-/// Reusable buffers for the admissible heuristic's b-side multisets.
-#[derive(Debug, Default)]
-pub(crate) struct HeurBufs {
-    rem2: Vec<u32>,
-    pend2: Vec<u32>,
-}
-
 /// Reusable A* state: the node arena, the frontier heap, and the partial-map
-/// reconstruction buffer.
+/// reconstruction buffer (the column chosen at each depth).
 #[derive(Debug, Default)]
 pub(crate) struct AstarBufs {
     arena: Vec<Node>,
     heap: BinaryHeap<HeapEntry>,
-    map: Vec<u8>,
+    cols: Vec<u8>,
 }
 
 /// Exact GED between `g1` and `g2` under `cost`, searching only edit paths of
 /// cost ≤ `cutoff` and at most `budget` expansions.
 ///
-/// Symmetric in its graph arguments. Graphs must have ≤ 250 nodes; the search
-/// additionally requires the *smaller* side to have ≤ 32 nodes (bitmask
-/// state) — our datasets are far below both.
+/// Symmetric in its graph arguments. Both graphs must have ≤ 32 nodes
+/// (bitmask state, asserted) — our datasets are far below that.
 pub fn ged_exact(
     g1: &Graph,
     g2: &Graph,
@@ -189,9 +98,12 @@ pub fn ged_exact(
 ) -> ExactResult {
     crate::scratch::with_scratch(|s| {
         let crate::scratch::SearchScratch {
-            view, heur, astar, ..
+            tables,
+            frame,
+            astar,
+            ..
         } = s;
-        ged_exact_in(g1, g2, cost, cutoff, budget, view, heur, astar)
+        ged_exact_in(g1, g2, cost, cutoff, budget, tables, frame, astar)
     })
 }
 
@@ -205,8 +117,8 @@ pub(crate) fn ged_exact_in(
     cost: &CostModel,
     cutoff: f64,
     budget: u64,
-    view: &mut G1View,
-    hb: &mut HeurBufs,
+    t: &mut PairTables,
+    frame: &mut Frame,
     ab: &mut AstarBufs,
 ) -> ExactResult {
     // Map the smaller graph onto the larger: fewer levels, same distance
@@ -216,19 +128,11 @@ pub(crate) fn ged_exact_in(
     } else {
         (g2, g1)
     };
-    assert!(b.node_count() <= 250, "graph too large for exact GED");
-    assert!(
-        b.node_count() <= 32,
-        "exact GED bitmask supports ≤ 32 nodes; use hybrid mode"
-    );
-    let n1 = a.node_count();
-    let n2 = b.node_count();
-    let e2_total = b.edge_count();
-    let eps = 1e-9;
-    if n1 == 0 {
+    let limit = cutoff + 1e-9;
+    if a.node_count() == 0 {
         // Pure insertion: every node and edge of the larger graph.
-        let d = n2 as f64 * cost.node_indel + e2_total as f64 * cost.edge_indel;
-        let outcome = if d <= cutoff + eps {
+        let d = b.node_count() as f64 * cost.node_indel + b.edge_count() as f64 * cost.edge_indel;
+        let outcome = if d <= limit {
             Outcome::Distance(d)
         } else {
             Outcome::ExceedsCutoff
@@ -238,7 +142,9 @@ pub(crate) fn ged_exact_in(
             expansions: 0,
         };
     }
-    view.rebuild(a);
+    t.rebuild(a, b);
+    let t = &*t;
+    let n1 = t.n1();
 
     ab.arena.clear();
     ab.heap.clear();
@@ -247,10 +153,11 @@ pub(crate) fn ged_exact_in(
         g: 0.0,
         used: 0,
         depth: 0,
-        j: UNPROC,
+        col: 0,
     });
-    let h0 = heuristic(b, view, 0, 0, cost, hb);
-    if h0 > cutoff + eps {
+    frame.enter(t, 0, 0);
+    let h0 = frame.heuristic(t, cost);
+    if h0 > limit {
         return ExactResult {
             outcome: Outcome::ExceedsCutoff,
             expansions: 0,
@@ -263,12 +170,13 @@ pub(crate) fn ged_exact_in(
     });
 
     let mut expansions = 0u64;
-    ab.map.clear();
-    ab.map.resize(n1.max(1), UNPROC);
+    ab.cols.clear();
+    ab.cols.resize(n1, 0);
 
     while let Some(entry) = ab.heap.pop() {
         let node = ab.arena[entry.idx as usize];
-        if node.depth as usize == n1 {
+        let depth = node.depth as usize;
+        if depth == n1 {
             return ExactResult {
                 outcome: Outcome::Distance(node.g),
                 expansions,
@@ -282,179 +190,52 @@ pub(crate) fn ged_exact_in(
         }
         expansions += 1;
 
-        // Reconstruct the partial map (g1 node -> g2 node / EPS).
-        for m in ab.map.iter_mut() {
-            *m = UNPROC;
+        // Reconstruct the partial map: the column taken at each depth.
+        let mut cur = node;
+        while cur.parent != u32::MAX {
+            ab.cols[cur.depth as usize - 1] = cur.col;
+            cur = ab.arena[cur.parent as usize];
         }
-        {
-            let mut cur = entry.idx as usize;
-            while ab.arena[cur].parent != u32::MAX {
-                let nd = ab.arena[cur];
-                let g1_node = view.order(nd.depth as usize - 1);
-                ab.map[g1_node as usize] = nd.j;
-                cur = ab.arena[cur].parent as usize;
-            }
-        }
+        let cols = &ab.cols[..depth];
 
-        let depth = node.depth as usize;
-        let k = view.order(depth); // g1 node to map next
-        let child_depth = (depth + 1) as u8;
-
-        // Children: map k -> each unused j of b, plus k -> ε.
-        for j in 0..n2 as u8 {
-            if node.used & (1u32 << j) != 0 {
-                continue;
+        // Children: the a-node at `depth` onto each unused b-node in
+        // ascending id order, then onto ε (column n2).
+        let complete = depth + 1 == n1;
+        for (col, used) in t.children(node.used) {
+            let mut g = node.g + t.step_cost(depth, col, cols, cost);
+            frame.enter(t, depth + 1, used);
+            let h = if complete {
+                // Completion: insert all unused b nodes and every b edge not
+                // fully inside the used set (edges among used nodes were paid
+                // pairwise).
+                let (unused, pending) = frame.remaining();
+                g += unused as f64 * cost.node_indel + pending as f64 * cost.edge_indel;
+                0.0
+            } else {
+                frame.heuristic(t, cost)
+            };
+            let f = g + h;
+            if f <= limit {
+                let idx = ab.arena.len() as u32;
+                ab.arena.push(Node {
+                    parent: entry.idx,
+                    g,
+                    used,
+                    depth: depth as u8 + 1,
+                    col: col as u8,
+                });
+                ab.heap.push(HeapEntry {
+                    f,
+                    depth: depth as u8 + 1,
+                    idx,
+                });
             }
-            let mut step = cost.node_subst(a.node_label(k), b.node_label(j as NodeId));
-            // Edge costs against all previously processed g1 nodes.
-            for d in 0..depth {
-                let p = view.order(d);
-                let e1 = a.edge_label(k, p);
-                let pm = ab.map[p as usize];
-                let e2 = if pm == EPS {
-                    None
-                } else {
-                    b.edge_label(j as NodeId, pm as NodeId)
-                };
-                step += match (e1, e2) {
-                    (Some(l1), Some(l2)) => cost.edge_subst(l1, l2),
-                    (Some(_), None) | (None, Some(_)) => cost.edge_indel,
-                    (None, None) => 0.0,
-                };
-            }
-            push_child(
-                b,
-                view,
-                cost,
-                cutoff,
-                eps,
-                &mut ab.arena,
-                &mut ab.heap,
-                hb,
-                entry.idx,
-                node.g + step,
-                node.used | (1u32 << j),
-                child_depth,
-                j,
-                n1,
-                e2_total,
-            );
-        }
-        // k -> ε: delete the node and its edges to processed g1 nodes.
-        {
-            let mut step = cost.node_indel;
-            for d in 0..depth {
-                let p = view.order(d);
-                if a.edge_label(k, p).is_some() {
-                    step += cost.edge_indel;
-                }
-            }
-            push_child(
-                b,
-                view,
-                cost,
-                cutoff,
-                eps,
-                &mut ab.arena,
-                &mut ab.heap,
-                hb,
-                entry.idx,
-                node.g + step,
-                node.used,
-                child_depth,
-                EPS,
-                n1,
-                e2_total,
-            );
         }
     }
     ExactResult {
         outcome: Outcome::ExceedsCutoff,
         expansions,
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-// graphrep: hot-path
-fn push_child(
-    b: &Graph,
-    view: &G1View,
-    cost: &CostModel,
-    cutoff: f64,
-    eps: f64,
-    arena: &mut Vec<Node>,
-    heap: &mut BinaryHeap<HeapEntry>,
-    hb: &mut HeurBufs,
-    parent: u32,
-    mut g: f64,
-    used: u32,
-    depth: u8,
-    j: u8,
-    n1: usize,
-    e2_total: usize,
-) {
-    let h = if depth as usize == n1 {
-        // Completion: insert all unused b nodes and every b edge not fully
-        // inside the used set (edges among used nodes were paid pairwise).
-        let unused = b.node_count() - (used.count_ones() as usize);
-        let e2_internal = b
-            .edges()
-            .iter()
-            .filter(|e| used & (1 << e.u) != 0 && used & (1 << e.v) != 0)
-            .count();
-        g += unused as f64 * cost.node_indel + (e2_total - e2_internal) as f64 * cost.edge_indel;
-        0.0
-    } else {
-        heuristic(b, view, depth as usize, used, cost, hb)
-    };
-    let f = g + h;
-    if f > cutoff + eps {
-        return;
-    }
-    let idx = arena.len() as u32;
-    arena.push(Node {
-        parent,
-        g,
-        used,
-        depth,
-        j,
-    });
-    heap.push(HeapEntry { f, depth, idx });
-}
-
-/// Admissible heuristic: label-multiset bound on remaining nodes plus a
-/// pending-edge-multiset bound.
-// graphrep: hot-path
-pub(crate) fn heuristic(
-    b: &Graph,
-    view: &G1View,
-    depth: usize,
-    used: u32,
-    cost: &CostModel,
-    bufs: &mut HeurBufs,
-) -> f64 {
-    // Remaining node labels.
-    let rem1 = view.suffix(depth);
-    bufs.rem2.clear();
-    for j in 0..b.node_count() {
-        if used & (1 << j) == 0 {
-            bufs.rem2.push(b.node_label(j as NodeId));
-        }
-    }
-    bufs.rem2.sort_unstable();
-    let h_nodes = multiset_bound(rem1, &bufs.rem2, cost.node_sub, cost.node_indel);
-
-    // Pending edges: a-side is precomputed per depth; b-side depends on mask.
-    let pend1 = view.pending(depth);
-    bufs.pend2.clear();
-    for e in b.edges() {
-        if used & (1 << e.u) == 0 || used & (1 << e.v) == 0 {
-            bufs.pend2.push(e.label);
-        }
-    }
-    bufs.pend2.sort_unstable();
-    let h_edges = multiset_bound(pend1, &bufs.pend2, cost.edge_sub, cost.edge_indel);
-    h_nodes + h_edges
 }
 
 /// Convenience wrapper: unbounded exact distance (still budgeted).

@@ -29,6 +29,7 @@ pub mod engine;
 pub mod exact;
 pub mod profile;
 pub(crate) mod scratch;
+pub(crate) mod tables;
 
 pub use cache::{DistanceOracle, MetricHints, OracleStats, TierStats};
 pub use profile::GraphProfile;

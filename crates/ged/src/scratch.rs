@@ -8,23 +8,34 @@
 //! the largest instance seen, repeated `within(τ)` verification does zero
 //! heap allocation.
 //!
+//! For the two exact searches the scratch holds the pair's dense
+//! [`PairTables`] — label ids, `u32` node bitmasks, per-depth label counts
+//! and two adjacency matrices, rebuilt once per call — and one [`Frame`] of
+//! b-side counts for the state being evaluated. Both rest on every graph of
+//! a searched pair having ≤ 32 nodes, which `PairTables::rebuild` asserts
+//! (larger graphs are `GedMode::Hybrid`'s business). The layout and the
+//! argument that the table heuristic is bit-identical to the sorted-slice
+//! one it replaced are in the [`crate::tables`] module doc.
+//!
 //! Borrow discipline: the public wrappers never nest (an `*_in` function
 //! takes `&mut` buffer parts and cannot re-enter [`with_scratch`]), so the
 //! `RefCell` borrow is provably exclusive and panic-free.
 
 use crate::bipartite::BpBufs;
 use crate::depthfirst::DfBufs;
-use crate::exact::{AstarBufs, G1View, HeurBufs};
+use crate::exact::AstarBufs;
+use crate::tables::{Frame, PairTables};
 use std::cell::RefCell;
 
 /// All reusable buffers of one worker thread, grouped so internal search
 /// routines can borrow disjoint parts simultaneously.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
-    /// Depth-indexed g1 view for A* / DF-GED.
-    pub(crate) view: G1View,
-    /// Heuristic-side multiset buffers.
-    pub(crate) heur: HeurBufs,
+    /// Per-pair dense tables (label ids, bitmasks, counts, adjacency
+    /// matrices) for A* / DF-GED.
+    pub(crate) tables: PairTables,
+    /// b-side label counts of the state whose heuristic is being evaluated.
+    pub(crate) frame: Frame,
     /// A* arena, frontier heap, and map-reconstruction buffer.
     pub(crate) astar: AstarBufs,
     /// Bipartite matrix, star multisets, and Hungarian solver scratch.

@@ -1,0 +1,57 @@
+//! Pinned search effort on the benchmark's probe fixture.
+//!
+//! The exact searches promise more than the right distance: the heuristic
+//! values are bit-identical to the label-multiset bound over sorted slices,
+//! so A\* pops the same states in the same order whatever evaluates them.
+//! These totals were recorded with the sort-based heuristic; a kernel change
+//! that moves any of them changed the search, not just its speed.
+
+use graphrep_datagen::{DatasetKind, DatasetSpec};
+use graphrep_ged::{GedConfig, GedEngine};
+
+/// The `ged` layer probe of `benchmark/src/probes.rs`: 160 DudLike graphs,
+/// seed 20140622, 2,000 fixed pairs.
+const N: usize = 160;
+const SEED: u64 = 20140622;
+const PAIRS: usize = 2_000;
+
+fn pairs() -> impl Iterator<Item = (usize, usize)> {
+    (0..PAIRS).map(|p| {
+        let i = (p * 7919) % N;
+        let j = (p * 104_729 + 1) % N;
+        (i, if i == j { (j + 1) % N } else { j })
+    })
+}
+
+#[test]
+fn full_distances_expand_the_recorded_states() {
+    let data = DatasetSpec::new(DatasetKind::DudLike, N, SEED).generate();
+    let graphs = data.db.graphs();
+    let engine = GedEngine::new(GedConfig::default());
+    let total: f64 = pairs()
+        .map(|(i, j)| engine.distance(&graphs[i], &graphs[j]))
+        .sum();
+    let c = engine.counters().snapshot();
+    assert_eq!(total, 14_741.0);
+    assert_eq!(c.expansions, 625_659);
+    assert_eq!(c.budget_fallbacks, 0);
+}
+
+#[test]
+fn membership_tests_expand_the_recorded_states() {
+    let data = DatasetSpec::new(DatasetKind::DudLike, N, SEED).generate();
+    let graphs = data.db.graphs();
+    let engine = GedEngine::new(GedConfig::default());
+    let accepted = pairs()
+        .filter(|&(i, j)| {
+            engine
+                .distance_within(&graphs[i], &graphs[j], 4.0)
+                .is_some()
+        })
+        .count();
+    let c = engine.counters().snapshot();
+    assert_eq!(accepted, 652);
+    assert_eq!(c.exact_searches, 400);
+    assert_eq!(c.expansions, 9_455);
+    assert_eq!(c.budget_fallbacks, 0);
+}

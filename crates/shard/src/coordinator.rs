@@ -25,7 +25,7 @@ use crate::shard::{ShardIoError, ShardState};
 use graphrep_core::{
     AnswerSet, CancelToken, Cancelled, GraphDatabase, MutateError, MutationOutcome, PickEvent,
 };
-use graphrep_ged::GedConfig;
+use graphrep_ged::{GedConfig, GraphProfile};
 use graphrep_graph::{Graph, GraphId};
 use graphrep_lockaudit::TrackedRwLock;
 use graphrep_metric::Bitset;
@@ -251,9 +251,10 @@ impl Coordinator {
         // Routing distances probe fixed center graphs: no lock is held and
         // no later mutation can change the owner.
         let snaps = self.snap_all();
+        let profile = GraphProfile::new(&graph);
         let mut owner = (f64::INFINITY, 0usize);
         for (s, snap) in snaps.iter().enumerate() {
-            let d = snap.center_distance(&graph);
+            let d = snap.center_distance(&graph, &profile);
             if d < owner.0 {
                 owner = (d, s);
             }
@@ -607,13 +608,14 @@ impl CoordSession {
         stats.verified_candidates += 1;
         let mut members = self.snaps[home].home_members(cand.local, &self.locals[home], theta);
         let probe = self.snaps[home].graph(cand.local);
+        let profile = self.snaps[home].profile(cand.local);
         for (t, snap) in self.snaps.iter().enumerate() {
             if t == home || self.locals[t].is_empty() || self.geometry_prunes(&cand, t, theta) {
                 continue;
             }
             touched[t] = true;
-            let d_center = snap.center_distance(probe);
-            members.extend(snap.foreign_members(probe, d_center, &self.locals[t], theta));
+            let d_center = snap.center_distance(probe, profile);
+            members.extend(snap.foreign_members(probe, profile, d_center, &self.locals[t], theta));
         }
         let mut nb = Bitset::new(self.id_space);
         for m in members {

@@ -16,7 +16,7 @@ use graphrep_core::{
     GraphDatabase, MutateError, MutationOutcome, NbIndex, NbIndexConfig, PersistError,
     PiHatVectors, ThresholdLadder,
 };
-use graphrep_ged::{DistanceOracle, GedConfig, GedEngine};
+use graphrep_ged::{DistanceOracle, GedConfig, GedEngine, GraphProfile};
 use graphrep_graph::{io as gio, Graph, GraphId};
 use graphrep_metric::Bitset;
 use std::path::Path;
@@ -182,17 +182,27 @@ impl ShardState {
         self.members[self.center_local as usize]
     }
 
-    /// Exact distance from an out-of-shard probe graph to the shard center.
-    pub fn center_distance(&self, probe: &Graph) -> f64 {
+    /// Exact distance from an out-of-shard probe graph (and its profile) to
+    /// the shard center.
+    pub fn center_distance(&self, probe: &Graph, profile: &GraphProfile) -> f64 {
         // Relaxed: a monotone stats counter, never used for synchronization.
         self.foreign_calls.fetch_add(1, Ordering::Relaxed);
-        let center = &self.index.oracle().graphs()[self.center_local as usize];
-        self.index.oracle().engine().distance(probe, center)
+        let oracle = self.index.oracle();
+        let center = &oracle.graphs()[self.center_local as usize];
+        oracle
+            .engine()
+            .distance_profiled(probe, center, profile, oracle.profile(self.center_local))
     }
 
     /// The graph owned at `local` (for cross-shard probes).
     pub fn graph(&self, local: GraphId) -> &Graph {
         &self.index.oracle().graphs()[local as usize]
+    }
+
+    /// The profile of the graph owned at `local` (travels with
+    /// [`ShardState::graph`] on cross-shard probes).
+    pub fn profile(&self, local: GraphId) -> &GraphProfile {
+        self.index.oracle().profile(local)
     }
 
     /// Edit-distance engine calls made through this shard's oracle.
@@ -264,17 +274,20 @@ impl ShardState {
     /// triangle-prescreened through its stored center distance —
     /// `|d_center − to_center| > θ` rejects, `d_center + to_center ≤ θ`
     /// accepts — and only the undecided remainder pays an edit distance.
-    /// The verdict arbiter is the same `distance_within` the home oracle
-    /// bottoms out in, so membership is byte-identical across paths.
+    /// The verdict arbiter is the same `distance_within_profiled` the home
+    /// oracle bottoms out in — cheap profile tiers first — so membership is
+    /// byte-identical across paths.
     pub fn foreign_members(
         &self,
         probe: &Graph,
+        profile: &GraphProfile,
         d_center: f64,
         locals: &[GraphId],
         theta: f64,
     ) -> Vec<GraphId> {
-        let engine = self.index.oracle().engine();
-        let graphs = self.index.oracle().graphs();
+        let oracle = self.index.oracle();
+        let engine = oracle.engine();
+        let graphs = oracle.graphs();
         let mut out = Vec::new();
         for &c in locals {
             let dc = self.to_center[c as usize];
@@ -287,7 +300,13 @@ impl ShardState {
                 // Relaxed: a monotone stats counter, never synchronization.
                 self.foreign_calls.fetch_add(1, Ordering::Relaxed);
                 engine
-                    .distance_within(probe, &graphs[c as usize], theta)
+                    .distance_within_profiled(
+                        probe,
+                        &graphs[c as usize],
+                        profile,
+                        oracle.profile(c),
+                        theta,
+                    )
                     .is_some()
             };
             if inside {
