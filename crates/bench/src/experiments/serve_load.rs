@@ -2,14 +2,13 @@
 //!
 //! Part 1 — the historical sweep: an in-process TCP server over one warm
 //! dataset, driven by the deterministic load harness (fixed seed, fixed
-//! per-connection `(θ, k)` schedules) at 1/4/8 worker threads, in BOTH I/O
-//! modes: the thread-per-connection blocking accept path and the epoll
-//! reactor (`io async`). Every served answer must be byte-identical to an
-//! offline [`graphrep_core::QuerySession::run`] replay of the same queries,
-//! at every pool size, in every mode.
+//! per-connection `(θ, k)` schedules) at 1/4/8 worker threads. Every served
+//! answer must be byte-identical to an offline
+//! [`graphrep_core::QuerySession::run`] replay of the same queries, at
+//! every pool size.
 //!
 //! Part 2 — the streaming differential, which is what the reactor exists
-//! for. On an async server with the answer cache disabled (so the blocking
+//! for. On a server with the answer cache disabled (so the blocking
 //! column measures real full-answer compute, not cache hits), and with
 //! ~2000 idle connections held open against the reactor for the entire
 //! comparison:
@@ -29,7 +28,7 @@ use crate::harness::{f, timed, Ctx, Row};
 use graphrep_core::CacheConfig;
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_serve::{
-    offline_reference, registry, run_load, verify_against_offline, Client, DatasetRegistry, IoMode,
+    offline_reference, registry, run_load, verify_against_offline, Client, DatasetRegistry,
     LoadMode, LoadReport, LoadSpec,
 };
 // graphrep: allow(G007, the idle flood parks raw sockets that speak no protocol — a serve Client would defeat the experiment)
@@ -51,8 +50,8 @@ const DIFF_WORKERS: usize = 8;
 /// unrecorded warmup pair). Samples pool across rounds before comparing.
 const DIFF_ROUNDS: usize = 3;
 
-/// Served-vs-offline determinism and throughput across I/O modes, worker
-/// counts, and load modes (blocking, pipelined+streamed).
+/// Served-vs-offline determinism and throughput across worker counts and
+/// load modes (blocking, pipelined+streamed).
 pub fn serve_load(ctx: &Ctx) {
     let size = ctx.base_size.clamp(80, 200);
     // `Dataset` is not `Clone`; the spec is deterministic, so regenerating
@@ -81,18 +80,16 @@ pub fn serve_load(ctx: &Ctx) {
 
     let mut rows: Vec<Row> = Vec::new();
 
-    // Part 1: the classic sweep, now in both I/O modes.
-    for io in [IoMode::Blocking, IoMode::Async] {
-        for &workers in WORKER_COUNTS {
-            let handle = start_server(&gen, io, workers, true);
-            let addr = handle.addr().to_string();
-            let (report, wall) = timed(|| run_verified(&addr, &spec, &reference, io, workers));
-            rows.push(row(io, &spec, workers, 0, &report.latencies_ms, &[], wall));
-            handle.shutdown();
-        }
+    // Part 1: the classic sweep.
+    for &workers in WORKER_COUNTS {
+        let handle = start_server(&gen, workers, true);
+        let addr = handle.addr().to_string();
+        let (report, wall) = timed(|| run_verified(&addr, &spec, &reference, workers));
+        rows.push(row(&spec, workers, 0, &report.latencies_ms, &[], wall));
+        handle.shutdown();
     }
 
-    // Part 2: the streaming differential on an uncached async server (a
+    // Part 2: the streaming differential on an uncached server (a
     // cache hit has no compute to stream past; disabling the cache makes
     // the blocking column an honest full-answer baseline). Runs must be
     // heavy enough that the compute remaining AFTER the first pick dwarfs
@@ -129,7 +126,7 @@ pub fn serve_load(ctx: &Ctx) {
         ..diff_spec.clone()
     };
 
-    let handle = start_server(&diff_gen, IoMode::Async, DIFF_WORKERS, false);
+    let handle = start_server(&diff_gen, DIFF_WORKERS, false);
     let addr = handle.addr().to_string();
 
     // The flood goes up BEFORE any measurement and stays for all of them:
@@ -147,46 +144,18 @@ pub fn serve_load(ctx: &Ctx) {
     // Unrecorded warmup pair: first-touch effects (page-in, allocator
     // growth, branch warmup) otherwise land entirely on whichever column
     // runs first.
-    run_verified(
-        &addr,
-        &diff_spec,
-        &diff_reference,
-        IoMode::Async,
-        DIFF_WORKERS,
-    );
-    run_verified(
-        &addr,
-        &pipe_spec,
-        &diff_reference,
-        IoMode::Async,
-        DIFF_WORKERS,
-    );
+    run_verified(&addr, &diff_spec, &diff_reference, DIFF_WORKERS);
+    run_verified(&addr, &pipe_spec, &diff_reference, DIFF_WORKERS);
 
     let mut blocking_lat: Vec<f64> = Vec::new();
     let mut pipe_lat: Vec<f64> = Vec::new();
     let mut ttfp: Vec<f64> = Vec::new();
     let (mut blocking_wall, mut pipe_wall) = (0.0f64, 0.0f64);
     for _ in 0..DIFF_ROUNDS {
-        let (rep, wall) = timed(|| {
-            run_verified(
-                &addr,
-                &diff_spec,
-                &diff_reference,
-                IoMode::Async,
-                DIFF_WORKERS,
-            )
-        });
+        let (rep, wall) = timed(|| run_verified(&addr, &diff_spec, &diff_reference, DIFF_WORKERS));
         blocking_wall += wall;
         blocking_lat.extend(rep.latencies_ms);
-        let (rep, wall) = timed(|| {
-            run_verified(
-                &addr,
-                &pipe_spec,
-                &diff_reference,
-                IoMode::Async,
-                DIFF_WORKERS,
-            )
-        });
+        let (rep, wall) = timed(|| run_verified(&addr, &pipe_spec, &diff_reference, DIFF_WORKERS));
         pipe_wall += wall;
         pipe_lat.extend(rep.latencies_ms);
         ttfp.extend(rep.ttfp_ms);
@@ -216,7 +185,6 @@ pub fn serve_load(ctx: &Ctx) {
     );
 
     let mut blocking_row = row(
-        IoMode::Async,
         &diff_spec,
         DIFF_WORKERS,
         idle_count(&stats),
@@ -224,11 +192,10 @@ pub fn serve_load(ctx: &Ctx) {
         &[],
         blocking_wall,
     );
-    blocking_row[5] =
+    blocking_row[4] =
         (diff_spec.connections * diff_spec.requests_per_conn * DIFF_ROUNDS).to_string();
     rows.push(blocking_row);
     let mut pipe_row = row(
-        IoMode::Async,
         &pipe_spec,
         DIFF_WORKERS,
         idle_count(&stats),
@@ -236,14 +203,13 @@ pub fn serve_load(ctx: &Ctx) {
         &ttfp,
         pipe_wall,
     );
-    pipe_row[5] = (pipe_spec.connections * pipe_spec.requests_per_conn * DIFF_ROUNDS).to_string();
-    pipe_row[11] = "true".to_owned();
+    pipe_row[4] = (pipe_spec.connections * pipe_spec.requests_per_conn * DIFF_ROUNDS).to_string();
+    pipe_row[10] = "true".to_owned();
     rows.push(pipe_row);
 
     ctx.emit(
         "serve_load",
         &[
-            "io",
             "mode",
             "workers",
             "connections",
@@ -260,15 +226,9 @@ pub fn serve_load(ctx: &Ctx) {
     );
 }
 
-fn start_server(
-    gen: &DatasetSpec,
-    io: IoMode,
-    workers: usize,
-    cached: bool,
-) -> graphrep_serve::ServerHandle {
+fn start_server(gen: &DatasetSpec, workers: usize, cached: bool) -> graphrep_serve::ServerHandle {
     let cfg = graphrep_serve::ServeConfig {
         workers,
-        io,
         ..graphrep_serve::ServeConfig::default()
     };
     let mut ds = registry::load_in_memory("bench", gen.generate());
@@ -281,7 +241,7 @@ fn start_server(
     let mut reg = DatasetRegistry::new();
     reg.insert(ds);
     graphrep_serve::start(cfg, reg)
-        .unwrap_or_else(|e| panic!("server failed to start ({} x{workers}): {e}", io.name()))
+        .unwrap_or_else(|e| panic!("server failed to start (x{workers}): {e}"))
 }
 
 /// Runs one load and enforces the determinism contract: zero errors, every
@@ -290,35 +250,22 @@ fn run_verified(
     addr: &str,
     spec: &LoadSpec,
     reference: &std::collections::HashMap<(u64, usize), graphrep_core::AnswerSet>,
-    io: IoMode,
     workers: usize,
 ) -> LoadReport {
-    let report = run_load(addr, spec).unwrap_or_else(|e| {
-        panic!(
-            "load failed ({} x{workers} {:?}): {e}",
-            io.name(),
-            spec.mode
-        )
-    });
+    let report = run_load(addr, spec)
+        .unwrap_or_else(|e| panic!("load failed (x{workers} {:?}): {e}", spec.mode));
     assert!(
         report.errors.is_empty(),
-        "load errors ({} x{workers} {:?}): {:?}",
-        io.name(),
+        "load errors (x{workers} {:?}): {:?}",
         spec.mode,
         report.errors
     );
-    let verified = verify_against_offline(&report, reference).unwrap_or_else(|e| {
-        panic!(
-            "determinism violation ({} x{workers} {:?}): {e}",
-            io.name(),
-            spec.mode
-        )
-    });
+    let verified = verify_against_offline(&report, reference)
+        .unwrap_or_else(|e| panic!("determinism violation (x{workers} {:?}): {e}", spec.mode));
     assert_eq!(
         verified,
         spec.connections * spec.requests_per_conn,
-        "incomplete run ({} x{workers} {:?})",
-        io.name(),
+        "incomplete run (x{workers} {:?})",
         spec.mode
     );
     report
@@ -326,7 +273,6 @@ fn run_verified(
 
 /// Builds one CSV row from (possibly pooled) latency samples.
 fn row(
-    io: IoMode,
     spec: &LoadSpec,
     workers: usize,
     idle_held: usize,
@@ -336,7 +282,6 @@ fn row(
 ) -> Row {
     let requests = spec.connections * spec.requests_per_conn;
     vec![
-        io.name().to_owned(),
         mode_name(spec.mode).to_owned(),
         workers.to_string(),
         spec.connections.to_string(),

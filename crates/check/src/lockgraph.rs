@@ -1031,7 +1031,7 @@ fn resolve_site(
 ) -> Option<usize> {
     if chain.len() == 1 {
         // `x.lock()` on a local/param that *is* the lock: unique-field
-        // fallback (e.g. the `conns` parameter threaded into accept_loop).
+        // fallback (e.g. a `queue` parameter threaded into a helper).
         let ids = ctx.tables.by_field.get(&chain[0])?;
         return if ids.len() == 1 { Some(ids[0]) } else { None };
     }

@@ -49,6 +49,17 @@ impl Command {
         self.flags.get(key).map(String::as_str)
     }
 
+    /// Rejects any flag not named in `known`.
+    pub fn allow_only(&self, known: &[&str]) -> Result<(), CliError> {
+        match self.flags.keys().find(|k| !known.contains(&k.as_str())) {
+            Some(k) => Err(CliError(format!(
+                "unknown flag --{k} for `{}`; try `graphrep help`",
+                self.name
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// A parsed flag with a default.
     pub fn parsed_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
         match self.flags.get(key) {
@@ -126,6 +137,14 @@ mod tests {
         assert_eq!(c.float_list("steps").unwrap().unwrap(), vec![1.0, 2.5, 3.0]);
         assert_eq!(c.float_list("nope").unwrap(), None);
         assert!(c.opt("steps").is_some());
+    }
+
+    #[test]
+    fn flags_outside_the_allow_list_are_named_in_the_error() {
+        let c = parse(&argv(&["serve", "--data", "d", "--io", "async"])).unwrap();
+        assert!(c.allow_only(&["data", "io"]).is_ok());
+        let e = c.allow_only(&["data"]).unwrap_err();
+        assert!(e.0.contains("--io"), "{}", e.0);
     }
 
     #[test]

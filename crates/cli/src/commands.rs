@@ -49,7 +49,7 @@ subcommands:
   topk     --data DIR --k K
   compare  --data DIR --theta T --k K     (REP vs DIV vs DisC vs top-k)
   serve    --data DIR [--name NAME] [--addr HOST:PORT] [--workers N]
-           [--io blocking|async] [--write-queue-cap BYTES]
+           [--write-queue-cap BYTES]
            [--max-queue N] [--deadline-ms MS] [--idle-secs S]
            [--cache-capacity N] [--cache-ttl SECS]
            [--shards S [--shard-seed SEED]]
@@ -73,13 +73,13 @@ answer cache per dataset (epoch-keyed, invalidated on mutation).
 expiry. `load --skew S` draws (θ, k) pairs Zipf-like with exponent S
 instead of uniformly (0 = the historical uniform schedule).
 
-`serve --io async` swaps the thread-per-connection accept path for the
-epoll reactor (Linux only): thousands of idle connections per core, v2
-protocol negotiation (pipelined tagged requests), and streamed runs whose
-picks go out frame-by-frame. `load --stream true` issues `run_stream`
-requests one at a time; `load --pipeline DEPTH` keeps DEPTH streamed runs
-in flight per connection (requires an async server). Both verify every
-stream against its terminal summary and report time-to-first-pick.
+`serve` drives every connection from one epoll reactor thread (Linux
+only): thousands of idle connections per core, v2 protocol negotiation
+(pipelined tagged requests), and streamed runs whose picks go out
+frame-by-frame. `load --stream true` issues `run_stream` requests one at
+a time; `load --pipeline DEPTH` keeps DEPTH streamed runs in flight per
+connection. Both verify every stream against its terminal summary and
+report time-to-first-pick.
 
 `shard-build` partitions the dataset into S metric-space shards
 (farthest-point centers) and persists one NB-Index per shard plus the
@@ -555,20 +555,30 @@ fn compare(cmd: &Command) -> Result<String, CliError> {
 /// flushed) before blocking so scripts can scrape the chosen port.
 fn serve(cmd: &Command) -> Result<String, CliError> {
     use graphrep_core::CacheConfig;
-    use graphrep_serve::{DatasetRegistry, IoMode, ServeConfig};
+    use graphrep_serve::{DatasetRegistry, ServeConfig};
+    // Flags are rejected by name here because this subcommand has retired
+    // one (`--io`): a stale script must fail loudly, not run with the flag
+    // silently ignored.
+    cmd.allow_only(&[
+        "data",
+        "name",
+        "addr",
+        "workers",
+        "write-queue-cap",
+        "max-queue",
+        "deadline-ms",
+        "idle-secs",
+        "cache-capacity",
+        "cache-ttl",
+        "shards",
+        "shard-seed",
+        "threads",
+    ])?;
     let dir = cmd.req("data")?;
     let name = cmd.opt("name").unwrap_or("default").to_owned();
-    // No `--io` flag falls back to `ServeConfig::default()`, which honors
-    // `GRAPHREP_SERVE_IO` — CI flips whole smoke jobs between I/O modes
-    // through the environment without touching each invocation.
-    let io: IoMode = match cmd.opt("io") {
-        Some(s) => s.parse().map_err(|e| CliError(format!("--io: {e}")))?,
-        None => ServeConfig::default().io,
-    };
     let cfg = ServeConfig {
         addr: cmd.opt("addr").unwrap_or("127.0.0.1:0").to_owned(),
         workers: cmd.parsed_or("workers", 4usize)?,
-        io,
         write_queue_cap: cmd
             .parsed_or("write-queue-cap", ServeConfig::default().write_queue_cap)?,
         max_queue: cmd.parsed_or("max-queue", 64usize)?,
@@ -606,10 +616,7 @@ fn serve(cmd: &Command) -> Result<String, CliError> {
     };
     let handle = graphrep_serve::start(cfg, registry).map_err(|e| CliError(e.to_string()))?;
     let addr = handle.addr();
-    println!(
-        "graphrep-serve listening on {addr} (dataset `{name}`{shard_note}, io {})",
-        io.name()
-    );
+    println!("graphrep-serve listening on {addr} (dataset `{name}`{shard_note})");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     handle.wait();
@@ -910,7 +917,7 @@ fn mutate_cmd(cmd: &Command) -> Result<String, CliError> {
                     "{} [shard {}, epochs {:?}]",
                     receipt_line("insert", r.id, r.epoch, r.live, r.tombstones, r.rebuilt),
                     r.shard,
-                    r.epochs
+                    r.shard_epochs
                 );
             }
             for id in removes {
@@ -920,7 +927,7 @@ fn mutate_cmd(cmd: &Command) -> Result<String, CliError> {
                     "{} [shard {}, epochs {:?}]",
                     receipt_line("remove", r.id, r.epoch, r.live, r.tombstones, r.rebuilt),
                     r.shard,
-                    r.epochs
+                    r.shard_epochs
                 );
             }
             let coord = ds.coordinator();

@@ -85,9 +85,8 @@ impl Client {
     }
 
     /// Negotiates the protocol version: offers [`PROTOCOL_MAX`], adopts
-    /// whatever the server grants (a blocking-mode server grants v1, so the
-    /// connection simply stays on bare frames). Must be the first exchange
-    /// on the connection.
+    /// whatever the server grants (on a v1 grant the connection simply
+    /// stays on bare frames). Must be the first exchange on the connection.
     pub fn hello(&mut self) -> Result<HelloAckBody, ServeError> {
         // Sent in the connection's *current* framing — negotiation itself is
         // always a bare v1 exchange.
@@ -271,7 +270,7 @@ impl Client {
     ) -> Result<Vec<StreamedRun>, ServeError> {
         if self.version < PROTOCOL_V2 {
             return Err(ServeError::new(
-                "pipelining needs protocol v2; call hello() against an async-mode server first",
+                "pipelining needs protocol v2; call hello() first",
             ));
         }
         let t0 = Instant::now();
@@ -504,7 +503,7 @@ pub enum LoadMode {
     /// bare v1 streaming otherwise.
     Streamed,
     /// `depth` tagged streamed runs in flight per connection (true
-    /// pipelining; requires an async-mode server granting v2).
+    /// pipelining; needs the v2 grant `hello` negotiates).
     Pipelined {
         /// In-flight requests per connection (clamped to at least 1).
         depth: usize,

@@ -17,11 +17,17 @@
 //!   `overloaded` rejections instead of unbounded queueing), per-request
 //!   deadlines enforced cooperatively between search heap pops, live
 //!   metrics, and graceful drain-then-exit shutdown;
-//! * [`protocol`] — length-prefixed JSON frames (std::net + the vendored
-//!   `serde_json`; no external dependencies);
+//! * [`reactor`] — the one I/O engine: a single epoll thread owns the
+//!   listener and every connection, so the server is Linux-only;
+//! * [`protocol`] — length-prefixed JSON frames, untagged v1 (answered in
+//!   request order) and tagged v2 (pipelined), over std::net + the vendored
+//!   `serde_json`; no external dependencies;
 //! * [`client`] — a blocking client plus the deterministic load harness
 //!   whose answers are verified byte-identical to offline
 //!   [`graphrep_core::QuerySession::run`].
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("graphrep-serve drives its connections with epoll and builds on Linux only");
 
 pub mod client;
 pub mod metrics;
@@ -43,7 +49,6 @@ pub use protocol::{
 };
 pub use registry::{
     DatasetCaches, DatasetEntry, DatasetRegistry, LoadedDataset, MutationReceipt, ShardedDataset,
-    ShardedMutationReceipt,
 };
-pub use server::{start, start_in_memory, IoMode, ServeConfig, ServerHandle};
+pub use server::{start, start_in_memory, ServeConfig, ServerHandle};
 pub use sessions::{LiveSession, SessionBackend, SessionManager};

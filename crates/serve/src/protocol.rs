@@ -464,6 +464,11 @@ pub struct DatasetStats {
     /// Per-shard breakdown for sharded datasets; empty when the dataset is
     /// served by a single NB-Index.
     pub shards: Vec<ShardStats>,
+    /// Best-effort re-persist steps (sidecar, dataset, index or shard
+    /// files) that failed after a mutation since the dataset was loaded.
+    /// Serving continues regardless; nonzero means the on-disk state is
+    /// behind the served one.
+    pub persist_errors: u64,
 }
 
 /// Body of [`Response::Stats`]: a full observability snapshot.
@@ -485,9 +490,6 @@ pub struct StatsBody {
     pub endpoints: Vec<EndpointStats>,
     /// Per-dataset index and oracle statistics.
     pub datasets: Vec<DatasetStats>,
-    /// Connection I/O mode (`blocking` or `async`). Appended after v1; old
-    /// clients ignore unknown fields.
-    pub io_mode: String,
     /// Connections currently open (accepted and not yet torn down).
     pub connections_open: usize,
 }

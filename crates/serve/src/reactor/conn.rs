@@ -15,6 +15,14 @@
 //! * While a queue sits over its cap the reactor stops *reading* from that
 //!   connection (interest drops to write-only), which converts our queue
 //!   pressure into TCP backpressure on a pipelining peer.
+//!
+//! ## v1 ordering
+//!
+//! An untagged (v1) peer correlates responses by order alone, so its
+//! requests are dispatched one at a time: payloads that arrive while an
+//! untagged request is in flight wait in [`ConnFsm::held`] (reads pause
+//! until it empties, so a write-ahead peer meets TCP backpressure instead
+//! of an unbounded hold). Tagged (v2) requests dispatch as they arrive.
 
 use super::waker::Waker;
 use crate::protocol::{DecodeError, FrameDecoder, PROTOCOL_V1};
@@ -22,6 +30,7 @@ use graphrep_lockaudit::TrackedMutex;
 use std::collections::{HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Outcome of offering a streamed (non-terminal) frame to a write queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +53,7 @@ struct QueueState {
     inflight_untagged: usize,
 }
 
-/// The outbound side of one async connection, shared with the worker pool.
+/// The outbound side of one connection, shared with the worker pool.
 pub struct ConnQueue {
     state: TrackedMutex<QueueState>,
     cap: usize,
@@ -94,6 +103,12 @@ impl ConnQueue {
                 true
             }
         }
+    }
+
+    /// Whether an untagged (v1) request is dispatched but not yet answered —
+    /// the gate that keeps a v1 connection strictly first-in, first-out.
+    pub fn untagged_in_flight(&self) -> bool {
+        self.state.lock().inflight_untagged > 0
     }
 
     /// Offers a streamed (non-terminal) frame, subject to the byte cap.
@@ -211,8 +226,6 @@ impl ConnQueue {
 /// What [`ConnFsm::on_readable`] learned from one readiness-driven read.
 #[derive(Debug, Default)]
 pub struct ReadOutcome {
-    /// Complete frame payloads, in arrival order, as validated UTF-8 JSON.
-    pub payloads: Vec<String>,
     /// The peer closed its write side (EOF). Per policy the whole
     /// connection is torn down: a half-open peer that can no longer send
     /// requests has no use for a query connection, and treating EOF as
@@ -237,7 +250,16 @@ pub struct ConnFsm {
     pub version: u32,
     /// A frame partially written to the socket: remaining bytes.
     pending: Option<Vec<u8>>,
-    /// Reads are paused while the peer is over its write-queue cap.
+    /// Complete frame payloads (validated UTF-8 JSON) in arrival order,
+    /// decoded but not yet dispatched: on a v1 connection, requests queued
+    /// behind the one in flight (see the module docs).
+    pub held: VecDeque<String>,
+    /// When the last inbound byte arrived, while a frame is half received;
+    /// `None` between frames. The reactor's stall sweep disconnects a peer
+    /// that leaves a frame unfinished for longer than `frame_stall`.
+    pub partial_since: Option<Instant>,
+    /// Reads are paused while the peer is over its write-queue cap or has
+    /// held payloads waiting.
     pub read_paused: bool,
     /// No more requests are accepted; close once writes drain.
     pub closing: bool,
@@ -261,13 +283,15 @@ impl ConnFsm {
             out,
             version: PROTOCOL_V1,
             pending: None,
+            held: VecDeque::new(),
+            partial_since: None,
             read_paused: false,
             closing: false,
         }
     }
 
-    /// Drains the transport's readable bytes into the decoder and returns
-    /// every complete frame payload. Stops at `WouldBlock` (readiness
+    /// Drains the transport's readable bytes into the decoder and appends
+    /// every complete frame payload to [`ConnFsm::held`]. Stops at `WouldBlock` (readiness
     /// exhausted — including the spurious-wakeup case where the first read
     /// refuses), EOF, or a decode error.
     pub fn on_readable(&mut self, transport: &mut impl Read) -> ReadOutcome {
@@ -276,6 +300,7 @@ impl ConnFsm {
             return out;
         }
         let mut buf = [0u8; 64 * 1024];
+        let mut progressed = false;
         loop {
             match transport.read(&mut buf) {
                 Ok(0) => {
@@ -283,10 +308,11 @@ impl ConnFsm {
                     break;
                 }
                 Ok(n) => {
+                    progressed = true;
                     self.decoder.feed(&buf[..n]);
                     loop {
                         match self.decoder.next_payload() {
-                            Ok(Some(payload)) => out.payloads.push(payload),
+                            Ok(Some(payload)) => self.held.push_back(payload),
                             Ok(None) => break,
                             Err(e) => {
                                 out.error = Some(e);
@@ -307,6 +333,9 @@ impl ConnFsm {
                     break;
                 }
             }
+        }
+        if progressed {
+            self.partial_since = (self.decoder.buffered() > 0).then(Instant::now);
         }
         out
     }
@@ -364,15 +393,15 @@ impl ConnFsm {
         }
     }
 
-    /// Re-evaluates the read-pause state from the queue's cap. Returns
-    /// `true` when the interest set may have changed.
-    pub fn update_read_pause(&mut self) -> bool {
-        let should_pause = self.out.over_cap();
-        if should_pause != self.read_paused {
-            self.read_paused = should_pause;
-            true
-        } else {
-            false
+    /// Re-evaluates the read-pause state from the queue's cap and the held
+    /// payloads.
+    pub fn update_read_pause(&mut self) {
+        let should_pause = self.out.over_cap() || !self.held.is_empty();
+        if self.read_paused && !should_pause {
+            // The peer could not make progress while we were not reading:
+            // a half-received frame gets a fresh stall clock.
+            self.partial_since = self.partial_since.map(|_| Instant::now());
         }
+        self.read_paused = should_pause;
     }
 }

@@ -1,19 +1,20 @@
-//! The event-driven I/O core of the async serve mode: one reactor thread
-//! multiplexes every connection over a level-triggered [`poll::Poll`]
-//! (epoll in production, a scripted mock in tests), decodes frames
-//! incrementally, and hands query work to the existing bounded worker pool.
-//! Compute stays threaded; only I/O is readiness-driven.
+//! The event-driven I/O core of the server: one reactor thread multiplexes
+//! every connection over a level-triggered [`poll::Poll`] (epoll in
+//! production, a scripted mock in tests), decodes frames incrementally, and
+//! hands query work to the bounded worker pool. Compute stays threaded; only
+//! I/O is readiness-driven.
 //!
 //! Layering, bottom up:
 //!
-//! * [`sys`] — the unsafe epoll/rlimit FFI (Linux only);
+//! * [`sys`] — the unsafe epoll/rlimit FFI;
 //! * [`poll`] — the readiness seam: [`poll::Poll`], [`poll::MockPoll`];
 //! * [`waker`] — worker→reactor wake channel (socketpair + dirty list);
 //! * [`conn`] — per-connection write queue with backpressure and the
 //!   transport-agnostic read/write state machine;
 //! * this module — the slab of live connections (generation-tagged tokens,
 //!   so stale readiness events for recycled slots are ignored), the accept
-//!   path, dispatch glue, and graceful drain.
+//!   path, dispatch glue (v1 connections strictly in request order), the
+//!   mid-frame stall sweep, and graceful drain.
 
 pub mod conn;
 pub mod poll;
@@ -33,7 +34,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use waker::Waker;
 
 /// Token of the wake-channel read end.
@@ -234,6 +235,9 @@ pub struct Reactor<P: Poll> {
     dispatch: Arc<dyn AsyncDispatch>,
     conns: Slab,
     write_cap: usize,
+    /// How long a peer may leave a frame half sent before it is dropped.
+    frame_stall: Duration,
+    last_stall_sweep: Instant,
 }
 
 impl<P: Poll> std::fmt::Debug for Reactor<P> {
@@ -254,6 +258,7 @@ impl<P: Poll> Reactor<P> {
         wake_rx: UnixStream,
         dispatch: Arc<dyn AsyncDispatch>,
         write_cap: usize,
+        frame_stall: Duration,
     ) -> std::io::Result<Self> {
         poll.register(
             acceptor.raw_fd(),
@@ -279,6 +284,8 @@ impl<P: Poll> Reactor<P> {
             dispatch,
             conns: Slab::default(),
             write_cap,
+            frame_stall,
+            last_stall_sweep: Instant::now(),
         })
     }
 
@@ -292,7 +299,8 @@ impl<P: Poll> Reactor<P> {
 
     /// One iteration of the event loop — one bounded `wait` (so the
     /// shutdown flag is polled even if no event ever arrives), event
-    /// handling, dirty-connection flushes, drain bookkeeping. Returns
+    /// handling, dirty-connection flushes, the stall sweep, drain
+    /// bookkeeping. Returns
     /// `true` once graceful drain completed. Split out of [`Reactor::run`]
     /// so the mock-poll unit tests can single-step the loop.
     fn turn(&mut self, draining: &mut bool) -> bool {
@@ -306,7 +314,16 @@ impl<P: Poll> Reactor<P> {
             }
         }
         for token in self.waker.take_dirty() {
+            // A terminal frame may have just retired a v1 connection's
+            // in-flight request: its next held request goes out first.
+            self.pump_held(token);
             self.flush_conn(token);
+        }
+        // At most once a second (sooner only under a sub-second limit), not
+        // per event: the sweep walks every connection.
+        if self.last_stall_sweep.elapsed() >= self.frame_stall.min(Duration::from_secs(1)) {
+            self.last_stall_sweep = Instant::now();
+            self.sweep_stalled();
         }
         if self.dispatch.shutting_down() {
             if !*draining {
@@ -318,7 +335,7 @@ impl<P: Poll> Reactor<P> {
             // Close connections with nothing left in flight or queued.
             for token in self.conns.tokens() {
                 let done = match self.conns.get_mut(token) {
-                    Some(c) => c.fsm.out.drained() && !c.fsm.wants_write(),
+                    Some(c) => c.fsm.held.is_empty() && c.fsm.out.drained() && !c.fsm.wants_write(),
                     None => false,
                 };
                 if done {
@@ -411,9 +428,7 @@ impl<P: Poll> Reactor<P> {
         }
         let outcome = c.fsm.on_readable(&mut c.transport);
         let queue = Arc::clone(&c.fsm.out);
-        for payload in outcome.payloads {
-            self.handle_payload(token, &payload, &queue);
-        }
+        self.pump_held(token);
         if let Some(e) = outcome.error {
             // Framing lost sync: one typed diagnostic, then close once it
             // (and everything before it) flushes. Tagged with the sentinel
@@ -443,12 +458,32 @@ impl<P: Poll> Reactor<P> {
         self.flush_conn(token);
     }
 
-    fn handle_payload(&mut self, token: u64, payload: &str, queue: &Arc<ConnQueue>) {
-        let version = match self.conns.get_mut(token) {
+    /// Dispatches a connection's held payloads in arrival order. An untagged
+    /// (v1) peer can only correlate responses by order, so its next request
+    /// waits until the one in flight has its terminal frame; tagged (v2)
+    /// requests all go out at once.
+    fn pump_held(&mut self, token: u64) {
+        loop {
+            let Some(c) = self.conns.get_mut(token) else {
+                return;
+            };
             // A poisoned connection processes nothing after the bad frame.
-            Some(c) if !c.fsm.closing => c.fsm.version,
-            _ => return,
-        };
+            if c.fsm.closing {
+                c.fsm.held.clear();
+                return;
+            }
+            if c.fsm.version == PROTOCOL_V1 && c.fsm.out.untagged_in_flight() {
+                return;
+            }
+            let Some(payload) = c.fsm.held.pop_front() else {
+                return;
+            };
+            let (version, queue) = (c.fsm.version, Arc::clone(&c.fsm.out));
+            self.handle_payload(token, version, &payload, &queue);
+        }
+    }
+
+    fn handle_payload(&mut self, token: u64, version: u32, payload: &str, queue: &Arc<ConnQueue>) {
         let (tag, req) = if version > PROTOCOL_V1 {
             match serde_json::from_str::<TaggedRequest>(payload) {
                 Ok(t) => (Some(t.id), t.req),
@@ -497,8 +532,7 @@ impl<P: Poll> Reactor<P> {
     }
 
     /// Marks a connection poisoned after an unparseable frame: one
-    /// diagnostic, then close-on-drain. The v1 blocking server does the
-    /// same (one best-effort error, then drop).
+    /// diagnostic, then close-on-drain.
     fn poison(&mut self, token: u64, queue: &Arc<ConnQueue>, message: String) {
         let tag = match self.conns.get_mut(token) {
             Some(c) => {
@@ -545,6 +579,33 @@ impl<P: Poll> Reactor<P> {
                     c.registered = want;
                 }
             }
+        }
+    }
+
+    /// Disconnects every peer that has left a frame half sent for longer
+    /// than `frame_stall`: it would otherwise hold a slab slot and up to a
+    /// frame's worth of decoder buffer forever. One best-effort diagnostic,
+    /// then the connection goes regardless of whether it could be written.
+    fn sweep_stalled(&mut self) {
+        for token in self.conns.tokens() {
+            let Some(c) = self.conns.get_mut(token) else {
+                continue;
+            };
+            // While we are not reading, the missing bytes are not the
+            // peer's fault.
+            let stalled = !c.fsm.read_paused
+                && c.fsm
+                    .partial_since
+                    .is_some_and(|t| t.elapsed() > self.frame_stall);
+            if !stalled {
+                continue;
+            }
+            let queue = Arc::clone(&c.fsm.out);
+            self.poison(token, &queue, "peer stalled mid-frame".to_owned());
+            if let Some(c) = self.conns.get_mut(token) {
+                let _ = c.fsm.on_writable(&mut c.transport);
+            }
+            self.teardown(token);
         }
     }
 

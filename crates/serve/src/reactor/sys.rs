@@ -3,10 +3,9 @@
 //! libc that std already links. Everything above this module is safe code
 //! behind the [`super::poll::Poll`] trait.
 //!
-//! Linux-only by construction (`epoll` is a Linux API); the reactor refuses
-//! to start elsewhere rather than pretending to poll.
+//! Linux-only by construction (`epoll` is a Linux API); the crate root
+//! refuses to compile elsewhere rather than pretending to poll.
 #![allow(unsafe_code)]
-#![cfg(target_os = "linux")]
 
 use super::poll::{Event, Interest, Poll};
 use std::io;

@@ -167,6 +167,10 @@ struct Rig {
 
 impl Rig {
     fn new(write_cap: usize) -> Self {
+        Self::with_frame_stall(write_cap, Duration::from_secs(10))
+    }
+
+    fn with_frame_stall(write_cap: usize, frame_stall: Duration) -> Self {
         let (waker, wake_rx) = Waker::new().unwrap();
         let dispatch = MockDispatch::new();
         let pending = Arc::new(Mutex::new(VecDeque::new()));
@@ -180,6 +184,7 @@ impl Rig {
             wake_rx,
             Arc::clone(&dispatch) as Arc<dyn AsyncDispatch>,
             write_cap,
+            frame_stall,
         )
         .unwrap();
         Self {
@@ -406,6 +411,100 @@ fn hello_acks_in_old_framing_then_switches_to_tagged() {
             resp: Response::Closed
         }]
     );
+}
+
+/// A v1 peer correlates responses by order alone: two untagged requests
+/// arriving in one read dispatch one at a time, the second only once the
+/// first has its terminal frame — and reads pause while one is held.
+#[test]
+fn untagged_write_ahead_dispatches_one_request_at_a_time() {
+    let mut rig = Rig::new(1 << 20);
+    let t = ScriptedTransport::new(7);
+    rig.offer_conn(&t);
+    rig.turn();
+    let mut both = frame_of(&ping());
+    both.extend(frame_of(&Request::Stats));
+    t.push_read(ReadStep::Data(both));
+    rig.readable(0);
+    rig.turn();
+    assert_eq!(
+        rig.dispatch.reqs(),
+        vec![(None, ping())],
+        "the second request must wait for the first one's answer"
+    );
+    assert_eq!(
+        rig.reactor.poll.interest_of(7),
+        Some(Interest {
+            readable: false,
+            writable: false
+        }),
+        "a held request pauses reads (TCP backpressure on write-ahead)"
+    );
+    rig.turn();
+    assert_eq!(rig.dispatch.reqs().len(), 1, "still waiting");
+    // The worker answers the first request: the held one goes out.
+    let q = rig.dispatch.last_queue();
+    assert!(q.push_final(None, encode_response(None, &Response::Pong).unwrap()));
+    rig.turn();
+    assert_eq!(
+        rig.dispatch.reqs(),
+        vec![(None, ping()), (None, Request::Stats)]
+    );
+    assert_eq!(
+        rig.reactor.poll.interest_of(7),
+        Some(Interest {
+            readable: true,
+            writable: false
+        })
+    );
+    let resp: Vec<Response> = decode_all(&t.written());
+    assert_eq!(resp, vec![Response::Pong]);
+}
+
+/// A peer that leaves a frame half sent past `frame_stall` is disconnected
+/// (slot and decoder buffer reclaimed); a connection idling *between*
+/// frames is not.
+#[test]
+fn mid_frame_stall_is_disconnected_but_idle_connections_survive() {
+    let mut rig = Rig::with_frame_stall(1 << 20, Duration::from_millis(2));
+    rig.dispatch.auto_final.store(true, Ordering::SeqCst);
+    let staller = ScriptedTransport::new(7);
+    let idler = ScriptedTransport::new(8);
+    rig.offer_conn(&staller);
+    rig.offer_conn(&idler);
+    rig.turn();
+    rig.turn();
+    assert_eq!(rig.reactor.connections(), 2);
+    let frame = frame_of(&ping());
+    staller.push_read(ReadStep::Data(frame[..frame.len() / 2].to_vec()));
+    idler.push_read(ReadStep::Data(frame.clone()));
+    rig.readable(0);
+    rig.readable(1);
+    rig.turn();
+    rig.turn();
+    assert_eq!(
+        rig.dispatch.reqs().len(),
+        1,
+        "the complete frame dispatched"
+    );
+    std::thread::sleep(Duration::from_millis(10));
+    rig.turn();
+    assert_eq!(rig.reactor.connections(), 1, "the staller is gone");
+    assert_eq!(rig.dispatch.closed.load(Ordering::SeqCst), 1);
+    assert_eq!(rig.reactor.poll.interest_of(7), None);
+    assert!(
+        rig.reactor.poll.interest_of(8).is_some(),
+        "the idle connection survives"
+    );
+    // One best-effort diagnostic went out before the close.
+    let frames: Vec<Response> = decode_all(&staller.written());
+    match frames.as_slice() {
+        [Response::Error(ErrorBody { code, message })] => {
+            assert_eq!(code, codes::BAD_REQUEST);
+            assert!(message.contains("stalled"), "{message}");
+        }
+        other => panic!("expected one stall diagnostic, got {other:?}"),
+    }
 }
 
 #[test]

@@ -32,6 +32,7 @@ use graphrep_lockaudit::{TrackedReadGuard, TrackedRwLock};
 use graphrep_shard::{CoordConfig, CoordSession, Coordinator, RestoreSource};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Family id recorded for graphs inserted from outside the generator: the
@@ -48,19 +49,36 @@ pub fn default_index_config(data: &Dataset) -> NbIndexConfig {
     }
 }
 
-/// Receipt returned by the registry's mutation methods.
-#[derive(Debug, Clone, Copy)]
+/// Receipt returned by the registry's mutation methods, for single-index
+/// and sharded datasets alike.
+#[derive(Debug, Clone)]
 pub struct MutationReceipt {
     /// Affected graph id (the new id for inserts).
     pub id: GraphId,
-    /// Mutation epoch after the operation.
+    /// Mutation epoch after the operation (for a sharded dataset, the
+    /// owning shard's — the only one that moved).
     pub epoch: u64,
-    /// Live graphs after the operation.
+    /// Live graphs after the operation (across all shards).
     pub live: usize,
-    /// Tombstoned graphs after the operation.
+    /// Tombstoned graphs after the operation (across all shards).
     pub tombstones: usize,
-    /// Whether the operation tripped the rebuild policy.
+    /// Whether the operation tripped the (owning shard's) rebuild policy.
     pub rebuilt: bool,
+    /// Owning shard index; 0 for a single index.
+    pub shard: usize,
+    /// Full per-shard epoch vector after the operation; empty for a single
+    /// index.
+    pub shard_epochs: Vec<u64>,
+}
+
+/// Counts a failed best-effort persistence step. Serving goes on (a
+/// read-only dataset directory must not stop it); the count surfaces as
+/// [`DatasetStats::persist_errors`].
+fn note_persist<T, E>(errors: &AtomicU64, result: Result<T, E>) {
+    if result.is_err() {
+        // Relaxed: monotone telemetry counter; no ordering needed.
+        errors.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// The mutable half of a [`LoadedDataset`], swapped atomically under the
@@ -128,6 +146,8 @@ pub struct LoadedDataset {
     dir: Option<PathBuf>,
     state: TrackedRwLock<DatasetState>,
     caches: Arc<DatasetCaches>,
+    /// Failed re-persist steps since load.
+    persist_errors: AtomicU64,
     base_oracle: OracleStats,
     base_tiers: TierStats,
     base_engine_calls: u64,
@@ -217,6 +237,7 @@ impl LoadedDataset {
                 },
             ),
             caches: Arc::new(DatasetCaches::new(CacheConfig::default())),
+            persist_errors: AtomicU64::new(0),
             base_oracle,
             base_tiers,
             base_engine_calls,
@@ -301,20 +322,7 @@ impl LoadedDataset {
             .map_err(|e| ServeError::new(e.to_string()))?;
         st.data.db = st.data.db.pushed(graph, features);
         st.data.family.push(EXTERNAL_FAMILY);
-        let receipt = MutationReceipt {
-            id,
-            epoch: index.epoch(),
-            live: index.tree().live_len(),
-            tombstones: index.tree().tombstones(),
-            rebuilt: outcome == MutationOutcome::Rebuilt,
-        };
-        st.index_source = format!("mutated (epoch {})", index.epoch());
-        st.index = Arc::new(index);
-        // Epoch keys already make the old entries unreachable for sessions
-        // on the new snapshot; dropping them wholesale reclaims the memory.
-        self.caches.invalidate_all();
-        self.persist_locked(&st);
-        Ok(receipt)
+        Ok(self.swap_in(&mut st, index, id, outcome))
     }
 
     /// Tombstones graph `id` in the index (DESIGN.md §10). The database keeps
@@ -327,18 +335,34 @@ impl LoadedDataset {
             // graphrep: allow(G008, same serialization as insert_graph -- the tombstone and any rebuild it trips run on a private fork under the state write lock; readers keep their pinned Arc snapshot)
             .remove(id)
             .map_err(|e| ServeError::new(e.to_string()))?;
+        Ok(self.swap_in(&mut st, index, id, outcome))
+    }
+
+    /// The swap half of fork-mutate-swap: installs the mutated fork, drops
+    /// the caches, re-persists, and writes the receipt.
+    fn swap_in(
+        &self,
+        st: &mut DatasetState,
+        index: NbIndex,
+        id: GraphId,
+        outcome: MutationOutcome,
+    ) -> MutationReceipt {
         let receipt = MutationReceipt {
             id,
             epoch: index.epoch(),
             live: index.tree().live_len(),
             tombstones: index.tree().tombstones(),
             rebuilt: outcome == MutationOutcome::Rebuilt,
+            shard: 0,
+            shard_epochs: Vec::new(),
         };
         st.index_source = format!("mutated (epoch {})", index.epoch());
         st.index = Arc::new(index);
+        // Epoch keys already make the old entries unreachable for sessions
+        // on the new snapshot; dropping them wholesale reclaims the memory.
         self.caches.invalidate_all();
-        self.persist_locked(&st);
-        Ok(receipt)
+        self.persist_locked(st);
+        receipt
     }
 
     /// Best-effort re-persist after a mutation. The epoch sidecar goes first:
@@ -346,12 +370,19 @@ impl LoadedDataset {
     /// epoch mismatch and rebuilds instead of serving the stale snapshot.
     fn persist_locked(&self, st: &DatasetState) {
         let Some(dir) = &self.dir else { return };
-        let _ = std::fs::write(dir.join("epoch.txt"), format!("{}\n", st.index.epoch()));
-        let _ = store::save(&st.data, dir);
+        let errors = &self.persist_errors;
+        note_persist(
+            errors,
+            std::fs::write(dir.join("epoch.txt"), format!("{}\n", st.index.epoch())),
+        );
+        note_persist(errors, store::save(&st.data, dir));
         // The binary format is the one written going forward; a JSON-era
         // `index.json` left behind now records an older epoch, so the next
         // open skips it (the sidecar guard) and uses this file.
-        let _ = std::fs::write(dir.join("index.bin"), st.index.save_bin());
+        note_persist(
+            errors,
+            std::fs::write(dir.join("index.bin"), st.index.save_bin()),
+        );
     }
 
     /// Oracle activity since this dataset was loaded (serving-time deltas:
@@ -408,28 +439,10 @@ impl LoadedDataset {
             view_store: self.caches.views.counters().into(),
             answer_cache: self.caches.answers.counters().into(),
             shards: Vec::new(),
+            // Relaxed: monotone telemetry counter; no ordering needed.
+            persist_errors: self.persist_errors.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Receipt returned by [`ShardedDataset`] mutations: the single-dataset
-/// [`MutationReceipt`] fields plus the full per-shard epoch vector.
-#[derive(Debug, Clone)]
-pub struct ShardedMutationReceipt {
-    /// Affected graph id (the new id for inserts).
-    pub id: GraphId,
-    /// Owning shard index — the only shard whose epoch moved.
-    pub shard: usize,
-    /// The owning shard's epoch after the operation.
-    pub epoch: u64,
-    /// Full per-shard epoch vector after the operation.
-    pub epochs: Vec<u64>,
-    /// Live graphs across all shards after the operation.
-    pub live: usize,
-    /// Tombstoned graphs across all shards after the operation.
-    pub tombstones: usize,
-    /// Whether the owning shard's index tripped its rebuild policy.
-    pub rebuilt: bool,
 }
 
 /// One dataset served by a shard [`Coordinator`] instead of a single
@@ -451,6 +464,8 @@ pub struct ShardedDataset {
     coord: Arc<Coordinator>,
     /// How the coordinator came to be (`loaded` or `rebuilt (reason)`).
     source: String,
+    /// Failed re-persist steps since load.
+    persist_errors: AtomicU64,
     base_oracle: OracleStats,
     base_tiers: TierStats,
     base_engine_calls: u64,
@@ -510,6 +525,7 @@ impl ShardedDataset {
             data: TrackedRwLock::new("serve.registry.ShardedDataset.data", data),
             coord: Arc::new(coord),
             source,
+            persist_errors: AtomicU64::new(0),
             base_oracle,
             base_tiers,
             base_engine_calls,
@@ -608,7 +624,7 @@ impl ShardedDataset {
         &self,
         graph: Graph,
         features: Vec<f64>,
-    ) -> Result<ShardedMutationReceipt, ServeError> {
+    ) -> Result<MutationReceipt, ServeError> {
         let receipt = {
             let mut data = self.data.write();
             if !data.db.is_empty() && features.len() != data.db.dims() {
@@ -633,7 +649,7 @@ impl ShardedDataset {
 
     /// Tombstones graph `id` on its owning shard. The feature store keeps
     /// the row so global ids stay aligned, mirroring the single-index path.
-    pub fn remove_graph(&self, id: GraphId) -> Result<ShardedMutationReceipt, ServeError> {
+    pub fn remove_graph(&self, id: GraphId) -> Result<MutationReceipt, ServeError> {
         let receipt = self
             .coord
             .remove(id)
@@ -642,17 +658,17 @@ impl ShardedDataset {
         Ok(self.receipt(receipt))
     }
 
-    fn receipt(&self, r: graphrep_shard::CoordReceipt) -> ShardedMutationReceipt {
-        ShardedMutationReceipt {
+    fn receipt(&self, r: graphrep_shard::CoordReceipt) -> MutationReceipt {
+        MutationReceipt {
             id: r.id,
-            shard: r.shard,
             epoch: r.epochs.get(r.shard).copied().unwrap_or(0),
             live: r.live,
             // From the receipt's own snapshot — re-reading the coordinator
             // here could pair this with a concurrent mutation's live count.
             tombstones: r.len.saturating_sub(r.live),
             rebuilt: r.outcome == MutationOutcome::Rebuilt,
-            epochs: r.epochs,
+            shard: r.shard,
+            shard_epochs: r.epochs,
         }
     }
 
@@ -663,9 +679,9 @@ impl ShardedDataset {
         let Some(dir) = &self.dir else { return };
         {
             let data = self.data.read();
-            let _ = store::save(&data, dir);
+            note_persist(&self.persist_errors, store::save(&data, dir));
         }
-        let _ = self.coord.save(&dir.join("shards"));
+        note_persist(&self.persist_errors, self.coord.save(&dir.join("shards")));
     }
 
     /// Serializable statistics: aggregate oracle deltas plus the per-shard
@@ -728,6 +744,8 @@ impl ShardedDataset {
             view_store: Default::default(),
             answer_cache: Default::default(),
             shards,
+            // Relaxed: monotone telemetry counter; no ordering needed.
+            persist_errors: self.persist_errors.load(Ordering::Relaxed),
         }
     }
 }
@@ -756,6 +774,27 @@ impl DatasetEntry {
         match self {
             DatasetEntry::Single(ds) => ds.stats(),
             DatasetEntry::Sharded(ds) => ds.stats(),
+        }
+    }
+
+    /// Inserts `graph` with `features` into whichever engine serves this
+    /// dataset.
+    pub fn insert_graph(
+        &self,
+        graph: Graph,
+        features: Vec<f64>,
+    ) -> Result<MutationReceipt, ServeError> {
+        match self {
+            DatasetEntry::Single(ds) => ds.insert_graph(graph, features),
+            DatasetEntry::Sharded(ds) => ds.insert_graph(graph, features),
+        }
+    }
+
+    /// Tombstones graph `id` in whichever engine serves this dataset.
+    pub fn remove_graph(&self, id: GraphId) -> Result<MutationReceipt, ServeError> {
+        match self {
+            DatasetEntry::Single(ds) => ds.remove_graph(id),
+            DatasetEntry::Sharded(ds) => ds.remove_graph(id),
         }
     }
 
@@ -881,6 +920,7 @@ pub fn load_in_memory(name: &str, data: Dataset) -> LoadedDataset {
             },
         ),
         caches: Arc::new(DatasetCaches::new(CacheConfig::default())),
+        persist_errors: AtomicU64::new(0),
         base_oracle,
         base_tiers,
         base_engine_calls,

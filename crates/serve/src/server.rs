@@ -1,12 +1,17 @@
-//! The TCP server: accept loop, connection handlers, bounded worker pool
-//! with admission control, per-request deadlines, and graceful shutdown.
+//! The TCP server: the reactor thread that owns every connection, the
+//! bounded worker pool with admission control, per-request deadlines, and
+//! graceful shutdown.
 //!
-//! Threading model: one thread per connection reads frames and writes
-//! responses; query-bearing requests (`open`/`run`/`ping`) are handed to a
-//! fixed pool of worker threads through a bounded queue. The pool size caps
-//! in-flight query work; the queue caps waiting work — a request that finds
-//! the queue full is rejected immediately with `overloaded` rather than
-//! admitted into unbounded latency.
+//! Threading model: one epoll [`reactor`] thread accepts connections, reads
+//! and decodes frames, and writes responses; `close`/`stats`/`shutdown` are
+//! answered on it directly (cheap, lock-only — so they work even when the
+//! pool is saturated, which is exactly when `stats` matters). Query-bearing
+//! requests (`open`/`run`/`run_stream`/`ping`/`insert`/`remove`) are handed
+//! to a fixed pool of worker threads through a bounded queue. The pool size
+//! caps in-flight query work; the queue caps waiting work — a request that
+//! finds the queue full is rejected immediately with `overloaded` rather
+//! than admitted into unbounded latency. Workers push response frames onto
+//! the connection's write queue and wake the reactor to flush them.
 //!
 //! Deadlines are measured from *admission* (the moment the request enters
 //! the queue): a request that waits out its budget in the queue aborts at
@@ -15,64 +20,29 @@
 //! [`CancelToken`]. Either way the client gets `deadline_exceeded` and the
 //! session remains fully usable.
 //!
-//! Graceful shutdown drains: the flag stops admission and the accept loop,
-//! workers finish the queued backlog, connection threads deliver the final
-//! responses, and every thread is joined before the handle returns.
+//! Graceful shutdown drains: the flag stops admission and accepting,
+//! workers finish the queued backlog, the reactor delivers the final
+//! responses and closes each connection once it has nothing in flight, and
+//! every thread is joined before the handle returns.
 
 use crate::metrics::{Endpoint, ServerMetrics};
 use crate::protocol::{
-    codes, AnswerBody, ErrorBody, FrameRead, HelloAckBody, InsertBody, MutatedBody, OpenBody,
-    OpenedBody, PickBody, PingBody, RemoveBody, Request, Response, RunBody, ServeError, StatsBody,
-    PROTOCOL_V1,
+    codes, AnswerBody, ErrorBody, InsertBody, MutatedBody, OpenBody, OpenedBody, PickBody,
+    PingBody, RemoveBody, Request, Response, RunBody, ServeError, StatsBody,
 };
 use crate::reactor::conn::{ConnQueue, StreamSend};
 use crate::reactor::{self, AsyncDispatch};
-use crate::registry::{DatasetEntry, DatasetRegistry};
-use crate::sessions::{SessionBackend, SessionManager};
+use crate::registry::{DatasetEntry, DatasetRegistry, MutationReceipt};
+use crate::sessions::{LiveSession, SessionBackend, SessionManager};
 use crate::{protocol, registry};
 use graphrep_core::CancelToken;
 use graphrep_lockaudit::{TrackedCondvar, TrackedMutex};
 use std::collections::VecDeque;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// How the server performs connection I/O. Query compute is pooled worker
-/// threads either way; the mode only decides who moves bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// One blocking thread per connection (the classic mode).
-    #[default]
-    Blocking,
-    /// One epoll reactor thread multiplexing every connection
-    /// (nonblocking sockets, pipelining, thousands of idle connections).
-    Async,
-}
-
-impl IoMode {
-    /// Wire/CLI name of the mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            IoMode::Blocking => "blocking",
-            IoMode::Async => "async",
-        }
-    }
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "blocking" => Ok(IoMode::Blocking),
-            "async" => Ok(IoMode::Async),
-            other => Err(format!("unknown io mode `{other}` (blocking|async)")),
-        }
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -89,26 +59,17 @@ pub struct ServeConfig {
     pub default_deadline_ms: Option<u64>,
     /// Idle TTL after which sessions expire.
     pub idle_session_ttl: Duration,
-    /// How long a peer may stall mid-frame before the connection is dropped.
+    /// How long a peer may stall mid-frame (no byte arriving while a frame
+    /// is half received) before the connection is dropped.
     pub frame_stall: Duration,
-    /// Connection I/O mode (see [`IoMode`]).
-    pub io: IoMode,
-    /// Async mode: per-connection outbound byte cap. A streamed run whose
-    /// consumer lets the queue exceed this is cancelled as `slow_consumer`;
-    /// reads from the peer pause until the queue drains below it.
+    /// Per-connection outbound byte cap. A streamed run whose consumer lets
+    /// the queue exceed this is cancelled as `slow_consumer`; reads from
+    /// the peer pause until the queue drains below it.
     pub write_queue_cap: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        // `GRAPHREP_SERVE_IO=async` flips every default-configured server —
-        // including whole test suites — onto the reactor path, so CI runs
-        // the same suites in both I/O modes without per-test plumbing.
-        // Unset or unrecognized values keep the blocking default.
-        let io = std::env::var("GRAPHREP_SERVE_IO")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(IoMode::Blocking);
         Self {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
@@ -116,7 +77,6 @@ impl Default for ServeConfig {
             default_deadline_ms: None,
             idle_session_ttl: Duration::from_secs(900),
             frame_stall: Duration::from_secs(10),
-            io,
             write_queue_cap: 4 << 20,
         }
     }
@@ -131,29 +91,12 @@ enum Work {
     Remove(RemoveBody),
 }
 
-fn endpoint_of_work(w: &Work) -> Endpoint {
-    match w {
-        Work::Open(_) => Endpoint::Open,
-        Work::Run(_) => Endpoint::Run,
-        Work::RunStream(_) => Endpoint::RunStream,
-        Work::Ping(_) => Endpoint::Ping,
-        Work::Insert(_) => Endpoint::Insert,
-        Work::Remove(_) => Endpoint::Remove,
-    }
-}
-
-/// Where a worker delivers response frames.
-enum Reply {
-    /// Blocking mode: the connection thread waits on this channel (and, for
-    /// streamed runs, forwards every frame until the terminal one).
-    Oneshot(mpsc::Sender<Response>),
-    /// Async mode: frames are encoded (tagged when the connection
-    /// negotiated v2) onto the connection's write queue; the reactor is
-    /// woken to flush them.
-    Queue {
-        queue: Arc<ConnQueue>,
-        tag: Option<u64>,
-    },
+/// Where a worker delivers response frames: encoded (tagged when the
+/// connection negotiated v2) onto the connection's write queue; the reactor
+/// is woken to flush them.
+struct Reply {
+    queue: Arc<ConnQueue>,
+    tag: Option<u64>,
 }
 
 impl Reply {
@@ -161,46 +104,27 @@ impl Reply {
     /// producer can abort a stream nobody is consuming (or consuming too
     /// slowly).
     fn send_stream(&self, resp: Response) -> StreamSend {
-        match self {
-            Reply::Oneshot(tx) => {
-                if tx.send(resp).is_ok() {
-                    StreamSend::Sent
-                } else {
-                    StreamSend::Closed
-                }
-            }
-            Reply::Queue { queue, tag } => match reactor::encode_response(*tag, &resp) {
-                Ok(frame) => queue.push_stream(frame),
-                Err(_) => StreamSend::Closed,
-            },
+        match reactor::encode_response(self.tag, &resp) {
+            Ok(frame) => self.queue.push_stream(frame),
+            Err(_) => StreamSend::Closed,
         }
     }
 
     /// Delivers the request's terminal frame (always enqueued while the
     /// connection lives; retires the request id on v2 connections).
     fn send_final(&self, resp: Response) {
-        match self {
-            Reply::Oneshot(tx) => {
-                // A vanished receiver means the connection died; nothing to do.
-                let _ = tx.send(resp);
-            }
-            Reply::Queue { queue, tag } => {
-                let frame = reactor::encode_response(*tag, &resp).or_else(|_| {
-                    reactor::encode_response(
-                        *tag,
-                        &err(codes::INTERNAL, "response failed to encode"),
-                    )
-                });
-                if let Ok(frame) = frame {
-                    queue.push_final(*tag, frame);
-                }
-            }
+        let frame = reactor::encode_response(self.tag, &resp).or_else(|_| {
+            reactor::encode_response(self.tag, &err(codes::INTERNAL, "response failed to encode"))
+        });
+        if let Ok(frame) = frame {
+            self.queue.push_final(self.tag, frame);
         }
     }
 }
 
 struct Job {
     work: Work,
+    endpoint: Endpoint,
     /// Admission time: deadlines and latency are measured from here.
     arrived: Instant,
     reply: Reply,
@@ -215,7 +139,7 @@ struct Shared {
     queue_cv: TrackedCondvar,
     shutdown: AtomicBool,
     started: Instant,
-    /// Live connections, both io modes.
+    /// Live connections (accepted and not yet torn down).
     connections_open: AtomicUsize,
 }
 
@@ -233,19 +157,40 @@ impl Shared {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Admission control: rejects when draining or when the queue is full.
-    fn submit(&self, job: Job) -> Result<(), &'static str> {
-        let mut q = self.queue.lock();
-        if self.shutting_down() {
-            return Err(codes::SHUTTING_DOWN);
+    /// Admission control: queues the job for the pool, or — when draining
+    /// or when the queue is full — answers it on the spot with the typed
+    /// refusal.
+    fn submit(&self, job: Job) {
+        let refused = {
+            let mut q = self.queue.lock();
+            if self.shutting_down() {
+                Some((job, err(codes::SHUTTING_DOWN, "server is draining")))
+            } else if q.len() >= self.cfg.max_queue {
+                let message = format!(
+                    "queue full ({} waiting, {} in flight); retry later",
+                    self.cfg.max_queue,
+                    self.cfg.workers.max(1)
+                );
+                Some((job, err(codes::OVERLOADED, message)))
+            } else {
+                q.push_back(job);
+                None
+            }
+        };
+        match refused {
+            None => self.queue_cv.notify_one(),
+            Some((job, resp)) => self.finish(job.endpoint, job.arrived, &job.reply, resp),
         }
-        if q.len() >= self.cfg.max_queue {
-            return Err(codes::OVERLOADED);
-        }
-        q.push_back(job);
-        drop(q);
-        self.queue_cv.notify_one();
-        Ok(())
+    }
+
+    /// Ends a request: observes its endpoint metric and delivers the
+    /// terminal frame. The reactor never sees response values, so whoever
+    /// produced the response — worker or inline dispatch — calls this.
+    fn finish(&self, endpoint: Endpoint, arrived: Instant, reply: &Reply, resp: Response) {
+        self.metrics
+            .endpoint(endpoint)
+            .observe(resp.error_code(), arrived.elapsed());
+        reply.send_final(resp);
     }
 
     fn begin_shutdown(&self) {
@@ -276,19 +221,8 @@ fn worker_loop(shared: &Shared) {
         // Drain semantics: jobs already admitted are executed even after the
         // shutdown flag rises; the worker exits only on an empty queue.
         let Some(job) = job else { return };
-        let ep = endpoint_of_work(&job.work);
         let resp = execute(shared, job.work, job.arrived, &job.reply);
-        // Queue replies come from the reactor, which never sees response
-        // values — the worker is the last to hold one, so it observes the
-        // metrics here. Oneshot replies are observed by the connection
-        // thread's dispatch (or its streaming loop), as before.
-        if matches!(job.reply, Reply::Queue { .. }) {
-            shared
-                .metrics
-                .endpoint(ep)
-                .observe(resp.error_code(), job.arrived.elapsed());
-        }
-        job.reply.send_final(resp);
+        shared.finish(job.endpoint, job.arrived, &job.reply, resp);
     }
 }
 
@@ -334,6 +268,23 @@ fn graph_from_wire(b: &InsertBody) -> Result<graphrep_graph::Graph, String> {
     Ok(builder.build())
 }
 
+/// The wire receipt of an applied mutation, or `bad_request` with the
+/// registry's reason.
+fn mutated(t0: Instant, result: Result<MutationReceipt, ServeError>) -> Response {
+    match result {
+        Ok(r) => Response::Mutated(MutatedBody {
+            id: r.id,
+            epoch: r.epoch,
+            live: r.live,
+            tombstones: r.tombstones,
+            rebuilt: r.rebuilt,
+            wall_ms: protocol::duration_ms(t0.elapsed()),
+            shard_epochs: r.shard_epochs,
+        }),
+        Err(e) => err(codes::BAD_REQUEST, e.message),
+    }
+}
+
 fn insert_graph(shared: &Shared, b: InsertBody) -> Response {
     let Some(entry) = shared.registry.get(&b.dataset) else {
         return err(codes::NOT_FOUND, format!("unknown dataset `{}`", b.dataset));
@@ -346,32 +297,7 @@ fn insert_graph(shared: &Shared, b: InsertBody) -> Response {
         Err(m) => return err(codes::BAD_REQUEST, m),
     };
     let t0 = Instant::now();
-    match entry {
-        DatasetEntry::Single(ds) => match ds.insert_graph(graph, b.features) {
-            Ok(r) => Response::Mutated(MutatedBody {
-                id: r.id,
-                epoch: r.epoch,
-                live: r.live,
-                tombstones: r.tombstones,
-                rebuilt: r.rebuilt,
-                wall_ms: protocol::duration_ms(t0.elapsed()),
-                shard_epochs: Vec::new(),
-            }),
-            Err(e) => err(codes::BAD_REQUEST, e.message),
-        },
-        DatasetEntry::Sharded(ds) => match ds.insert_graph(graph, b.features) {
-            Ok(r) => Response::Mutated(MutatedBody {
-                id: r.id,
-                epoch: r.epoch,
-                live: r.live,
-                tombstones: r.tombstones,
-                rebuilt: r.rebuilt,
-                wall_ms: protocol::duration_ms(t0.elapsed()),
-                shard_epochs: r.epochs,
-            }),
-            Err(e) => err(codes::BAD_REQUEST, e.message),
-        },
-    }
+    mutated(t0, entry.insert_graph(graph, b.features))
 }
 
 fn remove_graph(shared: &Shared, b: RemoveBody) -> Response {
@@ -379,32 +305,7 @@ fn remove_graph(shared: &Shared, b: RemoveBody) -> Response {
         return err(codes::NOT_FOUND, format!("unknown dataset `{}`", b.dataset));
     };
     let t0 = Instant::now();
-    match entry {
-        DatasetEntry::Single(ds) => match ds.remove_graph(b.id) {
-            Ok(r) => Response::Mutated(MutatedBody {
-                id: r.id,
-                epoch: r.epoch,
-                live: r.live,
-                tombstones: r.tombstones,
-                rebuilt: r.rebuilt,
-                wall_ms: protocol::duration_ms(t0.elapsed()),
-                shard_epochs: Vec::new(),
-            }),
-            Err(e) => err(codes::BAD_REQUEST, e.message),
-        },
-        DatasetEntry::Sharded(ds) => match ds.remove_graph(b.id) {
-            Ok(r) => Response::Mutated(MutatedBody {
-                id: r.id,
-                epoch: r.epoch,
-                live: r.live,
-                tombstones: r.tombstones,
-                rebuilt: r.rebuilt,
-                wall_ms: protocol::duration_ms(t0.elapsed()),
-                shard_epochs: r.epochs,
-            }),
-            Err(e) => err(codes::BAD_REQUEST, e.message),
-        },
-    }
+    mutated(t0, entry.remove_graph(b.id))
 }
 
 fn open_session(shared: &Shared, o: OpenBody) -> Response {
@@ -443,75 +344,95 @@ fn open_session(shared: &Shared, o: OpenBody) -> Response {
     })
 }
 
-fn run_query(shared: &Shared, r: RunBody, arrived: Instant) -> Response {
-    if !r.theta.is_finite() || r.theta < 0.0 {
-        return err(codes::BAD_REQUEST, "theta must be finite and non-negative");
-    }
-    let Some(live) = shared.sessions.get(r.session) else {
-        return err(
-            codes::NOT_FOUND,
-            format!(
-                "no session {} (unknown, closed, or idle-expired)",
-                r.session
-            ),
-        );
-    };
-    let deadline_ms = r.deadline_ms.or(shared.cfg.default_deadline_ms);
-    let cancel = match deadline_ms {
-        // Measured from admission: queue wait spends the same budget.
-        Some(ms) => CancelToken::with_deadline(arrived + Duration::from_millis(ms)),
-        None => CancelToken::never(),
-    };
-    let session = match live.backend() {
-        SessionBackend::Single(session) => session,
-        SessionBackend::Sharded(session) => {
-            // Scatter-gather runs poll the same admission-time token at
-            // every frontier pop, so a request that expired in the queue
-            // stops immediately and a long run cannot hold a pooled worker
-            // past its budget — same discipline as the single-index path.
-            return match session.run_cancellable(r.theta, r.k, &cancel) {
-                Ok((answer, stats)) => {
-                    Response::Answer(AnswerBody::from_sharded_run(&answer, &stats))
-                }
-                Err(_) => err(
-                    codes::DEADLINE_EXCEEDED,
-                    format!(
-                        "deadline of {} ms exceeded; the session remains usable",
-                        deadline_ms.unwrap_or(0)
-                    ),
-                ),
-            };
+/// What `run` and `run_stream` both need before they can execute: the live
+/// session and the deadline token.
+struct RunCtx {
+    live: Arc<LiveSession>,
+    cancel: CancelToken,
+    deadline_ms: Option<u64>,
+}
+
+impl RunCtx {
+    /// Validates θ, looks the session up, and arms the deadline — measured
+    /// from admission, so queue wait spends the same budget.
+    fn admit(shared: &Shared, r: &RunBody, arrived: Instant) -> Result<Self, Response> {
+        if !r.theta.is_finite() || r.theta < 0.0 {
+            return Err(err(
+                codes::BAD_REQUEST,
+                "theta must be finite and non-negative",
+            ));
         }
-    };
-    let caches = shared
-        .registry
-        .get(live.dataset())
-        .and_then(|entry| match entry {
-            DatasetEntry::Single(ds) => Some(Arc::clone(ds.caches())),
-            DatasetEntry::Sharded(_) => None,
+        let Some(live) = shared.sessions.get(r.session) else {
+            return Err(err(
+                codes::NOT_FOUND,
+                format!(
+                    "no session {} (unknown, closed, or idle-expired)",
+                    r.session
+                ),
+            ));
+        };
+        let deadline_ms = r.deadline_ms.or(shared.cfg.default_deadline_ms);
+        let cancel = match deadline_ms {
+            Some(ms) => CancelToken::with_deadline(arrived + Duration::from_millis(ms)),
+            None => CancelToken::never(),
+        };
+        Ok(Self {
+            live,
+            cancel,
+            deadline_ms,
         })
-        .filter(|c| c.enabled());
-    let result = match &caches {
-        Some(c) => session
-            .run_cached_cancellable(r.theta, r.k, &cancel, &c.answers())
-            .map(|(answer, stats, cached)| {
-                let mut body = AnswerBody::from_run(&answer, &stats);
-                body.cached = cached;
-                body
-            }),
-        None => session
-            .run_cancellable(r.theta, r.k, &cancel)
-            .map(|(answer, stats)| AnswerBody::from_run(&answer, &stats)),
-    };
-    match result {
-        Ok(body) => Response::Answer(body),
-        Err(_) => err(
+    }
+
+    fn deadline_exceeded(&self) -> Response {
+        err(
             codes::DEADLINE_EXCEEDED,
             format!(
                 "deadline of {} ms exceeded; the session remains usable",
-                deadline_ms.unwrap_or(0)
+                self.deadline_ms.unwrap_or(0)
             ),
-        ),
+        )
+    }
+}
+
+fn run_query(shared: &Shared, r: RunBody, arrived: Instant) -> Response {
+    let ctx = match RunCtx::admit(shared, &r, arrived) {
+        Ok(ctx) => ctx,
+        Err(resp) => return resp,
+    };
+    let result = match ctx.live.backend() {
+        // Scatter-gather runs poll the same admission-time token at every
+        // frontier pop, so a request that expired in the queue stops
+        // immediately and a long run cannot hold a pooled worker past its
+        // budget — same discipline as the single-index path.
+        SessionBackend::Sharded(session) => session
+            .run_cancellable(r.theta, r.k, &ctx.cancel)
+            .map(|(answer, stats)| AnswerBody::from_sharded_run(&answer, &stats)),
+        SessionBackend::Single(session) => {
+            let caches = shared
+                .registry
+                .get(ctx.live.dataset())
+                .and_then(|entry| match entry {
+                    DatasetEntry::Single(ds) => Some(Arc::clone(ds.caches())),
+                    DatasetEntry::Sharded(_) => None,
+                })
+                .filter(|c| c.enabled());
+            match &caches {
+                Some(c) => session
+                    .run_cached_cancellable(r.theta, r.k, &ctx.cancel, &c.answers())
+                    .map(|(answer, stats, cached)| {
+                        let mut body = AnswerBody::from_run(&answer, &stats);
+                        body.cached = cached;
+                        body
+                    }),
+                None => session
+                    .run_cancellable(r.theta, r.k, &ctx.cancel)
+                    .map(|(answer, stats)| AnswerBody::from_run(&answer, &stats)),
+            }
+        }
+    };
+    match result {
+        Ok(body) => Response::Answer(body),
+        Err(_) => ctx.deadline_exceeded(),
     }
 }
 
@@ -532,22 +453,9 @@ fn run_query(shared: &Shared, r: RunBody, arrived: Instant) -> Response {
 /// * consumer gone → an `internal` terminal frame that retires the request
 ///   id server-side; nobody is left to read it.
 fn run_stream_query(shared: &Shared, r: RunBody, arrived: Instant, reply: &Reply) -> Response {
-    if !r.theta.is_finite() || r.theta < 0.0 {
-        return err(codes::BAD_REQUEST, "theta must be finite and non-negative");
-    }
-    let Some(live) = shared.sessions.get(r.session) else {
-        return err(
-            codes::NOT_FOUND,
-            format!(
-                "no session {} (unknown, closed, or idle-expired)",
-                r.session
-            ),
-        );
-    };
-    let deadline_ms = r.deadline_ms.or(shared.cfg.default_deadline_ms);
-    let cancel = match deadline_ms {
-        Some(ms) => CancelToken::with_deadline(arrived + Duration::from_millis(ms)),
-        None => CancelToken::never(),
+    let ctx = match RunCtx::admit(shared, &r, arrived) {
+        Ok(ctx) => ctx,
+        Err(resp) => return resp,
     };
     let mut stream_fail: Option<StreamSend> = None;
     let result = {
@@ -560,12 +468,12 @@ fn run_stream_query(shared: &Shared, r: RunBody, arrived: Instant, reply: &Reply
                 false
             }
         };
-        match live.backend() {
+        match ctx.live.backend() {
             SessionBackend::Single(session) => session
-                .run_streaming_cancellable(r.theta, r.k, &cancel, &mut on_pick)
+                .run_streaming_cancellable(r.theta, r.k, &ctx.cancel, &mut on_pick)
                 .map(|(answer, stats)| AnswerBody::from_run(&answer, &stats)),
             SessionBackend::Sharded(session) => session
-                .run_streaming_cancellable(r.theta, r.k, &cancel, &mut on_pick)
+                .run_streaming_cancellable(r.theta, r.k, &ctx.cancel, &mut on_pick)
                 .map(|(answer, stats)| AnswerBody::from_sharded_run(&answer, &stats)),
         }
     };
@@ -579,13 +487,7 @@ fn run_stream_query(shared: &Shared, r: RunBody, arrived: Instant, reply: &Reply
             ),
         ),
         (Err(_), Some(_)) => err(codes::INTERNAL, "client disconnected mid-stream"),
-        (Err(_), None) => err(
-            codes::DEADLINE_EXCEEDED,
-            format!(
-                "deadline of {} ms exceeded; the session remains usable",
-                deadline_ms.unwrap_or(0)
-            ),
-        ),
+        (Err(_), None) => ctx.deadline_exceeded(),
     }
 }
 
@@ -603,7 +505,6 @@ fn stats_body(shared: &Shared) -> StatsBody {
         sessions_expired: shared.sessions.expired_total(),
         endpoints: shared.metrics.snapshot(),
         datasets: shared.registry.stats(),
-        io_mode: shared.cfg.io.name().to_owned(),
         // Relaxed: monotone-ish gauge for observability only.
         connections_open: shared.connections_open.load(Ordering::Relaxed),
     }
@@ -624,174 +525,18 @@ fn endpoint_of(req: &Request) -> Endpoint {
     }
 }
 
-fn pooled(shared: &Shared, work: Work, arrived: Instant) -> Response {
-    let (tx, rx) = mpsc::channel();
-    match shared.submit(Job {
-        work,
-        arrived,
-        reply: Reply::Oneshot(tx),
-    }) {
-        Err(codes::OVERLOADED) => err(
-            codes::OVERLOADED,
-            format!(
-                "queue full ({} waiting, {} in flight); retry later",
-                shared.cfg.max_queue,
-                shared.cfg.workers.max(1)
-            ),
-        ),
-        Err(_) => err(codes::SHUTTING_DOWN, "server is draining"),
-        Ok(()) => match rx.recv() {
-            Ok(resp) => resp,
-            Err(_) => err(codes::INTERNAL, "worker dropped the reply channel"),
-        },
-    }
-}
-
-/// Full request dispatch: pooled endpoints go through admission control;
-/// `close`/`stats`/`shutdown` are served inline on the connection thread so
-/// they work even when the pool is saturated (`stats` under overload is
-/// exactly when observability matters).
-fn dispatch(shared: &Shared, req: Request) -> Response {
-    let ep = endpoint_of(&req);
-    let arrived = Instant::now();
-    let resp = match req {
-        Request::Open(b) => pooled(shared, Work::Open(b), arrived),
-        Request::Run(b) => pooled(shared, Work::Run(b), arrived),
-        Request::Ping(b) => pooled(shared, Work::Ping(b), arrived),
-        Request::Insert(b) => pooled(shared, Work::Insert(b), arrived),
-        Request::Remove(b) => pooled(shared, Work::Remove(b), arrived),
-        Request::Close(c) => {
-            if shared.sessions.remove(c.session) {
-                Response::Closed
-            } else {
-                err(codes::NOT_FOUND, format!("no session {}", c.session))
-            }
-        }
-        Request::Stats => Response::Stats(stats_body(shared)),
-        Request::Shutdown => {
-            shared.begin_shutdown();
-            Response::ShutdownAck
-        }
-        // Blocking connections stay on v1 framing: the ack says so, and old
-        // clients that never send Hello are untouched either way.
-        Request::Hello(_) => Response::HelloAck(HelloAckBody {
-            version: PROTOCOL_V1,
-            max: PROTOCOL_V1,
-        }),
-        // Streamed runs are multi-frame; the connection loop intercepts
-        // them before dispatch. Reaching here is a caller bug.
-        Request::RunStream(_) => err(
-            codes::BAD_REQUEST,
-            "run_stream must be handled by the connection layer",
-        ),
-    };
-    shared
-        .metrics
-        .endpoint(ep)
-        .observe(resp.error_code(), arrived.elapsed());
-    resp
-}
-
-/// Blocking-mode streamed run: submits the job, then forwards every frame
-/// the worker produces — picks first, then exactly one terminal frame — to
-/// the socket in order. Dropping the receiver on a write failure is what
-/// cancels the in-flight run (the worker's next pick send fails).
-fn serve_stream_blocking(shared: &Shared, stream: &mut TcpStream, body: RunBody) -> bool {
-    let arrived = Instant::now();
-    let (tx, rx) = mpsc::channel();
-    let submitted = shared.submit(Job {
-        work: Work::RunStream(body),
-        arrived,
-        reply: Reply::Oneshot(tx),
-    });
-    let terminal = match submitted {
-        Err(codes::OVERLOADED) => err(
-            codes::OVERLOADED,
-            format!(
-                "queue full ({} waiting, {} in flight); retry later",
-                shared.cfg.max_queue,
-                shared.cfg.workers.max(1)
-            ),
-        ),
-        Err(_) => err(codes::SHUTTING_DOWN, "server is draining"),
-        Ok(()) => loop {
-            match rx.recv() {
-                Ok(Response::Pick(p)) => {
-                    if protocol::write_frame(stream, &Response::Pick(p)).is_err() {
-                        // Receiver drops here; the worker's next send fails
-                        // and the run aborts. The connection is done.
-                        return false;
-                    }
-                }
-                Ok(terminal) => break terminal,
-                Err(_) => break err(codes::INTERNAL, "worker dropped the reply channel"),
-            }
-        },
-    };
-    shared
-        .metrics
-        .endpoint(Endpoint::RunStream)
-        .observe(terminal.error_code(), arrived.elapsed());
-    protocol::write_frame(stream, &terminal).is_ok()
-}
-
-/// Decrements the connection gauge on every exit path of `handle_conn`.
-struct ConnGauge<'a>(&'a AtomicUsize);
-
-impl Drop for ConnGauge<'_> {
-    fn drop(&mut self) {
-        // Relaxed: observability gauge only.
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-fn handle_conn(shared: &Shared, mut stream: TcpStream) {
-    // Relaxed: observability gauge only.
-    shared.connections_open.fetch_add(1, Ordering::Relaxed);
-    let _gauge = ConnGauge(&shared.connections_open);
-    let _ = stream.set_nodelay(true);
-    // Short read timeout: the loop polls the shutdown flag between frames
-    // instead of blocking in `read` forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    loop {
-        match protocol::read_frame::<Request>(&mut stream, shared.cfg.frame_stall) {
-            Ok(FrameRead::Idle) => {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
-            Ok(FrameRead::Closed) => return,
-            Ok(FrameRead::Frame(Request::RunStream(body))) => {
-                if !serve_stream_blocking(shared, &mut stream, body) {
-                    return;
-                }
-            }
-            Ok(FrameRead::Frame(req)) => {
-                let is_shutdown = matches!(req, Request::Shutdown);
-                let resp = dispatch(shared, req);
-                if protocol::write_frame(&mut stream, &resp).is_err() || is_shutdown {
-                    return;
-                }
-            }
-            Err(e) => {
-                // One best-effort diagnosis, then drop the connection: after
-                // a framing error the stream offset is untrustworthy.
-                let _ = protocol::write_frame(&mut stream, &err(codes::BAD_REQUEST, e.message));
-                return;
-            }
-        }
-    }
-}
-
-/// The reactor-facing face of the server: inline endpoints answered on the
-/// reactor thread (cheap, lock-only — the same set the blocking mode
-/// answers on connection threads), pooled endpoints submitted through the
-/// identical admission control, with responses routed back through the
-/// connection's write queue.
+/// The reactor-facing face of the server: `close`/`stats`/`shutdown` are
+/// answered inline on the reactor thread, pooled endpoints go through
+/// admission control, and either way the response is routed back through
+/// the connection's write queue.
 impl AsyncDispatch for Shared {
     fn dispatch(&self, req: Request, tag: Option<u64>, queue: &Arc<ConnQueue>) {
         let arrived = Instant::now();
-        let ep = endpoint_of(&req);
+        let endpoint = endpoint_of(&req);
+        let reply = Reply {
+            queue: Arc::clone(queue),
+            tag,
+        };
         let work = match req {
             Request::Open(b) => Work::Open(b),
             Request::Run(b) => Work::Run(b),
@@ -813,54 +558,20 @@ impl AsyncDispatch for Shared {
                         self.begin_shutdown();
                         Response::ShutdownAck
                     }
-                    // The reactor answers Hello itself; a defensive ack
-                    // keeps the connection coherent if one slips through.
-                    Request::Hello(h) => Response::HelloAck(HelloAckBody {
-                        version: h.version.clamp(PROTOCOL_V1, protocol::PROTOCOL_MAX),
-                        max: protocol::PROTOCOL_MAX,
-                    }),
-                    // All pooled variants were peeled off above.
+                    // Pooled variants were peeled off above, and the
+                    // reactor answers `hello` itself.
                     _ => err(codes::INTERNAL, "unroutable request"),
                 };
-                self.metrics
-                    .endpoint(ep)
-                    .observe(resp.error_code(), arrived.elapsed());
-                Reply::Queue {
-                    queue: Arc::clone(queue),
-                    tag,
-                }
-                .send_final(resp);
+                self.finish(endpoint, arrived, &reply, resp);
                 return;
             }
         };
-        let reply = Reply::Queue {
-            queue: Arc::clone(queue),
-            tag,
-        };
-        if let Err(code) = self.submit(Job {
+        self.submit(Job {
             work,
+            endpoint,
             arrived,
-            reply: Reply::Queue {
-                queue: Arc::clone(queue),
-                tag,
-            },
-        }) {
-            let resp = match code {
-                codes::OVERLOADED => err(
-                    codes::OVERLOADED,
-                    format!(
-                        "queue full ({} waiting, {} in flight); retry later",
-                        self.cfg.max_queue,
-                        self.cfg.workers.max(1)
-                    ),
-                ),
-                _ => err(codes::SHUTTING_DOWN, "server is draining"),
-            };
-            self.metrics
-                .endpoint(ep)
-                .observe(resp.error_code(), arrived.elapsed());
-            reply.send_final(resp);
-        }
+            reply,
+        });
     }
 
     fn shutting_down(&self) -> bool {
@@ -878,48 +589,14 @@ impl AsyncDispatch for Shared {
     }
 }
 
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: TcpListener,
-    conns: &TrackedMutex<Vec<JoinHandle<()>>>,
-) {
-    // Non-blocking accept + sleep keeps the loop responsive to shutdown
-    // without needing a wake-up connection.
-    let _ = listener.set_nonblocking(true);
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // The listener is non-blocking; the per-connection protocol
-                // expects a blocking stream with its own read timeout.
-                let _ = stream.set_nonblocking(false);
-                let s = Arc::clone(shared);
-                let spawned = thread::Builder::new()
-                    .name("graphrep-conn".to_owned())
-                    .spawn(move || handle_conn(&s, stream));
-                if let Ok(h) = spawned {
-                    conns.lock().push(h);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
 /// A running server. Dropping the handle does **not** stop the server; call
 /// [`ServerHandle::shutdown`] (or send a wire `Shutdown`) and the handle's
 /// join methods to end it cleanly.
 pub struct ServerHandle {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    acceptor: JoinHandle<()>,
+    reactor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<TrackedMutex<Vec<JoinHandle<()>>>>,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -938,8 +615,8 @@ impl ServerHandle {
     }
 
     /// Initiates graceful shutdown and joins every server thread: queued
-    /// work is drained, in-flight responses are delivered, then the pool,
-    /// acceptor, and connection threads exit.
+    /// work is drained, in-flight responses are delivered, then the pool
+    /// and the reactor exit.
     pub fn shutdown(self) {
         self.shared.begin_shutdown();
         self.join_all();
@@ -952,25 +629,15 @@ impl ServerHandle {
     }
 
     fn join_all(self) {
-        let _ = self.acceptor.join();
+        let _ = self.reactor.join();
         for w in self.workers {
             let _ = w.join();
-        }
-        // No new connections can appear once the acceptor has exited. The
-        // guard is scoped so no lock is held while joining — connection
-        // threads take dataset locks on their way out.
-        let handles: Vec<JoinHandle<()>> = {
-            let mut conns = self.conns.lock();
-            conns.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
         }
     }
 }
 
 /// Starts a server over `registry` with `cfg`, returning once the listener
-/// is bound and the worker pool is up.
+/// is bound, the worker pool is up, and the reactor is running.
 pub fn start(cfg: ServeConfig, registry: DatasetRegistry) -> Result<ServerHandle, ServeError> {
     let listener = TcpListener::bind(&cfg.addr)
         .map_err(|e| ServeError::new(format!("bind {}: {e}", cfg.addr)))?;
@@ -997,68 +664,40 @@ pub fn start(cfg: ServeConfig, registry: DatasetRegistry) -> Result<ServerHandle
             .map_err(|e| ServeError::new(format!("spawning worker {i}: {e}")))?;
         workers.push(h);
     }
-    let conns: Arc<TrackedMutex<Vec<JoinHandle<()>>>> = Arc::new(TrackedMutex::new(
-        "serve.server.ServerHandle.conns",
-        Vec::new(),
-    ));
-    let acceptor = match shared.cfg.io {
-        IoMode::Blocking => {
-            let s = Arc::clone(&shared);
-            let c = Arc::clone(&conns);
-            thread::Builder::new()
-                .name("graphrep-accept".to_owned())
-                .spawn(move || accept_loop(&s, listener, &c))
-                .map_err(|e| ServeError::new(format!("spawning acceptor: {e}")))?
-        }
-        IoMode::Async => spawn_reactor(Arc::clone(&shared), listener)?,
-    };
+    let reactor = spawn_reactor(Arc::clone(&shared), listener)?;
     Ok(ServerHandle {
         shared,
         addr,
-        acceptor,
+        reactor,
         workers,
-        conns,
     })
 }
 
-/// Builds the epoll reactor for async mode and spawns its event-loop
-/// thread. Both the acceptor and every connection live on this one thread;
-/// [`ServerHandle::join_all`] joins it through the `acceptor` slot.
-#[cfg(target_os = "linux")]
+/// Builds the epoll reactor and spawns its event-loop thread: the accept
+/// path and every connection live on this one thread.
 fn spawn_reactor(shared: Arc<Shared>, listener: TcpListener) -> Result<JoinHandle<()>, ServeError> {
-    let (waker, wake_rx) = crate::reactor::waker::Waker::new()
-        .map_err(|e| ServeError::new(format!("wake channel: {e}")))?;
-    let waker = Arc::new(waker);
-    let acceptor = crate::reactor::TcpAcceptor::new(listener)
+    let (waker, wake_rx) =
+        reactor::waker::Waker::new().map_err(|e| ServeError::new(format!("wake channel: {e}")))?;
+    let acceptor = reactor::TcpAcceptor::new(listener)
         .map_err(|e| ServeError::new(format!("nonblocking listener: {e}")))?;
-    let poll = crate::reactor::sys::EpollPoll::new()
+    let poll = reactor::sys::EpollPoll::new()
         .map_err(|e| ServeError::new(format!("epoll_create1: {e}")))?;
-    let write_cap = shared.cfg.write_queue_cap;
+    let (write_cap, frame_stall) = (shared.cfg.write_queue_cap, shared.cfg.frame_stall);
     let dispatch: Arc<dyn AsyncDispatch> = shared;
-    let reactor = crate::reactor::Reactor::new(
+    let reactor = reactor::Reactor::new(
         poll,
         Box::new(acceptor),
-        waker,
+        Arc::new(waker),
         wake_rx,
         dispatch,
         write_cap,
+        frame_stall,
     )
     .map_err(|e| ServeError::new(format!("reactor setup: {e}")))?;
     thread::Builder::new()
         .name("graphrep-reactor".to_owned())
         .spawn(move || reactor.run())
         .map_err(|e| ServeError::new(format!("spawning reactor: {e}")))
-}
-
-/// Async mode is epoll-backed and therefore Linux-only.
-#[cfg(not(target_os = "linux"))]
-fn spawn_reactor(
-    _shared: Arc<Shared>,
-    _listener: TcpListener,
-) -> Result<JoinHandle<()>, ServeError> {
-    Err(ServeError::new(
-        "io mode `async` requires Linux (epoll); use `blocking`",
-    ))
 }
 
 /// Convenience for tests and benchmarks: builds a registry holding the

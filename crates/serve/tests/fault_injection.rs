@@ -1,5 +1,6 @@
-//! Connection fault injection against the async reactor: peers that vanish
-//! mid-stream, half-open sockets, and storms of misbehaving connections.
+//! Connection fault injection against the reactor: peers that vanish
+//! mid-stream, half-open sockets, peers that stall mid-frame, and storms of
+//! misbehaving connections.
 //! The invariants, asserted through the `stats` endpoint before and after:
 //! every dispatched request is accounted for exactly once (requests ==
 //! ok + overloaded + deadline_exceeded + errors), the connection gauge
@@ -10,26 +11,30 @@
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_serve::registry::load_in_memory;
 use graphrep_serve::{
-    protocol, start, Client, DatasetRegistry, IoMode, Response, ServeConfig, StatsBody,
-    TaggedRequest, TaggedResponse,
+    protocol, start, Client, DatasetRegistry, Response, ServeConfig, StatsBody, TaggedRequest,
+    TaggedResponse,
 };
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-fn async_server(workers: usize) -> graphrep_serve::ServerHandle {
+fn server(workers: usize) -> graphrep_serve::ServerHandle {
+    server_with_frame_stall(workers, ServeConfig::default().frame_stall)
+}
+
+fn server_with_frame_stall(workers: usize, frame_stall: Duration) -> graphrep_serve::ServerHandle {
     let data = DatasetSpec::new(DatasetKind::DudLike, 60, 20140622).generate();
     let mut reg = DatasetRegistry::new();
     reg.insert(load_in_memory("f", data));
     start(
         ServeConfig {
             workers,
-            io: IoMode::Async,
+            frame_stall,
             ..Default::default()
         },
         reg,
     )
-    .expect("async server start")
+    .expect("server start")
 }
 
 /// Every dispatched request ended in exactly one of the four outcome
@@ -127,7 +132,7 @@ fn run_stream_req(session: u64, theta: f64, k: usize) -> protocol::Request {
 /// the next request, and the orphaned session stays usable from elsewhere.
 #[test]
 fn mid_stream_disconnect_cancels_the_run_and_reclaims_the_connection() {
-    let handle = async_server(1);
+    let handle = server(1);
     let addr = handle.addr().to_string();
     let mut observer = Client::connect(&addr).expect("connect observer");
     let baseline = observer.stats().expect("baseline stats");
@@ -196,7 +201,7 @@ fn mid_stream_disconnect_cancels_the_run_and_reclaims_the_connection() {
 /// and keeping it would leak its slot and pin its streamed runs forever.
 #[test]
 fn half_open_sockets_are_torn_down_not_leaked() {
-    let handle = async_server(2);
+    let handle = server(2);
     let addr = handle.addr().to_string();
     let mut observer = Client::connect(&addr).expect("connect observer");
 
@@ -234,13 +239,73 @@ fn half_open_sockets_are_torn_down_not_leaked() {
     handle.shutdown();
 }
 
+/// A peer that sends half a frame and then goes quiet is disconnected once
+/// `frame_stall` passes — it would otherwise hold its slot and its decoder
+/// buffer forever — while a connection idling *between* frames is left
+/// alone however long it sits.
+#[test]
+fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
+    let handle = server_with_frame_stall(1, Duration::from_millis(100));
+    let addr = handle.addr().to_string();
+    let mut observer = Client::connect(&addr).expect("connect observer");
+
+    // Complete-but-idle: one whole request, answered, then silence.
+    let mut idler = TcpStream::connect(&addr).expect("connect idler");
+    idler
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("timeout");
+    let ping = protocol::Request::Ping(protocol::PingBody { wait_ms: 0 });
+    protocol::write_frame(&mut idler, &ping).expect("ping");
+    assert!(matches!(read_bare(&mut idler), Response::Pong));
+
+    let mut staller = TcpStream::connect(&addr).expect("connect staller");
+    staller
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("timeout");
+    let frame = protocol::encode_frame(&ping).expect("encode");
+    staller
+        .write_all(&frame[..frame.len() / 2])
+        .expect("half a frame");
+    let all_in = await_stats(&mut observer, |st| st.connections_open == 3);
+    assert_eq!(all_in.connections_open, 3);
+
+    let settled = await_stats(&mut observer, |st| st.connections_open == 2);
+    assert_eq!(settled.connections_open, 2, "the staller was not dropped");
+    // The staller got one diagnostic, then EOF.
+    match read_bare(&mut staller) {
+        Response::Error(e) => {
+            assert_eq!(e.code, protocol::codes::BAD_REQUEST);
+            assert!(e.message.contains("stalled"), "{}", e.message);
+        }
+        other => panic!("expected a stall diagnostic, got {other:?}"),
+    }
+    assert!(
+        matches!(
+            protocol::read_frame::<Response>(&mut staller, Duration::from_secs(5)),
+            Ok(protocol::FrameRead::Closed) | Err(_)
+        ),
+        "the stalled connection must be closed"
+    );
+
+    // Several stall limits later the idle connection still works.
+    std::thread::sleep(Duration::from_millis(300));
+    protocol::write_frame(&mut idler, &ping).expect("ping after idling");
+    assert!(matches!(read_bare(&mut idler), Response::Pong));
+    assert_eq!(
+        observer.stats().expect("final stats").connections_open,
+        2,
+        "observer + idler"
+    );
+    handle.shutdown();
+}
+
 /// A storm of misbehaving connections — silent drops, truncated headers,
 /// mid-stream disconnects, poison frames, half-closes — interleaved with
 /// clean clients. Afterwards: gauge at baseline, queue empty, every counter
 /// conserved, and the server still streams correct answers.
 #[test]
 fn fault_storm_conserves_counters_and_keeps_serving() {
-    let handle = async_server(2);
+    let handle = server(2);
     let addr = handle.addr().to_string();
     let mut observer = Client::connect(&addr).expect("connect observer");
 

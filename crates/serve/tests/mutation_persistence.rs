@@ -2,6 +2,7 @@
 //! after every insert/remove (epoch sidecar first), a clean reopen warm-loads
 //! the mutated index at the recorded epoch, and a sidecar/index mismatch is
 //! detected and answered with a rebuild — never a silently stale snapshot.
+//! Persistence is best-effort, but a failed write is counted, not swallowed.
 
 use graphrep_datagen::{store, DatasetKind, DatasetSpec};
 use graphrep_graph::generate::mutate;
@@ -38,6 +39,7 @@ fn mutations_persist_and_reopen_at_the_recorded_epoch() {
     let r2 = ds.remove_graph(2).expect("remove");
     assert_eq!(r2.epoch, 2);
     assert_eq!((r2.live, r2.tombstones), (24, 1));
+    assert_eq!(ds.stats().persist_errors, 0, "happy path persists cleanly");
     let want = format!(
         "{:?}",
         ds.index_arc().query(ds.relevant_for(0.75), theta, 3).0
@@ -77,6 +79,33 @@ fn mutations_persist_and_reopen_at_the_recorded_epoch() {
     let _ = ds.index_arc().query(ds.relevant_for(0.75), theta, 3);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Re-persisting is best-effort — a mutation whose backing directory has
+/// vanished still applies and the dataset keeps serving — but every failed
+/// write is counted into `persist_errors` instead of being swallowed.
+#[test]
+fn failed_persistence_is_counted_and_serving_continues() {
+    let dir = tmpdir("gone");
+    let data = DatasetSpec::new(DatasetKind::DudLike, 16, 77).generate();
+    store::save(&data, &dir).expect("save dataset");
+    let ds = LoadedDataset::open("d", &dir, true).expect("open");
+    assert_eq!(ds.stats().persist_errors, 0);
+
+    std::fs::remove_dir_all(&dir).expect("pull the directory out from under the dataset");
+    let mut rng = SmallRng::seed_from_u64(9);
+    let g = mutate(&mut rng, data.db.graph(0), 2, &[0, 1], &[0]);
+    let r = ds
+        .insert_graph(g, data.db.features(0).to_vec())
+        .expect("the insert itself must still apply");
+    assert_eq!((r.id, r.epoch), (16, 1));
+    assert!(
+        ds.stats().persist_errors > 0,
+        "failed writes must be counted"
+    );
+    let _ = ds
+        .index_arc()
+        .query(ds.relevant_for(0.75), data.default_theta, 3);
 }
 
 /// A JSON-era directory (only `index.json` on disk) still warm-loads, and

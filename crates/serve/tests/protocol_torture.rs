@@ -1,17 +1,18 @@
 //! Byte-level torture of the v2 framing stack: property-based fuzzing of
 //! the incremental [`FrameDecoder`] (frames split at arbitrary read
 //! boundaries, garbage, truncation, oversized announcements), plus
-//! deterministic wire-level abuse of a live async server — duplicate
-//! request ids, mixed-type pipelined bursts, garbage frames, slow-reader
-//! backpressure — all of which must surface as typed errors on the right
+//! deterministic wire-level abuse of a live server — duplicate request
+//! ids, mixed-type pipelined bursts, garbage frames, slow-reader
+//! backpressure, v1 write-ahead — all of which must surface as typed
+//! errors (or in-order answers) on the right
 //! connection, never as a panic, a hang, or a frame on someone else's
 //! stream.
 
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_serve::registry::load_in_memory;
 use graphrep_serve::{
-    protocol, start, Client, DatasetRegistry, DecodeError, FrameDecoder, IoMode, Response,
-    ServeConfig, TaggedRequest, TaggedResponse,
+    protocol, start, Client, DatasetRegistry, DecodeError, FrameDecoder, Response, ServeConfig,
+    TaggedRequest, TaggedResponse,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -178,23 +179,22 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Wire-level torture against a live async server.
+// Wire-level torture against a live server.
 // ---------------------------------------------------------------------------
 
-fn async_server(workers: usize, write_queue_cap: usize) -> graphrep_serve::ServerHandle {
+fn server(workers: usize, write_queue_cap: usize) -> graphrep_serve::ServerHandle {
     let data = DatasetSpec::new(DatasetKind::DudLike, 60, 20140622).generate();
     let mut reg = DatasetRegistry::new();
     reg.insert(load_in_memory("t", data));
     start(
         ServeConfig {
             workers,
-            io: IoMode::Async,
             write_queue_cap,
             ..Default::default()
         },
         reg,
     )
-    .expect("async server start")
+    .expect("server start")
 }
 
 /// Raw v2 handshake on a bare socket: offer v2 in the old framing, demand
@@ -268,18 +268,17 @@ fn run_body(session: u64, theta: f64, k: usize) -> protocol::RunBody {
 /// answer matches the blocking answer for the same query.
 #[test]
 fn duplicate_live_request_ids_are_rejected_without_killing_the_original() {
-    let handle = async_server(2, 4 << 20);
+    // One worker: the slow ping below provably holds it while the reactor
+    // parses both id-7 frames, so the first is still live (queued) when the
+    // duplicate arrives — no race with how fast the run finishes.
+    let handle = server(1, 4 << 20);
     let addr = handle.addr().to_string();
 
     // Ground truth over the ordinary client.
     let mut reference = Client::connect(&addr).expect("connect reference");
     let ro = reference.open("t", 0.75).expect("open reference");
-    let theta = {
-        // Use a known-good grid point: the dataset's default ladder midpoint.
-        let stats = reference.stats().expect("stats");
-        assert_eq!(stats.io_mode, "async");
-        3.0
-    };
+    // A known-good grid point: the dataset's default ladder midpoint.
+    let theta = 3.0;
     let want = reference
         .run_answer(ro.session, theta, 3)
         .expect("reference run")
@@ -295,9 +294,16 @@ fn duplicate_live_request_ids_are_rejected_without_killing_the_original() {
         other => panic!("expected Opened for id 1, got {other:?}"),
     };
 
-    // Two streams under ONE id, back to back: the second must be refused
-    // while the first is live.
-    let mut burst = tagged(7, protocol::Request::RunStream(run_body(session, theta, 3)));
+    // Two streams under ONE id, back to back behind a ping that parks the
+    // only worker: the second must be refused while the first is live.
+    let mut burst = tagged(
+        2,
+        protocol::Request::Ping(protocol::PingBody { wait_ms: 300 }),
+    );
+    burst.extend(tagged(
+        7,
+        protocol::Request::RunStream(run_body(session, theta, 3)),
+    ));
     burst.extend(tagged(
         7,
         protocol::Request::RunStream(run_body(session, theta, 3)),
@@ -309,6 +315,9 @@ fn duplicate_live_request_ids_are_rejected_without_killing_the_original() {
     let mut rejection = None;
     while answer.is_none() || rejection.is_none() {
         let t = read_tagged(&mut s);
+        if (t.id, &t.resp) == (2, &Response::Pong) {
+            continue;
+        }
         assert_eq!(t.id, 7, "no other id is in flight");
         match t.resp {
             Response::Pick(_) => picks += 1,
@@ -352,7 +361,7 @@ fn duplicate_live_request_ids_are_rejected_without_killing_the_original() {
 /// into another.
 #[test]
 fn mixed_type_pipelined_bursts_keep_every_tag_straight() {
-    let handle = async_server(4, 4 << 20);
+    let handle = server(4, 4 << 20);
     let addr = handle.addr().to_string();
     let mut s = raw_v2(&addr);
 
@@ -438,7 +447,7 @@ fn mixed_type_pipelined_bursts_keep_every_tag_straight() {
 /// before the garbage keeps working.
 #[test]
 fn garbage_frames_poison_only_their_own_connection() {
-    let handle = async_server(2, 4 << 20);
+    let handle = server(2, 4 << 20);
     let addr = handle.addr().to_string();
 
     let mut neighbor = Client::connect(&addr).expect("connect neighbor");
@@ -512,16 +521,14 @@ fn garbage_frames_poison_only_their_own_connection() {
 /// Old v1 clients — no hello, bare frames, strict FIFO — are served by the
 /// async reactor byte-for-byte like before, including streamed runs.
 #[test]
-fn v1_blocking_clients_are_served_unchanged_by_the_async_server() {
-    let handle = async_server(2, 4 << 20);
+fn v1_blocking_clients_are_served_unchanged_by_the_server() {
+    let handle = server(2, 4 << 20);
     let addr = handle.addr().to_string();
 
     // The stock client never sent Hello, so it speaks v1.
     let mut c = Client::connect(&addr).expect("connect v1");
     let o = c.open("t", 0.75).expect("open");
     let blocking = c.run_answer(o.session, 3.0, 3).expect("run").fingerprint();
-    let stats = c.stats().expect("stats");
-    assert_eq!(stats.io_mode, "async");
 
     // Raw v1 FIFO streaming: bare RunStream, bare Pick/AnswerEnd replies.
     let mut s = TcpStream::connect(&addr).expect("connect raw v1");
@@ -550,6 +557,41 @@ fn v1_blocking_clients_are_served_unchanged_by_the_async_server() {
     handle.shutdown();
 }
 
+/// A v1 peer that writes ahead — several untagged requests in one write —
+/// can only match responses to requests by position, so the answers must
+/// come back in request order even though the first request is slow, the
+/// second is answered inline on the reactor and the third by another
+/// worker.
+#[test]
+fn v1_write_ahead_is_answered_in_request_order() {
+    let handle = server(2, 4 << 20);
+    let mut s = TcpStream::connect(handle.addr()).expect("connect raw v1");
+    s.set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("timeout");
+    let mut burst = Vec::new();
+    for req in [
+        protocol::Request::Ping(protocol::PingBody { wait_ms: 300 }),
+        protocol::Request::Stats,
+        open_body(),
+    ] {
+        burst.extend(protocol::encode_frame(&req).expect("encode"));
+    }
+    s.write_all(&burst).expect("write-ahead burst");
+    let first = read_bare(&mut s);
+    assert!(matches!(first, Response::Pong), "1st answer: {first:?}");
+    let second = read_bare(&mut s);
+    assert!(
+        matches!(second, Response::Stats(_)),
+        "2nd answer: {second:?}"
+    );
+    let third = read_bare(&mut s);
+    assert!(
+        matches!(third, Response::Opened(_)),
+        "3rd answer: {third:?}"
+    );
+    handle.shutdown();
+}
+
 /// A pipelining peer that stops reading while responses pile up: once the
 /// connection's write queue passes its cap, the in-flight streamed run is
 /// cancelled as `slow_consumer` instead of buffering without bound — and
@@ -558,7 +600,7 @@ fn v1_blocking_clients_are_served_unchanged_by_the_async_server() {
 fn a_stalled_reader_gets_slow_consumer_not_unbounded_buffering() {
     // Tiny write-queue cap, one worker so the stream sits queued behind a
     // slow ping while the stats flood lands.
-    let handle = async_server(1, 8 << 10);
+    let handle = server(1, 8 << 10);
     let addr = handle.addr().to_string();
     let mut s = raw_v2(&addr);
 

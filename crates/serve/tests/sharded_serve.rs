@@ -5,9 +5,7 @@
 
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_serve::{registry::load_in_memory, Response};
-use graphrep_serve::{
-    start, Client, DatasetRegistry, ServeConfig, ShardedDataset, ShardedMutationReceipt,
-};
+use graphrep_serve::{start, Client, DatasetRegistry, ServeConfig, ShardedDataset};
 
 fn sharded_server(size: usize, seed: u64, shards: usize) -> graphrep_serve::ServerHandle {
     let data = DatasetSpec::new(DatasetKind::DudLike, size, seed).generate();
@@ -192,9 +190,6 @@ fn sharded_wire_mutations_bump_one_epoch_slot() {
         .filter(|&i| r2.shard_epochs[i] != r1.shard_epochs[i])
         .collect();
     assert_eq!(moved2.len(), 1, "exactly one shard epoch moves per remove");
-
-    // Receipt type round-trips through the public re-export.
-    let _: Option<ShardedMutationReceipt> = None;
 
     client.shutdown().expect("shutdown");
     handle.wait();

@@ -1,15 +1,14 @@
 //! The streaming differential harness: streamed picks concatenated with the
 //! terminal summary must be byte-identical to the blocking `run` answer and
-//! to the offline engine — per pool size, per I/O mode (blocking threads vs
-//! the epoll reactor), per backend (single-index and sharded), pipelined or
-//! not, and across a mid-stream mutation (a session pinned to its snapshot
+//! to the offline engine — per pool size, per backend (single-index and
+//! sharded), pipelined or not, and across a mid-stream mutation (a session pinned to its snapshot
 //! finishes on that snapshot).
 
 use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
 use graphrep_serve::registry::load_in_memory;
 use graphrep_serve::{
-    offline_reference, protocol, start, Client, DatasetRegistry, IoMode, LoadMode, LoadSpec,
-    Response, ServeConfig, ShardedDataset,
+    offline_reference, protocol, start, Client, DatasetRegistry, LoadMode, LoadSpec, Response,
+    ServeConfig, ShardedDataset,
 };
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -43,18 +42,12 @@ fn grid(data: &Dataset) -> Vec<(f64, usize)> {
     ]
 }
 
-fn start_single(
-    io: IoMode,
-    workers: usize,
-    name: &str,
-    data: Dataset,
-) -> graphrep_serve::ServerHandle {
+fn start_single(workers: usize, name: &str, data: Dataset) -> graphrep_serve::ServerHandle {
     let mut reg = DatasetRegistry::new();
     reg.insert(load_in_memory(name, data));
     start(
         ServeConfig {
             workers,
-            io,
             ..Default::default()
         },
         reg,
@@ -62,18 +55,12 @@ fn start_single(
     .expect("server start")
 }
 
-fn start_sharded(
-    io: IoMode,
-    workers: usize,
-    data: Dataset,
-    shards: usize,
-) -> graphrep_serve::ServerHandle {
+fn start_sharded(workers: usize, data: Dataset, shards: usize) -> graphrep_serve::ServerHandle {
     let mut reg = DatasetRegistry::new();
     reg.insert_sharded(ShardedDataset::in_memory("d", data, shards, 0x5eed));
     start(
         ServeConfig {
             workers,
-            io,
             ..Default::default()
         },
         reg,
@@ -83,7 +70,7 @@ fn start_sharded(
 
 /// The tentpole differential: streamed answers (pick frames + summary) are
 /// byte-identical to the blocking wire answer and to offline
-/// `QuerySession::run`, at 1, 4, and 8 workers, in both I/O modes.
+/// `QuerySession::run`, at 1, 4, and 8 workers.
 #[test]
 fn streamed_answers_match_blocking_and_offline_at_every_pool_size() {
     let gen = dud(60, 20140622);
@@ -91,58 +78,53 @@ fn streamed_answers_match_blocking_and_offline_at_every_pool_size() {
     let queries = grid(&data);
     let reference = offline_fingerprints(gen.generate(), &queries);
 
-    for io in [IoMode::Blocking, IoMode::Async] {
-        for workers in [1usize, 4, 8] {
-            let handle = start_single(io, workers, "eq", gen.generate());
-            let addr = handle.addr().to_string();
+    for workers in [1usize, 4, 8] {
+        let handle = start_single(workers, "eq", gen.generate());
+        let addr = handle.addr().to_string();
 
-            let mut streaming = Client::connect(&addr).expect("connect streaming");
-            let ack = streaming.hello().expect("hello");
-            match io {
-                IoMode::Async => assert_eq!(ack.version, 2, "async servers grant v2"),
-                IoMode::Blocking => assert_eq!(ack.version, 1, "blocking servers stay v1"),
-            }
-            let mut blocking = Client::connect(&addr).expect("connect blocking");
+        let mut streaming = Client::connect(&addr).expect("connect streaming");
+        let ack = streaming.hello().expect("hello");
+        assert_eq!(ack.version, 2, "the server grants v2");
+        let mut blocking = Client::connect(&addr).expect("connect blocking");
 
-            let so = streaming.open("eq", 0.75).expect("open streaming");
-            let bo = blocking.open("eq", 0.75).expect("open blocking");
-            for &(theta, k) in &queries {
-                let (picks, streamed) = streaming
-                    .run_streaming_answer(so.session, theta, k)
-                    .unwrap_or_else(|e| panic!("{io:?} x{workers} θ={theta} k={k}: {e}"));
-                let blocked = blocking
-                    .run_answer(bo.session, theta, k)
-                    .expect("blocking run");
-                let offline = reference
-                    .get(&(theta.to_bits(), k))
-                    .expect("offline reference");
-                assert_eq!(
-                    &streamed.fingerprint(),
-                    offline,
-                    "{io:?} x{workers} θ={theta} k={k}: streamed answer diverged from offline"
-                );
-                assert_eq!(
-                    streamed.fingerprint(),
-                    blocked.fingerprint(),
-                    "{io:?} x{workers} θ={theta} k={k}: streamed vs blocking"
-                );
-                assert_eq!(picks.len(), streamed.ids.len());
-            }
-            handle.shutdown();
+        let so = streaming.open("eq", 0.75).expect("open streaming");
+        let bo = blocking.open("eq", 0.75).expect("open blocking");
+        for &(theta, k) in &queries {
+            let (picks, streamed) = streaming
+                .run_streaming_answer(so.session, theta, k)
+                .unwrap_or_else(|e| panic!("x{workers} θ={theta} k={k}: {e}"));
+            let blocked = blocking
+                .run_answer(bo.session, theta, k)
+                .expect("blocking run");
+            let offline = reference
+                .get(&(theta.to_bits(), k))
+                .expect("offline reference");
+            assert_eq!(
+                &streamed.fingerprint(),
+                offline,
+                "x{workers} θ={theta} k={k}: streamed answer diverged from offline"
+            );
+            assert_eq!(
+                streamed.fingerprint(),
+                blocked.fingerprint(),
+                "x{workers} θ={theta} k={k}: streamed vs blocking"
+            );
+            assert_eq!(picks.len(), streamed.ids.len());
         }
+        handle.shutdown();
     }
 }
 
 /// Sharded scatter-gather streams through the same seam: streamed picks and
 /// summary from a sharded backend are byte-identical to the single-index
-/// blocking answer, per pool size, in both I/O modes.
+/// blocking answer, per pool size.
 #[test]
 fn sharded_streamed_answers_match_single_index() {
     let gen = dud(36, 29);
     let data = gen.generate();
     let queries = grid(&data);
 
-    let single = start_single(IoMode::Blocking, 2, "d", gen.generate());
+    let single = start_single(2, "d", gen.generate());
     let mut sc = Client::connect(&single.addr().to_string()).expect("connect single");
     let so = sc.open("d", 0.75).expect("open single");
     let mut want = Vec::new();
@@ -155,26 +137,24 @@ fn sharded_streamed_answers_match_single_index() {
     }
     single.shutdown();
 
-    for io in [IoMode::Blocking, IoMode::Async] {
-        for workers in [1usize, 4, 8] {
-            let handle = start_sharded(io, workers, gen.generate(), 3);
-            let mut c = Client::connect(&handle.addr().to_string()).expect("connect sharded");
-            c.hello().expect("hello");
-            let o = c.open("d", 0.75).expect("open sharded");
-            for (i, &(theta, k)) in queries.iter().enumerate() {
-                let (picks, body) = c
-                    .run_streaming_answer(o.session, theta, k)
-                    .unwrap_or_else(|e| panic!("sharded {io:?} x{workers} θ={theta} k={k}: {e}"));
-                assert_eq!(
-                    body.fingerprint(),
-                    want[i],
-                    "sharded {io:?} x{workers} θ={theta} k={k}"
-                );
-                assert!(!picks.is_empty());
-                assert_eq!(body.shard_count, 3);
-            }
-            handle.shutdown();
+    for workers in [1usize, 4, 8] {
+        let handle = start_sharded(workers, gen.generate(), 3);
+        let mut c = Client::connect(&handle.addr().to_string()).expect("connect sharded");
+        c.hello().expect("hello");
+        let o = c.open("d", 0.75).expect("open sharded");
+        for (i, &(theta, k)) in queries.iter().enumerate() {
+            let (picks, body) = c
+                .run_streaming_answer(o.session, theta, k)
+                .unwrap_or_else(|e| panic!("sharded x{workers} θ={theta} k={k}: {e}"));
+            assert_eq!(
+                body.fingerprint(),
+                want[i],
+                "sharded x{workers} θ={theta} k={k}"
+            );
+            assert!(!picks.is_empty());
+            assert_eq!(body.shard_count, 3);
         }
+        handle.shutdown();
     }
 }
 
@@ -188,7 +168,7 @@ fn pipelined_streams_are_answered_correctly_out_of_order() {
     let queries = grid(&data);
     let reference = offline_fingerprints(gen.generate(), &queries);
 
-    let handle = start_single(IoMode::Async, 4, "pl", gen.generate());
+    let handle = start_single(4, "pl", gen.generate());
     let mut c = Client::connect(&handle.addr().to_string()).expect("connect");
     let ack = c.hello().expect("hello");
     assert_eq!(ack.version, 2);
@@ -243,88 +223,86 @@ fn pipelined_streams_are_answered_correctly_out_of_order() {
 /// while the mutation itself is acknowledged with a moved epoch.
 #[test]
 fn mid_stream_mutation_leaves_pinned_session_on_its_snapshot() {
-    for io in [IoMode::Blocking, IoMode::Async] {
-        let gen = dud(60, 20140622);
-        let data = gen.generate();
-        let dims = data.db.dims();
+    let gen = dud(60, 20140622);
+    let data = gen.generate();
+    let dims = data.db.dims();
 
-        // Pre-mutation ground truth on a query that takes several picks —
-        // a one-pick run has no meaningful "mid-stream".
-        let ds = load_in_memory("mut", gen.generate());
-        let session = ds.index_arc().start_session_shared(ds.relevant_for(0.75));
-        let (theta, k) = grid(&data)
-            .into_iter()
-            .find(|&(t, k)| session.run(t, k).0.ids.len() >= 2)
-            .expect("no grid query streams multiple picks");
-        let offline = format!("{:?}", session.run(theta, k).0);
+    // Pre-mutation ground truth on a query that takes several picks —
+    // a one-pick run has no meaningful "mid-stream".
+    let ds = load_in_memory("mut", gen.generate());
+    let session = ds.index_arc().start_session_shared(ds.relevant_for(0.75));
+    let (theta, k) = grid(&data)
+        .into_iter()
+        .find(|&(t, k)| session.run(t, k).0.ids.len() >= 2)
+        .expect("no grid query streams multiple picks");
+    let offline = format!("{:?}", session.run(theta, k).0);
 
-        let handle = start_single(io, 2, "mut", gen.generate());
-        let addr = handle.addr().to_string();
+    let handle = start_single(2, "mut", gen.generate());
+    let addr = handle.addr().to_string();
 
-        // Raw v1 streaming socket so the test controls frame-by-frame reads.
-        let mut stream = TcpStream::connect(&addr).expect("connect raw");
-        stream
-            .set_read_timeout(Some(Duration::from_millis(100)))
-            .expect("timeout");
-        protocol::write_frame(
-            &mut stream,
-            &protocol::Request::Open(protocol::OpenBody {
-                dataset: "mut".into(),
-                quantile: 0.75,
-            }),
+    // Raw v1 streaming socket so the test controls frame-by-frame reads.
+    let mut stream = TcpStream::connect(&addr).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("timeout");
+    protocol::write_frame(
+        &mut stream,
+        &protocol::Request::Open(protocol::OpenBody {
+            dataset: "mut".into(),
+            quantile: 0.75,
+        }),
+    )
+    .expect("open frame");
+    let session = match read_response(&mut stream) {
+        Response::Opened(o) => o.session,
+        other => panic!("expected Opened, got {other:?}"),
+    };
+    protocol::write_frame(
+        &mut stream,
+        &protocol::Request::RunStream(protocol::RunBody {
+            session,
+            theta,
+            k,
+            deadline_ms: None,
+        }),
+    )
+    .expect("run_stream frame");
+
+    // Consume exactly one pick, then mutate from a second connection
+    // while the stream is still open.
+    let first = read_response(&mut stream);
+    assert!(
+        matches!(first, Response::Pick(_)),
+        "expected a first pick, got {first:?}"
+    );
+    let mut mutator = Client::connect(&addr).expect("connect mutator");
+    let receipt = mutator
+        .insert(
+            "mut",
+            vec![0, 1, 1],
+            vec![(0, 1, 0), (1, 2, 1)],
+            vec![0.5; dims],
         )
-        .expect("open frame");
-        let session = match read_response(&mut stream) {
-            Response::Opened(o) => o.session,
-            other => panic!("expected Opened, got {other:?}"),
-        };
-        protocol::write_frame(
-            &mut stream,
-            &protocol::Request::RunStream(protocol::RunBody {
-                session,
-                theta,
-                k,
-                deadline_ms: None,
-            }),
-        )
-        .expect("run_stream frame");
+        .expect("mid-stream insert");
+    assert!(receipt.epoch >= 1, "insert must move the epoch");
 
-        // Consume exactly one pick, then mutate from a second connection
-        // while the stream is still open.
-        let first = read_response(&mut stream);
-        assert!(
-            matches!(first, Response::Pick(_)),
-            "expected a first pick, got {first:?}"
-        );
-        let mut mutator = Client::connect(&addr).expect("connect mutator");
-        let receipt = mutator
-            .insert(
-                "mut",
-                vec![0, 1, 1],
-                vec![(0, 1, 0), (1, 2, 1)],
-                vec![0.5; dims],
-            )
-            .expect("mid-stream insert");
-        assert!(receipt.epoch >= 1, "insert must move the epoch");
-
-        // Drain the rest of the stream: it must finish on the snapshot the
-        // session pinned at open, untouched by the insert.
-        let mut picks = vec![first];
-        let body = loop {
-            match read_response(&mut stream) {
-                Response::Pick(p) => picks.push(Response::Pick(p)),
-                Response::AnswerEnd(b) => break b,
-                other => panic!("mid-stream: {other:?}"),
-            }
-        };
-        assert_eq!(
-            body.fingerprint(),
-            offline,
-            "{io:?}: mutation bent a pinned-epoch stream"
-        );
-        assert!(picks.len() >= 2, "the run must stream multiple picks");
-        handle.shutdown();
-    }
+    // Drain the rest of the stream: it must finish on the snapshot the
+    // session pinned at open, untouched by the insert.
+    let mut picks = vec![first];
+    let body = loop {
+        match read_response(&mut stream) {
+            Response::Pick(p) => picks.push(Response::Pick(p)),
+            Response::AnswerEnd(b) => break b,
+            other => panic!("mid-stream: {other:?}"),
+        }
+    };
+    assert_eq!(
+        body.fingerprint(),
+        offline,
+        "mutation bent a pinned-epoch stream"
+    );
+    assert!(picks.len() >= 2, "the run must stream multiple picks");
+    handle.shutdown();
 }
 
 /// Blocks until one bare `Response` frame arrives (10 s cap).
