@@ -56,8 +56,9 @@ pub struct MutationPolicy {
     /// Rebuild when the ratio of in-range tombstones ([`NbTree::stale`])
     /// to indexed graphs exceeds this value.
     pub max_tombstone_ratio: f64,
-    /// Rebuild when the summed relative radius inflation from
-    /// [`crate::nbtree::InsertOutcome::radius_inflation`] exceeds this budget.
+    /// Rebuild when the summed live-share-weighted relative radius inflation
+    /// from [`crate::nbtree::InsertOutcome::radius_inflation`] exceeds this
+    /// budget: 1.0 is the whole database under a bound one radius looser.
     pub radius_inflation_budget: f64,
 }
 

@@ -97,8 +97,10 @@ pub struct InsertOutcome {
     pub pos: u32,
     /// Nodes on the root→bottom routing path (including both ends).
     pub path_len: usize,
-    /// Σ (r′ − r) / max(r, 1) over the re-expanded path nodes — the bound-
-    /// degradation currency of the rebuild policy.
+    /// Σ share · (r′ − r) / max(r, 1) over the re-expanded path nodes, where
+    /// `share` is the fraction of the tree's live graphs that sit under the
+    /// node — the bound-degradation currency of the rebuild policy: how much
+    /// of the database now lies under a weakened bound, and by how much.
     pub radius_inflation: f64,
     /// Whether the receiving bottom cluster was split after insertion.
     pub split: bool,
@@ -477,6 +479,8 @@ impl NbTree {
         let mut cur = 0u32;
         let mut path = vec![cur];
         let mut inflation = 0.0f64;
+        // Live graphs under the root once the new one is counted.
+        let live = f64::from(self.node_live[0] + 1);
         while !self.nodes[cur as usize].is_bottom() {
             let children = self.nodes[cur as usize].children.clone();
             let centroids: Vec<GraphId> = children
@@ -488,7 +492,12 @@ impl NbTree {
             let n = &mut self.nodes[child as usize];
             if n.radius.is_finite() {
                 let grown = n.radius.max(d);
-                inflation += (grown - n.radius) / n.radius.max(1.0);
+                // Weighted by the share of the database the node covers: a
+                // far graph routed into a singleton (radius 0) grows that
+                // radius by its whole distance but weakens the bounds of one
+                // graph in n, not of the index.
+                let share = f64::from(self.node_live[child as usize] + 1) / live;
+                inflation += share * (grown - n.radius) / n.radius.max(1.0);
                 n.diameter = n.diameter.max(d + n.radius);
                 n.radius = grown;
             }

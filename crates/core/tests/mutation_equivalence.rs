@@ -194,6 +194,65 @@ fn rebuild_policy_churn_stays_equivalent() {
     assert!(rebuilds > 0, "the 0.15 ratio must trip at least once");
 }
 
+/// The benchmark's in-memory insert tail — the n = 240 DudLike fixture, the
+/// index configuration `graphrep-serve` builds, the next four graphs of the
+/// same generation — is absorbed incrementally under the default policy.
+/// Before inflation was weighted by live share, routing one graph at
+/// distance 6–9 into a singleton bottom (radius 0) read 6–9 against the
+/// budget of 4.0 on its own, so every one of these inserts rebuilt the
+/// index. An explicit small budget still trips.
+#[test]
+fn default_policy_absorbs_the_benchmark_insert_tail() {
+    const N: usize = 240;
+    const TAIL: usize = 4;
+    // The generator is prefix-stable: graphs 0..N are the N-graph dataset.
+    let pool = DatasetSpec::new(DatasetKind::DudLike, N + TAIL + 1, 20140622).generate();
+    let data = DatasetSpec::new(DatasetKind::DudLike, N, 20140622).generate();
+    let config = NbIndexConfig {
+        ladder: data.default_ladder.clone(),
+        ..Default::default()
+    };
+    let mut index = NbIndex::build(data.db.oracle(GedConfig::default()), config.clone());
+    for g in &pool.db.graphs()[N..N + TAIL] {
+        let (_, out) = index.insert(g.clone()).expect("insert must succeed");
+        assert_eq!(out, MutationOutcome::Applied);
+    }
+    index
+        .tree()
+        .validate(index.oracle())
+        .expect("tree invariants must hold after the tail");
+
+    let reference = NbIndex::build(
+        Arc::new(DistanceOracle::new(
+            Arc::new(pool.db.graphs()[..N + TAIL].to_vec()),
+            GedEngine::new(GedConfig::default()),
+        )),
+        config,
+    );
+    let mut relevant = data.default_query().relevant_set(&data.db);
+    relevant.extend((N..N + TAIL).map(|g| g as GraphId));
+    let got_session = index.start_session(relevant.clone());
+    let want_session = reference.start_session(relevant);
+    for (theta, k) in [(data.default_theta, 10), (6.5, 5), (2.5, 20)] {
+        let (got, _) = got_session.run(theta, k);
+        let (want, _) = want_session.run(theta, k);
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "θ = {theta}, k = {k}"
+        );
+    }
+
+    assert!(index.inflation() > 0.0, "the tail re-expanded some radius");
+    index.set_policy(graphrep_core::MutationPolicy {
+        radius_inflation_budget: index.inflation() / 2.0,
+        ..Default::default()
+    });
+    let (_, out) = index.insert(pool.db.graphs()[N + TAIL].clone()).unwrap();
+    assert_eq!(out, MutationOutcome::Rebuilt);
+    assert_eq!(index.inflation(), 0.0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 

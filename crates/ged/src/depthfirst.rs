@@ -72,7 +72,7 @@ impl Dfs<'_> {
         // stack is `start..end`; recursion pushes beyond `end` and truncates
         // back, so the slice stays valid across the loop.
         let start = self.children.len();
-        for (col, _) in t.children(used) {
+        for col in t.children(used) {
             let c = t.step_cost(depth, col, &self.cols[..depth], cost);
             self.children.push((c, col as u8));
         }

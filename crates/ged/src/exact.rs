@@ -199,28 +199,31 @@ pub(crate) fn ged_exact_in(
         let cols = &ab.cols[..depth];
 
         // Children: the a-node at `depth` onto each unused b-node in
-        // ascending id order, then onto ε (column n2).
+        // ascending id order, then onto ε (column n2). One frame for the
+        // expansion; each child is an O(1) step from it.
         let complete = depth + 1 == n1;
-        for (col, used) in t.children(node.used) {
+        frame.enter(t, depth + 1, node.used);
+        for col in t.children(node.used) {
             let mut g = node.g + t.step_cost(depth, col, cols, cost);
-            frame.enter(t, depth + 1, used);
-            let h = if complete {
+            if g > limit {
+                // h ≥ 0, so f would exceed the limit as well.
+                continue;
+            }
+            let (mut h, unused, pending) = frame.child(t, col, cost);
+            if complete {
                 // Completion: insert all unused b nodes and every b edge not
                 // fully inside the used set (edges among used nodes were paid
                 // pairwise).
-                let (unused, pending) = frame.remaining();
                 g += unused as f64 * cost.node_indel + pending as f64 * cost.edge_indel;
-                0.0
-            } else {
-                frame.heuristic(t, cost)
-            };
+                h = 0.0;
+            }
             let f = g + h;
             if f <= limit {
                 let idx = ab.arena.len() as u32;
                 ab.arena.push(Node {
                     parent: entry.idx,
                     g,
-                    used,
+                    used: t.taking(node.used, col),
                     depth: depth as u8 + 1,
                     col: col as u8,
                 });

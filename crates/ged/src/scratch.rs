@@ -11,11 +11,14 @@
 //! For the two exact searches the scratch holds the pair's dense
 //! [`PairTables`] — label ids, `u32` node bitmasks, per-depth label counts
 //! and two adjacency matrices, rebuilt once per call — and one [`Frame`] of
-//! b-side counts for the state being evaluated. Both rest on every graph of
-//! a searched pair having ≤ 32 nodes, which `PairTables::rebuild` asserts
-//! (larger graphs are `GedMode::Hybrid`'s business). The layout and the
-//! argument that the table heuristic is bit-identical to the sorted-slice
-//! one it replaced are in the [`crate::tables`] module doc.
+//! b-side counts: DF-GED positions it on each visited state, A\* once per
+//! expansion and reads every child off it (`Frame::child`), so one frame is
+//! all either search needs. Both rest on every graph of a searched pair
+//! having ≤ 32 nodes, which `PairTables::rebuild` asserts (larger graphs are
+//! `GedMode::Hybrid`'s business). The layout, what a child step subtracts,
+//! and the argument that every count — entered or stepped to — is the
+//! integer the sorted-slice evaluation produced are in the [`crate::tables`]
+//! module doc.
 //!
 //! Borrow discipline: the public wrappers never nest (an `*_in` function
 //! takes `&mut` buffer parts and cannot re-enter [`with_scratch`]), so the
@@ -34,7 +37,8 @@ pub(crate) struct SearchScratch {
     /// Per-pair dense tables (label ids, bitmasks, counts, adjacency
     /// matrices) for A* / DF-GED.
     pub(crate) tables: PairTables,
-    /// b-side label counts of the state whose heuristic is being evaluated.
+    /// b-side label counts of the state being evaluated (DF-GED) or expanded
+    /// (A*).
     pub(crate) frame: Frame,
     /// A* arena, frontier heap, and map-reconstruction buffer.
     pub(crate) astar: AstarBufs,

@@ -32,9 +32,30 @@
 //! the sort-based evaluation and the searches expand the same states in the
 //! same order.
 //!
-//! A [`Frame`] holds the b-side counts of one mask: one popcount per shared
-//! node label, and per used b-node one popcount per shared edge label. A\*
-//! enters it once per generated child, DF-GED once per visited state.
+//! A [`Frame`] holds the b-side counts of one mask: [`Frame::enter`] costs one
+//! popcount per shared node label and, per used b-node, one per shared edge
+//! label. DF-GED enters it once per visited state. A\* enters it **once per
+//! expansion**, on the popped state's mask measured against the children's
+//! depth, and derives every child from that one frame with [`Frame::child`]:
+//! taking one more b-node `j` moves each count by an O(1) delta —
+//!
+//! * `unused` falls by one;
+//! * j's label loses one b-node, so the node overlap `min(a, b)` of that
+//!   label falls by one exactly when `b ≤ a` — the label is *tight*. `enter`
+//!   records the b-nodes carrying a tight label in one `u32`, so the child
+//!   reads a bit (an unshared label is in no `b_mask` and never tight);
+//! * the edges from `j` into the mask become internal:
+//!   `pending − popcount(b_any[j] & used)`, and per shared edge label
+//!   `avail[l] − popcount(b_adj[j][l] & used)`, which lowers the edge overlap
+//!   by `min(ap, av) − min(ap, av − taken)`; skipped when `j` has no used
+//!   neighbour;
+//! * ε takes nothing: the frame's own values.
+//!
+//! Each of these is the integer `enter(depth, used | 1 << j)` would have
+//! counted from scratch (the in-crate proptest checks every child column
+//! against exactly that), so A\* hands [`count_bound`] the same arguments as
+//! when it entered the frame per child, and a child costs O(edge labels)
+//! instead of O(node labels + |used| · edge labels).
 
 use crate::bounds::count_bound;
 use crate::cost::CostModel;
@@ -231,14 +252,19 @@ impl PairTables {
         }
     }
 
-    /// The children of a state, in generation order: each unused b-node by
-    /// ascending id, then ε — as `(column, mask after taking it)`.
+    /// The child columns of a state, in generation order: each unused b-node
+    /// by ascending id, then ε.
     #[inline]
-    pub(crate) fn children(&self, used: u32) -> impl Iterator<Item = (usize, u32)> + '_ {
-        (0..=self.n2).filter_map(move |col| {
-            let next = self.taking(used, col);
-            (next != used || col == self.n2).then_some((col, next))
+    pub(crate) fn children(&self, used: u32) -> impl Iterator<Item = usize> {
+        let mut free = !used & ((1u64 << self.n2) - 1) as u32;
+        std::iter::from_fn(move || {
+            (free != 0).then(|| {
+                let col = free.trailing_zeros() as usize;
+                free &= free - 1;
+                col
+            })
         })
+        .chain(std::iter::once(self.n2))
     }
 
     /// Cost of mapping the a-node at `depth` onto b-node `col` (`n2` = ε,
@@ -280,10 +306,14 @@ impl PairTables {
 #[derive(Debug, Default)]
 pub(crate) struct Frame {
     depth: usize,
+    used: u32,
     /// b-nodes outside the mask.
     unused: usize,
     /// Node-label overlap of the state.
     node_overlap: usize,
+    /// The unused b-nodes whose label is *tight*: it has no more unused
+    /// b-nodes than unprocessed a-nodes, so taking one lowers the overlap.
+    tight: u32,
     /// Per shared edge label: b-edges not inside the mask.
     avail: Vec<u16>,
     /// Edge-label overlap of the state.
@@ -297,14 +327,19 @@ impl Frame {
     // graphrep: hot-path
     pub(crate) fn enter(&mut self, t: &PairTables, depth: usize, used: u32) {
         self.depth = depth;
+        self.used = used;
         self.unused = t.n2 - used.count_ones() as usize;
         let nl = t.node_labels.len();
-        let a_cnt = &t.a_cnt[depth * nl..][..nl];
-        self.node_overlap = a_cnt
-            .iter()
-            .zip(&t.b_mask)
-            .map(|(&ac, &mask)| ac.min((mask & !used).count_ones() as u16) as usize)
-            .sum();
+        self.node_overlap = 0;
+        self.tight = 0;
+        for (&ac, &mask) in t.a_cnt[depth * nl..][..nl].iter().zip(&t.b_mask) {
+            let free = mask & !used;
+            let bc = free.count_ones() as u16;
+            self.node_overlap += ac.min(bc) as usize;
+            if bc <= ac {
+                self.tight |= free;
+            }
+        }
 
         let le = t.edge_labels.len();
         self.avail.clear();
@@ -344,16 +379,73 @@ impl Frame {
     // graphrep: hot-path
     #[inline]
     pub(crate) fn heuristic(&self, t: &PairTables, cost: &CostModel) -> f64 {
-        count_bound(
+        self.bound(
+            t,
+            cost,
             self.node_overlap,
-            t.n1 - self.depth,
             self.unused,
+            self.edge_overlap,
+            self.pending,
+        )
+    }
+
+    /// The state one step on from the entered one — same depth, b-node `col`
+    /// (`n2` = ε: nothing) added to the mask — as `(heuristic, unused
+    /// b-nodes, b-edges not inside the mask)`: what [`Frame::enter`] on that
+    /// mask followed by [`Frame::heuristic`] and [`Frame::remaining`] would
+    /// return, from O(1) deltas (module doc).
+    // graphrep: hot-path
+    #[inline]
+    pub(crate) fn child(
+        &self,
+        t: &PairTables,
+        col: usize,
+        cost: &CostModel,
+    ) -> (f64, usize, usize) {
+        if col == t.n2 {
+            return (self.heuristic(t, cost), self.unused, self.pending);
+        }
+        let unused = self.unused - 1;
+        let node_overlap = self.node_overlap - (self.tight >> col & 1) as usize;
+        let mut edge_overlap = self.edge_overlap;
+        let mut pending = self.pending;
+        let nb = t.b_any[col] & self.used;
+        if nb != 0 {
+            pending -= nb.count_ones() as usize;
+            let le = t.edge_labels.len();
+            let a_pend = &t.a_pend[self.depth * le..][..le];
+            let adj = &t.b_adj[col * le..][..le];
+            for ((&ap, &av), &adj) in a_pend.iter().zip(&self.avail).zip(adj) {
+                let taken = (adj & self.used).count_ones() as u16;
+                edge_overlap -= (ap.min(av) - ap.min(av - taken)) as usize;
+            }
+        }
+        let h = self.bound(t, cost, node_overlap, unused, edge_overlap, pending);
+        (h, unused, pending)
+    }
+
+    /// The label-multiset bound at the frame's depth, from the overlap and
+    /// the b-side count of the nodes and of the edges.
+    #[inline]
+    fn bound(
+        &self,
+        t: &PairTables,
+        cost: &CostModel,
+        node_overlap: usize,
+        unused: usize,
+        edge_overlap: usize,
+        pending: usize,
+    ) -> f64 {
+        count_bound(
+            node_overlap,
+            t.n1 - self.depth,
+            unused,
             cost.node_sub,
             cost.node_indel,
         ) + count_bound(
-            self.edge_overlap,
+            edge_overlap,
             t.a_pend_total[self.depth] as usize,
-            self.pending,
+            pending,
             cost.edge_sub,
             cost.edge_indel,
         )
@@ -412,8 +504,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// Bit-identical, for a random reachable state and each of its
-        /// children — under costs whose sums round, too.
+        /// Bit-identical, for each child column (ε included, which is the
+        /// state itself) of a random reachable state, entered from scratch
+        /// and stepped to from the state's frame — under costs whose sums
+        /// round, too.
         #[test]
         fn table_heuristic_is_the_sorted_slice_bound(
             s1 in 0u64..1000, s2 in 0u64..1000,
@@ -441,12 +535,19 @@ mod tests {
                 used &= used - 1;
             }
             let mut frame = Frame::default();
-            let children = (0..t.n2).filter(|&j| used & (1 << j) == 0).map(|j| used | 1 << j);
-            for mask in std::iter::once(used).chain(children) {
-                frame.enter(&t, depth, mask);
-                let h = frame.heuristic(&t, &cost);
+            frame.enter(&t, depth, used);
+            let mut scratch = Frame::default();
+            for col in t.children(used) {
+                // From scratch on the child's mask: the sorted-slice bound …
+                let mask = t.taking(used, col);
+                scratch.enter(&t, depth, mask);
+                let h = scratch.heuristic(&t, &cost);
                 let want = sorted_slice_heuristic(&a, &b, &t, depth, mask, &cost);
                 prop_assert_eq!(h.to_bits(), want.to_bits(), "mask {:b}: {} vs {}", mask, h, want);
+                // … and the incremental step from the parent's frame is it.
+                let (ch, unused, pending) = frame.child(&t, col, &cost);
+                prop_assert_eq!(ch.to_bits(), h.to_bits(), "child {} of {:b}: {} vs {}", col, used, ch, h);
+                prop_assert_eq!((unused, pending), scratch.remaining(), "child {} of {:b}", col, used);
             }
         }
     }

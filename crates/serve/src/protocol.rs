@@ -464,11 +464,16 @@ pub struct DatasetStats {
     /// Per-shard breakdown for sharded datasets; empty when the dataset is
     /// served by a single NB-Index.
     pub shards: Vec<ShardStats>,
-    /// Best-effort re-persist steps (sidecar, dataset, index or shard
-    /// files) that failed after a mutation since the dataset was loaded.
-    /// Serving continues regardless; nonzero means the on-disk state is
-    /// behind the served one.
+    /// Best-effort persist steps (sidecar, dataset, index or shard files)
+    /// that failed since the dataset was loaded — after a mutation, or the
+    /// write-back of an index built at open. Serving continues regardless;
+    /// nonzero means the on-disk state is behind the served one.
     pub persist_errors: u64,
+    /// Mutations since the dataset was loaded whose receipt said `rebuilt`:
+    /// how often the rebuild policy (DESIGN.md §10) tripped. Absent from
+    /// servers that predate the counter, hence defaulted.
+    #[serde(default)]
+    pub rebuilds: u64,
 }
 
 /// Body of [`Response::Stats`]: a full observability snapshot.
@@ -997,6 +1002,51 @@ mod tests {
             shard_epochs: vec![3, 6],
         });
         assert_eq!(round_trip(&resp), resp);
+    }
+
+    /// A `stats` body from a server that predates `rebuilds` still decodes:
+    /// the field is defaulted, every other one is required as before.
+    #[test]
+    fn dataset_stats_decode_without_rebuilds() {
+        let stats = DatasetStats {
+            name: "dud".into(),
+            graphs: 40,
+            index_memory_bytes: 4096,
+            index_source: "built".into(),
+            oracle: OracleDelta {
+                distance_computations: 1,
+                within_rejections: 2,
+                cache_hits: 3,
+                ub_accepts: 4,
+                engine_calls: 5,
+                size_rejects: 6,
+                label_rejects: 7,
+                degree_rejects: 8,
+                vantage_lb_rejects: 9,
+                vantage_ub_accepts: 10,
+            },
+            cache_enabled: true,
+            view_store: CacheTierStats::default(),
+            answer_cache: CacheTierStats::default(),
+            shards: Vec::new(),
+            persist_errors: 2,
+            rebuilds: 3,
+        };
+        let serde::Value::Obj(mut fields) = stats.to_value() else {
+            panic!("a struct serializes as an object");
+        };
+        assert_eq!(DatasetStats::from_value(&stats.to_value()).unwrap(), stats);
+        fields.retain(|(k, _)| k != "rebuilds");
+        let old = DatasetStats::from_value(&serde::Value::Obj(fields.clone())).unwrap();
+        assert_eq!(
+            old,
+            DatasetStats {
+                rebuilds: 0,
+                ..stats
+            }
+        );
+        fields.retain(|(k, _)| k != "persist_errors");
+        assert!(DatasetStats::from_value(&serde::Value::Obj(fields)).is_err());
     }
 
     /// A truncated header (fewer than 4 bytes, then EOF) must be a typed

@@ -81,6 +81,15 @@ fn note_persist<T, E>(errors: &AtomicU64, result: Result<T, E>) {
     }
 }
 
+/// Counts a mutation whose receipt says it tripped the rebuild policy; the
+/// count surfaces as [`DatasetStats::rebuilds`].
+fn note_rebuild(rebuilds: &AtomicU64, rebuilt: bool) {
+    if rebuilt {
+        // Relaxed: monotone telemetry counter; no ordering needed.
+        rebuilds.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// The mutable half of a [`LoadedDataset`], swapped atomically under the
 /// write lock.
 struct DatasetState {
@@ -146,8 +155,11 @@ pub struct LoadedDataset {
     dir: Option<PathBuf>,
     state: TrackedRwLock<DatasetState>,
     caches: Arc<DatasetCaches>,
-    /// Failed re-persist steps since load.
+    /// Failed best-effort persist steps since load (the open-time write-back
+    /// included).
     persist_errors: AtomicU64,
+    /// Mutations since load that tripped the rebuild policy.
+    rebuilds: AtomicU64,
     base_oracle: OracleStats,
     base_tiers: TierStats,
     base_engine_calls: u64,
@@ -182,13 +194,14 @@ impl LoadedDataset {
     /// answered with a rebuild whose provenance records what was wrong,
     /// never a silently wrong snapshot. With `persist_built`, a freshly
     /// built index is written back to `<dir>/index.bin` so the next start
-    /// is warm; write failures are ignored (read-only dataset directories
-    /// must not prevent serving).
+    /// is warm; a failed write is counted in `persist_errors` and otherwise
+    /// ignored (read-only dataset directories must not prevent serving).
     pub fn open(name: &str, dir: &Path, persist_built: bool) -> Result<Self, ServeError> {
         let data = store::load(dir)
             .map_err(|e| ServeError::new(format!("loading {}: {e}", dir.display())))?;
         let oracle = data.db.oracle(GedConfig::default());
         let expected_epoch = read_epoch_sidecar(dir);
+        let persist_errors = AtomicU64::new(0);
         let mut load_errors: Vec<String> = Vec::new();
         let mut loaded: Option<NbIndex> = None;
         if let Ok(bytes) = std::fs::read(dir.join("index.bin")) {
@@ -211,7 +224,10 @@ impl LoadedDataset {
                 let built = NbIndex::build(Arc::clone(&oracle), default_index_config(&data));
                 if load_errors.is_empty() {
                     if persist_built {
-                        let _ = std::fs::write(dir.join("index.bin"), built.save_bin());
+                        note_persist(
+                            &persist_errors,
+                            std::fs::write(dir.join("index.bin"), built.save_bin()),
+                        );
                     }
                     (built, "built".to_owned())
                 } else {
@@ -237,7 +253,8 @@ impl LoadedDataset {
                 },
             ),
             caches: Arc::new(DatasetCaches::new(CacheConfig::default())),
-            persist_errors: AtomicU64::new(0),
+            persist_errors,
+            rebuilds: AtomicU64::new(0),
             base_oracle,
             base_tiers,
             base_engine_calls,
@@ -356,6 +373,7 @@ impl LoadedDataset {
             shard: 0,
             shard_epochs: Vec::new(),
         };
+        note_rebuild(&self.rebuilds, receipt.rebuilt);
         st.index_source = format!("mutated (epoch {})", index.epoch());
         st.index = Arc::new(index);
         // Epoch keys already make the old entries unreachable for sessions
@@ -439,8 +457,9 @@ impl LoadedDataset {
             view_store: self.caches.views.counters().into(),
             answer_cache: self.caches.answers.counters().into(),
             shards: Vec::new(),
-            // Relaxed: monotone telemetry counter; no ordering needed.
+            // Relaxed: monotone telemetry counters; no ordering needed.
             persist_errors: self.persist_errors.load(Ordering::Relaxed),
+            rebuilds: self.rebuilds.load(Ordering::Relaxed),
         }
     }
 }
@@ -464,8 +483,11 @@ pub struct ShardedDataset {
     coord: Arc<Coordinator>,
     /// How the coordinator came to be (`loaded` or `rebuilt (reason)`).
     source: String,
-    /// Failed re-persist steps since load.
+    /// Failed best-effort persist steps since load (the open-time re-save
+    /// after a shard-count change included).
     persist_errors: AtomicU64,
+    /// Mutations since load that tripped the owning shard's rebuild policy.
+    rebuilds: AtomicU64,
     base_oracle: OracleStats,
     base_tiers: TierStats,
     base_engine_calls: u64,
@@ -526,6 +548,7 @@ impl ShardedDataset {
             coord: Arc::new(coord),
             source,
             persist_errors: AtomicU64::new(0),
+            rebuilds: AtomicU64::new(0),
             base_oracle,
             base_tiers,
             base_engine_calls,
@@ -551,11 +574,10 @@ impl ShardedDataset {
             Coordinator::open_or_rebuild(&sdir, &data.db, GedConfig::default(), &cfg).map_err(
                 |e| ServeError::new(format!("opening shards at {}: {e:?}", sdir.display())),
             )?;
-        let (coord, source) = if coord.shard_count() != shards.clamp(1, data.db.len().max(1)) {
-            let rebuilt = Coordinator::build(&data.db, GedConfig::default(), &cfg);
-            let _ = rebuilt.save(&sdir);
+        let resharded = coord.shard_count() != shards.clamp(1, data.db.len().max(1));
+        let (coord, source) = if resharded {
             (
-                rebuilt,
+                Coordinator::build(&data.db, GedConfig::default(), &cfg),
                 format!("rebuilt (shard count changed to {shards})"),
             )
         } else {
@@ -565,13 +587,11 @@ impl ShardedDataset {
             };
             (coord, label)
         };
-        Ok(Self::from_parts(
-            name,
-            Some(dir.to_path_buf()),
-            data,
-            coord,
-            source,
-        ))
+        let ds = Self::from_parts(name, Some(dir.to_path_buf()), data, coord, source);
+        if resharded {
+            note_persist(&ds.persist_errors, ds.coord.save(&sdir));
+        }
+        Ok(ds)
     }
 
     /// Builds a sharded dataset from an in-memory dataset (no persistence)
@@ -658,7 +678,9 @@ impl ShardedDataset {
         Ok(self.receipt(receipt))
     }
 
+    /// The wire receipt of one applied mutation, counted if it rebuilt.
     fn receipt(&self, r: graphrep_shard::CoordReceipt) -> MutationReceipt {
+        note_rebuild(&self.rebuilds, r.outcome == MutationOutcome::Rebuilt);
         MutationReceipt {
             id: r.id,
             epoch: r.epochs.get(r.shard).copied().unwrap_or(0),
@@ -744,8 +766,9 @@ impl ShardedDataset {
             view_store: Default::default(),
             answer_cache: Default::default(),
             shards,
-            // Relaxed: monotone telemetry counter; no ordering needed.
+            // Relaxed: monotone telemetry counters; no ordering needed.
             persist_errors: self.persist_errors.load(Ordering::Relaxed),
+            rebuilds: self.rebuilds.load(Ordering::Relaxed),
         }
     }
 }
@@ -921,6 +944,7 @@ pub fn load_in_memory(name: &str, data: Dataset) -> LoadedDataset {
         ),
         caches: Arc::new(DatasetCaches::new(CacheConfig::default())),
         persist_errors: AtomicU64::new(0),
+        rebuilds: AtomicU64::new(0),
         base_oracle,
         base_tiers,
         base_engine_calls,

@@ -6,7 +6,7 @@
 
 use graphrep_datagen::{store, DatasetKind, DatasetSpec};
 use graphrep_graph::generate::mutate;
-use graphrep_serve::registry::LoadedDataset;
+use graphrep_serve::registry::{load_in_memory, LoadedDataset};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -106,6 +106,41 @@ fn failed_persistence_is_counted_and_serving_continues() {
     let _ = ds
         .index_arc()
         .query(ds.relevant_for(0.75), data.default_theta, 3);
+}
+
+/// The write-back of an index built at open is best-effort in the same way:
+/// with a directory squatting on `index.bin` the file can be neither read nor
+/// written, the open still serves a fresh build, and the failed write counts.
+#[test]
+fn failed_open_time_write_back_is_counted() {
+    let dir = tmpdir("squat");
+    let data = DatasetSpec::new(DatasetKind::DudLike, 16, 78).generate();
+    store::save(&data, &dir).expect("save dataset");
+    std::fs::create_dir(dir.join("index.bin")).expect("squat on index.bin");
+
+    let ds = LoadedDataset::open("d", &dir, true).expect("open must still succeed");
+    assert_eq!(ds.index_source(), "built");
+    assert_eq!(ds.stats().persist_errors, 1);
+    let _ = ds
+        .index_arc()
+        .query(ds.relevant_for(0.75), data.default_theta, 3);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `stats` says how often the rebuild policy tripped: tombstoning 5 of 16
+/// graphs crosses the default 0.3 ratio once, and the counter agrees with
+/// the receipts.
+#[test]
+fn policy_rebuilds_are_counted_in_stats() {
+    let data = DatasetSpec::new(DatasetKind::DudLike, 16, 79).generate();
+    let ds = load_in_memory("d", data);
+    assert_eq!(ds.stats().rebuilds, 0);
+    let rebuilt = (0..6)
+        .filter(|&id| ds.remove_graph(id).expect("remove").rebuilt)
+        .count();
+    assert_eq!(rebuilt, 1);
+    assert_eq!(ds.stats().rebuilds, 1);
 }
 
 /// A JSON-era directory (only `index.json` on disk) still warm-loads, and
