@@ -5,17 +5,12 @@
 
 pub mod ablation;
 pub mod build;
-pub mod cold_start;
 pub mod distances;
 pub mod hybrid;
 pub mod motivation;
-pub mod mutate;
 pub mod quality;
 pub mod refinement;
 pub mod scalability;
-pub mod serve_cache;
-pub mod serve_load;
-pub mod shard_scale;
 pub mod summary;
 pub mod threads;
 pub mod tiers;
@@ -45,11 +40,6 @@ pub const ALL: &[&str] = &[
     "hybrid",
     "threads",
     "ged_tiers",
-    "cold_start",
-    "serve_load",
-    "serve_cache",
-    "mutate_churn",
-    "shard_scale",
     "summary",
 ];
 
@@ -77,11 +67,6 @@ pub fn run(ctx: &Ctx, id: &str) -> bool {
         "hybrid" => hybrid::hybrid_scale(ctx),
         "threads" => threads::thread_scaling(ctx),
         "ged_tiers" => tiers::ged_tiers(ctx),
-        "cold_start" => cold_start::cold_start(ctx),
-        "serve_load" => serve_load::serve_load(ctx),
-        "serve_cache" => serve_cache::serve_cache(ctx),
-        "mutate_churn" => mutate::mutate_churn(ctx),
-        "shard_scale" => shard_scale::shard_scale(ctx),
         "summary" => summary::summary(ctx),
         "all" => {
             for id in ALL {

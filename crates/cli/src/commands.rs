@@ -12,26 +12,143 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
+type Handler = fn(&Command) -> Result<String, CliError>;
+
+/// Every subcommand with its handler and the flags it takes — the lists
+/// [`HELP`] prints (the global `--threads` goes without saying). A flag
+/// outside the list is an error: a typo or a retired flag must fail loudly,
+/// not run ignored.
+const SUBCOMMANDS: &[(&str, Handler, &[&str])] = &[
+    ("generate", generate, &["kind", "size", "seed", "out"]),
+    ("stats", stats, &["data"]),
+    (
+        "index",
+        index,
+        &[
+            "data",
+            "vps",
+            "branching",
+            "ladder",
+            "seed",
+            "hybrid",
+            "index",
+            "out",
+            "format",
+        ],
+    ),
+    (
+        "query",
+        query,
+        &[
+            "data",
+            "theta",
+            "k",
+            "index",
+            "quantile",
+            "hybrid",
+            "shards",
+            "vps",
+            "branching",
+            "ladder",
+            "seed",
+        ],
+    ),
+    (
+        "refine",
+        refine,
+        &[
+            "data",
+            "theta",
+            "k",
+            "steps",
+            "index",
+            "quantile",
+            "hybrid",
+            "vps",
+            "branching",
+            "ladder",
+            "seed",
+        ],
+    ),
+    ("topk", topk, &["data", "k", "quantile"]),
+    (
+        "compare",
+        compare,
+        &["data", "theta", "k", "quantile", "hybrid"],
+    ),
+    (
+        "serve",
+        serve,
+        &[
+            "data",
+            "name",
+            "addr",
+            "workers",
+            "write-queue-cap",
+            "max-queue",
+            "deadline-ms",
+            "idle-secs",
+            "cache-capacity",
+            "cache-ttl",
+            "shards",
+            "shard-seed",
+        ],
+    ),
+    (
+        "load",
+        load,
+        &[
+            "addr",
+            "name",
+            "connections",
+            "requests",
+            "theta",
+            "k",
+            "quantile",
+            "seed",
+            "skew",
+            "stream",
+            "pipeline",
+            "verify-data",
+            "shutdown",
+        ],
+    ),
+    (
+        "mutate",
+        mutate_cmd,
+        &[
+            "data",
+            "insert",
+            "remove",
+            "seed",
+            "addr",
+            "name",
+            "shards",
+            "shard-seed",
+        ],
+    ),
+    (
+        "shard-build",
+        shard_build,
+        &["data", "shards", "seed", "ladder"],
+    ),
+];
+
 /// Dispatches a parsed command, returning its output.
 pub fn run(cmd: &Command) -> Result<String, CliError> {
-    configure_threads(cmd)?;
-    match cmd.name.as_str() {
-        "generate" => generate(cmd),
-        "stats" => stats(cmd),
-        "index" => index(cmd),
-        "query" => query(cmd),
-        "refine" => refine(cmd),
-        "topk" => topk(cmd),
-        "compare" => compare(cmd),
-        "serve" => serve(cmd),
-        "load" => load(cmd),
-        "mutate" => mutate_cmd(cmd),
-        "shard-build" => shard_build(cmd),
-        "help" | "--help" | "-h" => Ok(HELP.to_owned()),
-        other => Err(CliError(format!(
-            "unknown subcommand `{other}`; try `graphrep help`"
-        ))),
+    if matches!(cmd.name.as_str(), "help" | "--help" | "-h") {
+        return Ok(HELP.to_owned());
     }
+    let Some((_, handler, flags)) = SUBCOMMANDS.iter().find(|(name, ..)| *name == cmd.name) else {
+        return Err(CliError(format!(
+            "unknown subcommand `{}`; try `graphrep help`",
+            cmd.name
+        )));
+    };
+    let known: Vec<&str> = flags.iter().copied().chain(["threads"]).collect();
+    cmd.allow_only(&known)?;
+    configure_threads(cmd)?;
+    handler(cmd)
 }
 
 /// Usage text.
@@ -41,13 +158,15 @@ graphrep — top-k representative queries on graph databases (SIGMOD'14)
 subcommands:
   generate --kind dud|dblp|amazon --size N [--seed S] --out DIR
   stats    --data DIR
-  index    --data DIR [--vps N] [--branching B] [--ladder a,b,c] [--out FILE]
-           [--format bin|json]
+  index    --data DIR [--vps N] [--branching B] [--ladder a,b,c] [--seed S]
+           [--hybrid MAXN] [--index FILE] [--out FILE] [--format bin|json]
   query    --data DIR --theta T --k K [--index FILE] [--quantile Q] [--hybrid MAXN]
            [--shards S]
   refine   --data DIR --theta T --k K --steps t1,t2,... [--index FILE]
-  topk     --data DIR --k K
-  compare  --data DIR --theta T --k K     (REP vs DIV vs DisC vs top-k)
+           [--quantile Q] [--hybrid MAXN]
+  topk     --data DIR --k K [--quantile Q]
+  compare  --data DIR --theta T --k K [--quantile Q] [--hybrid MAXN]
+           (REP vs DIV vs DisC vs top-k)
   serve    --data DIR [--name NAME] [--addr HOST:PORT] [--workers N]
            [--write-queue-cap BYTES]
            [--max-queue N] [--deadline-ms MS] [--idle-secs S]
@@ -61,11 +180,12 @@ subcommands:
            [--addr HOST:PORT [--name NAME]] [--shards S [--shard-seed SEED]]
   shard-build --data DIR [--shards S] [--seed S] [--ladder a,b,c]
 
-`query`/`refine` reuse `<DIR>/index.bin` (or the legacy `<DIR>/index.json`)
-automatically when present, and persist the index after building — in the
-succinct binary format by default, or JSON with `--format json` (an `--out`
-path ending in .json also selects JSON). `--index FILE` accepts either
-format; the file's own magic bytes decide how it is read.
+`query`/`refine` reuse `<DIR>/index.bin` automatically when present and
+write it after building (they take `index`'s --vps/--branching/--ladder/
+--seed for that build). `index --out FILE` writes the succinct binary format
+by default, or a JSON dump with `--format json` (an `--out` path ending in
+.json also selects JSON). `--index FILE` accepts either format; the file's
+own magic bytes decide how it is read.
 
 `serve` keeps a materialized θ-neighborhood view store and a cross-session
 answer cache per dataset (epoch-keyed, invalidated on mutation).
@@ -162,11 +282,10 @@ fn write_index(index: &NbIndex, path: &Path, format: &str) -> std::io::Result<()
 
 /// Loads or builds the index, returning it with a provenance line for the
 /// command output. Resolution order: an explicit `--index FILE` (either
-/// format, sniffed by magic), then the dataset-local `<data>/index.bin` /
-/// `<data>/index.json` written by an earlier build (the warm path that makes
-/// one-shot `query` skip the whole NP-hard build phase), then a fresh build
-/// — which is persisted next to the dataset (per `--format`, default the
-/// binary format) so the *next* invocation starts warm.
+/// format, sniffed by magic), then the dataset-local `<data>/index.bin`
+/// written by an earlier build (the warm path that makes one-shot `query`
+/// skip the whole NP-hard build phase), then a fresh build — which is
+/// persisted as `<data>/index.bin` so the *next* invocation starts warm.
 fn build_or_load_index(
     cmd: &Command,
     data: &Dataset,
@@ -185,15 +304,13 @@ fn build_or_load_index(
     } else {
         // A stale persisted index (version bump, regenerated dataset) is not
         // fatal on the implicit path: fall through and rebuild.
-        for name in ["index.bin", "index.json"] {
-            let implicit = data_dir.join(name);
-            if let Ok(bytes) = std::fs::read(&implicit) {
-                if let Ok(index) = load_index_bytes(&bytes, Arc::clone(&oracle)) {
-                    return Ok((
-                        index,
-                        format!("index: loaded {} (0 build distances)\n", implicit.display()),
-                    ));
-                }
+        let implicit = data_dir.join("index.bin");
+        if let Ok(bytes) = std::fs::read(&implicit) {
+            if let Ok(index) = NbIndex::load_bin(&bytes, Arc::clone(&oracle)) {
+                return Ok((
+                    index,
+                    format!("index: loaded {} (0 build distances)\n", implicit.display()),
+                ));
             }
         }
     }
@@ -213,8 +330,7 @@ fn build_or_load_index(
     );
     if cmd.opt("index").is_none() {
         // Best effort: a read-only dataset directory must not fail the query.
-        let format = index_format(cmd, None)?;
-        let _ = write_index(&index, &data_dir.join(format!("index.{format}")), format);
+        let _ = std::fs::write(data_dir.join("index.bin"), index.save_bin());
     }
     let b = index.build_stats();
     Ok((
@@ -556,24 +672,6 @@ fn compare(cmd: &Command) -> Result<String, CliError> {
 fn serve(cmd: &Command) -> Result<String, CliError> {
     use graphrep_core::CacheConfig;
     use graphrep_serve::{DatasetRegistry, ServeConfig};
-    // Flags are rejected by name here because this subcommand has retired
-    // one (`--io`): a stale script must fail loudly, not run with the flag
-    // silently ignored.
-    cmd.allow_only(&[
-        "data",
-        "name",
-        "addr",
-        "workers",
-        "write-queue-cap",
-        "max-queue",
-        "deadline-ms",
-        "idle-secs",
-        "cache-capacity",
-        "cache-ttl",
-        "shards",
-        "shard-seed",
-        "threads",
-    ])?;
     let dir = cmd.req("data")?;
     let name = cmd.opt("name").unwrap_or("default").to_owned();
     let cfg = ServeConfig {
@@ -1422,6 +1520,19 @@ mod tests {
     #[test]
     fn unknown_subcommand_errors() {
         assert!(run_args(&["frobnicate"]).is_err());
+    }
+
+    /// No subcommand runs with a flag it does not take — the check comes
+    /// before any work, so nothing here touches a dataset or a socket.
+    #[test]
+    fn every_subcommand_rejects_an_unknown_flag() {
+        for (name, ..) in SUBCOMMANDS {
+            let err = run_args(&[name, "--bogus", "1"]).unwrap_err();
+            assert!(
+                err.0.contains("unknown flag --bogus"),
+                "`{name}` answered {err}"
+            );
+        }
     }
 
     #[test]

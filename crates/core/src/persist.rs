@@ -11,11 +11,11 @@
 //! * **binary** (`index.bin`, [`NbIndex::save_bin`]) — the succinct
 //!   checksummed layout in [`crate::binfmt`]; the default and the fast
 //!   cold-start path.
-//! * **JSON** (`index.json`, [`NbIndex::save_json`]) — the original format,
-//!   kept as the human-readable fallback and the migration path for indexes
-//!   written before the binary layout existed.
+//! * **JSON** ([`NbIndex::save_json`]) — the human-readable dump
+//!   (`graphrep index --format json`) and the reference the binary codec is
+//!   tested against; nothing loads it implicitly.
 
-use crate::nbindex::{BuildStats, NbIndex, NbIndexConfig};
+use crate::nbindex::{BuildStats, NbIndex};
 use crate::nbtree::NbTree;
 use crate::pihat::ThresholdLadder;
 use graphrep_ged::DistanceOracle;
@@ -146,42 +146,15 @@ impl NbIndex {
     /// Restores an index from [`NbIndex::save_json`] output, attaching
     /// `oracle` (which must hold the same database, in the same order).
     ///
-    /// Accepts the snapshot at whatever epoch it records; callers that track
-    /// the database's current epoch out of band should use
-    /// [`NbIndex::load_json_at_epoch`] so a stale snapshot cannot be served
-    /// silently.
+    /// Accepts the snapshot at whatever epoch it records: JSON is a dump
+    /// format, not one a server warm-loads (that is
+    /// [`NbIndex::load_bin_at_epoch`]).
     pub fn load_json(json: &str, oracle: Arc<DistanceOracle>) -> Result<Self, PersistError> {
-        Self::load_checked(json, oracle, None)
-    }
-
-    /// [`NbIndex::load_json`] that additionally rejects snapshots whose
-    /// recorded mutation epoch differs from `expected`.
-    pub fn load_json_at_epoch(
-        json: &str,
-        oracle: Arc<DistanceOracle>,
-        expected: u64,
-    ) -> Result<Self, PersistError> {
-        Self::load_checked(json, oracle, Some(expected))
-    }
-
-    fn load_checked(
-        json: &str,
-        oracle: Arc<DistanceOracle>,
-        expected_epoch: Option<u64>,
-    ) -> Result<Self, PersistError> {
         let p: PersistedIndex = serde_json::from_str(json).map_err(PersistError::Format)?;
         if p.version != VERSION {
             return Err(PersistError::Version(p.version));
         }
-        Self::attach(
-            oracle,
-            p.graphs,
-            p.epoch,
-            p.vantage,
-            p.tree,
-            p.ladder,
-            expected_epoch,
-        )
+        Self::attach(oracle, p.graphs, p.epoch, p.vantage, p.tree, p.ladder, None)
     }
 
     /// Serializes the index structure (not the oracle) to the succinct
@@ -261,17 +234,12 @@ impl NbIndex {
             epoch,
         ))
     }
-
-    /// A default config whose documentation points here: persisted indexes
-    /// carry their own parameters, so the config is not stored.
-    pub fn persisted_config_hint() -> NbIndexConfig {
-        NbIndexConfig::default()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nbindex::NbIndexConfig;
     use graphrep_datagen::{DatasetKind, DatasetSpec};
     use graphrep_ged::GedConfig;
 
@@ -361,43 +329,6 @@ mod tests {
             }
             other => panic!("expected mismatch, got {other:?}"),
         }
-    }
-
-    /// The mutation epoch must round-trip through persistence, and
-    /// [`NbIndex::load_json_at_epoch`] must reject a snapshot recorded at a
-    /// different epoch with the typed error — the load-after-mutate
-    /// staleness guard.
-    #[test]
-    fn epoch_round_trips_and_stale_snapshot_rejected() {
-        let data = DatasetSpec::new(DatasetKind::DudLike, 30, 906).generate();
-        let oracle = data.db.oracle(GedConfig::default());
-        let mut index = NbIndex::build(
-            oracle,
-            NbIndexConfig {
-                num_vps: 4,
-                ladder: data.default_ladder.clone(),
-                ..Default::default()
-            },
-        );
-        index.remove(3).unwrap();
-        index.remove(7).unwrap();
-        assert_eq!(index.epoch(), 2);
-
-        let json = index.save_json();
-        let loaded =
-            NbIndex::load_json_at_epoch(&json, data.db.oracle(GedConfig::default()), 2).unwrap();
-        assert_eq!(loaded.epoch(), 2, "epoch must round-trip");
-        assert!(!loaded.tree().is_live(3) && !loaded.tree().is_live(7));
-
-        match NbIndex::load_json_at_epoch(&json, data.db.oracle(GedConfig::default()), 5) {
-            Err(PersistError::EpochMismatch { snapshot, expected }) => {
-                assert_eq!(snapshot, 2);
-                assert_eq!(expected, 5);
-            }
-            other => panic!("expected EpochMismatch, got {other:?}"),
-        }
-        // The unchecked loader still accepts the snapshot as-is.
-        assert!(NbIndex::load_json(&json, data.db.oracle(GedConfig::default())).is_ok());
     }
 
     #[test]

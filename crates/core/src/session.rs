@@ -382,26 +382,12 @@ impl<I: Deref<Target = NbIndex> + Sync> QuerySession<I> {
         ))
     }
 
-    /// [`Self::run`] memoized through a cross-session [`AnswerCache`]:
-    /// returns the answer, the run's stats, and whether it was served from
-    /// the cache. A hit returns the byte-identical [`AnswerSet`] the
-    /// uncached run would produce (the key covers epoch, exact θ bits, `k`,
-    /// and the query fingerprint) with near-zero [`RunStats`] — stats
-    /// describe work actually performed.
-    pub fn run_cached(
-        &self,
-        theta: f64,
-        k: usize,
-        cache: &AnswerCache,
-    ) -> (Arc<AnswerSet>, RunStats, bool) {
-        match self.run_cached_cancellable(theta, k, &CancelToken::never(), cache) {
-            Ok(r) => r,
-            // A never-token has no trigger; this arm cannot be reached.
-            Err(Cancelled) => unreachable!("CancelToken::never() fired"),
-        }
-    }
-
-    /// [`Self::run_cached`] with cooperative cancellation. The token is
+    /// [`Self::run_cancellable`] memoized through a cross-session
+    /// [`AnswerCache`]: returns the answer, the run's stats, and whether it
+    /// was served from the cache. A hit returns the byte-identical
+    /// [`AnswerSet`] the uncached run would produce (the key covers epoch,
+    /// exact θ bits, `k`, and the query fingerprint) with near-zero
+    /// [`RunStats`] — stats describe work actually performed. The token is
     /// checked *before* the cache lookup: a request whose deadline already
     /// expired must report `deadline exceeded`, not be rescued by a hit —
     /// caching must not change observable admission semantics.

@@ -8,7 +8,10 @@
 //! caches sound — explicit `invalidate_all` is a memory measure, so the
 //! harness runs both with and without it.
 
-use graphrep_core::{AnswerCache, CacheConfig, NbIndex, NbIndexConfig, ViewStore};
+use graphrep_core::{
+    AnswerCache, AnswerSet, CacheConfig, CancelToken, NbIndex, NbIndexConfig, QuerySession,
+    ViewStore,
+};
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_ged::{DistanceOracle, GedConfig, GedEngine};
 use graphrep_graph::{generate::mutate, Graph, GraphId};
@@ -16,6 +19,19 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+
+/// A cached run nobody can cancel: the answer and whether it was a hit.
+fn run_cached(
+    session: &QuerySession<&NbIndex>,
+    theta: f64,
+    k: usize,
+    cache: &AnswerCache,
+) -> (Arc<AnswerSet>, bool) {
+    let (answer, _, cached) = session
+        .run_cached_cancellable(theta, k, &CancelToken::never(), cache)
+        .expect("a never-token cannot cancel");
+    (answer, cached)
+}
 
 fn index_config(ladder: &[f64]) -> NbIndexConfig {
     NbIndexConfig {
@@ -136,7 +152,7 @@ impl Harness {
             let k = 1 + rng.gen_range(0..5);
             let (want, _) = want_session.run(theta, k);
             let want_fp = format!("{want:?}");
-            let (first, _, _) = got_session.run_cached(theta, k, &self.answers);
+            let (first, _) = run_cached(&got_session, theta, k, &self.answers);
             assert_eq!(
                 format!("{:?}", *first),
                 want_fp,
@@ -144,7 +160,7 @@ impl Harness {
                 self.ops,
                 self.index.epoch(),
             );
-            let (again, _, cached) = got_session.run_cached(theta, k, &self.answers);
+            let (again, cached) = run_cached(&got_session, theta, k, &self.answers);
             assert!(cached, "repeat of (θ = {theta}, k = {k}) must hit");
             assert_eq!(
                 format!("{:?}", *again),
@@ -227,9 +243,9 @@ fn stale_epoch_entries_are_unreachable_after_mutation() {
         .index
         .start_session(h.live_ids())
         .with_views(Arc::clone(&h.views));
-    let (_, _, cached) = session.run_cached(theta, 3, &h.answers);
+    let (_, cached) = run_cached(&session, theta, 3, &h.answers);
     assert!(!cached, "first run must miss");
-    let (_, _, cached) = session.run_cached(theta, 3, &h.answers);
+    let (_, cached) = run_cached(&session, theta, 3, &h.answers);
     assert!(cached, "repeat within the epoch must hit");
     drop(session);
 
@@ -239,7 +255,7 @@ fn stale_epoch_entries_are_unreachable_after_mutation() {
         .index
         .start_session(h.live_ids())
         .with_views(Arc::clone(&h.views));
-    let (_, _, cached) = session.run_cached(theta, 3, &h.answers);
+    let (_, cached) = run_cached(&session, theta, 3, &h.answers);
     assert!(!cached, "epoch bump must force a recompute");
     h.checkpoint(&mut rng);
 }

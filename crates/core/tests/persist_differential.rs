@@ -22,8 +22,7 @@ fn assert_formats_agree(
 ) -> Result<(), TestCaseError> {
     let json = index.save_json();
     let bin = index.save_bin();
-    let from_json =
-        NbIndex::load_json_at_epoch(&json, index.oracle_arc(), index.epoch()).expect("json load");
+    let from_json = NbIndex::load_json(&json, index.oracle_arc()).expect("json load");
     let from_bin =
         NbIndex::load_bin_at_epoch(&bin, index.oracle_arc(), index.epoch()).expect("bin load");
 
@@ -56,6 +55,34 @@ fn assert_formats_agree(
     );
     prop_assert_eq!(format!("{via_bin:?}"), want, "binary-loaded answers differ");
     Ok(())
+}
+
+/// The binary format's reason to exist, as sizes (deterministic, unlike
+/// load times): at the CLI's default index parameters it is at least 5×
+/// smaller than the JSON dump and at most 40 bytes per graph (reads 6.7× and
+/// 25 B/graph).
+#[test]
+fn binary_index_is_succinct() {
+    const MIN_JSON_OVER_BIN: usize = 5;
+    const MAX_BIN_BYTES_PER_GRAPH: usize = 40;
+    let n = 120;
+    let data = DatasetSpec::new(DatasetKind::DudLike, n, 42).generate();
+    let index = NbIndex::build(
+        data.db.oracle(GedConfig::default()),
+        NbIndexConfig {
+            ladder: data.default_ladder.clone(),
+            ..Default::default()
+        },
+    );
+    let (json, bin) = (index.save_json().len(), index.save_bin().len());
+    assert!(
+        json >= MIN_JSON_OVER_BIN * bin,
+        "index.bin is {bin} bytes against {json} of JSON: under {MIN_JSON_OVER_BIN}x smaller"
+    );
+    assert!(
+        bin <= MAX_BIN_BYTES_PER_GRAPH * n,
+        "index.bin is {bin} bytes for {n} graphs: over {MAX_BIN_BYTES_PER_GRAPH} per graph"
+    );
 }
 
 proptest! {

@@ -9,8 +9,8 @@
 //! dependency-free TCP service:
 //!
 //! * [`registry`] — datasets and NB-Indexes warm-loaded once at startup
-//!   ([`graphrep_core::NbIndex::load_json`] when an `index.json` sits next
-//!   to the dataset, a fresh build otherwise) and `Arc`-shared everywhere;
+//!   ([`graphrep_core::NbIndex::load_bin_at_epoch`] when an `index.bin` sits
+//!   next to the dataset, a fresh build otherwise) and `Arc`-shared everywhere;
 //! * [`sessions`] — `open_session` / `run` / `close_session` over the wire
 //!   with idle expiry;
 //! * [`server`] — a bounded worker pool with admission control (explicit

@@ -6,7 +6,7 @@
 //!
 //! Layering, bottom up:
 //!
-//! * [`sys`] — the unsafe epoll/rlimit FFI;
+//! * [`sys`] — the unsafe epoll FFI;
 //! * [`poll`] — the readiness seam: [`poll::Poll`], [`poll::MockPoll`];
 //! * [`waker`] — worker→reactor wake channel (socketpair + dirty list);
 //! * [`conn`] — per-connection write queue with backpressure and the

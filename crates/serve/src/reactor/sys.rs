@@ -1,7 +1,7 @@
-//! The only unsafe in the serving layer: raw `epoll` syscalls and an
-//! `RLIMIT_NOFILE` raiser, both thin FFI declarations against the platform
-//! libc that std already links. Everything above this module is safe code
-//! behind the [`super::poll::Poll`] trait.
+//! The only unsafe in the serving layer: raw `epoll` syscalls, thin FFI
+//! declarations against the platform libc that std already links.
+//! Everything above this module is safe code behind the
+//! [`super::poll::Poll`] trait.
 //!
 //! Linux-only by construction (`epoll` is a Linux API); the crate root
 //! refuses to compile elsewhere rather than pretending to poll.
@@ -38,45 +38,6 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
-    fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
-    fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
-}
-
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct Rlimit {
-    rlim_cur: u64,
-    rlim_max: u64,
-}
-
-const RLIMIT_NOFILE: c_int = 7;
-
-/// Best-effort raise of the open-file-descriptor soft limit toward
-/// `target` (capped at the hard limit). Returns the soft limit in effect
-/// afterwards — callers sizing connection floods (the ≥2k idle-connection
-/// bench) scale to what they actually got.
-pub fn raise_nofile_limit(target: u64) -> u64 {
-    let mut lim = Rlimit {
-        rlim_cur: 0,
-        rlim_max: 0,
-    };
-    // SAFETY: getrlimit writes one Rlimit struct through a valid pointer.
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
-        return 0;
-    }
-    if lim.rlim_cur >= target {
-        return lim.rlim_cur;
-    }
-    let want = Rlimit {
-        rlim_cur: target.min(lim.rlim_max),
-        rlim_max: lim.rlim_max,
-    };
-    // SAFETY: setrlimit reads one Rlimit struct through a valid pointer.
-    if unsafe { setrlimit(RLIMIT_NOFILE, &want) } == 0 {
-        want.rlim_cur
-    } else {
-        lim.rlim_cur
-    }
 }
 
 fn interest_mask(interest: Interest) -> u32 {

@@ -1,14 +1,13 @@
 //! The dataset registry: datasets and their NB-Indexes are loaded once at
 //! server start and shared (`Arc`) across every connection and worker.
 //!
-//! Warm start: if `<dir>/index.bin` (the succinct binary format) or
-//! `<dir>/index.json` (the legacy/fallback format) exists it is loaded
-//! through the persistence layer — the whole NP-hard build phase is skipped.
-//! Otherwise the index is built with the same defaults the CLI uses (so a
-//! CLI-built index and a server-built index are interchangeable) and,
-//! optionally, written back for the next start. Re-persists after mutations
-//! always write `index.bin`, which migrates JSON-era directories to the
-//! binary format on their first mutation.
+//! Warm start: if `<dir>/index.bin` (the succinct binary format) exists it
+//! is loaded through the persistence layer — the whole NP-hard build phase
+//! is skipped. Otherwise the index is built with the same defaults the CLI
+//! uses (so a CLI-built index and a server-built index are interchangeable)
+//! and, optionally, written back for the next start. `index.bin` is the one
+//! index file the registry reads or writes; JSON is an explicit dump format
+//! of the CLI only.
 //!
 //! Mutations (DESIGN.md §10) go through [`LoadedDataset::insert_graph`] /
 //! [`LoadedDataset::remove_graph`]: the current index is forked, the fork is
@@ -187,12 +186,11 @@ fn read_epoch_sidecar(dir: &Path) -> u64 {
 }
 
 impl LoadedDataset {
-    /// Loads the dataset at `dir` and warms its index: `<dir>/index.bin`
-    /// when present, then `<dir>/index.json` (the legacy/fallback format),
-    /// falling back to a fresh build if neither loads cleanly at the
-    /// `epoch.txt` sidecar's mutation epoch — a corrupt or stale file is
-    /// answered with a rebuild whose provenance records what was wrong,
-    /// never a silently wrong snapshot. With `persist_built`, a freshly
+    /// Loads the dataset at `dir` and warms its index from `<dir>/index.bin`
+    /// when present, falling back to a fresh build if it is absent or does
+    /// not load cleanly at the `epoch.txt` sidecar's mutation epoch — a
+    /// corrupt or stale file is answered with a rebuild whose provenance
+    /// records what was wrong, never a silently wrong snapshot. With `persist_built`, a freshly
     /// built index is written back to `<dir>/index.bin` so the next start
     /// is warm; a failed write is counted in `persist_errors` and otherwise
     /// ignored (read-only dataset directories must not prevent serving).
@@ -202,40 +200,25 @@ impl LoadedDataset {
         let oracle = data.db.oracle(GedConfig::default());
         let expected_epoch = read_epoch_sidecar(dir);
         let persist_errors = AtomicU64::new(0);
-        let mut load_errors: Vec<String> = Vec::new();
-        let mut loaded: Option<NbIndex> = None;
-        if let Ok(bytes) = std::fs::read(dir.join("index.bin")) {
-            match NbIndex::load_bin_at_epoch(&bytes, Arc::clone(&oracle), expected_epoch) {
-                Ok(index) => loaded = Some(index),
-                Err(e) => load_errors.push(format!("index.bin: {e}")),
-            }
-        }
-        if loaded.is_none() {
-            if let Ok(json) = std::fs::read_to_string(dir.join("index.json")) {
-                match NbIndex::load_json_at_epoch(&json, Arc::clone(&oracle), expected_epoch) {
-                    Ok(index) => loaded = Some(index),
-                    Err(e) => load_errors.push(format!("index.json: {e}")),
-                }
-            }
-        }
+        // `None`: no file to load; `Some(Err(_))`: a file that must not be served.
+        let loaded = std::fs::read(dir.join("index.bin"))
+            .ok()
+            .map(|bytes| NbIndex::load_bin_at_epoch(&bytes, Arc::clone(&oracle), expected_epoch));
         let (index, index_source) = match loaded {
-            Some(index) => (index, "loaded".to_owned()),
+            Some(Ok(index)) => (index, "loaded".to_owned()),
+            Some(Err(e)) => (
+                NbIndex::build(Arc::clone(&oracle), default_index_config(&data)),
+                format!("built (stale index on disk: index.bin: {e})"),
+            ),
             None => {
                 let built = NbIndex::build(Arc::clone(&oracle), default_index_config(&data));
-                if load_errors.is_empty() {
-                    if persist_built {
-                        note_persist(
-                            &persist_errors,
-                            std::fs::write(dir.join("index.bin"), built.save_bin()),
-                        );
-                    }
-                    (built, "built".to_owned())
-                } else {
-                    (
-                        built,
-                        format!("built (stale index on disk: {})", load_errors.join("; ")),
-                    )
+                if persist_built {
+                    note_persist(
+                        &persist_errors,
+                        std::fs::write(dir.join("index.bin"), built.save_bin()),
+                    );
                 }
+                (built, "built".to_owned())
             }
         };
         let base_oracle = index.oracle().stats();
@@ -283,11 +266,6 @@ impl LoadedDataset {
     /// Registry name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// A clone-out snapshot of the database (cheap: `Arc`-backed fields).
-    pub fn db_snapshot(&self) -> graphrep_core::GraphDatabase {
-        self.read().data.db.clone()
     }
 
     /// The dataset's default threshold θ.
@@ -394,9 +372,6 @@ impl LoadedDataset {
             std::fs::write(dir.join("epoch.txt"), format!("{}\n", st.index.epoch())),
         );
         note_persist(errors, store::save(&st.data, dir));
-        // The binary format is the one written going forward; a JSON-era
-        // `index.json` left behind now records an older epoch, so the next
-        // open skips it (the sidecar guard) and uses this file.
         note_persist(
             errors,
             std::fs::write(dir.join("index.bin"), st.index.save_bin()),

@@ -1,6 +1,6 @@
 //! Connection fault injection against the reactor: peers that vanish
-//! mid-stream, half-open sockets, peers that stall mid-frame, and storms of
-//! misbehaving connections.
+//! mid-stream, half-open sockets, peers that stall mid-frame, storms of
+//! misbehaving connections, and a crowd of parked ones beside a load.
 //! The invariants, asserted through the `stats` endpoint before and after:
 //! every dispatched request is accounted for exactly once (requests ==
 //! ok + overloaded + deadline_exceeded + errors), the connection gauge
@@ -8,11 +8,11 @@
 //! (no leaked workers), and the server keeps serving clean clients
 //! throughout.
 
-use graphrep_datagen::{DatasetKind, DatasetSpec};
+use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
 use graphrep_serve::registry::load_in_memory;
 use graphrep_serve::{
-    protocol, start, Client, DatasetRegistry, Response, ServeConfig, StatsBody, TaggedRequest,
-    TaggedResponse,
+    offline_reference, protocol, run_load, start, verify_against_offline, Client, DatasetRegistry,
+    LoadMode, LoadSpec, Response, ServeConfig, StatsBody, TaggedRequest, TaggedResponse,
 };
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -22,10 +22,13 @@ fn server(workers: usize) -> graphrep_serve::ServerHandle {
     server_with_frame_stall(workers, ServeConfig::default().frame_stall)
 }
 
+fn dataset() -> Dataset {
+    DatasetSpec::new(DatasetKind::DudLike, 60, 20140622).generate()
+}
+
 fn server_with_frame_stall(workers: usize, frame_stall: Duration) -> graphrep_serve::ServerHandle {
-    let data = DatasetSpec::new(DatasetKind::DudLike, 60, 20140622).generate();
     let mut reg = DatasetRegistry::new();
-    reg.insert(load_in_memory("f", data));
+    reg.insert(load_in_memory("f", dataset()));
     start(
         ServeConfig {
             workers,
@@ -296,6 +299,56 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
         2,
         "observer + idler"
     );
+    handle.shutdown();
+}
+
+/// Connections parked on the reactor cost a slot each and nothing else:
+/// beside them a load pass is answered byte-identically to the offline run,
+/// none of them is shed while it runs, and dropping them frees every slot.
+/// (Two fds per held loopback connection — inside the default 1024 limit.)
+#[test]
+fn parked_connections_survive_a_load_and_are_reclaimed() {
+    const PARKED: usize = 200;
+    let handle = server(2);
+    let addr = handle.addr().to_string();
+    let mut observer = Client::connect(&addr).expect("connect observer");
+
+    let parked: Vec<TcpStream> = (0..PARKED)
+        .map(|i| TcpStream::connect(&addr).unwrap_or_else(|e| panic!("park {i}: {e}")))
+        .collect();
+    let before = await_stats(&mut observer, |s| s.connections_open > PARKED);
+    assert!(
+        before.connections_open > PARKED,
+        "only {} of {PARKED} parked connections registered",
+        before.connections_open
+    );
+
+    let spec = LoadSpec {
+        dataset: "f".into(),
+        connections: 2,
+        requests_per_conn: 6,
+        thetas: vec![3.0, 4.0],
+        ks: vec![2, 4],
+        quantile: 0.75,
+        seed: 1,
+        skew: 0.0,
+        mode: LoadMode::Blocking,
+    };
+    let reference = offline_reference(&load_in_memory("f", dataset()), &spec);
+    let report = run_load(&addr, &spec).expect("load");
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(verify_against_offline(&report, &reference), Ok(12));
+
+    let after = observer.stats().expect("stats after load");
+    assert!(
+        after.connections_open > PARKED,
+        "the load shed parked connections: {} open",
+        after.connections_open
+    );
+    drop(parked);
+    let settled = await_stats(&mut observer, |s| s.connections_open == 1);
+    assert_eq!(settled.connections_open, 1, "parked slots leaked");
+    assert_conserved(&settled);
     handle.shutdown();
 }
 

@@ -143,58 +143,35 @@ fn policy_rebuilds_are_counted_in_stats() {
     assert_eq!(ds.stats().rebuilds, 1);
 }
 
-/// A JSON-era directory (only `index.json` on disk) still warm-loads, and
-/// its first mutation migrates it to the binary format: `index.bin` appears
-/// and the next open warm-loads from it at the recorded epoch.
+/// `index.bin` is the one index file the registry looks for: a JSON-era
+/// directory (only `index.json` on disk, here a perfectly loadable one) is
+/// never read — the open rebuilds once, writes `index.bin`, and the next
+/// open warm-loads that.
 #[test]
-fn json_era_directory_warm_loads_and_migrates_to_binary() {
+fn json_era_directory_is_rebuilt_once_into_binary() {
     let dir = tmpdir("jsonmig");
     let data = DatasetSpec::new(DatasetKind::DudLike, 20, 515).generate();
-    let theta = data.default_theta;
     store::save(&data, &dir).expect("save dataset");
+    let json = load_in_memory("d", data).index_arc().save_json();
+    std::fs::write(dir.join("index.json"), json).expect("write json");
 
-    // Simulate a pre-binary deployment: persist, then rewrite as JSON-only.
-    let ds = LoadedDataset::open("d", &dir, true).expect("first open");
-    std::fs::write(dir.join("index.json"), ds.index_arc().save_json()).expect("write json");
-    drop(ds);
-    std::fs::remove_file(dir.join("index.bin")).expect("drop binary file");
-
-    let ds = LoadedDataset::open("d", &dir, false).expect("json-era open");
-    assert_eq!(ds.index_source(), "loaded");
-    let want = format!(
-        "{:?}",
-        ds.index_arc().query(ds.relevant_for(0.75), theta, 3).0
-    );
-
-    // First mutation re-persists in the binary format.
-    let r = ds.remove_graph(1).expect("remove");
-    assert_eq!(r.epoch, 1);
-    let mutated = format!(
-        "{:?}",
-        ds.index_arc().query(ds.relevant_for(0.75), theta, 3).0
-    );
+    let ds = LoadedDataset::open("d", &dir, true).expect("json-era open");
+    assert_eq!(ds.index_source(), "built", "index.json must not be read");
+    assert_eq!(ds.stats().persist_errors, 0);
     drop(ds);
     assert!(
         dir.join("index.bin").exists(),
-        "mutation must write index.bin"
+        "the rebuild must write index.bin"
     );
 
-    // Reopen: the stale-epoch index.json is skipped, index.bin warm-loads.
     let ds = LoadedDataset::open("d", &dir, false).expect("reopen");
     assert_eq!(ds.index_source(), "loaded");
-    assert_eq!(ds.index_arc().epoch(), 1);
-    let got = format!(
-        "{:?}",
-        ds.index_arc().query(ds.relevant_for(0.75), theta, 3).0
-    );
-    assert_eq!(got, mutated);
-    assert_ne!(want, mutated, "the mutation should be visible in answers");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A corrupt `index.bin` with no JSON fallback is answered by a rebuild
-/// whose provenance names the broken file — never a crash or a wrong index.
+/// A corrupt `index.bin` is answered by a rebuild whose provenance names the
+/// broken file — never a crash or a wrong index.
 #[test]
 fn corrupt_binary_index_rebuilds_with_provenance() {
     let dir = tmpdir("binrot");

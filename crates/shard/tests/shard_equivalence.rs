@@ -84,6 +84,51 @@ fn grid_matches_single_index_reference() {
     }
 }
 
+/// Floor on the share of (pick, shard) pairs the π̂ bound aggregation
+/// settles without fresh verification work at S = 8 (reads 0.719; the counts
+/// are deterministic). Below it the scatter-gather is a broadcast.
+const MIN_PRUNE_RATE_AT_8: f64 = 0.1;
+
+/// The default query at a size where pruning has room to act: identical
+/// answers at every S, and the bound aggregation actually prunes.
+#[test]
+fn default_query_prunes_shards_and_matches_reference() {
+    let seed = 20140622;
+    let data = DatasetSpec::new(DatasetKind::DudLike, 160, seed).generate();
+    let relevant = data.default_query().relevant_set(&data.db);
+    let (theta, k) = (data.default_theta, 8);
+    let oracle = data.db.oracle(GedConfig::default());
+    let reference = NbIndex::build(oracle, index_config(&data.default_ladder));
+    let want = format!("{:?}", reference.query(relevant.clone(), theta, k).0);
+
+    let mut rates = Vec::new();
+    for shards in SHARD_COUNTS {
+        let cfg = CoordConfig {
+            shards,
+            seed: seed ^ 0x5eed,
+            ladder: data.default_ladder.clone(),
+        };
+        let coord = Coordinator::build(&data.db, GedConfig::default(), &cfg);
+        let (got, stats) = coord.session(relevant.clone()).run(theta, k);
+        assert_eq!(format!("{got:?}"), want, "diverged at S = {shards}");
+        let rate = stats.prune_rate();
+        assert!(
+            (0.0..=1.0).contains(&rate),
+            "S = {shards}: prune rate {rate} out of range"
+        );
+        rates.push(rate);
+    }
+    assert!(
+        rates[1..].iter().any(|&r| r > 0.0),
+        "bound aggregation never pruned a shard-pick pair at any S > 1: {rates:?}"
+    );
+    assert!(
+        rates[3] >= MIN_PRUNE_RATE_AT_8,
+        "S = 8: prune rate {} below the floor {MIN_PRUNE_RATE_AT_8}",
+        rates[3]
+    );
+}
+
 /// Pairs a sharded coordinator with the single-index model of the same
 /// mutation history; checkpoints must agree byte for byte at every epoch.
 struct Harness {
