@@ -214,13 +214,15 @@ tombstones the listed ids. Without --addr it mutates the dataset directory
 in place (index + epoch sidecar re-persisted); with --addr the same ops go
 over the wire to a running server, which re-persists its own directory.
 
-every subcommand accepts --threads N to set the worker count for the
-parallel GED phases (0 or omitted = one worker per core); answers are
-identical at any thread count.
+every subcommand accepts --threads N to set the worker count for index
+build, inserts and the offline baselines (0 or omitted = one worker per
+core); a query runs on one thread (`serve --workers` sizes the pool that
+runs queries side by side), and answers are identical at any thread count.
 ";
 
-/// Applies the global `--threads N` flag (0 = auto). Parallel phases use the
-/// configured rayon worker count; results are thread-count-independent.
+/// Applies the global `--threads N` flag (0 = auto): the rayon worker count
+/// of index build, inserts and the offline baselines. A query enters no
+/// parallel region; results are thread-count-independent.
 fn configure_threads(cmd: &Command) -> Result<(), CliError> {
     let threads: usize = cmd.parsed_or("threads", 0)?;
     rayon::ThreadPoolBuilder::new()

@@ -98,11 +98,8 @@ impl PiHatVectors {
     /// `relevant_by_id` is indexed by graph id; counts are of *relevant*
     /// candidates (Thm 5 applied within `L_q`).
     ///
-    /// The per-graph π̂ rows are independent pure functions of the vantage
-    /// orderings, so the batch update over `L_q` fans out across rayon
-    /// workers once `L_q` is large enough to amortize the dispatch; rows are
-    /// written back in relevant-set order, making the vectors identical at
-    /// any thread count.
+    /// Runs on the calling thread: a session open touches no edit distance,
+    /// so there is nothing here worth a parallel region.
     pub fn initialize(
         vt: &VantageTable,
         tree: &NbTree,
@@ -110,13 +107,13 @@ impl PiHatVectors {
         relevant_by_id: &Bitset,
         ladder: &ThresholdLadder,
     ) -> Self {
-        use rayon::prelude::*;
         let slots = ladder.len();
         let n = tree.len();
         let mut graph_counts = vec![0u32; n * slots];
         let theta_max = ladder.thetas().last().copied().unwrap_or(0.0);
         let small = relevant.len() <= 16;
-        let one_row = |g: GraphId| {
+        let mut cand_buf = Vec::new();
+        for &g in relevant {
             // π̂ needs lower bounds to *relevant* candidates only (Thm 5
             // within `L_q`). For small `L_q` the membership test is applied
             // pair-by-pair — O(|L_q|·|V|) — instead of enumerating the full
@@ -130,7 +127,6 @@ impl PiHatVectors {
                     .map(|&c| vt.lower_bound(g, c))
                     .collect()
             } else {
-                let mut cand_buf = Vec::new();
                 vt.candidates_into(g, theta_max, &mut cand_buf);
                 cand_buf
                     .iter()
@@ -139,25 +135,13 @@ impl PiHatVectors {
                     .collect()
             };
             band.sort_by(f64::total_cmp);
-            let row = ladder
-                .thetas()
-                .iter()
-                .map(|&t| band.partition_point(|&d| d <= t + EPS) as u32)
-                .collect();
-            (tree.pos_of(g) as usize, row)
-        };
-        // Tiny relevant sets (serve liveness probes, cold-start first answers)
-        // are dominated by rayon's dispatch latency, not by the row math, so
-        // they stay on the calling thread. Either way rows are written back
-        // in relevant-set order, so the vectors are identical at any thread
-        // count.
-        let rows: Vec<(usize, Vec<u32>)> = if small {
-            relevant.iter().map(|&g| one_row(g)).collect()
-        } else {
-            relevant.par_iter().map(|&g| one_row(g)).collect()
-        };
-        for (pos, row) in rows {
-            graph_counts[pos * slots..pos * slots + slots].copy_from_slice(&row);
+            let pos = tree.pos_of(g) as usize;
+            for (slot, &t) in graph_counts[pos * slots..][..slots]
+                .iter_mut()
+                .zip(ladder.thetas())
+            {
+                *slot = band.partition_point(|&d| d <= t + EPS) as u32;
+            }
         }
         let mut node_counts = vec![0u32; tree.nodes().len() * slots];
         let mut node_rel = vec![0u32; tree.nodes().len()];

@@ -157,7 +157,7 @@ impl QuerySession<Arc<NbIndex>> {
     }
 }
 
-impl<I: Deref<Target = NbIndex> + Sync> QuerySession<I> {
+impl<I: Deref<Target = NbIndex>> QuerySession<I> {
     pub(crate) fn new(index: I, relevant: Vec<GraphId>) -> Self {
         let t0 = Instant::now();
         let n = index.tree().len();
@@ -724,30 +724,29 @@ struct IndexVerifier<'s, I: Deref<Target = NbIndex>> {
     verified: Cell<u64>,
 }
 
-impl<I: Deref<Target = NbIndex> + Sync> NeighborhoodProvider for IndexVerifier<'_, I> {
+impl<I: Deref<Target = NbIndex>> NeighborhoodProvider for IndexVerifier<'_, I> {
     fn neighborhood(&self, g: GraphId, theta: f64) -> Vec<GraphId> {
         self.neighborhood_with_distances(g, theta).0
     }
 
-    /// Verifying the `N̂_θ` candidate superset is the run's GED-dominated
-    /// step, so the per-candidate θ-membership tests fan out across rayon
-    /// workers, in ascending Lipschitz-lower-bound order: near candidates
-    /// (small lower bound) are the likeliest triangle-upper-bound accepts,
-    /// so their exact distances — the costliest ones the tier ladder might
-    /// otherwise compute — are attempted only after the cheap certificates
-    /// have had first refusal, and far candidates arrive with the strongest
-    /// evidence for a bound-only rejection. Each test is an independent pure
-    /// evaluation against the sharded oracle; the accepted candidates are
-    /// returned sorted by id, so the result — and the tiered oracle's
-    /// verdicts — is identical at any thread count and with tiers on or off.
-    /// Distances are whatever the oracle has exact values for afterwards
-    /// (upper-bound-certified accepts carry `None`).
+    /// Verifies the `N̂_θ` candidate superset on the calling thread — a run
+    /// enters no parallel region; the server's worker pool across requests
+    /// is where query parallelism lives — in ascending Lipschitz-lower-bound
+    /// order: near candidates (small lower bound) are the likeliest
+    /// triangle-upper-bound accepts, so their exact distances — the
+    /// costliest ones the tier ladder might otherwise compute — are
+    /// attempted only after the cheap certificates have had first refusal,
+    /// and far candidates arrive with the strongest evidence for a
+    /// bound-only rejection. The accepted candidates are returned sorted by
+    /// id, and every tier is verdict-identical to the engine, so the result
+    /// is the same with tiers on or off. Distances are whatever the oracle
+    /// has exact values for afterwards (upper-bound-certified accepts carry
+    /// `None`).
     fn neighborhood_with_distances(
         &self,
         g: GraphId,
         theta: f64,
     ) -> (Vec<GraphId>, Vec<Option<f64>>) {
-        use rayon::prelude::*;
         let s = self.session;
         let vt = s.index.vantage();
         let oracle = s.index.oracle();
@@ -779,27 +778,17 @@ impl<I: Deref<Target = NbIndex> + Sync> NeighborhoodProvider for IndexVerifier<'
                 .collect()
         };
         keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let verify = |&(_, c): &(f64, u32)| {
+        let mut members: Vec<GraphId> = Vec::new();
+        for (_, c) in keyed {
             if oracle.within_verdict(g, c, theta) {
                 // Upper-bound-certified accepts carry no exact distance;
                 // the Thm 4 audit checks whichever pairs have one.
                 if let Some(d) = oracle.cached_distance(g, c) {
                     s.audit_thm4(g, c, d);
                 }
-                Some(c)
-            } else {
-                None
+                members.push(c);
             }
-        };
-        // Tiny candidate lists stay on the calling thread — rayon's dispatch
-        // latency would dominate a handful of verdicts. Each test is an
-        // independent pure evaluation, so the result is identical either way.
-        let verified: Vec<Option<u32>> = if keyed.len() <= 16 {
-            keyed.iter().map(verify).collect()
-        } else {
-            keyed.par_iter().map(verify).collect()
-        };
-        let mut members: Vec<GraphId> = verified.into_iter().flatten().collect();
+        }
         members.sort_unstable();
         let distances = members
             .iter()
@@ -807,5 +796,53 @@ impl<I: Deref<Target = NbIndex> + Sync> NeighborhoodProvider for IndexVerifier<'
             .collect();
         self.verified.set(self.verified.get() + 1);
         (members, distances)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::nbindex::NbIndexConfig;
+    use graphrep_datagen::{DatasetKind, DatasetSpec};
+    use graphrep_ged::GedConfig;
+    use std::rc::Rc;
+
+    /// A session over an `Rc` handle is `!Sync`, so this compiles only while
+    /// a run shares the session with no other thread — and it must answer
+    /// exactly like the borrowed session, on and off the ladder.
+    #[test]
+    fn rc_handle_session_matches_borrowed_session() {
+        let data = DatasetSpec::new(DatasetKind::DudLike, 80, 7201).generate();
+        let build = || {
+            let config = NbIndexConfig {
+                num_vps: 4,
+                ladder: data.default_ladder.clone(),
+                ..Default::default()
+            };
+            NbIndex::build(data.db.oracle(GedConfig::default()), config)
+        };
+        // Two identical builds: each side starts on its own cold oracle, so
+        // the distance-call counts are comparable too.
+        let (borrowed, shared) = (build(), Rc::new(build()));
+        let relevant = data.default_query().relevant_set(&data.db);
+        assert!(relevant.len() > 16, "exercise the band-enumeration path");
+        let want = borrowed.start_session(relevant.clone());
+        let got = QuerySession::new(shared, relevant);
+        let top = *data.default_ladder.last().expect("non-empty ladder");
+        let counts = |s: &RunStats| {
+            (
+                s.distance_calls,
+                s.verified_graphs,
+                s.nodes_expanded,
+                s.ladder_slot,
+            )
+        };
+        for (theta, on_ladder) in [(data.default_theta, true), (top * 1.5, false)] {
+            let (want_answer, want_stats) = want.run(theta, 6);
+            let (got_answer, got_stats) = got.run(theta, 6);
+            assert_eq!(want_stats.ladder_slot.is_some(), on_ladder, "θ = {theta}");
+            assert_eq!(format!("{got_answer:?}"), format!("{want_answer:?}"));
+            assert_eq!(counts(&got_stats), counts(&want_stats), "θ = {theta}");
+        }
     }
 }

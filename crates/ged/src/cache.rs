@@ -6,8 +6,9 @@
 //! paper's cost unit) is tracked.
 //!
 //! The caches are sharded 64 ways by pair key so concurrent distance
-//! evaluation (the rayon-parallel index build and verification phases)
-//! doesn't serialize on a global lock. Exact distances live in per-pair
+//! evaluation (the rayon-parallel index build, insert sweeps and offline
+//! baselines; the server's workers running sessions side by side) doesn't
+//! serialize on a global lock. Exact distances live in per-pair
 //! [`OnceLock`] cells, and `within` misses rendezvous on per-`(pair, τ)`
 //! verdict cells: when many threads race on the same uncached request,
 //! exactly one runs the NP-hard engine computation and the rest block on the

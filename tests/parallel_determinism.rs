@@ -1,8 +1,10 @@
 //! Determinism contract of the parallel GED execution layer: every
-//! rayon-parallel phase (vantage build, NB-Tree clustering, candidate
-//! verification, π̂ batch updates) must produce bitwise-identical results at
-//! any thread count. RNG-driven decisions stay on the sequential control
-//! path; only pure distance evaluations fan out.
+//! rayon-parallel phase (vantage build, NB-Tree clustering, the insert
+//! sweeps, the offline baselines' neighborhood initialization) must produce
+//! bitwise-identical results at any thread count. RNG-driven decisions stay
+//! on the sequential control path; only pure distance evaluations fan out.
+//! A session open and a run enter no parallel region, so the query halves of
+//! these tests pin that an index built at any thread count answers alike.
 
 use graphrep::core::{NbIndex, NbIndexConfig};
 use graphrep::datagen::{DatasetKind, DatasetSpec};

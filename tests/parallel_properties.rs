@@ -1,7 +1,7 @@
 //! Property-based tests of the vantage-embedding theorems *through the
 //! parallel execution path*: the rayon-built [`VantageTable`] must satisfy
 //! Thm 4 (the Lipschitz lower bound never exceeds the exact GED) and Thm 5
-//! (`N̂_θ(g) ⊇ N_θ(g)`), and the rayon-verified NB-Index query must return
+//! (`N̂_θ(g) ⊇ N_θ(g)`), and a query on the rayon-built NB-Index must return
 //! exactly the sequential brute-force greedy answer.
 
 use graphrep::core::{baseline_greedy, BruteForceProvider, NbIndex, NbIndexConfig};
@@ -105,8 +105,8 @@ proptest! {
         theta in 1.0f64..5.0,
         k in 1usize..4,
     ) {
-        // End-to-end: the NB-Index (rayon-parallel build and candidate
-        // verification) must return exactly the Alg 1 greedy answer over the
+        // End-to-end: the NB-Index (rayon-parallel build, single-threaded
+        // query) must return exactly the Alg 1 greedy answer over the
         // brute-force provider.
         let relevant: Vec<u32> = (0..oracle.len() as u32).collect();
         let index = NbIndex::build(
