@@ -4,7 +4,10 @@
 use crate::args::Command;
 use crate::CliError;
 use graphrep_baselines::traditional_topk;
-use graphrep_core::{GraphDatabase, NbIndex, NbIndexConfig, NbTreeConfig, RelevanceQuery, Scorer};
+use graphrep_core::{
+    CancelToken, GraphDatabase, NbIndex, NbIndexConfig, NbTreeConfig, RelevanceQuery, Scorer,
+    Session,
+};
 use graphrep_datagen::{store, Dataset, DatasetSpec};
 use graphrep_ged::{DistanceOracle, GedConfig, GedMode};
 use graphrep_graph::stats::DatasetStats;
@@ -407,26 +410,44 @@ fn index(cmd: &Command) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `query`: one-shot top-k representative query. With `--shards S` the same
+/// query is answered by scatter-gather distributed greedy over the persisted
+/// shard layout — byte-identical answers, plus per-pick shard-pruning stats.
 fn query(cmd: &Command) -> Result<String, CliError> {
-    if cmd.opt("shards").is_some() {
-        return query_sharded(cmd);
-    }
     let data = load_dataset(cmd)?;
     let theta: f64 = cmd.parsed("theta")?;
     let k: usize = cmd.parsed("k")?;
-    let oracle = make_oracle(cmd, &data.db)?;
-    let (index, provenance) = build_or_load_index(cmd, &data, oracle)?;
     let rq = default_query(cmd, &data)?;
     let relevant = rq.relevant_set(&data.db);
-    let (answer, stats) = index.query(relevant.clone(), theta, k);
+    let relevant_len = relevant.len();
+    let (session, provenance): (Box<dyn Session>, String) = match cmd.opt("shards") {
+        Some(_) => {
+            let seed: u64 = cmd.parsed_or("seed", 0x5eedu64)?;
+            let (coord, provenance) = open_shard_layout(cmd, &data, cmd.parsed("shards")?, seed)?;
+            (Box::new(coord.session(relevant)), provenance)
+        }
+        None => {
+            let oracle = make_oracle(cmd, &data.db)?;
+            let (index, provenance) = build_or_load_index(cmd, &data, oracle)?;
+            let session = Arc::new(index).start_session_shared(relevant);
+            (Box::new(session), provenance)
+        }
+    };
+    let (answer, stats) = session
+        .run_with(theta, k, &CancelToken::never(), None)
+        .map_err(|e| CliError(e.to_string()))?;
     let mut out = provenance;
     let _ = writeln!(
         out,
-        "|L_q| = {}, θ = {theta}, k = {k} → {} answers in {:.2?} ({} edit distances)",
-        relevant.len(),
+        "|L_q| = {relevant_len}, θ = {theta}, k = {k} → {} answers in {:.2?} ({} {})",
         answer.len(),
         stats.wall,
-        stats.distance_calls
+        stats.distance_calls,
+        if stats.shard_count > 0 {
+            "engine entries"
+        } else {
+            "edit distances"
+        }
     );
     for (i, &g) in answer.ids.iter().enumerate() {
         let graph = data.db.graph(g);
@@ -446,6 +467,16 @@ fn query(cmd: &Command) -> Result<String, CliError> {
         answer.pi(),
         answer.compression_ratio()
     );
+    if stats.shard_count > 0 {
+        let pairs = stats.shards_pruned + stats.shards_touched;
+        let _ = writeln!(
+            out,
+            "scatter-gather: {} picks over {} shards, {:.1}% of shard-pick pairs pruned",
+            stats.picks,
+            stats.shard_count,
+            100.0 * stats.shards_pruned as f64 / pairs.max(1) as f64
+        );
+    }
     Ok(out)
 }
 
@@ -491,57 +522,6 @@ fn open_shard_layout(
             want
         ),
     ))
-}
-
-/// `query --shards S`: the same one-shot query answered by scatter-gather
-/// distributed greedy over the persisted shard layout. Byte-identical
-/// answers to the single-index path, plus per-pick shard-pruning stats.
-fn query_sharded(cmd: &Command) -> Result<String, CliError> {
-    let data = load_dataset(cmd)?;
-    let theta: f64 = cmd.parsed("theta")?;
-    let k: usize = cmd.parsed("k")?;
-    let shards: usize = cmd.parsed("shards")?;
-    let seed: u64 = cmd.parsed_or("seed", 0x5eedu64)?;
-    let (coord, provenance) = open_shard_layout(cmd, &data, shards, seed)?;
-    let rq = default_query(cmd, &data)?;
-    let relevant = rq.relevant_set(&data.db);
-    let session = coord.session(relevant.clone());
-    let (answer, stats) = session.run(theta, k);
-    let mut out = provenance;
-    let _ = writeln!(
-        out,
-        "|L_q| = {}, θ = {theta}, k = {k} → {} answers in {:.2?} ({} engine entries)",
-        relevant.len(),
-        answer.len(),
-        stats.wall,
-        stats.engine_entries.iter().sum::<u64>(),
-    );
-    for (i, &g) in answer.ids.iter().enumerate() {
-        let graph = data.db.graph(g);
-        let _ = writeln!(
-            out,
-            "  {:>2}. graph {g:>5}  {} nodes / {} edges  score {:.3}  π so far {:.3}",
-            i + 1,
-            graph.node_count(),
-            graph.edge_count(),
-            rq.score(&data.db, g),
-            answer.pi_trajectory[i]
-        );
-    }
-    let _ = writeln!(
-        out,
-        "π(A) = {:.3}, compression ratio = {:.1}",
-        answer.pi(),
-        answer.compression_ratio()
-    );
-    let _ = writeln!(
-        out,
-        "scatter-gather: {} picks over {} shards, {:.1}% of shard-pick pairs pruned",
-        stats.picks,
-        stats.shard_count,
-        100.0 * stats.prune_rate()
-    );
-    Ok(out)
 }
 
 /// `shard-build`: partition the dataset into metric-space shards and
@@ -932,7 +912,6 @@ fn alphabets(db: &GraphDatabase) -> (Vec<u32>, Vec<u32>) {
 /// source) and tombstone removes, then applies them either directly to the
 /// dataset directory or over the wire to a running server.
 fn mutate_cmd(cmd: &Command) -> Result<String, CliError> {
-    use graphrep_serve::registry::LoadedDataset;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     let dir = cmd.req("data")?;
@@ -1001,71 +980,53 @@ fn mutate_cmd(cmd: &Command) -> Result<String, CliError> {
                 );
             }
         }
-        None if cmd.opt("shards").is_some() => {
-            // Sharded local path: mutations route to the owning shard and
-            // bump only that shard's epoch; the receipt carries the full
-            // epoch vector.
-            use graphrep_serve::ShardedDataset;
-            let shards: usize = cmd.parsed("shards")?;
-            let shard_seed: u64 = cmd.parsed_or("shard-seed", 0x5eedu64)?;
-            let ds = ShardedDataset::open("local", Path::new(dir), shards, shard_seed)
-                .map_err(|e| CliError(e.to_string()))?;
-            for (g, f) in inserts {
-                let r = ds.insert_graph(g, f).map_err(|e| CliError(e.to_string()))?;
-                let _ = writeln!(
-                    out,
-                    "{} [shard {}, epochs {:?}]",
-                    receipt_line("insert", r.id, r.epoch, r.live, r.tombstones, r.rebuilt),
-                    r.shard,
-                    r.shard_epochs
-                );
-            }
-            for id in removes {
-                let r = ds.remove_graph(id).map_err(|e| CliError(e.to_string()))?;
-                let _ = writeln!(
-                    out,
-                    "{} [shard {}, epochs {:?}]",
-                    receipt_line("remove", r.id, r.epoch, r.live, r.tombstones, r.rebuilt),
-                    r.shard,
-                    r.shard_epochs
-                );
-            }
-            let coord = ds.coordinator();
-            let _ = writeln!(
-                out,
-                "dataset {dir} now at epochs {:?}: {} live / {} total graphs",
-                coord.epochs(),
-                coord.live_len(),
-                coord.len()
-            );
-        }
         None => {
-            let ds = LoadedDataset::open("local", Path::new(dir), true)
-                .map_err(|e| CliError(e.to_string()))?;
-            for (g, f) in inserts {
-                let r = ds.insert_graph(g, f).map_err(|e| CliError(e.to_string()))?;
+            // Local path: one NB-Index, or with `--shards S` the persisted
+            // shard layout — mutations then route to the owning shard, bump
+            // only its epoch, and the receipt carries the full epoch vector.
+            use graphrep_serve::{DatasetEntry, LoadedDataset, ShardedDataset};
+            let path = Path::new(dir);
+            let entry = match cmd.opt("shards") {
+                Some(_) => {
+                    let shard_seed: u64 = cmd.parsed_or("shard-seed", 0x5eedu64)?;
+                    ShardedDataset::open("local", path, cmd.parsed("shards")?, shard_seed)
+                        .map(|ds| DatasetEntry::Sharded(Arc::new(ds)))
+                }
+                None => LoadedDataset::open("local", path, true)
+                    .map(|ds| DatasetEntry::Single(Arc::new(ds))),
+            }
+            .map_err(|e| CliError(e.to_string()))?;
+            let ops = inserts
+                .into_iter()
+                .map(|(g, f)| ("insert", entry.insert_graph(g, f)))
+                .chain(
+                    removes
+                        .into_iter()
+                        .map(|id| ("remove", entry.remove_graph(id))),
+                );
+            let mut last = None;
+            for (op, receipt) in ops {
+                let r = receipt.map_err(|e| CliError(e.to_string()))?;
+                let mut line = receipt_line(op, r.id, r.epoch, r.live, r.tombstones, r.rebuilt);
+                if !r.shard_epochs.is_empty() {
+                    let _ = write!(line, " [shard {}, epochs {:?}]", r.shard, r.shard_epochs);
+                }
+                let _ = writeln!(out, "{line}");
+                last = Some(r);
+            }
+            if let Some(r) = last {
+                let at = if r.shard_epochs.is_empty() {
+                    format!("epoch {}", r.epoch)
+                } else {
+                    format!("epochs {:?}", r.shard_epochs)
+                };
+                let total = r.live + r.tombstones;
                 let _ = writeln!(
                     out,
-                    "{}",
-                    receipt_line("insert", r.id, r.epoch, r.live, r.tombstones, r.rebuilt)
+                    "dataset {dir} now at {at}: {} live / {total} total graphs",
+                    r.live
                 );
             }
-            for id in removes {
-                let r = ds.remove_graph(id).map_err(|e| CliError(e.to_string()))?;
-                let _ = writeln!(
-                    out,
-                    "{}",
-                    receipt_line("remove", r.id, r.epoch, r.live, r.tombstones, r.rebuilt)
-                );
-            }
-            let index = ds.index_arc();
-            let _ = writeln!(
-                out,
-                "dataset {dir} now at epoch {}: {} live / {} total graphs",
-                index.epoch(),
-                index.tree().live_len(),
-                index.tree().len()
-            );
         }
     }
     Ok(out)

@@ -4,16 +4,15 @@
 //! priority-queue pops whose individual steps can trigger NP-hard edit
 //! distances. A serving layer cannot afford to let one request hold a worker
 //! forever, so the search loops poll a [`CancelToken`] between pops and bail
-//! out with [`Cancelled`] when it fires — either because a deadline passed
-//! or because a shutdown/abort flag was raised.
+//! out with [`Cancelled`] when its deadline has passed. (A streamed run's
+//! consumer aborts through the pick callback instead, and shutdown drains
+//! the queue rather than interrupting runs — neither needs a token.)
 //!
 //! Cancellation is *cooperative*: a search never stops mid-distance (the
 //! engine call is the atomic unit of work), it stops at the next pop
 //! boundary. That keeps every data structure consistent — the session
 //! remains fully usable for the next run after a cancelled one.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A cancelled search. The partial answer is discarded: results are only
@@ -23,27 +22,21 @@ pub struct Cancelled;
 
 impl std::fmt::Display for Cancelled {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("search cancelled (deadline exceeded or abort requested)")
+        f.write_str("search cancelled (deadline exceeded or aborted by its consumer)")
     }
 }
 
 impl std::error::Error for Cancelled {}
 
-/// A cancellation signal checked cooperatively by search loops.
+/// A cancellation signal checked cooperatively by search loops: an optional
+/// deadline, the [`Instant`] after which the search must stop (per-request
+/// latency budgets).
 ///
-/// A token combines two independent triggers, either of which cancels:
-///
-/// * a **deadline** — an [`Instant`] after which the search must stop, used
-///   for per-request latency budgets;
-/// * a **flag** — a shared [`AtomicBool`] raised by another thread, used for
-///   shutdown draining and client-initiated aborts.
-///
-/// [`CancelToken::never`] is the zero-cost default: both triggers absent, so
-/// [`CancelToken::is_cancelled`] is a pair of `None` checks.
-#[derive(Debug, Clone, Default)]
+/// [`CancelToken::never`] is the zero-cost default: no deadline, so
+/// [`CancelToken::is_cancelled`] is one `None` check.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CancelToken {
     deadline: Option<Instant>,
-    flag: Option<Arc<AtomicBool>>,
 }
 
 impl CancelToken {
@@ -56,44 +49,13 @@ impl CancelToken {
     pub fn with_deadline(deadline: Instant) -> Self {
         Self {
             deadline: Some(deadline),
-            flag: None,
         }
-    }
-
-    /// A token that cancels once `flag` is raised (set to `true`).
-    pub fn with_flag(flag: Arc<AtomicBool>) -> Self {
-        Self {
-            deadline: None,
-            flag: Some(flag),
-        }
-    }
-
-    /// Adds a deadline trigger to this token, keeping any flag trigger.
-    pub fn and_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Adds a flag trigger to this token, keeping any deadline trigger.
-    pub fn and_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.flag = Some(flag);
-        self
     }
 
     /// Whether the token has fired. Cheap enough to poll per queue pop.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        if let Some(flag) = &self.flag {
-            // Advisory signal: the search only needs to observe the store
-            // eventually, and the pop loop re-polls continuously.
-            if flag.load(Ordering::Relaxed) {
-                return true;
-            }
-        }
-        match self.deadline {
-            Some(d) => Instant::now() >= d,
-            None => false,
-        }
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// `Err(Cancelled)` once the token has fired, for `?`-style early exit.
@@ -130,28 +92,5 @@ mod tests {
     fn future_deadline_does_not_cancel_yet() {
         let t = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!t.is_cancelled());
-    }
-
-    #[test]
-    fn flag_cancels_when_raised() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let t = CancelToken::with_flag(Arc::clone(&flag));
-        assert!(!t.is_cancelled());
-        flag.store(true, Ordering::Relaxed);
-        assert!(t.is_cancelled());
-    }
-
-    #[test]
-    fn combined_triggers_fire_independently() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let t = CancelToken::with_flag(Arc::clone(&flag))
-            .and_deadline(Instant::now() + Duration::from_secs(3600));
-        assert!(!t.is_cancelled());
-        flag.store(true, Ordering::Relaxed);
-        assert!(t.is_cancelled());
-
-        let t = CancelToken::with_flag(Arc::new(AtomicBool::new(false)))
-            .and_deadline(Instant::now() - Duration::from_millis(1));
-        assert!(t.is_cancelled());
     }
 }

@@ -37,19 +37,6 @@ impl NeighborhoodProvider for BruteForceProvider<'_> {
             .filter(|&r| self.oracle.within_verdict(g, r, theta))
             .collect()
     }
-
-    fn neighborhood_with_distances(
-        &self,
-        g: GraphId,
-        theta: f64,
-    ) -> (Vec<GraphId>, Vec<Option<f64>>) {
-        let members = self.neighborhood(g, theta);
-        let distances = members
-            .iter()
-            .map(|&m| self.oracle.cached_distance(g, m))
-            .collect();
-        (members, distances)
-    }
 }
 
 /// Runs Alg. 1: `k` rounds of maximum-marginal-gain selection over the

@@ -445,7 +445,7 @@ impl NbIndex {
     /// [`Self::start_session`].
     pub fn start_session_shared(self: Arc<Self>, mut relevant: Vec<GraphId>) -> QuerySession {
         relevant.retain(|&g| self.tree.is_live(g));
-        QuerySession::shared(self, relevant)
+        QuerySession::new(self, relevant)
     }
 
     /// One-shot top-k representative query.

@@ -16,20 +16,6 @@ pub trait NeighborhoodProvider {
     /// All *relevant* graphs within distance θ of `g`, including `g` itself
     /// when relevant.
     fn neighborhood(&self, g: GraphId, theta: f64) -> Vec<GraphId>;
-
-    /// Like [`NeighborhoodProvider::neighborhood`], additionally reporting
-    /// whatever exact distances the provider computed along the way
-    /// (`None` for members certified by bounds alone — cheap accepts never
-    /// produce a distance). The default computes no distances.
-    fn neighborhood_with_distances(
-        &self,
-        g: GraphId,
-        theta: f64,
-    ) -> (Vec<GraphId>, Vec<Option<f64>>) {
-        let members = self.neighborhood(g, theta);
-        let distances = vec![None; members.len()];
-        (members, distances)
-    }
 }
 
 /// Caching decorator over any provider: serves materialized θ-neighborhood
@@ -60,21 +46,12 @@ impl<'a, P: NeighborhoodProvider> MaterializedProvider<'a, P> {
 
 impl<P: NeighborhoodProvider> NeighborhoodProvider for MaterializedProvider<'_, P> {
     fn neighborhood(&self, g: GraphId, theta: f64) -> Vec<GraphId> {
-        self.neighborhood_with_distances(g, theta).0
-    }
-
-    fn neighborhood_with_distances(
-        &self,
-        g: GraphId,
-        theta: f64,
-    ) -> (Vec<GraphId>, Vec<Option<f64>>) {
         if let Some(view) = self.store.lookup(self.scope, theta, g) {
-            return (view.members.to_vec(), view.distances.to_vec());
+            return view.members.to_vec();
         }
-        let (members, distances) = self.inner.neighborhood_with_distances(g, theta);
-        self.store
-            .record(self.scope, theta, g, &members, &distances);
-        (members, distances)
+        let members = self.inner.neighborhood(g, theta);
+        self.store.record(self.scope, theta, g, &members);
+        members
     }
 }
 
@@ -168,13 +145,5 @@ mod tests {
             relevant.len() as u64,
             "epoch bump must recompute every neighborhood"
         );
-    }
-
-    #[test]
-    fn default_distances_are_all_unknown() {
-        let (inner, _, _) = setup();
-        let (members, dists) = inner.neighborhood_with_distances(5, 2.0);
-        assert_eq!(members.len(), dists.len());
-        assert!(dists.iter().all(Option::is_none));
     }
 }

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 const EPS: f64 = 1e-6;
 
-/// Statistics of one search-and-update run.
+/// Statistics of one search-and-update run, whichever engine executed it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     /// Edit-distance engine calls made during the run.
@@ -46,10 +46,22 @@ pub struct RunStats {
     pub ladder_slot: Option<usize>,
     /// Wall time of the run.
     pub wall: Duration,
+    /// Whether the answer came from the session's [`AnswerCache`]; every
+    /// other field but `wall` is then zero — stats describe work performed.
+    pub cached: bool,
+    /// Shards the run scattered over; `0` means a single NB-Index, and the
+    /// three counts below are then `0` too.
+    pub shard_count: usize,
+    /// Greedy picks completed (scatter-gather runs).
+    pub picks: u64,
+    /// Over all picks, shards that did no fresh verification work.
+    pub shards_pruned: u64,
+    /// Over all picks, shards that did (complement of `shards_pruned`).
+    pub shards_touched: u64,
 }
 
-/// One accepted greedy pick, emitted mid-run by
-/// [`QuerySession::run_streaming_cancellable`] as CELF commits it.
+/// One accepted greedy pick, handed to [`Session::run_with`]'s `on_pick`
+/// as the search commits it.
 ///
 /// Events carry exactly the state the final [`AnswerSet`] records for the
 /// pick: the `seq`-th entry of `ids` and of `pi_trajectory`, plus the
@@ -69,16 +81,53 @@ pub struct PickEvent {
     pub pi: f64,
 }
 
+/// The one seam a server, a CLI or a test drives a query engine through:
+/// a session pinned to one snapshot of the data (an index epoch, or a
+/// per-shard epoch vector) and one relevant set `L_q`, answering any number
+/// of `(θ, k)` runs. [`QuerySession`] and the shard coordinator's session
+/// implement it and return the byte-identical answer (DESIGN.md §14.3).
+///
+/// Contract of [`Session::run_with`], the same for every implementation:
+///
+/// * **Token first.** `cancel` is checked before any work — before the
+///   answer-cache lookup, before any π̂ initialization — so a request that
+///   waited out its deadline in a queue reports [`Cancelled`] whatever `k`
+///   is and whatever a cache holds; it is then polled between search pops.
+///   A cancelled run discards its partial answer and leaves the session
+///   fully usable (a run never mutates the session).
+/// * **`on_pick` observes, never steers.** It fires once per accepted
+///   representative, in order, after the pick is committed; a completed
+///   streamed run returns the byte-identical answer of the blocking run.
+///   Returning `false` aborts the run like a fired token.
+/// * **Caches are the session's own.** With `on_pick == None` a session
+///   that holds an [`AnswerCache`] looks the key up and returns a hit's
+///   `Arc` with `cached: true` and stats that carry only `wall`; a miss
+///   runs and populates it. A streamed run neither reads nor populates the
+///   answer cache (a hit has no pick sequence to stream).
+pub trait Session: Send + Sync {
+    /// The live relevant set `L_q` this session answers for.
+    fn relevant(&self) -> &[GraphId];
+
+    /// Executes one `(θ, k)` under the contract above.
+    fn run_with(
+        &self,
+        theta: f64,
+        k: usize,
+        cancel: &CancelToken,
+        on_pick: Option<&mut dyn FnMut(PickEvent) -> bool>,
+    ) -> Result<(Arc<AnswerSet>, RunStats), Cancelled>;
+}
+
 /// A per-query-function session: initialization phase output plus a handle
 /// to the index.
 ///
 /// The handle is generic over how the index is held: [`NbIndex::start_session`]
 /// borrows (`I = &NbIndex`, the classic single-process shape), while
-/// [`QuerySession::shared`] owns an `Arc<NbIndex>` — an `'static`, `Send +
-/// Sync` session that a server can store in a registry and run from many
-/// worker threads at once. [`QuerySession::run`] takes `&self` and keeps all
-/// run state on the stack, so concurrent runs of the same session are safe
-/// and each returns exactly its single-threaded answer.
+/// [`NbIndex::start_session_shared`] owns an `Arc<NbIndex>` — an `'static`,
+/// `Send + Sync` session that a server can store in a registry and run from
+/// many worker threads at once. A run takes `&self` and keeps all its state
+/// on the stack, so concurrent runs of the same session are safe and each
+/// returns exactly its single-threaded answer.
 #[derive(Debug)]
 pub struct QuerySession<I: Deref<Target = NbIndex> = Arc<NbIndex>> {
     index: I,
@@ -93,6 +142,8 @@ pub struct QuerySession<I: Deref<Target = NbIndex> = Arc<NbIndex>> {
     fingerprint: u64,
     /// Materialized-view store, when the session participates in caching.
     views: Option<Arc<ViewStore>>,
+    /// Cross-session answer cache consulted by [`Session::run_with`].
+    answers: Option<Arc<AnswerCache>>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,16 +198,6 @@ impl PartialOrd for Entry {
 const fn _assert_send_sync<T: Send + Sync>() {}
 const _: () = _assert_send_sync::<QuerySession<Arc<NbIndex>>>();
 
-impl QuerySession<Arc<NbIndex>> {
-    /// Initialization phase over a shared index handle: the returned session
-    /// is `'static + Send + Sync`, suitable for a long-lived session registry
-    /// serving concurrent `(θ, k)` runs (paper Sec 7's interactive model as a
-    /// server-side workload).
-    pub fn shared(index: Arc<NbIndex>, relevant: Vec<GraphId>) -> Self {
-        Self::new(index, relevant)
-    }
-}
-
 impl<I: Deref<Target = NbIndex>> QuerySession<I> {
     pub(crate) fn new(index: I, relevant: Vec<GraphId>) -> Self {
         let t0 = Instant::now();
@@ -181,6 +222,7 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
             init_wall: t0.elapsed(),
             fingerprint,
             views: None,
+            answers: None,
         }
     }
 
@@ -191,6 +233,13 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
     /// store is sound across sessions, epochs, and pinned snapshots.
     pub fn with_views(mut self, views: Arc<ViewStore>) -> Self {
         self.views = Some(views);
+        self
+    }
+
+    /// Attaches the cross-session answer cache [`Session::run_with`] reads
+    /// and populates for blocking runs; [`Self::run`] never touches it.
+    pub fn with_answers(mut self, answers: Arc<AnswerCache>) -> Self {
+        self.answers = Some(answers);
         self
     }
 
@@ -219,51 +268,27 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         self.pihat.memory_bytes() + self.relevant_by_id.memory_bytes() + self.rel_pos.memory_bytes()
     }
 
-    /// Executes the search-and-update phase for one `(θ, k)`.
+    /// Executes the search-and-update phase for one `(θ, k)`: the offline
+    /// entry point — no deadline, no observer, no answer cache.
     pub fn run(&self, theta: f64, k: usize) -> (AnswerSet, RunStats) {
-        match self.run_cancellable(theta, k, &CancelToken::never()) {
+        match self.search(theta, k, &CancelToken::never(), None) {
             Ok(r) => r,
             // A never-token has no trigger; this arm cannot be reached.
             Err(Cancelled) => unreachable!("CancelToken::never() fired"),
         }
     }
 
-    /// [`Self::run`] with a cooperative cancellation token, polled between
+    /// The search both entry points share. `cancel` is polled between
     /// best-first-search pops (the same boundary CELF uses) and between
-    /// greedy iterations. On cancellation the partial answer is discarded
-    /// and the session stays fully usable — π̂-vectors and the index are
-    /// never mutated by a run.
-    pub fn run_cancellable(
+    /// greedy iterations; the up-front check is [`Session::run_with`]'s.
+    fn search(
         &self,
         theta: f64,
         k: usize,
         cancel: &CancelToken,
-    ) -> Result<(AnswerSet, RunStats), Cancelled> {
-        self.run_streaming_cancellable(theta, k, cancel, &mut |_| true)
-    }
-
-    /// [`Self::run_cancellable`] with a per-pick observer: `on_pick` is
-    /// invoked once for every accepted representative, in pick order,
-    /// *after* the pick has been committed to the answer under
-    /// construction. The callback never influences the computation — a run
-    /// that completes returns the byte-identical answer `run` would — but
-    /// returning `false` aborts the run exactly like a fired cancel token
-    /// (the partial answer is discarded, the session stays usable). This is
-    /// the seam a streaming server uses to ship each pick as its own frame
-    /// and to stop paying for picks nobody is listening to.
-    pub fn run_streaming_cancellable(
-        &self,
-        theta: f64,
-        k: usize,
-        cancel: &CancelToken,
-        on_pick: &mut dyn FnMut(PickEvent) -> bool,
+        mut on_pick: Option<&mut dyn FnMut(PickEvent) -> bool>,
     ) -> Result<(AnswerSet, RunStats), Cancelled> {
         let t0 = Instant::now();
-        // Checked up front so an already-expired deadline (e.g. a request
-        // that waited out its budget in a server queue) aborts before the
-        // off-ladder π̂ initialization, which is the run's priciest
-        // distance-free step.
-        cancel.check()?;
         if let Some(views) = &self.views {
             // One arrival per run — the view store's promotion policy counts
             // these, not per-graph lookups, so "hot" means repeated queries.
@@ -357,15 +382,17 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
             } else {
                 covered.count() as f64 / self.relevant.len() as f64
             });
-            let keep_going = on_pick(PickEvent {
-                seq: ids.len() - 1,
-                id: ids[ids.len() - 1],
-                covered: covered.count(),
-                relevant: self.relevant.len(),
-                pi: pi_trajectory[pi_trajectory.len() - 1],
-            });
-            if !keep_going {
-                return Err(Cancelled);
+            if let Some(on_pick) = on_pick.as_mut() {
+                let keep_going = on_pick(PickEvent {
+                    seq: ids.len() - 1,
+                    id: ids[ids.len() - 1],
+                    covered: covered.count(),
+                    relevant: self.relevant.len(),
+                    pi: pi_trajectory[pi_trajectory.len() - 1],
+                });
+                if !keep_going {
+                    return Err(Cancelled);
+                }
             }
         }
         self.audit_run_end();
@@ -380,43 +407,6 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
             },
             stats,
         ))
-    }
-
-    /// [`Self::run_cancellable`] memoized through a cross-session
-    /// [`AnswerCache`]: returns the answer, the run's stats, and whether it
-    /// was served from the cache. A hit returns the byte-identical
-    /// [`AnswerSet`] the uncached run would produce (the key covers epoch,
-    /// exact θ bits, `k`, and the query fingerprint) with near-zero
-    /// [`RunStats`] — stats describe work actually performed. The token is
-    /// checked *before* the cache lookup: a request whose deadline already
-    /// expired must report `deadline exceeded`, not be rescued by a hit —
-    /// caching must not change observable admission semantics.
-    pub fn run_cached_cancellable(
-        &self,
-        theta: f64,
-        k: usize,
-        cancel: &CancelToken,
-        cache: &AnswerCache,
-    ) -> Result<(Arc<AnswerSet>, RunStats, bool), Cancelled> {
-        let t0 = Instant::now();
-        cancel.check()?;
-        let key = AnswerKey {
-            epoch: self.index.epoch(),
-            theta_bits: theta.to_bits(),
-            k,
-            fingerprint: self.fingerprint,
-        };
-        if let Some(answer) = cache.get(&key) {
-            let stats = RunStats {
-                wall: t0.elapsed(),
-                ..RunStats::default()
-            };
-            return Ok((answer, stats, true));
-        }
-        let (answer, stats) = self.run_cancellable(theta, k, cancel)?;
-        let answer = Arc::new(answer);
-        cache.insert(key, Arc::clone(&answer));
-        Ok((answer, stats, false))
     }
 
     /// The view-store scope of this session: its pinned snapshot's epoch
@@ -643,13 +633,18 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
     }
 
     /// Thm 4 audit: the vantage lower bound never exceeds the exact distance
-    /// of a verified candidate. Compiled only under `invariant-audit`.
+    /// of a verified candidate, for whichever pairs the oracle holds one
+    /// (upper-bound-certified accepts carry none). Compiled — memo probe
+    /// included — only under `invariant-audit`.
     #[cfg(feature = "invariant-audit")]
-    fn audit_thm4(&self, g: GraphId, c: GraphId, d: f64) {
+    fn audit_thm4(&self, g: GraphId, c: GraphId) {
         // Thm 4 presumes metric (exact) distances.
         if !self.index.oracle().audit_distances_exact() {
             return;
         }
+        let Some(d) = self.index.oracle().cached_distance(g, c) else {
+            return;
+        };
         let lb = self.index.vantage().lower_bound(g, c);
         graphrep_ged::audit_invariant!(
             lb <= d + EPS,
@@ -659,7 +654,7 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
 
     #[cfg(not(feature = "invariant-audit"))]
     #[inline(always)]
-    fn audit_thm4(&self, _g: GraphId, _c: GraphId, _d: f64) {}
+    fn audit_thm4(&self, _g: GraphId, _c: GraphId) {}
 
     /// Thm 5 audit: `N̂_θ` is a candidate superset — every relevant graph
     /// excluded from it must have a vantage lower bound strictly above θ
@@ -715,6 +710,44 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
     fn audit_run_end(&self) {}
 }
 
+impl<I: Deref<Target = NbIndex> + Send + Sync> Session for QuerySession<I> {
+    fn relevant(&self) -> &[GraphId] {
+        &self.relevant
+    }
+
+    fn run_with(
+        &self,
+        theta: f64,
+        k: usize,
+        cancel: &CancelToken,
+        on_pick: Option<&mut dyn FnMut(PickEvent) -> bool>,
+    ) -> Result<(Arc<AnswerSet>, RunStats), Cancelled> {
+        let t0 = Instant::now();
+        cancel.check()?;
+        let cache = self.answers.as_deref().filter(|_| on_pick.is_none());
+        let key = AnswerKey {
+            epoch: self.index.epoch(),
+            theta_bits: theta.to_bits(),
+            k,
+            fingerprint: self.fingerprint,
+        };
+        if let Some(answer) = cache.and_then(|c| c.get(&key)) {
+            let stats = RunStats {
+                wall: t0.elapsed(),
+                cached: true,
+                ..RunStats::default()
+            };
+            return Ok((answer, stats));
+        }
+        let (answer, stats) = self.search(theta, k, cancel, on_pick)?;
+        let answer = Arc::new(answer);
+        if let Some(cache) = cache {
+            cache.insert(key, Arc::clone(&answer));
+        }
+        Ok((answer, stats))
+    }
+}
+
 /// The index-backed [`NeighborhoodProvider`]: verifies the `N̂_θ` candidate
 /// superset against the tiered oracle. This is the expensive inner provider
 /// the session's [`MaterializedProvider`] decorates; `verified` counts how
@@ -725,10 +758,6 @@ struct IndexVerifier<'s, I: Deref<Target = NbIndex>> {
 }
 
 impl<I: Deref<Target = NbIndex>> NeighborhoodProvider for IndexVerifier<'_, I> {
-    fn neighborhood(&self, g: GraphId, theta: f64) -> Vec<GraphId> {
-        self.neighborhood_with_distances(g, theta).0
-    }
-
     /// Verifies the `N̂_θ` candidate superset on the calling thread — a run
     /// enters no parallel region; the server's worker pool across requests
     /// is where query parallelism lives — in ascending Lipschitz-lower-bound
@@ -739,14 +768,8 @@ impl<I: Deref<Target = NbIndex>> NeighborhoodProvider for IndexVerifier<'_, I> {
     /// and far candidates arrive with the strongest evidence for a
     /// bound-only rejection. The accepted candidates are returned sorted by
     /// id, and every tier is verdict-identical to the engine, so the result
-    /// is the same with tiers on or off. Distances are whatever the oracle
-    /// has exact values for afterwards (upper-bound-certified accepts carry
-    /// `None`).
-    fn neighborhood_with_distances(
-        &self,
-        g: GraphId,
-        theta: f64,
-    ) -> (Vec<GraphId>, Vec<Option<f64>>) {
+    /// is the same with tiers on or off.
+    fn neighborhood(&self, g: GraphId, theta: f64) -> Vec<GraphId> {
         let s = self.session;
         let vt = s.index.vantage();
         let oracle = s.index.oracle();
@@ -781,21 +804,13 @@ impl<I: Deref<Target = NbIndex>> NeighborhoodProvider for IndexVerifier<'_, I> {
         let mut members: Vec<GraphId> = Vec::new();
         for (_, c) in keyed {
             if oracle.within_verdict(g, c, theta) {
-                // Upper-bound-certified accepts carry no exact distance;
-                // the Thm 4 audit checks whichever pairs have one.
-                if let Some(d) = oracle.cached_distance(g, c) {
-                    s.audit_thm4(g, c, d);
-                }
+                s.audit_thm4(g, c);
                 members.push(c);
             }
         }
         members.sort_unstable();
-        let distances = members
-            .iter()
-            .map(|&m| oracle.cached_distance(g, m))
-            .collect();
         self.verified.set(self.verified.get() + 1);
-        (members, distances)
+        members
     }
 }
 

@@ -7,7 +7,7 @@
 //! stores here turn that repeat traffic into lookups:
 //!
 //! * [`ViewStore`] — records *verified* θ-neighborhoods (graph id → member
-//!   set + known exact distances), keyed by `(dataset epoch, exact θ bits,
+//!   set), keyed by `(dataset epoch, exact θ bits,
 //!   query fingerprint, graph id)`. Entries are materialized on miss, but
 //!   only once a `(θ-band, fingerprint)` pair has been queried often enough
 //!   (a frequency promotion policy mined from the per-run
@@ -102,15 +102,6 @@ pub struct CacheCounters {
 }
 
 impl CacheCounters {
-    /// Hit rate over all lookups so far, in `[0, 1]` (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
     /// Asserts the conservation identities (always-on in tests; under
     /// `invariant-audit` they are also audited inside every snapshot).
     fn conserve(&self) {
@@ -328,15 +319,11 @@ struct ViewKey {
     graph: GraphId,
 }
 
-/// One materialized θ-neighborhood: the verified member ids plus whatever
-/// exact distances the verifying oracle had on hand (upper-bound-certified
-/// accepts carry `None` — no engine call ever produced their distance).
+/// One materialized θ-neighborhood: the verified member ids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaterializedView {
     /// Verified members of `N_θ(g)` restricted to the relevant set.
     pub members: Arc<Vec<GraphId>>,
-    /// `distances[i]` is the exact distance to `members[i]` when known.
-    pub distances: Arc<Vec<Option<f64>>>,
 }
 
 impl MaterializedView {
@@ -344,7 +331,6 @@ impl MaterializedView {
         std::mem::size_of::<ViewKey>()
             + std::mem::size_of::<Self>()
             + self.members.len() * std::mem::size_of::<GraphId>()
-            + self.distances.len() * std::mem::size_of::<Option<f64>>()
     }
 }
 
@@ -434,9 +420,7 @@ impl ViewStore {
         theta: f64,
         graph: GraphId,
         members: &[GraphId],
-        distances: &[Option<f64>],
     ) -> bool {
-        debug_assert_eq!(members.len(), distances.len());
         let mut inner = self.inner.lock();
         if !Self::promoted(&inner, &self.config, scope, theta) {
             return false;
@@ -449,7 +433,6 @@ impl ViewStore {
         };
         let view = MaterializedView {
             members: Arc::new(members.to_vec()),
-            distances: Arc::new(distances.to_vec()),
         };
         let bytes = view.bytes();
         inner.lru.insert(key, view, bytes, self.config.capacity);
@@ -591,10 +574,9 @@ mod tests {
         let sc = scope(0);
         s.note_query(sc, 2.0);
         assert!(s.lookup(sc, 2.0, 7).is_none());
-        assert!(s.record(sc, 2.0, 7, &[1, 3], &[Some(0.5), None]));
+        assert!(s.record(sc, 2.0, 7, &[1, 3]));
         let v = s.lookup(sc, 2.0, 7).expect("recorded view must hit");
         assert_eq!(*v.members, vec![1, 3]);
-        assert_eq!(*v.distances, vec![Some(0.5), None]);
         // Exact-θ keying: a different θ in the same band misses.
         assert!(s.lookup(sc, 2.0 + 1e-9, 7).is_none());
         // Epoch keying: a different epoch misses.
@@ -614,16 +596,13 @@ mod tests {
         let s = ViewStore::new(cfg);
         let sc = scope(0);
         s.note_query(sc, 2.0);
-        assert!(
-            !s.record(sc, 2.0, 7, &[1], &[None]),
-            "first arrival is cold"
-        );
+        assert!(!s.record(sc, 2.0, 7, &[1]), "first arrival is cold");
         assert!(s.lookup(sc, 2.0, 7).is_none());
         s.note_query(sc, 2.0);
-        assert!(s.record(sc, 2.0, 7, &[1], &[None]), "second arrival is hot");
+        assert!(s.record(sc, 2.0, 7, &[1]), "second arrival is hot");
         assert!(s.lookup(sc, 2.0, 7).is_some());
         // Band pooling: a nearby θ in the same f32 band shares the heat.
-        assert!(s.record(sc, 2.0, 9, &[2], &[None]));
+        assert!(s.record(sc, 2.0, 9, &[2]));
     }
 
     #[test]
@@ -636,11 +615,11 @@ mod tests {
         let sc = scope(0);
         s.note_query(sc, 1.0);
         for g in 0..2u32 {
-            assert!(s.record(sc, 1.0, g, &[g], &[None]));
+            assert!(s.record(sc, 1.0, g, &[g]));
         }
         // Touch graph 0 so graph 1 is the LRU victim.
         assert!(s.lookup(sc, 1.0, 0).is_some());
-        assert!(s.record(sc, 1.0, 2, &[2], &[None]));
+        assert!(s.record(sc, 1.0, 2, &[2]));
         assert!(s.lookup(sc, 1.0, 0).is_some());
         assert!(s.lookup(sc, 1.0, 1).is_none(), "LRU victim must be gone");
         assert!(s.lookup(sc, 1.0, 2).is_some());
@@ -660,7 +639,7 @@ mod tests {
         });
         let sc = scope(0);
         s.note_query(sc, 1.0);
-        assert!(s.record(sc, 1.0, 0, &[0], &[None]));
+        assert!(s.record(sc, 1.0, 0, &[0]));
         assert!(s.lookup(sc, 1.0, 0).is_none());
         assert_eq!(s.counters().entries, 0);
         assert_eq!(s.memory_bytes(), 0);

@@ -10,7 +10,7 @@
 
 use graphrep_core::{
     AnswerCache, AnswerSet, CacheConfig, CancelToken, NbIndex, NbIndexConfig, QuerySession,
-    ViewStore,
+    Session, ViewStore,
 };
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_ged::{DistanceOracle, GedConfig, GedEngine};
@@ -21,16 +21,11 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// A cached run nobody can cancel: the answer and whether it was a hit.
-fn run_cached(
-    session: &QuerySession<&NbIndex>,
-    theta: f64,
-    k: usize,
-    cache: &AnswerCache,
-) -> (Arc<AnswerSet>, bool) {
-    let (answer, _, cached) = session
-        .run_cached_cancellable(theta, k, &CancelToken::never(), cache)
+fn run_cached(session: &QuerySession<&NbIndex>, theta: f64, k: usize) -> (Arc<AnswerSet>, bool) {
+    let (answer, stats) = session
+        .run_with(theta, k, &CancelToken::never(), None)
         .expect("a never-token cannot cancel");
-    (answer, cached)
+    (answer, stats.cached)
 }
 
 fn index_config(ladder: &[f64]) -> NbIndexConfig {
@@ -56,7 +51,7 @@ fn cache_config() -> CacheConfig {
 struct Harness {
     index: NbIndex,
     views: Arc<ViewStore>,
-    answers: AnswerCache,
+    answers: Arc<AnswerCache>,
     /// When set, mutations also wipe the caches (the serving layer's
     /// policy); soundness must hold either way.
     invalidate_on_mutation: bool,
@@ -80,7 +75,7 @@ impl Harness {
         Harness {
             index,
             views: Arc::new(ViewStore::new(cache_config())),
-            answers: AnswerCache::new(cache_config()),
+            answers: Arc::new(AnswerCache::new(cache_config())),
             invalidate_on_mutation,
             ref_oracle,
             live: vec![true; graphs.len()],
@@ -139,7 +134,8 @@ impl Harness {
         let got_session = self
             .index
             .start_session(live.clone())
-            .with_views(Arc::clone(&self.views));
+            .with_views(Arc::clone(&self.views))
+            .with_answers(Arc::clone(&self.answers));
         let want_session = reference.start_session(live);
         let refinements = 1 + rng.gen_range(0..3);
         for _ in 0..refinements {
@@ -152,7 +148,7 @@ impl Harness {
             let k = 1 + rng.gen_range(0..5);
             let (want, _) = want_session.run(theta, k);
             let want_fp = format!("{want:?}");
-            let (first, _) = run_cached(&got_session, theta, k, &self.answers);
+            let (first, _) = run_cached(&got_session, theta, k);
             assert_eq!(
                 format!("{:?}", *first),
                 want_fp,
@@ -160,7 +156,7 @@ impl Harness {
                 self.ops,
                 self.index.epoch(),
             );
-            let (again, cached) = run_cached(&got_session, theta, k, &self.answers);
+            let (again, cached) = run_cached(&got_session, theta, k);
             assert!(cached, "repeat of (θ = {theta}, k = {k}) must hit");
             assert_eq!(
                 format!("{:?}", *again),
@@ -242,10 +238,11 @@ fn stale_epoch_entries_are_unreachable_after_mutation() {
     let session = h
         .index
         .start_session(h.live_ids())
-        .with_views(Arc::clone(&h.views));
-    let (_, cached) = run_cached(&session, theta, 3, &h.answers);
+        .with_views(Arc::clone(&h.views))
+        .with_answers(Arc::clone(&h.answers));
+    let (_, cached) = run_cached(&session, theta, 3);
     assert!(!cached, "first run must miss");
-    let (_, cached) = run_cached(&session, theta, 3, &h.answers);
+    let (_, cached) = run_cached(&session, theta, 3);
     assert!(cached, "repeat within the epoch must hit");
     drop(session);
 
@@ -254,8 +251,9 @@ fn stale_epoch_entries_are_unreachable_after_mutation() {
     let session = h
         .index
         .start_session(h.live_ids())
-        .with_views(Arc::clone(&h.views));
-    let (_, cached) = run_cached(&session, theta, 3, &h.answers);
+        .with_views(Arc::clone(&h.views))
+        .with_answers(Arc::clone(&h.answers));
+    let (_, cached) = run_cached(&session, theta, 3);
     assert!(!cached, "epoch bump must force a recompute");
     h.checkpoint(&mut rng);
 }

@@ -16,6 +16,9 @@ use std::path::Path;
 use std::thread;
 use std::time::{Duration, Instant};
 
+/// Upper bound on waiting for any single response.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// A blocking protocol client over one TCP connection.
 ///
 /// Fresh connections speak [`PROTOCOL_V1`] (bare frames, strict
@@ -25,8 +28,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    /// Upper bound on waiting for any single response.
-    reply_timeout: Duration,
     /// Negotiated protocol version.
     version: u32,
     /// Next v2 correlation id.
@@ -44,15 +45,9 @@ impl Client {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
         Ok(Self {
             stream,
-            reply_timeout: Duration::from_secs(120),
             version: PROTOCOL_V1,
             next_id: 1,
         })
-    }
-
-    /// Replaces the per-response timeout (default two minutes).
-    pub fn set_reply_timeout(&mut self, t: Duration) {
-        self.reply_timeout = t;
     }
 
     /// The protocol version this connection speaks right now.
@@ -96,7 +91,7 @@ impl Client {
                 version: PROTOCOL_MAX,
             }),
         )?;
-        let deadline = Instant::now() + self.reply_timeout;
+        let deadline = Instant::now() + REPLY_TIMEOUT;
         match self.read_one::<Response>(deadline)? {
             Response::HelloAck(ack) => {
                 self.version = ack.version;
@@ -108,7 +103,7 @@ impl Client {
 
     /// Sends one request and waits for its response.
     pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
-        let deadline = Instant::now() + self.reply_timeout;
+        let deadline = Instant::now() + REPLY_TIMEOUT;
         if self.version >= PROTOCOL_V2 {
             let id = self.fresh_id();
             protocol::write_frame(
@@ -190,7 +185,7 @@ impl Client {
             deadline_ms,
         });
         let t0 = Instant::now();
-        let deadline = t0 + self.reply_timeout;
+        let deadline = t0 + REPLY_TIMEOUT;
         let mut picks = Vec::new();
         let mut ttfp = None;
         if self.version >= PROTOCOL_V2 {
@@ -274,7 +269,7 @@ impl Client {
             ));
         }
         let t0 = Instant::now();
-        let deadline = t0 + self.reply_timeout;
+        let deadline = t0 + REPLY_TIMEOUT;
         let mut by_id: HashMap<u64, usize> = HashMap::new();
         let mut out: Vec<StreamedRun> = Vec::new();
         for &(theta, k) in queries {
@@ -818,15 +813,20 @@ pub fn run_load(addr: &str, spec: &LoadSpec) -> Result<LoadReport, ServeError> {
 /// dataset: one shared session per quantile, `QuerySession::run` per unique
 /// `(θ, k)`. Keys are `(θ.to_bits(), k)`.
 pub fn offline_reference(ds: &LoadedDataset, spec: &LoadSpec) -> HashMap<(u64, usize), AnswerSet> {
-    let session = ds
-        .index_arc()
-        .start_session_shared(ds.relevant_for(spec.quantile));
-    let mut map = HashMap::new();
-    for (theta, k) in spec.unique_queries() {
-        let (answer, _) = session.run(theta, k);
-        map.insert((theta.to_bits(), k), answer);
-    }
-    map
+    reference_over(ds.index_arc(), ds, spec)
+}
+
+/// [`offline_reference`] over an explicit index snapshot of `ds`.
+fn reference_over(
+    index: std::sync::Arc<graphrep_core::NbIndex>,
+    ds: &LoadedDataset,
+    spec: &LoadSpec,
+) -> HashMap<(u64, usize), AnswerSet> {
+    let session = index.start_session_shared(ds.relevant_for(spec.quantile));
+    spec.unique_queries()
+        .into_iter()
+        .map(|(theta, k)| ((theta.to_bits(), k), session.run(theta, k).0))
+        .collect()
 }
 
 /// Loads the dataset at `dir` and computes [`offline_reference`] for it.
@@ -861,13 +861,7 @@ pub fn offline_reference_from_dir(
         fork.remove(g)
             .map_err(|e| ServeError::new(format!("replaying shard tombstone {g}: {e}")))?;
     }
-    let session = std::sync::Arc::new(fork).start_session_shared(ds.relevant_for(spec.quantile));
-    let mut map = HashMap::new();
-    for (theta, k) in spec.unique_queries() {
-        let (answer, _) = session.run(theta, k);
-        map.insert((theta.to_bits(), k), answer);
-    }
-    Ok(map)
+    Ok(reference_over(std::sync::Arc::new(fork), &ds, spec))
 }
 
 /// Checks every served answer against the offline ground truth via the

@@ -47,8 +47,6 @@ pub use protocol::{
     Response, ServeError, StatsBody, TaggedRequest, TaggedResponse, PROTOCOL_MAX, PROTOCOL_V1,
     PROTOCOL_V2,
 };
-pub use registry::{
-    DatasetCaches, DatasetEntry, DatasetRegistry, LoadedDataset, MutationReceipt, ShardedDataset,
-};
+pub use registry::{DatasetEntry, DatasetRegistry, LoadedDataset, MutationReceipt, ShardedDataset};
 pub use server::{start, start_in_memory, ServeConfig, ServerHandle};
-pub use sessions::{LiveSession, SessionBackend, SessionManager};
+pub use sessions::{LiveSession, SessionManager};

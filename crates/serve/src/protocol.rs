@@ -278,8 +278,9 @@ pub struct AnswerBody {
 }
 
 impl AnswerBody {
-    /// Packs an offline run result for the wire (`cached: false`; the
-    /// server's cached path sets the flag on a hit).
+    /// Packs a run result for the wire, whichever engine produced it: a
+    /// single-index run carries zero shard counts, a scatter-gather run its
+    /// per-pick pruning statistics, a cache hit `cached: true`.
     pub fn from_run(answer: &AnswerSet, stats: &RunStats) -> Self {
         Self {
             ids: answer.ids.clone(),
@@ -288,29 +289,11 @@ impl AnswerBody {
             pi_trajectory: answer.pi_trajectory.clone(),
             distance_calls: stats.distance_calls,
             wall_ms: duration_ms(stats.wall),
-            cached: false,
-            shard_count: 0,
-            picks: 0,
-            shards_pruned: 0,
-            shards_touched: 0,
-        }
-    }
-
-    /// Packs a scatter-gather run result for the wire: identical answer
-    /// fields, plus the coordinator's per-pick shard pruning statistics.
-    pub fn from_sharded_run(answer: &AnswerSet, stats: &graphrep_shard::CoordRunStats) -> Self {
-        Self {
-            ids: answer.ids.clone(),
-            covered: answer.covered,
-            relevant: answer.relevant,
-            pi_trajectory: answer.pi_trajectory.clone(),
-            distance_calls: stats.engine_entries.iter().sum(),
-            wall_ms: duration_ms(stats.wall),
-            cached: false,
+            cached: stats.cached,
             shard_count: stats.shard_count,
             picks: stats.picks,
-            shards_pruned: stats.pruned_shard_picks,
-            shards_touched: stats.touched_shard_picks,
+            shards_pruned: stats.shards_pruned,
+            shards_touched: stats.shards_touched,
         }
     }
 

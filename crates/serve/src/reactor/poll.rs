@@ -90,11 +90,6 @@ impl MockPoll {
         self.script.push_back(events);
     }
 
-    /// Number of scripted batches not yet delivered.
-    pub fn remaining_batches(&self) -> usize {
-        self.script.len()
-    }
-
     /// The recorded interest for `fd`, if still registered.
     pub fn interest_of(&self, fd: i32) -> Option<Interest> {
         self.table

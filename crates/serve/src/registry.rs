@@ -21,11 +21,11 @@
 
 use crate::protocol::{DatasetStats, OracleDelta, ServeError, ShardStats};
 use graphrep_core::{
-    AnswerCache, CacheConfig, MutationOutcome, NbIndex, NbIndexConfig, RelevanceQuery, Scorer,
-    ViewStore,
+    AnswerCache, CacheConfig, GraphDatabase, MutationOutcome, NbIndex, NbIndexConfig, QuerySession,
+    RelevanceQuery, Scorer, Session, ViewStore,
 };
 use graphrep_datagen::{store, Dataset};
-use graphrep_ged::{GedConfig, OracleStats, TierStats};
+use graphrep_ged::{DistanceOracle, GedConfig, OracleStats, TierStats};
 use graphrep_graph::{Graph, GraphId};
 use graphrep_lockaudit::{TrackedReadGuard, TrackedRwLock};
 use graphrep_shard::{CoordConfig, CoordSession, Coordinator, RestoreSource};
@@ -89,6 +89,57 @@ fn note_rebuild(rebuilds: &AtomicU64, rebuilt: bool) {
     }
 }
 
+/// The default relevance function at `quantile` over `data`'s feature rows —
+/// identical to the CLI's (mean of all feature dimensions, top quantile), so
+/// a server session, single-index or sharded, answers exactly what an
+/// offline `query` invocation answers. Tombstoned ids are filtered by the
+/// session layer.
+fn relevant_of(data: &Dataset, quantile: f64) -> Vec<GraphId> {
+    let scorer = Scorer::MeanOfDims((0..data.db.dims().max(1)).collect());
+    RelevanceQuery::top_quantile(&data.db, scorer, quantile).relevant_set(&data.db)
+}
+
+/// Rejects an inserted feature row whose width differs from the dataset's.
+fn check_dims(db: &GraphDatabase, features: &[f64]) -> Result<(), ServeError> {
+    if db.is_empty() || features.len() == db.dims() {
+        return Ok(());
+    }
+    Err(ServeError::new(format!(
+        "feature vector has {} dims, dataset has {}",
+        features.len(),
+        db.dims()
+    )))
+}
+
+/// Cumulative oracle counters (plus raw engine calls) at one instant: the
+/// load-time baseline a dataset keeps, and what `stats` subtracts it from.
+type OracleTotals = (OracleStats, TierStats, u64);
+
+fn oracle_totals(oracle: &DistanceOracle) -> OracleTotals {
+    (oracle.stats(), oracle.tier_stats(), oracle.engine_calls())
+}
+
+/// Oracle activity between `base` and `now` (serving-time deltas: the
+/// warm-load/build work is excluded by the baseline, and mutation-swapped
+/// oracles carry their counters forward, so baselines stay comparable
+/// across mutations).
+fn oracle_delta((s, t, engine): OracleTotals, (bs, bt, bengine): &OracleTotals) -> OracleDelta {
+    OracleDelta {
+        distance_computations: s
+            .distance_computations
+            .saturating_sub(bs.distance_computations),
+        within_rejections: s.within_rejections.saturating_sub(bs.within_rejections),
+        cache_hits: s.cache_hits.saturating_sub(bs.cache_hits),
+        ub_accepts: s.ub_accepts.saturating_sub(bs.ub_accepts),
+        engine_calls: engine.saturating_sub(*bengine),
+        size_rejects: t.size_rejects.saturating_sub(bt.size_rejects),
+        label_rejects: t.label_rejects.saturating_sub(bt.label_rejects),
+        degree_rejects: t.degree_rejects.saturating_sub(bt.degree_rejects),
+        vantage_lb_rejects: t.vantage_lb_rejects.saturating_sub(bt.vantage_lb_rejects),
+        vantage_ub_accepts: t.vantage_ub_accepts.saturating_sub(bt.vantage_ub_accepts),
+    }
+}
+
 /// The mutable half of a [`LoadedDataset`], swapped atomically under the
 /// write lock.
 struct DatasetState {
@@ -98,7 +149,8 @@ struct DatasetState {
 }
 
 /// The two cache tiers of one dataset (DESIGN.md §11): the materialized
-/// θ-neighborhood [`ViewStore`] and the cross-session [`AnswerCache`].
+/// θ-neighborhood [`ViewStore`] and the cross-session [`AnswerCache`],
+/// handed to every session [`LoadedDataset::open_session`] opens.
 ///
 /// Both key every entry on the index's mutation epoch, so correctness never
 /// depends on invalidation; [`DatasetCaches::invalidate_all`] is the memory
@@ -106,16 +158,16 @@ struct DatasetState {
 /// pinned to the pre-mutation snapshot simply miss afterwards and recompute
 /// from their snapshot, byte-identically.
 #[derive(Debug)]
-pub struct DatasetCaches {
+struct DatasetCaches {
+    /// `capacity == 0` disables caching entirely: sessions are opened
+    /// without the tiers and run the plain uncached path.
     enabled: bool,
     views: Arc<ViewStore>,
     answers: Arc<AnswerCache>,
 }
 
 impl DatasetCaches {
-    /// Builds both tiers from one config; `capacity == 0` disables caching
-    /// entirely (sessions run the plain uncached path).
-    pub fn new(config: CacheConfig) -> Self {
+    fn new(config: CacheConfig) -> Self {
         Self {
             enabled: config.capacity > 0,
             views: Arc::new(ViewStore::new(config)),
@@ -123,25 +175,11 @@ impl DatasetCaches {
         }
     }
 
-    /// Whether caching is on for this dataset.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The materialized view store.
-    pub fn views(&self) -> Arc<ViewStore> {
-        Arc::clone(&self.views)
-    }
-
-    /// The answer cache.
-    pub fn answers(&self) -> Arc<AnswerCache> {
-        Arc::clone(&self.answers)
-    }
-
     /// Drops every entry in both tiers (counters are kept — monotone
-    /// history). Returns `(views dropped, answers dropped)`.
-    pub fn invalidate_all(&self) -> (u64, u64) {
-        (self.views.invalidate_all(), self.answers.invalidate_all())
+    /// history).
+    fn invalidate_all(&self) {
+        self.views.invalidate_all();
+        self.answers.invalidate_all();
     }
 }
 
@@ -153,15 +191,13 @@ pub struct LoadedDataset {
     /// in-memory datasets.
     dir: Option<PathBuf>,
     state: TrackedRwLock<DatasetState>,
-    caches: Arc<DatasetCaches>,
+    caches: DatasetCaches,
     /// Failed best-effort persist steps since load (the open-time write-back
     /// included).
     persist_errors: AtomicU64,
     /// Mutations since load that tripped the rebuild policy.
     rebuilds: AtomicU64,
-    base_oracle: OracleStats,
-    base_tiers: TierStats,
-    base_engine_calls: u64,
+    base: OracleTotals,
 }
 
 impl std::fmt::Debug for LoadedDataset {
@@ -199,7 +235,7 @@ impl LoadedDataset {
             .map_err(|e| ServeError::new(format!("loading {}: {e}", dir.display())))?;
         let oracle = data.db.oracle(GedConfig::default());
         let expected_epoch = read_epoch_sidecar(dir);
-        let persist_errors = AtomicU64::new(0);
+        let mut write_back = Ok(());
         // `None`: no file to load; `Some(Err(_))`: a file that must not be served.
         let loaded = std::fs::read(dir.join("index.bin"))
             .ok()
@@ -213,20 +249,29 @@ impl LoadedDataset {
             None => {
                 let built = NbIndex::build(Arc::clone(&oracle), default_index_config(&data));
                 if persist_built {
-                    note_persist(
-                        &persist_errors,
-                        std::fs::write(dir.join("index.bin"), built.save_bin()),
-                    );
+                    write_back = std::fs::write(dir.join("index.bin"), built.save_bin());
                 }
                 (built, "built".to_owned())
             }
         };
-        let base_oracle = index.oracle().stats();
-        let base_tiers = index.oracle().tier_stats();
-        let base_engine_calls = index.oracle().engine_calls();
-        Ok(Self {
+        let ds = Self::from_parts(name, Some(dir.to_path_buf()), data, index, index_source);
+        note_persist(&ds.persist_errors, write_back);
+        Ok(ds)
+    }
+
+    /// The one constructor: default caches, zeroed telemetry, and the
+    /// oracle baseline taken now — after the load or build that made `index`.
+    fn from_parts(
+        name: &str,
+        dir: Option<PathBuf>,
+        data: Dataset,
+        index: NbIndex,
+        index_source: String,
+    ) -> Self {
+        let base = oracle_totals(index.oracle());
+        Self {
             name: name.to_owned(),
-            dir: Some(dir.to_path_buf()),
+            dir,
             state: TrackedRwLock::new(
                 "serve.registry.LoadedDataset.state",
                 DatasetState {
@@ -235,25 +280,18 @@ impl LoadedDataset {
                     index_source,
                 },
             ),
-            caches: Arc::new(DatasetCaches::new(CacheConfig::default())),
-            persist_errors,
+            caches: DatasetCaches::new(CacheConfig::default()),
+            persist_errors: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
-            base_oracle,
-            base_tiers,
-            base_engine_calls,
-        })
+            base,
+        }
     }
 
     /// Replaces the cache configuration (consuming builder — call before the
     /// dataset is registered and shared).
     pub fn with_cache_config(mut self, config: CacheConfig) -> Self {
-        self.caches = Arc::new(DatasetCaches::new(config));
+        self.caches = DatasetCaches::new(config);
         self
-    }
-
-    /// This dataset's cache tiers.
-    pub fn caches(&self) -> &Arc<DatasetCaches> {
-        &self.caches
     }
 
     /// Poison-proof read lock (the tracked wrapper recovers poisoned std
@@ -284,14 +322,32 @@ impl LoadedDataset {
         self.read().index_source.clone()
     }
 
-    /// The default relevance function at `quantile` — identical to the CLI's
-    /// (mean of all feature dimensions, top quantile), so server sessions
-    /// answer exactly what an offline `query` invocation answers. Tombstoned
-    /// ids are filtered by the session layer.
+    /// The default relevance function at `quantile` over the current
+    /// feature rows (see [`relevant_of`]).
     pub fn relevant_for(&self, quantile: f64) -> Vec<GraphId> {
-        let st = self.read();
-        let scorer = Scorer::MeanOfDims((0..st.data.db.dims().max(1)).collect());
-        RelevanceQuery::top_quantile(&st.data.db, scorer, quantile).relevant_set(&st.data.db)
+        relevant_of(&self.read().data, quantile)
+    }
+
+    /// Opens a session on the top-`quantile` relevant set, pinned to the
+    /// current epoch. Index and feature rows are read under *one* guard — an
+    /// insert landing between two reads would pair epoch *e*'s index with a
+    /// quantile threshold taken over epoch *e + 1*'s rows, an `L_q` that
+    /// exists at neither epoch. The session holds the dataset's cache tiers
+    /// when caching is on; their keys carry the pinned epoch, so this stays
+    /// sound for sessions that outlive later mutations.
+    pub fn open_session(&self, quantile: f64) -> QuerySession {
+        let (index, relevant) = {
+            let st = self.read();
+            (Arc::clone(&st.index), relevant_of(&st.data, quantile))
+        };
+        // Through the index so tombstoned ids are filtered from `L_q`.
+        let session = index.start_session_shared(relevant);
+        if !self.caches.enabled {
+            return session;
+        }
+        session
+            .with_views(Arc::clone(&self.caches.views))
+            .with_answers(Arc::clone(&self.caches.answers))
     }
 
     /// Adds `graph` with `features` to the dataset and index (DESIGN.md
@@ -303,13 +359,7 @@ impl LoadedDataset {
         features: Vec<f64>,
     ) -> Result<MutationReceipt, ServeError> {
         let mut st = self.state.write();
-        if !st.data.db.is_empty() && features.len() != st.data.db.dims() {
-            return Err(ServeError::new(format!(
-                "feature vector has {} dims, dataset has {}",
-                features.len(),
-                st.data.db.dims()
-            )));
-        }
+        check_dims(&st.data.db, &features)?;
         let mut index = st.index.fork();
         let (id, outcome) = index
             // graphrep: allow(G008, mutations serialize on the state write lock by design -- the NP-hard insert runs on a private fork while readers keep their pinned Arc snapshot, so only competing mutations and new session opens wait)
@@ -378,48 +428,15 @@ impl LoadedDataset {
         );
     }
 
-    /// Oracle activity since this dataset was loaded (serving-time deltas:
-    /// the warm-load/build work is excluded by the baselines, and mutation-
-    /// swapped oracles carry their counters forward, so the baselines stay
-    /// comparable across mutations).
-    pub fn oracle_delta(&self) -> OracleDelta {
-        let oracle = self.read().index.oracle_arc();
-        let s = oracle.stats();
-        let t = oracle.tier_stats();
-        OracleDelta {
-            distance_computations: s
-                .distance_computations
-                .saturating_sub(self.base_oracle.distance_computations),
-            within_rejections: s
-                .within_rejections
-                .saturating_sub(self.base_oracle.within_rejections),
-            cache_hits: s.cache_hits.saturating_sub(self.base_oracle.cache_hits),
-            ub_accepts: s.ub_accepts.saturating_sub(self.base_oracle.ub_accepts),
-            engine_calls: oracle.engine_calls().saturating_sub(self.base_engine_calls),
-            size_rejects: t.size_rejects.saturating_sub(self.base_tiers.size_rejects),
-            label_rejects: t
-                .label_rejects
-                .saturating_sub(self.base_tiers.label_rejects),
-            degree_rejects: t
-                .degree_rejects
-                .saturating_sub(self.base_tiers.degree_rejects),
-            vantage_lb_rejects: t
-                .vantage_lb_rejects
-                .saturating_sub(self.base_tiers.vantage_lb_rejects),
-            vantage_ub_accepts: t
-                .vantage_ub_accepts
-                .saturating_sub(self.base_tiers.vantage_ub_accepts),
-        }
-    }
-
     /// Serializable statistics for the `stats` endpoint.
     pub fn stats(&self) -> DatasetStats {
-        let (graphs, memory, source) = {
+        let (graphs, memory, source, oracle) = {
             let st = self.read();
             (
                 st.data.db.len(),
                 st.index.memory_bytes(),
                 st.index_source.clone(),
+                st.index.oracle_arc(),
             )
         };
         DatasetStats {
@@ -427,8 +444,8 @@ impl LoadedDataset {
             graphs,
             index_memory_bytes: memory,
             index_source: source,
-            oracle: self.oracle_delta(),
-            cache_enabled: self.caches.enabled(),
+            oracle: oracle_delta(oracle_totals(&oracle), &self.base),
+            cache_enabled: self.caches.enabled,
             view_store: self.caches.views.counters().into(),
             answer_cache: self.caches.answers.counters().into(),
             shards: Vec::new(),
@@ -455,7 +472,7 @@ pub struct ShardedDataset {
     /// Backing directory; the coordinator persists under `<dir>/shards/`.
     dir: Option<PathBuf>,
     data: TrackedRwLock<Dataset>,
-    coord: Arc<Coordinator>,
+    coord: Coordinator,
     /// How the coordinator came to be (`loaded` or `rebuilt (reason)`).
     source: String,
     /// Failed best-effort persist steps since load (the open-time re-save
@@ -463,9 +480,7 @@ pub struct ShardedDataset {
     persist_errors: AtomicU64,
     /// Mutations since load that tripped the owning shard's rebuild policy.
     rebuilds: AtomicU64,
-    base_oracle: OracleStats,
-    base_tiers: TierStats,
-    base_engine_calls: u64,
+    base: OracleTotals,
     base_shard_calls: Vec<(u64, u64)>,
 }
 
@@ -481,7 +496,7 @@ impl std::fmt::Debug for ShardedDataset {
 
 /// Sums the per-shard oracle counters of `coord` into workspace-wide totals
 /// (plus raw engine calls), for delta reporting against a load baseline.
-fn sharded_oracle_totals(coord: &Coordinator) -> (OracleStats, TierStats, u64) {
+fn sharded_oracle_totals(coord: &Coordinator) -> OracleTotals {
     let mut stats = OracleStats::default();
     let mut tiers = TierStats::default();
     let mut engine = 0u64;
@@ -510,7 +525,7 @@ impl ShardedDataset {
         coord: Coordinator,
         source: String,
     ) -> Self {
-        let (base_oracle, base_tiers, base_engine_calls) = sharded_oracle_totals(&coord);
+        let base = sharded_oracle_totals(&coord);
         let base_shard_calls = coord
             .snapshots()
             .iter()
@@ -520,13 +535,11 @@ impl ShardedDataset {
             name: name.to_owned(),
             dir,
             data: TrackedRwLock::new("serve.registry.ShardedDataset.data", data),
-            coord: Arc::new(coord),
+            coord,
             source,
             persist_errors: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
-            base_oracle,
-            base_tiers,
-            base_engine_calls,
+            base,
             base_shard_calls,
         }
     }
@@ -586,27 +599,15 @@ impl ShardedDataset {
         &self.name
     }
 
-    /// The scatter-gather coordinator.
-    pub fn coordinator(&self) -> &Arc<Coordinator> {
-        &self.coord
-    }
-
-    /// The dataset's default threshold θ.
-    pub fn default_theta(&self) -> f64 {
-        self.data.read().default_theta
-    }
-
-    /// Same relevance function as [`LoadedDataset::relevant_for`], so a
-    /// sharded server answers exactly what the single-index server answers.
-    pub fn relevant_for(&self, quantile: f64) -> Vec<GraphId> {
-        let data = self.data.read();
-        let scorer = Scorer::MeanOfDims((0..data.db.dims().max(1)).collect());
-        RelevanceQuery::top_quantile(&data.db, scorer, quantile).relevant_set(&data.db)
-    }
-
-    /// Opens a scatter-gather session pinned to the current epoch vector.
+    /// Opens a scatter-gather session on the top-`quantile` relevant set
+    /// (the same relevance function as [`LoadedDataset::open_session`]),
+    /// pinned to the current epoch vector. Feature rows and shard snapshots
+    /// are read under one `data` guard — lock order `data` → shard handle,
+    /// the order inserts use — so no insert can land between them; the
+    /// coordinator drops tombstoned ids under the usual admission rule.
     pub fn open_session(&self, quantile: f64) -> CoordSession {
-        self.coord.session(self.relevant_for(quantile))
+        let data = self.data.read();
+        self.coord.session(relevant_of(&data, quantile))
     }
 
     /// Inserts `graph` with `features`: the coordinator routes it to the
@@ -622,13 +623,7 @@ impl ShardedDataset {
     ) -> Result<MutationReceipt, ServeError> {
         let receipt = {
             let mut data = self.data.write();
-            if !data.db.is_empty() && features.len() != data.db.dims() {
-                return Err(ServeError::new(format!(
-                    "feature vector has {} dims, dataset has {}",
-                    features.len(),
-                    data.db.dims()
-                )));
-            }
+            check_dims(&data.db, &features)?;
             let receipt = self
                 .coord
                 // graphrep: allow(G008, the data guard must span the routed insert so the feature row lands at exactly the assigned global id -- readers keep their snapshots and only competing mutations of this dataset wait, same serialization as LoadedDataset::insert_graph)
@@ -684,7 +679,6 @@ impl ShardedDataset {
     /// Serializable statistics: aggregate oracle deltas plus the per-shard
     /// breakdown (epochs, engine/foreign calls, index memory).
     pub fn stats(&self) -> DatasetStats {
-        let (stats, tiers, engine) = sharded_oracle_totals(&self.coord);
         let shards = self
             .coord
             .overview()
@@ -711,32 +705,7 @@ impl ShardedDataset {
             graphs: self.data.read().db.len(),
             index_memory_bytes: shards.iter().map(|s| s.index_memory_bytes).sum(),
             index_source: format!("sharded x{} ({})", self.coord.shard_count(), self.source),
-            oracle: OracleDelta {
-                distance_computations: stats
-                    .distance_computations
-                    .saturating_sub(self.base_oracle.distance_computations),
-                within_rejections: stats
-                    .within_rejections
-                    .saturating_sub(self.base_oracle.within_rejections),
-                cache_hits: stats.cache_hits.saturating_sub(self.base_oracle.cache_hits),
-                ub_accepts: stats.ub_accepts.saturating_sub(self.base_oracle.ub_accepts),
-                engine_calls: engine.saturating_sub(self.base_engine_calls),
-                size_rejects: tiers
-                    .size_rejects
-                    .saturating_sub(self.base_tiers.size_rejects),
-                label_rejects: tiers
-                    .label_rejects
-                    .saturating_sub(self.base_tiers.label_rejects),
-                degree_rejects: tiers
-                    .degree_rejects
-                    .saturating_sub(self.base_tiers.degree_rejects),
-                vantage_lb_rejects: tiers
-                    .vantage_lb_rejects
-                    .saturating_sub(self.base_tiers.vantage_lb_rejects),
-                vantage_ub_accepts: tiers
-                    .vantage_ub_accepts
-                    .saturating_sub(self.base_tiers.vantage_ub_accepts),
-            },
+            oracle: oracle_delta(sharded_oracle_totals(&self.coord), &self.base),
             cache_enabled: false,
             view_store: Default::default(),
             answer_cache: Default::default(),
@@ -796,19 +765,20 @@ impl DatasetEntry {
         }
     }
 
+    /// Opens a session on the top-`quantile` relevant set of whichever
+    /// engine serves this dataset, pinned to its current epoch(s).
+    pub fn open_session(&self, quantile: f64) -> Box<dyn Session> {
+        match self {
+            DatasetEntry::Single(ds) => Box::new(ds.open_session(quantile)),
+            DatasetEntry::Sharded(ds) => Box::new(ds.open_session(quantile)),
+        }
+    }
+
     /// The single-index dataset behind this entry, if it is not sharded.
     pub fn as_single(&self) -> Option<&Arc<LoadedDataset>> {
         match self {
             DatasetEntry::Single(ds) => Some(ds),
             DatasetEntry::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded dataset behind this entry, if it is sharded.
-    pub fn as_sharded(&self) -> Option<&Arc<ShardedDataset>> {
-        match self {
-            DatasetEntry::Single(_) => None,
-            DatasetEntry::Sharded(ds) => Some(ds),
         }
     }
 }
@@ -902,26 +872,6 @@ impl DatasetRegistry {
 /// persistence) — the shape in-process tests and benchmarks use.
 pub fn load_in_memory(name: &str, data: Dataset) -> LoadedDataset {
     let oracle = data.db.oracle(GedConfig::default());
-    let index = NbIndex::build(Arc::clone(&oracle), default_index_config(&data));
-    let base_oracle = oracle.stats();
-    let base_tiers = oracle.tier_stats();
-    let base_engine_calls = oracle.engine_calls();
-    LoadedDataset {
-        name: name.to_owned(),
-        dir: None,
-        state: TrackedRwLock::new(
-            "serve.registry.LoadedDataset.state",
-            DatasetState {
-                data,
-                index: Arc::new(index),
-                index_source: "built".to_owned(),
-            },
-        ),
-        caches: Arc::new(DatasetCaches::new(CacheConfig::default())),
-        persist_errors: AtomicU64::new(0),
-        rebuilds: AtomicU64::new(0),
-        base_oracle,
-        base_tiers,
-        base_engine_calls,
-    }
+    let index = NbIndex::build(oracle, default_index_config(&data));
+    LoadedDataset::from_parts(name, None, data, index, "built".to_owned())
 }

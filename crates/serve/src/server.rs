@@ -32,10 +32,10 @@ use crate::protocol::{
 };
 use crate::reactor::conn::{ConnQueue, StreamSend};
 use crate::reactor::{self, AsyncDispatch};
-use crate::registry::{DatasetEntry, DatasetRegistry, MutationReceipt};
-use crate::sessions::{LiveSession, SessionBackend, SessionManager};
+use crate::registry::{DatasetRegistry, MutationReceipt};
+use crate::sessions::{LiveSession, SessionManager};
 use crate::{protocol, registry};
-use graphrep_core::CancelToken;
+use graphrep_core::{CancelToken, PickEvent};
 use graphrep_lockaudit::{TrackedCondvar, TrackedMutex};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
@@ -237,8 +237,8 @@ fn execute(shared: &Shared, work: Work, arrived: Instant, reply: &Reply) -> Resp
             Response::Pong
         }
         Work::Open(o) => open_session(shared, o),
-        Work::Run(r) => run_query(shared, r, arrived),
-        Work::RunStream(r) => run_stream_query(shared, r, arrived, reply),
+        Work::Run(r) => run_query(shared, r, arrived, None),
+        Work::RunStream(r) => run_query(shared, r, arrived, Some(reply)),
         Work::Insert(b) => insert_graph(shared, b),
         Work::Remove(b) => remove_graph(shared, b),
     }
@@ -316,27 +316,9 @@ fn open_session(shared: &Shared, o: OpenBody) -> Response {
         return err(codes::BAD_REQUEST, "quantile must be in [0, 1]");
     }
     let t0 = Instant::now();
-    let backend = match entry {
-        DatasetEntry::Single(ds) => {
-            // Through the index so tombstoned ids are filtered from the
-            // relevant set.
-            let mut session = ds
-                .index_arc()
-                .start_session_shared(ds.relevant_for(o.quantile));
-            if ds.caches().enabled() {
-                // Runs on this session serve and materialize θ-neighborhood
-                // views; keys carry the pinned snapshot's epoch, so this
-                // stays sound even for sessions that outlive later mutations.
-                session = session.with_views(ds.caches().views());
-            }
-            SessionBackend::Single(session)
-        }
-        // Scatter-gather sessions pin the full per-shard epoch vector; the
-        // coordinator drops tombstoned ids under the same admission rule.
-        DatasetEntry::Sharded(ds) => SessionBackend::Sharded(ds.open_session(o.quantile)),
-    };
-    let relevant = backend.relevant_len();
-    let id = shared.sessions.insert(o.dataset, backend);
+    let session = entry.open_session(o.quantile);
+    let relevant = session.relevant().len();
+    let id = shared.sessions.insert(session);
     Response::Opened(OpenedBody {
         session: id,
         relevant,
@@ -394,57 +376,16 @@ impl RunCtx {
     }
 }
 
-fn run_query(shared: &Shared, r: RunBody, arrived: Instant) -> Response {
-    let ctx = match RunCtx::admit(shared, &r, arrived) {
-        Ok(ctx) => ctx,
-        Err(resp) => return resp,
-    };
-    let result = match ctx.live.backend() {
-        // Scatter-gather runs poll the same admission-time token at every
-        // frontier pop, so a request that expired in the queue stops
-        // immediately and a long run cannot hold a pooled worker past its
-        // budget — same discipline as the single-index path.
-        SessionBackend::Sharded(session) => session
-            .run_cancellable(r.theta, r.k, &ctx.cancel)
-            .map(|(answer, stats)| AnswerBody::from_sharded_run(&answer, &stats)),
-        SessionBackend::Single(session) => {
-            let caches = shared
-                .registry
-                .get(ctx.live.dataset())
-                .and_then(|entry| match entry {
-                    DatasetEntry::Single(ds) => Some(Arc::clone(ds.caches())),
-                    DatasetEntry::Sharded(_) => None,
-                })
-                .filter(|c| c.enabled());
-            match &caches {
-                Some(c) => session
-                    .run_cached_cancellable(r.theta, r.k, &ctx.cancel, &c.answers())
-                    .map(|(answer, stats, cached)| {
-                        let mut body = AnswerBody::from_run(&answer, &stats);
-                        body.cached = cached;
-                        body
-                    }),
-                None => session
-                    .run_cancellable(r.theta, r.k, &ctx.cancel)
-                    .map(|(answer, stats)| AnswerBody::from_run(&answer, &stats)),
-            }
-        }
-    };
-    match result {
-        Ok(body) => Response::Answer(body),
-        Err(_) => ctx.deadline_exceeded(),
-    }
-}
-
-/// Executes a streamed `(θ, k)` run: each accepted pick goes out as its own
-/// frame through `reply` the moment CELF (or the shard coordinator) commits
-/// it, and the returned terminal response carries the full answer — byte-
-/// identical to what the blocking `run` of the same request would produce.
+/// Executes one `(θ, k)` run on the session's engine — the session knows
+/// which, and owns its caches ([`graphrep_core::Session`] states the
+/// contract: token first, then the answer cache for a blocking run).
 ///
-/// Streamed runs always execute (the answer cache is bypassed): a cache hit
-/// has no pick sequence to stream. They still produce cache-*compatible*
-/// answers, but do not populate the cache either — population stays the
-/// blocking path's job, keeping cached/uncached accounting honest.
+/// With `stream`, each accepted pick goes out as its own frame the moment
+/// the search commits it and the terminal frame is `answer_end`, carrying
+/// the full answer — byte-identical to what the blocking `run` of the same
+/// request would produce. Streamed runs always execute: a cache hit has no
+/// pick sequence to stream, and population stays the blocking path's job,
+/// keeping cached/uncached accounting honest.
 ///
 /// Abort cases, all terminal:
 /// * deadline fired → `deadline_exceeded` (session stays usable);
@@ -452,33 +393,35 @@ fn run_query(shared: &Shared, r: RunBody, arrived: Instant) -> Response {
 ///   open — only the run is cancelled);
 /// * consumer gone → an `internal` terminal frame that retires the request
 ///   id server-side; nobody is left to read it.
-fn run_stream_query(shared: &Shared, r: RunBody, arrived: Instant, reply: &Reply) -> Response {
+fn run_query(shared: &Shared, r: RunBody, arrived: Instant, stream: Option<&Reply>) -> Response {
     let ctx = match RunCtx::admit(shared, &r, arrived) {
         Ok(ctx) => ctx,
         Err(resp) => return resp,
     };
     let mut stream_fail: Option<StreamSend> = None;
-    let result = {
-        let mut on_pick = |e: graphrep_core::PickEvent| match reply
-            .send_stream(Response::Pick(PickBody::from_event(&e)))
-        {
-            StreamSend::Sent => true,
-            outcome => {
-                stream_fail = Some(outcome);
-                false
-            }
-        };
-        match ctx.live.backend() {
-            SessionBackend::Single(session) => session
-                .run_streaming_cancellable(r.theta, r.k, &ctx.cancel, &mut on_pick)
-                .map(|(answer, stats)| AnswerBody::from_run(&answer, &stats)),
-            SessionBackend::Sharded(session) => session
-                .run_streaming_cancellable(r.theta, r.k, &ctx.cancel, &mut on_pick)
-                .map(|(answer, stats)| AnswerBody::from_sharded_run(&answer, &stats)),
+    let mut send_pick;
+    let on_pick: Option<&mut dyn FnMut(PickEvent) -> bool> = match stream {
+        None => None,
+        Some(reply) => {
+            send_pick =
+                |e: PickEvent| match reply.send_stream(Response::Pick(PickBody::from_event(&e))) {
+                    StreamSend::Sent => true,
+                    outcome => {
+                        stream_fail = Some(outcome);
+                        false
+                    }
+                };
+            Some(&mut send_pick)
         }
     };
+    let result = ctx
+        .live
+        .session()
+        .run_with(r.theta, r.k, &ctx.cancel, on_pick)
+        .map(|(answer, stats)| AnswerBody::from_run(&answer, &stats));
     match (result, stream_fail) {
-        (Ok(body), _) => Response::AnswerEnd(body),
+        (Ok(body), _) if stream.is_some() => Response::AnswerEnd(body),
+        (Ok(body), _) => Response::Answer(body),
         (Err(_), Some(StreamSend::OverCap)) => err(
             codes::SLOW_CONSUMER,
             format!(

@@ -7,54 +7,19 @@
 //! is checked opportunistically on access and swept on inserts, so no
 //! background reaper thread is needed.
 
-use graphrep_core::QuerySession;
+use graphrep_core::Session;
 use graphrep_lockaudit::{TrackedMutex, TrackedRwLock};
-use graphrep_shard::CoordSession;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The query engine behind one open session: a single shared-index session
-/// or a scatter-gather session over a shard coordinator. Both pin their
-/// snapshot (index `Arc` / per-shard epoch vector) at open time.
-pub enum SessionBackend {
-    /// Session over one shared NB-Index.
-    Single(QuerySession),
-    /// Scatter-gather session over a shard coordinator.
-    Sharded(CoordSession),
-}
-
-impl std::fmt::Debug for SessionBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SessionBackend::Single(_) => f
-                .debug_struct("SessionBackend::Single")
-                .field("relevant", &self.relevant_len())
-                .finish(),
-            SessionBackend::Sharded(_) => f
-                .debug_struct("SessionBackend::Sharded")
-                .field("relevant", &self.relevant_len())
-                .finish(),
-        }
-    }
-}
-
-impl SessionBackend {
-    /// Size of the pinned relevant set `|L_q|`.
-    pub fn relevant_len(&self) -> usize {
-        match self {
-            SessionBackend::Single(s) => s.relevant().len(),
-            SessionBackend::Sharded(s) => s.relevant().len(),
-        }
-    }
-}
-
-/// One open session: the query backend plus bookkeeping.
+/// One open session: the engine's [`Session`], pinned to its snapshot
+/// (index `Arc` / per-shard epoch vector) when it was opened, plus
+/// bookkeeping.
 pub struct LiveSession {
     id: u64,
-    dataset: String,
-    backend: SessionBackend,
+    session: Box<dyn Session>,
     last_used: TrackedMutex<Instant>,
 }
 
@@ -62,8 +27,7 @@ impl std::fmt::Debug for LiveSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveSession")
             .field("id", &self.id)
-            .field("dataset", &self.dataset)
-            .field("relevant", &self.backend.relevant_len())
+            .field("relevant", &self.session.relevant().len())
             .finish()
     }
 }
@@ -74,15 +38,10 @@ impl LiveSession {
         self.id
     }
 
-    /// Name of the dataset this session queries.
-    pub fn dataset(&self) -> &str {
-        &self.dataset
-    }
-
-    /// The underlying query backend. Runs take `&self` on both variants,
-    /// so concurrent runs on one session are safe.
-    pub fn backend(&self) -> &SessionBackend {
-        &self.backend
+    /// The underlying query session. Runs take `&self`, so concurrent runs
+    /// on one session are safe.
+    pub fn session(&self) -> &dyn Session {
+        &*self.session
     }
 
     fn touch(&self) {
@@ -116,14 +75,13 @@ impl SessionManager {
 
     /// Registers a session, returning its id. Expired sessions are swept as
     /// a side effect, bounding the table by the live working set.
-    pub fn insert(&self, dataset: String, backend: SessionBackend) -> u64 {
+    pub fn insert(&self, session: Box<dyn Session>) -> u64 {
         self.sweep();
         // Relaxed: the id only needs uniqueness, not ordering with the map.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let live = Arc::new(LiveSession {
             id,
-            dataset,
-            backend,
+            session,
             last_used: TrackedMutex::new("serve.sessions.LiveSession.last_used", Instant::now()),
         });
         self.map.write().insert(id, live);
@@ -203,21 +161,20 @@ mod tests {
     use graphrep_datagen::{DatasetKind, DatasetSpec};
     use graphrep_ged::GedConfig;
 
-    fn tiny_session() -> SessionBackend {
+    fn tiny_session() -> Box<dyn Session> {
         let data = DatasetSpec::new(DatasetKind::DudLike, 12, 7).generate();
         let oracle = data.db.oracle(GedConfig::default());
         let index = Arc::new(NbIndex::build(oracle, NbIndexConfig::default()));
-        SessionBackend::Single(index.start_session_shared(vec![0, 1, 2, 3]))
+        Box::new(index.start_session_shared(vec![0, 1, 2, 3]))
     }
 
     #[test]
     fn insert_get_remove() {
         let m = SessionManager::new(Duration::from_secs(60));
-        let id = m.insert("d".into(), tiny_session());
+        let id = m.insert(tiny_session());
         assert_eq!(m.len(), 1);
         let live = m.get(id).expect("session should be live");
-        assert_eq!(live.dataset(), "d");
-        assert_eq!(live.backend().relevant_len(), 4);
+        assert_eq!(live.session().relevant().len(), 4);
         assert!(m.remove(id));
         assert!(!m.remove(id));
         assert!(m.get(id).is_none());
@@ -226,7 +183,7 @@ mod tests {
     #[test]
     fn zero_ttl_expires_immediately() {
         let m = SessionManager::new(Duration::ZERO);
-        let id = m.insert("d".into(), tiny_session());
+        let id = m.insert(tiny_session());
         assert!(m.get(id).is_none(), "TTL 0 must expire on first access");
         assert_eq!(m.len(), 0);
         assert_eq!(m.expired_total(), 1);
@@ -235,8 +192,7 @@ mod tests {
     #[test]
     fn sweep_counts_stale_sessions() {
         let m = SessionManager::new(Duration::ZERO);
-        let s = tiny_session();
-        let _ = m.insert("d".into(), s);
+        let _ = m.insert(tiny_session());
         assert_eq!(m.sweep(), 1);
         assert!(m.is_empty());
     }
@@ -244,8 +200,8 @@ mod tests {
     #[test]
     fn ids_are_unique_and_monotone() {
         let m = SessionManager::new(Duration::from_secs(60));
-        let a = m.insert("d".into(), tiny_session());
-        let b = m.insert("d".into(), tiny_session());
+        let a = m.insert(tiny_session());
+        let b = m.insert(tiny_session());
         assert!(b > a);
         assert_eq!(m.len(), 2);
     }

@@ -10,6 +10,10 @@
 //! * **counter conservation** — oracle counters carry forward across the
 //!   fork/swap each mutation performs, so serving-time deltas never move
 //!   backwards.
+//!
+//! And at the registry, with no wire in between: a session opened while
+//! inserts land is pinned to *one* epoch — its `L_q` is the offline
+//! quantile over exactly the rows its pinned index (or shard vector) holds.
 
 use graphrep_core::{NbIndex, NbIndexConfig, RelevanceQuery, Scorer};
 use graphrep_datagen::{DatasetKind, DatasetSpec};
@@ -17,7 +21,7 @@ use graphrep_ged::{DistanceOracle, GedConfig, GedEngine};
 use graphrep_graph::{generate::mutate, Graph, GraphId};
 use graphrep_serve::protocol::OracleDelta;
 use graphrep_serve::registry::load_in_memory;
-use graphrep_serve::{start, Client, DatasetRegistry, ServeConfig};
+use graphrep_serve::{start, Client, DatasetRegistry, ServeConfig, ServeError, ShardedDataset};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,8 +72,7 @@ fn reference_pair(
     // Mirrors `LoadedDataset::relevant_for`: the quantile is taken over the
     // whole database (tombstoned ids included); liveness filtering happens
     // at the session boundary.
-    let scorer = Scorer::MeanOfDims((0..db.dims()).collect());
-    let mut relevant = RelevanceQuery::top_quantile(&db, scorer, QUANTILE).relevant_set(&db);
+    let mut relevant = offline_relevant(&db);
     relevant.retain(|&g| live[g as usize]);
     let session = index.start_session(relevant);
     queries
@@ -254,4 +257,92 @@ fn assert_monotone(before: &OracleDelta, after: &OracleDelta) {
             "oracle delta moved backwards across a mutation swap: {before:?} -> {after:?}"
         );
     }
+}
+
+/// The default relevance function over `db`, as the registry computes it.
+fn offline_relevant(db: &graphrep_core::GraphDatabase) -> Vec<GraphId> {
+    let scorer = Scorer::MeanOfDims((0..db.dims()).collect());
+    RelevanceQuery::top_quantile(db, scorer, QUANTILE).relevant_set(db)
+}
+
+/// Inserts `pool` on one thread while this one opens sessions; `open`
+/// reports the mutations its session is pinned behind plus its `L_q`, which
+/// must equal `expected[mutations]` — index and feature rows read at one
+/// epoch, never one of each.
+fn open_sessions_during_inserts(
+    pool: &[(Graph, Vec<f64>)],
+    expected: &[Vec<GraphId>],
+    insert: impl Fn(Graph, Vec<f64>) -> Result<(), ServeError> + Sync,
+    open: impl Fn() -> (usize, Vec<GraphId>),
+) {
+    let done = AtomicBool::new(false);
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            for (g, f) in pool {
+                insert(g.clone(), f.clone()).expect("insert");
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        let mut last = 0;
+        while last < pool.len() {
+            let finished = done.load(Ordering::SeqCst);
+            let (mutations, relevant) = open();
+            assert_eq!(
+                relevant, expected[mutations],
+                "session pinned behind {mutations} insert(s) holds another epoch's L_q"
+            );
+            assert!(mutations >= last, "a later session pinned an earlier epoch");
+            last = mutations;
+            assert!(!finished || last == pool.len(), "final state never pinned");
+        }
+    });
+}
+
+#[test]
+fn sessions_opened_during_inserts_pin_rows_and_index_at_one_epoch() {
+    let data = || DatasetSpec::new(DatasetKind::DudLike, BASE, SEED).generate();
+    let base_db = data().db.clone();
+    let top = (0..BASE as GraphId)
+        .flat_map(|g| base_db.features(g).to_vec())
+        .fold(f64::MIN, f64::max);
+    // Every inserted row outscores the base rows, so each insert enters
+    // `L_q` and moves the quantile threshold: no two epochs share an `L_q`.
+    let mut rng = SmallRng::seed_from_u64(78);
+    let pool: Vec<(Graph, Vec<f64>)> = (0..6)
+        .map(|i| {
+            let g = mutate(&mut rng, base_db.graph(i), 2, &[0, 1], &[0]);
+            (g, vec![top + 1.0 + f64::from(i); base_db.dims()])
+        })
+        .collect();
+    let mut db = base_db.clone();
+    let mut expected = vec![offline_relevant(&db)];
+    for (g, f) in &pool {
+        db = db.pushed(g.clone(), f.clone());
+        expected.push(offline_relevant(&db));
+    }
+    for pair in expected.windows(2) {
+        assert_ne!(pair[0], pair[1], "an insert left L_q unchanged");
+    }
+
+    let single = load_in_memory("d", data());
+    open_sessions_during_inserts(
+        &pool,
+        &expected,
+        |g, f| single.insert_graph(g, f).map(drop),
+        || {
+            let session = single.open_session(QUANTILE);
+            (session.epoch() as usize, session.relevant().to_vec())
+        },
+    );
+    let sharded = ShardedDataset::in_memory("d", data(), 3, SEED);
+    open_sessions_during_inserts(
+        &pool,
+        &expected,
+        |g, f| sharded.insert_graph(g, f).map(drop),
+        || {
+            let session = sharded.open_session(QUANTILE);
+            let inserts: u64 = session.epochs().iter().sum();
+            (inserts as usize, session.relevant().to_vec())
+        },
+    );
 }

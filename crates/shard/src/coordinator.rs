@@ -24,6 +24,7 @@ use crate::partition::{partition, PartitionConfig};
 use crate::shard::{ShardIoError, ShardState};
 use graphrep_core::{
     AnswerSet, CancelToken, Cancelled, GraphDatabase, MutateError, MutationOutcome, PickEvent,
+    RunStats, Session,
 };
 use graphrep_ged::{GedConfig, GraphProfile};
 use graphrep_graph::{Graph, GraphId};
@@ -176,37 +177,29 @@ impl Coordinator {
         self.shards.len()
     }
 
-    /// Current snapshot of shard `s`.
-    fn snap(&self, s: usize) -> Arc<ShardState> {
-        self.shards[s].state.read().clone()
-    }
-
     /// Current snapshots of every shard — one consistent epoch vector per
-    /// individual read, pinned for as long as the caller holds the `Arc`s.
-    fn snap_all(&self) -> Vec<Arc<ShardState>> {
-        (0..self.shards.len()).map(|s| self.snap(s)).collect()
-    }
-
-    /// Current snapshots of every shard, for observability layers that
-    /// aggregate per-shard counters themselves. Each entry pins that
-    /// shard's state at its own epoch, exactly like a session would.
+    /// individual read, pinned for as long as the caller holds the `Arc`s
+    /// (what a session pins, and what observability layers that aggregate
+    /// per-shard counters themselves read).
     pub fn snapshots(&self) -> Vec<Arc<ShardState>> {
-        self.snap_all()
+        (0..self.shards.len())
+            .map(|s| self.shards[s].state.read().clone())
+            .collect()
     }
 
     /// Per-shard mutation epochs right now.
     pub fn epochs(&self) -> Vec<u64> {
-        self.snap_all().iter().map(|s| s.epoch()).collect()
+        self.snapshots().iter().map(|s| s.epoch()).collect()
     }
 
     /// Total live graphs across shards.
     pub fn live_len(&self) -> usize {
-        self.snap_all().iter().map(|s| s.live_len()).sum()
+        self.snapshots().iter().map(|s| s.live_len()).sum()
     }
 
     /// Total member slots across shards (live + tombstoned).
     pub fn len(&self) -> usize {
-        self.snap_all().iter().map(|s| s.len()).sum()
+        self.snapshots().iter().map(|s| s.len()).sum()
     }
 
     /// Global ids of every live member, ascending. Lets a single-index
@@ -214,7 +207,7 @@ impl Coordinator {
     /// persisted per shard rather than in one `index.bin`.
     pub fn live_ids(&self) -> Vec<GraphId> {
         let mut ids: Vec<GraphId> = Vec::with_capacity(self.live_len());
-        for s in self.snap_all() {
+        for s in self.snapshots() {
             ids.extend(
                 (0..s.len() as GraphId)
                     .filter(|&l| s.is_live(l))
@@ -235,7 +228,7 @@ impl Coordinator {
     /// rule as [`graphrep_core::NbIndex::start_session`].
     pub fn session(&self, relevant: Vec<GraphId>) -> CoordSession {
         CoordSession::new(
-            self.snap_all(),
+            self.snapshots(),
             self.center_dist.clone(),
             relevant,
             // SeqCst: the id-space bound must not be observed behind a
@@ -250,7 +243,7 @@ impl Coordinator {
     pub fn insert(&self, graph: Graph) -> Result<CoordReceipt, MutateError> {
         // Routing distances probe fixed center graphs: no lock is held and
         // no later mutation can change the owner.
-        let snaps = self.snap_all();
+        let snaps = self.snapshots();
         let profile = GraphProfile::new(&graph);
         let mut owner = (f64::INFINITY, 0usize);
         for (s, snap) in snaps.iter().enumerate() {
@@ -280,7 +273,7 @@ impl Coordinator {
 
     /// Tombstones global id `g` on its owning shard.
     pub fn remove(&self, g: GraphId) -> Result<CoordReceipt, MutateError> {
-        let snaps = self.snap_all();
+        let snaps = self.snapshots();
         let Some(s) = snaps.iter().position(|snap| snap.local_of(g).is_some()) else {
             return Err(MutateError(format!("graph {g} is not owned by any shard")));
         };
@@ -296,7 +289,7 @@ impl Coordinator {
     }
 
     fn receipt(&self, id: GraphId, shard: usize, outcome: MutationOutcome) -> CoordReceipt {
-        let snaps = self.snap_all();
+        let snaps = self.snapshots();
         CoordReceipt {
             id,
             shard,
@@ -310,7 +303,7 @@ impl Coordinator {
     /// Cumulative per-shard engine entries: oracle-mediated calls plus
     /// foreign-probe calls, one entry per shard.
     pub fn engine_entries(&self) -> Vec<u64> {
-        self.snap_all()
+        self.snapshots()
             .iter()
             .map(|s| s.engine_calls() + s.foreign_calls())
             .collect()
@@ -319,7 +312,7 @@ impl Coordinator {
     /// Point-in-time per-shard overview for observability endpoints (one
     /// consistent snapshot per shard, like [`Coordinator::epochs`]).
     pub fn overview(&self) -> Vec<ShardOverview> {
-        self.snap_all()
+        self.snapshots()
             .iter()
             .enumerate()
             .map(|(shard, s)| ShardOverview {
@@ -339,7 +332,7 @@ impl Coordinator {
     /// manifest — last, as the commit record: a torn save leaves a missing
     /// or unterminated manifest, which [`Coordinator::load`] detects.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let snaps = self.snap_all();
+        let snaps = self.snapshots();
         std::fs::create_dir_all(dir)?;
         for (s, snap) in snaps.iter().enumerate() {
             snap.save_dir(&dir.join(format!("shard{s}")))?;
@@ -456,6 +449,23 @@ impl CoordRunStats {
             0.0
         } else {
             self.pruned_shard_picks as f64 / total as f64
+        }
+    }
+}
+
+/// The engine-neutral form [`Session::run_with`] reports: engine entries
+/// summed into `distance_calls`, shard work under its own four counts.
+impl From<CoordRunStats> for RunStats {
+    fn from(s: CoordRunStats) -> RunStats {
+        RunStats {
+            distance_calls: s.engine_entries.iter().sum(),
+            verified_graphs: s.verified_candidates,
+            wall: s.wall,
+            shard_count: s.shard_count,
+            picks: s.picks,
+            shards_pruned: s.pruned_shard_picks,
+            shards_touched: s.touched_shard_picks,
+            ..RunStats::default()
         }
     }
 }
@@ -655,40 +665,26 @@ impl CoordSession {
 
     /// Executes the distributed search for one `(θ, k)`: returns the greedy
     /// answer — byte-identical to the single-index session's — plus
-    /// per-shard work statistics.
+    /// per-shard work statistics. The offline entry point: no deadline, no
+    /// observer.
     pub fn run(&self, theta: f64, k: usize) -> (AnswerSet, CoordRunStats) {
-        match self.run_cancellable(theta, k, &CancelToken::never()) {
+        match self.search(theta, k, &CancelToken::never(), None) {
             Ok(r) => r,
             // graphrep: allow(G001, a never-token cannot fire)
             Err(Cancelled) => unreachable!("CancelToken::never never cancels"),
         }
     }
 
-    /// [`CoordSession::run`], polling `cancel` between frontier pops — the
-    /// same cooperative boundary as the single-index session, so one NP-hard
-    /// refinement is the atomic unit of work. A cancelled run discards its
-    /// partial answer; the session stays pinned and fully usable.
-    pub fn run_cancellable(
+    /// The search both entry points share. `cancel` is polled between
+    /// frontier pops — the same cooperative boundary as the single-index
+    /// session, so one NP-hard refinement is the atomic unit of work; the
+    /// up-front check is [`Session::run_with`]'s.
+    fn search(
         &self,
         theta: f64,
         k: usize,
         cancel: &CancelToken,
-    ) -> Result<(AnswerSet, CoordRunStats), Cancelled> {
-        self.run_streaming_cancellable(theta, k, cancel, &mut |_| true)
-    }
-
-    /// [`CoordSession::run_cancellable`] with a per-pick observer, the
-    /// sharded twin of `QuerySession::run_streaming_cancellable`: `on_pick`
-    /// fires once per accepted representative after it is committed, never
-    /// alters the computation, and aborts the run like a fired cancel token
-    /// when it returns `false`. A completed streamed run returns the
-    /// byte-identical answer the blocking run would.
-    pub fn run_streaming_cancellable(
-        &self,
-        theta: f64,
-        k: usize,
-        cancel: &CancelToken,
-        on_pick: &mut dyn FnMut(PickEvent) -> bool,
+        mut on_pick: Option<&mut dyn FnMut(PickEvent) -> bool>,
     ) -> Result<(AnswerSet, CoordRunStats), Cancelled> {
         let t0 = Instant::now();
         let s_count = self.snaps.len();
@@ -778,15 +774,17 @@ impl CoordSession {
             } else {
                 covered.count() as f64 / self.relevant.len() as f64
             });
-            let keep_going = on_pick(PickEvent {
-                seq: ids.len() - 1,
-                id,
-                covered: covered.count(),
-                relevant: self.relevant.len(),
-                pi: pi_trajectory[pi_trajectory.len() - 1],
-            });
-            if !keep_going {
-                return Err(Cancelled);
+            if let Some(on_pick) = on_pick.as_mut() {
+                let keep_going = on_pick(PickEvent {
+                    seq: ids.len() - 1,
+                    id,
+                    covered: covered.count(),
+                    relevant: self.relevant.len(),
+                    pi: pi_trajectory[pi_trajectory.len() - 1],
+                });
+                if !keep_going {
+                    return Err(Cancelled);
+                }
             }
         }
         stats.engine_entries = self
@@ -805,5 +803,25 @@ impl CoordSession {
             },
             stats,
         ))
+    }
+}
+
+/// Scatter-gather sessions hold no caches (an answer key would need the
+/// whole epoch vector), so every run executes.
+impl Session for CoordSession {
+    fn relevant(&self) -> &[GraphId] {
+        &self.relevant
+    }
+
+    fn run_with(
+        &self,
+        theta: f64,
+        k: usize,
+        cancel: &CancelToken,
+        on_pick: Option<&mut dyn FnMut(PickEvent) -> bool>,
+    ) -> Result<(Arc<AnswerSet>, RunStats), Cancelled> {
+        cancel.check()?;
+        let (answer, stats) = self.search(theta, k, cancel, on_pick)?;
+        Ok((Arc::new(answer), stats.into()))
     }
 }

@@ -176,12 +176,6 @@ impl ShardState {
         self.to_center[local as usize]
     }
 
-    /// Global id of the shard center (fixed at partition time; the center
-    /// graph stays resident even if tombstoned).
-    pub fn center_global(&self) -> GraphId {
-        self.members[self.center_local as usize]
-    }
-
     /// Exact distance from an out-of-shard probe graph (and its profile) to
     /// the shard center.
     pub fn center_distance(&self, probe: &Graph, profile: &GraphProfile) -> f64 {

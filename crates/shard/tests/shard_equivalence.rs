@@ -7,7 +7,7 @@
 //! Under `--features invariant-audit` the per-shard index stacks run their
 //! π̂/Thm audits inside every one of these runs.
 
-use graphrep_core::{NbIndex, NbIndexConfig};
+use graphrep_core::{CancelToken, Cancelled, NbIndex, NbIndexConfig, PickEvent, Session};
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_ged::{DistanceOracle, GedConfig, GedEngine};
 use graphrep_graph::{generate::mutate, Graph, GraphId};
@@ -16,6 +16,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -279,6 +280,63 @@ fn independent_reference_oracle_agrees() {
         .run(data.default_theta, 5);
     let (got, _) = coord.session(relevant).run(data.default_theta, 5);
     assert_eq!(format!("{got:?}"), format!("{want:?}"));
+}
+
+/// The `Session` contract's "token first" clause, over both engines: an
+/// already-expired token yields `Cancelled` before any work — whatever `k`
+/// is, blocking or streamed, with no pick emitted — and the session answers
+/// its next run exactly like the offline `run`.
+#[test]
+fn expired_token_cancels_before_any_work_on_both_engines() {
+    let data = DatasetSpec::new(DatasetKind::DudLike, 24, 3).generate();
+    let oracle = data.db.oracle(GedConfig::default());
+    let index = Arc::new(NbIndex::build(oracle, index_config(&data.default_ladder)));
+    let coord = Coordinator::build(
+        &data.db,
+        GedConfig::default(),
+        &coord_config(3, &data.default_ladder),
+    );
+    let relevant = data.default_query().relevant_set(&data.db);
+    let theta = data.default_theta;
+    let want = format!(
+        "{:?}",
+        index.start_session(relevant.clone()).run(theta, 3).0
+    );
+    let engines: [(&str, Box<dyn Session>); 2] = [
+        (
+            "single",
+            Box::new(Arc::clone(&index).start_session_shared(relevant.clone())),
+        ),
+        ("sharded", Box::new(coord.session(relevant))),
+    ];
+    for (engine, session) in &engines {
+        for k in [0usize, 3] {
+            for streamed in [false, true] {
+                let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
+                let mut picks = 0usize;
+                let mut count = |_| {
+                    picks += 1;
+                    true
+                };
+                let on_pick: Option<&mut dyn FnMut(PickEvent) -> bool> =
+                    if streamed { Some(&mut count) } else { None };
+                let got = session.run_with(theta, k, &expired, on_pick);
+                assert!(
+                    matches!(got, Err(Cancelled)),
+                    "{engine}, k = {k}, streamed = {streamed}: {got:?}"
+                );
+                assert_eq!(picks, 0, "{engine}, k = {k}: picks before the token check");
+                let (after, _) = session
+                    .run_with(theta, 3, &CancelToken::never(), None)
+                    .expect("a never-token cannot cancel");
+                assert_eq!(
+                    format!("{after:?}"),
+                    want,
+                    "{engine} unusable after the abort"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

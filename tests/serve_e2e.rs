@@ -1,13 +1,14 @@
 //! End-to-end tests for the `graphrep-serve` subsystem over real TCP
 //! sockets: determinism against the offline engine at several pool sizes,
+//! one session seam behind both engines (single index and scatter-gather),
 //! explicit admission-control rejections, deadline aborts that leave the
 //! session usable, idle-session expiry, and graceful drain-then-exit
 //! shutdown.
 
 use graphrep::datagen::{DatasetKind, DatasetSpec};
 use graphrep_serve::{
-    codes, offline_reference, registry, run_load, verify_against_offline, Client, LoadMode,
-    LoadSpec, Response, ServeConfig,
+    codes, offline_reference, registry, run_load, verify_against_offline, Client, DatasetRegistry,
+    LoadMode, LoadSpec, Response, ServeConfig, ShardedDataset,
 };
 use std::time::Duration;
 
@@ -71,6 +72,88 @@ fn server_answers_match_offline_at_every_pool_size() {
             Some(base) => assert_eq!(&fps, base, "answers diverged at {workers} workers"),
         }
     }
+}
+
+/// The same dataset served twice — by one NB-Index and by a 3-shard
+/// coordinator — answers the same `(quantile, θ, k)` grid byte-identically
+/// through `run` and `run_stream`; what differs is only what each engine
+/// reports about *how*: the single index owns an answer cache (a repeated
+/// blocking run is a hit), the coordinator reports its shard work.
+#[test]
+fn single_and_sharded_datasets_answer_identically_through_one_seam() {
+    let gen = dud(48);
+    let theta = gen.generate().default_theta;
+    let mut reg = DatasetRegistry::new();
+    reg.insert(registry::load_in_memory("single", gen.generate()));
+    reg.insert_sharded(ShardedDataset::in_memory(
+        "sharded",
+        gen.generate(),
+        3,
+        20140622,
+    ));
+    let handle = graphrep_serve::start(ServeConfig::default(), reg).expect("start");
+    let mut c = Client::connect(&handle.addr().to_string()).expect("connect");
+
+    for quantile in [0.5, 0.75] {
+        let single = c.open("single", quantile).expect("open single");
+        let sharded = c.open("sharded", quantile).expect("open sharded");
+        assert_eq!(single.relevant, sharded.relevant, "quantile {quantile}");
+        for theta in [theta * 0.8, theta, theta * 1.3] {
+            for k in [1usize, 4] {
+                let at = format!("quantile {quantile}, θ = {theta}, k = {k}");
+                // `run_streaming_answer` checks the picks reconstruct the
+                // terminal answer; streamed first, so the blocking run below
+                // also shows a streamed run populated no cache.
+                let (_, streamed_single) = c
+                    .run_streaming_answer(single.session, theta, k)
+                    .expect("stream single");
+                let (_, streamed_sharded) = c
+                    .run_streaming_answer(sharded.session, theta, k)
+                    .expect("stream sharded");
+                let first = c.run_answer(single.session, theta, k).expect("run single");
+                let again = c
+                    .run_answer(single.session, theta, k)
+                    .expect("rerun single");
+                let scattered = c
+                    .run_answer(sharded.session, theta, k)
+                    .expect("run sharded");
+                let rescattered = c
+                    .run_answer(sharded.session, theta, k)
+                    .expect("rerun sharded");
+
+                let want = first.fingerprint();
+                for body in [&streamed_single, &streamed_sharded, &again, &scattered] {
+                    assert_eq!(body.fingerprint(), want, "{at}");
+                }
+                assert!(!streamed_single.cached && !first.cached, "{at}");
+                assert!(again.cached, "{at}: a repeated blocking run must hit");
+                assert!(!scattered.cached && !rescattered.cached, "{at}");
+
+                for body in [&streamed_single, &first, &again] {
+                    let shard_work = body.picks + body.shards_pruned + body.shards_touched;
+                    assert_eq!((body.shard_count, shard_work), (0, 0), "{at}");
+                }
+                for body in [&streamed_sharded, &scattered, &rescattered] {
+                    assert_eq!(body.shard_count, 3, "{at}");
+                    assert_eq!(body.picks as usize, body.ids.len(), "{at}");
+                    assert_eq!(
+                        body.shards_pruned + body.shards_touched,
+                        3 * body.picks,
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    let stats = c.stats().expect("stats");
+    let enabled: Vec<(&str, bool)> = stats
+        .datasets
+        .iter()
+        .map(|d| (d.name.as_str(), d.cache_enabled))
+        .collect();
+    assert_eq!(enabled, [("sharded", false), ("single", true)]);
+    handle.shutdown();
 }
 
 /// Driving the queue past the admission limit yields an explicit
