@@ -8,7 +8,6 @@ use graphrep_ged::DistanceOracle;
 use graphrep_metric::{fpr, DistanceDistribution, VantageTable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Samples `pairs` random pairwise distances.
 pub fn sample_distances(oracle: &DistanceOracle, pairs: usize, seed: u64) -> DistanceDistribution {
@@ -111,7 +110,6 @@ pub fn fig5fpr(ctx: &Ctx) {
         let vt = VantageTable::build(oracle.len(), num_vps, &mut rng, |a, b| {
             oracle.distance(a, b)
         });
-        let _ = Arc::clone(&oracle.graphs_arc());
         let thetas: Vec<f64> = (1..=6)
             .map(|i| data.default_theta * i as f64 / 2.0)
             .collect();

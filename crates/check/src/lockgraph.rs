@@ -1428,7 +1428,7 @@ mod tests {
 use std::sync::RwLock;
 struct Shard { x: RwLock<u32>, y: RwLock<u32> }
 impl Shard {
-    fn transplanted(&self) -> Shard {
+    fn snapshot(&self) -> Shard {
         Shard {
             x: RwLock::new(self.x.read().clone()),
             y: RwLock::new(self.y.read().clone()),

@@ -106,8 +106,9 @@ impl GraphDatabase {
     }
 
     /// A new database with `graph` and its `features` appended as the next
-    /// id. Existing ids are unchanged — the dynamic-maintenance counterpart
-    /// of [`DistanceOracle::extended`].
+    /// id. Existing ids are unchanged and existing graphs are shared (a
+    /// [`Graph`] is a handle) — the dynamic-maintenance counterpart of
+    /// [`DistanceOracle::extended`].
     ///
     /// # Panics
     /// If `features` does not match the database's dimensionality.
@@ -203,6 +204,13 @@ mod tests {
         assert_eq!(db.len(), 4);
         assert_eq!(db2.features(4), &[9.0, 9.0]);
         assert_eq!(db2.features(1), db.features(1));
+        for i in 0..db.len() {
+            assert_eq!(
+                db.graphs()[i].node_labels().as_ptr(),
+                db2.graphs()[i].node_labels().as_ptr(),
+                "graph {i} must be shared, not copied"
+            );
+        }
     }
 
     #[test]

@@ -291,7 +291,8 @@ impl NbIndex {
 
     /// Adds `graph` to the index as the next graph id (DESIGN.md §10).
     ///
-    /// The oracle is extended (cache and counters carry forward), the vantage
+    /// The oracle is extended (the successor shares the memo, the counters
+    /// and every existing row; only the new graph is allocated), the vantage
     /// table gains one row, and the NB-Tree routes the new graph to its
     /// nearest bottom cluster, re-expanding radii/diameters along the path so
     /// every bound stays admissible. Sessions opened before the call keep
@@ -308,8 +309,9 @@ impl NbIndex {
             .par_iter()
             .map(|&v| oracle.distance(v, id))
             .collect();
-        // make_mut forks the table if sessions still share it, so their
-        // pinned embedding (and the old oracle's hints) are undisturbed.
+        // make_mut copies the table: the previous generation's installed
+        // hints hold a second handle to it, so pinned sessions keep their
+        // embedding undisturbed.
         let appended = Arc::make_mut(&mut self.vantage).push_item(&vp_dists);
         debug_assert_eq!(appended, id, "vantage row ids track oracle ids");
         let mut rng = SmallRng::seed_from_u64(self.config.seed ^ self.epoch);
@@ -360,8 +362,8 @@ impl NbIndex {
     /// Dead ids keep tail leaf positions (outside the root's range) and get
     /// [`DEAD_COORD`] vantage coordinates, so every id stays addressable
     /// while traversal and band scans never touch a tombstone. The oracle is
-    /// forked, not mutated: sessions pinned to the old oracle keep the old
-    /// embedding's hints.
+    /// forked, not mutated: the fork shares the memo, and sessions pinned to
+    /// the old oracle keep the old embedding's hints.
     pub fn rebuild(&mut self) {
         let oracle = Arc::new(self.oracle.forked());
         let n = oracle.len();

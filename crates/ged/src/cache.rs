@@ -5,17 +5,28 @@
 //! [`GraphId`], results are memoized, and the number of *engine* calls (the
 //! paper's cost unit) is tracked.
 //!
-//! The caches are sharded 64 ways by pair key so concurrent distance
+//! An oracle is a per-generation view (graph rows, their profiles, the
+//! installed metric hints) over one shared memo: the engine, the counters
+//! and a table of per-pair facts — the exact distance once known, the
+//! strongest strict lower bound, the strongest upper bound. A fact about a
+//! pair of ids holds for as long as the ids do, and every tier is
+//! verdict-identical to the engine, so [`DistanceOracle::extended`] and
+//! [`DistanceOracle::forked`] hand the successor generation the same memo:
+//! sessions pinned to an old generation and sessions on the new one read and
+//! fill the same cells, and the counters are one continuous history.
+//!
+//! The table is sharded 64 ways by pair key so concurrent distance
 //! evaluation (the rayon-parallel index build, insert sweeps and offline
 //! baselines; the server's workers running sessions side by side) doesn't
-//! serialize on a global lock. Exact distances live in per-pair
-//! [`OnceLock`] cells, and `within` misses rendezvous on per-`(pair, τ)`
-//! verdict cells: when many threads race on the same uncached request,
-//! exactly one runs the NP-hard engine computation and the rest block on the
-//! cell, so engine-call accounting stays exact under any interleaving —
+//! serialize on a global lock. A request the facts cannot answer
+//! rendezvouses on its pair's in-flight [`OnceLock`] cell: exactly one racer
+//! runs the ladder or the NP-hard engine, publishes what it learned as a
+//! fact and drops the cell; the rest block on the cell, then read the fact.
+//! Engine-call accounting therefore stays exact under any interleaving —
 //! every non-self request increments exactly one of
 //! `distance_computations` / `within_rejections` / `cache_hits` /
-//! `ub_accepts`.
+//! `ub_accepts` — and the table holds one entry per pair however many
+//! distinct thresholds are asked.
 //!
 //! [`DistanceOracle::within_verdict`] additionally runs a ladder of cheap
 //! filter tiers (size → profiled label → degree sequence → metric hints)
@@ -24,12 +35,13 @@
 //! count.
 
 use crate::bounds::{degree_sequence_bound, label_lower_bound_profiled, size_lower_bound_profiled};
+use crate::cost::CostModel;
 use crate::engine::{GedEngine, GedMode};
-use crate::profile::{profiles_for, GraphProfile};
+use crate::profile::GraphProfile;
 use graphrep_graph::{Graph, GraphId};
 use graphrep_lockaudit::TrackedRwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Statistics of oracle usage.
@@ -103,127 +115,105 @@ fn shard_of(key: u64) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
 }
 
-/// A shared `within` verdict: `Some(d)` accepts with the exact distance,
-/// `None` rejects (`d > τ`).
-type WithinCell = Arc<OnceLock<Option<f64>>>;
-
-/// A shared boolean θ-membership verdict for [`DistanceOracle::within_verdict`].
-type VerdictCell = Arc<OnceLock<bool>>;
-
-/// One cache shard: exact distances plus known strict lower bounds.
-struct Shard {
-    /// Exact distances. Each pair owns a [`OnceLock`] cell so that racing
-    /// threads agree on a single engine computation.
-    exact: TrackedRwLock<HashMap<u64, Arc<OnceLock<f64>>>>,
-    /// Known strict lower bounds: `d(i, j) > lower[key]`.
-    lower: TrackedRwLock<HashMap<u64, f64>>,
-    /// Known upper bounds: `d(i, j) ≤ upper[key]`, from hint-certified
+/// Everything the memo knows about one pair of ids.
+struct PairFacts {
+    /// The exact distance, once some call has produced it.
+    exact: Option<f64>,
+    /// Strongest known strict lower bound: `d(i, j) > lower`.
+    lower: f64,
+    /// Strongest known upper bound: `d(i, j) ≤ upper`, from hint-certified
     /// accepts that never produced an exact distance.
-    upper: TrackedRwLock<HashMap<u64, f64>>,
-    /// `within` verdicts keyed by `(pair, τ bits)`. Threads racing the same
-    /// uncached threshold test rendezvous here so only one runs the engine;
-    /// `Some(d)` means `d(i, j) = d ≤ τ`, `None` means `d(i, j) > τ`.
-    within: TrackedRwLock<HashMap<(u64, u64), WithinCell>>,
-    /// Boolean verdicts of the tiered `within_verdict` path, keyed the same
-    /// way; the winner evaluates the tier ladder exactly once per `(pair, τ)`.
-    verdict: TrackedRwLock<HashMap<(u64, u64), VerdictCell>>,
+    upper: f64,
+    /// Rendezvous for the decision in flight on this pair, if any: racers
+    /// block on it so only one runs the engine. Dropped by the winner once
+    /// its fact is published, so a resolved cell never outlives its decision.
+    flight: Option<Arc<OnceLock<()>>>,
 }
 
-impl Shard {
-    /// An empty shard. Site names identify the *field* across all
-    /// [`NUM_SHARDS`] instances — the static lock graph cannot distinguish
-    /// instances, and the runtime witness mirrors that (same-site pairs are
-    /// self-edges and skipped).
-    fn new() -> Shard {
-        Shard {
-            exact: TrackedRwLock::new("ged.cache.Shard.exact", HashMap::new()),
-            lower: TrackedRwLock::new("ged.cache.Shard.lower", HashMap::new()),
-            upper: TrackedRwLock::new("ged.cache.Shard.upper", HashMap::new()),
-            within: TrackedRwLock::new("ged.cache.Shard.within", HashMap::new()),
-            verdict: TrackedRwLock::new("ged.cache.Shard.verdict", HashMap::new()),
-        }
-    }
-
-    /// The pair's exact-distance cell, creating an empty one if absent.
-    fn cell(&self, key: u64) -> Arc<OnceLock<f64>> {
-        if let Some(cell) = self.exact.read().get(&key) {
-            return Arc::clone(cell);
-        }
-        Arc::clone(self.exact.write().entry(key).or_default())
-    }
-
-    /// The pair's exact distance, if already computed.
-    fn exact_get(&self, key: u64) -> Option<f64> {
-        self.exact
-            .read()
-            .get(&key)
-            .and_then(|cell| cell.get().copied())
-    }
-
-    /// The `(pair, τ)` within-verdict cell, creating an empty one if absent.
-    fn within_cell(&self, key: u64, tau: f64) -> WithinCell {
-        let k = (key, tau.to_bits());
-        if let Some(cell) = self.within.read().get(&k) {
-            return Arc::clone(cell);
-        }
-        Arc::clone(self.within.write().entry(k).or_default())
-    }
-
-    /// The `(pair, τ)` boolean verdict cell, creating an empty one if absent.
-    fn verdict_cell(&self, key: u64, tau: f64) -> VerdictCell {
-        let k = (key, tau.to_bits());
-        if let Some(cell) = self.verdict.read().get(&k) {
-            return Arc::clone(cell);
-        }
-        Arc::clone(self.verdict.write().entry(k).or_default())
-    }
-
-    /// Records the lower-bound fact `d > lb`, keeping the strongest.
-    fn note_lower(&self, key: u64, lb: f64) {
-        let mut lw = self.lower.write();
-        let e = lw.entry(key).or_insert(lb);
-        if *e < lb {
-            *e = lb;
-        }
-    }
-
-    /// Records the upper-bound fact `d ≤ ub`, keeping the strongest.
-    fn note_upper(&self, key: u64, ub: f64) {
-        let mut uw = self.upper.write();
-        let e = uw.entry(key).or_insert(ub);
-        if *e > ub {
-            *e = ub;
-        }
-    }
-
-    /// A copy of this shard sharing every memoized cell: pair keys encode
-    /// graph ids, which are stable under extension, so the new oracle's
-    /// shard answers exactly what this one would for the old id range.
-    fn transplanted(&self) -> Shard {
-        Shard {
-            exact: TrackedRwLock::new("ged.cache.Shard.exact", self.exact.read().clone()),
-            lower: TrackedRwLock::new("ged.cache.Shard.lower", self.lower.read().clone()),
-            upper: TrackedRwLock::new("ged.cache.Shard.upper", self.upper.read().clone()),
-            within: TrackedRwLock::new("ged.cache.Shard.within", self.within.read().clone()),
-            verdict: TrackedRwLock::new("ged.cache.Shard.verdict", self.verdict.read().clone()),
+impl Default for PairFacts {
+    fn default() -> Self {
+        Self {
+            exact: None,
+            lower: f64::NEG_INFINITY,
+            upper: f64::INFINITY,
+            flight: None,
         }
     }
 }
 
-/// Caching, counting distance oracle over a fixed graph collection.
-pub struct DistanceOracle {
-    graphs: Arc<Vec<Graph>>,
-    /// Per-graph sorted invariants, index-aligned with `graphs`; computed
-    /// once here so every bound tier is an O(n) merge.
-    profiles: Vec<GraphProfile>,
+/// What one decision learned about its pair.
+enum Fact {
+    /// `d(i, j)` exactly.
+    Exact(f64),
+    /// `d(i, j) > τ`.
+    Above(f64),
+    /// `d(i, j) ≤ ub`.
+    AtMost(f64),
+}
+
+impl PairFacts {
+    /// Records `fact`, keeping the strongest bound of each kind.
+    fn learn(&mut self, fact: Fact) {
+        match fact {
+            Fact::Exact(d) => self.exact = Some(d),
+            Fact::Above(lb) => self.lower = self.lower.max(lb),
+            Fact::AtMost(ub) => self.upper = self.upper.min(ub),
+        }
+    }
+
+    /// The `within(τ)` answer if the facts hold it: `Some(d)` inside τ with
+    /// the exact distance, `None` outside.
+    fn within(&self, tau: f64) -> Option<Option<f64>> {
+        match self.exact {
+            Some(d) => Some((d <= tau + 1e-9).then_some(d)),
+            // d > lower ≥ tau: certainly outside.
+            None => (self.lower >= tau - 1e-9).then_some(None),
+        }
+    }
+
+    /// The `d ≤ τ` verdict if the facts hold it.
+    fn verdict(&self, tau: f64) -> Option<bool> {
+        match self.within(tau) {
+            Some(v) => Some(v.is_some()),
+            // d ≤ upper ≤ tau: certainly inside.
+            None => (self.upper <= tau + 1e-9).then_some(true),
+        }
+    }
+}
+
+/// One memo shard. The site name identifies the *field* across all
+/// [`NUM_SHARDS`] instances — the static lock graph cannot distinguish
+/// instances, and the runtime witness mirrors that (same-site pairs are
+/// self-edges and skipped).
+struct Shard {
+    facts: TrackedRwLock<HashMap<u64, PairFacts>>,
+}
+
+/// Ticks an outcome or tier counter.
+#[inline]
+fn tick(counter: &AtomicU64) {
+    // Independent event tally; no cross-counter ordering is consumed.
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The state every generation of one dataset's oracle shares: the engine,
+/// the per-pair facts and the counters.
+struct Memo {
     engine: GedEngine,
     shards: [Shard; NUM_SHARDS],
-    /// Index-supplied metric bounds (Lipschitz embedding); installed after
-    /// the vantage table is built, absent before.
-    hints: TrackedRwLock<Option<Arc<dyn MetricHints>>>,
+    /// Ids this memo holds facts about; [`DistanceOracle::extended`] claims
+    /// the next one.
+    rows: AtomicUsize,
     /// Whether `within_verdict` may use the cheap filter tiers at all;
     /// disabled only for baseline comparison runs.
     tiers_enabled: AtomicBool,
+    tally: Tally,
+}
+
+/// The memo's counters: one outcome per non-self request, plus the tier
+/// breakdown of engine-free rejections.
+#[derive(Default)]
+struct Tally {
     computations: AtomicU64,
     rejections: AtomicU64,
     hits: AtomicU64,
@@ -232,11 +222,122 @@ pub struct DistanceOracle {
     tier_label: AtomicU64,
     tier_degree: AtomicU64,
     tier_vlb: AtomicU64,
-    /// Total non-self requests, tallied only in audit builds to check the
-    /// conservation identity
-    /// `computations + rejections + hits + ub_accepts == requests`.
+    /// Total non-self requests, and how many of them have not settled yet:
+    /// tallied only in audit builds to check the conservation identity
+    /// `computations + rejections + hits + ub_accepts == requests` whenever
+    /// nothing is in flight.
     #[cfg(feature = "invariant-audit")]
     requests: AtomicU64,
+    #[cfg(feature = "invariant-audit")]
+    in_flight: AtomicU64,
+}
+
+impl Memo {
+    fn new(engine: GedEngine, rows: usize, tiers_enabled: bool) -> Memo {
+        Memo {
+            engine,
+            shards: std::array::from_fn(|_| Shard {
+                facts: TrackedRwLock::new("ged.cache.Shard.facts", HashMap::new()),
+            }),
+            rows: AtomicUsize::new(rows),
+            tiers_enabled: AtomicBool::new(tiers_enabled),
+            tally: Tally::default(),
+        }
+    }
+
+    /// Answers one non-self request about pair `k`: from the facts if
+    /// `known` reads an answer off them (a cache hit), otherwise by running
+    /// `decide`, which tallies its own outcome and returns the fact it
+    /// learned beside the answer.
+    ///
+    /// Requests the facts cannot answer rendezvous on the pair's in-flight
+    /// cell. Exactly one runs `decide`, publishes the fact and drops the
+    /// cell; the others wake and probe again — a hit, unless the fact does
+    /// not settle *their* question (another τ), in which case one of them
+    /// takes the next flight. No lock is held while `decide` runs.
+    fn resolve<T>(
+        &self,
+        k: u64,
+        known: impl Fn(&PairFacts) -> Option<T>,
+        decide: impl Fn() -> (Fact, T),
+    ) -> T {
+        let facts = &self.shards[shard_of(k)].facts;
+        self.note_request();
+        let answer = loop {
+            let hit = facts.read().get(&k).and_then(&known);
+            if let Some(t) = hit {
+                tick(&self.tally.hits);
+                break t;
+            }
+            let flight = {
+                let mut w = facts.write();
+                let pair = w.entry(k).or_default();
+                // Published between the probe above and this lock?
+                if let Some(t) = known(pair) {
+                    tick(&self.tally.hits);
+                    break t;
+                }
+                Arc::clone(pair.flight.get_or_insert_with(Arc::default))
+            };
+            let mut won = None;
+            flight.get_or_init(|| {
+                let (fact, t) = decide();
+                let mut w = facts.write();
+                let pair = w.entry(k).or_default();
+                pair.learn(fact);
+                pair.flight = None;
+                won = Some(t);
+            });
+            if let Some(t) = won {
+                break t;
+            }
+        };
+        self.note_settled();
+        answer
+    }
+
+    /// Tallies one non-self request entering (audit builds): the gauge
+    /// first, so no request is ever counted in `requests` without showing in
+    /// `in_flight` until its outcome has ticked.
+    #[cfg(feature = "invariant-audit")]
+    fn note_request(&self) {
+        // Audit-only tallies, sequentially consistent so the conservation
+        // audit's reads order against every request's entry and exit.
+        self.tally.in_flight.fetch_add(1, Ordering::SeqCst);
+        self.tally.requests.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Marks one request settled: its outcome counter has ticked.
+    #[cfg(feature = "invariant-audit")]
+    fn note_settled(&self) {
+        // Audit-only gauge; see `note_request`.
+        self.tally.in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    #[cfg(not(feature = "invariant-audit"))]
+    #[inline(always)]
+    fn note_request(&self) {}
+
+    #[cfg(not(feature = "invariant-audit"))]
+    #[inline(always)]
+    fn note_settled(&self) {}
+}
+
+/// Caching, counting distance oracle over one generation of a graph
+/// collection.
+pub struct DistanceOracle {
+    /// The rows. A [`Graph`] is a shared handle, so successor generations
+    /// hold the same graphs and profiles and allocate only what they add.
+    graphs: Arc<Vec<Graph>>,
+    /// Per-graph sorted invariants, index-aligned with `graphs`; computed
+    /// once per graph so every bound tier is an O(n) merge.
+    profiles: Vec<Arc<GraphProfile>>,
+    /// Engine, facts and counters, shared with every other generation.
+    memo: Arc<Memo>,
+    /// Index-supplied metric bounds (Lipschitz embedding); installed after
+    /// the vantage table is built, absent before. Per generation: the
+    /// embedding they wrap covers exactly this generation's ids.
+    hints: TrackedRwLock<Option<Arc<dyn MetricHints>>>,
 }
 
 /// The oracle is shared across rayon workers by reference.
@@ -245,12 +346,15 @@ const _: () = _assert_send_sync::<DistanceOracle>();
 
 impl std::fmt::Debug for DistanceOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let exact: usize = self.shards.iter().map(|s| s.exact.read().len()).sum();
-        let lower: usize = self.shards.iter().map(|s| s.lower.read().len()).sum();
+        let (pairs, exact) = self.memo.shards.iter().fold((0, 0), |(p, e), s| {
+            let facts = s.facts.read();
+            let known = facts.values().filter(|f| f.exact.is_some()).count();
+            (p + facts.len(), e + known)
+        });
         f.debug_struct("DistanceOracle")
             .field("graphs", &self.graphs.len())
+            .field("cached_pairs", &pairs)
             .field("cached_exact", &exact)
-            .field("cached_lower", &lower)
             .field("stats", &self.stats())
             .finish()
     }
@@ -259,88 +363,81 @@ impl std::fmt::Debug for DistanceOracle {
 impl DistanceOracle {
     /// Creates an oracle over `graphs` backed by `engine`.
     pub fn new(graphs: Arc<Vec<Graph>>, engine: GedEngine) -> Self {
-        let profiles = profiles_for(&graphs);
-        Self {
+        let profiles = graphs
+            .iter()
+            .map(|g| Arc::new(GraphProfile::new(g)))
+            .collect();
+        let memo = Arc::new(Memo::new(engine, graphs.len(), true));
+        Self::generation(graphs, profiles, memo)
+    }
+
+    /// One generation's view over `memo`, with no metric hints installed.
+    fn generation(
+        graphs: Arc<Vec<Graph>>,
+        profiles: Vec<Arc<GraphProfile>>,
+        memo: Arc<Memo>,
+    ) -> DistanceOracle {
+        DistanceOracle {
             graphs,
             profiles,
-            engine,
-            shards: std::array::from_fn(|_| Shard::new()),
+            memo,
             hints: TrackedRwLock::new("ged.cache.DistanceOracle.hints", None),
-            tiers_enabled: AtomicBool::new(true),
-            computations: AtomicU64::new(0),
-            rejections: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            ub_accepts: AtomicU64::new(0),
-            tier_size: AtomicU64::new(0),
-            tier_label: AtomicU64::new(0),
-            tier_degree: AtomicU64::new(0),
-            tier_vlb: AtomicU64::new(0),
-            #[cfg(feature = "invariant-audit")]
-            requests: AtomicU64::new(0),
         }
     }
 
     /// A new oracle over this oracle's graphs plus `graph` appended as the
     /// next id.
     ///
-    /// Graph ids are stable under extension, so every memoized distance,
-    /// bound, and verdict is transplanted into the new oracle and all
-    /// counter totals carry forward — callers holding delta baselines (the
-    /// serve registry) or relying on the conservation identity see one
-    /// continuous history across the swap. Metric hints are *not* carried:
-    /// the vantage table they wrap predates the new graph, so the caller
-    /// must re-install hints after extending its embedding.
+    /// Graph ids are stable under extension, so the successor shares this
+    /// oracle's memo — every distance, bound and counter, past and future —
+    /// and its rows: only the new graph's handle and profile are allocated.
+    /// Callers holding delta baselines (the serve registry) or relying on
+    /// the conservation identity see one continuous history across the swap.
+    /// Metric hints are *not* carried: the vantage table they wrap predates
+    /// the new graph, so the caller must re-install hints after extending
+    /// its embedding.
     pub fn extended(&self, graph: Graph) -> DistanceOracle {
-        let mut graphs: Vec<Graph> = self.graphs.as_ref().clone();
+        let n = self.graphs.len();
         let mut profiles = self.profiles.clone();
-        profiles.push(GraphProfile::new(&graph));
+        profiles.push(Arc::new(GraphProfile::new(&graph)));
+        let mut graphs = self.graphs.as_ref().clone();
         graphs.push(graph);
-        self.clone_with(Arc::new(graphs), profiles)
+        // Facts are keyed by id, so only one successor may give id `n` a
+        // meaning in this memo. A second extension of the same generation (a
+        // discarded or divergent fork went first) starts a memo of its own
+        // rather than read facts about a different graph.
+        let rows = &self.memo.rows;
+        // A ticket, not a publication: nothing is ordered against the claim.
+        let claim = rows.compare_exchange(n, n + 1, Ordering::Relaxed, Ordering::Relaxed);
+        let memo = match claim {
+            Ok(_) => Arc::clone(&self.memo),
+            Err(_) => Arc::new(Memo::new(
+                GedEngine::new(*self.memo.engine.config()),
+                n + 1,
+                // Config-style flag, not synchronization.
+                self.memo.tiers_enabled.load(Ordering::Relaxed),
+            )),
+        };
+        Self::generation(Arc::new(graphs), profiles, memo)
     }
 
-    /// A new oracle over the *same* graphs with every memoized result and
-    /// counter carried forward, but no metric hints installed.
+    /// A new oracle over the *same* graphs and the same memo, but with no
+    /// metric hints installed.
     ///
     /// Used when an index rebuild swaps in a new embedding: installing the
     /// rebuilt hints on a fork leaves sessions pinned to the old oracle (and
     /// its old embedding) entirely undisturbed.
     pub fn forked(&self) -> DistanceOracle {
-        self.clone_with(Arc::clone(&self.graphs), self.profiles.clone())
-    }
-
-    /// Shared tail of [`DistanceOracle::extended`]/[`DistanceOracle::forked`].
-    fn clone_with(&self, graphs: Arc<Vec<Graph>>, profiles: Vec<GraphProfile>) -> DistanceOracle {
-        Self {
-            graphs,
-            profiles,
-            engine: self.engine.fork(),
-            shards: std::array::from_fn(|i| self.shards[i].transplanted()),
-            hints: TrackedRwLock::new("ged.cache.DistanceOracle.hints", None),
-            // Config-style flag, not synchronization.
-            tiers_enabled: AtomicBool::new(self.tiers_enabled.load(Ordering::Relaxed)),
-            // Counters are independent tallies copied at a quiescent point.
-            computations: AtomicU64::new(self.computations.load(Ordering::Relaxed)),
-            rejections: AtomicU64::new(self.rejections.load(Ordering::Relaxed)),
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-            ub_accepts: AtomicU64::new(self.ub_accepts.load(Ordering::Relaxed)),
-            tier_size: AtomicU64::new(self.tier_size.load(Ordering::Relaxed)),
-            tier_label: AtomicU64::new(self.tier_label.load(Ordering::Relaxed)),
-            tier_degree: AtomicU64::new(self.tier_degree.load(Ordering::Relaxed)),
-            tier_vlb: AtomicU64::new(self.tier_vlb.load(Ordering::Relaxed)),
-            #[cfg(feature = "invariant-audit")]
-            // Quiescent-point tally copy, same as the counters above.
-            requests: AtomicU64::new(self.requests.load(Ordering::Relaxed)),
-        }
+        Self::generation(
+            Arc::clone(&self.graphs),
+            self.profiles.clone(),
+            Arc::clone(&self.memo),
+        )
     }
 
     /// The underlying graphs.
     pub fn graphs(&self) -> &[Graph] {
         &self.graphs
-    }
-
-    /// Shared handle to the underlying graphs.
-    pub fn graphs_arc(&self) -> Arc<Vec<Graph>> {
-        Arc::clone(&self.graphs)
     }
 
     /// Number of graphs.
@@ -359,9 +456,9 @@ impl DistanceOracle {
         &self.profiles[i as usize]
     }
 
-    /// The engine (for counter access).
+    /// The engine (for counter access), shared by every generation.
     pub fn engine(&self) -> &GedEngine {
-        &self.engine
+        &self.memo.engine
     }
 
     /// Exact distance between graphs `i` and `j` (cached).
@@ -373,96 +470,42 @@ impl DistanceOracle {
         if i == j {
             return 0.0;
         }
-        let k = key(i, j);
-        self.note_request();
-        let cell = self.shards[shard_of(k)].cell(k);
-        let mut computed = false;
-        let d = *cell.get_or_init(|| {
-            computed = true;
-            // Independent event tally; no cross-counter ordering is consumed.
-            self.computations.fetch_add(1, Ordering::Relaxed);
-            self.engine.distance_profiled(
-                &self.graphs[i as usize],
-                &self.graphs[j as usize],
-                &self.profiles[i as usize],
-                &self.profiles[j as usize],
-            )
-        });
-        if !computed {
-            // Independent event tally; no cross-counter ordering is consumed.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        d
+        let m = &*self.memo;
+        m.resolve(
+            key(i, j),
+            |f| f.exact,
+            || {
+                tick(&m.tally.computations);
+                let d = m.engine.distance_profiled(
+                    &self.graphs[i as usize],
+                    &self.graphs[j as usize],
+                    self.profile(i),
+                    self.profile(j),
+                );
+                (Fact::Exact(d), d)
+            },
+        )
     }
 
-    /// Returns `Some(d)` iff `d(i, j) = d ≤ tau`, consulting the caches
+    /// Returns `Some(d)` iff `d(i, j) = d ≤ tau`, consulting the facts
     /// before the engine.
     ///
     /// Concurrent calls on the same uncached `(pair, tau)` run the engine
     /// exactly once: the winner counts a computation or rejection, everyone
-    /// else blocks on the verdict cell and counts a cache hit.
+    /// else blocks on the pair's cell and counts a cache hit.
     pub fn within(&self, i: GraphId, j: GraphId, tau: f64) -> Option<f64> {
         if i == j {
             return Some(0.0);
         }
-        let k = key(i, j);
-        self.note_request();
-        let shard = &self.shards[shard_of(k)];
-        if let Some(d) = shard.exact_get(k) {
-            // Independent event tally; no cross-counter ordering is consumed.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (d <= tau + 1e-9).then_some(d);
-        }
-        if let Some(&lb) = shard.lower.read().get(&k) {
-            if lb >= tau - 1e-9 {
-                // d > lb ≥ tau: certainly outside. Independent event tally.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        }
-        let cell = shard.within_cell(k, tau);
-        let mut ran_engine = false;
-        let verdict = *cell.get_or_init(|| {
-            // A concurrent `distance` may have resolved the pair between the
-            // cache probe above and winning this cell; re-check before
-            // paying for the engine.
-            if let Some(d) = shard.exact_get(k) {
-                return (d <= tau + 1e-9).then_some(d);
-            }
-            ran_engine = true;
-            match self.engine.distance_within_profiled(
-                &self.graphs[i as usize],
-                &self.graphs[j as usize],
-                &self.profiles[i as usize],
-                &self.profiles[j as usize],
-                tau,
-            ) {
-                Some(d) => {
-                    // Independent event tally; the verdict cell publishes.
-                    self.computations.fetch_add(1, Ordering::Relaxed);
-                    // A concurrent `distance` may have filled the cell with
-                    // the same exact value already; the failed set is
-                    // harmless.
-                    let _ = shard.cell(k).set(d);
-                    Some(d)
-                }
-                None => {
-                    // Independent event tally; the verdict cell publishes.
-                    self.rejections.fetch_add(1, Ordering::Relaxed);
-                    shard.note_lower(k, tau);
-                    None
-                }
-            }
-        });
-        if !ran_engine {
-            // Independent event tally; no cross-counter ordering is consumed.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        verdict
+        self.memo.resolve(
+            key(i, j),
+            |f| f.within(tau),
+            || self.engine_within(i, j, tau),
+        )
     }
 
     /// Returns `true` iff `d(i, j) ≤ tau`, deciding through the tiered filter
-    /// ladder: caches, then size / profiled-label / degree-sequence lower
+    /// ladder: facts, then size / profiled-label / degree-sequence lower
     /// bounds, then the installed [`MetricHints`] (Lipschitz lower bound and
     /// triangle upper bound), and only then the engine.
     ///
@@ -486,121 +529,69 @@ impl DistanceOracle {
         if i == j {
             return true;
         }
-        let k = key(i, j);
-        self.note_request();
-        let shard = &self.shards[shard_of(k)];
-        if let Some(d) = shard.exact_get(k) {
-            // Independent event tally; no cross-counter ordering is consumed.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return d <= tau + 1e-9;
-        }
-        if let Some(&lb) = shard.lower.read().get(&k) {
-            if lb >= tau - 1e-9 {
-                // d > lb ≥ tau: certainly outside. Independent event tally.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return false;
+        self.memo
+            .resolve(key(i, j), |f| f.verdict(tau), || self.ladder(i, j, tau))
+    }
+
+    /// The engine's tallied answer to `within(i, j, tau)` and the fact it
+    /// establishes.
+    fn engine_within(&self, i: GraphId, j: GraphId, tau: f64) -> (Fact, Option<f64>) {
+        let m = &*self.memo;
+        let d = m.engine.distance_within_profiled(
+            &self.graphs[i as usize],
+            &self.graphs[j as usize],
+            self.profile(i),
+            self.profile(j),
+            tau,
+        );
+        match d {
+            Some(d) => {
+                tick(&m.tally.computations);
+                (Fact::Exact(d), Some(d))
+            }
+            None => {
+                tick(&m.tally.rejections);
+                (Fact::Above(tau), None)
             }
         }
-        if let Some(&ub) = shard.upper.read().get(&k) {
-            if ub <= tau + 1e-9 {
-                // d ≤ ub ≤ tau: certainly inside. Independent event tally.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return true;
+    }
+
+    /// One evaluation of the filter ladder below the facts, tallied.
+    fn ladder(&self, i: GraphId, j: GraphId, tau: f64) -> (Fact, bool) {
+        let m = &*self.memo;
+        let reject = |tier: &AtomicU64| {
+            tick(&m.tally.rejections);
+            tick(tier);
+            (Fact::Above(tau), false)
+        };
+        // Tier gating reads are config-style flags, not synchronization.
+        if m.tiers_enabled.load(Ordering::Relaxed) {
+            let (p1, p2, c) = (self.profile(i), self.profile(j), &m.engine.config().cost);
+            type Bound = fn(&GraphProfile, &GraphProfile, &CostModel) -> f64;
+            let tiers: [(Bound, &AtomicU64); 3] = [
+                (size_lower_bound_profiled, &m.tally.tier_size),
+                (label_lower_bound_profiled, &m.tally.tier_label),
+                (degree_sequence_bound, &m.tally.tier_degree),
+            ];
+            for (bound, tier) in tiers {
+                if bound(p1, p2, c) > tau + 1e-9 {
+                    return reject(tier);
+                }
+            }
+            let hints = self.hints.read().clone();
+            if let Some(h) = hints.filter(|_| self.hints_sound()) {
+                let hub = h.upper_bound(i, j);
+                if hub <= tau + 1e-9 {
+                    tick(&m.tally.ub_accepts);
+                    return (Fact::AtMost(hub), true);
+                }
+                if h.lower_bound(i, j) > tau + 1e-9 {
+                    return reject(&m.tally.tier_vlb);
+                }
             }
         }
-        let cell = shard.verdict_cell(k, tau);
-        let mut counted = false;
-        let verdict = *cell.get_or_init(|| {
-            // A concurrent call may have resolved the pair between the cache
-            // probes above and winning this cell; re-check before paying for
-            // any tier.
-            if let Some(d) = shard.exact_get(k) {
-                return d <= tau + 1e-9;
-            }
-            let p1 = &self.profiles[i as usize];
-            let p2 = &self.profiles[j as usize];
-            // Tier gating reads are config-style flags, not synchronization.
-            if self.tiers_enabled.load(Ordering::Relaxed) {
-                let c = &self.engine.config().cost;
-                if size_lower_bound_profiled(p1, p2, c) > tau + 1e-9 {
-                    counted = true;
-                    // Independent event tallies; the verdict cell publishes.
-                    self.rejections.fetch_add(1, Ordering::Relaxed);
-                    self.tier_size.fetch_add(1, Ordering::Relaxed);
-                    shard.note_lower(k, tau);
-                    return false;
-                }
-                if label_lower_bound_profiled(p1, p2, c) > tau + 1e-9 {
-                    counted = true;
-                    // Independent event tallies; the verdict cell publishes.
-                    self.rejections.fetch_add(1, Ordering::Relaxed);
-                    self.tier_label.fetch_add(1, Ordering::Relaxed);
-                    shard.note_lower(k, tau);
-                    return false;
-                }
-                if degree_sequence_bound(p1, p2, c) > tau + 1e-9 {
-                    counted = true;
-                    // Independent event tallies; the verdict cell publishes.
-                    self.rejections.fetch_add(1, Ordering::Relaxed);
-                    self.tier_degree.fetch_add(1, Ordering::Relaxed);
-                    shard.note_lower(k, tau);
-                    return false;
-                }
-                let hints = self.hints.read().as_ref().map(Arc::clone);
-                if let Some(h) = hints {
-                    if self.hints_sound() {
-                        let hub = h.upper_bound(i, j);
-                        if hub <= tau + 1e-9 {
-                            counted = true;
-                            // Independent event tally; the verdict cell
-                            // publishes.
-                            self.ub_accepts.fetch_add(1, Ordering::Relaxed);
-                            shard.note_upper(k, hub);
-                            return true;
-                        }
-                        let hlb = h.lower_bound(i, j);
-                        if hlb > tau + 1e-9 {
-                            counted = true;
-                            // Independent event tallies; the verdict cell
-                            // publishes.
-                            self.rejections.fetch_add(1, Ordering::Relaxed);
-                            self.tier_vlb.fetch_add(1, Ordering::Relaxed);
-                            shard.note_lower(k, tau);
-                            return false;
-                        }
-                    }
-                }
-            }
-            counted = true;
-            match self.engine.distance_within_profiled(
-                &self.graphs[i as usize],
-                &self.graphs[j as usize],
-                p1,
-                p2,
-                tau,
-            ) {
-                Some(d) => {
-                    // Independent event tally; the verdict cell publishes.
-                    self.computations.fetch_add(1, Ordering::Relaxed);
-                    // A concurrent `distance` may have filled the cell with
-                    // the same exact value already; the failed set is
-                    // harmless.
-                    let _ = shard.cell(k).set(d);
-                    true
-                }
-                None => {
-                    // Independent event tally; the verdict cell publishes.
-                    self.rejections.fetch_add(1, Ordering::Relaxed);
-                    shard.note_lower(k, tau);
-                    false
-                }
-            }
-        });
-        if !counted {
-            // Independent event tally; no cross-counter ordering is consumed.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        verdict
+        let (fact, d) = self.engine_within(i, j, tau);
+        (fact, d.is_some())
     }
 
     /// Whether hint bounds about the *true* distance may substitute for the
@@ -608,19 +599,21 @@ impl DistanceOracle {
     /// far, because a budget-degraded engine certifies its bipartite bound
     /// rather than the true distance.
     fn hints_sound(&self) -> bool {
-        matches!(self.engine.config().mode, GedMode::Exact)
-            && self.engine.counters().snapshot().budget_fallbacks == 0
+        let engine = &self.memo.engine;
+        matches!(engine.config().mode, GedMode::Exact)
+            && engine.counters().snapshot().budget_fallbacks == 0
     }
 
     /// The exact distance between `i` and `j` if it is already known without
-    /// any engine work: `Some(0.0)` for `i == j`, otherwise the pair's
-    /// exact-cache entry. Never counts a request, a hit, or an engine call.
+    /// any engine work: `Some(0.0)` for `i == j`, otherwise the pair's exact
+    /// fact. Never counts a request, a hit, or an engine call.
     pub fn cached_distance(&self, i: GraphId, j: GraphId) -> Option<f64> {
         if i == j {
             return Some(0.0);
         }
         let k = key(i, j);
-        self.shards[shard_of(k)].exact_get(k)
+        let facts = self.memo.shards[shard_of(k)].facts.read();
+        facts.get(&k).and_then(|f| f.exact)
     }
 
     /// Installs index-supplied metric bounds for [`Self::within_verdict`]'s
@@ -630,76 +623,67 @@ impl DistanceOracle {
     }
 
     /// Enables or disables the cheap filter tiers of
-    /// [`Self::within_verdict`]; verdicts are identical either way, only the
-    /// cost of reaching them changes. Intended for baseline comparison runs.
+    /// [`Self::within_verdict`], for every generation sharing this memo;
+    /// verdicts are identical either way, only the cost of reaching them
+    /// changes. Intended for baseline comparison runs.
     pub fn set_tiers_enabled(&self, enabled: bool) {
         // Config-style flag, not synchronization.
-        self.tiers_enabled.store(enabled, Ordering::Relaxed);
+        self.memo.tiers_enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Per-tier attribution of engine-free [`Self::within_verdict`] decisions.
     pub fn tier_stats(&self) -> TierStats {
+        let t = &self.memo.tally;
         TierStats {
             // Counters are independent tallies read at quiescent points.
-            size_rejects: self.tier_size.load(Ordering::Relaxed),
-            label_rejects: self.tier_label.load(Ordering::Relaxed),
-            degree_rejects: self.tier_degree.load(Ordering::Relaxed),
-            vantage_lb_rejects: self.tier_vlb.load(Ordering::Relaxed),
-            vantage_ub_accepts: self.ub_accepts.load(Ordering::Relaxed),
+            size_rejects: t.tier_size.load(Ordering::Relaxed),
+            label_rejects: t.tier_label.load(Ordering::Relaxed),
+            degree_rejects: t.tier_degree.load(Ordering::Relaxed),
+            vantage_lb_rejects: t.tier_vlb.load(Ordering::Relaxed),
+            vantage_ub_accepts: t.ub_accepts.load(Ordering::Relaxed),
         }
     }
 
-    /// Usage statistics.
+    /// Usage statistics, over every generation sharing this memo.
     pub fn stats(&self) -> OracleStats {
+        let t = &self.memo.tally;
         OracleStats {
             // Counters are independent tallies read at quiescent points.
-            distance_computations: self.computations.load(Ordering::Relaxed),
-            within_rejections: self.rejections.load(Ordering::Relaxed),
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            ub_accepts: self.ub_accepts.load(Ordering::Relaxed),
+            distance_computations: t.computations.load(Ordering::Relaxed),
+            within_rejections: t.rejections.load(Ordering::Relaxed),
+            cache_hits: t.hits.load(Ordering::Relaxed),
+            ub_accepts: t.ub_accepts.load(Ordering::Relaxed),
         }
     }
 
     /// Total engine invocations (computations + rejections).
     pub fn engine_calls(&self) -> u64 {
-        // Counters are independent tallies read at quiescent points.
-        self.computations.load(Ordering::Relaxed) + self.rejections.load(Ordering::Relaxed)
+        let s = self.stats();
+        s.distance_computations + s.within_rejections
     }
 
-    /// Clears counters (the caches are kept).
+    /// Clears counters (the facts are kept). Acts on the shared memo, so
+    /// every generation's counters restart; meant for single-generation
+    /// oracles at quiescent points (experiments, tests).
     pub fn reset_stats(&self) {
-        // Counters are independent tallies; resets happen at quiescent points.
-        self.computations.store(0, Ordering::Relaxed);
-        self.rejections.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.ub_accepts.store(0, Ordering::Relaxed);
-        self.tier_size.store(0, Ordering::Relaxed);
-        self.tier_label.store(0, Ordering::Relaxed);
-        self.tier_degree.store(0, Ordering::Relaxed);
-        self.tier_vlb.store(0, Ordering::Relaxed);
-        self.reset_request_tally();
+        let t = &self.memo.tally;
+        let tallies = [
+            &t.computations,
+            &t.rejections,
+            &t.hits,
+            &t.ub_accepts,
+            &t.tier_size,
+            &t.tier_label,
+            &t.tier_degree,
+            &t.tier_vlb,
+            #[cfg(feature = "invariant-audit")]
+            &t.requests,
+        ];
+        for tally in tallies {
+            // Counters are independent tallies; resets happen at quiescent points.
+            tally.store(0, Ordering::Relaxed);
+        }
     }
-
-    /// Tallies one non-self request for conservation checking (audit builds).
-    #[cfg(feature = "invariant-audit")]
-    #[inline]
-    fn note_request(&self) {
-        // Audit-only tally; read quiescently by the conservation audit.
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[cfg(not(feature = "invariant-audit"))]
-    #[inline(always)]
-    fn note_request(&self) {}
-
-    #[cfg(feature = "invariant-audit")]
-    fn reset_request_tally(&self) {
-        // Audit-only tally; reset at the same quiescent points as the stats.
-        self.requests.store(0, Ordering::Relaxed);
-    }
-
-    #[cfg(not(feature = "invariant-audit"))]
-    fn reset_request_tally(&self) {}
 
     /// True when every distance this oracle has produced is exact: the
     /// engine runs in `Exact` mode and has recorded no budget fallbacks.
@@ -709,8 +693,7 @@ impl DistanceOracle {
     /// before asserting. Compiled only under the `invariant-audit` feature.
     #[cfg(feature = "invariant-audit")]
     pub fn audit_distances_exact(&self) -> bool {
-        matches!(self.engine.config().mode, crate::engine::GedMode::Exact)
-            && self.engine.counters().snapshot().budget_fallbacks == 0
+        self.hints_sound()
     }
 
     /// Checks the accounting identity behind the concurrency layer's
@@ -718,38 +701,36 @@ impl DistanceOracle {
     /// of `distance_computations` / `within_rejections` / `cache_hits` /
     /// `ub_accepts`, and the tier breakdown never exceeds the rejection total.
     ///
-    /// Sound under concurrent oracle traffic: a request ticks `requests`
-    /// before its outcome counter, so a snapshot can transiently observe
-    /// `outcomes < requests` while calls are in flight. A genuine leak (a
-    /// request that finished without an outcome) is *permanent*, so the
-    /// audit retries across short yields and only aborts when the imbalance
-    /// never clears. Compiled only under the `invariant-audit` feature.
+    /// A request ticks `requests` before its outcome counter, so the identity
+    /// is exact only while nothing is in flight. The audit therefore asserts
+    /// when the in-flight gauge reads zero and no request entered while the
+    /// counters were being read, and says nothing otherwise: an end-of-load
+    /// audit always asserts, one racing other sessions' traffic never
+    /// misfires. Compiled only under the `invariant-audit` feature.
     #[cfg(feature = "invariant-audit")]
     pub fn audit_counter_conservation(&self) {
-        const SAMPLES: usize = 64;
-        let mut s = self.stats();
-        for attempt in 1..=SAMPLES {
-            // Audit-only tally, read after the outcomes: any in-flight
-            // request missing from the outcome sums is still ticked here,
-            // so a clean snapshot shows exact equality.
-            let q = self.requests.load(Ordering::Relaxed);
-            if s.distance_computations + s.within_rejections + s.cache_hits + s.ub_accepts == q {
-                break;
-            }
-            crate::audit_invariant!(
-                attempt < SAMPLES,
-                "oracle counter conservation: {} computations + {} rejections + {} hits + {} ub accepts != {} requests (imbalance persisted across {} samples)",
-                s.distance_computations,
-                s.within_rejections,
-                s.cache_hits,
-                s.ub_accepts,
-                q,
-                SAMPLES
-            );
-            std::thread::yield_now();
-            s = self.stats();
+        let m = &*self.memo;
+        // Audit-only tallies; see `Memo::note_request`. Everything counted in
+        // `q` had settled when the gauge read zero, and an unchanged `q`
+        // afterwards means the counters in between are exactly theirs.
+        let q = m.tally.requests.load(Ordering::SeqCst);
+        if m.tally.in_flight.load(Ordering::SeqCst) != 0 {
+            return;
         }
-        let t = self.tier_stats();
+        let (s, t) = (self.stats(), self.tier_stats());
+        // Same audit-only tally, second read.
+        if m.tally.requests.load(Ordering::SeqCst) != q {
+            return;
+        }
+        crate::audit_invariant!(
+            s.distance_computations + s.within_rejections + s.cache_hits + s.ub_accepts == q,
+            "oracle counter conservation: {} computations + {} rejections + {} hits + {} ub accepts != {} requests",
+            s.distance_computations,
+            s.within_rejections,
+            s.cache_hits,
+            s.ub_accepts,
+            q
+        );
         crate::audit_invariant!(
             t.size_rejects + t.label_rejects + t.degree_rejects + t.vantage_lb_rejects
                 <= s.within_rejections,
@@ -759,14 +740,12 @@ impl DistanceOracle {
         );
     }
 
-    /// Clears the memoized distances *and* counters.
+    /// Clears the memoized facts *and* counters. Acts on the shared memo —
+    /// every generation forgets; meant for single-generation oracles at
+    /// quiescent points (experiments, tests).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.exact.write().clear();
-            shard.lower.write().clear();
-            shard.upper.write().clear();
-            shard.within.write().clear();
-            shard.verdict.write().clear();
+        for shard in &self.memo.shards {
+            shard.facts.write().clear();
         }
         self.reset_stats();
     }
@@ -828,6 +807,70 @@ mod tests {
             assert_eq!(o.within(1, 2, 0.5), None);
             assert_eq!(o.engine_calls(), before);
         }
+    }
+
+    #[test]
+    fn theta_sweep_keeps_one_entry_per_pair() {
+        let o = oracle(6, 11);
+        let pairs: Vec<(GraphId, GraphId)> = (0..6)
+            .flat_map(|i| (i + 1..6).map(move |j| (i, j)))
+            .collect();
+        for step in 0..64 {
+            let tau = 0.25 + 0.125 * step as f64;
+            for &(i, j) in &pairs {
+                assert_eq!(o.within_verdict(i, j, tau), o.within(i, j, tau).is_some());
+            }
+        }
+        let (mut entries, mut flights) = (0, 0);
+        for shard in &o.memo.shards {
+            let facts = shard.facts.read();
+            entries += facts.len();
+            flights += facts.values().filter(|f| f.flight.is_some()).count();
+        }
+        assert_eq!(
+            entries,
+            pairs.len(),
+            "one memo entry per pair, not per (pair, τ)"
+        );
+        assert_eq!(flights, 0, "a resolved rendezvous cell must be dropped");
+    }
+
+    #[test]
+    fn generations_share_rows_and_memo() {
+        let old = oracle(4, 12);
+        let new = old.extended(old.graphs()[0].clone());
+        assert_eq!(new.len(), 5);
+        for i in 0..old.len() {
+            assert_eq!(
+                old.graphs()[i].node_labels().as_ptr(),
+                new.graphs()[i].node_labels().as_ptr(),
+                "graph {i} must be shared, not copied"
+            );
+            assert!(std::ptr::eq(
+                old.profile(i as GraphId),
+                new.profile(i as GraphId)
+            ));
+        }
+        // A pair decided through either generation is a fact for both.
+        let d = new.distance(1, 2);
+        assert_eq!(old.cached_distance(1, 2), Some(d));
+        assert_eq!(new.forked().distance(2, 1), d);
+        assert_eq!(old.stats(), new.stats());
+        assert_eq!(old.engine_calls(), 1);
+    }
+
+    #[test]
+    fn second_extension_of_one_generation_gets_its_own_memo() {
+        let base = oracle(4, 13);
+        let first = base.extended(base.graphs()[0].clone());
+        let d = first.distance(0, 4);
+        assert_eq!(d, 0.0, "id 4 is a copy of graph 0 on this branch");
+        // Id 4 means a different graph on the second branch: it must not
+        // read the first branch's facts about it.
+        let second = base.extended(base.graphs()[1].clone());
+        assert_eq!(second.cached_distance(0, 4), None);
+        assert_eq!(second.distance(0, 4), base.distance(0, 1));
+        assert_eq!(first.distance(0, 4), 0.0);
     }
 
     #[test]

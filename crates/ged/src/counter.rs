@@ -63,24 +63,6 @@ impl GedCounters {
         // Independent event tally; no cross-counter ordering is consumed.
         field.fetch_add(v, Ordering::Relaxed);
     }
-
-    /// Overwrites all counters with `snap` — used when forking an engine for
-    /// an extended oracle so accumulated totals (and the delta baselines
-    /// derived from them) carry forward across the swap.
-    pub fn restore(&self, snap: &CounterSnapshot) {
-        let fields = [
-            (&self.exact_searches, snap.exact_searches),
-            (&self.expansions, snap.expansions),
-            (&self.bp_calls, snap.bp_calls),
-            (&self.budget_fallbacks, snap.budget_fallbacks),
-            (&self.lb_prunes, snap.lb_prunes),
-        ];
-        for (field, v) in fields {
-            // Counters are independent tallies; restores happen at quiescent
-            // points.
-            field.store(v, Ordering::Relaxed);
-        }
-    }
 }
 
 impl CounterSnapshot {

@@ -75,15 +75,6 @@ impl GedEngine {
         &self.counters
     }
 
-    /// A new engine with the same configuration and the current counter
-    /// totals carried forward — the engine half of
-    /// [`crate::DistanceOracle::extended`].
-    pub fn fork(&self) -> GedEngine {
-        let e = GedEngine::new(self.config);
-        e.counters.restore(&self.counters.snapshot());
-        e
-    }
-
     fn use_exact(&self, g1: &Graph, g2: &Graph) -> bool {
         match self.config.mode {
             GedMode::Exact => true,

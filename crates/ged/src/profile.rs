@@ -44,11 +44,6 @@ impl GraphProfile {
     }
 }
 
-/// Profiles for a whole database, index-aligned with `graphs`.
-pub fn profiles_for(graphs: &[Graph]) -> Vec<GraphProfile> {
-    graphs.iter().map(GraphProfile::new).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

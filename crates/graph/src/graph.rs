@@ -1,7 +1,8 @@
 //! The immutable labeled graph.
 
 use crate::labels::Label;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// Index of a graph within a database.
 pub type GraphId = u32;
@@ -22,12 +23,20 @@ pub struct EdgeRef {
 
 /// An immutable undirected graph with labeled vertices and edges.
 ///
+/// A `Graph` is a shared handle: `clone` copies one pointer, so a database
+/// generation, its oracle and every successor generation hold the same rows.
+///
 /// Invariants (enforced by [`crate::GraphBuilder`]):
 /// * no self loops, no parallel edges;
 /// * edges are stored with `u < v` and sorted lexicographically;
 /// * per-node neighbor lists are sorted by neighbor id.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Graph {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Graph(Arc<Parts>);
+
+/// The storage behind a [`Graph`] handle; its derived serde form is the
+/// graph's.
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+struct Parts {
     node_labels: Vec<Label>,
     edges: Vec<EdgeRef>,
     /// CSR-style adjacency: `adj[adj_off[u]..adj_off[u+1]]` are `(neighbor, edge label)`.
@@ -61,56 +70,56 @@ impl Graph {
         for u in 0..n {
             adj[adj_off[u] as usize..adj_off[u + 1] as usize].sort_unstable();
         }
-        Self {
+        Self(Arc::new(Parts {
             node_labels,
             edges,
             adj_off,
             adj,
-        }
+        }))
     }
 
     /// Number of vertices.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.node_labels.len()
+        self.0.node_labels.len()
     }
 
     /// Number of undirected edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.0.edges.len()
     }
 
     /// Label of node `u`.
     #[inline]
     pub fn node_label(&self, u: NodeId) -> Label {
-        self.node_labels[u as usize]
+        self.0.node_labels[u as usize]
     }
 
     /// All node labels, indexed by node id.
     #[inline]
     pub fn node_labels(&self) -> &[Label] {
-        &self.node_labels
+        &self.0.node_labels
     }
 
     /// All edges, sorted by `(u, v)` with `u < v`.
     #[inline]
     pub fn edges(&self) -> &[EdgeRef] {
-        &self.edges
+        &self.0.edges
     }
 
     /// Degree of node `u`.
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
         let u = u as usize;
-        (self.adj_off[u + 1] - self.adj_off[u]) as usize
+        (self.0.adj_off[u + 1] - self.0.adj_off[u]) as usize
     }
 
     /// Sorted `(neighbor, edge label)` pairs of node `u`.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[(NodeId, Label)] {
         let u = u as usize;
-        &self.adj[self.adj_off[u] as usize..self.adj_off[u + 1] as usize]
+        &self.0.adj[self.0.adj_off[u] as usize..self.0.adj_off[u + 1] as usize]
     }
 
     /// Label of the edge `{u, v}` if present.
@@ -129,19 +138,19 @@ impl Graph {
 
     /// Iterates node ids `0..n`.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + 'static {
-        (0..self.node_labels.len() as NodeId).map(|u| u as NodeId)
+        (0..self.0.node_labels.len() as NodeId).map(|u| u as NodeId)
     }
 
     /// Multiset of node labels as a sorted vector (used by distance bounds).
     pub fn sorted_node_labels(&self) -> Vec<Label> {
-        let mut v = self.node_labels.clone();
+        let mut v = self.0.node_labels.clone();
         v.sort_unstable();
         v
     }
 
     /// Multiset of edge labels as a sorted vector (used by distance bounds).
     pub fn sorted_edge_labels(&self) -> Vec<Label> {
-        let mut v: Vec<Label> = self.edges.iter().map(|e| e.label).collect();
+        let mut v: Vec<Label> = self.0.edges.iter().map(|e| e.label).collect();
         v.sort_unstable();
         v
     }
@@ -170,10 +179,22 @@ impl Graph {
 
     /// Approximate heap footprint in bytes (used by the Fig 6(l) experiment).
     pub fn memory_bytes(&self) -> usize {
-        self.node_labels.len() * std::mem::size_of::<Label>()
-            + self.edges.len() * std::mem::size_of::<EdgeRef>()
-            + self.adj_off.len() * std::mem::size_of::<u32>()
-            + self.adj.len() * std::mem::size_of::<(NodeId, Label)>()
+        self.0.node_labels.len() * std::mem::size_of::<Label>()
+            + self.0.edges.len() * std::mem::size_of::<EdgeRef>()
+            + self.0.adj_off.len() * std::mem::size_of::<u32>()
+            + self.0.adj.len() * std::mem::size_of::<(NodeId, Label)>()
+    }
+}
+
+impl Serialize for Graph {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for Graph {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Parts::from_value(v).map(|p| Self(Arc::new(p)))
     }
 }
 

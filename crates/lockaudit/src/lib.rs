@@ -22,8 +22,8 @@
 //! threads, and every protected structure in this workspace is swapped or
 //! appended whole, never left torn.
 //!
-//! Site identity is the *field*, not the instance: the 64 oracle shards all
-//! share `ged.cache.Shard.exact`, and same-site pairs are skipped as
+//! Site identity is the *field*, not the instance: the 64 memo shards all
+//! share `ged.cache.Shard.facts`, and same-site pairs are skipped as
 //! self-edges — exactly mirroring the static model, which cannot distinguish
 //! instances either.
 

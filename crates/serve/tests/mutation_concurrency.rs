@@ -13,7 +13,9 @@
 //!
 //! And at the registry, with no wire in between: a session opened while
 //! inserts land is pinned to *one* epoch — its `L_q` is the offline
-//! quantile over exactly the rows its pinned index (or shard vector) holds.
+//! quantile over exactly the rows its pinned index (or shard vector) holds —
+//! and generations pinned on either side of an insert share one distance
+//! memo, so a pair decided through one is never paid for through the other.
 
 use graphrep_core::{NbIndex, NbIndexConfig, RelevanceQuery, Scorer};
 use graphrep_datagen::{DatasetKind, DatasetSpec};
@@ -344,5 +346,40 @@ fn sessions_opened_during_inserts_pin_rows_and_index_at_one_epoch() {
             let inserts: u64 = session.epochs().iter().sum();
             (inserts as usize, session.relevant().to_vec())
         },
+    );
+}
+
+#[test]
+fn generations_across_an_insert_pay_for_a_pair_once() {
+    let data = DatasetSpec::new(DatasetKind::DudLike, BASE, SEED).generate();
+    let theta = data.default_theta;
+    let mut rng = SmallRng::seed_from_u64(79);
+    let g = mutate(&mut rng, data.db.graph(0), 2, &[0, 1], &[0]);
+    let features = data.db.features(0).to_vec();
+    let single = load_in_memory("d", data);
+    // The snapshots sessions opened at epoch e and at e + 1 are pinned to.
+    let old = single.index_arc();
+    single.insert_graph(g, features).expect("insert");
+    let new = single.index_arc();
+    assert_eq!((old.epoch(), new.epoch()), (0, 1));
+
+    // The first pair the index build left undecided at θ: deciding it
+    // through the old generation costs one engine call …
+    let (a, b, verdict) = (0..BASE as GraphId)
+        .flat_map(|a| (a + 1..BASE as GraphId).map(move |b| (a, b)))
+        .find_map(|(a, b)| {
+            let before = old.oracle().engine_calls();
+            let verdict = old.oracle().within(a, b, theta);
+            (old.oracle().engine_calls() == before + 1).then_some((a, b, verdict))
+        })
+        .expect("some pair is still undecided after the build");
+    // … and nothing through the new one (or the old one again).
+    let before = new.oracle().engine_calls();
+    assert_eq!(new.oracle().within(a, b, theta), verdict);
+    assert_eq!(old.oracle().within(b, a, theta), verdict);
+    assert_eq!(
+        (old.oracle().engine_calls(), new.oracle().engine_calls()),
+        (before, before),
+        "pair ({a}, {b}) was paid for once per generation"
     );
 }
