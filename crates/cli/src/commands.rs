@@ -110,7 +110,6 @@ const SUBCOMMANDS: &[(&str, Handler, &[&str])] = &[
             "quantile",
             "seed",
             "skew",
-            "stream",
             "pipeline",
             "verify-data",
             "shutdown",
@@ -177,7 +176,7 @@ subcommands:
            [--shards S [--shard-seed SEED]]
   load     --addr HOST:PORT [--name NAME] [--connections N] [--requests M]
            [--theta t1,t2,...] [--k k1,k2,...] [--quantile Q] [--seed S]
-           [--skew S] [--stream true | --pipeline DEPTH]
+           [--skew S] [--pipeline DEPTH]
            [--verify-data DIR] [--shutdown true]
   mutate   --data DIR [--insert N] [--remove id1,id2,...] [--seed S]
            [--addr HOST:PORT [--name NAME]] [--shards S [--shard-seed SEED]]
@@ -197,12 +196,11 @@ expiry. `load --skew S` draws (θ, k) pairs Zipf-like with exponent S
 instead of uniformly (0 = the historical uniform schedule).
 
 `serve` drives every connection from one epoll reactor thread (Linux
-only): thousands of idle connections per core, v2 protocol negotiation
-(pipelined tagged requests), and streamed runs whose picks go out
-frame-by-frame. `load --stream true` issues `run_stream` requests one at
-a time; `load --pipeline DEPTH` keeps DEPTH streamed runs in flight per
-connection. Both verify every stream against its terminal summary and
-report time-to-first-pick.
+only): thousands of idle connections per core, pipelined requests (every
+frame carries its request id) and streamed runs whose picks go out
+frame-by-frame. `load --pipeline DEPTH` keeps DEPTH streamed runs in
+flight per connection (1 = one at a time), verifies every stream against
+its terminal summary and reports time-to-first-pick.
 
 `shard-build` partitions the dataset into S metric-space shards
 (farthest-point centers) and persists one NB-Index per shard plus the
@@ -738,24 +736,13 @@ fn load(cmd: &Command) -> Result<String, CliError> {
             .collect::<Result<_, _>>()?,
         None => vec![3, 5],
     };
-    let mode = match (cmd.opt("stream"), cmd.opt("pipeline")) {
-        (None, None) => LoadMode::Blocking,
-        (Some("true"), None) => LoadMode::Streamed,
-        (None, Some(depth)) => LoadMode::Pipelined {
+    let mode = match cmd.opt("pipeline") {
+        None => LoadMode::Blocking,
+        Some(depth) => LoadMode::Pipelined {
             depth: depth
                 .parse()
                 .map_err(|_| CliError(format!("--pipeline: bad depth `{depth}`")))?,
         },
-        (Some(_), Some(_)) => {
-            return Err(CliError(
-                "--stream and --pipeline are mutually exclusive".into(),
-            ))
-        }
-        (Some(other), None) => {
-            return Err(CliError(format!(
-                "--stream: expected `true`, got `{other}`"
-            )))
-        }
     };
     let spec = LoadSpec {
         dataset: cmd.opt("name").unwrap_or("default").to_owned(),

@@ -4,9 +4,9 @@
 //! to [`graphrep_core::QuerySession::run`].
 
 use crate::protocol::{
-    self, AnswerBody, CloseBody, FrameRead, HelloAckBody, HelloBody, InsertBody, MutatedBody,
-    OpenBody, OpenedBody, PickBody, PingBody, RemoveBody, Request, Response, RunBody, ServeError,
-    StatsBody, TaggedRequest, TaggedResponse, WireEdge, PROTOCOL_MAX, PROTOCOL_V1, PROTOCOL_V2,
+    self, AnswerBody, CloseBody, FrameRead, InsertBody, MutatedBody, OpenBody, OpenedBody,
+    PickBody, PingBody, RemoveBody, Request, Response, RunBody, ServeError, StatsBody, Tagged,
+    TaggedResponse, WireEdge,
 };
 use crate::registry::LoadedDataset;
 use graphrep_core::AnswerSet;
@@ -19,18 +19,12 @@ use std::time::{Duration, Instant};
 /// Upper bound on waiting for any single response.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// A blocking protocol client over one TCP connection.
-///
-/// Fresh connections speak [`PROTOCOL_V1`] (bare frames, strict
-/// request/response order). Call [`Client::hello`] to negotiate
-/// [`PROTOCOL_V2`]; when the server grants it, every later frame is a
-/// tagged envelope and [`Client::run_pipelined`] becomes available.
+/// A blocking protocol client over one TCP connection. Every request goes
+/// out under a fresh id; [`Client::run_pipelined`] keeps several in flight.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    /// Negotiated protocol version.
-    version: u32,
-    /// Next v2 correlation id.
+    /// Next request id.
     next_id: u64,
 }
 
@@ -43,29 +37,22 @@ impl Client {
         // Short read timeout + a bounded retry loop in `read_response`: a
         // wedged server turns into an error, not a hung client.
         let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-        Ok(Self {
-            stream,
-            version: PROTOCOL_V1,
-            next_id: 1,
-        })
+        Ok(Self { stream, next_id: 1 })
     }
 
-    /// The protocol version this connection speaks right now.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    fn fresh_id(&mut self) -> u64 {
+    /// Writes `req` under a fresh id and returns the id.
+    fn send(&mut self, req: &Request) -> Result<u64, ServeError> {
         let id = self.next_id;
         self.next_id += 1;
-        id
+        protocol::write_frame(&mut self.stream, &Tagged::request(id, req))?;
+        Ok(id)
     }
 
-    /// Reads one frame of type `T`, retrying short read timeouts until
+    /// Reads one response frame, retrying short read timeouts until
     /// `deadline`.
-    fn read_one<T: serde::Deserialize>(&mut self, deadline: Instant) -> Result<T, ServeError> {
+    fn read_response(&mut self, deadline: Instant) -> Result<TaggedResponse, ServeError> {
         loop {
-            match protocol::read_frame::<T>(&mut self.stream, Duration::from_secs(10))? {
+            match protocol::read_frame(&mut self.stream, Duration::from_secs(10))? {
                 FrameRead::Frame(msg) => return Ok(msg),
                 FrameRead::Closed => {
                     return Err(ServeError::new("server closed the connection mid-request"))
@@ -79,51 +66,70 @@ impl Client {
         }
     }
 
-    /// Negotiates the protocol version: offers [`PROTOCOL_MAX`], adopts
-    /// whatever the server grants (on a v1 grant the connection simply
-    /// stays on bare frames). Must be the first exchange on the connection.
-    pub fn hello(&mut self) -> Result<HelloAckBody, ServeError> {
-        // Sent in the connection's *current* framing — negotiation itself is
-        // always a bare v1 exchange.
-        protocol::write_frame(
-            &mut self.stream,
-            &Request::Hello(HelloBody {
-                version: PROTOCOL_MAX,
-            }),
-        )?;
-        let deadline = Instant::now() + REPLY_TIMEOUT;
-        match self.read_one::<Response>(deadline)? {
-            Response::HelloAck(ack) => {
-                self.version = ack.version;
-                Ok(ack)
-            }
-            other => Err(unexpected("HelloAck", &other)),
-        }
-    }
-
     /// Sends one request and waits for its response.
     pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
         let deadline = Instant::now() + REPLY_TIMEOUT;
-        if self.version >= PROTOCOL_V2 {
-            let id = self.fresh_id();
-            protocol::write_frame(
-                &mut self.stream,
-                &TaggedRequest {
-                    id,
-                    req: req.clone(),
-                },
-            )?;
-            let tr = self.read_one::<TaggedResponse>(deadline)?;
-            if tr.id != id {
+        let id = self.send(req)?;
+        let tr = self.read_response(deadline)?;
+        if tr.id != id {
+            return Err(ServeError::new(format!(
+                "response for request id {} while awaiting {id}",
+                tr.id
+            )));
+        }
+        Ok(tr.resp)
+    }
+
+    /// Sends every request, each under its own id, then collects the
+    /// (possibly out-of-order, possibly streamed) replies until each has its
+    /// terminal frame. Results come back indexed like `reqs`.
+    fn exchange(&mut self, reqs: &[Request]) -> Result<Vec<StreamedRun>, ServeError> {
+        let t0 = Instant::now();
+        let deadline = t0 + REPLY_TIMEOUT;
+        let first = self.next_id;
+        let mut out = Vec::with_capacity(reqs.len());
+        for req in reqs {
+            self.send(req)?;
+            out.push(StreamedRun {
+                picks: Vec::new(),
+                terminal: Response::Closed,
+                ttfp: None,
+                total: Duration::ZERO,
+            });
+        }
+        let mut open = out.len();
+        while open > 0 {
+            let tr = self.read_response(deadline)?;
+            // Ids were handed out consecutively from `first`.
+            let slot = tr
+                .id
+                .checked_sub(first)
+                .and_then(|i| usize::try_from(i).ok());
+            let Some(run) = slot.and_then(|i| out.get_mut(i)) else {
                 return Err(ServeError::new(format!(
-                    "response for request id {} while awaiting {id}",
+                    "response for unknown request id {}",
                     tr.id
                 )));
+            };
+            match tr.resp {
+                Response::Pick(p) => {
+                    run.ttfp.get_or_insert_with(|| t0.elapsed());
+                    run.picks.push(p);
+                }
+                terminal => {
+                    if run.total != Duration::ZERO {
+                        return Err(ServeError::new(format!(
+                            "two terminal frames for request id {}",
+                            tr.id
+                        )));
+                    }
+                    run.terminal = terminal;
+                    run.total = t0.elapsed();
+                    open -= 1;
+                }
             }
-            return Ok(tr.resp);
         }
-        protocol::write_frame(&mut self.stream, req)?;
-        self.read_one::<Response>(deadline)
+        Ok(out)
     }
 
     /// Opens a session on `dataset` with the given relevance quantile.
@@ -169,8 +175,7 @@ impl Client {
 
     /// Executes one `(θ, k)` run with streamed picks: one [`PickBody`] per
     /// representative as the greedy loop accepts it, then the terminal
-    /// frame. Works on both protocol versions (v1 interleaves nothing, so
-    /// bare streamed frames stay unambiguous).
+    /// frame.
     pub fn run_streaming(
         &mut self,
         session: u64,
@@ -184,54 +189,8 @@ impl Client {
             k,
             deadline_ms,
         });
-        let t0 = Instant::now();
-        let deadline = t0 + REPLY_TIMEOUT;
-        let mut picks = Vec::new();
-        let mut ttfp = None;
-        if self.version >= PROTOCOL_V2 {
-            let id = self.fresh_id();
-            protocol::write_frame(&mut self.stream, &TaggedRequest { id, req })?;
-            loop {
-                let tr = self.read_one::<TaggedResponse>(deadline)?;
-                if tr.id != id {
-                    return Err(ServeError::new(format!(
-                        "response for request id {} mid-stream of {id}",
-                        tr.id
-                    )));
-                }
-                match tr.resp {
-                    Response::Pick(p) => {
-                        ttfp.get_or_insert_with(|| t0.elapsed());
-                        picks.push(p);
-                    }
-                    terminal => {
-                        return Ok(StreamedRun {
-                            picks,
-                            terminal,
-                            ttfp,
-                            total: t0.elapsed(),
-                        })
-                    }
-                }
-            }
-        }
-        protocol::write_frame(&mut self.stream, &req)?;
-        loop {
-            match self.read_one::<Response>(deadline)? {
-                Response::Pick(p) => {
-                    ttfp.get_or_insert_with(|| t0.elapsed());
-                    picks.push(p);
-                }
-                terminal => {
-                    return Ok(StreamedRun {
-                        picks,
-                        terminal,
-                        ttfp,
-                        total: t0.elapsed(),
-                    })
-                }
-            }
-        }
+        let mut runs = self.exchange(std::slice::from_ref(&req))?;
+        Ok(runs.remove(0))
     }
 
     /// Like [`Client::run_streaming`] but demands a successful answer and
@@ -252,77 +211,34 @@ impl Client {
         Ok((run.picks, body))
     }
 
-    /// Issues every query as its own in-flight tagged request on this one
+    /// Issues every query as its own in-flight request on this one
     /// connection — true wire pipelining — then collects the out-of-order
-    /// completions. Requires a negotiated v2 connection ([`Client::hello`]
-    /// first); `streamed` selects [`Request::RunStream`] per query instead
-    /// of [`Request::Run`]. Results come back indexed like `queries`.
+    /// completions. `streamed` selects [`Request::RunStream`] per query
+    /// instead of [`Request::Run`]. Results come back indexed like
+    /// `queries`.
     pub fn run_pipelined(
         &mut self,
         session: u64,
         queries: &[(f64, usize)],
         streamed: bool,
     ) -> Result<Vec<StreamedRun>, ServeError> {
-        if self.version < PROTOCOL_V2 {
-            return Err(ServeError::new(
-                "pipelining needs protocol v2; call hello() first",
-            ));
-        }
-        let t0 = Instant::now();
-        let deadline = t0 + REPLY_TIMEOUT;
-        let mut by_id: HashMap<u64, usize> = HashMap::new();
-        let mut out: Vec<StreamedRun> = Vec::new();
-        for &(theta, k) in queries {
-            let body = RunBody {
-                session,
-                theta,
-                k,
-                deadline_ms: None,
-            };
-            let req = if streamed {
-                Request::RunStream(body)
-            } else {
-                Request::Run(body)
-            };
-            let id = self.fresh_id();
-            protocol::write_frame(&mut self.stream, &TaggedRequest { id, req })?;
-            by_id.insert(id, out.len());
-            out.push(StreamedRun {
-                picks: Vec::new(),
-                terminal: Response::Closed,
-                ttfp: None,
-                total: Duration::ZERO,
-            });
-        }
-        let mut open = by_id.len();
-        while open > 0 {
-            let tr = self.read_one::<TaggedResponse>(deadline)?;
-            let Some(&slot) = by_id.get(&tr.id) else {
-                return Err(ServeError::new(format!(
-                    "response for unknown request id {}",
-                    tr.id
-                )));
-            };
-            let run = &mut out[slot];
-            match tr.resp {
-                Response::Pick(p) => {
-                    run.ttfp.get_or_insert_with(|| t0.elapsed());
-                    run.picks.push(p);
+        let reqs: Vec<Request> = queries
+            .iter()
+            .map(|&(theta, k)| {
+                let body = RunBody {
+                    session,
+                    theta,
+                    k,
+                    deadline_ms: None,
+                };
+                if streamed {
+                    Request::RunStream(body)
+                } else {
+                    Request::Run(body)
                 }
-                terminal => {
-                    if run.total != Duration::ZERO {
-                        return Err(ServeError::new(format!(
-                            "two terminal frames for request id {}",
-                            tr.id
-                        )));
-                    }
-                    run.terminal = terminal;
-                    run.total = t0.elapsed();
-                    open -= 1;
-                }
-            }
-        }
-        Ok(out)
+            })
+            .collect();
+        self.exchange(&reqs)
     }
 
     /// Closes a session.
@@ -489,16 +405,13 @@ pub struct LoadSpec {
 /// Wire discipline of a load-harness connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoadMode {
-    /// v1 request/response, one in flight — the historical harness.
+    /// Blocking runs, one in flight — the historical harness.
     #[default]
     Blocking,
-    /// One streamed run at a time ([`Request::RunStream`]); picks are
-    /// checked against the terminal answer and time-to-first-pick is
-    /// recorded. Negotiates v2 when the server offers it, falls back to
-    /// bare v1 streaming otherwise.
-    Streamed,
-    /// `depth` tagged streamed runs in flight per connection (true
-    /// pipelining; needs the v2 grant `hello` negotiates).
+    /// `depth` streamed runs ([`Request::RunStream`]) in flight per
+    /// connection; picks are checked against the terminal answer and
+    /// time-to-first-pick is recorded. Depth 1 is one streamed run at a
+    /// time.
     Pipelined {
         /// In-flight requests per connection (clamped to at least 1).
         depth: usize,
@@ -606,8 +519,8 @@ pub struct LoadReport {
     pub wall: Duration,
     /// Client-observed per-request latencies in milliseconds.
     pub latencies_ms: Vec<f64>,
-    /// Client-observed time-to-first-pick in milliseconds (streamed and
-    /// pipelined modes only; empty under [`LoadMode::Blocking`]).
+    /// Client-observed time-to-first-pick in milliseconds (pipelined mode
+    /// only; empty under [`LoadMode::Blocking`]).
     pub ttfp_ms: Vec<f64>,
 }
 
@@ -662,7 +575,7 @@ pub fn run_load(addr: &str, spec: &LoadSpec) -> Result<LoadReport, ServeError> {
         ttfp_ms: Vec<f64>,
     }
 
-    /// Records one streamed/pipelined completion into the result.
+    /// Records one pipelined completion into the result.
     fn record_streamed(
         out: &mut ConnResult,
         conn: usize,
@@ -712,12 +625,6 @@ pub fn run_load(addr: &str, spec: &LoadSpec) -> Result<LoadReport, ServeError> {
                         return out;
                     }
                 };
-                if spec.mode != LoadMode::Blocking {
-                    if let Err(e) = client.hello() {
-                        out.errors.push(format!("conn {conn} hello: {e}"));
-                        return out;
-                    }
-                }
                 let opened = match client.open(&spec.dataset, spec.quantile) {
                     Ok(o) => o,
                     Err(e) => {
@@ -744,14 +651,6 @@ pub fn run_load(addr: &str, spec: &LoadSpec) -> Result<LoadReport, ServeError> {
                                 Ok(other) => {
                                     out.errors.push(format!("conn {conn} req {req}: {other:?}"))
                                 }
-                                Err(e) => out.errors.push(format!("conn {conn} req {req}: {e}")),
-                            }
-                        }
-                    }
-                    LoadMode::Streamed => {
-                        for (req, (theta, k)) in schedule.into_iter().enumerate() {
-                            match client.run_streaming(opened.session, theta, k, None) {
-                                Ok(run) => record_streamed(&mut out, conn, req, theta, k, run),
                                 Err(e) => out.errors.push(format!("conn {conn} req {req}: {e}")),
                             }
                         }

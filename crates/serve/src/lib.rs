@@ -19,9 +19,9 @@
 //!   metrics, and graceful drain-then-exit shutdown;
 //! * [`reactor`] — the one I/O engine: a single epoll thread owns the
 //!   listener and every connection, so the server is Linux-only;
-//! * [`protocol`] — length-prefixed JSON frames, untagged v1 (answered in
-//!   request order) and tagged v2 (pipelined), over std::net + the vendored
-//!   `serde_json`; no external dependencies;
+//! * [`protocol`] — length-prefixed JSON frames, every one a tagged
+//!   `{id, req}` / `{id, resp}` envelope (pipelined, answered out of order),
+//!   over std::net + the vendored `serde_json`; no external dependencies;
 //! * [`client`] — a blocking client plus the deterministic load harness
 //!   whose answers are verified byte-identical to offline
 //!   [`graphrep_core::QuerySession::run`].
@@ -44,8 +44,7 @@ pub use client::{
 pub use metrics::{Endpoint, EndpointCounters, LatencyHistogram, ServerMetrics};
 pub use protocol::{
     codes, AnswerBody, CacheTierStats, DecodeError, FrameDecoder, MutatedBody, PickBody, Request,
-    Response, ServeError, StatsBody, TaggedRequest, TaggedResponse, PROTOCOL_MAX, PROTOCOL_V1,
-    PROTOCOL_V2,
+    Response, ServeError, StatsBody, TaggedRequest, TaggedResponse,
 };
 pub use registry::{DatasetEntry, DatasetRegistry, LoadedDataset, MutationReceipt, ShardedDataset};
 pub use server::{start, start_in_memory, ServeConfig, ServerHandle};

@@ -179,13 +179,11 @@ pub enum Endpoint {
     Shutdown,
     /// Streamed `(θ, k)` runs (`run_stream`).
     RunStream,
-    /// Protocol-version negotiation.
-    Hello,
 }
 
-/// All endpoints, in stats-report order. New endpoints append so existing
-/// stats-row indices stay stable.
-pub const ENDPOINTS: [Endpoint; 10] = [
+/// All endpoints, in stats-report order (the discriminant order). New
+/// endpoints append so existing stats-row indices stay stable.
+pub const ENDPOINTS: [Endpoint; 9] = [
     Endpoint::Open,
     Endpoint::Run,
     Endpoint::Close,
@@ -195,7 +193,6 @@ pub const ENDPOINTS: [Endpoint; 10] = [
     Endpoint::Remove,
     Endpoint::Shutdown,
     Endpoint::RunStream,
-    Endpoint::Hello,
 ];
 
 impl Endpoint {
@@ -211,22 +208,6 @@ impl Endpoint {
             Endpoint::Remove => "remove",
             Endpoint::Shutdown => "shutdown",
             Endpoint::RunStream => "run_stream",
-            Endpoint::Hello => "hello",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Endpoint::Open => 0,
-            Endpoint::Run => 1,
-            Endpoint::Close => 2,
-            Endpoint::Stats => 3,
-            Endpoint::Ping => 4,
-            Endpoint::Insert => 5,
-            Endpoint::Remove => 6,
-            Endpoint::Shutdown => 7,
-            Endpoint::RunStream => 8,
-            Endpoint::Hello => 9,
         }
     }
 }
@@ -234,7 +215,7 @@ impl Endpoint {
 /// All per-endpoint counters of one server.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    counters: [EndpointCounters; 10],
+    counters: [EndpointCounters; ENDPOINTS.len()],
 }
 
 impl ServerMetrics {
@@ -245,7 +226,7 @@ impl ServerMetrics {
 
     /// The counters of one endpoint.
     pub fn endpoint(&self, e: Endpoint) -> &EndpointCounters {
-        &self.counters[e.index()]
+        &self.counters[e as usize]
     }
 
     /// Snapshot of every endpoint, in [`ENDPOINTS`] order.
@@ -319,5 +300,8 @@ mod tests {
         assert_eq!(snap[1].endpoint, "run");
         assert_eq!(snap[1].requests, 1);
         assert_eq!(snap[0].requests, 0);
+        for (i, e) in ENDPOINTS.iter().enumerate() {
+            assert_eq!(*e as usize, i, "{} is out of report order", e.name());
+        }
     }
 }

@@ -1,15 +1,21 @@
 //! Wire protocol: length-prefixed JSON frames over TCP.
 //!
 //! Every message is one frame: a 4-byte big-endian payload length followed
-//! by that many bytes of JSON. Requests and responses are externally tagged
-//! enums (`{"Run": {...}}`, `"Pong"`), so a frame is self-describing and the
-//! protocol can grow new variants without a version bump. The vendored
-//! `serde_json` prints floats via their shortest round-trip representation,
-//! which is what makes server answers byte-comparable to offline answers.
+//! by that many bytes of JSON. Every frame in either direction is a tagged
+//! envelope — [`TaggedRequest`] `{"id", "req"}` from the client,
+//! [`TaggedResponse`] `{"id", "resp"}` back — so one connection can carry
+//! many requests in flight, answered out of order, and a streamed run's
+//! picks are told apart by the id they carry. A blocking exchange is the
+//! same thing with one id in flight. Requests and responses inside the
+//! envelope are externally tagged enums (`{"Run": {...}}`, `"Pong"`), so a
+//! frame is self-describing and the protocol grows new variants without a
+//! version. The vendored `serde_json` prints floats via their shortest
+//! round-trip representation, which is what makes server answers
+//! byte-comparable to offline answers.
 
 use graphrep_core::{AnswerSet, CacheCounters, RunStats};
 use graphrep_graph::GraphId;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
 
@@ -35,18 +41,6 @@ pub mod codes {
     /// the configured cap and the in-flight run was cancelled.
     pub const SLOW_CONSUMER: &str = "slow_consumer";
 }
-
-/// Protocol version 1: the original blocking protocol — untagged frames,
-/// strict FIFO request/response pairing, whole answers in one frame.
-pub const PROTOCOL_V1: u32 = 1;
-
-/// Protocol version 2: adds [`TaggedRequest`]/[`TaggedResponse`] envelopes
-/// (client-chosen request ids, out-of-order completion) and streamed runs
-/// ([`Request::RunStream`] → [`Response::Pick`]* [`Response::AnswerEnd`]).
-pub const PROTOCOL_V2: u32 = 2;
-
-/// Highest protocol version this build speaks.
-pub const PROTOCOL_MAX: u32 = PROTOCOL_V2;
 
 /// One error type for the whole serving layer: framing, I/O, registry
 /// loading, and client-side verification failures all surface as a message.
@@ -159,33 +153,10 @@ pub struct RemoveBody {
     pub id: GraphId,
 }
 
-/// Body of [`Request::Hello`]: protocol-version negotiation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HelloBody {
-    /// The highest protocol version the client wants to speak.
-    pub version: u32,
-}
-
-/// Body of [`Response::HelloAck`]: the negotiated protocol version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HelloAckBody {
-    /// The version this connection will speak from the next frame on:
-    /// `min(client requested, server max)`.
-    pub version: u32,
-    /// The highest version the server supports, for diagnostics.
-    pub max: u32,
-}
-
-/// A client request. `Open`/`Run`/`RunStream`/`Ping`/`Insert`/`Remove` go
-/// through the bounded worker pool (and can be rejected by admission
-/// control); `Hello`/`Close`/`Stats`/`Shutdown` are answered inline.
-///
-/// Clients that never send [`Request::Hello`] speak [`PROTOCOL_V1`]: bare
-/// `Request` frames answered strictly in order by bare `Response` frames —
-/// exactly the pre-v2 wire format, so old blocking clients keep working
-/// against new servers byte-for-byte. After a `Hello` negotiating
-/// [`PROTOCOL_V2`], every subsequent frame on the connection is a
-/// [`TaggedRequest`] / [`TaggedResponse`] envelope.
+/// A client request, always sent inside a [`TaggedRequest`].
+/// `Open`/`Run`/`RunStream`/`Ping`/`Insert`/`Remove` go through the bounded
+/// worker pool (and can be rejected by admission control);
+/// `Close`/`Stats`/`Shutdown` are answered inline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Start a session (paper Sec 7 initialization phase).
@@ -204,16 +175,15 @@ pub enum Request {
     Remove(RemoveBody),
     /// Begin graceful shutdown: drain queued work, then exit.
     Shutdown,
-    /// Negotiate the protocol version (must be the first frame if sent).
-    Hello(HelloBody),
     /// Execute one `(θ, k)` run, streaming each accepted pick as its own
     /// [`Response::Pick`] frame before the terminal [`Response::AnswerEnd`].
     RunStream(RunBody),
 }
 
-/// A v2 request envelope: a client-chosen id echoed on every response frame
-/// the request produces, which is what lets responses complete out of order
-/// on a pipelined connection.
+/// The request envelope, the only frame a client sends: a client-chosen id
+/// echoed on every response frame the request produces, which is what lets
+/// responses complete out of order on a pipelined connection. A bare
+/// [`Request`] frame is a protocol violation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaggedRequest {
     /// Client-chosen correlation id. Must be unique among the connection's
@@ -223,9 +193,11 @@ pub struct TaggedRequest {
     pub req: Request,
 }
 
-/// A v2 response envelope carrying the originating request's id. A streamed
-/// run emits many envelopes with the same id (picks, then the terminal
-/// answer); every other request emits exactly one.
+/// The response envelope, the only frame a server sends, carrying the
+/// originating request's id. A streamed run emits many envelopes with the
+/// same id (picks, then the terminal answer); every other request emits
+/// exactly one. A diagnostic that answers no request (an unparseable frame)
+/// carries `u64::MAX`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaggedResponse {
     /// The id of the request this frame answers.
@@ -565,8 +537,6 @@ pub enum Response {
     ShutdownAck,
     /// The request failed; see the code for why.
     Error(ErrorBody),
-    /// Protocol version negotiated.
-    HelloAck(HelloAckBody),
     /// One streamed greedy pick of an in-flight [`Request::RunStream`].
     Pick(PickBody),
     /// Terminal frame of a streamed run: the full answer + stats, with a
@@ -590,6 +560,46 @@ pub fn duration_ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// The `{"id", "req"|"resp"}` envelope around a borrowed body: encodes to
+/// the bytes of the derived [`TaggedRequest`] / [`TaggedResponse`] without
+/// first cloning the body into one (the vendored derive takes no generics).
+pub(crate) struct Tagged<'a, T> {
+    id: u64,
+    field: &'static str,
+    body: &'a T,
+}
+
+impl<'a> Tagged<'a, Request> {
+    /// The wire form of `TaggedRequest { id, req }`.
+    pub(crate) fn request(id: u64, req: &'a Request) -> Self {
+        Self {
+            id,
+            field: "req",
+            body: req,
+        }
+    }
+}
+
+impl<'a> Tagged<'a, Response> {
+    /// The wire form of `TaggedResponse { id, resp }`.
+    pub(crate) fn response(id: u64, resp: &'a Response) -> Self {
+        Self {
+            id,
+            field: "resp",
+            body: resp,
+        }
+    }
+}
+
+impl<T: Serialize> Serialize for Tagged<'_, T> {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("id".to_owned(), self.id.to_value()),
+            (self.field.to_owned(), self.body.to_value()),
+        ])
+    }
+}
+
 /// Encodes one frame (4-byte big-endian length + JSON payload) into an
 /// owned buffer — the form worker threads hand to a connection write queue.
 pub fn encode_frame<T: Serialize>(msg: &T) -> Result<Vec<u8>, ServeError> {
@@ -606,17 +616,9 @@ pub fn encode_frame<T: Serialize>(msg: &T) -> Result<Vec<u8>, ServeError> {
     Ok(frame)
 }
 
-/// Writes one frame: 4-byte big-endian length, then the JSON payload.
+/// Writes one frame: [`encode_frame`], then one `write_all` and a flush.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), ServeError> {
-    let body = serde_json::to_string(msg)?;
-    if body.len() > MAX_FRAME_BYTES {
-        return Err(ServeError::new(format!(
-            "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte limit",
-            body.len()
-        )));
-    }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body.as_bytes())?;
+    w.write_all(&encode_frame(msg)?)?;
     w.flush()?;
     Ok(())
 }
@@ -866,6 +868,47 @@ mod tests {
             Request::Shutdown,
         ] {
             assert_eq!(round_trip(&req), req);
+        }
+    }
+
+    /// The borrowing envelope is byte-identical on the wire to the derived
+    /// one, in both directions, so peers decode it as `TaggedRequest` /
+    /// `TaggedResponse`.
+    #[test]
+    fn borrowed_envelopes_encode_like_the_derived_ones() {
+        let req = Request::Run(RunBody {
+            session: 3,
+            theta: 0.1 + 0.2,
+            k: 4,
+            deadline_ms: None,
+        });
+        assert_eq!(
+            encode_frame(&Tagged::request(u64::MAX, &req)).unwrap(),
+            encode_frame(&TaggedRequest {
+                id: u64::MAX,
+                req: req.clone()
+            })
+            .unwrap()
+        );
+        let resp = Response::Pick(PickBody {
+            seq: 1,
+            id: 9,
+            covered: 5,
+            relevant: 7,
+            pi: 5.0 / 7.0,
+        });
+        let frame = encode_frame(&Tagged::response(42, &resp)).unwrap();
+        assert_eq!(
+            frame,
+            encode_frame(&TaggedResponse {
+                id: 42,
+                resp: resp.clone()
+            })
+            .unwrap()
+        );
+        match read_frame::<TaggedResponse>(&mut frame.as_slice(), Duration::from_secs(1)) {
+            Ok(FrameRead::Frame(t)) => assert_eq!(t, TaggedResponse { id: 42, resp }),
+            other => panic!("expected a tagged frame, got {other:?}"),
         }
     }
 

@@ -14,18 +14,12 @@
 //!   is bounded by the number of in-flight requests.
 //! * While a queue sits over its cap the reactor stops *reading* from that
 //!   connection (interest drops to write-only), which converts our queue
-//!   pressure into TCP backpressure on a pipelining peer.
-//!
-//! ## v1 ordering
-//!
-//! An untagged (v1) peer correlates responses by order alone, so its
-//! requests are dispatched one at a time: payloads that arrive while an
-//! untagged request is in flight wait in [`ConnFsm::held`] (reads pause
-//! until it empties, so a write-ahead peer meets TCP backpressure instead
-//! of an unbounded hold). Tagged (v2) requests dispatch as they arrive.
+//!   pressure into TCP backpressure on a pipelining peer. That cap is the
+//!   only thing that pauses reads: every frame is a tagged request, which
+//!   is dispatched the moment it is decoded.
 
 use super::waker::Waker;
-use crate::protocol::{DecodeError, FrameDecoder, PROTOCOL_V1};
+use crate::protocol::{DecodeError, FrameDecoder, TaggedRequest};
 use graphrep_lockaudit::TrackedMutex;
 use std::collections::{HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -47,10 +41,8 @@ struct QueueState {
     frames: VecDeque<Vec<u8>>,
     bytes: usize,
     closed: bool,
-    /// Tagged request ids dispatched but not yet terminally answered.
+    /// Request ids dispatched but not yet terminally answered.
     inflight: HashSet<u64>,
-    /// Untagged (v1) pooled requests dispatched but not yet answered.
-    inflight_untagged: usize,
 }
 
 /// The outbound side of one connection, shared with the worker pool.
@@ -81,7 +73,6 @@ impl ConnQueue {
                     bytes: 0,
                     closed: false,
                     inflight: HashSet::new(),
-                    inflight_untagged: 0,
                 },
             ),
             cap,
@@ -94,21 +85,8 @@ impl ConnQueue {
     /// tag — the caller must reject the request instead of executing it
     /// (two live requests with one id would make their responses
     /// indistinguishable).
-    pub fn note_dispatch(&self, tag: Option<u64>) -> bool {
-        let mut s = self.state.lock();
-        match tag {
-            Some(id) => s.inflight.insert(id),
-            None => {
-                s.inflight_untagged += 1;
-                true
-            }
-        }
-    }
-
-    /// Whether an untagged (v1) request is dispatched but not yet answered —
-    /// the gate that keeps a v1 connection strictly first-in, first-out.
-    pub fn untagged_in_flight(&self) -> bool {
-        self.state.lock().inflight_untagged > 0
+    pub fn note_dispatch(&self, tag: u64) -> bool {
+        self.state.lock().inflight.insert(tag)
     }
 
     /// Offers a streamed (non-terminal) frame, subject to the byte cap.
@@ -135,15 +113,10 @@ impl ConnQueue {
     /// in-flight set. Always succeeds while the connection lives (the cap
     /// does not apply; see the module docs). Returns `false` if the
     /// connection is already gone.
-    pub fn push_final(&self, tag: Option<u64>, frame: Vec<u8>) -> bool {
+    pub fn push_final(&self, tag: u64, frame: Vec<u8>) -> bool {
         let enqueued = {
             let mut s = self.state.lock();
-            match tag {
-                Some(id) => {
-                    s.inflight.remove(&id);
-                }
-                None => s.inflight_untagged = s.inflight_untagged.saturating_sub(1),
-            }
+            s.inflight.remove(&tag);
             if s.closed {
                 false
             } else {
@@ -158,9 +131,9 @@ impl ConnQueue {
         enqueued
     }
 
-    /// Enqueues a frame that answers no tracked request (hello acks,
-    /// duplicate-id rejections, poison diagnostics): the in-flight set is
-    /// left untouched. Returns `false` if the connection is gone.
+    /// Enqueues a frame that answers no tracked request (duplicate-id
+    /// rejections, poison diagnostics): the in-flight set is left untouched.
+    /// Returns `false` if the connection is gone.
     pub fn push_notice(&self, frame: Vec<u8>) -> bool {
         let enqueued = {
             let mut s = self.state.lock();
@@ -219,19 +192,22 @@ impl ConnQueue {
     /// no in-flight requests — the drain condition for graceful shutdown.
     pub fn drained(&self) -> bool {
         let s = self.state.lock();
-        s.frames.is_empty() && s.inflight.is_empty() && s.inflight_untagged == 0
+        s.frames.is_empty() && s.inflight.is_empty()
     }
 }
 
 /// What [`ConnFsm::on_readable`] learned from one readiness-driven read.
 #[derive(Debug, Default)]
 pub struct ReadOutcome {
+    /// Every request decoded, in arrival order.
+    pub requests: Vec<TaggedRequest>,
     /// The peer closed its write side (EOF). Per policy the whole
     /// connection is torn down: a half-open peer that can no longer send
     /// requests has no use for a query connection, and treating EOF as
     /// close is what reclaims its session work promptly.
     pub eof: bool,
-    /// Framing lost sync (typed decode error). The connection must send a
+    /// Framing lost sync, or a frame was not a tagged request (typed decode
+    /// error; nothing behind it was decoded). The connection must send a
     /// best-effort diagnostic and close.
     pub error: Option<DecodeError>,
 }
@@ -246,20 +222,13 @@ pub struct ConnFsm {
     pub decoder: FrameDecoder,
     /// The outbound queue shared with workers.
     pub out: Arc<ConnQueue>,
-    /// Negotiated protocol version (starts at [`PROTOCOL_V1`]).
-    pub version: u32,
     /// A frame partially written to the socket: remaining bytes.
     pending: Option<Vec<u8>>,
-    /// Complete frame payloads (validated UTF-8 JSON) in arrival order,
-    /// decoded but not yet dispatched: on a v1 connection, requests queued
-    /// behind the one in flight (see the module docs).
-    pub held: VecDeque<String>,
     /// When the last inbound byte arrived, while a frame is half received;
     /// `None` between frames. The reactor's stall sweep disconnects a peer
     /// that leaves a frame unfinished for longer than `frame_stall`.
     pub partial_since: Option<Instant>,
-    /// Reads are paused while the peer is over its write-queue cap or has
-    /// held payloads waiting.
+    /// Reads are paused while the peer is over its write-queue cap.
     pub read_paused: bool,
     /// No more requests are accepted; close once writes drain.
     pub closing: bool,
@@ -268,7 +237,6 @@ pub struct ConnFsm {
 impl std::fmt::Debug for ConnFsm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConnFsm")
-            .field("version", &self.version)
             .field("read_paused", &self.read_paused)
             .field("closing", &self.closing)
             .finish()
@@ -276,24 +244,22 @@ impl std::fmt::Debug for ConnFsm {
 }
 
 impl ConnFsm {
-    /// A fresh v1 connection writing through `out`.
+    /// A fresh connection writing through `out`.
     pub fn new(out: Arc<ConnQueue>) -> Self {
         Self {
             decoder: FrameDecoder::new(),
             out,
-            version: PROTOCOL_V1,
             pending: None,
-            held: VecDeque::new(),
             partial_since: None,
             read_paused: false,
             closing: false,
         }
     }
 
-    /// Drains the transport's readable bytes into the decoder and appends
-    /// every complete frame payload to [`ConnFsm::held`]. Stops at `WouldBlock` (readiness
-    /// exhausted — including the spurious-wakeup case where the first read
-    /// refuses), EOF, or a decode error.
+    /// Drains the transport's readable bytes into the decoder and decodes
+    /// every complete frame as a [`TaggedRequest`]. Stops at `WouldBlock`
+    /// (readiness exhausted — including the spurious-wakeup case where the
+    /// first read refuses), EOF, or the first decode error.
     pub fn on_readable(&mut self, transport: &mut impl Read) -> ReadOutcome {
         let mut out = ReadOutcome::default();
         if self.closing {
@@ -311,8 +277,8 @@ impl ConnFsm {
                     progressed = true;
                     self.decoder.feed(&buf[..n]);
                     loop {
-                        match self.decoder.next_payload() {
-                            Ok(Some(payload)) => self.held.push_back(payload),
+                        match self.decoder.next_message() {
+                            Ok(Some(req)) => out.requests.push(req),
                             Ok(None) => break,
                             Err(e) => {
                                 out.error = Some(e);
@@ -393,10 +359,9 @@ impl ConnFsm {
         }
     }
 
-    /// Re-evaluates the read-pause state from the queue's cap and the held
-    /// payloads.
+    /// Re-evaluates the read-pause state from the queue's cap.
     pub fn update_read_pause(&mut self) {
-        let should_pause = self.out.over_cap() || !self.held.is_empty();
+        let should_pause = self.out.over_cap();
         if self.read_paused && !should_pause {
             // The peer could not make progress while we were not reading:
             // a half-received frame gets a fresh stall clock.

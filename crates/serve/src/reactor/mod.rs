@@ -13,8 +13,8 @@
 //!   transport-agnostic read/write state machine;
 //! * this module — the slab of live connections (generation-tagged tokens,
 //!   so stale readiness events for recycled slots are ignored), the accept
-//!   path, dispatch glue (v1 connections strictly in request order), the
-//!   mid-frame stall sweep, and graceful drain.
+//!   path, dispatch glue (each tagged request goes out the moment it is
+//!   decoded), the mid-frame stall sweep, and graceful drain.
 
 pub mod conn;
 pub mod poll;
@@ -23,10 +23,7 @@ pub mod sys;
 mod tests;
 pub mod waker;
 
-use crate::protocol::{
-    self, codes, ErrorBody, HelloAckBody, HelloBody, Request, Response, TaggedRequest,
-    TaggedResponse, PROTOCOL_MAX, PROTOCOL_V1,
-};
+use crate::protocol::{self, codes, ErrorBody, Request, Response, Tagged, TaggedRequest};
 use conn::{ConnFsm, ConnQueue};
 use poll::{Event, Interest, Poll};
 use std::io::{ErrorKind, Read, Write};
@@ -113,10 +110,10 @@ impl Acceptor for TcpAcceptor {
 /// pooled — the implementation decides and enqueues responses through the
 /// connection's [`ConnQueue`]), the drain flag, and connection accounting.
 pub trait AsyncDispatch: Send + Sync {
-    /// Handles one decoded request from a connection. `tag` is the v2
-    /// request id (`None` on v1 connections); every request must eventually
-    /// produce exactly one terminal frame through `queue`.
-    fn dispatch(&self, req: Request, tag: Option<u64>, queue: &Arc<ConnQueue>);
+    /// Handles one decoded request from a connection. `tag` is its request
+    /// id; every request must eventually produce exactly one terminal frame
+    /// through `queue`.
+    fn dispatch(&self, req: Request, tag: u64, queue: &Arc<ConnQueue>);
     /// Whether graceful drain has begun.
     fn shutting_down(&self) -> bool;
     /// A connection was accepted.
@@ -314,9 +311,6 @@ impl<P: Poll> Reactor<P> {
             }
         }
         for token in self.waker.take_dirty() {
-            // A terminal frame may have just retired a v1 connection's
-            // in-flight request: its next held request goes out first.
-            self.pump_held(token);
             self.flush_conn(token);
         }
         // At most once a second (sooner only under a sub-second limit), not
@@ -335,7 +329,7 @@ impl<P: Poll> Reactor<P> {
             // Close connections with nothing left in flight or queued.
             for token in self.conns.tokens() {
                 let done = match self.conns.get_mut(token) {
-                    Some(c) => c.fsm.held.is_empty() && c.fsm.out.drained() && !c.fsm.wants_write(),
+                    Some(c) => c.fsm.out.drained() && !c.fsm.wants_write(),
                     None => false,
                 };
                 if done {
@@ -428,25 +422,23 @@ impl<P: Poll> Reactor<P> {
         }
         let outcome = c.fsm.on_readable(&mut c.transport);
         let queue = Arc::clone(&c.fsm.out);
-        self.pump_held(token);
-        if let Some(e) = outcome.error {
-            // Framing lost sync: one typed diagnostic, then close once it
-            // (and everything before it) flushes. Tagged with the sentinel
-            // id on v2 connections — the true id is unknowable.
-            let (tag, closing) = match self.conns.get_mut(token) {
-                Some(c) => {
-                    c.fsm.closing = true;
-                    ((c.fsm.version > PROTOCOL_V1).then_some(u64::MAX), true)
-                }
-                None => (None, false),
-            };
-            if closing {
+        for TaggedRequest { id, req } in outcome.requests {
+            // Duplicate live request ids cannot be answered unambiguously;
+            // reject without executing.
+            if queue.note_dispatch(id) {
+                self.dispatch.dispatch(req, id, &queue);
+            } else {
                 let resp = Response::Error(ErrorBody {
                     code: codes::BAD_REQUEST.to_owned(),
-                    message: e.to_string(),
+                    message: format!("request id {id} is already in flight on this connection"),
                 });
-                push_response(&queue, tag, &resp);
+                push_response(&queue, id, &resp);
             }
+        }
+        if let Some(e) = outcome.error {
+            // The requests decoded before the bad frame stand; nothing after
+            // it was decoded, so nothing after it executes.
+            self.poison(token, &queue, e.to_string());
         }
         if outcome.eof {
             // EOF covers both clean close and half-open peers (write side
@@ -458,94 +450,19 @@ impl<P: Poll> Reactor<P> {
         self.flush_conn(token);
     }
 
-    /// Dispatches a connection's held payloads in arrival order. An untagged
-    /// (v1) peer can only correlate responses by order, so its next request
-    /// waits until the one in flight has its terminal frame; tagged (v2)
-    /// requests all go out at once.
-    fn pump_held(&mut self, token: u64) {
-        loop {
-            let Some(c) = self.conns.get_mut(token) else {
-                return;
-            };
-            // A poisoned connection processes nothing after the bad frame.
-            if c.fsm.closing {
-                c.fsm.held.clear();
-                return;
-            }
-            if c.fsm.version == PROTOCOL_V1 && c.fsm.out.untagged_in_flight() {
-                return;
-            }
-            let Some(payload) = c.fsm.held.pop_front() else {
-                return;
-            };
-            let (version, queue) = (c.fsm.version, Arc::clone(&c.fsm.out));
-            self.handle_payload(token, version, &payload, &queue);
-        }
-    }
-
-    fn handle_payload(&mut self, token: u64, version: u32, payload: &str, queue: &Arc<ConnQueue>) {
-        let (tag, req) = if version > PROTOCOL_V1 {
-            match serde_json::from_str::<TaggedRequest>(payload) {
-                Ok(t) => (Some(t.id), t.req),
-                Err(e) => {
-                    self.poison(token, queue, format!("expected a tagged request: {e}"));
-                    return;
-                }
-            }
-        } else {
-            match serde_json::from_str::<Request>(payload) {
-                Ok(r) => (None, r),
-                Err(e) => {
-                    self.poison(token, queue, format!("bad request frame: {e}"));
-                    return;
-                }
-            }
-        };
-        // Hello is a framing concern, so the reactor owns it: the ack is
-        // sent in the *current* framing, then the connection switches.
-        if let Request::Hello(HelloBody { version: want }) = req {
-            let granted = want.clamp(PROTOCOL_V1, PROTOCOL_MAX);
-            let ack = Response::HelloAck(HelloAckBody {
-                version: granted,
-                max: PROTOCOL_MAX,
-            });
-            push_response(queue, tag, &ack);
-            if let Some(c) = self.conns.get_mut(token) {
-                c.fsm.version = granted;
-            }
-            return;
-        }
-        // Duplicate live request ids cannot be answered unambiguously;
-        // reject without executing.
-        if !queue.note_dispatch(tag) {
-            let resp = Response::Error(ErrorBody {
-                code: codes::BAD_REQUEST.to_owned(),
-                message: format!(
-                    "request id {} is already in flight on this connection",
-                    tag.unwrap_or(0)
-                ),
-            });
-            push_response(queue, tag, &resp);
-            return;
-        }
-        self.dispatch.dispatch(req, tag, queue);
-    }
-
-    /// Marks a connection poisoned after an unparseable frame: one
-    /// diagnostic, then close-on-drain.
+    /// Marks a connection poisoned after an unparseable frame (framing lost
+    /// sync, a bare or malformed request, a mid-frame stall): one diagnostic
+    /// tagged `u64::MAX` — the true id is unknowable — then close-on-drain.
     fn poison(&mut self, token: u64, queue: &Arc<ConnQueue>, message: String) {
-        let tag = match self.conns.get_mut(token) {
-            Some(c) => {
-                c.fsm.closing = true;
-                (c.fsm.version > PROTOCOL_V1).then_some(u64::MAX)
-            }
-            None => return,
+        let Some(c) = self.conns.get_mut(token) else {
+            return;
         };
+        c.fsm.closing = true;
         let resp = Response::Error(ErrorBody {
             code: codes::BAD_REQUEST.to_owned(),
             message,
         });
-        push_response(queue, tag, &resp);
+        push_response(queue, u64::MAX, &resp);
     }
 
     /// Flushes a connection's write queue and re-evaluates its interest
@@ -626,21 +543,15 @@ impl<P: Poll> Reactor<P> {
     }
 }
 
-/// Encodes `resp` (tagged when `tag` is set) into one wire frame.
-pub fn encode_response(tag: Option<u64>, resp: &Response) -> Result<Vec<u8>, crate::ServeError> {
-    match tag {
-        Some(id) => protocol::encode_frame(&TaggedResponse {
-            id,
-            resp: resp.clone(),
-        }),
-        None => protocol::encode_frame(resp),
-    }
+/// Encodes `resp` as the wire frame of a `TaggedResponse` with id `tag`.
+pub fn encode_response(tag: u64, resp: &Response) -> Result<Vec<u8>, crate::ServeError> {
+    protocol::encode_frame(&Tagged::response(tag, resp))
 }
 
-/// Enqueues a response that answers no tracked request (hello acks,
-/// duplicate-id rejections, poison diagnostics) — the connection's
-/// in-flight set is left untouched.
-pub fn push_response(queue: &Arc<ConnQueue>, tag: Option<u64>, resp: &Response) {
+/// Enqueues a response that answers no tracked request (duplicate-id
+/// rejections, poison diagnostics) — the connection's in-flight set is left
+/// untouched.
+pub fn push_response(queue: &Arc<ConnQueue>, tag: u64, resp: &Response) {
     if let Ok(frame) = encode_response(tag, resp) {
         queue.push_notice(frame);
     }

@@ -8,7 +8,7 @@ use super::conn::StreamSend;
 use super::poll::{Event, Interest, MockPoll, PollOp};
 use super::waker::Waker;
 use super::*;
-use crate::protocol::{encode_frame, ErrorBody, FrameDecoder, PingBody, RunBody};
+use crate::protocol::{encode_frame, ErrorBody, FrameDecoder, PingBody, RunBody, TaggedResponse};
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -105,7 +105,7 @@ impl Acceptor for ScriptedAcceptor {
 }
 
 struct MockDispatch {
-    reqs: Mutex<Vec<(Option<u64>, Request)>>,
+    reqs: Mutex<Vec<(u64, Request)>>,
     queues: Mutex<Vec<Arc<ConnQueue>>>,
     opened: AtomicUsize,
     closed: AtomicUsize,
@@ -126,7 +126,7 @@ impl MockDispatch {
         })
     }
 
-    fn reqs(&self) -> Vec<(Option<u64>, Request)> {
+    fn reqs(&self) -> Vec<(u64, Request)> {
         self.reqs.lock().unwrap().clone()
     }
 
@@ -136,7 +136,7 @@ impl MockDispatch {
 }
 
 impl AsyncDispatch for MockDispatch {
-    fn dispatch(&self, req: Request, tag: Option<u64>, queue: &Arc<ConnQueue>) {
+    fn dispatch(&self, req: Request, tag: u64, queue: &Arc<ConnQueue>) {
         self.reqs.lock().unwrap().push((tag, req));
         self.queues.lock().unwrap().push(Arc::clone(queue));
         if self.auto_final.load(Ordering::SeqCst) {
@@ -232,10 +232,6 @@ impl Rig {
     }
 }
 
-fn frame_of(req: &Request) -> Vec<u8> {
-    encode_frame(req).unwrap()
-}
-
 fn tagged_frame(id: u64, req: Request) -> Vec<u8> {
     encode_frame(&TaggedRequest { id, req }).unwrap()
 }
@@ -298,7 +294,7 @@ fn eagain_loop_reassembles_frames_split_across_reads() {
     let t = ScriptedTransport::new(7);
     rig.offer_conn(&t);
     rig.turn();
-    let frame = frame_of(&ping());
+    let frame = tagged_frame(1, ping());
     // The frame arrives in three fragments over two readiness events; each
     // burst ends in EAGAIN.
     t.push_read(ReadStep::Data(frame[..2].to_vec()));
@@ -309,10 +305,16 @@ fn eagain_loop_reassembles_frames_split_across_reads() {
     t.push_read(ReadStep::Data(frame[5..].to_vec()));
     rig.readable(0);
     rig.turn();
-    assert_eq!(rig.dispatch.reqs(), vec![(None, ping())]);
+    assert_eq!(rig.dispatch.reqs(), vec![(1, ping())]);
     // The auto-reply flushed in the same turn via the dirty list.
-    let resp: Vec<Response> = decode_all(&t.written());
-    assert_eq!(resp, vec![Response::Closed]);
+    let resp: Vec<TaggedResponse> = decode_all(&t.written());
+    assert_eq!(
+        resp,
+        vec![TaggedResponse {
+            id: 1,
+            resp: Response::Closed
+        }]
+    );
 }
 
 #[test]
@@ -321,7 +323,7 @@ fn eof_tears_down_and_aborts_inflight_streams() {
     let t = ScriptedTransport::new(7);
     rig.offer_conn(&t);
     rig.turn();
-    t.push_read(ReadStep::Data(frame_of(&run_stream())));
+    t.push_read(ReadStep::Data(tagged_frame(1, run_stream())));
     t.push_read(ReadStep::Eof);
     rig.readable(0);
     rig.turn();
@@ -338,7 +340,7 @@ fn eof_tears_down_and_aborts_inflight_streams() {
     // aborts instead of buffering for a ghost.
     let q = rig.dispatch.last_queue();
     assert_eq!(q.push_stream(vec![1, 2, 3]), StreamSend::Closed);
-    assert!(!q.push_final(None, vec![4]));
+    assert!(!q.push_final(1, vec![4]));
 }
 
 #[test]
@@ -360,7 +362,7 @@ fn stale_token_events_after_slot_recycling_hit_nobody() {
     let live = 1u64 << 32; // (gen 1, slot 0)
                            // Queue data on the live transport, then deliver a stale-token event:
                            // nothing may read it, and a stale hangup must not tear anyone down.
-    t2.push_read(ReadStep::Data(frame_of(&ping())));
+    t2.push_read(ReadStep::Data(tagged_frame(1, ping())));
     rig.readable(stale);
     rig.reactor.poll.push_batch(vec![Event {
         token: stale,
@@ -374,91 +376,56 @@ fn stale_token_events_after_slot_recycling_hit_nobody() {
     assert_eq!(rig.reactor.connections(), 1, "stale hangup must not kill");
     rig.readable(live);
     rig.turn();
-    assert_eq!(rig.dispatch.reqs(), vec![(None, ping())]);
+    assert_eq!(rig.dispatch.reqs(), vec![(1, ping())]);
 }
 
+/// Every tagged request dispatches the moment it is decoded: a write-ahead
+/// burst goes out whole, nothing waits for an earlier answer, and reads stay
+/// on (only the write-queue cap pauses them).
 #[test]
-fn hello_acks_in_old_framing_then_switches_to_tagged() {
-    let mut rig = Rig::new(1 << 20);
-    rig.dispatch.auto_final.store(true, Ordering::SeqCst);
-    let t = ScriptedTransport::new(7);
-    rig.offer_conn(&t);
-    rig.turn();
-    t.push_read(ReadStep::Data(frame_of(&Request::Hello(HelloBody {
-        version: 99,
-    }))));
-    rig.readable(0);
-    rig.turn();
-    // The ack itself is a bare v1 frame; the grant is clamped to our max.
-    let acks: Vec<Response> = decode_all(&t.written());
-    assert_eq!(
-        acks,
-        vec![Response::HelloAck(HelloAckBody {
-            version: PROTOCOL_MAX,
-            max: PROTOCOL_MAX,
-        })]
-    );
-    let before = t.written().len();
-    t.push_read(ReadStep::Data(tagged_frame(42, ping())));
-    rig.readable(0);
-    rig.turn();
-    assert_eq!(rig.dispatch.reqs(), vec![(Some(42), ping())]);
-    let tagged: Vec<TaggedResponse> = decode_all(&t.written()[before..]);
-    assert_eq!(
-        tagged,
-        vec![TaggedResponse {
-            id: 42,
-            resp: Response::Closed
-        }]
-    );
-}
-
-/// A v1 peer correlates responses by order alone: two untagged requests
-/// arriving in one read dispatch one at a time, the second only once the
-/// first has its terminal frame — and reads pause while one is held.
-#[test]
-fn untagged_write_ahead_dispatches_one_request_at_a_time() {
+fn tagged_write_ahead_dispatches_every_request_at_once() {
     let mut rig = Rig::new(1 << 20);
     let t = ScriptedTransport::new(7);
     rig.offer_conn(&t);
     rig.turn();
-    let mut both = frame_of(&ping());
-    both.extend(frame_of(&Request::Stats));
+    let mut both = tagged_frame(1, ping());
+    both.extend(tagged_frame(2, Request::Stats));
     t.push_read(ReadStep::Data(both));
     rig.readable(0);
     rig.turn();
     assert_eq!(
         rig.dispatch.reqs(),
-        vec![(None, ping())],
-        "the second request must wait for the first one's answer"
-    );
-    assert_eq!(
-        rig.reactor.poll.interest_of(7),
-        Some(Interest {
-            readable: false,
-            writable: false
-        }),
-        "a held request pauses reads (TCP backpressure on write-ahead)"
-    );
-    rig.turn();
-    assert_eq!(rig.dispatch.reqs().len(), 1, "still waiting");
-    // The worker answers the first request: the held one goes out.
-    let q = rig.dispatch.last_queue();
-    assert!(q.push_final(None, encode_response(None, &Response::Pong).unwrap()));
-    rig.turn();
-    assert_eq!(
-        rig.dispatch.reqs(),
-        vec![(None, ping()), (None, Request::Stats)]
+        vec![(1, ping()), (2, Request::Stats)],
+        "the second request must not wait for the first one's answer"
     );
     assert_eq!(
         rig.reactor.poll.interest_of(7),
         Some(Interest {
             readable: true,
             writable: false
-        })
+        }),
+        "requests in flight do not pause reads"
     );
-    let resp: Vec<Response> = decode_all(&t.written());
-    assert_eq!(resp, vec![Response::Pong]);
+    // Answers complete out of order, each under its own id.
+    let q = rig.dispatch.last_queue();
+    assert!(q.push_final(2, encode_response(2, &Response::Closed).unwrap()));
+    assert!(q.push_final(1, encode_response(1, &Response::Pong).unwrap()));
+    rig.turn();
+    let resp: Vec<TaggedResponse> = decode_all(&t.written());
+    assert_eq!(
+        resp,
+        vec![
+            TaggedResponse {
+                id: 2,
+                resp: Response::Closed
+            },
+            TaggedResponse {
+                id: 1,
+                resp: Response::Pong
+            }
+        ]
+    );
+    assert!(q.drained());
 }
 
 /// A peer that leaves a frame half sent past `frame_stall` is disconnected
@@ -475,7 +442,7 @@ fn mid_frame_stall_is_disconnected_but_idle_connections_survive() {
     rig.turn();
     rig.turn();
     assert_eq!(rig.reactor.connections(), 2);
-    let frame = frame_of(&ping());
+    let frame = tagged_frame(1, ping());
     staller.push_read(ReadStep::Data(frame[..frame.len() / 2].to_vec()));
     idler.push_read(ReadStep::Data(frame.clone()));
     rig.readable(0);
@@ -497,9 +464,12 @@ fn mid_frame_stall_is_disconnected_but_idle_connections_survive() {
         "the idle connection survives"
     );
     // One best-effort diagnostic went out before the close.
-    let frames: Vec<Response> = decode_all(&staller.written());
+    let frames: Vec<TaggedResponse> = decode_all(&staller.written());
     match frames.as_slice() {
-        [Response::Error(ErrorBody { code, message })] => {
+        [TaggedResponse {
+            id: u64::MAX,
+            resp: Response::Error(ErrorBody { code, message }),
+        }] => {
             assert_eq!(code, codes::BAD_REQUEST);
             assert!(message.contains("stalled"), "{message}");
         }
@@ -513,12 +483,6 @@ fn duplicate_live_tag_is_rejected_without_retiring_the_original() {
     let t = ScriptedTransport::new(7);
     rig.offer_conn(&t);
     rig.turn();
-    t.push_read(ReadStep::Data(frame_of(&Request::Hello(HelloBody {
-        version: PROTOCOL_MAX,
-    }))));
-    rig.readable(0);
-    rig.turn();
-    let after_ack = t.written().len();
     // Two live requests under one id: the second must be refused outright.
     t.push_read(ReadStep::Data(tagged_frame(7, run_stream())));
     t.push_read(ReadStep::Data(tagged_frame(7, run_stream())));
@@ -527,7 +491,7 @@ fn duplicate_live_tag_is_rejected_without_retiring_the_original() {
     assert_eq!(rig.dispatch.reqs().len(), 1, "duplicate must not dispatch");
     let q = rig.dispatch.last_queue();
     assert!(!q.drained(), "the original request is still in flight");
-    let rejections: Vec<TaggedResponse> = decode_all(&t.written()[after_ack..])
+    let rejections: Vec<TaggedResponse> = decode_all(&t.written())
         .into_iter()
         .filter(|tr: &TaggedResponse| matches!(&tr.resp, Response::Error(_)))
         .collect();
@@ -538,10 +502,7 @@ fn duplicate_live_tag_is_rejected_without_retiring_the_original() {
         other => panic!("expected an error frame, got {other:?}"),
     }
     // The original completes normally afterwards.
-    assert!(q.push_final(
-        Some(7),
-        encode_response(Some(7), &Response::Closed).unwrap()
-    ));
+    assert!(q.push_final(7, encode_response(7, &Response::Closed).unwrap()));
     rig.turn();
     assert!(q.drained());
 }
@@ -552,7 +513,7 @@ fn overfull_write_queue_pauses_reads_until_drained() {
     let t = ScriptedTransport::new(7);
     rig.offer_conn(&t);
     rig.turn();
-    t.push_read(ReadStep::Data(frame_of(&run_stream())));
+    t.push_read(ReadStep::Data(tagged_frame(1, run_stream())));
     rig.readable(0);
     rig.turn();
     let q = rig.dispatch.last_queue();
@@ -588,33 +549,39 @@ fn overfull_write_queue_pauses_reads_until_drained() {
     assert_eq!(q.push_stream(vec![0u8; 8]), StreamSend::Sent);
 }
 
+/// A frame that is not a tagged request — a well-framed payload that is
+/// not a request at all, or a bare request without its envelope — gets one
+/// diagnostic under the sentinel id and closes the connection; a valid
+/// frame behind it is never processed.
 #[test]
 fn poisoned_connection_sends_one_diagnostic_then_closes() {
-    let mut rig = Rig::new(1 << 20);
-    let t = ScriptedTransport::new(7);
-    rig.offer_conn(&t);
-    rig.turn();
-    // A well-framed payload that is not a request, followed by a valid
-    // frame that must NOT be processed (the connection is poisoned).
-    let mut garbage = Vec::new();
-    garbage.extend_from_slice(&(7u32).to_be_bytes());
-    garbage.extend_from_slice(b"{\"x\":1}");
-    t.push_read(ReadStep::Data(garbage));
-    t.push_read(ReadStep::Data(frame_of(&ping())));
-    rig.readable(0);
-    rig.turn();
-    assert!(
-        rig.dispatch.reqs().is_empty(),
-        "post-poison frames are dead"
-    );
-    let frames: Vec<Response> = decode_all(&t.written());
-    assert_eq!(frames.len(), 1, "exactly one diagnostic");
-    match &frames[0] {
-        Response::Error(ErrorBody { code, .. }) => assert_eq!(code, codes::BAD_REQUEST),
-        other => panic!("expected an error frame, got {other:?}"),
+    let mut not_a_request = (7u32).to_be_bytes().to_vec();
+    not_a_request.extend_from_slice(b"{\"x\":1}");
+    for garbage in [not_a_request, encode_frame(&ping()).unwrap()] {
+        let mut rig = Rig::new(1 << 20);
+        let t = ScriptedTransport::new(7);
+        rig.offer_conn(&t);
+        rig.turn();
+        t.push_read(ReadStep::Data(garbage));
+        t.push_read(ReadStep::Data(tagged_frame(1, ping())));
+        rig.readable(0);
+        rig.turn();
+        assert!(
+            rig.dispatch.reqs().is_empty(),
+            "post-poison frames are dead"
+        );
+        let frames: Vec<TaggedResponse> = decode_all(&t.written());
+        assert_eq!(frames.len(), 1, "exactly one diagnostic");
+        match &frames[0] {
+            TaggedResponse {
+                id: u64::MAX,
+                resp: Response::Error(ErrorBody { code, .. }),
+            } => assert_eq!(code, codes::BAD_REQUEST),
+            other => panic!("expected a sentinel-tagged error frame, got {other:?}"),
+        }
+        assert_eq!(rig.reactor.connections(), 0, "poison closes after flush");
+        assert_eq!(rig.dispatch.closed.load(Ordering::SeqCst), 1);
     }
-    assert_eq!(rig.reactor.connections(), 0, "poison closes after flush");
-    assert_eq!(rig.dispatch.closed.load(Ordering::SeqCst), 1);
 }
 
 #[test]
@@ -623,7 +590,7 @@ fn graceful_drain_waits_for_inflight_work_then_exits() {
     let t = ScriptedTransport::new(7);
     rig.offer_conn(&t);
     rig.turn();
-    t.push_read(ReadStep::Data(frame_of(&ping())));
+    t.push_read(ReadStep::Data(tagged_frame(1, ping())));
     rig.readable(0);
     rig.turn();
     let q = rig.dispatch.last_queue();
@@ -643,11 +610,18 @@ fn graceful_drain_waits_for_inflight_work_then_exits() {
     assert!(!rig.turn());
     assert_eq!(rig.reactor.connections(), 1, "no accepts while draining");
     // The worker answers; the reply flushes; drain completes.
-    assert!(q.push_final(None, encode_response(None, &Response::Closed).unwrap()));
+    assert!(q.push_final(1, encode_response(1, &Response::Closed).unwrap()));
     assert!(rig.turn(), "drained reactor must exit");
     assert_eq!(rig.reactor.connections(), 0);
-    let resp: Vec<Response> = decode_all(&t.written());
-    assert_eq!(resp, vec![Response::Closed], "the final answer still lands");
+    let resp: Vec<TaggedResponse> = decode_all(&t.written());
+    assert_eq!(
+        resp,
+        vec![TaggedResponse {
+            id: 1,
+            resp: Response::Closed
+        }],
+        "the final answer still lands"
+    );
 }
 
 #[test]

@@ -91,12 +91,11 @@ enum Work {
     Remove(RemoveBody),
 }
 
-/// Where a worker delivers response frames: encoded (tagged when the
-/// connection negotiated v2) onto the connection's write queue; the reactor
-/// is woken to flush them.
+/// Where a worker delivers response frames: encoded under the request's id
+/// onto the connection's write queue; the reactor is woken to flush them.
 struct Reply {
     queue: Arc<ConnQueue>,
-    tag: Option<u64>,
+    tag: u64,
 }
 
 impl Reply {
@@ -111,7 +110,7 @@ impl Reply {
     }
 
     /// Delivers the request's terminal frame (always enqueued while the
-    /// connection lives; retires the request id on v2 connections).
+    /// connection lives; retires the request id).
     fn send_final(&self, resp: Response) {
         let frame = reactor::encode_response(self.tag, &resp).or_else(|_| {
             reactor::encode_response(self.tag, &err(codes::INTERNAL, "response failed to encode"))
@@ -464,7 +463,6 @@ fn endpoint_of(req: &Request) -> Endpoint {
         Request::Remove(_) => Endpoint::Remove,
         Request::Shutdown => Endpoint::Shutdown,
         Request::RunStream(_) => Endpoint::RunStream,
-        Request::Hello(_) => Endpoint::Hello,
     }
 }
 
@@ -473,7 +471,7 @@ fn endpoint_of(req: &Request) -> Endpoint {
 /// admission control, and either way the response is routed back through
 /// the connection's write queue.
 impl AsyncDispatch for Shared {
-    fn dispatch(&self, req: Request, tag: Option<u64>, queue: &Arc<ConnQueue>) {
+    fn dispatch(&self, req: Request, tag: u64, queue: &Arc<ConnQueue>) {
         let arrived = Instant::now();
         let endpoint = endpoint_of(&req);
         let reply = Reply {
@@ -501,8 +499,7 @@ impl AsyncDispatch for Shared {
                         self.begin_shutdown();
                         Response::ShutdownAck
                     }
-                    // Pooled variants were peeled off above, and the
-                    // reactor answers `hello` itself.
+                    // Pooled variants were peeled off above.
                     _ => err(codes::INTERNAL, "unroutable request"),
                 };
                 self.finish(endpoint, arrived, &reply, resp);

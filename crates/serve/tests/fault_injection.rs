@@ -77,34 +77,13 @@ fn tagged(id: u64, req: protocol::Request) -> Vec<u8> {
     protocol::encode_frame(&TaggedRequest { id, req }).expect("encode")
 }
 
-/// Raw v2 handshake (mirrors the torture suite's helper).
-fn raw_v2(addr: &str) -> TcpStream {
-    let mut s = TcpStream::connect(addr).expect("connect");
+/// A bare socket, ready for tagged frames (mirrors the torture suite's
+/// helper).
+fn raw(addr: &str) -> TcpStream {
+    let s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_millis(100)))
         .expect("timeout");
-    protocol::write_frame(
-        &mut s,
-        &protocol::Request::Hello(protocol::HelloBody {
-            version: protocol::PROTOCOL_V2,
-        }),
-    )
-    .expect("hello");
-    match read_bare(&mut s) {
-        Response::HelloAck(a) => assert_eq!(a.version, protocol::PROTOCOL_V2),
-        other => panic!("expected HelloAck, got {other:?}"),
-    }
     s
-}
-
-fn read_bare(stream: &mut TcpStream) -> Response {
-    for _ in 0..100 {
-        match protocol::read_frame::<Response>(stream, Duration::from_secs(10)).expect("frame") {
-            protocol::FrameRead::Frame(r) => return r,
-            protocol::FrameRead::Closed => panic!("server closed the connection"),
-            protocol::FrameRead::Idle => {}
-        }
-    }
-    panic!("timed out waiting for a frame");
 }
 
 fn read_tagged(stream: &mut TcpStream) -> TaggedResponse {
@@ -144,7 +123,7 @@ fn mid_stream_disconnect_cancels_the_run_and_reclaims_the_connection() {
         "only the observer is connected"
     );
 
-    let mut victim = raw_v2(&addr);
+    let mut victim = raw(&addr);
     victim
         .write_all(&tagged(
             1,
@@ -211,12 +190,18 @@ fn half_open_sockets_are_torn_down_not_leaked() {
     let mut s = TcpStream::connect(&addr).expect("connect half-open");
     s.set_read_timeout(Some(Duration::from_millis(200)))
         .expect("timeout");
-    protocol::write_frame(
-        &mut s,
-        &protocol::Request::Ping(protocol::PingBody { wait_ms: 0 }),
-    )
+    s.write_all(&tagged(
+        1,
+        protocol::Request::Ping(protocol::PingBody { wait_ms: 0 }),
+    ))
     .expect("ping");
-    assert!(matches!(read_bare(&mut s), Response::Pong));
+    assert!(matches!(
+        read_tagged(&mut s),
+        TaggedResponse {
+            id: 1,
+            resp: Response::Pong
+        }
+    ));
     let with_victim = await_stats(&mut observer, |st| st.connections_open == 2);
     assert_eq!(with_victim.connections_open, 2);
 
@@ -228,7 +213,7 @@ fn half_open_sockets_are_torn_down_not_leaked() {
     assert_eq!(settled.connections_open, 1, "half-open connection leaked");
     let mut eof = false;
     for _ in 0..50 {
-        match protocol::read_frame::<Response>(&mut s, Duration::from_secs(5)) {
+        match protocol::read_frame::<TaggedResponse>(&mut s, Duration::from_secs(5)) {
             Ok(protocol::FrameRead::Closed) | Err(_) => {
                 eof = true;
                 break;
@@ -257,15 +242,26 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
     idler
         .set_read_timeout(Some(Duration::from_millis(200)))
         .expect("timeout");
-    let ping = protocol::Request::Ping(protocol::PingBody { wait_ms: 0 });
-    protocol::write_frame(&mut idler, &ping).expect("ping");
-    assert!(matches!(read_bare(&mut idler), Response::Pong));
+    let ping = |id| {
+        tagged(
+            id,
+            protocol::Request::Ping(protocol::PingBody { wait_ms: 0 }),
+        )
+    };
+    idler.write_all(&ping(1)).expect("ping");
+    assert!(matches!(
+        read_tagged(&mut idler),
+        TaggedResponse {
+            id: 1,
+            resp: Response::Pong
+        }
+    ));
 
     let mut staller = TcpStream::connect(&addr).expect("connect staller");
     staller
         .set_read_timeout(Some(Duration::from_millis(200)))
         .expect("timeout");
-    let frame = protocol::encode_frame(&ping).expect("encode");
+    let frame = ping(1);
     staller
         .write_all(&frame[..frame.len() / 2])
         .expect("half a frame");
@@ -275,8 +271,11 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
     let settled = await_stats(&mut observer, |st| st.connections_open == 2);
     assert_eq!(settled.connections_open, 2, "the staller was not dropped");
     // The staller got one diagnostic, then EOF.
-    match read_bare(&mut staller) {
-        Response::Error(e) => {
+    match read_tagged(&mut staller) {
+        TaggedResponse {
+            id: u64::MAX,
+            resp: Response::Error(e),
+        } => {
             assert_eq!(e.code, protocol::codes::BAD_REQUEST);
             assert!(e.message.contains("stalled"), "{}", e.message);
         }
@@ -284,7 +283,7 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
     }
     assert!(
         matches!(
-            protocol::read_frame::<Response>(&mut staller, Duration::from_secs(5)),
+            protocol::read_frame::<TaggedResponse>(&mut staller, Duration::from_secs(5)),
             Ok(protocol::FrameRead::Closed) | Err(_)
         ),
         "the stalled connection must be closed"
@@ -292,8 +291,14 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
 
     // Several stall limits later the idle connection still works.
     std::thread::sleep(Duration::from_millis(300));
-    protocol::write_frame(&mut idler, &ping).expect("ping after idling");
-    assert!(matches!(read_bare(&mut idler), Response::Pong));
+    idler.write_all(&ping(2)).expect("ping after idling");
+    assert!(matches!(
+        read_tagged(&mut idler),
+        TaggedResponse {
+            id: 2,
+            resp: Response::Pong
+        }
+    ));
     assert_eq!(
         observer.stats().expect("final stats").connections_open,
         2,
@@ -381,7 +386,7 @@ fn fault_storm_conserves_counters_and_keeps_serving() {
             }
             // Disconnect with a stream in flight, one pick in.
             2 => {
-                let mut s = raw_v2(&addr);
+                let mut s = raw(&addr);
                 s.write_all(&tagged(
                     1,
                     protocol::Request::Open(protocol::OpenBody {
@@ -411,8 +416,11 @@ fn fault_storm_conserves_counters_and_keeps_serving() {
                 let mut junk = 9u32.to_be_bytes().to_vec();
                 junk.extend_from_slice(b"not json!");
                 s.write_all(&junk).expect("junk");
-                match read_bare(&mut s) {
-                    Response::Error(e) => assert_eq!(e.code, protocol::codes::BAD_REQUEST),
+                match read_tagged(&mut s) {
+                    TaggedResponse {
+                        id: u64::MAX,
+                        resp: Response::Error(e),
+                    } => assert_eq!(e.code, protocol::codes::BAD_REQUEST),
                     other => panic!("poison round: {other:?}"),
                 }
                 drop(s);
@@ -422,16 +430,22 @@ fn fault_storm_conserves_counters_and_keeps_serving() {
                 let mut s = TcpStream::connect(&addr).expect("connect half");
                 s.set_read_timeout(Some(Duration::from_millis(200)))
                     .expect("timeout");
-                protocol::write_frame(
-                    &mut s,
-                    &protocol::Request::Ping(protocol::PingBody { wait_ms: 0 }),
-                )
+                s.write_all(&tagged(
+                    1,
+                    protocol::Request::Ping(protocol::PingBody { wait_ms: 0 }),
+                ))
                 .expect("ping");
-                assert!(matches!(read_bare(&mut s), Response::Pong));
+                assert!(matches!(
+                    read_tagged(&mut s),
+                    TaggedResponse {
+                        id: 1,
+                        resp: Response::Pong
+                    }
+                ));
                 s.shutdown(Shutdown::Write).expect("half-close");
                 drop(s);
             }
-            // A fully clean v1 client, mid-storm.
+            // A fully clean client, mid-storm.
             _ => {
                 let mut c = Client::connect(&addr).expect("connect clean");
                 let o = c.open("f", 0.75).expect("open");
@@ -450,7 +464,6 @@ fn fault_storm_conserves_counters_and_keeps_serving() {
     // Both workers still serve, and streaming still matches the reference.
     assert!(observer.ping(0).is_ok() && observer.ping(0).is_ok());
     let mut c = Client::connect(&addr).expect("connect verifier");
-    c.hello().expect("hello");
     let (picks, body) = c
         .run_streaming_answer(clean_session, 3.0, 3)
         .expect("post-storm stream");

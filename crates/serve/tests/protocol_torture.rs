@@ -1,12 +1,11 @@
-//! Byte-level torture of the v2 framing stack: property-based fuzzing of
-//! the incremental [`FrameDecoder`] (frames split at arbitrary read
+//! Byte-level torture of the tagged framing stack: property-based fuzzing
+//! of the incremental [`FrameDecoder`] (frames split at arbitrary read
 //! boundaries, garbage, truncation, oversized announcements), plus
 //! deterministic wire-level abuse of a live server — duplicate request
-//! ids, mixed-type pipelined bursts, garbage frames, slow-reader
-//! backpressure, v1 write-ahead — all of which must surface as typed
-//! errors (or in-order answers) on the right
-//! connection, never as a panic, a hang, or a frame on someone else's
-//! stream.
+//! ids, mixed-type pipelined bursts, garbage and bare (untagged) frames,
+//! slow-reader backpressure — all of which must surface as typed errors on
+//! the right connection, never as a panic, a hang, or a frame on someone
+//! else's stream.
 
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_serve::registry::load_in_memory;
@@ -197,36 +196,12 @@ fn server(workers: usize, write_queue_cap: usize) -> graphrep_serve::ServerHandl
     .expect("server start")
 }
 
-/// Raw v2 handshake on a bare socket: offer v2 in the old framing, demand
-/// the upgrade, return the stream ready for tagged frames.
-fn raw_v2(addr: &str) -> TcpStream {
-    let mut s = TcpStream::connect(addr).expect("connect");
+/// A bare socket, ready for tagged frames.
+fn raw(addr: &str) -> TcpStream {
+    let s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_millis(100)))
         .expect("timeout");
-    protocol::write_frame(
-        &mut s,
-        &protocol::Request::Hello(protocol::HelloBody {
-            version: protocol::PROTOCOL_V2,
-        }),
-    )
-    .expect("hello");
-    match read_bare(&mut s) {
-        Response::HelloAck(a) => assert_eq!(a.version, protocol::PROTOCOL_V2),
-        other => panic!("expected HelloAck, got {other:?}"),
-    }
     s
-}
-
-/// Blocks until one bare `Response` frame arrives (10 s cap).
-fn read_bare(stream: &mut TcpStream) -> Response {
-    for _ in 0..100 {
-        match protocol::read_frame::<Response>(stream, Duration::from_secs(10)).expect("frame") {
-            protocol::FrameRead::Frame(r) => return r,
-            protocol::FrameRead::Closed => panic!("server closed the connection"),
-            protocol::FrameRead::Idle => {}
-        }
-    }
-    panic!("timed out waiting for a frame");
 }
 
 /// Blocks until one tagged frame arrives (10 s cap).
@@ -284,7 +259,7 @@ fn duplicate_live_request_ids_are_rejected_without_killing_the_original() {
         .expect("reference run")
         .fingerprint();
 
-    let mut s = raw_v2(&addr);
+    let mut s = raw(&addr);
     s.write_all(&tagged(1, open_body())).expect("open");
     let session = match read_tagged(&mut s) {
         TaggedResponse {
@@ -363,7 +338,7 @@ fn duplicate_live_request_ids_are_rejected_without_killing_the_original() {
 fn mixed_type_pipelined_bursts_keep_every_tag_straight() {
     let handle = server(4, 4 << 20);
     let addr = handle.addr().to_string();
-    let mut s = raw_v2(&addr);
+    let mut s = raw(&addr);
 
     s.write_all(&tagged(1, open_body())).expect("open");
     let session = match read_tagged(&mut s) {
@@ -454,6 +429,12 @@ fn garbage_frames_poison_only_their_own_connection() {
     let no = neighbor.open("t", 0.75).expect("open neighbor");
 
     for (name, garbage) in [
+        // A well-formed request without its `{id, req}` envelope.
+        (
+            "bare (untagged) request",
+            protocol::encode_frame(&protocol::Request::Ping(protocol::PingBody { wait_ms: 0 }))
+                .expect("encode"),
+        ),
         // A frame whose body is not JSON at all.
         ("non-json body", frame_bytes("hunter2 hunter2 hunter2")),
         // A frame whose body is not UTF-8.
@@ -465,24 +446,31 @@ fn garbage_frames_poison_only_their_own_connection() {
         // A header announcing an absurd length.
         ("oversized header", (u32::MAX).to_be_bytes().to_vec()),
     ] {
-        let mut s = TcpStream::connect(&addr).expect("connect victim");
-        s.set_read_timeout(Some(Duration::from_millis(100)))
-            .expect("timeout");
+        let mut s = raw(&addr);
         // Prove the connection works before the poison.
-        protocol::write_frame(
-            &mut s,
-            &protocol::Request::Ping(protocol::PingBody { wait_ms: 0 }),
-        )
+        s.write_all(&tagged(
+            1,
+            protocol::Request::Ping(protocol::PingBody { wait_ms: 0 }),
+        ))
         .expect("ping");
         assert!(
-            matches!(read_bare(&mut s), Response::Pong),
+            matches!(
+                read_tagged(&mut s),
+                TaggedResponse {
+                    id: 1,
+                    resp: Response::Pong
+                }
+            ),
             "{name}: pre-poison ping"
         );
 
         s.write_all(&garbage)
             .unwrap_or_else(|e| panic!("{name}: write garbage: {e}"));
-        match read_bare(&mut s) {
-            Response::Error(e) => assert_eq!(
+        match read_tagged(&mut s) {
+            TaggedResponse {
+                id: u64::MAX,
+                resp: Response::Error(e),
+            } => assert_eq!(
                 e.code,
                 protocol::codes::BAD_REQUEST,
                 "{name}: diagnostic code"
@@ -493,7 +481,7 @@ fn garbage_frames_poison_only_their_own_connection() {
         // (bounded retries — each read_frame call waits up to its stall cap).
         let mut saw_eof = false;
         for _ in 0..100 {
-            match protocol::read_frame::<Response>(&mut s, Duration::from_secs(5)) {
+            match protocol::read_frame::<TaggedResponse>(&mut s, Duration::from_secs(5)) {
                 Ok(protocol::FrameRead::Closed) | Err(_) => {
                     saw_eof = true;
                     break;
@@ -518,80 +506,6 @@ fn garbage_frames_poison_only_their_own_connection() {
     handle.shutdown();
 }
 
-/// Old v1 clients — no hello, bare frames, strict FIFO — are served by the
-/// async reactor byte-for-byte like before, including streamed runs.
-#[test]
-fn v1_blocking_clients_are_served_unchanged_by_the_server() {
-    let handle = server(2, 4 << 20);
-    let addr = handle.addr().to_string();
-
-    // The stock client never sent Hello, so it speaks v1.
-    let mut c = Client::connect(&addr).expect("connect v1");
-    let o = c.open("t", 0.75).expect("open");
-    let blocking = c.run_answer(o.session, 3.0, 3).expect("run").fingerprint();
-
-    // Raw v1 FIFO streaming: bare RunStream, bare Pick/AnswerEnd replies.
-    let mut s = TcpStream::connect(&addr).expect("connect raw v1");
-    s.set_read_timeout(Some(Duration::from_millis(100)))
-        .expect("timeout");
-    protocol::write_frame(&mut s, &open_body()).expect("open");
-    let session = match read_bare(&mut s) {
-        Response::Opened(ob) => ob.session,
-        other => panic!("expected Opened, got {other:?}"),
-    };
-    protocol::write_frame(
-        &mut s,
-        &protocol::Request::RunStream(run_body(session, 3.0, 3)),
-    )
-    .expect("run_stream");
-    let mut picks = 0;
-    let body = loop {
-        match read_bare(&mut s) {
-            Response::Pick(_) => picks += 1,
-            Response::AnswerEnd(b) => break b,
-            other => panic!("v1 stream: {other:?}"),
-        }
-    };
-    assert_eq!(body.fingerprint(), blocking);
-    assert_eq!(picks, body.ids.len());
-    handle.shutdown();
-}
-
-/// A v1 peer that writes ahead — several untagged requests in one write —
-/// can only match responses to requests by position, so the answers must
-/// come back in request order even though the first request is slow, the
-/// second is answered inline on the reactor and the third by another
-/// worker.
-#[test]
-fn v1_write_ahead_is_answered_in_request_order() {
-    let handle = server(2, 4 << 20);
-    let mut s = TcpStream::connect(handle.addr()).expect("connect raw v1");
-    s.set_read_timeout(Some(Duration::from_millis(100)))
-        .expect("timeout");
-    let mut burst = Vec::new();
-    for req in [
-        protocol::Request::Ping(protocol::PingBody { wait_ms: 300 }),
-        protocol::Request::Stats,
-        open_body(),
-    ] {
-        burst.extend(protocol::encode_frame(&req).expect("encode"));
-    }
-    s.write_all(&burst).expect("write-ahead burst");
-    let first = read_bare(&mut s);
-    assert!(matches!(first, Response::Pong), "1st answer: {first:?}");
-    let second = read_bare(&mut s);
-    assert!(
-        matches!(second, Response::Stats(_)),
-        "2nd answer: {second:?}"
-    );
-    let third = read_bare(&mut s);
-    assert!(
-        matches!(third, Response::Opened(_)),
-        "3rd answer: {third:?}"
-    );
-    handle.shutdown();
-}
-
 /// A pipelining peer that stops reading while responses pile up: once the
 /// connection's write queue passes its cap, the in-flight streamed run is
 /// cancelled as `slow_consumer` instead of buffering without bound — and
@@ -602,7 +516,7 @@ fn a_stalled_reader_gets_slow_consumer_not_unbounded_buffering() {
     // slow ping while the stats flood lands.
     let handle = server(1, 8 << 10);
     let addr = handle.addr().to_string();
-    let mut s = raw_v2(&addr);
+    let mut s = raw(&addr);
 
     s.write_all(&tagged(1, open_body())).expect("open");
     let session = match read_tagged(&mut s) {

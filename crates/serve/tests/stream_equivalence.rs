@@ -8,7 +8,7 @@ use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
 use graphrep_serve::registry::load_in_memory;
 use graphrep_serve::{
     offline_reference, protocol, start, Client, DatasetRegistry, LoadMode, LoadSpec, Response,
-    ServeConfig, ShardedDataset,
+    ServeConfig, ShardedDataset, TaggedRequest, TaggedResponse,
 };
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -83,8 +83,6 @@ fn streamed_answers_match_blocking_and_offline_at_every_pool_size() {
         let addr = handle.addr().to_string();
 
         let mut streaming = Client::connect(&addr).expect("connect streaming");
-        let ack = streaming.hello().expect("hello");
-        assert_eq!(ack.version, 2, "the server grants v2");
         let mut blocking = Client::connect(&addr).expect("connect blocking");
 
         let so = streaming.open("eq", 0.75).expect("open streaming");
@@ -140,7 +138,6 @@ fn sharded_streamed_answers_match_single_index() {
     for workers in [1usize, 4, 8] {
         let handle = start_sharded(workers, gen.generate(), 3);
         let mut c = Client::connect(&handle.addr().to_string()).expect("connect sharded");
-        c.hello().expect("hello");
         let o = c.open("d", 0.75).expect("open sharded");
         for (i, &(theta, k)) in queries.iter().enumerate() {
             let (picks, body) = c
@@ -170,8 +167,6 @@ fn pipelined_streams_are_answered_correctly_out_of_order() {
 
     let handle = start_single(4, "pl", gen.generate());
     let mut c = Client::connect(&handle.addr().to_string()).expect("connect");
-    let ack = c.hello().expect("hello");
-    assert_eq!(ack.version, 2);
     let o = c.open("pl", 0.75).expect("open");
 
     // Two full rounds of the grid in flight at once on a single connection.
@@ -240,37 +235,43 @@ fn mid_stream_mutation_leaves_pinned_session_on_its_snapshot() {
     let handle = start_single(2, "mut", gen.generate());
     let addr = handle.addr().to_string();
 
-    // Raw v1 streaming socket so the test controls frame-by-frame reads.
+    // Raw streaming socket so the test controls frame-by-frame reads.
     let mut stream = TcpStream::connect(&addr).expect("connect raw");
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .expect("timeout");
     protocol::write_frame(
         &mut stream,
-        &protocol::Request::Open(protocol::OpenBody {
-            dataset: "mut".into(),
-            quantile: 0.75,
-        }),
+        &TaggedRequest {
+            id: 1,
+            req: protocol::Request::Open(protocol::OpenBody {
+                dataset: "mut".into(),
+                quantile: 0.75,
+            }),
+        },
     )
     .expect("open frame");
-    let session = match read_response(&mut stream) {
+    let session = match read_response(&mut stream, 1) {
         Response::Opened(o) => o.session,
         other => panic!("expected Opened, got {other:?}"),
     };
     protocol::write_frame(
         &mut stream,
-        &protocol::Request::RunStream(protocol::RunBody {
-            session,
-            theta,
-            k,
-            deadline_ms: None,
-        }),
+        &TaggedRequest {
+            id: 2,
+            req: protocol::Request::RunStream(protocol::RunBody {
+                session,
+                theta,
+                k,
+                deadline_ms: None,
+            }),
+        },
     )
     .expect("run_stream frame");
 
     // Consume exactly one pick, then mutate from a second connection
     // while the stream is still open.
-    let first = read_response(&mut stream);
+    let first = read_response(&mut stream, 2);
     assert!(
         matches!(first, Response::Pick(_)),
         "expected a first pick, got {first:?}"
@@ -290,7 +291,7 @@ fn mid_stream_mutation_leaves_pinned_session_on_its_snapshot() {
     // session pinned at open, untouched by the insert.
     let mut picks = vec![first];
     let body = loop {
-        match read_response(&mut stream) {
+        match read_response(&mut stream, 2) {
             Response::Pick(p) => picks.push(Response::Pick(p)),
             Response::AnswerEnd(b) => break b,
             other => panic!("mid-stream: {other:?}"),
@@ -305,11 +306,17 @@ fn mid_stream_mutation_leaves_pinned_session_on_its_snapshot() {
     handle.shutdown();
 }
 
-/// Blocks until one bare `Response` frame arrives (10 s cap).
-fn read_response(stream: &mut TcpStream) -> Response {
+/// Blocks until one response frame arrives (10 s cap) and checks it
+/// answers request `id`.
+fn read_response(stream: &mut TcpStream, id: u64) -> Response {
     for _ in 0..100 {
-        match protocol::read_frame::<Response>(stream, Duration::from_secs(10)).expect("frame") {
-            protocol::FrameRead::Frame(r) => return r,
+        match protocol::read_frame::<TaggedResponse>(stream, Duration::from_secs(10))
+            .expect("frame")
+        {
+            protocol::FrameRead::Frame(t) => {
+                assert_eq!(t.id, id, "frame for another request: {t:?}");
+                return t.resp;
+            }
             protocol::FrameRead::Closed => panic!("server closed mid-stream"),
             protocol::FrameRead::Idle => {}
         }
