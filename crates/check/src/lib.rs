@@ -1,19 +1,16 @@
 //! `graphrep-check`: workspace-native static analysis for the NB-Index repo.
 //!
-//! Two subsystems share this crate:
-//!
-//! 1. A **lint driver** ([`lint_workspace`]) — a handwritten lexer plus seven
-//!    lexical rules (G001–G007, see [`rules`]) enforcing project conventions
-//!    that clippy cannot express, with an inline per-site allow-directive
-//!    escape hatch (syntax in [`rules`]) and a JSON report mode for CI.
-//! 2. An **invariant-audit runner** (the `audit` subcommand in the binary)
-//!    that shells out to `cargo test --features invariant-audit`, exercising
-//!    the paper-derived runtime invariants threaded through `ged` and `core`
-//!    via the `audit_invariant!` macro.
+//! [`lint_workspace`] runs a handwritten lexer plus the lexical rules in
+//! [`rules`] (G002, G004, G006, G007, G010, G011) over every non-test file,
+//! then the flow-aware lock analysis in [`lockgraph`] (G008/G009) across the
+//! whole workspace, with an inline per-site allow-directive escape hatch
+//! (syntax in [`rules`]). Conventions clippy or rustc already check are not
+//! here: the library crate roots carry `clippy::unwrap_used` and friends
+//! (no panics), `clippy::print_stdout` and friends (no stray output) and
+//! `missing_docs`, and CI runs clippy with `-D warnings` (DESIGN.md §8).
 //!
 //! The crate is deliberately dependency-free so the lint pass works even when
-//! the rest of the workspace does not compile, and so the `invariant-audit`
-//! feature never leaks into default workspace builds through unification.
+//! the rest of the workspace does not compile.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,14 +86,9 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Runs the full lint pass over the workspace rooted at `root`: the lexical
-/// rules (G001–G007) per file, then the flow-aware lock analysis (G008/G009)
-/// across all non-test files, with allow-directives applied to both.
+/// rules per file, then the flow-aware lock analysis (G008/G009) across all
+/// non-test files, with allow-directives applied to both.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
-    lint_workspace_with(root, &lockgraph::SinkConfig::default())
-}
-
-/// [`lint_workspace`] with a caller-supplied blocking-sink configuration.
-pub fn lint_workspace_with(root: &Path, sinks: &lockgraph::SinkConfig) -> std::io::Result<Report> {
     let mut report = Report::default();
     let mut lock_inputs: Vec<lockgraph::SourceFile> = Vec::new();
     for path in collect_sources(root)? {
@@ -122,9 +114,9 @@ pub fn lint_workspace_with(root: &Path, sinks: &lockgraph::SinkConfig) -> std::i
             src,
         });
     }
-    let analysis = lockgraph::analyze(&lock_inputs, sinks);
+    let analysis = lockgraph::analyze(&lock_inputs);
     // Group the lock findings per file and run them through that file's
-    // allow-directives, so G008/G009 use the same escape hatch as G001–G007.
+    // allow-directives, so G008/G009 use the same escape hatch as the lexical rules.
     let mut by_file: std::collections::BTreeMap<String, Vec<rules::Finding>> =
         std::collections::BTreeMap::new();
     for f in analysis.findings {
@@ -181,6 +173,6 @@ mod tests {
     fn scope_for_skips_vendor_and_fixtures() {
         assert!(scope_for("vendor/rand/src/lib.rs").is_none());
         assert!(scope_for("target/debug/build/x.rs").is_none());
-        assert!(scope_for("crates/check/tests/fixtures/g001_violating.rs").is_none());
+        assert!(scope_for("crates/check/tests/fixtures/g004_violation.rs").is_none());
     }
 }

@@ -8,8 +8,7 @@
 //!
 //! * **G008** — no lock guard may be live across a *blocking sink*: a GED
 //!   engine entry (`distance`, `within`, …), socket I/O (`read_frame`,
-//!   `write_all`, …), or `std::thread` spawn/join/sleep. The sink list is
-//!   configurable ([`SinkConfig`], extendable via `--sink`).
+//!   `write_all`, …), or `std::thread` spawn/join/sleep, matched by name.
 //! * **G009** — the acquisition graph must be acyclic; each strongly
 //!   connected component with two or more sites is reported as a potential
 //!   deadlock, with its witness edges.
@@ -26,7 +25,8 @@
 //! only when the callee is certain: a `self` method, a receiver with a known
 //! field/local type, a globally unique method name, or a free function.
 //! Ambiguous method names on unknown receivers are skipped — an unresolved
-//! call can only miss edges, never invent a false cycle. Closures passed to
+//! call can only miss edges, never invent a false cycle; the runtime
+//! witness checks the edges it misses (DESIGN.md §12.4). Closures passed to
 //! `spawn` run on another thread, so blocks following a `spawn(` in the same
 //! statement are replayed with an empty held set (their *internal* edges are
 //! still recorded). Same-site reentrant acquisition is out of scope (the
@@ -41,43 +41,27 @@ use crate::parser::{parse, Ast, Block, FnDef, Item, ItemKind, Stmt, StmtKind, St
 use crate::rules::{test_regions, Finding};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// The blocking-sink configuration for G008.
-#[derive(Debug, Clone)]
-pub struct SinkConfig {
-    /// Function/method names that block regardless of arguments.
-    pub any_args: Vec<String>,
-    /// Names that only count with an empty argument list (`join()` — keeps
-    /// `Path::join("x")` and `Vec::join(", ")` out).
-    pub no_args: Vec<String>,
-}
-
-impl Default for SinkConfig {
-    fn default() -> Self {
-        let any = [
-            // GED engine entries (oracle and raw engine).
-            "distance",
-            "within",
-            "within_verdict",
-            "distance_within",
-            "distance_profiled",
-            "distance_within_profiled",
-            // Socket / stream I/O.
-            "connect",
-            "accept",
-            "read_frame",
-            "write_frame",
-            "read_exact",
-            "write_all",
-            // Thread control.
-            "spawn",
-            "sleep",
-        ];
-        SinkConfig {
-            any_args: any.iter().map(|s| s.to_string()).collect(),
-            no_args: vec!["join".to_string()],
-        }
-    }
-}
+/// G008's blocking sinks: names that block regardless of arguments — GED
+/// engine entries (oracle and raw engine), socket/stream I/O, thread control.
+const SINKS: &[&str] = &[
+    "distance",
+    "within",
+    "within_verdict",
+    "distance_within",
+    "distance_profiled",
+    "distance_within_profiled",
+    "connect",
+    "accept",
+    "read_frame",
+    "write_frame",
+    "read_exact",
+    "write_all",
+    "spawn",
+    "sleep",
+];
+/// Sinks that only count with an empty argument list (`join()` — keeps
+/// `Path::join("x")` and `Vec::join(", ")` out).
+const SINKS_NO_ARGS: &[&str] = &["join"];
 
 /// One named lock site (graph node).
 #[derive(Debug, Clone)]
@@ -202,7 +186,7 @@ struct Summary {
 /// itself) are excluded — its `inner` fields are the mechanism, not subject
 /// code. Items inside `#[cfg(test)]` regions are skipped, mirroring the
 /// lexical rules.
-pub fn analyze(files: &[SourceFile], cfg: &SinkConfig) -> LockAnalysis {
+pub fn analyze(files: &[SourceFile]) -> LockAnalysis {
     let parsed: Vec<(usize, Lexed, Ast)> = files
         .iter()
         .enumerate()
@@ -252,7 +236,6 @@ pub fn analyze(files: &[SourceFile], cfg: &SinkConfig) -> LockAnalysis {
                 &parsed,
                 files,
                 &summaries,
-                cfg,
                 &mut scratch,
             ));
         }
@@ -262,7 +245,7 @@ pub fn analyze(files: &[SourceFile], cfg: &SinkConfig) -> LockAnalysis {
     // Final pass: emit edges and G008 findings with converged summaries.
     let mut out = Output::default();
     for id in 0..tables.fns.len() {
-        let _ = walk_fn(id, &tables, &parsed, files, &summaries, cfg, &mut out);
+        let _ = walk_fn(id, &tables, &parsed, files, &summaries, &mut out);
     }
 
     let mut findings = out.findings;
@@ -455,7 +438,6 @@ fn walk_fn(
     parsed: &[(usize, Lexed, Ast)],
     files: &[SourceFile],
     summaries: &[Summary],
-    cfg: &SinkConfig,
     out: &mut Output,
 ) -> Summary {
     let info = &tables.fns[id];
@@ -490,7 +472,6 @@ fn walk_fn(
         rel,
         self_ty: info.self_ty.clone(),
         summaries,
-        cfg,
         facts: Summary::default(),
         held: Vec::new(),
         fn_name: info.name.clone(),
@@ -508,7 +489,6 @@ struct Ctx<'t, 'a> {
     rel: &'t str,
     self_ty: Option<String>,
     summaries: &'t [Summary],
-    cfg: &'t SinkConfig,
     facts: Summary,
     /// Live guards: (site, Some(binding name) for bound, None for temp).
     held: Vec<(usize, Option<String>)>,
@@ -910,8 +890,7 @@ fn scan_run(
         }
 
         // Sink check (any call shape).
-        let is_sink = ctx.cfg.any_args.iter().any(|s| s == name)
-            || (no_args && ctx.cfg.no_args.iter().any(|s| s == name));
+        let is_sink = SINKS.contains(&name) || (no_args && SINKS_NO_ARGS.contains(&name));
 
         // Call resolution.
         let fid = if preceded_dot {
@@ -1205,7 +1184,7 @@ mod tests {
             crate_name: "demo".into(),
             src: src.into(),
         }];
-        analyze(&files, &SinkConfig::default())
+        analyze(&files)
     }
 
     #[test]

@@ -1,120 +1,57 @@
-//! CLI entry point: `cargo run -p graphrep-check --release -- lint|audit|all`.
+//! CLI entry point: `cargo run -p graphrep-check --release -- lint [--budget FILE]`.
 
 #![deny(unsafe_code)]
 
-use graphrep_check::lockgraph::SinkConfig;
 use graphrep_check::report::Report;
-use graphrep_check::{lint_workspace_with, workspace_root};
+use graphrep_check::{lint_workspace, workspace_root};
 use std::path::Path;
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: graphrep-check <lint|audit|all> [--json] [--sink NAME]... [--budget FILE]
+const USAGE: &str = "usage: graphrep-check lint [--budget FILE]
 
-  lint           run the G001-G010 lint rules over all workspace sources
-  audit          run the invariant-audit test suite (cargo test --features invariant-audit)
-  all            lint, then audit
-  --json         (lint) emit the machine-readable JSON report instead of text
-  --sink NAME    (lint) treat NAME as an additional G008 blocking sink; repeatable
-  --budget FILE  (lint) check the report against a flat JSON budget file with
-                 integer keys g008_max, g009_max, g010_max, g011_max, nodes_min,
-                 edges_exact
-                 (see ci/lock_analysis.json); any breach fails the run
+  lint           run the lint rules (G002, G004, G006-G011) over all workspace
+                 sources and print the findings and the lock graph's edges
+  --budget FILE  check the lock graph against a flat JSON budget file with
+                 integer keys nodes_min, edges_exact (see ci/lock_analysis.json);
+                 any breach fails the run
 ";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let mut sinks: Vec<String> = Vec::new();
-    let mut budget: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--sink" => match it.next() {
-                Some(v) => sinks.push(v.clone()),
-                None => {
-                    eprintln!("--sink needs a function name");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--budget" => match it.next() {
-                Some(v) => budget = Some(v.clone()),
-                None => {
-                    eprintln!("--budget needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => {}
-        }
-    }
-    let cmd = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(
-                    i.checked_sub(1).map(|p| args[p].as_str()),
-                    Some("--sink") | Some("--budget")
-                )
-        })
-        .map(|(_, a)| a.as_str());
-    match cmd {
-        Some("lint") => run_lint(json, &sinks, budget.as_deref()),
-        Some("audit") => run_audit(),
-        Some("all") => {
-            let lint = run_lint(json, &sinks, budget.as_deref());
-            let audit = run_audit();
-            if lint == ExitCode::SUCCESS && audit == ExitCode::SUCCESS {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let budget = match args[..] {
+        ["lint"] => None,
+        ["lint", "--budget", file] => Some(file),
         _ => {
             eprint!("{USAGE}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
-}
-
-fn run_lint(json: bool, extra_sinks: &[String], budget: Option<&str>) -> ExitCode {
-    let root = workspace_root();
-    let mut cfg = SinkConfig::default();
-    cfg.any_args.extend(extra_sinks.iter().cloned());
-    match lint_workspace_with(&root, &cfg) {
-        Ok(report) => {
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                print!("{}", report.to_text());
-            }
-            let budget_ok = match budget {
-                Some(path) => check_budget(&report, Path::new(path)),
-                None => true,
-            };
-            if report.is_clean() && budget_ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+    };
+    let report = match lint_workspace(&workspace_root()) {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("lint failed: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
+    };
+    print!("{}", report.to_text());
+    let budget_ok = budget.is_none_or(|path| check_budget(&report, Path::new(path)));
+    if report.is_clean() && budget_ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
-/// Checks the lint report against the pinned lock-analysis budget.
+/// Checks the lint report's lock graph against the pinned budget.
 ///
 /// The budget file is a flat JSON object of integer fields, so the parser
 /// below can stay a few lines of string splitting instead of a JSON library:
-/// `g008_max` / `g009_max` / `g010_max` / `g011_max` cap the finding counts for those
-/// rules,
 /// `nodes_min` is the least number of lock sites the workspace sweep must
 /// discover (a collapse here means the extractor silently lost coverage),
 /// and `edges_exact` pins the acquisition-edge count so any new lock-order
-/// edge shows up as an explicit budget update in review.
+/// edge shows up as an explicit budget update in review. Findings need no
+/// key: `lint` already fails on any.
 fn check_budget(report: &Report, path: &Path) -> bool {
     let raw = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -130,52 +67,35 @@ fn check_budget(report: &Report, path: &Path) -> bool {
             return false;
         }
     };
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
     let mut ok = true;
-    let count = |rule: &str| report.findings.iter().filter(|f| f.rule == rule).count();
-    for (key, rule) in [
-        ("g008_max", "G008"),
-        ("g009_max", "G009"),
-        ("g010_max", "G010"),
-        ("g011_max", "G011"),
-    ] {
-        if let Some(max) = get(key) {
-            let n = count(rule);
-            if n > max {
-                eprintln!("budget: {n} {rule} finding(s), budget allows {max}");
-                ok = false;
-            }
-        }
-    }
     let (nodes, edges) = match &report.lock_graph {
         Some(g) => (g.nodes.len(), g.edges.len()),
         None => (0, 0),
     };
-    if let Some(min) = get("nodes_min") {
-        if nodes < min {
-            eprintln!("budget: lock graph has {nodes} site(s), budget requires at least {min}");
-            ok = false;
-        }
-    }
-    if let Some(exact) = get("edges_exact") {
-        if edges != exact {
-            eprintln!(
-                "budget: lock graph has {edges} edge(s), budget pins exactly {exact} \
-                 (new lock-order edges must be reviewed and the budget updated)"
-            );
-            ok = false;
+    for (key, value) in fields {
+        match key.as_str() {
+            "nodes_min" if nodes < value => {
+                eprintln!(
+                    "budget: lock graph has {nodes} site(s), budget requires at least {value}"
+                );
+                ok = false;
+            }
+            "edges_exact" if edges != value => {
+                eprintln!(
+                    "budget: lock graph has {edges} edge(s), budget pins exactly {value} \
+                     (new lock-order edges must be reviewed and the budget updated)"
+                );
+                ok = false;
+            }
+            "nodes_min" | "edges_exact" => {}
+            _ => {
+                eprintln!("budget: {}: unknown key `{key}`", path.display());
+                ok = false;
+            }
         }
     }
     if ok {
-        eprintln!(
-            "budget: ok ({} site(s), {} edge(s), {} G008, {} G009, {} G010, {} G011)",
-            nodes,
-            edges,
-            count("G008"),
-            count("G009"),
-            count("G010"),
-            count("G011")
-        );
+        eprintln!("budget: ok ({nodes} site(s), {edges} edge(s))");
     }
     ok
 }
@@ -212,36 +132,4 @@ fn parse_flat_budget(raw: &str) -> Result<Vec<(String, usize)>, String> {
         out.push((key.to_string(), val));
     }
     Ok(out)
-}
-
-fn run_audit() -> ExitCode {
-    let root = workspace_root();
-    eprintln!("running invariant-audit suite (cargo test --features invariant-audit)...");
-    let status = Command::new(env!("CARGO"))
-        .args([
-            "test",
-            "-p",
-            "graphrep",
-            "--features",
-            "invariant-audit",
-            "--test",
-            "invariant_audit",
-            "-q",
-        ])
-        .current_dir(&root)
-        .status();
-    match status {
-        Ok(s) if s.success() => {
-            eprintln!("invariant-audit suite passed");
-            ExitCode::SUCCESS
-        }
-        Ok(s) => {
-            eprintln!("invariant-audit suite failed: {s}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("failed to launch cargo: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }

@@ -1,8 +1,4 @@
-//! Report assembly and hand-rolled JSON serialisation.
-//!
-//! The JSON writer is deliberately tiny (objects, arrays, strings, integers)
-//! so the check crate stays dependency-free and safe to run before the rest
-//! of the workspace even compiles.
+//! Report assembly and the text listing the `lint` command prints.
 
 use crate::lockgraph::LockGraph;
 use crate::rules::{Finding, Suppressed};
@@ -35,90 +31,8 @@ impl Report {
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     }
 
-    /// Machine-readable report for CI.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.findings.len() * 128);
-        s.push_str("{\n  \"version\": 2,\n  \"checked_files\": ");
-        s.push_str(&self.checked_files.to_string());
-        s.push_str(",\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {\"rule\": ");
-            json_str(&mut s, f.rule);
-            s.push_str(", \"file\": ");
-            json_str(&mut s, &f.file);
-            s.push_str(", \"line\": ");
-            s.push_str(&f.line.to_string());
-            s.push_str(", \"message\": ");
-            json_str(&mut s, &f.message);
-            s.push('}');
-        }
-        if !self.findings.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n  \"suppressed\": [");
-        for (i, f) in self.suppressed.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {\"rule\": ");
-            json_str(&mut s, f.rule);
-            s.push_str(", \"file\": ");
-            json_str(&mut s, &f.file);
-            s.push_str(", \"line\": ");
-            s.push_str(&f.line.to_string());
-            s.push_str(", \"reason\": ");
-            json_str(&mut s, &f.reason);
-            s.push('}');
-        }
-        if !self.suppressed.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push(']');
-        if let Some(g) = &self.lock_graph {
-            s.push_str(",\n  \"lock_graph\": {\n    \"nodes\": [");
-            for (i, n) in g.nodes.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str("\n      {\"name\": ");
-                json_str(&mut s, &n.name);
-                s.push_str(", \"file\": ");
-                json_str(&mut s, &n.file);
-                s.push_str(", \"line\": ");
-                s.push_str(&n.line.to_string());
-                s.push('}');
-            }
-            if !g.nodes.is_empty() {
-                s.push_str("\n    ");
-            }
-            s.push_str("],\n    \"edges\": [");
-            for (i, e) in g.edges.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str("\n      {\"from\": ");
-                json_str(&mut s, &e.from);
-                s.push_str(", \"to\": ");
-                json_str(&mut s, &e.to);
-                s.push_str(", \"file\": ");
-                json_str(&mut s, &e.file);
-                s.push_str(", \"line\": ");
-                s.push_str(&e.line.to_string());
-                s.push('}');
-            }
-            if !g.edges.is_empty() {
-                s.push_str("\n    ");
-            }
-            s.push_str("]\n  }");
-        }
-        s.push_str("\n}\n");
-        s
-    }
-
-    /// Human-readable listing, one finding per line.
+    /// Human-readable listing: one line per finding, then the lock graph's
+    /// edges, then the totals.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         for f in &self.findings {
@@ -133,6 +47,12 @@ impl Report {
                 g.nodes.len(),
                 g.edges.len()
             ));
+            for e in &g.edges {
+                s.push_str(&format!(
+                    "  {} -> {} ({}:{})\n",
+                    e.from, e.to, e.file, e.line
+                ));
+            }
         }
         s.push_str(&format!(
             "checked {} files: {} finding(s), {} suppressed\n",
@@ -141,47 +61,5 @@ impl Report {
             self.suppressed.len()
         ));
         s
-    }
-}
-
-fn json_str(out: &mut String, v: &str) {
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_and_shape() {
-        let mut r = Report {
-            checked_files: 2,
-            findings: vec![Finding {
-                rule: "G001",
-                file: "a\\b.rs".into(),
-                line: 3,
-                message: "say \"no\"".into(),
-            }],
-            suppressed: vec![],
-            lock_graph: None,
-        };
-        r.normalize();
-        let j = r.to_json();
-        assert!(j.contains("\"checked_files\": 2"));
-        assert!(j.contains("\"a\\\\b.rs\""));
-        assert!(j.contains("say \\\"no\\\""));
-        assert!(j.contains("\"suppressed\": []"));
     }
 }

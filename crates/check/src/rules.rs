@@ -1,12 +1,14 @@
-//! The token-stream project lint rules (G001–G007, G010, and G011; the
-//! workspace-wide lock rules G008/G009 live in `lockorder`).
+//! The token-stream project lint rules (G002, G004, G006, G007, G010 and
+//! G011; the workspace-wide lock rules G008/G009 live in `lockgraph`).
 //!
 //! Rules are purely lexical: no type information, no macro expansion. That is
 //! enough for the project conventions they enforce, and it keeps the driver
-//! dependency-free. Each rule can be suppressed at a single site with
+//! dependency-free. Conventions clippy or rustc can express are lint
+//! attributes at the crate roots instead (DESIGN.md §8). Each rule can be
+//! suppressed at a single site with
 //!
 //! ```text
-//! // graphrep: allow(G001, reason why this site is fine)
+//! // graphrep: allow(G004, reason why this site is fine)
 //! ```
 //!
 //! which covers the directive's own line and the following line. A directive
@@ -18,9 +20,8 @@ use std::collections::BTreeMap;
 /// Where a source file sits in the workspace, which decides rule applicability.
 #[derive(Debug, Clone)]
 pub struct Scope {
-    /// Short crate name: `graph`, `ged`, `metric`, `core`, `baselines`,
-    /// `datagen`, `serve`, `cli`, `bench`, `check`, or `root` for the root
-    /// package.
+    /// Short crate name (the directory under `crates/`: `core`, `serve`,
+    /// `shard`, …), or `root` for the root package.
     pub crate_name: String,
     /// True for files under `tests/`, `benches/`, or `examples/` — all rules
     /// skip those entirely (inline `#[cfg(test)]` modules are detected
@@ -31,7 +32,7 @@ pub struct Scope {
 /// A single rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`G001`..`G007`, or `G000` for malformed directives).
+    /// Rule identifier (`G002`..`G011`, or `G000` for malformed directives).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -54,12 +55,6 @@ pub struct Suppressed {
     pub reason: String,
 }
 
-/// Crates where G001 (no unwrap/expect/panic!/todo!) applies.
-const G001_CRATES: &[&str] = &["graph", "ged", "metric", "core", "baselines", "serve"];
-/// Crates exempt from G003 (println!/dbg!/eprintln! allowed).
-const G003_EXEMPT: &[&str] = &["cli", "bench", "check"];
-/// Crates where G005 (doc comments on `pub fn`) applies.
-const G005_CRATES: &[&str] = &["core", "ged", "serve"];
 /// Crates exempt from G007 (raw sockets and blocking sleeps allowed): the
 /// serving layer owns all network I/O and shutdown-poll timing, and the CLI
 /// fronts it.
@@ -107,17 +102,8 @@ pub fn lint_source(file: &str, src: &str, scope: &Scope) -> (Vec<Finding>, Vec<S
     let test_regions = test_regions(toks);
     let in_test = |line: usize| test_regions.iter().any(|&(a, b)| a <= line && line <= b);
 
-    if G001_CRATES.iter().any(|c| c == &scope.crate_name) {
-        rule_g001(file, toks, &in_test, &mut findings);
-    }
     rule_g002(file, toks, comments, &in_test, &mut findings);
-    if !G003_EXEMPT.iter().any(|c| c == &scope.crate_name) {
-        rule_g003(file, toks, &in_test, &mut findings);
-    }
     rule_g004(file, toks, &in_test, &mut findings);
-    if G005_CRATES.iter().any(|c| c == &scope.crate_name) {
-        rule_g005(file, toks, comments, &in_test, &mut findings);
-    }
     rule_g006(file, toks, comments, &in_test, &mut findings);
     if !G007_EXEMPT.iter().any(|c| c == &scope.crate_name) {
         rule_g007(file, toks, &in_test, &mut findings);
@@ -128,27 +114,7 @@ pub fn lint_source(file: &str, src: &str, scope: &Scope) -> (Vec<Finding>, Vec<S
     if scope.crate_name == "shard" && file.ends_with("coordinator.rs") {
         rule_g011(file, toks, &in_test, &mut findings);
     }
-
-    // Apply allow-directives: a finding survives unless a directive with the
-    // matching rule id covers its line.
-    let mut kept = Vec::new();
-    let mut suppressed = Vec::new();
-    for f in findings {
-        let hit = allows
-            .iter()
-            .find(|a| a.rule == f.rule && a.line <= f.line && f.line <= a.last_covered);
-        match hit {
-            Some(a) => suppressed.push(Suppressed {
-                rule: f.rule,
-                file: f.file,
-                line: f.line,
-                reason: a.reason.clone(),
-            }),
-            None => kept.push(f),
-        }
-    }
-    kept.sort_by_key(|f| (f.line, f.rule));
-    (kept, suppressed)
+    suppress(&allows, findings)
 }
 
 /// Applies this file's allow directives to findings produced
@@ -162,6 +128,12 @@ pub fn apply_allows(
 ) -> (Vec<Finding>, Vec<Suppressed>) {
     let lexed = lex(src);
     let (allows, _g000) = parse_allow_directives(file, &lexed.comments);
+    suppress(&allows, findings)
+}
+
+/// A finding survives unless a directive with the matching rule id covers
+/// its line; survivors come back sorted by (line, rule).
+fn suppress(allows: &[AllowDirective], findings: Vec<Finding>) -> (Vec<Finding>, Vec<Suppressed>) {
     let mut kept = Vec::new();
     let mut suppressed = Vec::new();
     for f in findings {
@@ -320,35 +292,6 @@ pub(crate) fn test_regions(toks: &[Token]) -> Vec<(usize, usize)> {
     regions
 }
 
-/// G001: no `.unwrap()` / `.expect(` / `panic!` / `todo!` in library crates.
-fn rule_g001(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || in_test(t.line) {
-            continue;
-        }
-        let name = t.text.as_str();
-        let flagged = match name {
-            "unwrap" | "expect" => {
-                i > 0
-                    && is_punct(&toks[i - 1], '.')
-                    && toks.get(i + 1).is_some_and(|n| is_punct(n, '('))
-            }
-            "panic" | "todo" => toks.get(i + 1).is_some_and(|n| is_punct(n, '!')),
-            _ => false,
-        };
-        if flagged {
-            out.push(Finding {
-                rule: "G001",
-                file: file.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{name}` in a library crate: return a Result or justify with an allow"
-                ),
-            });
-        }
-    }
-}
-
 /// G002: atomic `Ordering::X` uses need a justification comment — on the same
 /// line, on the line directly above, or carried down from the previous line of
 /// a contiguous run of atomic accesses.
@@ -408,26 +351,6 @@ fn rule_g002(
     }
 }
 
-/// G003: no `println!` / `dbg!` / `eprintln!` outside cli/bench.
-fn rule_g003(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || in_test(t.line) {
-            continue;
-        }
-        let name = t.text.as_str();
-        if matches!(name, "println" | "dbg" | "eprintln")
-            && toks.get(i + 1).is_some_and(|n| is_punct(n, '!'))
-        {
-            out.push(Finding {
-                rule: "G003",
-                file: file.to_string(),
-                line: t.line,
-                message: format!("`{name}!` outside cli/bench: route output through the caller"),
-            });
-        }
-    }
-}
-
 /// G004: `==` / `!=` with a float-literal operand.
 fn rule_g004(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
     for i in 0..toks.len().saturating_sub(1) {
@@ -462,85 +385,6 @@ fn rule_g004(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &
                 line: a.line,
                 message: "float literal compared with ==/!=: use an epsilon or integer guard"
                     .to_string(),
-            });
-        }
-    }
-}
-
-/// G005: every plain `pub fn` / `pub struct` / `pub enum` / `pub trait` in
-/// the G005 crates carries a doc comment.
-fn rule_g005(
-    file: &str,
-    toks: &[Token],
-    comments: &[Comment],
-    in_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<Finding>,
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident || t.text != "pub" || in_test(t.line) {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` are internal API: exempt.
-        if toks.get(i + 1).is_some_and(|n| is_punct(n, '(')) {
-            continue;
-        }
-        // Skip qualifiers between `pub` and the item keyword:
-        // const/async/unsafe fn, unsafe trait, extern "C" fn.
-        let mut j = i + 1;
-        while toks.get(j).is_some_and(|n| {
-            matches!(n.text.as_str(), "const" | "async" | "unsafe" | "extern")
-                || n.kind == TokenKind::Str
-        }) {
-            j += 1;
-        }
-        let kind = match toks.get(j).map(|n| n.text.as_str()) {
-            Some(k @ ("fn" | "struct" | "enum" | "trait")) => k.to_string(),
-            _ => continue,
-        };
-        let item_name = toks.get(j + 1).map(|n| n.text.clone()).unwrap_or_default();
-        // Walk backwards over any attributes to find the last token of the
-        // previous item; a doc comment anywhere between that and `pub`
-        // (attributes included) satisfies the rule, as does a `#[doc…]` attr.
-        let mut k = i;
-        let mut has_doc_attr = false;
-        while k >= 1 && is_punct(&toks[k - 1], ']') {
-            let mut d = 0usize;
-            let mut m = k - 1;
-            loop {
-                match toks[m].kind {
-                    TokenKind::Punct(']') => d += 1,
-                    TokenKind::Punct('[') => {
-                        d -= 1;
-                        if d == 0 {
-                            break;
-                        }
-                    }
-                    TokenKind::Ident if toks[m].text == "doc" => has_doc_attr = true,
-                    _ => {}
-                }
-                if m == 0 {
-                    break;
-                }
-                m -= 1;
-            }
-            // Expect the `#` that opens the attribute.
-            if m >= 1 && is_punct(&toks[m - 1], '#') {
-                k = m - 1;
-            } else {
-                break;
-            }
-        }
-        let prev_line = if k == 0 { 0 } else { toks[k - 1].line };
-        let has_doc = has_doc_attr
-            || comments
-                .iter()
-                .any(|c| c.doc && c.end_line < t.line && c.end_line >= prev_line);
-        if !has_doc {
-            out.push(Finding {
-                rule: "G005",
-                file: file.to_string(),
-                line: t.line,
-                message: format!("`pub {kind} {item_name}` is missing a doc comment"),
             });
         }
     }
@@ -755,19 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn g001_flags_unwrap_and_panic() {
-        assert_eq!(rules_of("fn f() { x.unwrap(); }"), vec!["G001"]);
-        assert_eq!(rules_of("fn f() { panic!(\"no\"); }"), vec!["G001"]);
-        assert_eq!(rules_of("fn f() { x.unwrap_or(0); }"), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn g001_exempt_in_cfg_test_module() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f() { x.unwrap(); }\n}\n";
-        assert_eq!(rules_of(src), Vec::<&str>::new());
-    }
-
-    #[test]
     fn g002_requires_comment() {
         assert_eq!(
             rules_of("fn f() { c.load(Ordering::Relaxed); }"),
@@ -830,39 +661,13 @@ mod tests {
     }
 
     #[test]
-    fn g005_requires_doc() {
-        assert_eq!(rules_of("pub fn f() {}"), vec!["G005"]);
-        assert_eq!(rules_of("/// Docs.\npub fn f() {}"), Vec::<&str>::new());
-        assert_eq!(
-            rules_of("/// Docs.\n#[inline]\npub fn f() {}"),
-            Vec::<&str>::new()
-        );
-        assert_eq!(rules_of("pub(crate) fn f() {}"), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn g005_covers_pub_types() {
-        assert_eq!(rules_of("pub struct S;"), vec!["G005"]);
-        assert_eq!(rules_of("pub enum E { A }"), vec!["G005"]);
-        assert_eq!(rules_of("pub trait T {}"), vec!["G005"]);
-        assert_eq!(rules_of("pub unsafe trait T {}"), vec!["G005"]);
-        assert_eq!(rules_of("/// Docs.\npub struct S;"), Vec::<&str>::new());
-        assert_eq!(rules_of("/// Docs.\npub enum E { A }"), Vec::<&str>::new());
-        assert_eq!(rules_of("/// Docs.\npub trait T {}"), Vec::<&str>::new());
-        assert_eq!(rules_of("pub(crate) struct S;"), Vec::<&str>::new());
-        // Private types and `pub use` re-exports are out of scope.
-        assert_eq!(rules_of("struct S;"), Vec::<&str>::new());
-        assert_eq!(rules_of("pub use other::Thing;"), Vec::<&str>::new());
-    }
-
-    #[test]
     fn allow_directive_suppresses_and_records() {
-        let src = "fn f() {\n // graphrep: allow(G001, startup contract)\n x.unwrap();\n}\n";
+        let src = "fn f() {\n // graphrep: allow(G004, exact sentinel)\n if x == 0.0 {}\n}\n";
         let (f, s) = lint_source("t.rs", src, &core_scope());
         assert!(f.is_empty());
         assert_eq!(s.len(), 1);
-        assert_eq!(s[0].rule, "G001");
-        assert_eq!(s[0].reason, "startup contract");
+        assert_eq!(s[0].rule, "G004");
+        assert_eq!(s[0].reason, "exact sentinel");
     }
 
     #[test]
@@ -1071,10 +876,10 @@ mod tests {
 
     #[test]
     fn allow_without_reason_is_g000() {
-        let src = "fn f() {\n // graphrep: allow(G001)\n x.unwrap();\n}\n";
+        let src = "fn f() {\n // graphrep: allow(G004)\n if x == 0.0 {}\n}\n";
         let (f, _) = lint_source("t.rs", src, &core_scope());
         let rules: Vec<_> = f.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"G000"));
-        assert!(rules.contains(&"G001"));
+        assert!(rules.contains(&"G004"));
     }
 }

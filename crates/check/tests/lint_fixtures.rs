@@ -5,12 +5,11 @@
 //! allow-directive. The fixtures directory is excluded from the workspace
 //! walk, so these files never pollute `graphrep-check -- lint` output.
 
-use graphrep_check::report::Report;
 use graphrep_check::rules::{lint_source, Finding, Scope, Suppressed};
 use std::path::Path;
 
 /// Fixtures are linted as if they lived in `crates/core/src/`, a scope
-/// where every scoped rule (G001, G005, G007 included) is active.
+/// where the scoped rules G007 and G010 are active.
 fn core_scope() -> Scope {
     Scope {
         crate_name: "core".into(),
@@ -28,7 +27,7 @@ fn lint_fixture(name: &str) -> (Vec<Finding>, Vec<Suppressed>) {
 }
 
 /// Asserts the violating fixture yields exactly one finding of `rule` at
-/// `line`, and that the JSON report carries the exact rule/file/line triple.
+/// `line` in file `name`.
 fn assert_violation(name: &str, rule: &str, line: usize) {
     let (findings, suppressed) = lint_fixture(name);
     assert_eq!(
@@ -40,21 +39,6 @@ fn assert_violation(name: &str, rule: &str, line: usize) {
     assert_eq!(findings[0].file, name, "{name}: wrong file");
     assert_eq!(findings[0].line, line, "{name}: wrong line");
     assert!(suppressed.is_empty(), "{name}: unexpected suppressions");
-
-    let mut report = Report {
-        checked_files: 1,
-        findings,
-        suppressed: vec![],
-        lock_graph: None,
-    };
-    report.normalize();
-    let json = report.to_json();
-    assert!(
-        json.contains(&format!(
-            "{{\"rule\": \"{rule}\", \"file\": \"{name}\", \"line\": {line},"
-        )),
-        "{name}: JSON report missing exact rule/file/line entry:\n{json}"
-    );
 }
 
 fn assert_clean(name: &str) {
@@ -86,13 +70,6 @@ fn assert_suppressed(name: &str, rule: &str, line: usize) {
 }
 
 #[test]
-fn g001_fixtures() {
-    assert_violation("g001_violation.rs", "G001", 2);
-    assert_clean("g001_clean.rs");
-    assert_suppressed("g001_allow.rs", "G001", 3);
-}
-
-#[test]
 fn g002_fixtures() {
     assert_violation("g002_violation.rs", "G002", 4);
     assert_clean("g002_clean.rs");
@@ -104,24 +81,10 @@ fn g002_fixtures() {
 }
 
 #[test]
-fn g003_fixtures() {
-    assert_violation("g003_violation.rs", "G003", 2);
-    assert_clean("g003_clean.rs");
-    assert_suppressed("g003_allow.rs", "G003", 3);
-}
-
-#[test]
 fn g004_fixtures() {
     assert_violation("g004_violation.rs", "G004", 2);
     assert_clean("g004_clean.rs");
     assert_suppressed("g004_allow.rs", "G004", 3);
-}
-
-#[test]
-fn g005_fixtures() {
-    assert_violation("g005_violation.rs", "G005", 1);
-    assert_clean("g005_clean.rs");
-    assert_suppressed("g005_allow.rs", "G005", 2);
 }
 
 #[test]
@@ -158,22 +121,9 @@ fn g011_fixtures() {
     let (findings, suppressed) = lint_shard_coordinator("g011_violation.rs");
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "G011");
+    assert_eq!(findings[0].file, "crates/shard/src/coordinator.rs");
     assert_eq!(findings[0].line, 4);
     assert!(suppressed.is_empty());
-    let mut report = Report {
-        checked_files: 1,
-        findings,
-        suppressed: vec![],
-        lock_graph: None,
-    };
-    report.normalize();
-    assert!(
-        report.to_json().contains(
-            "{\"rule\": \"G011\", \"file\": \"crates/shard/src/coordinator.rs\", \"line\": 4,"
-        ),
-        "JSON report missing the G011 entry:\n{}",
-        report.to_json()
-    );
 
     let (findings, suppressed) = lint_shard_coordinator("g011_clean.rs");
     assert!(findings.is_empty(), "{findings:?}");
@@ -229,36 +179,6 @@ fn g007_exempt_in_serve_and_cli_scopes() {
             is_test_file: false,
         };
         let (findings, _) = lint_source("g007_violation.rs", &src, &scope);
-        assert!(findings.is_empty(), "{name}: {findings:?}");
-    }
-}
-
-/// G003 is scoped: the same `println!` fixture is fine inside the cli crate.
-#[test]
-fn g003_exempt_in_cli_scope() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/g003_violation.rs");
-    let src = std::fs::read_to_string(path).unwrap();
-    let scope = Scope {
-        crate_name: "cli".into(),
-        is_test_file: false,
-    };
-    let (findings, _) = lint_source("g003_violation.rs", &src, &scope);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-/// G001/G005 are scoped: a non-library crate does not trip them.
-#[test]
-fn scoped_rules_silent_outside_their_crates() {
-    for name in ["g001_violation.rs", "g005_violation.rs"] {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures")
-            .join(name);
-        let src = std::fs::read_to_string(path).unwrap();
-        let scope = Scope {
-            crate_name: "bench".into(),
-            is_test_file: false,
-        };
-        let (findings, _) = lint_source(name, &src, &scope);
         assert!(findings.is_empty(), "{name}: {findings:?}");
     }
 }

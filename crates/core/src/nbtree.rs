@@ -244,11 +244,14 @@ fn farthest_first_pivots<R: Rng + ?Sized>(
         .map(|&g| oracle.distance(g, pivots[0]))
         .collect();
     while pivots.len() < b.min(pool.len()) {
+        #[expect(
+            clippy::expect_used,
+            reason = "pool is non-empty: members is non-empty and truncation keeps at least one"
+        )]
         let (best_i, &best_d) = mindist
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
-            // graphrep: allow(G001, pool is non-empty: members is non-empty and truncation keeps at least one)
             .expect("non-empty pool");
         if best_d <= 0.0 {
             break; // every remaining candidate coincides with a pivot

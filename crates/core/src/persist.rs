@@ -130,6 +130,10 @@ pub(crate) const VERSION: u32 = 2;
 
 impl NbIndex {
     /// Serializes the index structure (not the oracle) to JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "persisted struct is plain owned data; serialization cannot fail"
+    )]
     pub fn save_json(&self) -> String {
         let p = PersistedIndex {
             version: VERSION,
@@ -139,7 +143,6 @@ impl NbIndex {
             tree: self.tree().clone(),
             ladder: self.ladder().clone(),
         };
-        // graphrep: allow(G001, persisted struct is plain owned data; serialization cannot fail)
         serde_json::to_string(&p).expect("index parts are serializable")
     }
 

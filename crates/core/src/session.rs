@@ -585,9 +585,12 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         let vt = self.index.vantage();
         let oracle = self.index.oracle();
         let g_star = tree.graph_at(pos_star);
+        #[expect(
+            clippy::expect_used,
+            reason = "search contract: next_graph only returns verified graphs, which are memoized"
+        )]
         let nb = neigh
             .get(&pos_star)
-            // graphrep: allow(G001, search contract: next_graph only returns verified graphs, which are memoized)
             .expect("selected graph was verified")
             .clone();
         let mut new_c = nb.clone();

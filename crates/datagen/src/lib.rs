@@ -1,6 +1,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 //! Synthetic dataset generators for `graphrep`.
 //!

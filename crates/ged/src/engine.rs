@@ -56,8 +56,11 @@ pub struct GedEngine {
 
 impl GedEngine {
     /// Creates an engine with the given configuration.
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor contract: a bad cost model is a programming error caught at startup"
+    )]
     pub fn new(config: GedConfig) -> Self {
-        // graphrep: allow(G001, constructor contract: a bad cost model is a programming error caught at startup)
         config.cost.validate().expect("invalid cost model");
         Self {
             config,

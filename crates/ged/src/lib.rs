@@ -1,6 +1,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 //! Graph edit distance for `graphrep`.
 //!
@@ -58,7 +60,6 @@ macro_rules! audit_invariant {
             #[cfg(feature = "invariant-audit")]
             () => {
                 if !($cond) {
-                    // graphrep: allow(G001, audit violations must abort the process)
                     panic!(
                         "invariant-audit violation: {}",
                         format_args!($($fmt)+)

@@ -1,6 +1,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 //! Labeled graph data model for `graphrep`.
 //!

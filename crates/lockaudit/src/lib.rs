@@ -29,6 +29,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 #[cfg(feature = "lock-audit")]
 mod imp {

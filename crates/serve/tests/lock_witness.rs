@@ -5,10 +5,11 @@
 //!
 //! * at least one multi-lock edge must be observed (the harness is not
 //!   vacuously green), and
-//! * every observed `(held, acquired)` pair must appear in the static graph
-//!   — the static analysis over-approximates the dynamic order, never the
-//!   reverse. A dynamic edge the analyzer missed is a soundness bug in
-//!   `graphrep-check`, not in the serving code.
+//! * every observed `(held, acquired)` pair must appear in the static graph.
+//!   The analyzer skips calls it cannot resolve, some of them made with a
+//!   guard live (DESIGN.md §12.4), so this test is what catches an edge it
+//!   missed. Such an edge is a gap in `graphrep-check`, not in the serving
+//!   code.
 //!
 //! Compiled only under `--features lock-audit`; the default build has no
 //! witness to interrogate.

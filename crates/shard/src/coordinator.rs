@@ -549,7 +549,10 @@ impl CoordSession {
         relevant.retain(|&g| owner(g).is_some_and(|(s, l)| snaps[s].is_live(l)));
         let mut locals: Vec<Vec<GraphId>> = vec![Vec::new(); snaps.len()];
         for &g in &relevant {
-            // graphrep: allow(G001, retain above kept only ids with a live owner)
+            #[expect(
+                clippy::expect_used,
+                reason = "retain above kept only ids with a live owner"
+            )]
             let (s, l) = owner(g).expect("relevant id lost its owner");
             locals[s].push(l);
         }
@@ -670,7 +673,6 @@ impl CoordSession {
     pub fn run(&self, theta: f64, k: usize) -> (AnswerSet, CoordRunStats) {
         match self.search(theta, k, &CancelToken::never(), None) {
             Ok(r) => r,
-            // graphrep: allow(G001, a never-token cannot fire)
             Err(Cancelled) => unreachable!("CancelToken::never never cancels"),
         }
     }
@@ -763,9 +765,12 @@ impl CoordSession {
             stats.pruned_shard_picks += s_count as u64 - touched_count;
             ids.push(id);
             in_answer[ci as usize] = true;
+            #[expect(
+                clippy::expect_used,
+                reason = "search contract: best is only set from verified entries, which are memoized"
+            )]
             let nb = memo
                 .get(&ci)
-                // graphrep: allow(G001, search contract: best is only set from verified entries, which are memoized)
                 .expect("selected candidate was verified")
                 .clone();
             covered.union_with(&nb);

@@ -10,6 +10,9 @@
 //! byte-identical to a single-index deployment; the payoff is the fraction
 //! of shards each pick never touches.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod coordinator;
 pub mod manifest;
 pub mod partition;

@@ -94,7 +94,10 @@ pub fn partition(db: &GraphDatabase, ged: GedConfig, cfg: &PartitionConfig) -> P
                 far = Some((d, g));
             }
         }
-        // graphrep: allow(G001, centers.len() < shards <= n guarantees an unchosen graph exists)
+        #[expect(
+            clippy::expect_used,
+            reason = "centers.len() < shards <= n guarantees an unchosen graph exists"
+        )]
         let (_, c) = far.expect("farthest-point: no candidate center left");
         centers.push(c);
         for (g, slot) in min_dist.iter_mut().enumerate() {

@@ -64,9 +64,11 @@ impl ShardState {
             ..NbIndexConfig::default()
         };
         let index = Arc::new(NbIndex::build(oracle, config));
-        let center_local = local_position(&members, center)
-            // graphrep: allow(G001, partitioner assigns every center to its own shard)
-            .expect("shard center must be a member");
+        #[expect(
+            clippy::expect_used,
+            reason = "partitioner assigns every center to its own shard"
+        )]
+        let center_local = local_position(&members, center).expect("shard center must be a member");
         ShardState {
             index,
             members,
