@@ -3,13 +3,14 @@
 //! During a session's initialization phase, every relevant graph gets a
 //! vector of upper bounds on its representative power — one per indexed
 //! threshold — computed purely from the vantage orderings (Thm 5, no edit
-//! distances). The vectors are propagated up the NB-Tree as ceilings so that
+//! distances), scanned over the session's projection of those orderings
+//! onto `L_q`. The vectors are propagated up the NB-Tree as ceilings so that
 //! any tree node bounds the gain of every graph in its subtree (Eq. 14).
 //! Bounds are stored as *relevant-graph counts* (integers), not fractions.
 
 use crate::nbtree::NbTree;
 use graphrep_graph::GraphId;
-use graphrep_metric::{Bitset, DistanceDistribution, VantageTable};
+use graphrep_metric::{BandProjection, Bitset, DistanceDistribution, VantageTable};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -95,8 +96,9 @@ impl PiHatVectors {
     /// Initialization phase: computes π̂-vectors for every relevant graph
     /// from the vantage orderings and propagates ceilings up the tree.
     ///
-    /// `relevant_by_id` is indexed by graph id; counts are of *relevant*
-    /// candidates (Thm 5 applied within `L_q`).
+    /// `projection` is `vt` projected onto `relevant`, so every band scan
+    /// visits relevant rows only and counts are of *relevant* candidates
+    /// (Thm 5 applied within `L_q`).
     ///
     /// Runs on the calling thread: a session open touches no edit distance,
     /// so there is nothing here worth a parallel region.
@@ -104,36 +106,17 @@ impl PiHatVectors {
         vt: &VantageTable,
         tree: &NbTree,
         relevant: &[GraphId],
-        relevant_by_id: &Bitset,
+        projection: &BandProjection,
         ladder: &ThresholdLadder,
     ) -> Self {
         let slots = ladder.len();
         let n = tree.len();
         let mut graph_counts = vec![0u32; n * slots];
         let theta_max = ladder.thetas().last().copied().unwrap_or(0.0);
-        let small = relevant.len() <= 16;
         let mut cand_buf = Vec::new();
         for &g in relevant {
-            // π̂ needs lower bounds to *relevant* candidates only (Thm 5
-            // within `L_q`). For small `L_q` the membership test is applied
-            // pair-by-pair — O(|L_q|·|V|) — instead of enumerating the full
-            // θ-band of the database; `passes_all_bands` is exactly the
-            // predicate `candidates_into` filters by, so both paths produce
-            // the same band multiset.
-            let mut band: Vec<f64> = if small {
-                relevant
-                    .iter()
-                    .filter(|&&c| vt.passes_all_bands(g, c, theta_max))
-                    .map(|&c| vt.lower_bound(g, c))
-                    .collect()
-            } else {
-                vt.candidates_into(g, theta_max, &mut cand_buf);
-                cand_buf
-                    .iter()
-                    .filter(|&&c| relevant_by_id.contains(c as usize))
-                    .map(|&c| vt.lower_bound(g, c))
-                    .collect()
-            };
+            vt.candidates_in(projection, g, theta_max, &mut cand_buf);
+            let mut band: Vec<f64> = cand_buf.iter().map(|&c| vt.lower_bound(g, c)).collect();
             band.sort_by(f64::total_cmp);
             let pos = tree.pos_of(g) as usize;
             for (slot, &t) in graph_counts[pos * slots..][..slots]

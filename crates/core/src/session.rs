@@ -23,7 +23,7 @@ use crate::pihat::{PiHatVectors, ThresholdLadder};
 use crate::provider::{MaterializedProvider, NeighborhoodProvider};
 use crate::views::{query_fingerprint, AnswerCache, AnswerKey, ViewScope, ViewStore};
 use graphrep_graph::GraphId;
-use graphrep_metric::Bitset;
+use graphrep_metric::{BandProjection, Bitset};
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -132,8 +132,9 @@ pub trait Session: Send + Sync {
 pub struct QuerySession<I: Deref<Target = NbIndex> = Arc<NbIndex>> {
     index: I,
     relevant: Vec<GraphId>,
-    /// Relevant membership by graph id.
-    relevant_by_id: Bitset,
+    /// The vantage orderings projected onto `L_q`: every band scan of the
+    /// session (π̂ init, fresh bounds, verification) runs over it.
+    projection: BandProjection,
     /// Relevant membership by leaf position.
     rel_pos: Bitset,
     pihat: PiHatVectors,
@@ -203,20 +204,21 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         let t0 = Instant::now();
         let n = index.tree().len();
         let relevant_by_id = Bitset::from_indices(n, relevant.iter().map(|&g| g as usize));
+        let projection = index.vantage().project(&relevant_by_id);
         let rel_pos =
             Bitset::from_indices(n, relevant.iter().map(|&g| index.tree().pos_of(g) as usize));
         let pihat = PiHatVectors::initialize(
             index.vantage(),
             index.tree(),
             &relevant,
-            &relevant_by_id,
+            &projection,
             index.ladder(),
         );
         let fingerprint = query_fingerprint(&relevant);
         Self {
             index,
             relevant,
-            relevant_by_id,
+            projection,
             rel_pos,
             pihat,
             init_wall: t0.elapsed(),
@@ -263,9 +265,10 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         self.init_wall
     }
 
-    /// Session memory footprint (π̂-vectors and masks), Fig 6(l).
+    /// Session memory footprint (π̂-vectors, the `L_q` projection and the
+    /// position mask), Fig 6(l).
     pub fn memory_bytes(&self) -> usize {
-        self.pihat.memory_bytes() + self.relevant_by_id.memory_bytes() + self.rel_pos.memory_bytes()
+        self.pihat.memory_bytes() + self.projection.memory_bytes() + self.rel_pos.memory_bytes()
     }
 
     /// Executes the search-and-update phase for one `(θ, k)`: the offline
@@ -311,7 +314,7 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
                     self.index.vantage(),
                     tree,
                     &self.relevant,
-                    &self.relevant_by_id,
+                    &self.projection,
                     &ThresholdLadder::new(vec![theta]),
                 );
                 (&fresh, 0)
@@ -761,12 +764,13 @@ struct IndexVerifier<'s, I: Deref<Target = NbIndex>> {
 }
 
 impl<I: Deref<Target = NbIndex>> NeighborhoodProvider for IndexVerifier<'_, I> {
-    /// Verifies the `N̂_θ` candidate superset on the calling thread — a run
-    /// enters no parallel region; the server's worker pool across requests
-    /// is where query parallelism lives — in ascending Lipschitz-lower-bound
-    /// order: near candidates (small lower bound) are the likeliest
-    /// triangle-upper-bound accepts, so their exact distances — the
-    /// costliest ones the tier ladder might otherwise compute — are
+    /// Verifies the `N̂_θ` candidate superset — scanned over the session's
+    /// `L_q` projection, so only relevant rows are visited — on the calling
+    /// thread (a run enters no parallel region; the server's worker pool
+    /// across requests is where query parallelism lives), in ascending
+    /// Lipschitz-lower-bound order: near candidates (small lower bound) are
+    /// the likeliest triangle-upper-bound accepts, so their exact distances
+    /// — the costliest ones the tier ladder might otherwise compute — are
     /// attempted only after the cheap certificates have had first refusal,
     /// and far candidates arrive with the strongest evidence for a
     /// bound-only rejection. The accepted candidates are returned sorted by
@@ -776,33 +780,13 @@ impl<I: Deref<Target = NbIndex>> NeighborhoodProvider for IndexVerifier<'_, I> {
         let s = self.session;
         let vt = s.index.vantage();
         let oracle = s.index.oracle();
-        // Only relevant candidates matter here, so a small `L_q` applies the
-        // Thm 5 membership test pair-by-pair — O(|L_q|·|V|) — instead of
-        // enumerating the database-wide θ-band; `passes_all_bands` is
-        // exactly the predicate `candidates` filters by, so both paths
-        // produce the same relevant-candidate set (and the Thm 5 audit runs
-        // against whichever set was built).
-        let mut keyed: Vec<(f64, u32)> = if s.relevant.len() <= 16 {
-            let members: Vec<GraphId> = s
-                .relevant
-                .iter()
-                .copied()
-                .filter(|&c| vt.passes_all_bands(g, c, theta))
-                .collect();
-            s.audit_thm5(g, &members, theta);
-            members
-                .into_iter()
-                .map(|c| (vt.lower_bound(g, c), c))
-                .collect()
-        } else {
-            let candidates = vt.candidates(g, theta);
-            s.audit_thm5(g, &candidates, theta);
-            candidates
-                .into_iter()
-                .filter(|&c| s.relevant_by_id.contains(c as usize))
-                .map(|c| (vt.lower_bound(g, c), c))
-                .collect()
-        };
+        let mut candidates = Vec::new();
+        vt.candidates_in(&s.projection, g, theta, &mut candidates);
+        s.audit_thm5(g, &candidates, theta);
+        let mut keyed: Vec<(f64, u32)> = candidates
+            .into_iter()
+            .map(|c| (vt.lower_bound(g, c), c))
+            .collect();
         keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut members: Vec<GraphId> = Vec::new();
         for (_, c) in keyed {
@@ -843,7 +827,6 @@ mod tests {
         // the distance-call counts are comparable too.
         let (borrowed, shared) = (build(), Rc::new(build()));
         let relevant = data.default_query().relevant_set(&data.db);
-        assert!(relevant.len() > 16, "exercise the band-enumeration path");
         let want = borrowed.start_session(relevant.clone());
         let got = QuerySession::new(shared, relevant);
         let top = *data.default_ladder.last().expect("non-empty ladder");

@@ -27,7 +27,14 @@
 //! argsort), an invariant every mutation path preserves — which is why the
 //! binary persistence format stores only the raw columns and rebuilds
 //! `orders`/`sorted`/`rows` on load.
+//!
+//! A fourth view lives outside the table, one per query session: a
+//! [`BandProjection`] keeps only the `sorted[v]`/`orders[v]` entries of an
+//! item subset (the session's relevant set `L_q`). Only candidates inside
+//! `L_q` matter to a session, so [`VantageTable::candidates_in`] scans the
+//! projected bands and never visits a row the session would discard.
 
+use crate::bitset::Bitset;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -394,19 +401,6 @@ impl VantageTable {
             .all(|(&a, &b)| band_pass(a, b, theta))
     }
 
-    /// Index range (into `orders[v]`) of items whose VP-distance lies within
-    /// `[d(v,i) − θ, d(v,i) + θ]`. Uses [`band_edges`], whose widened f32
-    /// edges guarantee the range covers every item [`band_pass`] accepts.
-    /// Binary searches run directly over the contiguous ascending `sorted[v]`
-    /// slab — no gather through the permutation.
-    fn band_range(&self, v: usize, i: u32, theta: f64) -> (usize, usize) {
-        let (lo, hi) = band_edges(self.rows[i as usize * self.num_vps() + v], theta);
-        let s = &self.sorted[v];
-        let start = s.partition_point(|&d| d < lo);
-        let end = s.partition_point(|&d| d <= hi);
-        (start, end)
-    }
-
     /// One-pass margin-adjusted metric bounds for the pair `(i, j)`: a
     /// Lipschitz lower bound and triangle upper bound on `d(i, j)` that stay
     /// sound under the f32 storage rounding of the per-VP distances (each
@@ -435,19 +429,78 @@ impl VantageTable {
             out.extend(0..self.len() as u32);
             return;
         }
-        let mut best_v = 0usize;
-        let mut best = usize::MAX;
-        let mut best_range = (0, 0);
-        for v in 0..self.num_vps() {
-            let (s, e) = self.band_range(v, i, theta);
-            if e - s < best {
-                best = e - s;
-                best_v = v;
-                best_range = (s, e);
+        self.scan_bands(&self.sorted, &self.orders, i, theta, out);
+    }
+
+    /// Projects the vantage orderings onto the items in `keep` (indexed by
+    /// item id, capacity at least [`Self::len`]): one pass over the `n × |V|`
+    /// orderings that keeps each kept item's entries in the table's stable
+    /// order.
+    pub fn project(&self, keep: &Bitset) -> BandProjection {
+        let (sorted, orders): (Vec<Vec<f32>>, Vec<Vec<u32>>) = self
+            .sorted
+            .iter()
+            .zip(&self.orders)
+            .map(|(s, ord)| {
+                s.iter()
+                    .zip(ord)
+                    .filter(|&(_, &id)| keep.contains(id as usize))
+                    .map(|(&d, &id)| (d, id))
+                    .unzip()
+            })
+            .unzip();
+        let ids = (0..self.n as u32)
+            .filter(|&id| keep.contains(id as usize))
+            .collect();
+        BandProjection {
+            sorted,
+            orders,
+            ids,
+        }
+    }
+
+    /// `N̂_θ(i)` restricted to the projection's items — as a set, exactly
+    /// `candidates_into(i, θ) ∩ keep` — written to `out`. `i` itself need not
+    /// be kept. Scans the narrowest *projected* band, so it visits at most
+    /// as many rows as the projection holds.
+    pub fn candidates_in(&self, p: &BandProjection, i: u32, theta: f64, out: &mut Vec<u32>) {
+        out.clear();
+        if self.vp_ids.is_empty() {
+            out.extend_from_slice(&p.ids);
+            return;
+        }
+        self.scan_bands(&p.sorted, &p.orders, i, theta, out);
+    }
+
+    /// The one Thm 5 band scan behind [`Self::candidates_into`] and
+    /// [`Self::candidates_in`]: over aligned per-VP `(sorted, orders)`
+    /// columns, picks the VP whose band around item `i` holds the fewest
+    /// rows and appends every row in it that passes all bands. Band edges
+    /// come from [`band_edges`], whose widened f32 edges guarantee the range
+    /// covers every item [`band_pass`] accepts; binary searches run directly
+    /// over the contiguous ascending `sorted[v]` — no gather through the
+    /// permutation.
+    fn scan_bands(
+        &self,
+        sorted: &[Vec<f32>],
+        orders: &[Vec<u32>],
+        i: u32,
+        theta: f64,
+        out: &mut Vec<u32>,
+    ) {
+        let mut best = (0, 0, 0);
+        let mut best_len = usize::MAX;
+        for (v, (s, &center)) in sorted.iter().zip(self.row(i)).enumerate() {
+            let (lo, hi) = band_edges(center, theta);
+            let start = s.partition_point(|&d| d < lo);
+            let end = s.partition_point(|&d| d <= hi);
+            if end - start < best_len {
+                best_len = end - start;
+                best = (v, start, end);
             }
         }
-        let ord = &self.orders[best_v];
-        for &cand in &ord[best_range.0..best_range.1] {
+        let (v, start, end) = best;
+        for &cand in &orders[v][start..end] {
             if self.passes_all_bands(i, cand, theta) {
                 out.push(cand);
             }
@@ -467,6 +520,31 @@ impl VantageTable {
             + self.rows.len() * 4
             + self.sorted.iter().map(|s| s.len() * 4).sum::<usize>()
             + self.orders.iter().map(|o| o.len() * 4).sum::<usize>()
+    }
+}
+
+/// The vantage orderings of a [`VantageTable`] restricted to an item subset,
+/// built by [`VantageTable::project`] and scanned by
+/// [`VantageTable::candidates_in`]. It holds no coordinates of its own
+/// beyond the kept `sorted`/`orders` entries, so it is only meaningful with
+/// the table (and table length) it was projected from.
+#[derive(Debug, Clone)]
+pub struct BandProjection {
+    /// `sorted[v]` — the VP-`v` coordinates of the kept items, ascending.
+    sorted: Vec<Vec<f32>>,
+    /// `orders[v]` — the kept item ids aligned with `sorted[v]`.
+    orders: Vec<Vec<u32>>,
+    /// The kept item ids, ascending: the whole candidate set when the table
+    /// has no vantage points.
+    ids: Vec<u32>,
+}
+
+impl BandProjection {
+    /// Approximate heap footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.sorted.iter().map(|s| s.len() * 4).sum::<usize>()
+            + self.orders.iter().map(|o| o.len() * 4).sum::<usize>()
+            + self.ids.len() * 4
     }
 }
 
@@ -571,8 +649,8 @@ mod tests {
     fn candidates_equal_pairwise_band_test() {
         // `candidates_into` (best-band scan + all-bands filter) must accept
         // exactly the items `passes_all_bands` accepts pair-by-pair: the
-        // π̂ initialization's small-relevant fast path applies the pairwise
-        // predicate directly and relies on this equivalence.
+        // shard home verifier applies the pairwise predicate directly and
+        // relies on this equivalence.
         let mut d = |a: u32, b: u32| {
             let (ax, ay) = ((a % 9) as f64, (a / 9) as f64);
             let (bx, by) = ((b % 9) as f64, (b / 9) as f64);
@@ -587,6 +665,69 @@ mod tests {
                     .filter(|&c| t.passes_all_bands(i, c, theta))
                     .collect();
                 assert_eq!(got, want, "i={i} theta={theta}");
+            }
+        }
+    }
+
+    /// The projected scan is, as a set, both the full-table scan restricted
+    /// to `keep` and the pairwise Thm 5 predicate over `keep` — for any
+    /// subset (empty, a singleton, one without the center, random, all),
+    /// any threshold (zero, exactly on a band edge, above every coordinate)
+    /// and any table history (built, or grown by `push_item`).
+    #[test]
+    fn projected_scan_equals_full_scan_within_keep() {
+        let mut rng = SmallRng::seed_from_u64(27);
+        // Coordinates drawn from 0..6 put many ties in every column.
+        let coord = |rng: &mut SmallRng| rng.gen_range(0u32..6) as f32;
+        for num_vps in [0usize, 1, 3, 6] {
+            for grown in [false, true] {
+                let cols = (0..num_vps)
+                    .map(|_| (0..40).map(|_| coord(&mut rng)).collect())
+                    .collect();
+                let mut t =
+                    VantageTable::from_columns(40, (0..num_vps as u32).collect(), cols).unwrap();
+                if grown {
+                    for _ in 0..10 {
+                        let row: Vec<f64> =
+                            (0..num_vps).map(|_| f64::from(coord(&mut rng))).collect();
+                        t.push_item(&row);
+                    }
+                }
+                let n = t.len();
+                for i in (0..n as u32).step_by(3) {
+                    let keeps = [
+                        Bitset::new(n),
+                        Bitset::from_indices(n, [i as usize]),
+                        Bitset::from_indices(n, (0..n).filter(|&c| c != i as usize && c % 2 == 0)),
+                        Bitset::from_indices(n, (0..n).filter(|_| rng.gen_bool(0.3))),
+                        Bitset::from_indices(n, 0..n),
+                    ];
+                    // A θ equal to some item's VP-0 offset from `i`.
+                    let edge = match num_vps {
+                        0 => 1.0,
+                        _ => (0..n as u32)
+                            .map(|c| (t.vp_dist(0, i) - t.vp_dist(0, c)).abs())
+                            .find(|&d| d > 0.0)
+                            .unwrap_or(1.0),
+                    };
+                    for theta in [0.0, edge, 100.0] {
+                        for keep in &keeps {
+                            let mut got = Vec::new();
+                            t.candidates_in(&t.project(keep), i, theta, &mut got);
+                            got.sort_unstable();
+                            let mut full = t.candidates(i, theta);
+                            full.retain(|&c| keep.contains(c as usize));
+                            full.sort_unstable();
+                            let pairwise: Vec<u32> = (0..n as u32)
+                                .filter(|&c| keep.contains(c as usize))
+                                .filter(|&c| t.passes_all_bands(i, c, theta))
+                                .collect();
+                            let case = format!("vps={num_vps} grown={grown} i={i} θ={theta}");
+                            assert_eq!(got, full, "{case}");
+                            assert_eq!(got, pairwise, "{case}");
+                        }
+                    }
+                }
             }
         }
     }

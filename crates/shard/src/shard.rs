@@ -232,12 +232,13 @@ impl ShardState {
     /// entry `i` bounds `|N_θ(locals[i]) ∩ L_shard|` from above.
     pub fn pihat_bounds(&self, locals: &[GraphId], theta: f64) -> Vec<i64> {
         let tree = self.index.tree();
+        let vt = self.index.vantage();
         let by_id = Bitset::from_indices(tree.len(), locals.iter().map(|&l| l as usize));
         let pihat = PiHatVectors::initialize(
-            self.index.vantage(),
+            vt,
             tree,
             locals,
-            &by_id,
+            &vt.project(&by_id),
             &ThresholdLadder::new(vec![theta]),
         );
         locals

@@ -79,7 +79,7 @@ fn pihat_upper_bounds_true_representative_power() {
         index.vantage(),
         index.tree(),
         &relevant,
-        &relevant_by_id,
+        &index.vantage().project(&relevant_by_id),
         &ladder,
     );
     for &g in relevant.iter().step_by(5) {
@@ -118,7 +118,7 @@ fn node_pihat_is_ceiling_of_descendants() {
         index.vantage(),
         index.tree(),
         &relevant,
-        &relevant_by_id,
+        &index.vantage().project(&relevant_by_id),
         &ladder,
     );
     let rel_pos = Bitset::from_indices(

@@ -83,8 +83,14 @@ fn corrupted_pihat_trips_the_audit() {
     assert!(!relevant.is_empty());
     let tree = index.tree();
     let rel_by_id = Bitset::from_indices(tree.len(), relevant.iter().map(|&g| g as usize));
-    let pihat =
-        PiHatVectors::initialize(index.vantage(), tree, &relevant, &rel_by_id, index.ladder());
+    let projection = index.vantage().project(&rel_by_id);
+    let pihat = PiHatVectors::initialize(
+        index.vantage(),
+        tree,
+        &relevant,
+        &projection,
+        index.ladder(),
+    );
     let rel_pos = Bitset::from_indices(
         tree.len(),
         relevant.iter().map(|&g| tree.pos_of(g) as usize),
