@@ -47,6 +47,7 @@ const SINKS: &[&str] = &[
     "distance",
     "within",
     "within_verdict",
+    "within_facts",
     "distance_within",
     "distance_profiled",
     "distance_within_profiled",

@@ -71,6 +71,7 @@ const G011_METHODS: &[&str] = &[
     "distance",
     "within",
     "within_verdict",
+    "within_facts",
     "distance_within",
     "distance_profiled",
     "distance_within_profiled",
@@ -541,7 +542,8 @@ fn rule_g010(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &
 /// `crates/shard/src/coordinator.rs` must not name the engine or oracle
 /// types (`GedEngine`, `DistanceOracle`) nor invoke their verification
 /// entry points as methods (`.distance(…)`, `.within(…)`,
-/// `.within_verdict(…)`, `.distance_within(…)`, or profiled variants).
+/// `.within_verdict(…)`, `.within_facts(…)`, `.distance_within(…)`, or
+/// profiled variants).
 /// Wrapper methods with other names (`center_distance`, `home_members`)
 /// are the sanctioned surface.
 fn rule_g011(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {

@@ -47,7 +47,7 @@ pub use nbindex::{
 pub use nbtree::{InsertOutcome, NbTree, NbTreeConfig, TreeNode};
 pub use persist::{is_binary_index, PersistError, PersistedIndex};
 pub use pihat::{PiHatVectors, ThresholdLadder};
-pub use provider::{MaterializedProvider, NeighborhoodProvider};
+pub use provider::NeighborhoodProvider;
 pub use relevance::{RelevanceQuery, Scorer};
 pub use session::{PickEvent, QuerySession, RunStats, Session};
 pub use views::{

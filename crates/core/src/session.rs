@@ -20,11 +20,13 @@ use crate::answer::AnswerSet;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::nbindex::NbIndex;
 use crate::pihat::{PiHatVectors, ThresholdLadder};
-use crate::provider::{MaterializedProvider, NeighborhoodProvider};
-use crate::views::{query_fingerprint, AnswerCache, AnswerKey, ViewScope, ViewStore};
+use crate::views::{
+    query_fingerprint, AnswerCache, AnswerKey, MaterializedView, ViewScope, ViewStore,
+};
+use graphrep_ged::Facts;
 use graphrep_graph::GraphId;
 use graphrep_metric::{BandProjection, Bitset};
-use std::cell::Cell;
+use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -38,7 +40,8 @@ const EPS: f64 = 1e-6;
 pub struct RunStats {
     /// Edit-distance engine calls made during the run.
     pub distance_calls: u64,
-    /// Graphs whose exact θ-neighborhood was verified.
+    /// Graphs whose exact θ-neighborhood was verified by a band scan (a
+    /// neighborhood answered from a covering view row is not counted).
     pub verified_graphs: u64,
     /// Tree nodes expanded by the best-first search.
     pub nodes_expanded: u64,
@@ -228,11 +231,12 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         }
     }
 
-    /// Attaches a materialized-view store: subsequent runs serve verified
-    /// θ-neighborhoods from it when possible and offer fresh verifications
-    /// back for materialization. Views are keyed by the index's mutation
-    /// epoch and this session's [`QuerySession::fingerprint`], so a shared
-    /// store is sound across sessions, epochs, and pinned snapshots.
+    /// Attaches a materialized-view store: subsequent runs answer
+    /// θ-neighborhoods from its rows when a row covers θ and offer every
+    /// band scan and every newly learned fact back for materialization.
+    /// Rows are keyed by the index's mutation epoch and this session's
+    /// [`QuerySession::fingerprint`], so a shared store is sound across
+    /// sessions, epochs, and pinned snapshots.
     pub fn with_views(mut self, views: Arc<ViewStore>) -> Self {
         self.views = Some(views);
         self
@@ -295,7 +299,7 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         if let Some(views) = &self.views {
             // One arrival per run — the view store's promotion policy counts
             // these, not per-graph lookups, so "hot" means repeated queries.
-            views.note_query(self.view_scope(), theta);
+            views.note_query(self.view_scope());
         }
         let calls0 = self.index.oracle().engine_calls();
         let tree = self.index.tree();
@@ -423,13 +427,6 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
 
     /// Exact θ-neighborhood of the graph at `pos` as a position bitset,
     /// memoized in `neigh`.
-    ///
-    /// The members come through the [`NeighborhoodProvider`] seam: an
-    /// [`IndexVerifier`] performs the actual candidate-superset verification,
-    /// and when a [`ViewStore`] is attached it is decorated with
-    /// [`MaterializedProvider`], so previously verified neighborhoods are
-    /// served as lookups. `stats.verified_graphs` counts only graphs the
-    /// verifier actually verified — a view hit does not increment it.
     fn neighborhood(
         &self,
         theta: f64,
@@ -441,23 +438,109 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
             return nb.clone();
         }
         let tree = self.index.tree();
-        let g = tree.graph_at(pos);
-        let verifier = IndexVerifier {
-            session: self,
-            verified: Cell::new(0),
-        };
-        let members = match &self.views {
-            Some(store) => MaterializedProvider::new(store, self.view_scope(), &verifier)
-                .neighborhood(g, theta),
-            None => verifier.neighborhood(g, theta),
-        };
-        stats.verified_graphs += verifier.verified.get();
         let mut nb = Bitset::new(tree.len());
-        for c in members {
+        for c in self.verify(tree.graph_at(pos), theta, stats) {
             nb.insert(tree.pos_of(c) as usize);
         }
         neigh.insert(pos, nb.clone());
         nb
+    }
+
+    /// The verified members of `N_θ(g) ∩ L_q`, ascending by id, on the
+    /// calling thread (a run enters no parallel region; the server's worker
+    /// pool across requests is where query parallelism lives).
+    ///
+    /// Every answer is read off a row of `g` ([`Self::answer_from_row`]).
+    /// With a view store attached, a stored row that covers θ is read in
+    /// place. Otherwise the row is band-scanned at θ ([`Self::scan_row`],
+    /// reusing a narrower row's facts). A scanned row, or a stored one the
+    /// answer taught new facts (copied on the first one), is offered back to
+    /// the store. `stats.verified_graphs` counts band scans only. No
+    /// view-store guard is held while the oracle runs: a lookup hands back a
+    /// shared row.
+    fn verify(&self, g: GraphId, theta: f64, stats: &mut RunStats) -> Vec<GraphId> {
+        let views = self.views.as_deref().map(|s| (s, self.view_scope()));
+        let stored = views.and_then(|(store, scope)| store.lookup(scope, g, theta));
+        let (row_theta, mut entries) = match &stored {
+            Some(row) if row.covers(theta) => (row.theta, Cow::Borrowed(&row.entries[..])),
+            narrower => {
+                stats.verified_graphs += 1;
+                (
+                    theta,
+                    Cow::Owned(self.scan_row(g, theta, narrower.as_ref())),
+                )
+            }
+        };
+        let members = self.answer_from_row(g, theta, row_theta, &mut entries);
+        if let (Some((store, scope)), Cow::Owned(entries)) = (views, entries) {
+            store.record(scope, g, MaterializedView::new(row_theta, entries));
+        }
+        members
+    }
+
+    /// The row entries of `g` at θ: the `N̂_θ` candidate superset, scanned
+    /// over the session's `L_q` projection (so only relevant rows are
+    /// visited), ascending by id, each with the facts `narrower` holds
+    /// about it.
+    fn scan_row(
+        &self,
+        g: GraphId,
+        theta: f64,
+        narrower: Option<&MaterializedView>,
+    ) -> Vec<(GraphId, Facts)> {
+        let mut candidates = Vec::new();
+        self.index
+            .vantage()
+            .candidates_in(&self.projection, g, theta, &mut candidates);
+        self.audit_thm5(g, &candidates, theta);
+        candidates.sort_unstable();
+        let mut known = narrower.iter().flat_map(|r| r.entries.iter()).peekable();
+        candidates
+            .into_iter()
+            .map(|c| {
+                while known.next_if(|&&(k, _)| k < c).is_some() {}
+                let facts = known.next_if(|&&(k, _)| k == c).map(|&(_, f)| f);
+                (c, facts.unwrap_or_default())
+            })
+            .collect()
+    }
+
+    /// Answers θ from the entries of a row scanned at `row_theta ≥ θ`, in
+    /// id order. An entry whose facts reject it is out; one that fails a
+    /// band at θ is out (Thm 5: it is not a candidate at θ, which only a
+    /// row wider than θ can hold); one whose facts accept it is in; the
+    /// rest ask the tier ladder, which is verdict-identical to the engine,
+    /// so members are the same with tiers on or off, and their new facts
+    /// are written into `entries`. The band test precedes a fact accept so
+    /// that every member is a candidate at θ even when a degraded engine's
+    /// distances break Thm 4.
+    fn answer_from_row(
+        &self,
+        g: GraphId,
+        theta: f64,
+        row_theta: f64,
+        entries: &mut Cow<'_, [(GraphId, Facts)]>,
+    ) -> Vec<GraphId> {
+        let (vt, oracle) = (self.index.vantage(), self.index.oracle());
+        let mut members = Vec::new();
+        for i in 0..entries.len() {
+            let (c, facts) = entries[i];
+            let inside = match facts.verdict(theta) {
+                Some(false) => false,
+                _ if theta < row_theta && !vt.passes_all_bands(g, c, theta) => false,
+                Some(true) => true,
+                None => {
+                    let (inside, learned) = oracle.within_facts(g, c, theta);
+                    entries.to_mut()[i].1 = learned;
+                    inside
+                }
+            };
+            if inside {
+                members.push(c);
+            }
+        }
+        self.audit_row(g, row_theta, entries, &members, theta);
+        members
     }
 
     /// Alg 2: best-first search for the next maximum-marginal-gain graph.
@@ -658,10 +741,6 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         );
     }
 
-    #[cfg(not(feature = "invariant-audit"))]
-    #[inline(always)]
-    fn audit_thm4(&self, _g: GraphId, _c: GraphId) {}
-
     /// Thm 5 audit: `N̂_θ` is a candidate superset — every relevant graph
     /// excluded from it must have a vantage lower bound strictly above θ
     /// (hence exact distance above θ). Compiled only under `invariant-audit`.
@@ -691,6 +770,51 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
     #[cfg(not(feature = "invariant-audit"))]
     #[inline(always)]
     fn audit_thm5(&self, _g: GraphId, _candidates: &[GraphId], _theta: f64) {}
+
+    /// Row-path audit, with no oracle request: the row's candidates contain
+    /// the fresh Thm 5 candidate set at θ (so answering from the row misses
+    /// no neighbor a band scan would have verified), every member passes
+    /// all bands at θ, and every member passes the Thm 4 check. Compiled
+    /// only under `invariant-audit`.
+    #[cfg(feature = "invariant-audit")]
+    fn audit_row(
+        &self,
+        g: GraphId,
+        row_theta: f64,
+        entries: &[(GraphId, Facts)],
+        members: &[GraphId],
+        theta: f64,
+    ) {
+        let vt = self.index.vantage();
+        let mut fresh = Vec::new();
+        vt.candidates_in(&self.projection, g, theta, &mut fresh);
+        for c in fresh {
+            graphrep_ged::audit_invariant!(
+                entries.binary_search_by_key(&c, |&(k, _)| k).is_ok(),
+                "Thm 5 superset: candidate {c} of {g} at θ′ = {theta} is missing \
+                 from the row band-scanned at θ = {row_theta}"
+            );
+        }
+        for &c in members {
+            graphrep_ged::audit_invariant!(
+                vt.passes_all_bands(g, c, theta),
+                "row member {c} of {g} fails a band at θ′ = {theta}"
+            );
+            self.audit_thm4(g, c);
+        }
+    }
+
+    #[cfg(not(feature = "invariant-audit"))]
+    #[inline(always)]
+    fn audit_row(
+        &self,
+        _g: GraphId,
+        _row_theta: f64,
+        _entries: &[(GraphId, Facts)],
+        _members: &[GraphId],
+        _theta: f64,
+    ) {
+    }
 
     /// Re-audits the NB-Tree's metric facts (Thm 6–8 preconditions).
     /// Compiled only under `invariant-audit`.
@@ -754,53 +878,6 @@ impl<I: Deref<Target = NbIndex> + Send + Sync> Session for QuerySession<I> {
     }
 }
 
-/// The index-backed [`NeighborhoodProvider`]: verifies the `N̂_θ` candidate
-/// superset against the tiered oracle. This is the expensive inner provider
-/// the session's [`MaterializedProvider`] decorates; `verified` counts how
-/// many neighborhoods it actually verified (view hits bypass it entirely).
-struct IndexVerifier<'s, I: Deref<Target = NbIndex>> {
-    session: &'s QuerySession<I>,
-    verified: Cell<u64>,
-}
-
-impl<I: Deref<Target = NbIndex>> NeighborhoodProvider for IndexVerifier<'_, I> {
-    /// Verifies the `N̂_θ` candidate superset — scanned over the session's
-    /// `L_q` projection, so only relevant rows are visited — on the calling
-    /// thread (a run enters no parallel region; the server's worker pool
-    /// across requests is where query parallelism lives), in ascending
-    /// Lipschitz-lower-bound order: near candidates (small lower bound) are
-    /// the likeliest triangle-upper-bound accepts, so their exact distances
-    /// — the costliest ones the tier ladder might otherwise compute — are
-    /// attempted only after the cheap certificates have had first refusal,
-    /// and far candidates arrive with the strongest evidence for a
-    /// bound-only rejection. The accepted candidates are returned sorted by
-    /// id, and every tier is verdict-identical to the engine, so the result
-    /// is the same with tiers on or off.
-    fn neighborhood(&self, g: GraphId, theta: f64) -> Vec<GraphId> {
-        let s = self.session;
-        let vt = s.index.vantage();
-        let oracle = s.index.oracle();
-        let mut candidates = Vec::new();
-        vt.candidates_in(&s.projection, g, theta, &mut candidates);
-        s.audit_thm5(g, &candidates, theta);
-        let mut keyed: Vec<(f64, u32)> = candidates
-            .into_iter()
-            .map(|c| (vt.lower_bound(g, c), c))
-            .collect();
-        keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut members: Vec<GraphId> = Vec::new();
-        for (_, c) in keyed {
-            if oracle.within_verdict(g, c, theta) {
-                s.audit_thm4(g, c);
-                members.push(c);
-            }
-        }
-        members.sort_unstable();
-        self.verified.set(self.verified.get() + 1);
-        members
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,5 +922,85 @@ mod tests {
             assert_eq!(format!("{got_answer:?}"), format!("{want_answer:?}"));
             assert_eq!(counts(&got_stats), counts(&want_stats), "θ = {theta}");
         }
+    }
+
+    /// Two identical cold builds of a 60-graph index, one session each
+    /// over the default relevant set: `plain` without views, `viewed` with
+    /// an eager view store.
+    fn plain_and_viewed() -> (NbIndex, NbIndex, Vec<GraphId>, Vec<f64>, Arc<ViewStore>) {
+        let data = DatasetSpec::new(DatasetKind::DudLike, 60, 7202).generate();
+        let build = || {
+            let config = NbIndexConfig {
+                num_vps: 4,
+                ladder: data.default_ladder.clone(),
+                ..Default::default()
+            };
+            NbIndex::build(data.db.oracle(GedConfig::default()), config)
+        };
+        let store = Arc::new(ViewStore::new(crate::CacheConfig {
+            promote_after: 1,
+            ..Default::default()
+        }));
+        let relevant = data.default_query().relevant_set(&data.db);
+        (build(), build(), relevant, data.default_ladder, store)
+    }
+
+    /// Rows recorded at θ answer θ and every θ′ < θ without a band scan,
+    /// and every answer is the plain session's.
+    #[test]
+    fn view_rows_answer_like_plain_runs_and_skip_band_scans() {
+        let (plain_index, viewed_index, relevant, ladder, store) = plain_and_viewed();
+        let plain = plain_index.start_session(relevant.clone());
+        let viewed = viewed_index
+            .start_session(relevant)
+            .with_views(Arc::clone(&store));
+        let top = ladder[ladder.len() - 1];
+        let (want, first) = (plain.run(top, 6), viewed.run(top, 6));
+        assert_eq!(format!("{:?}", first.0), format!("{:?}", want.0));
+        assert_eq!(first.1.verified_graphs, want.1.verified_graphs);
+        let hits = store.counters().hits;
+        for theta in [top, top * 0.9, ladder[0]] {
+            let (want, _) = plain.run(theta, 6);
+            let (got, stats) = viewed.run(theta, 6);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "θ = {theta}");
+            assert_eq!(
+                stats.verified_graphs, 0,
+                "θ = {theta} is covered by rows at {top}"
+            );
+        }
+        let c = store.counters();
+        assert!(c.hits > hits, "{c:?}");
+        assert_eq!(c.lookups, c.hits + c.misses);
+    }
+
+    /// A θ above every row, or a new epoch, band-scans every neighborhood
+    /// exactly as a session without views does.
+    #[test]
+    fn wider_theta_or_new_epoch_band_scans() {
+        let (mut plain_index, mut viewed_index, relevant, ladder, store) = plain_and_viewed();
+        let (theta, wider) = (ladder[0], ladder[ladder.len() - 1] * 1.5);
+        let viewed = viewed_index
+            .start_session(relevant.clone())
+            .with_views(Arc::clone(&store));
+        let _ = viewed.run(theta, 6);
+        let (want, want_stats) = plain_index.start_session(relevant.clone()).run(wider, 6);
+        let (got, stats) = viewed.run(wider, 6);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(stats.verified_graphs, want_stats.verified_graphs);
+        drop(viewed);
+
+        let extra = plain_index.oracle().graphs()[0].clone();
+        plain_index.insert(extra.clone()).expect("insert");
+        viewed_index.insert(extra).expect("insert");
+        let viewed = viewed_index
+            .start_session(relevant.clone())
+            .with_views(Arc::clone(&store));
+        let (want, want_stats) = plain_index.start_session(relevant).run(theta, 6);
+        let (got, stats) = viewed.run(theta, 6);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(
+            stats.verified_graphs, want_stats.verified_graphs,
+            "a new epoch sees no row"
+        );
     }
 }

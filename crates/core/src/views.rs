@@ -1,18 +1,19 @@
-//! Materialized θ-neighborhood views and the cross-session answer cache
+//! Materialized θ-neighborhood rows and the cross-session answer cache
 //! (DESIGN.md §11).
 //!
-//! Production query traffic is heavily skewed: the same `(θ, k,
-//! query-family)` arrives over and over, yet every run re-verifies the same
-//! θ-neighborhoods — exactly the `N_θ` sets Alg 1's greedy consumes. The two
-//! stores here turn that repeat traffic into lookups:
+//! Interactive traffic repeats itself: one relevant set is refined over
+//! many θ, and every run verifies θ-neighborhoods of the same graphs —
+//! exactly the `N_θ` sets Alg 1's greedy consumes. The two stores here turn
+//! that repeat traffic into lookups:
 //!
-//! * [`ViewStore`] — records *verified* θ-neighborhoods (graph id → member
-//!   set), keyed by `(dataset epoch, exact θ bits,
-//!   query fingerprint, graph id)`. Entries are materialized on miss, but
-//!   only once a `(θ-band, fingerprint)` pair has been queried often enough
-//!   (a frequency promotion policy mined from the per-run
-//!   [`ViewStore::note_query`] stream), so one-shot queries never pollute
-//!   the store.
+//! * [`ViewStore`] — one *row* per `(dataset epoch, query fingerprint,
+//!   graph id)`: the graph's Thm 5 candidates at the widest θ a run has
+//!   band-scanned, ascending by id, each with the memo's [`Facts`] about
+//!   the pair. A row answers every θ′ up to its own θ (see
+//!   [`MaterializedView`]). Rows are materialized only once a fingerprint
+//!   has been queried often enough (a frequency promotion policy mined from
+//!   the per-run [`ViewStore::note_query`] stream), so one-shot queries
+//!   never pollute the store.
 //! * [`AnswerCache`] — memoizes whole [`crate::QuerySession::run`] results,
 //!   keyed by `(epoch, θ bits, k, fingerprint)`.
 //!
@@ -26,13 +27,12 @@
 //! sessions pinned to the pre-mutation snapshot simply miss afterwards and
 //! recompute from their pinned index, byte-identically.
 //!
-//! Member sets are keyed by the *exact* `θ.to_bits()`, never a band:
-//! θ-membership is an exact predicate, and upper-bound-certified accepts
-//! carry no exact distance, so a neighborhood verified at θ cannot be
-//! re-filtered for a nearby θ′. The coarser
-//! [`graphrep_metric::theta_band`] quantization is used only by the
-//! promotion policy, where pooling nearby thresholds is harmless — it
-//! decides *whether* to materialize, never *what* is served.
+//! Rows carry no θ in their key because what they store is θ-free: the band
+//! test is monotone in θ, so candidates at θ include every candidate at any
+//! θ′ ≤ θ, and a pair's facts are truths about the pair, not about the
+//! threshold they were learned at. A member set would not be — an
+//! upper-bound-certified accept at θ says nothing about θ′ < θ — which is
+//! why a row keeps the facts, not the verdicts.
 //!
 //! ## Conservation
 //!
@@ -42,9 +42,9 @@
 //! never history).
 
 use crate::answer::AnswerSet;
+use graphrep_ged::Facts;
 use graphrep_graph::GraphId;
 use graphrep_lockaudit::TrackedMutex;
-use graphrep_metric::theta_band;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -60,10 +60,10 @@ pub struct CacheConfig {
     /// are dropped. `None` (the default) keeps entries until evicted or
     /// invalidated — the deterministic choice the differential tests use.
     pub ttl: Option<Duration>,
-    /// Frequency-promotion threshold for the view store: a `(θ-band,
-    /// fingerprint)` pair must have been queried at least this many times
-    /// (see [`ViewStore::note_query`]) before its neighborhoods are
-    /// materialized. 0 and 1 both mean "materialize from the first query".
+    /// Frequency-promotion threshold for the view store: a query
+    /// fingerprint must have been run at least this many times (see
+    /// [`ViewStore::note_query`]) before its rows are materialized. 0 and 1
+    /// both mean "materialize from the first query".
     pub promote_after: u64,
 }
 
@@ -176,9 +176,11 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         s
     }
 
-    /// Looks `key` up, refreshing its recency. A TTL-expired entry is
-    /// dropped (counted as an eviction) and reported as a miss.
-    fn get(&mut self, key: &K, ttl: Option<Duration>) -> Option<V> {
+    /// Looks `key` up, refreshing its recency; a resident value is returned
+    /// and counts as a hit when `answers` accepts it, as a miss otherwise. A
+    /// TTL-expired entry is dropped (counted as an eviction) and reported as
+    /// a miss.
+    fn get(&mut self, key: &K, ttl: Option<Duration>, answers: impl Fn(&V) -> bool) -> Option<V> {
         self.lookups += 1;
         let expired = match (self.entries.get(key), ttl) {
             (Some(slot), Some(ttl)) => slot.inserted.elapsed() >= ttl,
@@ -199,7 +201,11 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
                 self.recency.remove(&slot.stamp);
                 slot.stamp = next;
                 self.recency.insert(next, key.clone());
-                self.hits += 1;
+                if answers(&slot.value) {
+                    self.hits += 1;
+                } else {
+                    self.misses += 1;
+                }
                 Some(slot.value.clone())
             }
             None => {
@@ -309,39 +315,58 @@ pub struct ViewScope {
     pub fingerprint: u64,
 }
 
-/// Key of one materialized neighborhood: scope + exact θ + the graph whose
-/// neighborhood it is.
+/// Key of one row: scope + the graph whose neighborhood it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ViewKey {
     epoch: u64,
-    theta_bits: u64,
     fingerprint: u64,
     graph: GraphId,
 }
 
-/// One materialized θ-neighborhood: the verified member ids.
+/// One materialized row of graph `g`: its relevant Thm 5 candidates at
+/// `theta`, ascending by id, each with the memo's [`Facts`] about `(g, c)`.
+///
+/// The row answers `N_θ′(g) ∩ L_q` for every `θ′ ≤ theta` (it
+/// [`covers`](Self::covers) θ′) without a band scan: an entry its facts
+/// reject is out, one that fails a band at θ′ is out, one its facts accept
+/// is in, and only the rest reach the oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaterializedView {
-    /// Verified members of `N_θ(g)` restricted to the relevant set.
-    pub members: Arc<Vec<GraphId>>,
+    /// The threshold the candidates were band-scanned at.
+    pub theta: f64,
+    /// `(candidate, facts)` pairs, ascending by candidate id.
+    pub entries: Arc<Vec<(GraphId, Facts)>>,
 }
 
 impl MaterializedView {
+    /// A row of `entries` (ascending by id) band-scanned at `theta`.
+    pub fn new(theta: f64, entries: Vec<(GraphId, Facts)>) -> Self {
+        Self {
+            theta,
+            entries: Arc::new(entries),
+        }
+    }
+
+    /// Whether the row answers θ′ without a band scan: `θ′ ≤ theta`.
+    pub fn covers(&self, theta: f64) -> bool {
+        theta <= self.theta
+    }
+
     fn bytes(&self) -> usize {
         std::mem::size_of::<ViewKey>()
             + std::mem::size_of::<Self>()
-            + self.members.len() * std::mem::size_of::<GraphId>()
+            + self.entries.len() * std::mem::size_of::<(GraphId, Facts)>()
     }
 }
 
 struct ViewInner {
     lru: Lru<ViewKey, MaterializedView>,
-    /// Query arrivals per `(θ-band, fingerprint)` — the promotion signal.
-    freq: HashMap<(u32, u64), u64>,
+    /// Query arrivals per fingerprint — the promotion signal.
+    freq: HashMap<u64, u64>,
 }
 
 /// The materialized view store: a concurrent, frequency-promoted LRU of
-/// verified θ-neighborhoods. See the module docs for keying and soundness.
+/// θ-free rows. See the module docs for keying and soundness.
 pub struct ViewStore {
     config: CacheConfig,
     inner: TrackedMutex<ViewInner>,
@@ -376,73 +401,56 @@ impl ViewStore {
         &self.config
     }
 
-    /// Registers one query arrival for `(θ, scope)` — called once per
-    /// session run, *not* per neighborhood. The promotion policy counts
-    /// these arrivals pooled by [`theta_band`]: materialization starts only
-    /// once a band has proven hot, so a one-shot query costs no memory.
-    pub fn note_query(&self, scope: ViewScope, theta: f64) {
-        let mut inner = self.inner.lock();
-        *inner
-            .freq
-            .entry((theta_band(theta), scope.fingerprint))
-            .or_insert(0) += 1;
+    /// Registers one query arrival for `scope` — called once per session
+    /// run, *not* per neighborhood. The promotion policy counts these
+    /// arrivals per fingerprint: materialization starts only once a query
+    /// has proven hot, so a one-shot query costs no memory.
+    pub fn note_query(&self, scope: ViewScope) {
+        *self.inner.lock().freq.entry(scope.fingerprint).or_insert(0) += 1;
     }
 
-    /// Whether the promotion policy currently allows materializing for
-    /// `(θ, scope)`.
-    fn promoted(inner: &ViewInner, cfg: &CacheConfig, scope: ViewScope, theta: f64) -> bool {
-        let seen = inner
-            .freq
-            .get(&(theta_band(theta), scope.fingerprint))
-            .copied()
-            .unwrap_or(0);
-        seen >= cfg.promote_after.max(1)
-    }
-
-    /// Looks up the materialized neighborhood of `graph` at exactly `θ`
-    /// under `scope`. Counts one lookup (hit or miss).
-    pub fn lookup(&self, scope: ViewScope, theta: f64, graph: GraphId) -> Option<MaterializedView> {
-        let key = ViewKey {
+    fn key(scope: ViewScope, graph: GraphId) -> ViewKey {
+        ViewKey {
             epoch: scope.epoch,
-            theta_bits: theta.to_bits(),
             fingerprint: scope.fingerprint,
             graph,
-        };
-        self.inner.lock().lru.get(&key, self.config.ttl)
+        }
     }
 
-    /// Offers a freshly verified neighborhood for materialization; it is
-    /// stored only when the promotion policy has seen enough arrivals for
-    /// this `(θ-band, fingerprint)`. Returns whether it was stored.
-    pub fn record(
-        &self,
-        scope: ViewScope,
-        theta: f64,
-        graph: GraphId,
-        members: &[GraphId],
-    ) -> bool {
+    /// Looks up the row of `graph` under `scope`. Counts one lookup, a hit
+    /// only when the row covers `theta`; a narrower row is still returned,
+    /// so its facts can be reused by the band scan the miss leads to.
+    pub fn lookup(&self, scope: ViewScope, graph: GraphId, theta: f64) -> Option<MaterializedView> {
+        self.inner
+            .lock()
+            .lru
+            .get(&Self::key(scope, graph), self.config.ttl, |row| {
+                row.covers(theta)
+            })
+    }
+
+    /// Offers a row for materialization. It is stored only when the
+    /// promotion policy has seen enough arrivals for the fingerprint, and
+    /// never in place of a resident row of wider θ. Returns whether it was
+    /// admitted.
+    pub fn record(&self, scope: ViewScope, graph: GraphId, row: MaterializedView) -> bool {
         let mut inner = self.inner.lock();
-        if !Self::promoted(&inner, &self.config, scope, theta) {
+        let seen = inner.freq.get(&scope.fingerprint).copied().unwrap_or(0);
+        let key = Self::key(scope, graph);
+        let wider = |slot: &Slot<MaterializedView>| slot.value.theta > row.theta;
+        if seen < self.config.promote_after.max(1) || inner.lru.entries.get(&key).is_some_and(wider)
+        {
             return false;
         }
-        let key = ViewKey {
-            epoch: scope.epoch,
-            theta_bits: theta.to_bits(),
-            fingerprint: scope.fingerprint,
-            graph,
-        };
-        let view = MaterializedView {
-            members: Arc::new(members.to_vec()),
-        };
-        let bytes = view.bytes();
-        inner.lru.insert(key, view, bytes, self.config.capacity);
+        let bytes = row.bytes();
+        inner.lru.insert(key, row, bytes, self.config.capacity);
         true
     }
 
-    /// Drops every materialized view (the wholesale epoch-bump
-    /// invalidation); counters and promotion frequencies are kept — history
-    /// is monotone, and a hot query family stays hot across epochs. Returns
-    /// how many entries were dropped.
+    /// Drops every row (the wholesale epoch-bump invalidation); counters
+    /// and promotion frequencies are kept — history is monotone, and a hot
+    /// query family stays hot across epochs. Returns how many entries were
+    /// dropped.
     pub fn invalidate_all(&self) -> u64 {
         self.inner.lock().lru.invalidate_all()
     }
@@ -453,7 +461,7 @@ impl ViewStore {
         self.inner.lock().lru.counters()
     }
 
-    /// Approximate resident bytes of the materialized views.
+    /// Approximate resident bytes of the rows.
     pub fn memory_bytes(&self) -> usize {
         self.inner.lock().lru.bytes
     }
@@ -515,7 +523,7 @@ impl AnswerCache {
 
     /// Looks a memoized answer up. Counts one lookup (hit or miss).
     pub fn get(&self, key: &AnswerKey) -> Option<Arc<AnswerSet>> {
-        self.inner.lock().get(key, self.config.ttl)
+        self.inner.lock().get(key, self.config.ttl, |_| true)
     }
 
     /// Memoizes an answer under `key`.
@@ -561,6 +569,15 @@ mod tests {
         }
     }
 
+    /// A row over `ids` at `theta` whose facts know nothing.
+    fn row(theta: f64, ids: &[GraphId]) -> MaterializedView {
+        MaterializedView::new(theta, ids.iter().map(|&c| (c, Facts::default())).collect())
+    }
+
+    fn ids(v: &MaterializedView) -> Vec<GraphId> {
+        v.entries.iter().map(|&(c, _)| c).collect()
+    }
+
     #[test]
     fn fingerprint_is_order_insensitive_and_set_sensitive() {
         assert_eq!(query_fingerprint(&[3, 1, 2]), query_fingerprint(&[1, 2, 3]));
@@ -568,25 +585,37 @@ mod tests {
         assert_ne!(query_fingerprint(&[]), query_fingerprint(&[0]));
     }
 
+    /// A row at θ answers every θ′ ≤ θ as a hit; θ′ > θ is a miss that
+    /// still hands the row back; another epoch or fingerprint sees nothing.
     #[test]
     fn view_store_round_trip_and_conservation() {
         let s = ViewStore::new(eager());
         let sc = scope(0);
-        s.note_query(sc, 2.0);
-        assert!(s.lookup(sc, 2.0, 7).is_none());
-        assert!(s.record(sc, 2.0, 7, &[1, 3]));
-        let v = s.lookup(sc, 2.0, 7).expect("recorded view must hit");
-        assert_eq!(*v.members, vec![1, 3]);
-        // Exact-θ keying: a different θ in the same band misses.
-        assert!(s.lookup(sc, 2.0 + 1e-9, 7).is_none());
-        // Epoch keying: a different epoch misses.
-        assert!(s.lookup(scope(1), 2.0, 7).is_none());
+        s.note_query(sc);
+        assert!(s.lookup(sc, 7, 2.0).is_none());
+        assert!(s.record(sc, 7, row(2.0, &[1, 3])));
+        for theta in [2.0, 1.5, 0.0] {
+            let v = s.lookup(sc, 7, theta).expect("a covering row must hit");
+            assert_eq!(ids(&v), vec![1, 3]);
+            assert!(v.covers(theta));
+        }
+        let wider = s
+            .lookup(sc, 7, 2.0 + 1e-9)
+            .expect("a narrower row is handed back");
+        assert!(!wider.covers(2.0 + 1e-9));
+        assert!(s.lookup(scope(1), 7, 2.0).is_none(), "epoch keying");
+        let other = ViewScope {
+            fingerprint: query_fingerprint(&[1, 2]),
+            ..sc
+        };
+        assert!(s.lookup(other, 7, 2.0).is_none(), "fingerprint keying");
         let c = s.counters();
         assert_eq!(c.lookups, c.hits + c.misses);
-        assert_eq!((c.lookups, c.hits), (4, 1));
+        assert_eq!((c.lookups, c.hits), (7, 3));
         assert!(c.memory_bytes > 0);
     }
 
+    /// Promotion counts runs per fingerprint, whatever θ they ran at.
     #[test]
     fn promotion_policy_gates_materialization() {
         let cfg = CacheConfig {
@@ -595,14 +624,34 @@ mod tests {
         };
         let s = ViewStore::new(cfg);
         let sc = scope(0);
-        s.note_query(sc, 2.0);
-        assert!(!s.record(sc, 2.0, 7, &[1]), "first arrival is cold");
-        assert!(s.lookup(sc, 2.0, 7).is_none());
-        s.note_query(sc, 2.0);
-        assert!(s.record(sc, 2.0, 7, &[1]), "second arrival is hot");
-        assert!(s.lookup(sc, 2.0, 7).is_some());
-        // Band pooling: a nearby θ in the same f32 band shares the heat.
-        assert!(s.record(sc, 2.0, 9, &[2]));
+        s.note_query(sc);
+        assert!(!s.record(sc, 7, row(2.0, &[1])), "first arrival is cold");
+        assert!(s.lookup(sc, 7, 2.0).is_none());
+        s.note_query(sc);
+        assert!(s.record(sc, 7, row(2.0, &[1])), "second arrival is hot");
+        assert!(s.lookup(sc, 7, 2.0).is_some());
+        assert!(s.record(sc, 9, row(5.0, &[2])), "heat is per fingerprint");
+        let cold = ViewScope {
+            fingerprint: query_fingerprint(&[4]),
+            ..sc
+        };
+        assert!(!s.record(cold, 7, row(2.0, &[1])));
+    }
+
+    /// A row is widened or refreshed in place, never narrowed.
+    #[test]
+    fn record_never_replaces_a_row_with_a_narrower_one() {
+        let s = ViewStore::new(eager());
+        let sc = scope(0);
+        s.note_query(sc);
+        assert!(s.record(sc, 7, row(2.0, &[1, 3])));
+        assert!(!s.record(sc, 7, row(1.0, &[1])));
+        assert!(s.record(sc, 7, row(2.0, &[1, 3, 4])), "same θ refreshes");
+        assert!(s.record(sc, 7, row(3.0, &[1, 3, 4, 6])), "wider θ replaces");
+        let v = s.lookup(sc, 7, 1.0).expect("the widest row answers");
+        assert_eq!((v.theta, ids(&v)), (3.0, vec![1, 3, 4, 6]));
+        let c = s.counters();
+        assert_eq!((c.entries, c.insertions, c.evictions), (1, 3, 2));
     }
 
     #[test]
@@ -613,16 +662,16 @@ mod tests {
             ..CacheConfig::default()
         });
         let sc = scope(0);
-        s.note_query(sc, 1.0);
+        s.note_query(sc);
         for g in 0..2u32 {
-            assert!(s.record(sc, 1.0, g, &[g]));
+            assert!(s.record(sc, g, row(1.0, &[g])));
         }
         // Touch graph 0 so graph 1 is the LRU victim.
-        assert!(s.lookup(sc, 1.0, 0).is_some());
-        assert!(s.record(sc, 1.0, 2, &[2]));
-        assert!(s.lookup(sc, 1.0, 0).is_some());
-        assert!(s.lookup(sc, 1.0, 1).is_none(), "LRU victim must be gone");
-        assert!(s.lookup(sc, 1.0, 2).is_some());
+        assert!(s.lookup(sc, 0, 1.0).is_some());
+        assert!(s.record(sc, 2, row(1.0, &[2])));
+        assert!(s.lookup(sc, 0, 1.0).is_some());
+        assert!(s.lookup(sc, 1, 1.0).is_none(), "LRU victim must be gone");
+        assert!(s.lookup(sc, 2, 1.0).is_some());
         let c = s.counters();
         assert_eq!(c.entries, 2);
         assert_eq!(c.insertions, 3);
@@ -638,9 +687,9 @@ mod tests {
             ..CacheConfig::default()
         });
         let sc = scope(0);
-        s.note_query(sc, 1.0);
-        assert!(s.record(sc, 1.0, 0, &[0]));
-        assert!(s.lookup(sc, 1.0, 0).is_none());
+        s.note_query(sc);
+        assert!(s.record(sc, 0, row(1.0, &[0])));
+        assert!(s.lookup(sc, 0, 1.0).is_none());
         assert_eq!(s.counters().entries, 0);
         assert_eq!(s.memory_bytes(), 0);
     }

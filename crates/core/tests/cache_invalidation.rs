@@ -258,6 +258,86 @@ fn stale_epoch_entries_are_unreachable_after_mutation() {
     h.checkpoint(&mut rng);
 }
 
+/// Rows change where a verdict is read from, never which engine work is
+/// done: a views-off build (capacity 0) and a views-on build (promote
+/// after one run) refine one session up a θ ladder, back down it, and past
+/// its top, with `k` large enough that every run covers the whole relevant
+/// set; after every run the answers are byte-identical and the two cold
+/// oracles have made the same engine calls with the same tier verdicts.
+/// Going down, every neighborhood is covered by a row.
+#[test]
+fn views_never_change_engine_work() {
+    let data = DatasetSpec::new(DatasetKind::DudLike, 60, 2801).generate();
+    let build = |capacity| {
+        let oracle = data.db.oracle(GedConfig::default());
+        let index = NbIndex::build(oracle, index_config(&data.default_ladder));
+        let views = Arc::new(ViewStore::new(CacheConfig {
+            capacity,
+            ..cache_config()
+        }));
+        (index, views)
+    };
+    let (off_index, off_views) = build(0);
+    let (on_index, on_views) = build(CacheConfig::default().capacity);
+    let built = off_index.oracle().engine_calls();
+    let relevant = data.default_query().relevant_set(&data.db);
+    let k = relevant.len();
+    let off = off_index
+        .start_session(relevant.clone())
+        .with_views(Arc::clone(&off_views));
+    let on = on_index
+        .start_session(relevant)
+        .with_views(Arc::clone(&on_views));
+
+    // Half-unit steps where neighborhoods still grow (distances here are
+    // integral, so each whole step adds members a narrower row lacks), then
+    // the index's ladder.
+    let mut ascending: Vec<f64> = (2..=9).map(|i| f64::from(i) / 2.0).collect();
+    ascending.extend_from_slice(&data.default_ladder);
+    ascending.sort_by(f64::total_cmp);
+    ascending.dedup();
+    let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+    let above = [ascending[ascending.len() - 1] * 1.5];
+    let mut hits_before_descent = 0;
+    for (leg, thetas) in [
+        ("up", &ascending[..]),
+        ("down", &descending),
+        ("above", &above),
+    ] {
+        if leg == "down" {
+            hits_before_descent = on_views.counters().hits;
+        }
+        for &theta in thetas {
+            let (want, _) = off.run(theta, k);
+            let (got, stats) = on.run(theta, k);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{leg} θ = {theta}");
+            assert_eq!(
+                on_index.oracle().engine_calls(),
+                off_index.oracle().engine_calls(),
+                "{leg} θ = {theta}"
+            );
+            assert_eq!(
+                on_index.oracle().tier_stats(),
+                off_index.oracle().tier_stats(),
+                "{leg} θ = {theta}"
+            );
+            if leg == "down" {
+                assert_eq!(stats.verified_graphs, 0, "θ = {theta} lies under a row");
+            }
+        }
+    }
+    assert!(
+        off_index.oracle().engine_calls() > built,
+        "the runs paid no engine work"
+    );
+    assert_eq!(off_views.counters().hits, 0);
+    assert!(
+        on_views.counters().hits > hits_before_descent,
+        "the descending leg must hit rows: {:?}",
+        on_views.counters()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 

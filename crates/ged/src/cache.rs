@@ -115,30 +115,39 @@ fn shard_of(key: u64) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
 }
 
-/// Everything the memo knows about one pair of ids.
-struct PairFacts {
+/// Everything the memo knows about one pair of ids, as a value: what
+/// [`DistanceOracle::within_facts`] hands back beside its verdict, so a
+/// caller can keep the facts and decide later thresholds without a probe.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Facts {
     /// The exact distance, once some call has produced it.
-    exact: Option<f64>,
+    pub exact: Option<f64>,
     /// Strongest known strict lower bound: `d(i, j) > lower`.
-    lower: f64,
+    pub lower: f64,
     /// Strongest known upper bound: `d(i, j) ≤ upper`, from hint-certified
     /// accepts that never produced an exact distance.
-    upper: f64,
-    /// Rendezvous for the decision in flight on this pair, if any: racers
-    /// block on it so only one runs the engine. Dropped by the winner once
-    /// its fact is published, so a resolved cell never outlives its decision.
-    flight: Option<Arc<OnceLock<()>>>,
+    pub upper: f64,
 }
 
-impl Default for PairFacts {
+impl Default for Facts {
+    /// Nothing known: no exact distance and vacuous bounds.
     fn default() -> Self {
         Self {
             exact: None,
             lower: f64::NEG_INFINITY,
             upper: f64::INFINITY,
-            flight: None,
         }
     }
+}
+
+/// The memo's entry for one pair: its facts plus the decision in flight.
+#[derive(Default)]
+struct PairFacts {
+    facts: Facts,
+    /// Rendezvous for the decision in flight on this pair, if any: racers
+    /// block on it so only one runs the engine. Dropped by the winner once
+    /// its fact is published, so a resolved cell never outlives its decision.
+    flight: Option<Arc<OnceLock<()>>>,
 }
 
 /// What one decision learned about its pair.
@@ -151,7 +160,7 @@ enum Fact {
     AtMost(f64),
 }
 
-impl PairFacts {
+impl Facts {
     /// Records `fact`, keeping the strongest bound of each kind.
     fn learn(&mut self, fact: Fact) {
         match fact {
@@ -171,8 +180,9 @@ impl PairFacts {
         }
     }
 
-    /// The `d ≤ τ` verdict if the facts hold it.
-    fn verdict(&self, tau: f64) -> Option<bool> {
+    /// The `d ≤ τ` verdict if the facts hold it — the one rule every memo
+    /// hit of [`DistanceOracle::within_verdict`] is decided by.
+    pub fn verdict(&self, tau: f64) -> Option<bool> {
         match self.within(tau) {
             Some(v) => Some(v.is_some()),
             // d ≤ upper ≤ tau: certainly inside.
@@ -248,7 +258,8 @@ impl Memo {
     /// Answers one non-self request about pair `k`: from the facts if
     /// `known` reads an answer off them (a cache hit), otherwise by running
     /// `decide`, which tallies its own outcome and returns the fact it
-    /// learned beside the answer.
+    /// learned beside the answer. Either way the pair's facts as the answer
+    /// left them come back with it.
     ///
     /// Requests the facts cannot answer rendezvous on the pair's in-flight
     /// cell. Exactly one runs `decide`, publishes the fact and drops the
@@ -258,13 +269,14 @@ impl Memo {
     fn resolve<T>(
         &self,
         k: u64,
-        known: impl Fn(&PairFacts) -> Option<T>,
+        known: impl Fn(&Facts) -> Option<T>,
         decide: impl Fn() -> (Fact, T),
-    ) -> T {
+    ) -> (T, Facts) {
         let facts = &self.shards[shard_of(k)].facts;
+        let read = |pair: &PairFacts| known(&pair.facts).map(|t| (t, pair.facts));
         self.note_request();
         let answer = loop {
-            let hit = facts.read().get(&k).and_then(&known);
+            let hit = facts.read().get(&k).and_then(read);
             if let Some(t) = hit {
                 tick(&self.tally.hits);
                 break t;
@@ -273,7 +285,7 @@ impl Memo {
                 let mut w = facts.write();
                 let pair = w.entry(k).or_default();
                 // Published between the probe above and this lock?
-                if let Some(t) = known(pair) {
+                if let Some(t) = read(pair) {
                     tick(&self.tally.hits);
                     break t;
                 }
@@ -284,9 +296,9 @@ impl Memo {
                 let (fact, t) = decide();
                 let mut w = facts.write();
                 let pair = w.entry(k).or_default();
-                pair.learn(fact);
+                pair.facts.learn(fact);
                 pair.flight = None;
-                won = Some(t);
+                won = Some((t, pair.facts));
             });
             if let Some(t) = won {
                 break t;
@@ -348,7 +360,7 @@ impl std::fmt::Debug for DistanceOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (pairs, exact) = self.memo.shards.iter().fold((0, 0), |(p, e), s| {
             let facts = s.facts.read();
-            let known = facts.values().filter(|f| f.exact.is_some()).count();
+            let known = facts.values().filter(|f| f.facts.exact.is_some()).count();
             (p + facts.len(), e + known)
         });
         f.debug_struct("DistanceOracle")
@@ -485,6 +497,7 @@ impl DistanceOracle {
                 (Fact::Exact(d), d)
             },
         )
+        .0
     }
 
     /// Returns `Some(d)` iff `d(i, j) = d ≤ tau`, consulting the facts
@@ -497,11 +510,13 @@ impl DistanceOracle {
         if i == j {
             return Some(0.0);
         }
-        self.memo.resolve(
-            key(i, j),
-            |f| f.within(tau),
-            || self.engine_within(i, j, tau),
-        )
+        self.memo
+            .resolve(
+                key(i, j),
+                |f| f.within(tau),
+                || self.engine_within(i, j, tau),
+            )
+            .0
     }
 
     /// Returns `true` iff `d(i, j) ≤ tau`, deciding through the tiered filter
@@ -526,8 +541,20 @@ impl DistanceOracle {
     /// `distance_computations` / `within_rejections` / `ub_accepts`, everyone
     /// else counts a cache hit.
     pub fn within_verdict(&self, i: GraphId, j: GraphId, tau: f64) -> bool {
+        self.within_facts(i, j, tau).0
+    }
+
+    /// [`Self::within_verdict`] plus the pair's facts the verdict was read
+    /// from or learned: whatever later threshold those facts decide
+    /// ([`Facts::verdict`]) needs no further request. A self pair is
+    /// `(true, exact 0)` and counts nothing.
+    pub fn within_facts(&self, i: GraphId, j: GraphId, tau: f64) -> (bool, Facts) {
         if i == j {
-            return true;
+            let zero = Facts {
+                exact: Some(0.0),
+                ..Facts::default()
+            };
+            return (true, zero);
         }
         self.memo
             .resolve(key(i, j), |f| f.verdict(tau), || self.ladder(i, j, tau))
@@ -613,7 +640,7 @@ impl DistanceOracle {
         }
         let k = key(i, j);
         let facts = self.memo.shards[shard_of(k)].facts.read();
-        facts.get(&k).and_then(|f| f.exact)
+        facts.get(&k).and_then(|f| f.facts.exact)
     }
 
     /// Installs index-supplied metric bounds for [`Self::within_verdict`]'s
@@ -907,6 +934,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The facts `within_facts` hands back decide their own threshold, and
+    /// every other threshold they decide matches a fresh oracle's answer.
+    #[test]
+    fn within_facts_decide_later_thresholds_like_the_oracle() {
+        let (o, truth) = (oracle(6, 14), oracle(6, 14));
+        assert_eq!(o.within_facts(2, 2, 0.0).1.exact, Some(0.0));
+        let taus = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0];
+        for i in 0..6u32 {
+            for j in i + 1..6 {
+                for &tau in &taus {
+                    let (inside, facts) = o.within_facts(i, j, tau);
+                    assert_eq!(facts.verdict(tau), Some(inside), "({i}, {j}) at {tau}");
+                    for &later in &taus {
+                        if let Some(v) = facts.verdict(later) {
+                            assert_eq!(v, truth.within(i, j, later).is_some());
+                        }
+                    }
+                }
+            }
+        }
+        let after = o.stats();
+        assert_eq!(
+            o.within_facts(0, 1, 6.0).1,
+            o.within_facts(1, 0, 6.0).1,
+            "facts are per unordered pair"
+        );
+        assert_eq!(o.stats().cache_hits, after.cache_hits + 2);
     }
 
     #[test]

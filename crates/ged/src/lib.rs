@@ -33,7 +33,7 @@ pub mod profile;
 pub(crate) mod scratch;
 pub(crate) mod tables;
 
-pub use cache::{DistanceOracle, MetricHints, OracleStats, TierStats};
+pub use cache::{DistanceOracle, Facts, MetricHints, OracleStats, TierStats};
 pub use profile::GraphProfile;
 
 /// Asserts a paper-derived runtime invariant when the *consuming* crate is

@@ -22,4 +22,4 @@ pub mod vantage;
 pub use bitset::Bitset;
 pub use space::DistanceMatrix;
 pub use stats::DistanceDistribution;
-pub use vantage::{theta_band, BandProjection, VantageTable};
+pub use vantage::{BandProjection, VantageTable};

@@ -60,17 +60,6 @@ fn band_edges(center: f32, theta: f64) -> (f32, f32) {
     (lo, hi)
 }
 
-/// Quantizes a threshold to its f32 storage band — the bit pattern of
-/// `θ as f32`, the same precision the table stores coordinates at. Two
-/// thresholds in the same band are indistinguishable to the stored
-/// coordinates, which makes the band a natural pooling key for *statistics*
-/// (e.g. cache promotion frequency). It must never be used to share exact
-/// θ-membership results: `N_θ` is an exact-θ predicate.
-#[inline]
-pub fn theta_band(theta: f64) -> u32 {
-    (theta as f32).to_bits()
-}
-
 /// The vantage orderings of a database: per-VP distances and sorted orders,
 /// held in the SoA layout described at the [module level](self).
 #[derive(Debug, Clone)]
@@ -599,15 +588,6 @@ mod tests {
     fn line_table(n: usize, vps: usize, seed: u64) -> VantageTable {
         let mut rng = SmallRng::seed_from_u64(seed);
         VantageTable::build(n, vps, &mut rng, |a, b| (a as f64 - b as f64).abs())
-    }
-
-    #[test]
-    fn theta_band_pools_f32_identical_thresholds() {
-        // Thresholds indistinguishable at f32 precision share a band…
-        assert_eq!(theta_band(2.0), theta_band(2.0 + 1e-12));
-        // …while f32-distinguishable thresholds do not.
-        assert_ne!(theta_band(2.0), theta_band(2.5));
-        assert_ne!(theta_band(0.0), theta_band(1.0));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use graphrep::core::{
     AnswerCache, AnswerKey, AnswerSet, CacheConfig, MaterializedView, ViewScope, ViewStore,
 };
+use graphrep::ged::Facts;
 use graphrep::graph::GraphId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,18 +104,20 @@ fn racing_threads_keep_cache_counters_exactly_conserved() {
                     let graph = ((h >> 24) % 8) as GraphId;
                     match h % 4 {
                         0 => {
-                            views.note_query(scope, theta);
-                            let members: Vec<GraphId> = (0..(h % 5) as GraphId).collect();
-                            views.record(scope, theta, graph, &members);
+                            views.note_query(scope);
+                            let entries = (0..(h % 5) as GraphId)
+                                .map(|c| (c, Facts::default()))
+                                .collect();
+                            views.record(scope, graph, MaterializedView::new(theta, entries));
                         }
                         1 => {
                             // Relaxed: op tally only; read after the joins.
                             view_lookups.fetch_add(1, Ordering::Relaxed);
-                            if let Some(v) = views.lookup(scope, theta, graph) {
-                                // Every recorded view is a prefix `0..m`.
+                            if let Some(v) = views.lookup(scope, graph, theta) {
+                                // Every recorded row is a prefix `0..m`.
                                 let v: &MaterializedView = &v;
-                                let m = v.members.len() as GraphId;
-                                assert!(v.members.iter().copied().eq(0..m));
+                                let m = v.entries.len() as GraphId;
+                                assert!(v.entries.iter().map(|&(c, _)| c).eq(0..m));
                             }
                         }
                         2 => {
