@@ -7,7 +7,7 @@
 //! semantic rules on top of it:
 //!
 //! * **G008** — no lock guard may be live across a *blocking sink*: a GED
-//!   engine entry (`distance`, `within`, …), socket I/O (`read_frame`,
+//!   engine entry (`distance`, `within`, …), socket I/O (`read_message`,
 //!   `write_all`, …), or `std::thread` spawn/join/sleep, matched by name.
 //! * **G009** — the acquisition graph must be acyclic; each strongly
 //!   connected component with two or more sites is reported as a potential
@@ -53,7 +53,7 @@ const SINKS: &[&str] = &[
     "distance_within_profiled",
     "connect",
     "accept",
-    "read_frame",
+    "read_message",
     "write_frame",
     "read_exact",
     "write_all",

@@ -92,7 +92,6 @@ const SUBCOMMANDS: &[(&str, Handler, &[&str])] = &[
             "deadline-ms",
             "idle-secs",
             "cache-capacity",
-            "cache-ttl",
             "shards",
             "shard-seed",
         ],
@@ -172,7 +171,7 @@ subcommands:
   serve    --data DIR [--name NAME] [--addr HOST:PORT] [--workers N]
            [--write-queue-cap BYTES]
            [--max-queue N] [--deadline-ms MS] [--idle-secs S]
-           [--cache-capacity N] [--cache-ttl SECS]
+           [--cache-capacity N]
            [--shards S [--shard-seed SEED]]
   load     --addr HOST:PORT [--name NAME] [--connections N] [--requests M]
            [--theta t1,t2,...] [--k k1,k2,...] [--quantile Q] [--seed S]
@@ -191,9 +190,9 @@ own magic bytes decide how it is read.
 
 `serve` keeps a materialized θ-neighborhood view store and a cross-session
 answer cache per dataset (epoch-keyed, invalidated on mutation).
---cache-capacity 0 disables both; --cache-ttl 0 (default) means no age
-expiry. `load --skew S` draws (θ, k) pairs Zipf-like with exponent S
-instead of uniformly (0 = the historical uniform schedule).
+--cache-capacity 0 disables both. `load --skew S` draws (θ, k) pairs
+Zipf-like with exponent S instead of uniformly (0 = the historical uniform
+schedule).
 
 `serve` drives every connection from one epoll reactor thread (Linux
 only): thousands of idle connections per core, pipelined requests (every
@@ -670,13 +669,9 @@ fn serve(cmd: &Command) -> Result<String, CliError> {
         idle_session_ttl: std::time::Duration::from_secs(cmd.parsed_or("idle-secs", 900u64)?),
         ..ServeConfig::default()
     };
-    // `--cache-capacity 0` disables the caching layer; `--cache-ttl 0`
-    // (the default) means entries never expire by age.
-    let cache_ttl_secs: u64 = cmd.parsed_or("cache-ttl", 0u64)?;
+    // `--cache-capacity 0` disables the caching layer.
     let cache = CacheConfig {
         capacity: cmd.parsed_or("cache-capacity", CacheConfig::default().capacity)?,
-        ttl: (cache_ttl_secs > 0).then(|| std::time::Duration::from_secs(cache_ttl_secs)),
-        ..CacheConfig::default()
     };
     let mut registry = DatasetRegistry::new();
     let shards: usize = cmd.parsed_or("shards", 0usize)?;

@@ -1,7 +1,7 @@
 //! Cooperative cancellation for long-running searches.
 //!
-//! The greedy search (Alg 2) and CELF both run an unbounded-cost loop of
-//! priority-queue pops whose individual steps can trigger NP-hard edit
+//! The greedy search (Alg 2) runs an unbounded-cost loop of priority-queue
+//! pops whose individual steps can trigger NP-hard edit
 //! distances. A serving layer cannot afford to let one request hold a worker
 //! forever, so the search loops poll a [`CancelToken`] between pops and bail
 //! out with [`Cancelled`] when its deadline has passed. (A streamed run's

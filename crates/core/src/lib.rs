@@ -24,7 +24,6 @@
 pub mod answer;
 pub(crate) mod binfmt;
 pub mod cancel;
-pub mod celf;
 pub mod db;
 pub mod greedy;
 pub mod nbindex;
@@ -38,7 +37,6 @@ pub mod views;
 
 pub use answer::{evaluate_answer, AnswerSet};
 pub use cancel::{CancelToken, Cancelled};
-pub use celf::{lazy_greedy, lazy_greedy_cancellable, weighted_greedy, LazyStats, WeightedAnswer};
 pub use db::GraphDatabase;
 pub use greedy::{baseline_greedy, BruteForceProvider};
 pub use nbindex::{

@@ -286,8 +286,8 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
     }
 
     /// The search both entry points share. `cancel` is polled between
-    /// best-first-search pops (the same boundary CELF uses) and between
-    /// greedy iterations; the up-front check is [`Session::run_with`]'s.
+    /// best-first-search pops and between greedy iterations; the up-front
+    /// check is [`Session::run_with`]'s.
     fn search(
         &self,
         theta: f64,
@@ -296,11 +296,6 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         mut on_pick: Option<&mut dyn FnMut(PickEvent) -> bool>,
     ) -> Result<(AnswerSet, RunStats), Cancelled> {
         let t0 = Instant::now();
-        if let Some(views) = &self.views {
-            // One arrival per run — the view store's promotion policy counts
-            // these, not per-graph lookups, so "hot" means repeated queries.
-            views.note_query(self.view_scope());
-        }
         let calls0 = self.index.oracle().engine_calls();
         let tree = self.index.tree();
         let n = tree.len();
@@ -926,7 +921,7 @@ mod tests {
 
     /// Two identical cold builds of a 60-graph index, one session each
     /// over the default relevant set: `plain` without views, `viewed` with
-    /// an eager view store.
+    /// a view store.
     fn plain_and_viewed() -> (NbIndex, NbIndex, Vec<GraphId>, Vec<f64>, Arc<ViewStore>) {
         let data = DatasetSpec::new(DatasetKind::DudLike, 60, 7202).generate();
         let build = || {
@@ -937,10 +932,7 @@ mod tests {
             };
             NbIndex::build(data.db.oracle(GedConfig::default()), config)
         };
-        let store = Arc::new(ViewStore::new(crate::CacheConfig {
-            promote_after: 1,
-            ..Default::default()
-        }));
+        let store = Arc::new(ViewStore::new(crate::CacheConfig::default()));
         let relevant = data.default_query().relevant_set(&data.db);
         (build(), build(), relevant, data.default_ladder, store)
     }

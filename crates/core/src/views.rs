@@ -10,10 +10,8 @@
 //!   graph id)`: the graph's Thm 5 candidates at the widest θ a run has
 //!   band-scanned, ascending by id, each with the memo's [`Facts`] about
 //!   the pair. A row answers every θ′ up to its own θ (see
-//!   [`MaterializedView`]). Rows are materialized only once a fingerprint
-//!   has been queried often enough (a frequency promotion policy mined from
-//!   the per-run [`ViewStore::note_query`] stream), so one-shot queries
-//!   never pollute the store.
+//!   [`MaterializedView`]). Every verified neighborhood is recorded; the
+//!   LRU capacity bounds what stays resident.
 //! * [`AnswerCache`] — memoizes whole [`crate::QuerySession::run`] results,
 //!   keyed by `(epoch, θ bits, k, fingerprint)`.
 //!
@@ -48,32 +46,20 @@ use graphrep_lockaudit::TrackedMutex;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// Configuration shared by both cache tiers.
+/// Configuration shared by both cache tiers. Entries live until the LRU
+/// evicts them or an invalidation drops them; staleness needs no expiry,
+/// because keys carry the mutation epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Maximum resident entries per store; 0 disables the store entirely
     /// (every lookup misses, nothing is ever inserted).
     pub capacity: usize,
-    /// Optional time-to-live: entries older than this answer as misses and
-    /// are dropped. `None` (the default) keeps entries until evicted or
-    /// invalidated — the deterministic choice the differential tests use.
-    pub ttl: Option<Duration>,
-    /// Frequency-promotion threshold for the view store: a query
-    /// fingerprint must have been run at least this many times (see
-    /// [`ViewStore::note_query`]) before its rows are materialized. 0 and 1
-    /// both mean "materialize from the first query".
-    pub promote_after: u64,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        Self {
-            capacity: 1024,
-            ttl: None,
-            promote_after: 2,
-        }
+        Self { capacity: 1024 }
     }
 }
 
@@ -90,7 +76,7 @@ pub struct CacheCounters {
     pub misses: u64,
     /// Entries written (including replacements of an existing key).
     pub insertions: u64,
-    /// Entries dropped by capacity pressure, TTL expiry, or replacement.
+    /// Entries dropped by capacity pressure or replacement.
     pub evictions: u64,
     /// Entries dropped wholesale by [`ViewStore::invalidate_all`] /
     /// [`AnswerCache::invalidate_all`].
@@ -131,8 +117,6 @@ struct Slot<V> {
     value: V,
     /// Recency stamp; also the key into the recency index.
     stamp: u64,
-    /// Insertion time, for TTL expiry.
-    inserted: Instant,
     /// Approximate bytes attributed to this entry.
     bytes: usize,
 }
@@ -177,24 +161,9 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     }
 
     /// Looks `key` up, refreshing its recency; a resident value is returned
-    /// and counts as a hit when `answers` accepts it, as a miss otherwise. A
-    /// TTL-expired entry is dropped (counted as an eviction) and reported as
-    /// a miss.
-    fn get(&mut self, key: &K, ttl: Option<Duration>, answers: impl Fn(&V) -> bool) -> Option<V> {
+    /// and counts as a hit when `answers` accepts it, as a miss otherwise.
+    fn get(&mut self, key: &K, answers: impl Fn(&V) -> bool) -> Option<V> {
         self.lookups += 1;
-        let expired = match (self.entries.get(key), ttl) {
-            (Some(slot), Some(ttl)) => slot.inserted.elapsed() >= ttl,
-            _ => false,
-        };
-        if expired {
-            if let Some(slot) = self.entries.remove(key) {
-                self.recency.remove(&slot.stamp);
-                self.bytes -= slot.bytes;
-                self.evictions += 1;
-            }
-            self.misses += 1;
-            return None;
-        }
         let next = self.stamp();
         match self.entries.get_mut(key) {
             Some(slot) => {
@@ -233,7 +202,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
             Slot {
                 value,
                 stamp,
-                inserted: Instant::now(),
                 bytes,
             },
         );
@@ -359,17 +327,11 @@ impl MaterializedView {
     }
 }
 
-struct ViewInner {
-    lru: Lru<ViewKey, MaterializedView>,
-    /// Query arrivals per fingerprint — the promotion signal.
-    freq: HashMap<u64, u64>,
-}
-
-/// The materialized view store: a concurrent, frequency-promoted LRU of
-/// θ-free rows. See the module docs for keying and soundness.
+/// The materialized view store: a concurrent LRU of θ-free rows. See the
+/// module docs for keying and soundness.
 pub struct ViewStore {
     config: CacheConfig,
-    inner: TrackedMutex<ViewInner>,
+    inner: TrackedMutex<Lru<ViewKey, MaterializedView>>,
 }
 
 impl std::fmt::Debug for ViewStore {
@@ -386,27 +348,13 @@ impl ViewStore {
     pub fn new(config: CacheConfig) -> Self {
         Self {
             config,
-            inner: TrackedMutex::new(
-                "core.views.ViewStore.inner",
-                ViewInner {
-                    lru: Lru::new(),
-                    freq: HashMap::new(),
-                },
-            ),
+            inner: TrackedMutex::new("core.views.ViewStore.inner", Lru::new()),
         }
     }
 
     /// The store's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Registers one query arrival for `scope` — called once per session
-    /// run, *not* per neighborhood. The promotion policy counts these
-    /// arrivals per fingerprint: materialization starts only once a query
-    /// has proven hot, so a one-shot query costs no memory.
-    pub fn note_query(&self, scope: ViewScope) {
-        *self.inner.lock().freq.entry(scope.fingerprint).or_insert(0) += 1;
     }
 
     fn key(scope: ViewScope, graph: GraphId) -> ViewKey {
@@ -423,47 +371,39 @@ impl ViewStore {
     pub fn lookup(&self, scope: ViewScope, graph: GraphId, theta: f64) -> Option<MaterializedView> {
         self.inner
             .lock()
-            .lru
-            .get(&Self::key(scope, graph), self.config.ttl, |row| {
-                row.covers(theta)
-            })
+            .get(&Self::key(scope, graph), |row| row.covers(theta))
     }
 
-    /// Offers a row for materialization. It is stored only when the
-    /// promotion policy has seen enough arrivals for the fingerprint, and
-    /// never in place of a resident row of wider θ. Returns whether it was
-    /// admitted.
+    /// Offers a row for materialization. It is stored unless a resident
+    /// row of wider θ already answers more. Returns whether it was admitted.
     pub fn record(&self, scope: ViewScope, graph: GraphId, row: MaterializedView) -> bool {
         let mut inner = self.inner.lock();
-        let seen = inner.freq.get(&scope.fingerprint).copied().unwrap_or(0);
         let key = Self::key(scope, graph);
         let wider = |slot: &Slot<MaterializedView>| slot.value.theta > row.theta;
-        if seen < self.config.promote_after.max(1) || inner.lru.entries.get(&key).is_some_and(wider)
-        {
+        if inner.entries.get(&key).is_some_and(wider) {
             return false;
         }
         let bytes = row.bytes();
-        inner.lru.insert(key, row, bytes, self.config.capacity);
+        inner.insert(key, row, bytes, self.config.capacity);
         true
     }
 
     /// Drops every row (the wholesale epoch-bump invalidation); counters
-    /// and promotion frequencies are kept — history is monotone, and a hot
-    /// query family stays hot across epochs. Returns how many entries were
+    /// are kept — history is monotone. Returns how many entries were
     /// dropped.
     pub fn invalidate_all(&self) -> u64 {
-        self.inner.lock().lru.invalidate_all()
+        self.inner.lock().invalidate_all()
     }
 
     /// Atomic counter snapshot (conservation holds exactly; see
     /// [`CacheCounters`]).
     pub fn counters(&self) -> CacheCounters {
-        self.inner.lock().lru.counters()
+        self.inner.lock().counters()
     }
 
     /// Approximate resident bytes of the rows.
     pub fn memory_bytes(&self) -> usize {
-        self.inner.lock().lru.bytes
+        self.inner.lock().bytes
     }
 }
 
@@ -507,8 +447,7 @@ fn answer_bytes(a: &AnswerSet) -> usize {
 }
 
 impl AnswerCache {
-    /// An empty cache with the given configuration (`promote_after` is
-    /// ignored — answers are always worth one slot).
+    /// An empty cache with the given configuration.
     pub fn new(config: CacheConfig) -> Self {
         Self {
             config,
@@ -523,7 +462,7 @@ impl AnswerCache {
 
     /// Looks a memoized answer up. Counts one lookup (hit or miss).
     pub fn get(&self, key: &AnswerKey) -> Option<Arc<AnswerSet>> {
-        self.inner.lock().get(key, self.config.ttl, |_| true)
+        self.inner.lock().get(key, |_| true)
     }
 
     /// Memoizes an answer under `key`.
@@ -562,13 +501,6 @@ mod tests {
         }
     }
 
-    fn eager() -> CacheConfig {
-        CacheConfig {
-            promote_after: 1,
-            ..CacheConfig::default()
-        }
-    }
-
     /// A row over `ids` at `theta` whose facts know nothing.
     fn row(theta: f64, ids: &[GraphId]) -> MaterializedView {
         MaterializedView::new(theta, ids.iter().map(|&c| (c, Facts::default())).collect())
@@ -589,9 +521,8 @@ mod tests {
     /// still hands the row back; another epoch or fingerprint sees nothing.
     #[test]
     fn view_store_round_trip_and_conservation() {
-        let s = ViewStore::new(eager());
+        let s = ViewStore::new(CacheConfig::default());
         let sc = scope(0);
-        s.note_query(sc);
         assert!(s.lookup(sc, 7, 2.0).is_none());
         assert!(s.record(sc, 7, row(2.0, &[1, 3])));
         for theta in [2.0, 1.5, 0.0] {
@@ -615,35 +546,11 @@ mod tests {
         assert!(c.memory_bytes > 0);
     }
 
-    /// Promotion counts runs per fingerprint, whatever θ they ran at.
-    #[test]
-    fn promotion_policy_gates_materialization() {
-        let cfg = CacheConfig {
-            promote_after: 2,
-            ..CacheConfig::default()
-        };
-        let s = ViewStore::new(cfg);
-        let sc = scope(0);
-        s.note_query(sc);
-        assert!(!s.record(sc, 7, row(2.0, &[1])), "first arrival is cold");
-        assert!(s.lookup(sc, 7, 2.0).is_none());
-        s.note_query(sc);
-        assert!(s.record(sc, 7, row(2.0, &[1])), "second arrival is hot");
-        assert!(s.lookup(sc, 7, 2.0).is_some());
-        assert!(s.record(sc, 9, row(5.0, &[2])), "heat is per fingerprint");
-        let cold = ViewScope {
-            fingerprint: query_fingerprint(&[4]),
-            ..sc
-        };
-        assert!(!s.record(cold, 7, row(2.0, &[1])));
-    }
-
     /// A row is widened or refreshed in place, never narrowed.
     #[test]
     fn record_never_replaces_a_row_with_a_narrower_one() {
-        let s = ViewStore::new(eager());
+        let s = ViewStore::new(CacheConfig::default());
         let sc = scope(0);
-        s.note_query(sc);
         assert!(s.record(sc, 7, row(2.0, &[1, 3])));
         assert!(!s.record(sc, 7, row(1.0, &[1])));
         assert!(s.record(sc, 7, row(2.0, &[1, 3, 4])), "same θ refreshes");
@@ -656,13 +563,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent_and_counts() {
-        let s = ViewStore::new(CacheConfig {
-            capacity: 2,
-            promote_after: 1,
-            ..CacheConfig::default()
-        });
+        let s = ViewStore::new(CacheConfig { capacity: 2 });
         let sc = scope(0);
-        s.note_query(sc);
         for g in 0..2u32 {
             assert!(s.record(sc, g, row(1.0, &[g])));
         }
@@ -681,36 +583,12 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_the_store() {
-        let s = ViewStore::new(CacheConfig {
-            capacity: 0,
-            promote_after: 1,
-            ..CacheConfig::default()
-        });
+        let s = ViewStore::new(CacheConfig { capacity: 0 });
         let sc = scope(0);
-        s.note_query(sc);
         assert!(s.record(sc, 0, row(1.0, &[0])));
         assert!(s.lookup(sc, 0, 1.0).is_none());
         assert_eq!(s.counters().entries, 0);
         assert_eq!(s.memory_bytes(), 0);
-    }
-
-    #[test]
-    fn ttl_expiry_counts_as_eviction_then_miss() {
-        let s = AnswerCache::new(CacheConfig {
-            ttl: Some(Duration::ZERO),
-            ..CacheConfig::default()
-        });
-        let key = AnswerKey {
-            epoch: 0,
-            theta_bits: 1.0f64.to_bits(),
-            k: 3,
-            fingerprint: 9,
-        };
-        s.insert(key, Arc::new(AnswerSet::default()));
-        assert!(s.get(&key).is_none(), "zero TTL must expire immediately");
-        let c = s.counters();
-        assert_eq!((c.evictions, c.misses, c.hits), (1, 1, 0));
-        assert_eq!(c.entries, 0);
     }
 
     #[test]

@@ -36,15 +36,6 @@ fn index_config(ladder: &[f64]) -> NbIndexConfig {
     }
 }
 
-/// Eagerly-promoting cache configuration so view hits appear within the
-/// short per-checkpoint refinement sequences.
-fn cache_config() -> CacheConfig {
-    CacheConfig {
-        promote_after: 1,
-        ..CacheConfig::default()
-    }
-}
-
 /// A mutated index paired with a model of its live state, a reference
 /// oracle for from-scratch rebuilds, and — unlike `mutation_equivalence` —
 /// one view store and one answer cache shared across *all* epochs.
@@ -74,8 +65,8 @@ impl Harness {
         ));
         Harness {
             index,
-            views: Arc::new(ViewStore::new(cache_config())),
-            answers: Arc::new(AnswerCache::new(cache_config())),
+            views: Arc::new(ViewStore::new(CacheConfig::default())),
+            answers: Arc::new(AnswerCache::new(CacheConfig::default())),
             invalidate_on_mutation,
             ref_oracle,
             live: vec![true; graphs.len()],
@@ -259,22 +250,19 @@ fn stale_epoch_entries_are_unreachable_after_mutation() {
 }
 
 /// Rows change where a verdict is read from, never which engine work is
-/// done: a views-off build (capacity 0) and a views-on build (promote
-/// after one run) refine one session up a θ ladder, back down it, and past
-/// its top, with `k` large enough that every run covers the whole relevant
-/// set; after every run the answers are byte-identical and the two cold
-/// oracles have made the same engine calls with the same tier verdicts.
-/// Going down, every neighborhood is covered by a row.
+/// done: a views-off build (capacity 0) and a views-on build refine one
+/// session up a θ ladder, back down it, and past its top, with `k` large
+/// enough that every run covers the whole relevant set; after every run the
+/// answers are byte-identical and the two cold oracles have made the same
+/// engine calls with the same tier verdicts. Going down, every neighborhood
+/// is covered by a row.
 #[test]
 fn views_never_change_engine_work() {
     let data = DatasetSpec::new(DatasetKind::DudLike, 60, 2801).generate();
     let build = |capacity| {
         let oracle = data.db.oracle(GedConfig::default());
         let index = NbIndex::build(oracle, index_config(&data.default_ladder));
-        let views = Arc::new(ViewStore::new(CacheConfig {
-            capacity,
-            ..cache_config()
-        }));
+        let views = Arc::new(ViewStore::new(CacheConfig { capacity }));
         (index, views)
     };
     let (off_index, off_views) = build(0);

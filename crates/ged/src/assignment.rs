@@ -47,15 +47,6 @@ impl CostMatrix {
     }
 }
 
-/// Solution of an assignment problem.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Assignment {
-    /// `row_to_col[i]` is the column assigned to row `i`.
-    pub row_to_col: Vec<usize>,
-    /// Total cost of the assignment.
-    pub cost: f64,
-}
-
 /// Reusable working memory for [`solve_into`]: dual potentials, matching
 /// arrays, and the output permutation. Lives in the per-thread
 /// [`crate::scratch::SearchScratch`] so repeated solves allocate nothing
@@ -72,23 +63,14 @@ pub struct AssignScratch {
     pub row_to_col: Vec<usize>,
 }
 
-/// Solves the minimum-cost assignment problem on a square matrix.
+/// Solves the minimum-cost assignment problem on a square matrix into
+/// caller-provided scratch: the assignment lands in `s.row_to_col` and the
+/// total cost is returned. Allocation-free once the scratch buffers have
+/// grown to the largest `n` seen.
 ///
 /// Runs in `O(n³)` time. Costs may be any finite `f64` (including negative);
 /// `f64::INFINITY` marks forbidden pairs, which must leave at least one
 /// feasible perfect matching.
-pub fn solve(m: &CostMatrix) -> Assignment {
-    let mut s = AssignScratch::default();
-    let cost = solve_into(m, &mut s);
-    Assignment {
-        row_to_col: s.row_to_col,
-        cost,
-    }
-}
-
-/// [`solve`] into caller-provided scratch: the assignment lands in
-/// `s.row_to_col` and the total cost is returned. Allocation-free once the
-/// scratch buffers have grown to the largest `n` seen.
 // graphrep: hot-path
 pub fn solve_into(m: &CostMatrix, s: &mut AssignScratch) -> f64 {
     let n = m.n();
@@ -180,6 +162,13 @@ mod tests {
         m
     }
 
+    /// Solves `m` in fresh scratch: `(cost, row_to_col)`.
+    fn solve(m: &CostMatrix) -> (f64, Vec<usize>) {
+        let mut s = AssignScratch::default();
+        let cost = solve_into(m, &mut s);
+        (cost, s.row_to_col)
+    }
+
     /// Brute-force optimum by permutation enumeration.
     fn brute(m: &CostMatrix) -> f64 {
         fn rec(m: &CostMatrix, i: usize, used: &mut Vec<bool>, acc: f64, best: &mut f64) {
@@ -203,27 +192,27 @@ mod tests {
 
     #[test]
     fn empty_matrix() {
-        let a = solve(&CostMatrix::filled(0, 0.0));
-        assert_eq!(a.cost, 0.0);
-        assert!(a.row_to_col.is_empty());
+        let (cost, cols) = solve(&CostMatrix::filled(0, 0.0));
+        assert_eq!(cost, 0.0);
+        assert!(cols.is_empty());
     }
 
     #[test]
     fn single_cell() {
-        let a = solve(&from_rows(&[&[7.5]]));
-        assert_eq!(a.cost, 7.5);
-        assert_eq!(a.row_to_col, vec![0]);
+        let (cost, cols) = solve(&from_rows(&[&[7.5]]));
+        assert_eq!(cost, 7.5);
+        assert_eq!(cols, vec![0]);
     }
 
     #[test]
     fn classic_3x3() {
         // Optimal = 1 + 2 + 3 picking the off-diagonal.
         let m = from_rows(&[&[4.0, 1.0, 3.0], &[2.0, 0.0, 5.0], &[3.0, 2.0, 2.0]]);
-        let a = solve(&m);
-        assert_eq!(a.cost, 5.0);
+        let (cost, cols) = solve(&m);
+        assert_eq!(cost, 5.0);
         // Verify it is a permutation.
         let mut seen = [false; 3];
-        for &c in &a.row_to_col {
+        for &c in &cols {
             assert!(!seen[c]);
             seen[c] = true;
         }
@@ -233,15 +222,15 @@ mod tests {
     fn handles_infinity_forbidden_pairs() {
         let inf = f64::INFINITY;
         let m = from_rows(&[&[inf, 1.0], &[1.0, inf]]);
-        let a = solve(&m);
-        assert_eq!(a.cost, 2.0);
-        assert_eq!(a.row_to_col, vec![1, 0]);
+        let (cost, cols) = solve(&m);
+        assert_eq!(cost, 2.0);
+        assert_eq!(cols, vec![1, 0]);
     }
 
     #[test]
     fn negative_costs_supported() {
         let m = from_rows(&[&[-5.0, 0.0], &[0.0, -5.0]]);
-        assert_eq!(solve(&m).cost, -10.0);
+        assert_eq!(solve(&m).0, -10.0);
     }
 
     #[test]
@@ -257,9 +246,9 @@ mod tests {
                         m.set(i, j, (rng.gen_range(0..100) as f64) / 10.0);
                     }
                 }
-                let a = solve(&m);
+                let (a, _) = solve(&m);
                 let b = brute(&m);
-                assert!((a.cost - b).abs() < 1e-9, "n={n} got {} want {b}", a.cost);
+                assert!((a - b).abs() < 1e-9, "n={n} got {a} want {b}");
             }
         }
     }

@@ -6,7 +6,7 @@
 //! the workhorse for large graphs (hybrid mode) and for seeding the exact
 //! search with a good cutoff.
 
-use crate::assignment::{solve, solve_into, AssignScratch, CostMatrix};
+use crate::assignment::{solve_into, AssignScratch, CostMatrix};
 use crate::bounds::multiset_bound;
 use crate::cost::CostModel;
 use graphrep_graph::{Graph, NodeId};
@@ -22,16 +22,6 @@ pub(crate) struct BpBufs {
     stars2: Vec<u32>,
     stars2_off: Vec<usize>,
     assign: AssignScratch,
-}
-
-/// A complete node mapping from `g1` to `g2`: `map1[i]` is the image of node
-/// `i` (or `None` for deletion), `unmatched2` are the inserted `g2` nodes.
-#[derive(Debug, Clone)]
-pub struct NodeMapping {
-    /// Image of each `g1` node.
-    pub map1: Vec<Option<NodeId>>,
-    /// `g2` nodes not covered by the mapping (inserted).
-    pub unmatched2: Vec<NodeId>,
 }
 
 /// Fills `flat`/`off` with the sorted neighbor-label multiset of every node
@@ -101,63 +91,12 @@ fn bp_matrix_into(g1: &Graph, g2: &Graph, cost: &CostModel, bufs: &mut BpBufs) {
     }
 }
 
-/// Runs the bipartite heuristic and returns the induced node mapping.
-pub fn bp_mapping(g1: &Graph, g2: &Graph, cost: &CostModel) -> NodeMapping {
-    let n1 = g1.node_count();
-    let n2 = g2.node_count();
-    let a = crate::scratch::with_scratch(|s| {
-        bp_matrix_into(g1, g2, cost, &mut s.bp);
-        solve(&s.bp.m)
-    });
-    let mut map1 = vec![None; n1];
-    let mut used2 = vec![false; n2];
-    for (i, &c) in a.row_to_col.iter().take(n1).enumerate() {
-        if c < n2 {
-            map1[i] = Some(c as NodeId);
-            used2[c] = true;
-        }
-    }
-    let unmatched2 = (0..n2 as NodeId).filter(|&j| !used2[j as usize]).collect();
-    NodeMapping { map1, unmatched2 }
-}
-
-/// Exact cost of the edit path induced by a complete node mapping.
+/// Exact cost of the edit path induced by the complete node mapping in the
+/// solver's `row_to_col` output: g1-node `i` maps onto g2-node
+/// `row_to_col[i]`, or is deleted when that column is `≥ n2`.
 ///
 /// This is an upper bound on the true GED for *any* mapping, and the basis
 /// of [`bp_upper_bound`].
-pub fn induced_cost(g1: &Graph, g2: &Graph, mapping: &NodeMapping, cost: &CostModel) -> f64 {
-    let mut total = 0.0;
-    // Node operations.
-    for (i, img) in mapping.map1.iter().enumerate() {
-        match img {
-            Some(j) => total += cost.node_subst(g1.node_label(i as NodeId), g2.node_label(*j)),
-            None => total += cost.node_indel,
-        }
-    }
-    total += mapping.unmatched2.len() as f64 * cost.node_indel;
-
-    // g1 edges: substituted when both endpoints map and the image edge
-    // exists, deleted otherwise.
-    let mut matched_g2_edges = 0usize;
-    for e in g1.edges() {
-        match (mapping.map1[e.u as usize], mapping.map1[e.v as usize]) {
-            (Some(a), Some(b)) => match g2.edge_label(a, b) {
-                Some(l2) => {
-                    total += cost.edge_subst(e.label, l2);
-                    matched_g2_edges += 1;
-                }
-                None => total += cost.edge_indel,
-            },
-            _ => total += cost.edge_indel,
-        }
-    }
-    // Remaining g2 edges are insertions.
-    total += (g2.edge_count() - matched_g2_edges) as f64 * cost.edge_indel;
-    total
-}
-
-/// Exact induced-path cost straight from the solver's `row_to_col` output,
-/// without materializing a [`NodeMapping`]. Same value as [`induced_cost`].
 // graphrep: hot-path
 fn induced_from_rows(g1: &Graph, g2: &Graph, row_to_col: &[usize], cost: &CostModel) -> f64 {
     let n1 = g1.node_count();
@@ -282,14 +221,20 @@ mod tests {
         assert_eq!(bp_upper_bound(&e, &g, &CostModel::uniform()), 3.0);
     }
 
+    /// The solved matrix is a complete mapping: every g2 node is either the
+    /// image of a g1 row or taken by an ε row (inserted).
     #[test]
     fn mapping_shape() {
         let g1 = build(&[0, 1], &[(0, 1, 3)]);
         let g2 = build(&[0, 1, 2], &[(0, 1, 3), (1, 2, 4)]);
-        let m = bp_mapping(&g1, &g2, &CostModel::uniform());
-        assert_eq!(m.map1.len(), 2);
-        let mapped = m.map1.iter().flatten().count();
-        assert_eq!(m.unmatched2.len(), 3 - mapped);
+        let mut bufs = BpBufs::default();
+        bp_matrix_into(&g1, &g2, &CostModel::uniform(), &mut bufs);
+        solve_into(&bufs.m, &mut bufs.assign);
+        let (g1_rows, eps_rows) = bufs.assign.row_to_col.split_at(2);
+        assert_eq!(eps_rows.len(), 3);
+        let mapped = g1_rows.iter().filter(|&&c| c < 3).count();
+        let inserted = eps_rows.iter().filter(|&&c| c < 3).count();
+        assert_eq!(inserted, 3 - mapped);
     }
 
     #[test]
@@ -368,10 +313,9 @@ mod tests {
     #[test]
     fn induced_cost_of_identity_mapping_is_zero() {
         let g = build(&[0, 1, 2], &[(0, 1, 5), (1, 2, 6)]);
-        let m = NodeMapping {
-            map1: vec![Some(0), Some(1), Some(2)],
-            unmatched2: vec![],
-        };
-        assert_eq!(induced_cost(&g, &g, &m, &CostModel::uniform()), 0.0);
+        assert_eq!(
+            induced_from_rows(&g, &g, &[0, 1, 2], &CostModel::uniform()),
+            0.0
+        );
     }
 }

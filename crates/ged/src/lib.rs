@@ -26,7 +26,6 @@ pub mod bounds;
 pub mod cache;
 pub mod cost;
 pub mod counter;
-pub mod depthfirst;
 pub mod engine;
 pub mod exact;
 pub mod profile;
@@ -73,6 +72,5 @@ macro_rules! audit_invariant {
 }
 pub use cost::CostModel;
 pub use counter::{CounterSnapshot, GedCounters};
-pub use depthfirst::{ged_depth_first, DfResult};
 pub use engine::{GedConfig, GedEngine, GedMode};
 pub use exact::{ged_exact, ged_exact_full, ExactResult, Outcome};

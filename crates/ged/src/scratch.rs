@@ -1,20 +1,18 @@
 //! Per-thread reusable search state for the GED hot path.
 //!
 //! Every public GED entry point (`ged_exact`, `bp_upper_bound`,
-//! `bp_lower_bound`, `ged_depth_first`) borrows this thread's
-//! [`SearchScratch`] exactly once, for the duration of one call, and runs an
-//! internal `*_in` variant against its buffers. Buffers are `clear()`ed —
-//! never shrunk — between calls, so after a few calls have warmed them up to
-//! the largest instance seen, repeated `within(τ)` verification does zero
-//! heap allocation.
+//! `bp_lower_bound`) borrows this thread's [`SearchScratch`] exactly once,
+//! for the duration of one call, and runs an internal `*_in` variant against
+//! its buffers. Buffers are `clear()`ed — never shrunk — between calls, so
+//! after a few calls have warmed them up to the largest instance seen,
+//! repeated `within(τ)` verification does zero heap allocation.
 //!
-//! For the two exact searches the scratch holds the pair's dense
-//! [`PairTables`] — label ids, `u32` node bitmasks, per-depth label counts
-//! and two adjacency matrices, rebuilt once per call — and one [`Frame`] of
-//! b-side counts: DF-GED positions it on each visited state, A\* once per
-//! expansion and reads every child off it (`Frame::child`), so one frame is
-//! all either search needs. Both rest on every graph of a searched pair
-//! having ≤ 32 nodes, which `PairTables::rebuild` asserts (larger graphs are
+//! For the exact search the scratch holds the pair's dense [`PairTables`] —
+//! label ids, `u32` node bitmasks, per-depth label counts and two adjacency
+//! matrices, rebuilt once per call — and one [`Frame`] of b-side counts: A\*
+//! positions it once per expansion and reads every child off it
+//! (`Frame::child`). It rests on every graph of a searched pair having ≤ 32
+//! nodes, which `PairTables::rebuild` asserts (larger graphs are
 //! `GedMode::Hybrid`'s business). The layout, what a child step subtracts,
 //! and the argument that every count — entered or stepped to — is the
 //! integer the sorted-slice evaluation produced are in the [`crate::tables`]
@@ -25,7 +23,6 @@
 //! `RefCell` borrow is provably exclusive and panic-free.
 
 use crate::bipartite::BpBufs;
-use crate::depthfirst::DfBufs;
 use crate::exact::AstarBufs;
 use crate::tables::{Frame, PairTables};
 use std::cell::RefCell;
@@ -35,17 +32,14 @@ use std::cell::RefCell;
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
     /// Per-pair dense tables (label ids, bitmasks, counts, adjacency
-    /// matrices) for A* / DF-GED.
+    /// matrices) for A*.
     pub(crate) tables: PairTables,
-    /// b-side label counts of the state being evaluated (DF-GED) or expanded
-    /// (A*).
+    /// b-side label counts of the state A* is expanding.
     pub(crate) frame: Frame,
     /// A* arena, frontier heap, and map-reconstruction buffer.
     pub(crate) astar: AstarBufs,
     /// Bipartite matrix, star multisets, and Hungarian solver scratch.
     pub(crate) bp: BpBufs,
-    /// DF-GED partial map and child-ordering stack.
-    pub(crate) df: DfBufs,
 }
 
 thread_local! {

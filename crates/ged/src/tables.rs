@@ -1,11 +1,11 @@
-//! Per-pair dense tables for the exact searches.
+//! Per-pair dense tables for the exact search.
 //!
-//! A\* ([`crate::exact`]) and DF-GED ([`crate::depthfirst`]) map the nodes of
-//! the smaller graph `a`, in a fixed degree-descending order, onto nodes of
-//! the larger graph `b` (or onto ε). Both graphs have at most 32 nodes — the
-//! searches assert it — so one search state is `(depth, used)` with `used` a
-//! `u32` bitmask of the b-nodes taken so far, and everything the inner loop
-//! asks of the two graphs is a table read or a popcount:
+//! A\* ([`crate::exact`]) maps the nodes of the smaller graph `a`, in a
+//! fixed degree-descending order, onto nodes of the larger graph `b` (or
+//! onto ε). Both graphs have at most 32 nodes — the search asserts it — so
+//! one search state is `(depth, used)` with `used` a `u32` bitmask of the
+//! b-nodes taken so far, and everything the inner loop asks of the two
+//! graphs is a table read or a popcount:
 //!
 //! * labels are remapped to small ids: a label occurring in **both** graphs
 //!   gets its rank among the shared labels, every other label shares one
@@ -29,15 +29,15 @@
 //! `popcount(b_mask[l] & !used)` for nodes and `edges[l] − internal(used)[l]`
 //! for edges. The integers handed to [`crate::bounds::count_bound`] are the
 //! ones the slice form would have produced, so every `f` is bit-identical to
-//! the sort-based evaluation and the searches expand the same states in the
+//! the sort-based evaluation and the search expands the same states in the
 //! same order.
 //!
 //! A [`Frame`] holds the b-side counts of one mask: [`Frame::enter`] costs one
 //! popcount per shared node label and, per used b-node, one per shared edge
-//! label. DF-GED enters it once per visited state. A\* enters it **once per
-//! expansion**, on the popped state's mask measured against the children's
-//! depth, and derives every child from that one frame with [`Frame::child`]:
-//! taking one more b-node `j` moves each count by an O(1) delta —
+//! label. A\* enters it **once per expansion**, on the popped state's mask
+//! measured against the children's depth, and derives every child from that
+//! one frame with [`Frame::child`]: taking one more b-node `j` moves each
+//! count by an O(1) delta —
 //!
 //! * `unused` falls by one;
 //! * j's label loses one b-node, so the node overlap `min(a, b)` of that
@@ -368,13 +368,6 @@ impl Frame {
             .sum();
     }
 
-    /// `(unused b-nodes, b-edges not inside the mask)`: what a complete
-    /// mapping still has to insert.
-    #[inline]
-    pub(crate) fn remaining(&self) -> (usize, usize) {
-        (self.unused, self.pending)
-    }
-
     /// Admissible heuristic of the state the frame was entered on.
     // graphrep: hot-path
     #[inline]
@@ -392,8 +385,8 @@ impl Frame {
     /// The state one step on from the entered one — same depth, b-node `col`
     /// (`n2` = ε: nothing) added to the mask — as `(heuristic, unused
     /// b-nodes, b-edges not inside the mask)`: what [`Frame::enter`] on that
-    /// mask followed by [`Frame::heuristic`] and [`Frame::remaining`] would
-    /// return, from O(1) deltas (module doc).
+    /// mask followed by [`Frame::heuristic`] would return, plus that frame's
+    /// `unused` and `pending` counts, from O(1) deltas (module doc).
     // graphrep: hot-path
     #[inline]
     pub(crate) fn child(
@@ -547,7 +540,7 @@ mod tests {
                 // … and the incremental step from the parent's frame is it.
                 let (ch, unused, pending) = frame.child(&t, col, &cost);
                 prop_assert_eq!(ch.to_bits(), h.to_bits(), "child {} of {:b}: {} vs {}", col, used, ch, h);
-                prop_assert_eq!((unused, pending), scratch.remaining(), "child {} of {:b}", col, used);
+                prop_assert_eq!((unused, pending), (scratch.unused, scratch.pending), "child {} of {:b}", col, used);
             }
         }
     }

@@ -1,10 +1,9 @@
-//! An oracle that shares nothing with the searches: the edit distance of two
+//! An oracle that shares nothing with the search: the edit distance of two
 //! small graphs by enumerating every injective partial node map and pricing
-//! the edit path it induces. A\* and DF-GED read the same per-pair tables
-//! and the same heuristic, so agreeing with each other proves less than
-//! agreeing with this.
+//! the edit path it induces, so agreeing with it checks A\*'s per-pair
+//! tables and heuristic against nothing they share.
 
-use graphrep_ged::{ged_depth_first, ged_exact_full, CostModel};
+use graphrep_ged::{ged_exact_full, CostModel};
 use graphrep_graph::{generate, Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -122,13 +121,10 @@ proptest! {
         let (a, b) = (graph_from_seed(s1, n1), graph_from_seed(s2, n2));
         let want = brute_force(&a, &b, &cost);
         let astar = ged_exact_full(&a, &b, &cost, 2_000_000).unwrap().0;
-        let df = ged_depth_first(&a, &b, &cost, f64::INFINITY).distance.unwrap();
-        // Each side sums the same operation costs in its own order.
+        // Both sides sum the same operation costs, each in its own order.
         prop_assert!((astar - want).abs() <= 1e-9, "A* {astar} vs enumeration {want}");
-        prop_assert!((df - want).abs() <= 1e-9, "DF-GED {df} vs enumeration {want}");
         if model < 3 {
             prop_assert_eq!(astar, want);
-            prop_assert_eq!(df, want);
         }
     }
 }

@@ -23,7 +23,6 @@ pub mod ego;
 pub mod generate;
 pub mod graph;
 pub mod io;
-pub mod iso;
 pub mod labels;
 pub mod stats;
 

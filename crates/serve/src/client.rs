@@ -4,7 +4,7 @@
 //! to [`graphrep_core::QuerySession::run`].
 
 use crate::protocol::{
-    self, AnswerBody, CloseBody, FrameRead, InsertBody, MutatedBody, OpenBody, OpenedBody,
+    self, AnswerBody, CloseBody, FrameDecoder, InsertBody, MutatedBody, OpenBody, OpenedBody,
     PickBody, PingBody, RemoveBody, Request, Response, RunBody, ServeError, StatsBody, Tagged,
     TaggedResponse, WireEdge,
 };
@@ -24,6 +24,8 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(120);
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
+    /// Holds the bytes of any frame a read took beyond the one returned.
+    decoder: FrameDecoder,
     /// Next request id.
     next_id: u64,
 }
@@ -34,10 +36,14 @@ impl Client {
         let stream = TcpStream::connect(addr)
             .map_err(|e| ServeError::new(format!("connect {addr}: {e}")))?;
         let _ = stream.set_nodelay(true);
-        // Short read timeout + a bounded retry loop in `read_response`: a
+        // Short read timeout, so `read_response` checks its deadline: a
         // wedged server turns into an error, not a hung client.
         let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-        Ok(Self { stream, next_id: 1 })
+        Ok(Self {
+            stream,
+            decoder: FrameDecoder::new(),
+            next_id: 1,
+        })
     }
 
     /// Writes `req` under a fresh id and returns the id.
@@ -48,22 +54,11 @@ impl Client {
         Ok(id)
     }
 
-    /// Reads one response frame, retrying short read timeouts until
-    /// `deadline`.
+    /// Reads one response frame, failing once `deadline` passes.
     fn read_response(&mut self, deadline: Instant) -> Result<TaggedResponse, ServeError> {
-        loop {
-            match protocol::read_frame(&mut self.stream, Duration::from_secs(10))? {
-                FrameRead::Frame(msg) => return Ok(msg),
-                FrameRead::Closed => {
-                    return Err(ServeError::new("server closed the connection mid-request"))
-                }
-                FrameRead::Idle => {
-                    if Instant::now() > deadline {
-                        return Err(ServeError::new("timed out waiting for a response"));
-                    }
-                }
-            }
-        }
+        self.decoder
+            .read_message(&mut self.stream, deadline)?
+            .ok_or_else(|| ServeError::new("server closed the connection mid-request"))
     }
 
     /// Sends one request and waits for its response.

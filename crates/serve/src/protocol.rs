@@ -353,7 +353,7 @@ pub struct CacheTierStats {
     pub misses: u64,
     /// Entries written (including replacements).
     pub insertions: u64,
-    /// Entries dropped by capacity pressure, TTL expiry, or replacement.
+    /// Entries dropped by capacity pressure or replacement.
     pub evictions: u64,
     /// Entries dropped by wholesale invalidation (mutation epoch bumps).
     pub invalidated: u64,
@@ -475,10 +475,11 @@ pub struct MutatedBody {
     pub shard_epochs: Vec<u64>,
 }
 
-/// Body of [`Response::Pick`]: one streamed greedy pick, emitted as
-/// CELF/the shard coordinator commits it. The fields mirror one entry of
-/// the final answer: `id` is `ids[seq]` and `pi` is `pi_trajectory[seq]`,
-/// so concatenating a run's picks reconstructs the answer prefix exactly.
+/// Body of [`Response::Pick`]: one streamed greedy pick, emitted as the
+/// best-first search or the shard coordinator commits it. The fields mirror
+/// one entry of the final answer: `id` is `ids[seq]` and `pi` is
+/// `pi_trajectory[seq]`, so concatenating a run's picks reconstructs the
+/// answer prefix exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PickBody {
     /// Zero-based pick index within the run.
@@ -623,99 +624,6 @@ pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), Serv
     Ok(())
 }
 
-/// Outcome of one [`read_frame`] attempt on a stream that may have a read
-/// timeout configured.
-#[derive(Debug)]
-pub enum FrameRead<T> {
-    /// A complete frame arrived.
-    Frame(T),
-    /// The read timed out before any byte of a new frame arrived. The caller
-    /// may poll its shutdown flag and retry.
-    Idle,
-    /// The peer closed the connection at a frame boundary.
-    Closed,
-}
-
-enum Fill {
-    Done,
-    Empty,
-    Eof,
-}
-
-/// Fills `buf` across read-timeout wakeups. With `idle_ok`, a timeout (or
-/// clean close) before the first byte is a non-event; without it — i.e. in
-/// the middle of a frame — the peer gets `stall_limit` to produce the rest
-/// before the read is declared failed.
-fn fill(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    stall_limit: Duration,
-    idle_ok: bool,
-) -> Result<Fill, ServeError> {
-    let mut filled = 0usize;
-    let mut stalled_since: Option<Instant> = None;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 && idle_ok {
-                    return Ok(Fill::Eof);
-                }
-                return Err(ServeError::new("peer closed mid-frame"));
-            }
-            Ok(n) => {
-                filled += n;
-                stalled_since = None;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                if filled == 0 && idle_ok {
-                    return Ok(Fill::Empty);
-                }
-                let since = *stalled_since.get_or_insert_with(Instant::now);
-                if since.elapsed() > stall_limit {
-                    return Err(ServeError::new("peer stalled mid-frame"));
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(Fill::Done)
-}
-
-/// Reads one frame. On a stream with a read timeout, returns
-/// [`FrameRead::Idle`] when no frame has started yet — the hook that keeps
-/// connection threads responsive to server shutdown without busy-waiting.
-pub fn read_frame<T: Deserialize>(
-    r: &mut impl Read,
-    stall_limit: Duration,
-) -> Result<FrameRead<T>, ServeError> {
-    let mut header = [0u8; 4];
-    match fill(r, &mut header, stall_limit, true)? {
-        Fill::Empty => return Ok(FrameRead::Idle),
-        Fill::Eof => return Ok(FrameRead::Closed),
-        Fill::Done => {}
-    }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(ServeError::new(format!(
-            "peer announced a {len}-byte frame (limit {MAX_FRAME_BYTES})"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    match fill(r, &mut payload, stall_limit, false)? {
-        Fill::Done => {}
-        // Unreachable: idle_ok is false, so fill only returns Done or Err.
-        Fill::Empty | Fill::Eof => return Err(ServeError::new("truncated frame")),
-    }
-    let text = String::from_utf8(payload)
-        .map_err(|e| ServeError::new(format!("frame is not UTF-8: {e}")))?;
-    Ok(FrameRead::Frame(serde_json::from_str(&text)?))
-}
-
 /// Typed, fatal decode failures of the incremental [`FrameDecoder`]. Every
 /// variant poisons the stream: framing has lost sync, so the only safe
 /// recovery is closing the connection.
@@ -759,13 +667,15 @@ impl From<DecodeError> for ServeError {
     }
 }
 
-/// Incremental frame decoder for readiness-driven (non-blocking) reads:
-/// [`FrameDecoder::feed`] accepts whatever bytes the socket produced —
+/// Incremental frame decoder, the one frame reader on either side of the
+/// wire: [`FrameDecoder::feed`] accepts whatever bytes the socket produced —
 /// including partial headers and payloads split at arbitrary boundaries —
 /// and [`FrameDecoder::next_payload`] yields complete frames as they become
-/// available. Malformed input surfaces as a typed [`DecodeError`]; the
-/// decoder itself never panics and never reads past a frame boundary, so a
-/// well-formed frame following a complete frame is always decoded intact.
+/// available. The reactor feeds it from readiness-driven reads; a blocking
+/// peer calls [`FrameDecoder::read_message`], which does the reads itself.
+/// Malformed input surfaces as a typed [`DecodeError`]; the decoder itself
+/// never panics and never reads past a frame boundary, so a well-formed
+/// frame following a complete frame is always decoded intact.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -834,18 +744,89 @@ impl FrameDecoder {
             },
         }
     }
+
+    /// Blocking read of the next message from `r`: returns a frame already
+    /// buffered by an earlier read without touching `r`, otherwise reads
+    /// into a stack buffer until one completes. `None` means the peer closed
+    /// at a frame boundary; a close mid-frame is an error. On a stream with
+    /// a read timeout, every timeout checks `deadline`, so a silent peer —
+    /// between frames or mid-frame — fails the call once it passes.
+    pub fn read_message<T: Deserialize>(
+        &mut self,
+        r: &mut impl Read,
+        deadline: Instant,
+    ) -> Result<Option<T>, ServeError> {
+        let mut chunk = [0u8; 8 << 10];
+        loop {
+            if let Some(msg) = self.next_message()? {
+                return Ok(Some(msg));
+            }
+            match r.read(&mut chunk) {
+                Ok(0) if self.buffered() == 0 => return Ok(None),
+                Ok(0) => return Err(ServeError::new("peer closed mid-frame")),
+                Ok(n) => self.feed(&chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) =>
+                {
+                    if Instant::now() >= deadline {
+                        return Err(ServeError::new("timed out waiting for a frame"));
+                    }
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
+    /// A `Read` that plays one scripted step per call — bytes, delivered
+    /// whole, or an error — and past the script reports `end`: EOF when
+    /// `None`, that error on every call otherwise.
+    struct Scripted {
+        steps: VecDeque<Result<Vec<u8>, ErrorKind>>,
+        end: Option<ErrorKind>,
+    }
+
+    impl Scripted {
+        fn new(steps: Vec<Result<Vec<u8>, ErrorKind>>, end: Option<ErrorKind>) -> Self {
+            Self {
+                steps: steps.into(),
+                end,
+            }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            match self.steps.pop_front() {
+                Some(Ok(bytes)) => {
+                    out[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(Err(kind)) => Err(kind.into()),
+                None => self.end.map_or(Ok(0), |kind| Err(kind.into())),
+            }
+        }
+    }
+
+    /// One `read_message` on a fresh decoder with a deadline a second out.
+    fn read_one<T: Deserialize>(r: &mut impl Read) -> Result<Option<T>, ServeError> {
+        FrameDecoder::new().read_message(r, Instant::now() + Duration::from_secs(1))
+    }
 
     fn round_trip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(msg: &T) -> T {
         let mut buf = Vec::new();
         write_frame(&mut buf, msg).unwrap();
-        match read_frame::<T>(&mut buf.as_slice(), Duration::from_secs(1)).unwrap() {
-            FrameRead::Frame(t) => t,
-            other => panic!("expected a frame, got {other:?}"),
+        match read_one::<T>(&mut buf.as_slice()).unwrap() {
+            Some(t) => t,
+            None => panic!("expected a frame, got a close"),
         }
     }
 
@@ -906,8 +887,8 @@ mod tests {
             })
             .unwrap()
         );
-        match read_frame::<TaggedResponse>(&mut frame.as_slice(), Duration::from_secs(1)) {
-            Ok(FrameRead::Frame(t)) => assert_eq!(t, TaggedResponse { id: 42, resp }),
+        match read_one::<TaggedResponse>(&mut frame.as_slice()) {
+            Ok(Some(t)) => assert_eq!(t, TaggedResponse { id: 42, resp }),
             other => panic!("expected a tagged frame, got {other:?}"),
         }
     }
@@ -969,9 +950,9 @@ mod tests {
     #[test]
     fn closed_at_frame_boundary() {
         let empty: &[u8] = &[];
-        match read_frame::<Request>(&mut { empty }, Duration::from_secs(1)).unwrap() {
-            FrameRead::Closed => {}
-            other => panic!("expected Closed, got {other:?}"),
+        match read_one::<Request>(&mut { empty }).unwrap() {
+            None => {}
+            other => panic!("expected a close, got {other:?}"),
         }
     }
 
@@ -979,7 +960,7 @@ mod tests {
     fn oversized_header_rejected() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(u32::MAX).to_be_bytes());
-        let err = read_frame::<Request>(&mut buf.as_slice(), Duration::from_secs(1)).unwrap_err();
+        let err = read_one::<Request>(&mut buf.as_slice()).unwrap_err();
         assert!(err.message.contains("limit"), "{err}");
     }
 
@@ -988,7 +969,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &Request::Stats).unwrap();
         buf.truncate(buf.len() - 1);
-        assert!(read_frame::<Request>(&mut buf.as_slice(), Duration::from_secs(1)).is_err());
+        assert!(read_one::<Request>(&mut buf.as_slice()).is_err());
     }
 
     #[test]
@@ -1080,7 +1061,7 @@ mod tests {
     #[test]
     fn truncated_header_is_an_error() {
         let partial: &[u8] = &[0, 0];
-        let err = read_frame::<Request>(&mut { partial }, Duration::from_secs(1)).unwrap_err();
+        let err = read_one::<Request>(&mut { partial }).unwrap_err();
         assert!(err.message.contains("closed mid-frame"), "{err}");
     }
 
@@ -1091,7 +1072,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&((MAX_FRAME_BYTES as u32) + 1).to_be_bytes());
         buf.extend_from_slice(&[0u8; 16]);
-        let err = read_frame::<Request>(&mut buf.as_slice(), Duration::from_secs(1)).unwrap_err();
+        let err = read_one::<Request>(&mut buf.as_slice()).unwrap_err();
         assert!(err.message.contains("limit"), "{err}");
     }
 
@@ -1100,7 +1081,7 @@ mod tests {
     #[test]
     fn zero_length_frame_is_an_error() {
         let buf = 0u32.to_be_bytes();
-        assert!(read_frame::<Request>(&mut buf.as_slice(), Duration::from_secs(1)).is_err());
+        assert!(read_one::<Request>(&mut buf.as_slice()).is_err());
     }
 
     /// Non-UTF-8 payload bytes surface as the UTF-8 error, not a panic.
@@ -1110,7 +1091,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         buf.extend_from_slice(&payload);
-        let err = read_frame::<Request>(&mut buf.as_slice(), Duration::from_secs(1)).unwrap_err();
+        let err = read_one::<Request>(&mut buf.as_slice()).unwrap_err();
         assert!(err.message.contains("UTF-8"), "{err}");
     }
 
@@ -1123,9 +1104,84 @@ mod tests {
             buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
             buf.extend_from_slice(payload.as_bytes());
             assert!(
-                read_frame::<Request>(&mut buf.as_slice(), Duration::from_secs(1)).is_err(),
+                read_one::<Request>(&mut buf.as_slice()).is_err(),
                 "payload {payload:?} must be rejected"
             );
+        }
+    }
+
+    /// Two frames delivered by one `read` come back one per call, the
+    /// second from the buffer: the reader is not touched again (its next
+    /// step would fail the call).
+    #[test]
+    fn two_frames_in_one_read_come_back_one_per_call() {
+        let mut both = encode_frame(&Request::Stats).unwrap();
+        both.extend(encode_frame(&Request::Shutdown).unwrap());
+        let mut r = Scripted::new(vec![Ok(both), Err(ErrorKind::BrokenPipe)], None);
+        let mut dec = FrameDecoder::new();
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let first = dec.read_message::<Request>(&mut r, deadline).unwrap();
+        assert_eq!(first, Some(Request::Stats));
+        let second = dec.read_message::<Request>(&mut r, deadline).unwrap();
+        assert_eq!(second, Some(Request::Shutdown));
+        let err = dec.read_message::<Request>(&mut r, deadline).unwrap_err();
+        assert!(err.message.contains("io:"), "{err}");
+    }
+
+    /// A frame split across reads, with read timeouts between the pieces,
+    /// is reassembled into one message; the close after it is at a boundary.
+    #[test]
+    fn frame_split_by_would_block_is_reassembled() {
+        let frame = encode_frame(&Request::Close(CloseBody { session: 9 })).unwrap();
+        let mut r = Scripted::new(
+            vec![
+                Ok(frame[..2].to_vec()),
+                Err(ErrorKind::WouldBlock),
+                Ok(frame[2..7].to_vec()),
+                Err(ErrorKind::TimedOut),
+                Err(ErrorKind::Interrupted),
+                Ok(frame[7..].to_vec()),
+            ],
+            None,
+        );
+        let mut dec = FrameDecoder::new();
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let msg = dec.read_message::<Request>(&mut r, deadline).unwrap();
+        assert_eq!(msg, Some(Request::Close(CloseBody { session: 9 })));
+        assert_eq!(dec.read_message::<Request>(&mut r, deadline).unwrap(), None);
+    }
+
+    /// A close after part of a frame is an error, not a clean `None` —
+    /// in the header or in the payload, with or without a timeout between.
+    #[test]
+    fn close_mid_frame_is_an_error() {
+        let frame = encode_frame(&Request::Stats).unwrap();
+        for cut in [1, 4, frame.len() - 1] {
+            let mut r = Scripted::new(
+                vec![Ok(frame[..cut].to_vec()), Err(ErrorKind::WouldBlock)],
+                None,
+            );
+            let err = read_one::<Request>(&mut r).unwrap_err();
+            assert!(err.message.contains("closed mid-frame"), "cut {cut}: {err}");
+        }
+    }
+
+    /// A peer that sends nothing more fails the call once the deadline
+    /// passes — between frames and mid-frame alike — and not before.
+    #[test]
+    fn silent_peer_errors_at_the_deadline() {
+        let frame = encode_frame(&Request::Stats).unwrap();
+        for cut in [0, 3, 6] {
+            // An empty read is EOF, so "nothing sent" is an empty script.
+            let sent = (cut > 0).then(|| Ok(frame[..cut].to_vec()));
+            let mut r = Scripted::new(sent.into_iter().collect(), Some(ErrorKind::WouldBlock));
+            let wait = Duration::from_millis(20);
+            let t0 = Instant::now();
+            let err = FrameDecoder::new()
+                .read_message::<Request>(&mut r, t0 + wait)
+                .unwrap_err();
+            assert!(t0.elapsed() >= wait, "gave up before the deadline");
+            assert!(err.message.contains("timed out"), "{err}");
         }
     }
 }

@@ -808,7 +808,7 @@ impl DatasetRegistry {
     }
 
     /// [`DatasetRegistry::load_dir`] with an explicit cache configuration
-    /// (the `graphrep serve --cache-capacity/--cache-ttl` path).
+    /// (the `graphrep serve --cache-capacity` path).
     pub fn load_dir_with(
         &mut self,
         name: &str,

@@ -86,10 +86,7 @@ fn cached_answers_match_uncached_and_offline_at_every_pool_size() {
     let total = spec.connections * spec.requests_per_conn;
 
     for workers in [1usize, 4, 8] {
-        let off = CacheConfig {
-            capacity: 0,
-            ..CacheConfig::default()
-        };
+        let off = CacheConfig { capacity: 0 };
         let handle_off = start_with_cache(workers, gen.generate(), off);
         let report_off = run_load(&handle_off.addr().to_string(), &spec).expect("cache-off load");
         let stats_off = cache_stats(&handle_off.addr().to_string());
@@ -237,9 +234,8 @@ fn stats_report_cache_memory_that_grows_after_warmup() {
     assert_eq!(cold.answer_cache.memory_bytes, 0, "{cold:?}");
     assert_eq!(cold.view_store.memory_bytes, 0, "{cold:?}");
 
-    // Two runs at the same θ and different k: the second promotes the
-    // θ-neighborhood views (default `promote_after: 2`), both miss the
-    // answer cache and are inserted.
+    // Two runs at the same θ and different k: both record θ-neighborhood
+    // views, both miss the answer cache and are inserted.
     let mut c = Client::connect(&addr).expect("connect");
     let opened = c.open("ce", 0.75).expect("open");
     c.run_answer(opened.session, theta, 3).expect("run k=3");

@@ -12,7 +12,8 @@ use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
 use graphrep_serve::registry::load_in_memory;
 use graphrep_serve::{
     offline_reference, protocol, run_load, start, verify_against_offline, Client, DatasetRegistry,
-    LoadMode, LoadSpec, Response, ServeConfig, StatsBody, TaggedRequest, TaggedResponse,
+    FrameDecoder, LoadMode, LoadSpec, Response, ServeConfig, StatsBody, TaggedRequest,
+    TaggedResponse,
 };
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -77,26 +78,34 @@ fn tagged(id: u64, req: protocol::Request) -> Vec<u8> {
     protocol::encode_frame(&TaggedRequest { id, req }).expect("encode")
 }
 
-/// A bare socket, ready for tagged frames (mirrors the torture suite's
-/// helper).
-fn raw(addr: &str) -> TcpStream {
+/// A bare socket, ready for tagged frames, and the decoder that reads it
+/// (mirrors the torture suite's helper).
+fn raw(addr: &str) -> (TcpStream, FrameDecoder) {
     let s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_millis(100)))
         .expect("timeout");
-    s
+    (s, FrameDecoder::new())
 }
 
-fn read_tagged(stream: &mut TcpStream) -> TaggedResponse {
-    for _ in 0..100 {
-        match protocol::read_frame::<TaggedResponse>(stream, Duration::from_secs(10))
-            .expect("tagged frame")
-        {
-            protocol::FrameRead::Frame(r) => return r,
-            protocol::FrameRead::Closed => panic!("server closed the connection"),
-            protocol::FrameRead::Idle => {}
-        }
+/// Blocks until one tagged frame arrives (10 s cap).
+fn read_tagged(stream: &mut TcpStream, dec: &mut FrameDecoder) -> TaggedResponse {
+    match dec
+        .read_message(stream, Instant::now() + Duration::from_secs(10))
+        .expect("tagged frame")
+    {
+        Some(r) => r,
+        None => panic!("server closed the connection"),
     }
-    panic!("timed out waiting for a tagged frame");
+}
+
+/// Whether the server ends the connection — EOF or a reset — within 10 s,
+/// sending no further frame.
+fn closes(stream: &mut TcpStream, dec: &mut FrameDecoder) -> bool {
+    match dec.read_message::<TaggedResponse>(stream, Instant::now() + Duration::from_secs(10)) {
+        Ok(None) => true,
+        Ok(Some(f)) => panic!("frame on a dead connection: {f:?}"),
+        Err(e) => !e.message.contains("timed out"),
+    }
 }
 
 fn run_stream_req(session: u64, theta: f64, k: usize) -> protocol::Request {
@@ -123,7 +132,7 @@ fn mid_stream_disconnect_cancels_the_run_and_reclaims_the_connection() {
         "only the observer is connected"
     );
 
-    let mut victim = raw(&addr);
+    let (mut victim, mut dec) = raw(&addr);
     victim
         .write_all(&tagged(
             1,
@@ -133,7 +142,7 @@ fn mid_stream_disconnect_cancels_the_run_and_reclaims_the_connection() {
             }),
         ))
         .expect("open");
-    let session = match read_tagged(&mut victim) {
+    let session = match read_tagged(&mut victim, &mut dec) {
         TaggedResponse {
             id: 1,
             resp: Response::Opened(o),
@@ -188,6 +197,7 @@ fn half_open_sockets_are_torn_down_not_leaked() {
     let mut observer = Client::connect(&addr).expect("connect observer");
 
     let mut s = TcpStream::connect(&addr).expect("connect half-open");
+    let mut dec = FrameDecoder::new();
     s.set_read_timeout(Some(Duration::from_millis(200)))
         .expect("timeout");
     s.write_all(&tagged(
@@ -196,7 +206,7 @@ fn half_open_sockets_are_torn_down_not_leaked() {
     ))
     .expect("ping");
     assert!(matches!(
-        read_tagged(&mut s),
+        read_tagged(&mut s, &mut dec),
         TaggedResponse {
             id: 1,
             resp: Response::Pong
@@ -211,18 +221,10 @@ fn half_open_sockets_are_torn_down_not_leaked() {
     // though our read side would happily accept more frames.
     let settled = await_stats(&mut observer, |st| st.connections_open == 1);
     assert_eq!(settled.connections_open, 1, "half-open connection leaked");
-    let mut eof = false;
-    for _ in 0..50 {
-        match protocol::read_frame::<TaggedResponse>(&mut s, Duration::from_secs(5)) {
-            Ok(protocol::FrameRead::Closed) | Err(_) => {
-                eof = true;
-                break;
-            }
-            Ok(protocol::FrameRead::Idle) => {}
-            Ok(protocol::FrameRead::Frame(f)) => panic!("frame on a dead connection: {f:?}"),
-        }
-    }
-    assert!(eof, "server kept its write side open to a half-open peer");
+    assert!(
+        closes(&mut s, &mut dec),
+        "server kept its write side open to a half-open peer"
+    );
     assert_conserved(&observer.stats().expect("final stats"));
     handle.shutdown();
 }
@@ -239,6 +241,7 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
 
     // Complete-but-idle: one whole request, answered, then silence.
     let mut idler = TcpStream::connect(&addr).expect("connect idler");
+    let mut idler_dec = FrameDecoder::new();
     idler
         .set_read_timeout(Some(Duration::from_millis(200)))
         .expect("timeout");
@@ -250,7 +253,7 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
     };
     idler.write_all(&ping(1)).expect("ping");
     assert!(matches!(
-        read_tagged(&mut idler),
+        read_tagged(&mut idler, &mut idler_dec),
         TaggedResponse {
             id: 1,
             resp: Response::Pong
@@ -258,6 +261,7 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
     ));
 
     let mut staller = TcpStream::connect(&addr).expect("connect staller");
+    let mut staller_dec = FrameDecoder::new();
     staller
         .set_read_timeout(Some(Duration::from_millis(200)))
         .expect("timeout");
@@ -271,7 +275,7 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
     let settled = await_stats(&mut observer, |st| st.connections_open == 2);
     assert_eq!(settled.connections_open, 2, "the staller was not dropped");
     // The staller got one diagnostic, then EOF.
-    match read_tagged(&mut staller) {
+    match read_tagged(&mut staller, &mut staller_dec) {
         TaggedResponse {
             id: u64::MAX,
             resp: Response::Error(e),
@@ -282,10 +286,7 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
         other => panic!("expected a stall diagnostic, got {other:?}"),
     }
     assert!(
-        matches!(
-            protocol::read_frame::<TaggedResponse>(&mut staller, Duration::from_secs(5)),
-            Ok(protocol::FrameRead::Closed) | Err(_)
-        ),
+        closes(&mut staller, &mut staller_dec),
         "the stalled connection must be closed"
     );
 
@@ -293,7 +294,7 @@ fn mid_frame_stalls_are_disconnected_but_idle_connections_are_not() {
     std::thread::sleep(Duration::from_millis(300));
     idler.write_all(&ping(2)).expect("ping after idling");
     assert!(matches!(
-        read_tagged(&mut idler),
+        read_tagged(&mut idler, &mut idler_dec),
         TaggedResponse {
             id: 2,
             resp: Response::Pong
@@ -386,7 +387,7 @@ fn fault_storm_conserves_counters_and_keeps_serving() {
             }
             // Disconnect with a stream in flight, one pick in.
             2 => {
-                let mut s = raw(&addr);
+                let (mut s, mut dec) = raw(&addr);
                 s.write_all(&tagged(
                     1,
                     protocol::Request::Open(protocol::OpenBody {
@@ -395,7 +396,7 @@ fn fault_storm_conserves_counters_and_keeps_serving() {
                     }),
                 ))
                 .expect("open");
-                let session = match read_tagged(&mut s) {
+                let session = match read_tagged(&mut s, &mut dec) {
                     TaggedResponse {
                         resp: Response::Opened(o),
                         ..
@@ -405,18 +406,22 @@ fn fault_storm_conserves_counters_and_keeps_serving() {
                 s.write_all(&tagged(2, run_stream_req(session, 3.0, 4)))
                     .expect("stream");
                 // Read at most one frame, then vanish mid-stream.
-                let _ = protocol::read_frame::<TaggedResponse>(&mut s, Duration::from_secs(2));
+                let _ = dec.read_message::<TaggedResponse>(
+                    &mut s,
+                    Instant::now() + Duration::from_secs(2),
+                );
                 drop(s);
             }
             // Poison frame; the server answers with a diagnostic and closes.
             3 => {
                 let mut s = TcpStream::connect(&addr).expect("connect poison");
+                let mut dec = FrameDecoder::new();
                 s.set_read_timeout(Some(Duration::from_millis(100)))
                     .expect("timeout");
                 let mut junk = 9u32.to_be_bytes().to_vec();
                 junk.extend_from_slice(b"not json!");
                 s.write_all(&junk).expect("junk");
-                match read_tagged(&mut s) {
+                match read_tagged(&mut s, &mut dec) {
                     TaggedResponse {
                         id: u64::MAX,
                         resp: Response::Error(e),
@@ -428,6 +433,7 @@ fn fault_storm_conserves_counters_and_keeps_serving() {
             // Half-close after a clean exchange.
             4 => {
                 let mut s = TcpStream::connect(&addr).expect("connect half");
+                let mut dec = FrameDecoder::new();
                 s.set_read_timeout(Some(Duration::from_millis(200)))
                     .expect("timeout");
                 s.write_all(&tagged(
@@ -436,7 +442,7 @@ fn fault_storm_conserves_counters_and_keeps_serving() {
                 ))
                 .expect("ping");
                 assert!(matches!(
-                    read_tagged(&mut s),
+                    read_tagged(&mut s, &mut dec),
                     TaggedResponse {
                         id: 1,
                         resp: Response::Pong

@@ -16,7 +16,7 @@ use graphrep_serve::{
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Decoder fuzzing (no sockets): the FrameDecoder must reassemble any frame
@@ -196,26 +196,24 @@ fn server(workers: usize, write_queue_cap: usize) -> graphrep_serve::ServerHandl
     .expect("server start")
 }
 
-/// A bare socket, ready for tagged frames.
-fn raw(addr: &str) -> TcpStream {
+/// A bare socket, ready for tagged frames, and the decoder that reads it.
+fn raw(addr: &str) -> (TcpStream, FrameDecoder) {
     let s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_millis(100)))
         .expect("timeout");
-    s
+    (s, FrameDecoder::new())
 }
 
-/// Blocks until one tagged frame arrives (10 s cap).
-fn read_tagged(stream: &mut TcpStream) -> TaggedResponse {
-    for _ in 0..100 {
-        match protocol::read_frame::<TaggedResponse>(stream, Duration::from_secs(10))
-            .expect("tagged frame")
-        {
-            protocol::FrameRead::Frame(r) => return r,
-            protocol::FrameRead::Closed => panic!("server closed the connection"),
-            protocol::FrameRead::Idle => {}
-        }
+/// Blocks until one tagged frame arrives (10 s cap). `dec` keeps any bytes
+/// a read took past this frame for the next call.
+fn read_tagged(stream: &mut TcpStream, dec: &mut FrameDecoder) -> TaggedResponse {
+    match dec
+        .read_message(stream, Instant::now() + Duration::from_secs(10))
+        .expect("tagged frame")
+    {
+        Some(r) => r,
+        None => panic!("server closed the connection"),
     }
-    panic!("timed out waiting for a tagged frame");
 }
 
 fn tagged(id: u64, req: protocol::Request) -> Vec<u8> {
@@ -259,9 +257,9 @@ fn duplicate_live_request_ids_are_rejected_without_killing_the_original() {
         .expect("reference run")
         .fingerprint();
 
-    let mut s = raw(&addr);
+    let (mut s, mut dec) = raw(&addr);
     s.write_all(&tagged(1, open_body())).expect("open");
-    let session = match read_tagged(&mut s) {
+    let session = match read_tagged(&mut s, &mut dec) {
         TaggedResponse {
             id: 1,
             resp: Response::Opened(o),
@@ -289,7 +287,7 @@ fn duplicate_live_request_ids_are_rejected_without_killing_the_original() {
     let mut answer = None;
     let mut rejection = None;
     while answer.is_none() || rejection.is_none() {
-        let t = read_tagged(&mut s);
+        let t = read_tagged(&mut s, &mut dec);
         if (t.id, &t.resp) == (2, &Response::Pong) {
             continue;
         }
@@ -320,7 +318,7 @@ fn duplicate_live_request_ids_are_rejected_without_killing_the_original() {
     // The id is free again after the terminal frame: reusing it now is fine.
     s.write_all(&tagged(7, protocol::Request::Stats))
         .expect("reuse");
-    match read_tagged(&mut s) {
+    match read_tagged(&mut s, &mut dec) {
         TaggedResponse {
             id: 7,
             resp: Response::Stats(_),
@@ -338,10 +336,10 @@ fn duplicate_live_request_ids_are_rejected_without_killing_the_original() {
 fn mixed_type_pipelined_bursts_keep_every_tag_straight() {
     let handle = server(4, 4 << 20);
     let addr = handle.addr().to_string();
-    let mut s = raw(&addr);
+    let (mut s, mut dec) = raw(&addr);
 
     s.write_all(&tagged(1, open_body())).expect("open");
-    let session = match read_tagged(&mut s) {
+    let session = match read_tagged(&mut s, &mut dec) {
         TaggedResponse {
             id: 1,
             resp: Response::Opened(o),
@@ -372,7 +370,7 @@ fn mixed_type_pipelined_bursts_keep_every_tag_straight() {
     let mut picks_by_id = std::collections::HashMap::<u64, Vec<protocol::PickBody>>::new();
     let mut terminals = std::collections::HashMap::<u64, Response>::new();
     while terminals.len() < 5 {
-        let t = read_tagged(&mut s);
+        let t = read_tagged(&mut s, &mut dec);
         match t.resp {
             Response::Pick(p) => picks_by_id.entry(t.id).or_default().push(p),
             resp => {
@@ -446,7 +444,7 @@ fn garbage_frames_poison_only_their_own_connection() {
         // A header announcing an absurd length.
         ("oversized header", (u32::MAX).to_be_bytes().to_vec()),
     ] {
-        let mut s = raw(&addr);
+        let (mut s, mut dec) = raw(&addr);
         // Prove the connection works before the poison.
         s.write_all(&tagged(
             1,
@@ -455,7 +453,7 @@ fn garbage_frames_poison_only_their_own_connection() {
         .expect("ping");
         assert!(
             matches!(
-                read_tagged(&mut s),
+                read_tagged(&mut s, &mut dec),
                 TaggedResponse {
                     id: 1,
                     resp: Response::Pong
@@ -466,7 +464,7 @@ fn garbage_frames_poison_only_their_own_connection() {
 
         s.write_all(&garbage)
             .unwrap_or_else(|e| panic!("{name}: write garbage: {e}"));
-        match read_tagged(&mut s) {
+        match read_tagged(&mut s, &mut dec) {
             TaggedResponse {
                 id: u64::MAX,
                 resp: Response::Error(e),
@@ -477,21 +475,15 @@ fn garbage_frames_poison_only_their_own_connection() {
             ),
             other => panic!("{name}: expected a diagnostic, got {other:?}"),
         }
-        // After the diagnostic the server closes; EOF must arrive promptly
-        // (bounded retries — each read_frame call waits up to its stall cap).
-        let mut saw_eof = false;
-        for _ in 0..100 {
-            match protocol::read_frame::<TaggedResponse>(&mut s, Duration::from_secs(5)) {
-                Ok(protocol::FrameRead::Closed) | Err(_) => {
-                    saw_eof = true;
-                    break;
-                }
-                Ok(protocol::FrameRead::Idle) => {}
-                Ok(protocol::FrameRead::Frame(f)) => {
-                    panic!("{name}: frame after the poison diagnostic: {f:?}")
-                }
-            }
-        }
+        // After the diagnostic the server closes; EOF (or a reset) must
+        // arrive within the 10 s deadline.
+        let saw_eof = match dec
+            .read_message::<TaggedResponse>(&mut s, Instant::now() + Duration::from_secs(10))
+        {
+            Ok(None) => true,
+            Ok(Some(f)) => panic!("{name}: frame after the poison diagnostic: {f:?}"),
+            Err(e) => !e.message.contains("timed out"),
+        };
         assert!(
             saw_eof,
             "{name}: connection must close after the diagnostic"
@@ -516,10 +508,10 @@ fn a_stalled_reader_gets_slow_consumer_not_unbounded_buffering() {
     // slow ping while the stats flood lands.
     let handle = server(1, 8 << 10);
     let addr = handle.addr().to_string();
-    let mut s = raw(&addr);
+    let (mut s, mut dec) = raw(&addr);
 
     s.write_all(&tagged(1, open_body())).expect("open");
-    let session = match read_tagged(&mut s) {
+    let session = match read_tagged(&mut s, &mut dec) {
         TaggedResponse {
             id: 1,
             resp: Response::Opened(o),
@@ -575,7 +567,7 @@ fn a_stalled_reader_gets_slow_consumer_not_unbounded_buffering() {
     let mut run_terminal = None;
     let mut pong = false;
     while run_terminal.is_none() || !pong {
-        let t = read_tagged(&mut s);
+        let t = read_tagged(&mut s, &mut dec);
         match (t.id, t.resp) {
             (2, Response::Pong) => pong = true,
             (3, resp) => run_terminal = Some(resp),
@@ -602,7 +594,7 @@ fn a_stalled_reader_gets_slow_consumer_not_unbounded_buffering() {
     .expect("post-stall run");
     let mut picks = 0;
     let body = loop {
-        let t = read_tagged(&mut s);
+        let t = read_tagged(&mut s, &mut dec);
         match (t.id, t.resp) {
             (5000, Response::Pick(_)) => picks += 1,
             (5000, Response::AnswerEnd(b)) => break b,

@@ -7,12 +7,12 @@
 use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
 use graphrep_serve::registry::load_in_memory;
 use graphrep_serve::{
-    offline_reference, protocol, start, Client, DatasetRegistry, LoadMode, LoadSpec, Response,
-    ServeConfig, ShardedDataset, TaggedRequest, TaggedResponse,
+    offline_reference, protocol, start, Client, DatasetRegistry, FrameDecoder, LoadMode, LoadSpec,
+    Response, ServeConfig, ShardedDataset, TaggedRequest, TaggedResponse,
 };
 use std::collections::HashMap;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Offline `QuerySession::run` fingerprints for an explicit query list.
 fn offline_fingerprints(data: Dataset, queries: &[(f64, usize)]) -> HashMap<(u64, usize), String> {
@@ -240,6 +240,7 @@ fn mid_stream_mutation_leaves_pinned_session_on_its_snapshot() {
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .expect("timeout");
+    let mut dec = FrameDecoder::new();
     protocol::write_frame(
         &mut stream,
         &TaggedRequest {
@@ -251,7 +252,7 @@ fn mid_stream_mutation_leaves_pinned_session_on_its_snapshot() {
         },
     )
     .expect("open frame");
-    let session = match read_response(&mut stream, 1) {
+    let session = match read_response(&mut stream, &mut dec, 1) {
         Response::Opened(o) => o.session,
         other => panic!("expected Opened, got {other:?}"),
     };
@@ -271,7 +272,7 @@ fn mid_stream_mutation_leaves_pinned_session_on_its_snapshot() {
 
     // Consume exactly one pick, then mutate from a second connection
     // while the stream is still open.
-    let first = read_response(&mut stream, 2);
+    let first = read_response(&mut stream, &mut dec, 2);
     assert!(
         matches!(first, Response::Pick(_)),
         "expected a first pick, got {first:?}"
@@ -291,7 +292,7 @@ fn mid_stream_mutation_leaves_pinned_session_on_its_snapshot() {
     // session pinned at open, untouched by the insert.
     let mut picks = vec![first];
     let body = loop {
-        match read_response(&mut stream, 2) {
+        match read_response(&mut stream, &mut dec, 2) {
             Response::Pick(p) => picks.push(Response::Pick(p)),
             Response::AnswerEnd(b) => break b,
             other => panic!("mid-stream: {other:?}"),
@@ -307,19 +308,17 @@ fn mid_stream_mutation_leaves_pinned_session_on_its_snapshot() {
 }
 
 /// Blocks until one response frame arrives (10 s cap) and checks it
-/// answers request `id`.
-fn read_response(stream: &mut TcpStream, id: u64) -> Response {
-    for _ in 0..100 {
-        match protocol::read_frame::<TaggedResponse>(stream, Duration::from_secs(10))
-            .expect("frame")
-        {
-            protocol::FrameRead::Frame(t) => {
-                assert_eq!(t.id, id, "frame for another request: {t:?}");
-                return t.resp;
-            }
-            protocol::FrameRead::Closed => panic!("server closed mid-stream"),
-            protocol::FrameRead::Idle => {}
+/// answers request `id`. `dec` keeps any bytes a read took past this frame
+/// for the next call.
+fn read_response(stream: &mut TcpStream, dec: &mut FrameDecoder, id: u64) -> Response {
+    match dec
+        .read_message::<TaggedResponse>(stream, Instant::now() + Duration::from_secs(10))
+        .expect("frame")
+    {
+        Some(t) => {
+            assert_eq!(t.id, id, "frame for another request: {t:?}");
+            t.resp
         }
+        None => panic!("server closed mid-stream"),
     }
-    panic!("timed out waiting for a frame");
 }

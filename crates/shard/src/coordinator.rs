@@ -1,4 +1,4 @@
-//! The scatter-gather coordinator: distributed greedy/CELF over shards.
+//! The scatter-gather coordinator: the best-first greedy search over shards.
 //!
 //! The coordinator never performs distance work itself (enforced by lint
 //! G011): it aggregates per-shard π̂ upper bounds into one global best-first

@@ -4,8 +4,8 @@
 //! 7.1 π̂-vectors) lifts one level up: a metric-space [`partition`] assigns
 //! graphs to shards by farthest-point clustering, each shard owns an
 //! independent [`graphrep_core::NbIndex`] over its slice, and the
-//! [`Coordinator`] runs distributed greedy/CELF — aggregating per-shard π̂
-//! upper bounds into one global best-first frontier and paying GED on a
+//! [`Coordinator`] runs the best-first greedy across shards — aggregating
+//! per-shard π̂ upper bounds into one global frontier and paying GED on a
 //! shard only while its bound can still beat the current pick. Answers are
 //! byte-identical to a single-index deployment; the payoff is the fraction
 //! of shards each pick never touches.

@@ -5,7 +5,7 @@
 //!
 //! * `lookups == hits + misses`, and equal to the number of lookup calls
 //!   the threads actually made;
-//! * `evictions <= insertions` (TTL expiry and capacity replacement both
+//! * `evictions <= insertions` (capacity pressure and replacement both
 //!   count as evictions, and nothing can be evicted twice);
 //! * every counter is monotone non-decreasing across any snapshot
 //!   sequence, including across `invalidate_all` wipes.
@@ -24,11 +24,7 @@ const OPS_PER_THREAD: usize = 4_000;
 
 /// Tiny capacity so the LRU evicts constantly under the racing threads.
 fn tiny() -> CacheConfig {
-    CacheConfig {
-        capacity: 8,
-        promote_after: 1,
-        ..CacheConfig::default()
-    }
+    CacheConfig { capacity: 8 }
 }
 
 /// SplitMix64: a per-thread deterministic op stream.
@@ -104,7 +100,6 @@ fn racing_threads_keep_cache_counters_exactly_conserved() {
                     let graph = ((h >> 24) % 8) as GraphId;
                     match h % 4 {
                         0 => {
-                            views.note_query(scope);
                             let entries = (0..(h % 5) as GraphId)
                                 .map(|c| (c, Facts::default()))
                                 .collect();

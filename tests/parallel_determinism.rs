@@ -69,19 +69,16 @@ fn index_and_answers_identical_at_any_thread_count() {
 
 #[test]
 fn baseline_greedy_thread_independent() {
-    use graphrep::core::{baseline_greedy, lazy_greedy, BruteForceProvider};
+    use graphrep::core::{baseline_greedy, BruteForceProvider};
     let data = DatasetSpec::new(DatasetKind::DblpLike, 90, 7).generate();
     let oracle = data.db.oracle(GedConfig::default());
     let relevant = data.default_query().relevant_set(&data.db);
     let theta = data.default_theta;
     let provider = BruteForceProvider::new(&oracle, &relevant);
     let eager1 = with_threads(1, || baseline_greedy(&provider, &relevant, theta, 5));
-    let (lazy1, _) = with_threads(1, || lazy_greedy(&provider, &relevant, theta, 5));
     for threads in [4, 8] {
         let eager_n = with_threads(threads, || baseline_greedy(&provider, &relevant, theta, 5));
-        let (lazy_n, _) = with_threads(threads, || lazy_greedy(&provider, &relevant, theta, 5));
         assert_eq!(eager_n, eager1);
-        assert_eq!(lazy_n, lazy1);
     }
 }
 
