@@ -211,8 +211,9 @@ path, and mutations route to the owning shard, bumping only its epoch.
 
 `mutate` inserts N randomly perturbed copies of existing graphs and/or
 tombstones the listed ids. Without --addr it mutates the dataset directory
-in place (index + epoch sidecar re-persisted); with --addr the same ops go
-over the wire to a running server, which re-persists its own directory.
+in place (one record appended to mutations.log per op, index.bin
+replaced); with --addr the same ops go over the wire to a running server,
+which persists them to its own directory the same way.
 
 every subcommand accepts --threads N to set the worker count for index
 build, inserts and the offline baselines (0 or omitted = one worker per
@@ -1267,8 +1268,8 @@ mod tests {
         assert!(out.contains("insert → graph 41"), "{out}");
         assert!(out.contains("remove → graph 5"), "{out}");
         assert!(out.contains("now at epoch 3: 41 live / 42 total"), "{out}");
-        let epoch = std::fs::read_to_string(format!("{dir}/epoch.txt")).unwrap();
-        assert_eq!(epoch.trim(), "3");
+        let logged = store::load_logged(Path::new(&dir)).unwrap();
+        assert_eq!(logged.records.len(), 3);
 
         // The warm query path picks the mutated index up and never returns
         // the tombstoned graph.

@@ -51,8 +51,9 @@ pub(crate) const HEADER_LEN: usize = 28;
 /// multi-kilobyte payload — while the word-wise round keeps the same
 /// single-bit-flip avalanche at an eighth of the dependency chain. Tiny,
 /// dependency-free, and plenty for detecting torn writes and bit rot (this
-/// is an integrity check, not an authenticity one).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// is an integrity check, not an authenticity one). The dataset store's
+/// mutation log frames its records with the same checksum.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut chunks = bytes.chunks_exact(8);

@@ -36,6 +36,7 @@ pub mod session;
 pub mod views;
 
 pub use answer::{evaluate_answer, AnswerSet};
+pub use binfmt::fnv1a64;
 pub use cancel::{CancelToken, Cancelled};
 pub use db::GraphDatabase;
 pub use greedy::{baseline_greedy, BruteForceProvider};

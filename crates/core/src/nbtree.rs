@@ -268,25 +268,34 @@ fn farthest_first_pivots<R: Rng + ?Sized>(
     pivots
 }
 
-/// Closest pivot to `g`, pruning exact computations with the VP lower bound
-/// (paper Sec 6.4). Returns `(pivot index, exact distance)`. Deterministic:
-/// ties go to the lowest pivot index (the lb sort is stable, the scan keeps
-/// the first strict minimum).
-/// Parallel twin of [`nearest_of`] for the online-insert routing hot path:
-/// the per-level child sweep computes every pivot distance across rayon
-/// workers (wall time ≈ one edit distance instead of a serial scan) and
-/// picks the minimum with the same lowest-index tie-break, so the routing
-/// decision — and therefore the tree shape — is identical to the serial
-/// scan's. Trades a few extra (cached-forever) distance computations for
-/// per-op latency; the static build keeps the bound-pruned serial scan,
-/// where total work matters more than single-op wall time.
-fn nearest_of_par(oracle: &DistanceOracle, g: GraphId, pivots: &[GraphId]) -> (usize, f64) {
-    use rayon::prelude::*;
-    let dists: Vec<f64> = pivots.par_iter().map(|&p| oracle.distance(g, p)).collect();
-    let mut best = f64::INFINITY;
-    let mut best_i = 0;
-    for (i, &d) in dists.iter().enumerate() {
-        if d < best {
+/// Nearest child centroid for an online insert: the choice of a full sweep
+/// (minimum exact distance, ties to the lowest index), computing exact
+/// distances only for centroids whose margin-adjusted vantage lower bound
+/// ([`VantageTable::hint_bounds`], sound under the f32 storage) does not
+/// exceed the best distance found so far. Centroids are visited in
+/// ascending bound (stable, so equal bounds keep index order), and the
+/// scan stops at the first bound above the best — no later centroid can
+/// reach it, let alone tie it. Without a table every bound is 0 and this is
+/// the full sweep. Returns `(centroid index, exact distance)`.
+fn route_child(
+    oracle: &DistanceOracle,
+    vt: Option<&VantageTable>,
+    g: GraphId,
+    centroids: &[GraphId],
+) -> (usize, f64) {
+    let mut order: Vec<(f64, usize)> = centroids
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| (vt.map_or(0.0, |vt| vt.hint_bounds(g, c).0), i))
+        .collect();
+    order.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (mut best_i, mut best) = (usize::MAX, f64::INFINITY);
+    for &(lb, i) in &order {
+        if lb > best {
+            break;
+        }
+        let d = oracle.distance(g, centroids[i]);
+        if d.total_cmp(&best).then(i.cmp(&best_i)).is_lt() {
             best = d;
             best_i = i;
         }
@@ -294,6 +303,9 @@ fn nearest_of_par(oracle: &DistanceOracle, g: GraphId, pivots: &[GraphId]) -> (u
     (best_i, best)
 }
 
+/// Closest pivot to `g`, pruning exact computations with the VP lower bound
+/// (paper Sec 6.4). Returns `(pivot index, exact distance)`. Deterministic
+/// for a given table; the static build's clustering is defined by it.
 fn nearest_of(
     oracle: &DistanceOracle,
     vt: Option<&VantageTable>,
@@ -477,8 +489,8 @@ impl NbTree {
             };
         }
         // Route: at each internal node pick the nearest-centroid child (VP
-        // lower bounds prune exact computations, as in the static build) and
-        // re-expand it to contain the new member.
+        // lower bounds prune exact computations without changing the
+        // choice) and re-expand it to contain the new member.
         let mut cur = 0u32;
         let mut path = vec![cur];
         let mut inflation = 0.0f64;
@@ -490,7 +502,7 @@ impl NbTree {
                 .iter()
                 .map(|&c| self.nodes[c as usize].centroid)
                 .collect();
-            let (ci, d) = nearest_of_par(oracle, id, &centroids);
+            let (ci, d) = route_child(oracle, vt, id, &centroids);
             let child = children[ci];
             let n = &mut self.nodes[child as usize];
             if n.radius.is_finite() {

@@ -253,6 +253,79 @@ fn default_policy_absorbs_the_benchmark_insert_tail() {
     assert_eq!(index.inflation(), 0.0);
 }
 
+/// Insert routing prunes its per-level centroid sweep with the vantage lower
+/// bounds but must choose exactly what the exhaustive sweep chooses: the
+/// child whose centroid is nearest, ties to the lowest child index. Each
+/// insert's expected bottom cluster is found by walking the pre-insert tree
+/// with a test-local sweep over a reference oracle that holds the same ids;
+/// after an incrementally applied insert the new graph's leaf position must
+/// sit in that bottom's range (ranges nest and siblings are disjoint, so this
+/// pins every level's choice). The index after the whole script must be
+/// byte-identical to the one the full-sweep router produced: the digests
+/// below were taken from that router.
+#[test]
+fn insert_routing_matches_the_exhaustive_sweep() {
+    const TAIL: usize = 12;
+    for (n, seed, digest) in [
+        (160, 3101, 0xf089_6f81_4233_cad1u64),
+        (240, 20140622, 0xecee_a507_4b88_d693u64),
+    ] {
+        // The generator is prefix-stable: graphs 0..n are the n-graph dataset.
+        let pool = DatasetSpec::new(DatasetKind::DudLike, n + TAIL, seed).generate();
+        let data = DatasetSpec::new(DatasetKind::DudLike, n, seed).generate();
+        let config = NbIndexConfig {
+            ladder: data.default_ladder.clone(),
+            ..Default::default()
+        };
+        let mut index = NbIndex::build(data.db.oracle(GedConfig::default()), config);
+        let reference = DistanceOracle::new(
+            Arc::new(pool.db.graphs().to_vec()),
+            GedEngine::new(GedConfig::default()),
+        );
+        let mut checked = 0;
+        for (t, g) in pool.db.graphs()[n..].iter().enumerate() {
+            let id = (n + t) as GraphId;
+            let tree = index.tree();
+            let mut cur = tree.root().expect("a built tree has a root");
+            while !tree.node(cur).is_bottom() {
+                let children = &tree.node(cur).children;
+                let mut best = (f64::INFINITY, 0);
+                for (i, &c) in children.iter().enumerate() {
+                    let d = reference.distance(id, tree.node(c).centroid);
+                    if d < best.0 {
+                        best = (d, i);
+                    }
+                }
+                cur = children[best.1];
+            }
+            let (got, out) = index.insert(g.clone()).expect("insert must succeed");
+            assert_eq!(got, id);
+            if out == MutationOutcome::Applied {
+                let bottom = index.tree().node(cur);
+                let pos = index.tree().pos_of(id);
+                assert!(
+                    (bottom.start..bottom.end).contains(&pos),
+                    "n = {n}, insert {t}: routed away from the nearest-centroid path"
+                );
+                checked += 1;
+            }
+        }
+        assert!(
+            checked > TAIL / 2,
+            "n = {n}: only {checked} inserts applied"
+        );
+        index
+            .tree()
+            .validate(index.oracle())
+            .expect("tree invariants must hold after the script");
+        assert_eq!(
+            graphrep_core::fnv1a64(&index.save_bin()),
+            digest,
+            "n = {n}: the routed index differs from the full sweep's"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 

@@ -13,18 +13,21 @@
 //! [`LoadedDataset::remove_graph`]: the current index is forked, the fork is
 //! mutated, and the fork is swapped in under a write lock. Sessions opened
 //! earlier keep their pinned `Arc<NbIndex>` snapshot, so every query is
-//! consistent with one serializable order of the mutations. Dir-backed
-//! datasets are re-persisted after each mutation — the epoch sidecar
-//! (`epoch.txt`) is written *first*, so a failed or torn index write is
-//! detected as an epoch mismatch on the next open instead of silently
-//! serving a stale snapshot.
+//! consistent with one serializable order of the mutations. A dir-backed
+//! dataset persists each mutation as what it changed: one checksummed record
+//! appended to `<dir>/mutations.log` (the base snapshot files are never
+//! rewritten), then `index.bin` replaced by a rename. The log is the record
+//! of truth: its intact record count is the epoch an `index.bin` must carry
+//! to be loaded, so a crash between the two writes, or a torn record, is
+//! detected on the next open and answered by replaying the log.
 
 use crate::protocol::{DatasetStats, OracleDelta, ServeError, ShardStats};
 use graphrep_core::{
     AnswerCache, CacheConfig, GraphDatabase, MutationOutcome, NbIndex, NbIndexConfig, QuerySession,
     RelevanceQuery, Scorer, Session, ViewStore,
 };
-use graphrep_datagen::{store, Dataset};
+use graphrep_datagen::store::{self, LogRecord};
+use graphrep_datagen::Dataset;
 use graphrep_ged::{DistanceOracle, GedConfig, OracleStats, TierStats};
 use graphrep_graph::{Graph, GraphId};
 use graphrep_lockaudit::{TrackedReadGuard, TrackedRwLock};
@@ -212,50 +215,84 @@ impl std::fmt::Debug for LoadedDataset {
     }
 }
 
-/// Reads `<dir>/epoch.txt`; absent or unparsable means epoch 0 (pre-mutation
-/// datasets have no sidecar).
-fn read_epoch_sidecar(dir: &Path) -> u64 {
-    std::fs::read_to_string(dir.join("epoch.txt"))
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+/// Writes `index` to `<dir>/index.bin` through a temporary file and a
+/// rename, so a crash leaves either the previous file or the new one.
+fn write_index(dir: &Path, index: &NbIndex) -> std::io::Result<()> {
+    let tmp = dir.join("index.bin.tmp");
+    std::fs::write(&tmp, index.save_bin())?;
+    std::fs::rename(tmp, dir.join("index.bin"))
+}
+
+/// The index a dataset directory's log describes when no `index.bin` at
+/// the log's epoch exists: a fresh build over the base snapshot, then every
+/// record replayed in order. The result sits at the log's epoch with the
+/// log's tombstones, so removed graphs stay removed and the next mutation's
+/// `index.bin` matches the log again.
+fn replay(logged: &store::Logged) -> Result<NbIndex, ServeError> {
+    let base = logged.data.db.prefix(logged.base_len);
+    let mut index = NbIndex::build(
+        base.oracle(GedConfig::default()),
+        default_index_config(&logged.data),
+    );
+    for record in &logged.records {
+        match record {
+            LogRecord::Insert { graph, .. } => index.insert(graph.clone()).map(|_| ()),
+            LogRecord::Remove { id } => index.remove(*id).map(|_| ()),
+        }
+        .map_err(|e| ServeError::new(format!("replaying mutations.log: {e}")))?;
+    }
+    Ok(index)
 }
 
 impl LoadedDataset {
-    /// Loads the dataset at `dir` and warms its index from `<dir>/index.bin`
-    /// when present, falling back to a fresh build if it is absent or does
-    /// not load cleanly at the `epoch.txt` sidecar's mutation epoch — a
-    /// corrupt or stale file is answered with a rebuild whose provenance
-    /// records what was wrong, never a silently wrong snapshot. With `persist_built`, a freshly
-    /// built index is written back to `<dir>/index.bin` so the next start
-    /// is warm; a failed write is counted in `persist_errors` and otherwise
-    /// ignored (read-only dataset directories must not prevent serving).
+    /// Loads the dataset at `dir` (base snapshot plus mutation log) and
+    /// warms its index from `<dir>/index.bin` when that loads cleanly at the
+    /// log's epoch, its intact record count. Otherwise the index is rebuilt
+    /// by replaying the log over the base, and the provenance records what
+    /// was wrong with the file — never a silently wrong snapshot. A torn
+    /// log tail is cut off so later appends stay reachable. With
+    /// `persist_built`, a rebuilt index is written back to `<dir>/index.bin`
+    /// so the next start is warm. A failed write is counted in
+    /// `persist_errors` and otherwise ignored (read-only dataset directories
+    /// must not prevent serving).
     pub fn open(name: &str, dir: &Path, persist_built: bool) -> Result<Self, ServeError> {
-        let data = store::load(dir)
+        let logged = store::load_logged(dir)
             .map_err(|e| ServeError::new(format!("loading {}: {e}", dir.display())))?;
-        let oracle = data.db.oracle(GedConfig::default());
-        let expected_epoch = read_epoch_sidecar(dir);
-        let mut write_back = Ok(());
+        let expected_epoch = logged.records.len() as u64;
+        let mut write_back = None;
         // `None`: no file to load; `Some(Err(_))`: a file that must not be served.
-        let loaded = std::fs::read(dir.join("index.bin"))
-            .ok()
-            .map(|bytes| NbIndex::load_bin_at_epoch(&bytes, Arc::clone(&oracle), expected_epoch));
+        let loaded = std::fs::read(dir.join("index.bin")).ok().map(|bytes| {
+            let oracle = logged.data.db.oracle(GedConfig::default());
+            NbIndex::load_bin_at_epoch(&bytes, oracle, expected_epoch)
+        });
         let (index, index_source) = match loaded {
             Some(Ok(index)) => (index, "loaded".to_owned()),
-            Some(Err(e)) => (
-                NbIndex::build(Arc::clone(&oracle), default_index_config(&data)),
-                format!("built (stale index on disk: index.bin: {e})"),
-            ),
-            None => {
-                let built = NbIndex::build(Arc::clone(&oracle), default_index_config(&data));
+            stale => {
+                let index = replay(&logged)?;
                 if persist_built {
-                    write_back = std::fs::write(dir.join("index.bin"), built.save_bin());
+                    write_back = Some(write_index(dir, &index));
                 }
-                (built, "built".to_owned())
+                let source = match stale {
+                    Some(Err(e)) => format!("built (stale index on disk: index.bin: {e})"),
+                    _ => "built".to_owned(),
+                };
+                (index, source)
             }
         };
-        let ds = Self::from_parts(name, Some(dir.to_path_buf()), data, index, index_source);
-        note_persist(&ds.persist_errors, write_back);
+        let ds = Self::from_parts(
+            name,
+            Some(dir.to_path_buf()),
+            logged.data,
+            index,
+            index_source,
+        );
+        if let Some(write) = write_back {
+            note_persist(&ds.persist_errors, write);
+        }
+        if logged.torn {
+            let cut = store::truncate_log(dir, logged.intact_bytes);
+            note_persist(&ds.persist_errors, cut);
+        }
         Ok(ds)
     }
 
@@ -352,7 +389,7 @@ impl LoadedDataset {
 
     /// Adds `graph` with `features` to the dataset and index (DESIGN.md
     /// §10): fork-mutate-swap, so concurrent sessions keep their snapshot.
-    /// Dir-backed datasets are re-persisted (sidecar first; see module docs).
+    /// Dir-backed datasets log the insert (see module docs).
     pub fn insert_graph(
         &self,
         graph: Graph,
@@ -365,9 +402,15 @@ impl LoadedDataset {
             // graphrep: allow(G008, mutations serialize on the state write lock by design -- the NP-hard insert runs on a private fork while readers keep their pinned Arc snapshot, so only competing mutations and new session opens wait)
             .insert(graph.clone())
             .map_err(|e| ServeError::new(e.to_string()))?;
+        let record = LogRecord::Insert {
+            id,
+            family: EXTERNAL_FAMILY,
+            features: features.clone(),
+            graph: graph.clone(),
+        };
         st.data.db = st.data.db.pushed(graph, features);
         st.data.family.push(EXTERNAL_FAMILY);
-        Ok(self.swap_in(&mut st, index, id, outcome))
+        Ok(self.swap_in(&mut st, index, record, outcome))
     }
 
     /// Tombstones graph `id` in the index (DESIGN.md §10). The database keeps
@@ -380,20 +423,20 @@ impl LoadedDataset {
             // graphrep: allow(G008, same serialization as insert_graph -- the tombstone and any rebuild it trips run on a private fork under the state write lock; readers keep their pinned Arc snapshot)
             .remove(id)
             .map_err(|e| ServeError::new(e.to_string()))?;
-        Ok(self.swap_in(&mut st, index, id, outcome))
+        Ok(self.swap_in(&mut st, index, LogRecord::Remove { id }, outcome))
     }
 
     /// The swap half of fork-mutate-swap: installs the mutated fork, drops
-    /// the caches, re-persists, and writes the receipt.
+    /// the caches, persists `record`, and writes the receipt.
     fn swap_in(
         &self,
         st: &mut DatasetState,
         index: NbIndex,
-        id: GraphId,
+        record: LogRecord,
         outcome: MutationOutcome,
     ) -> MutationReceipt {
         let receipt = MutationReceipt {
-            id,
+            id: record.id(),
             epoch: index.epoch(),
             live: index.tree().live_len(),
             tombstones: index.tree().tombstones(),
@@ -407,25 +450,19 @@ impl LoadedDataset {
         // Epoch keys already make the old entries unreachable for sessions
         // on the new snapshot; dropping them wholesale reclaims the memory.
         self.caches.invalidate_all();
-        self.persist_locked(st);
+        self.persist_locked(st, &record);
         receipt
     }
 
-    /// Best-effort re-persist after a mutation. The epoch sidecar goes first:
-    /// if any later write fails, the next [`LoadedDataset::open`] sees an
-    /// epoch mismatch and rebuilds instead of serving the stale snapshot.
-    fn persist_locked(&self, st: &DatasetState) {
+    /// Best-effort persist of one mutation, under the state write lock so
+    /// records land in epoch order: append its log record, then replace
+    /// `index.bin`. If the process dies between the two, the log holds one
+    /// record more than the file's epoch, and the next
+    /// [`LoadedDataset::open`] replays the log instead of serving the file.
+    fn persist_locked(&self, st: &DatasetState, record: &LogRecord) {
         let Some(dir) = &self.dir else { return };
-        let errors = &self.persist_errors;
-        note_persist(
-            errors,
-            std::fs::write(dir.join("epoch.txt"), format!("{}\n", st.index.epoch())),
-        );
-        note_persist(errors, store::save(&st.data, dir));
-        note_persist(
-            errors,
-            std::fs::write(dir.join("index.bin"), st.index.save_bin()),
-        );
+        note_persist(&self.persist_errors, store::append(dir, record));
+        note_persist(&self.persist_errors, write_index(dir, &st.index));
     }
 
     /// Serializable statistics for the `stats` endpoint.
@@ -548,10 +585,13 @@ impl ShardedDataset {
     /// manifest under `<dir>/shards/` is loaded at its recorded epochs when
     /// intact *and* its shard count matches; otherwise the coordinator is
     /// rebuilt from the dataset and re-persisted (a torn manifest is
-    /// detected, never silently served — same discipline as `epoch.txt`).
+    /// detected, never silently served — the same discipline as the
+    /// single-index epoch check). A torn log tail is cut off, as in
+    /// [`LoadedDataset::open`].
     pub fn open(name: &str, dir: &Path, shards: usize, seed: u64) -> Result<Self, ServeError> {
-        let data = store::load(dir)
+        let logged = store::load_logged(dir)
             .map_err(|e| ServeError::new(format!("loading {}: {e}", dir.display())))?;
+        let data = logged.data;
         let cfg = CoordConfig {
             shards,
             seed,
@@ -578,6 +618,10 @@ impl ShardedDataset {
         let ds = Self::from_parts(name, Some(dir.to_path_buf()), data, coord, source);
         if resharded {
             note_persist(&ds.persist_errors, ds.coord.save(&sdir));
+        }
+        if logged.torn {
+            let cut = store::truncate_log(dir, logged.intact_bytes);
+            note_persist(&ds.persist_errors, cut);
         }
         Ok(ds)
     }
@@ -616,6 +660,8 @@ impl ShardedDataset {
     /// and feature-row append must be atomic, or concurrent inserts could
     /// interleave and permanently misalign db row index vs global id
     /// (mirroring [`LoadedDataset::insert_graph`]'s single-lock discipline).
+    /// The log record is appended under that guard too, so records land in
+    /// id order.
     pub fn insert_graph(
         &self,
         graph: Graph,
@@ -629,6 +675,15 @@ impl ShardedDataset {
                 // graphrep: allow(G008, the data guard must span the routed insert so the feature row lands at exactly the assigned global id -- readers keep their snapshots and only competing mutations of this dataset wait, same serialization as LoadedDataset::insert_graph)
                 .insert(graph.clone())
                 .map_err(|e| ServeError::new(e.to_string()))?;
+            if let Some(dir) = &self.dir {
+                let record = LogRecord::Insert {
+                    id: receipt.id,
+                    family: EXTERNAL_FAMILY,
+                    features: features.clone(),
+                    graph: graph.clone(),
+                };
+                note_persist(&self.persist_errors, store::append(dir, &record));
+            }
             data.db = data.db.pushed(graph, features);
             data.family.push(EXTERNAL_FAMILY);
             receipt
@@ -638,7 +693,8 @@ impl ShardedDataset {
     }
 
     /// Tombstones graph `id` on its owning shard. The feature store keeps
-    /// the row so global ids stay aligned, mirroring the single-index path.
+    /// the row so global ids stay aligned, mirroring the single-index path;
+    /// the tombstone persists in the shard layout, not in the store.
     pub fn remove_graph(&self, id: GraphId) -> Result<MutationReceipt, ServeError> {
         let receipt = self
             .coord
@@ -664,15 +720,11 @@ impl ShardedDataset {
         }
     }
 
-    /// Best-effort re-persist after a mutation: the feature store first,
-    /// then every shard payload, then the manifest — last, as the commit
-    /// record, so a torn save is detected on the next open.
+    /// Best-effort re-persist of the shard layout after a mutation: every
+    /// shard payload, then the manifest — last, as the commit record, so a
+    /// torn save is detected on the next open.
     fn persist(&self) {
         let Some(dir) = &self.dir else { return };
-        {
-            let data = self.data.read();
-            note_persist(&self.persist_errors, store::save(&data, dir));
-        }
         note_persist(&self.persist_errors, self.coord.save(&dir.join("shards")));
     }
 

@@ -1,15 +1,19 @@
-//! Registry-level persistence of mutations: a dir-backed dataset re-persists
-//! after every insert/remove (epoch sidecar first), a clean reopen warm-loads
-//! the mutated index at the recorded epoch, and a sidecar/index mismatch is
-//! detected and answered with a rebuild — never a silently stale snapshot.
+//! Registry-level persistence of mutations: a dir-backed dataset appends one
+//! checksummed record per insert/remove to `mutations.log` and replaces
+//! `index.bin`, a clean reopen warm-loads the mutated index at the log's
+//! epoch, and every mismatch between the two — a torn or corrupt record, a
+//! crash between the append and the rename, a damaged index — is detected
+//! and answered by replaying the log, never a silently stale snapshot.
 //! Persistence is best-effort, but a failed write is counted, not swallowed.
 
-use graphrep_datagen::{store, DatasetKind, DatasetSpec};
+use graphrep_datagen::store::{self, LogRecord};
+use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
 use graphrep_graph::generate::mutate;
-use graphrep_serve::registry::{load_in_memory, LoadedDataset};
+use graphrep_serve::registry::{load_in_memory, LoadedDataset, EXTERNAL_FAMILY};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 fn tmpdir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("graphrep-mutpersist-{name}-{}", std::process::id()));
@@ -46,12 +50,7 @@ fn mutations_persist_and_reopen_at_the_recorded_epoch() {
     );
     drop(ds);
 
-    assert_eq!(
-        std::fs::read_to_string(dir.join("epoch.txt"))
-            .expect("sidecar")
-            .trim(),
-        "2"
-    );
+    assert_eq!(store::load_logged(&dir).expect("log").records.len(), 2);
 
     // Clean reopen: warm load at epoch 2 with liveness intact, answering
     // byte-identically to the pre-restart index.
@@ -66,10 +65,10 @@ fn mutations_persist_and_reopen_at_the_recorded_epoch() {
     assert_eq!(got, want);
     drop(ds);
 
-    // Tamper with the sidecar: the persisted index no longer matches the
-    // recorded epoch, so the open must fall back to a rebuild instead of
+    // Tamper with the log: the persisted index no longer matches the
+    // logged epoch, so the open must fall back to a rebuild instead of
     // serving the (now unverifiable) snapshot.
-    std::fs::write(dir.join("epoch.txt"), "7\n").expect("tamper");
+    store::append(&dir, &LogRecord::Remove { id: 5 }).expect("tamper");
     let ds = LoadedDataset::open("d", &dir, false).expect("reopen after tamper");
     assert!(
         ds.index_source().contains("stale"),
@@ -192,6 +191,244 @@ fn corrupt_binary_index_rebuilds_with_provenance() {
     let _ = ds
         .index_arc()
         .query(ds.relevant_for(0.75), data.default_theta, 3);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The answers a dataset gives at a few `(θ, k)` points, as one string.
+fn answers(ds: &LoadedDataset, theta: f64) -> String {
+    let index = ds.index_arc();
+    [(theta, 3), (theta * 1.5, 5), (theta * 0.7, 8)]
+        .iter()
+        .map(|&(t, k)| format!("{:?}\n", index.query(ds.relevant_for(0.75), t, k).0))
+        .collect()
+}
+
+/// Applies `records` to `base` in memory — the offline replay every reopen
+/// must answer like.
+fn replayed(base: Dataset, records: &[LogRecord]) -> LoadedDataset {
+    let ds = load_in_memory("replay", base);
+    for r in records {
+        match r {
+            LogRecord::Insert {
+                graph, features, ..
+            } => ds.insert_graph(graph.clone(), features.clone()).map(|_| ()),
+            LogRecord::Remove { id } => ds.remove_graph(*id).map(|_| ()),
+        }
+        .expect("replayed mutation applies");
+    }
+    ds
+}
+
+/// What the directory held just before the last mutation of a script.
+struct BeforeLast {
+    index_bin: Vec<u8>,
+    log_len: usize,
+}
+
+/// A dataset directory with a built `index.bin` and the mutation script
+/// insert → remove 2 → insert applied through a dir-backed registry entry.
+/// Returns the base, the applied records, and what the directory held
+/// before the last mutation.
+fn mutated_dir(dir: &Path, seed: u64) -> (Dataset, Vec<LogRecord>, BeforeLast) {
+    let base = DatasetSpec::new(DatasetKind::DudLike, 16, seed).generate();
+    store::save(&base, dir).expect("save dataset");
+    let ds = LoadedDataset::open("d", dir, true).expect("open");
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let g1 = mutate(&mut rng, base.db.graph(0), 2, &[0, 1], &[0]);
+    let g2 = mutate(&mut rng, base.db.graph(5), 1, &[0, 1], &[0]);
+    ds.insert_graph(g1, base.db.features(0).to_vec())
+        .expect("insert");
+    ds.remove_graph(2).expect("remove");
+    let before_last = BeforeLast {
+        index_bin: std::fs::read(dir.join("index.bin")).expect("index.bin"),
+        log_len: std::fs::read(dir.join("mutations.log")).expect("log").len(),
+    };
+    ds.insert_graph(g2, base.db.features(5).to_vec())
+        .expect("insert");
+    assert_eq!(ds.stats().persist_errors, 0);
+    let records = store::load_logged(dir).expect("log").records;
+    assert_eq!(records.len(), 3);
+    (base, records, before_last)
+}
+
+/// The rebuild fallback replays removes too: with `index.bin` damaged after
+/// an insert and a remove, the reopened dataset must not bring the removed
+/// graph back, and it answers like the offline replay at the log's epoch.
+#[test]
+fn rebuild_fallback_keeps_removed_graphs_removed() {
+    let dir = tmpdir("resurrect");
+    let (base, records, _) = mutated_dir(&dir, 601);
+    let theta = base.default_theta;
+    let bin = std::fs::read(dir.join("index.bin")).expect("read bin");
+    std::fs::write(dir.join("index.bin"), &bin[..bin.len() / 2]).expect("truncate");
+
+    let ds = LoadedDataset::open("d", &dir, false).expect("reopen");
+    assert!(ds.index_source().contains("stale"), "{}", ds.index_source());
+    let index = ds.index_arc();
+    assert!(!index.tree().is_live(2), "the removed graph came back");
+    assert_eq!((index.epoch(), index.tree().len()), (3, 18));
+    assert_eq!(
+        answers(&ds, theta),
+        answers(&replayed(base, &records), theta)
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A torn or corrupt last record ends the log: cut at every byte offset, or
+/// with any one of its bytes flipped, the reopen answers like the offline
+/// replay of exactly the intact records. The torn tail is cut off, so a
+/// mutation made after the reopen is not lost behind it.
+#[test]
+fn torn_or_corrupt_last_record_replays_the_intact_prefix() {
+    let dir = tmpdir("torn");
+    let (base, records, before_last) = mutated_dir(&dir, 602);
+    let theta = base.default_theta;
+    let log = std::fs::read(dir.join("mutations.log")).expect("log");
+    let bin = std::fs::read(dir.join("index.bin")).expect("bin");
+    let intact = before_last.log_len;
+    let want = answers(&replayed(base, &records[..2]), theta);
+
+    let mut damaged: Vec<Vec<u8>> = (intact..log.len()).map(|cut| log[..cut].to_vec()).collect();
+    damaged.extend((intact..log.len()).map(|at| {
+        let mut bad = log.clone();
+        bad[at] ^= 0x04;
+        bad
+    }));
+    for (i, bytes) in damaged.iter().enumerate() {
+        std::fs::write(dir.join("mutations.log"), bytes).expect("damage");
+        std::fs::write(dir.join("index.bin"), &bin).expect("restore bin");
+        let ds = LoadedDataset::open("d", &dir, false).expect("reopen");
+        assert!(ds.index_source().contains("stale"), "case {i}");
+        assert_eq!(ds.index_arc().epoch(), 2, "case {i}");
+        assert_eq!(answers(&ds, theta), want, "case {i}");
+        assert_eq!(ds.stats().persist_errors, 0, "case {i}");
+        assert_eq!(
+            std::fs::metadata(dir.join("mutations.log"))
+                .expect("log")
+                .len() as usize,
+            intact,
+            "case {i}: the damaged tail must be cut off"
+        );
+    }
+
+    // After the cut, a new mutation is the log's third record.
+    let ds = LoadedDataset::open("d", &dir, false).expect("reopen");
+    ds.remove_graph(7).expect("remove");
+    drop(ds);
+    let ds = LoadedDataset::open("d", &dir, false).expect("reopen");
+    assert_eq!(ds.index_source(), "loaded");
+    assert_eq!(ds.index_arc().epoch(), 3);
+    assert!(!ds.index_arc().tree().is_live(7));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash between the append and the rename leaves the previous
+/// `index.bin` beside a log one record longer: the reopen must notice and
+/// answer with every record applied.
+#[test]
+fn crash_between_append_and_rename_replays_every_record() {
+    let dir = tmpdir("crash");
+    let (base, records, before_last) = mutated_dir(&dir, 603);
+    let theta = base.default_theta;
+    let want = answers(&replayed(base, &records), theta);
+    let ds = LoadedDataset::open("d", &dir, false).expect("clean reopen");
+    assert_eq!(ds.index_source(), "loaded");
+    assert_eq!(answers(&ds, theta), want);
+    drop(ds);
+
+    std::fs::write(dir.join("index.bin"), before_last.index_bin).expect("put back");
+    let ds = LoadedDataset::open("d", &dir, true).expect("reopen");
+    assert!(ds.index_source().contains("stale"), "{}", ds.index_source());
+    assert_eq!(ds.index_arc().epoch(), 3);
+    assert_eq!(answers(&ds, theta), want);
+    drop(ds);
+    let ds = LoadedDataset::open("d", &dir, false).expect("warm reopen");
+    assert_eq!(ds.index_source(), "loaded", "the rebuild was written back");
+    assert_eq!(answers(&ds, theta), want);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file in `dir`, by name.
+fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("read dir")
+        .flatten()
+        .filter(|e| e.path().is_file())
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).expect("read file"))
+        })
+        .collect()
+}
+
+/// A mutation writes what it changed: an insert leaves the three base files
+/// byte-identical, and a remove changes only `mutations.log` and `index.bin`.
+#[test]
+fn mutations_write_only_the_log_and_the_index() {
+    let dir = tmpdir("written");
+    let data = DatasetSpec::new(DatasetKind::DudLike, 16, 604).generate();
+    store::save(&data, &dir).expect("save dataset");
+    let ds = LoadedDataset::open("d", &dir, true).expect("open");
+
+    let before = files(&dir);
+    let mut rng = SmallRng::seed_from_u64(4);
+    let g = mutate(&mut rng, data.db.graph(3), 2, &[0, 1], &[0]);
+    ds.insert_graph(g, data.db.features(3).to_vec())
+        .expect("insert");
+    let after = files(&dir);
+    for f in ["graphs.txt", "features.csv", "meta.json"] {
+        assert_eq!(after[f], before[f], "{f} was rewritten by an insert");
+    }
+
+    ds.remove_graph(1).expect("remove");
+    let removed = files(&dir);
+    let changed: Vec<&str> = removed
+        .iter()
+        .filter(|(name, bytes)| after.get(*name) != Some(*bytes))
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(changed, ["index.bin", "mutations.log"]);
+    assert_eq!(removed.len(), after.len(), "no file appeared or vanished");
+    assert_eq!(ds.stats().persist_errors, 0);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory in the previous layout — the whole store rewritten after
+/// each mutation, an `epoch.txt` sidecar, no log — opens `stale` (its
+/// `index.bin` sits at an epoch the empty log does not reach) and rebuilds
+/// once: the write-back is loaded by the next open.
+#[test]
+fn sidecar_era_directory_is_rebuilt_once() {
+    let dir = tmpdir("sidecar");
+    let spec = DatasetSpec::new(DatasetKind::DudLike, 16, 605);
+    let data = spec.generate();
+    let mut rng = SmallRng::seed_from_u64(6);
+    let g = mutate(&mut rng, data.db.graph(0), 2, &[0, 1], &[0]);
+    let row = data.db.features(0).to_vec();
+    let ds = load_in_memory("d", spec.generate());
+    ds.insert_graph(g.clone(), row.clone()).expect("insert");
+    ds.remove_graph(4).expect("remove");
+    let mutated = Dataset {
+        db: data.db.pushed(g, row),
+        family: [&data.family[..], &[EXTERNAL_FAMILY]].concat(),
+        ..data
+    };
+    store::save(&mutated, &dir).expect("save store");
+    std::fs::write(dir.join("epoch.txt"), "2\n").expect("sidecar");
+    std::fs::write(dir.join("index.bin"), ds.index_arc().save_bin()).expect("index");
+
+    let ds = LoadedDataset::open("d", &dir, true).expect("sidecar-era open");
+    assert!(ds.index_source().contains("stale"), "{}", ds.index_source());
+    assert_eq!(ds.stats().persist_errors, 0);
+    drop(ds);
+    let ds = LoadedDataset::open("d", &dir, false).expect("reopen");
+    assert_eq!(ds.index_source(), "loaded");
+    assert_eq!(ds.index_arc().tree().len(), 17);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -381,7 +381,7 @@ impl Coordinator {
 
     /// [`Coordinator::load`], falling back to a fresh build from `db` (which
     /// is then saved to `dir`) when the persisted state is absent, torn, or
-    /// inconsistent — mirroring the serve layer's `epoch.txt` discipline.
+    /// inconsistent — mirroring the serve layer's epoch check.
     pub fn open_or_rebuild(
         dir: &Path,
         db: &GraphDatabase,

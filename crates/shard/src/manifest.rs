@@ -1,5 +1,5 @@
 //! The shard manifest: a small line-oriented text file committing a shard
-//! layout to disk (`manifest.txt`), mirroring PR 5's `epoch.txt` discipline.
+//! layout to disk (`manifest.txt`), mirroring the serve layer's epoch check.
 //!
 //! Save order is per-shard payloads first (each shard's `graphs.txt` and
 //! `index.bin`), manifest last — the manifest is the commit record. A torn

@@ -3,7 +3,7 @@
 //! must carry the full epoch vector, and a coordinator restarted from
 //! persisted shard manifests must answer byte-identically at the recorded
 //! epochs. A torn manifest — truncated before its `end` terminator, the
-//! same discipline as the serve layer's `epoch.txt` — must be detected and
+//! same discipline as the serve layer's epoch check — must be detected and
 //! answered with a rebuild fallback, never silently served.
 
 use graphrep_core::{NbIndex, NbIndexConfig};
