@@ -93,7 +93,6 @@ const SUBCOMMANDS: &[(&str, Handler, &[&str])] = &[
             "idle-secs",
             "cache-capacity",
             "shards",
-            "shard-seed",
         ],
     ),
     (
@@ -117,21 +116,7 @@ const SUBCOMMANDS: &[(&str, Handler, &[&str])] = &[
     (
         "mutate",
         mutate_cmd,
-        &[
-            "data",
-            "insert",
-            "remove",
-            "seed",
-            "addr",
-            "name",
-            "shards",
-            "shard-seed",
-        ],
-    ),
-    (
-        "shard-build",
-        shard_build,
-        &["data", "shards", "seed", "ladder"],
+        &["data", "insert", "remove", "seed", "addr", "name", "shards"],
     ),
 ];
 
@@ -171,19 +156,19 @@ subcommands:
   serve    --data DIR [--name NAME] [--addr HOST:PORT] [--workers N]
            [--write-queue-cap BYTES]
            [--max-queue N] [--deadline-ms MS] [--idle-secs S]
-           [--cache-capacity N]
-           [--shards S [--shard-seed SEED]]
+           [--cache-capacity N] [--shards S]
   load     --addr HOST:PORT [--name NAME] [--connections N] [--requests M]
            [--theta t1,t2,...] [--k k1,k2,...] [--quantile Q] [--seed S]
            [--skew S] [--pipeline DEPTH]
            [--verify-data DIR] [--shutdown true]
   mutate   --data DIR [--insert N] [--remove id1,id2,...] [--seed S]
-           [--addr HOST:PORT [--name NAME]] [--shards S [--shard-seed SEED]]
-  shard-build --data DIR [--shards S] [--seed S] [--ladder a,b,c]
+           [--addr HOST:PORT [--name NAME]] [--shards S]
 
-`query`/`refine` reuse `<DIR>/index.bin` automatically when present and
-write it after building (they take `index`'s --vps/--branching/--ladder/
---seed for that build). `index --out FILE` writes the succinct binary format
+`query`/`refine` read a dataset directory the way `serve` does: they reuse
+`<DIR>/index.bin` when it sits at the epoch of `<DIR>/mutations.log`, and
+otherwise build over the base snapshot, replay the log (removed graphs stay
+removed) and write `index.bin` back (they take `index`'s --vps/--branching/
+--ladder/--seed for that build). `index --out FILE` writes the succinct binary format
 by default, or a JSON dump with `--format json` (an `--out` path ending in
 .json also selects JSON). `--index FILE` accepts either format; the file's
 own magic bytes decide how it is read.
@@ -201,13 +186,13 @@ frame-by-frame. `load --pipeline DEPTH` keeps DEPTH streamed runs in
 flight per connection (1 = one at a time), verifies every stream against
 its terminal summary and reports time-to-first-pick.
 
-`shard-build` partitions the dataset into S metric-space shards
-(farthest-point centers) and persists one NB-Index per shard plus the
-shard manifest under `<DIR>/shards/`. `query --shards S`,
-`serve --shards S` and `mutate --shards S` then run scatter-gather
-distributed greedy over that layout (rebuilding it if absent, torn, or
-built for a different S): answers are byte-identical to the single-index
-path, and mutations route to the owning shard, bumping only its epoch.
+`query --shards S`, `serve --shards S` and `mutate --shards S` partition
+the dataset into S metric-space shards (farthest-point centers), build one
+NB-Index per shard and replay `<DIR>/mutations.log` through them, then run
+scatter-gather distributed greedy: answers are byte-identical to the
+single-index path at any S, and mutations route to the owning shard,
+bumping only its epoch, and append to the same log. Nothing else is
+written, so every sharded open builds.
 
 `mutate` inserts N randomly perturbed copies of existing graphs and/or
 tombstones the listed ids. Without --addr it mutates the dataset directory
@@ -232,12 +217,17 @@ fn configure_threads(cmd: &Command) -> Result<(), CliError> {
         .map_err(|e| CliError(format!("--threads: {e}")))
 }
 
-fn load_dataset(cmd: &Command) -> Result<Dataset, CliError> {
+/// The `--data` directory: base snapshot plus its mutation log.
+fn load_logged(cmd: &Command) -> Result<store::Logged, CliError> {
     let dir = cmd.req("data")?;
-    store::load(Path::new(dir)).map_err(|e| CliError(format!("loading {dir}: {e}")))
+    store::load_logged(Path::new(dir)).map_err(|e| CliError(format!("loading {dir}: {e}")))
 }
 
-fn make_oracle(cmd: &Command, db: &GraphDatabase) -> Result<Arc<DistanceOracle>, CliError> {
+fn load_dataset(cmd: &Command) -> Result<Dataset, CliError> {
+    Ok(load_logged(cmd)?.data)
+}
+
+fn ged_config(cmd: &Command) -> Result<GedConfig, CliError> {
     let mut config = GedConfig::default();
     if let Some(maxn) = cmd.opt("hybrid") {
         let exact_max_nodes = maxn
@@ -245,7 +235,7 @@ fn make_oracle(cmd: &Command, db: &GraphDatabase) -> Result<Arc<DistanceOracle>,
             .map_err(|_| CliError(format!("--hybrid: bad node count `{maxn}`")))?;
         config.mode = GedMode::Hybrid { exact_max_nodes };
     }
-    Ok(db.oracle(config))
+    Ok(config)
 }
 
 /// Loads an index file in whichever format it is, sniffing the binary magic.
@@ -284,62 +274,64 @@ fn write_index(index: &NbIndex, path: &Path, format: &str) -> std::io::Result<()
 }
 
 /// Loads or builds the index, returning it with a provenance line for the
-/// command output. Resolution order: an explicit `--index FILE` (either
-/// format, sniffed by magic), then the dataset-local `<data>/index.bin`
-/// written by an earlier build (the warm path that makes one-shot `query`
-/// skip the whole NP-hard build phase), then a fresh build — which is
-/// persisted as `<data>/index.bin` so the *next* invocation starts warm.
+/// command output. An explicit `--index FILE` (either format, sniffed by
+/// magic) is loaded as is, or built over the whole database when the file
+/// does not exist. Without it the dataset directory is read the way the
+/// server reads it ([`graphrep_serve::registry::open_index`]): its
+/// `index.bin` only at the epoch of its mutation log, otherwise a build
+/// over the base snapshot with the log replayed, written back (tmp +
+/// rename) so the *next* invocation starts warm.
 fn build_or_load_index(
     cmd: &Command,
-    data: &Dataset,
-    oracle: Arc<DistanceOracle>,
+    logged: &store::Logged,
 ) -> Result<(NbIndex, String), CliError> {
-    let data_dir = Path::new(cmd.req("data")?).to_path_buf();
+    use graphrep_serve::registry::{open_index, write_index};
+    let data_dir = Path::new(cmd.req("data")?);
     index_format(cmd, None)?; // reject a bad --format before any load path
-    if let Some(path) = cmd.opt("index") {
-        if Path::new(path).exists() {
+    let ged = ged_config(cmd)?;
+    let config = NbIndexConfig {
+        num_vps: cmd.parsed_or("vps", 16usize)?,
+        tree: NbTreeConfig {
+            branching: cmd.parsed_or("branching", 8usize)?,
+            ..NbTreeConfig::default()
+        },
+        ladder: cmd
+            .float_list("ladder")?
+            .unwrap_or_else(|| logged.data.default_ladder.clone()),
+        seed: cmd.parsed_or("seed", 0x5eedu64)?,
+    };
+    let (index, source) = match cmd.opt("index") {
+        Some(path) if Path::new(path).exists() => {
             let bytes =
                 std::fs::read(path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
-            let index = load_index_bytes(&bytes, oracle)
+            let index = load_index_bytes(&bytes, logged.data.db.oracle(ged))
                 .map_err(|e| CliError(format!("loading index {path}: {e}")))?;
             return Ok((index, format!("index: loaded {path} (0 build distances)\n")));
         }
-    } else {
-        // A stale persisted index (version bump, regenerated dataset) is not
-        // fatal on the implicit path: fall through and rebuild.
-        let implicit = data_dir.join("index.bin");
-        if let Ok(bytes) = std::fs::read(&implicit) {
-            if let Ok(index) = NbIndex::load_bin(&bytes, Arc::clone(&oracle)) {
+        Some(_) => (
+            NbIndex::build(logged.data.db.oracle(ged), config),
+            "built".to_owned(),
+        ),
+        None => {
+            let (index, source) =
+                open_index(data_dir, logged, ged, config).map_err(|e| CliError(e.to_string()))?;
+            if source == "loaded" {
+                let path = data_dir.join("index.bin");
                 return Ok((
                     index,
-                    format!("index: loaded {} (0 build distances)\n", implicit.display()),
+                    format!("index: loaded {} (0 build distances)\n", path.display()),
                 ));
             }
+            // Best effort: a read-only dataset directory must not fail the query.
+            let _ = write_index(data_dir, &index);
+            (index, source)
         }
-    }
-    let index = NbIndex::build(
-        oracle,
-        NbIndexConfig {
-            num_vps: cmd.parsed_or("vps", 16usize)?,
-            tree: NbTreeConfig {
-                branching: cmd.parsed_or("branching", 8usize)?,
-                ..NbTreeConfig::default()
-            },
-            ladder: cmd
-                .float_list("ladder")?
-                .unwrap_or_else(|| data.default_ladder.clone()),
-            seed: cmd.parsed_or("seed", 0x5eedu64)?,
-        },
-    );
-    if cmd.opt("index").is_none() {
-        // Best effort: a read-only dataset directory must not fail the query.
-        let _ = std::fs::write(data_dir.join("index.bin"), index.save_bin());
-    }
+    };
     let b = index.build_stats();
     Ok((
         index,
         format!(
-            "index: built ({} edit distances, {:.2?})\n",
+            "index: {source} ({} edit distances, {:.2?})\n",
             b.distance_calls, b.wall
         ),
     ))
@@ -385,9 +377,8 @@ fn stats(cmd: &Command) -> Result<String, CliError> {
 }
 
 fn index(cmd: &Command) -> Result<String, CliError> {
-    let data = load_dataset(cmd)?;
-    let oracle = make_oracle(cmd, &data.db)?;
-    let (index, provenance) = build_or_load_index(cmd, &data, oracle)?;
+    let logged = load_logged(cmd)?;
+    let (index, provenance) = build_or_load_index(cmd, &logged)?;
     let b = index.build_stats();
     let mut out = provenance;
     let _ = writeln!(
@@ -409,24 +400,31 @@ fn index(cmd: &Command) -> Result<String, CliError> {
 }
 
 /// `query`: one-shot top-k representative query. With `--shards S` the same
-/// query is answered by scatter-gather distributed greedy over the persisted
-/// shard layout — byte-identical answers, plus per-pick shard-pruning stats.
+/// query is answered by scatter-gather distributed greedy over S shards
+/// built and replayed from the directory's log — byte-identical answers,
+/// plus per-pick shard-pruning stats.
 fn query(cmd: &Command) -> Result<String, CliError> {
-    let data = load_dataset(cmd)?;
+    let logged = load_logged(cmd)?;
+    let data = &logged.data;
     let theta: f64 = cmd.parsed("theta")?;
     let k: usize = cmd.parsed("k")?;
-    let rq = default_query(cmd, &data)?;
+    let quantile: f64 = cmd.parsed_or("quantile", 0.75)?;
+    let rq = default_query(cmd, data)?;
     let relevant = rq.relevant_set(&data.db);
     let relevant_len = relevant.len();
     let (session, provenance): (Box<dyn Session>, String) = match cmd.opt("shards") {
         Some(_) => {
-            let seed: u64 = cmd.parsed_or("seed", 0x5eedu64)?;
-            let (coord, provenance) = open_shard_layout(cmd, &data, cmd.parsed("shards")?, seed)?;
-            (Box::new(coord.session(relevant)), provenance)
+            let ds = graphrep_serve::ShardedDataset::open(
+                "local",
+                Path::new(cmd.req("data")?),
+                cmd.parsed("shards")?,
+            )
+            .map_err(|e| CliError(e.to_string()))?;
+            let provenance = format!("index: {}\n", ds.stats().index_source);
+            (Box::new(ds.open_session(quantile)), provenance)
         }
         None => {
-            let oracle = make_oracle(cmd, &data.db)?;
-            let (index, provenance) = build_or_load_index(cmd, &data, oracle)?;
+            let (index, provenance) = build_or_load_index(cmd, &logged)?;
             let session = Arc::new(index).start_session_shared(relevant);
             (Box::new(session), provenance)
         }
@@ -478,96 +476,16 @@ fn query(cmd: &Command) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Opens (or rebuilds) the shard layout under `<data>/shards/` for the
-/// requested shard count, mirroring the serve layer's fallback discipline:
-/// absent/torn manifests and a persisted layout built for a different `S`
-/// both trigger a rebuild that is re-persisted.
-fn open_shard_layout(
-    cmd: &Command,
-    data: &Dataset,
-    shards: usize,
-    seed: u64,
-) -> Result<(graphrep_shard::Coordinator, String), CliError> {
-    use graphrep_shard::{CoordConfig, Coordinator, RestoreSource};
-    let shard_dir = Path::new(cmd.req("data")?).join("shards");
-    let cfg = CoordConfig {
-        shards,
-        seed,
-        ladder: cmd
-            .float_list("ladder")?
-            .unwrap_or_else(|| data.default_ladder.clone()),
-    };
-    let (mut coord, source) =
-        Coordinator::open_or_rebuild(&shard_dir, &data.db, GedConfig::default(), &cfg)
-            .map_err(|e| CliError(format!("shard layout {}: {e}", shard_dir.display())))?;
-    let mut provenance = match source {
-        RestoreSource::Loaded => "loaded".to_owned(),
-        RestoreSource::Rebuilt(reason) => format!("rebuilt ({reason})"),
-    };
-    let want = shards.clamp(1, data.db.len().max(1));
-    if coord.shard_count() != want {
-        coord = Coordinator::build(&data.db, GedConfig::default(), &cfg);
-        coord
-            .save(&shard_dir)
-            .map_err(|e| CliError(format!("writing {}: {e}", shard_dir.display())))?;
-        provenance = "rebuilt (shard count changed)".to_owned();
-    }
-    Ok((
-        coord,
-        format!(
-            "shards: {provenance} {} ({} shards)\n",
-            shard_dir.display(),
-            want
-        ),
-    ))
-}
-
-/// `shard-build`: partition the dataset into metric-space shards and
-/// persist per-shard NB-Indexes plus the manifest under `<DIR>/shards/`.
-fn shard_build(cmd: &Command) -> Result<String, CliError> {
-    use graphrep_shard::{CoordConfig, Coordinator};
-    let dir = cmd.req("data")?;
-    let data = load_dataset(cmd)?;
-    let cfg = CoordConfig {
-        shards: cmd.parsed_or("shards", 4usize)?,
-        seed: cmd.parsed_or("seed", 0x5eedu64)?,
-        ladder: cmd
-            .float_list("ladder")?
-            .unwrap_or_else(|| data.default_ladder.clone()),
-    };
-    let start = std::time::Instant::now();
-    let coord = Coordinator::build(&data.db, GedConfig::default(), &cfg);
-    let shard_dir = Path::new(dir).join("shards");
-    coord
-        .save(&shard_dir)
-        .map_err(|e| CliError(format!("writing {}: {e}", shard_dir.display())))?;
-    let mut out = format!(
-        "built {} shards over {} graphs in {:.2?} → {}\n",
-        coord.shard_count(),
-        data.db.len(),
-        start.elapsed(),
-        shard_dir.display()
-    );
-    for s in coord.overview() {
-        let _ = writeln!(
-            out,
-            "  shard {:>2}: {:>5} live graphs, radius {:>6.2}, epoch {}, {} index bytes",
-            s.shard, s.live, s.radius, s.epoch, s.index_memory_bytes
-        );
-    }
-    Ok(out)
-}
-
 fn refine(cmd: &Command) -> Result<String, CliError> {
-    let data = load_dataset(cmd)?;
+    let logged = load_logged(cmd)?;
+    let data = &logged.data;
     let theta: f64 = cmd.parsed("theta")?;
     let k: usize = cmd.parsed("k")?;
     let steps = cmd
         .float_list("steps")?
         .ok_or_else(|| CliError("--steps is required (comma-separated θ values)".into()))?;
-    let oracle = make_oracle(cmd, &data.db)?;
-    let (index, provenance) = build_or_load_index(cmd, &data, oracle)?;
-    let rq = default_query(cmd, &data)?;
+    let (index, provenance) = build_or_load_index(cmd, &logged)?;
+    let rq = default_query(cmd, data)?;
     let relevant = rq.relevant_set(&data.db);
     let session = index.start_session(relevant);
     let mut out = provenance;
@@ -606,7 +524,7 @@ fn compare(cmd: &Command) -> Result<String, CliError> {
     let data = load_dataset(cmd)?;
     let theta: f64 = cmd.parsed("theta")?;
     let k: usize = cmd.parsed("k")?;
-    let oracle = make_oracle(cmd, &data.db)?;
+    let oracle = data.db.oracle(ged_config(cmd)?);
     let rq = default_query(cmd, &data)?;
     let relevant = rq.relevant_set(&data.db);
     let provider = BruteForceProvider::new(&oracle, &relevant);
@@ -677,9 +595,8 @@ fn serve(cmd: &Command) -> Result<String, CliError> {
     let mut registry = DatasetRegistry::new();
     let shards: usize = cmd.parsed_or("shards", 0usize)?;
     let shard_note = if shards > 0 {
-        let seed: u64 = cmd.parsed_or("shard-seed", 0x5eedu64)?;
         registry
-            .load_dir_sharded(&name, Path::new(dir), shards, seed)
+            .load_dir_sharded(&name, Path::new(dir), shards)
             .map_err(|e| CliError(e.to_string()))?;
         format!(", {shards} shards")
     } else {
@@ -964,17 +881,15 @@ fn mutate_cmd(cmd: &Command) -> Result<String, CliError> {
             }
         }
         None => {
-            // Local path: one NB-Index, or with `--shards S` the persisted
-            // shard layout — mutations then route to the owning shard, bump
-            // only its epoch, and the receipt carries the full epoch vector.
+            // Local path: one NB-Index, or with `--shards S` the shards
+            // replayed from the log — mutations then route to the owning
+            // shard, bump only its epoch, and the receipt carries the full
+            // epoch vector. Either way each op appends one log record.
             use graphrep_serve::{DatasetEntry, LoadedDataset, ShardedDataset};
             let path = Path::new(dir);
             let entry = match cmd.opt("shards") {
-                Some(_) => {
-                    let shard_seed: u64 = cmd.parsed_or("shard-seed", 0x5eedu64)?;
-                    ShardedDataset::open("local", path, cmd.parsed("shards")?, shard_seed)
-                        .map(|ds| DatasetEntry::Sharded(Arc::new(ds)))
-                }
+                Some(_) => ShardedDataset::open("local", path, cmd.parsed("shards")?)
+                    .map(|ds| DatasetEntry::Sharded(Arc::new(ds))),
                 None => LoadedDataset::open("local", path, true)
                     .map(|ds| DatasetEntry::Single(Arc::new(ds))),
             }
@@ -1328,8 +1243,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `shard-build` persists the layout; `query --shards S` loads it and
-    /// answers byte-identically to the single-index path.
+    /// The answer lines of a `query` output (no timings).
+    fn answer_lines(out: &str) -> Vec<String> {
+        out.lines()
+            .filter(|l| l.contains(". graph") || l.contains("π(A)"))
+            .map(str::to_owned)
+            .collect()
+    }
+
+    /// The first pick of a `query` output.
+    fn first_pick(out: &str) -> u32 {
+        let line = out.lines().find(|l| l.contains(" 1. graph")).unwrap();
+        line.split_whitespace().nth(2).unwrap().parse().unwrap()
+    }
+
+    /// `query --shards S` builds the shards from the directory and answers
+    /// byte-identically to the single-index path at any S, before and after
+    /// a sharded remove made at another S.
     #[test]
     fn sharded_query_matches_single_index_answers() {
         let dir = tmp("shardq");
@@ -1338,37 +1268,79 @@ mod tests {
             "generate", "--kind", "dud", "--size", "50", "--seed", "17", "--out", &dir,
         ])
         .unwrap();
-        let out = run_args(&["shard-build", "--data", &dir, "--shards", "4"]).unwrap();
-        assert!(out.contains("built 4 shards over 50 graphs"), "{out}");
-        assert!(
-            std::path::Path::new(&format!("{dir}/shards/manifest.json")).exists()
-                || std::path::Path::new(&format!("{dir}/shards")).exists(),
-            "shard-build must persist the layout"
-        );
-        let answers = |out: &str| -> Vec<String> {
-            out.lines()
-                .filter(|l| l.contains(". graph") || l.contains("π(A)"))
-                .map(str::to_owned)
-                .collect()
-        };
         let sharded = run_args(&[
             "query", "--data", &dir, "--theta", "4", "--k", "5", "--shards", "4",
         ])
         .unwrap();
-        assert!(sharded.contains("shards: loaded"), "{sharded}");
+        assert!(
+            sharded.contains("index: sharded x4 (built, 0 log records replayed)"),
+            "{sharded}"
+        );
         assert!(sharded.contains("scatter-gather:"), "{sharded}");
+        assert!(!std::path::Path::new(&format!("{dir}/shards")).exists());
         let single = run_args(&["query", "--data", &dir, "--theta", "4", "--k", "5"]).unwrap();
-        assert_eq!(answers(&sharded), answers(&single));
-        // A different S rebuilds the layout rather than serving a stale one.
+        assert_eq!(answer_lines(&sharded), answer_lines(&single));
         let resharded = run_args(&[
             "query", "--data", &dir, "--theta", "4", "--k", "5", "--shards", "2",
         ])
         .unwrap();
         assert!(
-            resharded.contains("rebuilt (shard count changed)"),
+            resharded.contains("index: sharded x2 (built"),
             "{resharded}"
         );
-        assert_eq!(answers(&resharded), answers(&single));
+        assert_eq!(answer_lines(&resharded), answer_lines(&single));
+
+        // A remove made through 4 shards is in the log every open replays.
+        let victim = first_pick(&single);
+        let victim_s = victim.to_string();
+        run_args(&[
+            "mutate", "--data", &dir, "--shards", "4", "--remove", &victim_s,
+        ])
+        .unwrap();
+        let sharded = run_args(&[
+            "query", "--data", &dir, "--theta", "4", "--k", "5", "--shards", "2",
+        ])
+        .unwrap();
+        assert!(sharded.contains("1 log records replayed"), "{sharded}");
+        assert_ne!(first_pick(&sharded), victim, "{sharded}");
+        let single = run_args(&["query", "--data", &dir, "--theta", "4", "--k", "5"]).unwrap();
+        assert_eq!(answer_lines(&sharded), answer_lines(&single));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The implicit `index.bin` loads only at the log's epoch: a stale file
+    /// (the one written before a remove) or no file at all is answered by
+    /// replaying the log, so the removed graph stays removed, and the
+    /// written-back file makes the next query warm.
+    #[test]
+    fn implicit_index_replays_the_log_over_a_stale_or_missing_file() {
+        let dir = tmp("staleidx");
+        let _ = std::fs::remove_dir_all(&dir);
+        run_args(&[
+            "generate", "--kind", "dud", "--size", "40", "--seed", "31", "--out", &dir,
+        ])
+        .unwrap();
+        let query = || run_args(&["query", "--data", &dir, "--theta", "4", "--k", "5"]).unwrap();
+        let before = query();
+        let victim = first_pick(&before);
+        let index_bin = format!("{dir}/index.bin");
+        let stale = std::fs::read(&index_bin).unwrap();
+        run_args(&["mutate", "--data", &dir, "--remove", &victim.to_string()]).unwrap();
+        let want = answer_lines(&query());
+        for case in ["stale", "missing"] {
+            if case == "stale" {
+                std::fs::write(&index_bin, &stale).unwrap();
+            } else {
+                std::fs::remove_file(&index_bin).unwrap();
+            }
+            let out = query();
+            assert!(out.contains("index: built"), "{case}: {out}");
+            assert_ne!(first_pick(&out), victim, "{case}: {out}");
+            assert_eq!(answer_lines(&out), want, "{case}");
+            let warm = query();
+            assert!(warm.contains("index: loaded"), "{case}: {warm}");
+            assert_eq!(answer_lines(&warm), want, "{case}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1408,7 +1380,7 @@ mod tests {
         .unwrap();
         let mut registry = graphrep_serve::DatasetRegistry::new();
         registry
-            .load_dir_sharded("default", std::path::Path::new(&dir), 3, 0x5eed)
+            .load_dir_sharded("default", std::path::Path::new(&dir), 3)
             .unwrap();
         let handle = graphrep_serve::start(
             graphrep_serve::ServeConfig {
@@ -1436,7 +1408,7 @@ mod tests {
 
         // A wire mutation routes through the sharded backend and persists;
         // the replayed load must verify against the *mutated* state (the
-        // offline reference replays the shard layout's tombstones).
+        // offline reference replays the same log, removes included).
         let out = run_args(&[
             "mutate", "--data", &dir, "--addr", &addr, "--insert", "1", "--remove", "2",
         ])

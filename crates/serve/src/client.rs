@@ -707,55 +707,25 @@ pub fn run_load(addr: &str, spec: &LoadSpec) -> Result<LoadReport, ServeError> {
 /// dataset: one shared session per quantile, `QuerySession::run` per unique
 /// `(θ, k)`. Keys are `(θ.to_bits(), k)`.
 pub fn offline_reference(ds: &LoadedDataset, spec: &LoadSpec) -> HashMap<(u64, usize), AnswerSet> {
-    reference_over(ds.index_arc(), ds, spec)
-}
-
-/// [`offline_reference`] over an explicit index snapshot of `ds`.
-fn reference_over(
-    index: std::sync::Arc<graphrep_core::NbIndex>,
-    ds: &LoadedDataset,
-    spec: &LoadSpec,
-) -> HashMap<(u64, usize), AnswerSet> {
-    let session = index.start_session_shared(ds.relevant_for(spec.quantile));
+    let session = ds
+        .index_arc()
+        .start_session_shared(ds.relevant_for(spec.quantile));
     spec.unique_queries()
         .into_iter()
         .map(|(theta, k)| ((theta.to_bits(), k), session.run(theta, k).0))
         .collect()
 }
 
-/// Loads the dataset at `dir` and computes [`offline_reference`] for it.
-///
-/// A sharded layout (a `<dir>/shards/` manifest) persists liveness inside
-/// the per-shard indexes rather than a single `index.bin`, so its
-/// tombstones are replayed onto the freshly built reference index first —
-/// the ground truth stays a single-index `QuerySession::run`, answering
-/// over exactly the live set the scatter-gather server serves.
+/// Loads the dataset at `dir` — base snapshot plus its mutation log, removes
+/// included — and computes [`offline_reference`] for it. A sharded server
+/// logs to the same file, so this single-index `QuerySession::run` is the
+/// ground truth for either kind of server.
 pub fn offline_reference_from_dir(
     dir: &Path,
     spec: &LoadSpec,
 ) -> Result<HashMap<(u64, usize), AnswerSet>, ServeError> {
     let ds = LoadedDataset::open(&spec.dataset, dir, false)?;
-    let shard_dir = dir.join("shards");
-    if !shard_dir.is_dir() {
-        return Ok(offline_reference(&ds, spec));
-    }
-    let coord =
-        graphrep_shard::Coordinator::load(&shard_dir, graphrep_ged::GedConfig::default())
-            .map_err(|e| ServeError::new(format!("shard layout {}: {e}", shard_dir.display())))?;
-    let live: std::collections::HashSet<u32> = coord.live_ids().into_iter().collect();
-    let index = ds.index_arc();
-    let dead: Vec<u32> = (0..index.tree().len() as u32)
-        .filter(|g| index.tree().is_live(*g) && !live.contains(g))
-        .collect();
-    if dead.is_empty() {
-        return Ok(offline_reference(&ds, spec));
-    }
-    let mut fork = index.fork();
-    for g in dead {
-        fork.remove(g)
-            .map_err(|e| ServeError::new(format!("replaying shard tombstone {g}: {e}")))?;
-    }
-    Ok(reference_over(std::sync::Arc::new(fork), &ds, spec))
+    Ok(offline_reference(&ds, spec))
 }
 
 /// Checks every served answer against the offline ground truth via the

@@ -419,7 +419,7 @@ pub struct DatasetStats {
     /// Per-shard breakdown for sharded datasets; empty when the dataset is
     /// served by a single NB-Index.
     pub shards: Vec<ShardStats>,
-    /// Best-effort persist steps (sidecar, dataset, index or shard files)
+    /// Best-effort persist steps (log append or cut, `index.bin` replace)
     /// that failed since the dataset was loaded — after a mutation, or the
     /// write-back of an index built at open. Serving continues regardless;
     /// nonzero means the on-disk state is behind the served one.

@@ -19,7 +19,12 @@
 //! rewritten), then `index.bin` replaced by a rename. The log is the record
 //! of truth: its intact record count is the epoch an `index.bin` must carry
 //! to be loaded, so a crash between the two writes, or a torn record, is
-//! detected on the next open and answered by replaying the log.
+//! detected on the next open and answered by replaying the log
+//! ([`open_index`], which the CLI's implicit path shares).
+//!
+//! A sharded dataset ([`ShardedDataset`]) keeps no state of its own on
+//! disk: its mutations append to the same log, and an open partitions the
+//! base snapshot, builds the shards and replays the log through them.
 
 use crate::protocol::{DatasetStats, OracleDelta, ServeError, ShardStats};
 use graphrep_core::{
@@ -31,7 +36,7 @@ use graphrep_datagen::Dataset;
 use graphrep_ged::{DistanceOracle, GedConfig, OracleStats, TierStats};
 use graphrep_graph::{Graph, GraphId};
 use graphrep_lockaudit::{TrackedReadGuard, TrackedRwLock};
-use graphrep_shard::{CoordConfig, CoordSession, Coordinator, RestoreSource};
+use graphrep_shard::{CoordConfig, CoordSession, Coordinator};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,10 +222,40 @@ impl std::fmt::Debug for LoadedDataset {
 
 /// Writes `index` to `<dir>/index.bin` through a temporary file and a
 /// rename, so a crash leaves either the previous file or the new one.
-fn write_index(dir: &Path, index: &NbIndex) -> std::io::Result<()> {
+pub fn write_index(dir: &Path, index: &NbIndex) -> std::io::Result<()> {
     let tmp = dir.join("index.bin.tmp");
     std::fs::write(&tmp, index.save_bin())?;
     std::fs::rename(tmp, dir.join("index.bin"))
+}
+
+/// The index the dataset directory `dir` describes, read by `logged`, with
+/// its provenance: `"loaded"` when `<dir>/index.bin` loads at the log's
+/// epoch (its intact record count), otherwise `"built"` — with what was
+/// wrong with the file on disk, if there was one — by replaying the log. A
+/// built index is not written back; callers that want the next open warm
+/// pass it to [`write_index`].
+pub fn open_index(
+    dir: &Path,
+    logged: &store::Logged,
+    ged: GedConfig,
+    config: NbIndexConfig,
+) -> Result<(NbIndex, String), ServeError> {
+    let expected_epoch = logged.records.len() as u64;
+    // `None`: no file to load; `Some(Err(_))`: a file that must not be served.
+    let loaded = std::fs::read(dir.join("index.bin")).ok().map(|bytes| {
+        NbIndex::load_bin_at_epoch(&bytes, logged.data.db.oracle(ged), expected_epoch)
+    });
+    match loaded {
+        Some(Ok(index)) => Ok((index, "loaded".to_owned())),
+        stale => {
+            let index = replay(logged, ged, config)?;
+            let source = match stale {
+                Some(Err(e)) => format!("built (stale index on disk: index.bin: {e})"),
+                _ => "built".to_owned(),
+            };
+            Ok((index, source))
+        }
+    }
 }
 
 /// The index a dataset directory's log describes when no `index.bin` at
@@ -228,12 +263,13 @@ fn write_index(dir: &Path, index: &NbIndex) -> std::io::Result<()> {
 /// record replayed in order. The result sits at the log's epoch with the
 /// log's tombstones, so removed graphs stay removed and the next mutation's
 /// `index.bin` matches the log again.
-fn replay(logged: &store::Logged) -> Result<NbIndex, ServeError> {
+fn replay(
+    logged: &store::Logged,
+    ged: GedConfig,
+    config: NbIndexConfig,
+) -> Result<NbIndex, ServeError> {
     let base = logged.data.db.prefix(logged.base_len);
-    let mut index = NbIndex::build(
-        base.oracle(GedConfig::default()),
-        default_index_config(&logged.data),
-    );
+    let mut index = NbIndex::build(base.oracle(ged), config);
     for record in &logged.records {
         match record {
             LogRecord::Insert { graph, .. } => index.insert(graph.clone()).map(|_| ()),
@@ -258,27 +294,14 @@ impl LoadedDataset {
     pub fn open(name: &str, dir: &Path, persist_built: bool) -> Result<Self, ServeError> {
         let logged = store::load_logged(dir)
             .map_err(|e| ServeError::new(format!("loading {}: {e}", dir.display())))?;
-        let expected_epoch = logged.records.len() as u64;
-        let mut write_back = None;
-        // `None`: no file to load; `Some(Err(_))`: a file that must not be served.
-        let loaded = std::fs::read(dir.join("index.bin")).ok().map(|bytes| {
-            let oracle = logged.data.db.oracle(GedConfig::default());
-            NbIndex::load_bin_at_epoch(&bytes, oracle, expected_epoch)
-        });
-        let (index, index_source) = match loaded {
-            Some(Ok(index)) => (index, "loaded".to_owned()),
-            stale => {
-                let index = replay(&logged)?;
-                if persist_built {
-                    write_back = Some(write_index(dir, &index));
-                }
-                let source = match stale {
-                    Some(Err(e)) => format!("built (stale index on disk: index.bin: {e})"),
-                    _ => "built".to_owned(),
-                };
-                (index, source)
-            }
-        };
+        let (index, index_source) = open_index(
+            dir,
+            &logged,
+            GedConfig::default(),
+            default_index_config(&logged.data),
+        )?;
+        let write_back =
+            (persist_built && index_source != "loaded").then(|| write_index(dir, &index));
         let ds = Self::from_parts(
             name,
             Some(dir.to_path_buf()),
@@ -495,25 +518,28 @@ impl LoadedDataset {
 
 /// One dataset served by a shard [`Coordinator`] instead of a single
 /// NB-Index (DESIGN.md §14): queries scatter-gather across per-shard
-/// indexes, mutations route to the owning shard, and the shard manifest
-/// under `<dir>/shards/` is the persistence commit record.
+/// indexes and mutations route to the owning shard. A dir-backed dataset
+/// persists exactly what a single index logs — one record appended to
+/// `<dir>/mutations.log` per mutation — and nothing else.
 ///
 /// The coordinator serializes mutations on its own per-shard handle locks;
 /// the dataset lock here guards the feature store used for relevance
-/// scoring. Inserts hold the dataset lock *across* the routed shard insert
-/// (lock order: `data` → shard handle, acyclic — the shard crate never
-/// takes serve locks) so the assigned global id and the appended feature
-/// row can never interleave with a concurrent insert.
+/// scoring. Both mutations hold the dataset lock *across* the routed shard
+/// operation and the log append (lock order: `data` → shard handle,
+/// acyclic — the shard crate never takes serve locks), so the assigned
+/// global id and the appended feature row can never interleave with a
+/// concurrent insert, and log records land in apply order.
 pub struct ShardedDataset {
     name: String,
-    /// Backing directory; the coordinator persists under `<dir>/shards/`.
+    /// Backing directory whose `mutations.log` records every mutation.
     dir: Option<PathBuf>,
     data: TrackedRwLock<Dataset>,
     coord: Coordinator,
-    /// How the coordinator came to be (`loaded` or `rebuilt (reason)`).
+    /// How the coordinator came to be (`built`, plus the log records
+    /// replayed at open).
     source: String,
-    /// Failed best-effort persist steps since load (the open-time re-save
-    /// after a shard-count change included).
+    /// Failed best-effort persist steps since load (a failed cut of a torn
+    /// log tail included).
     persist_errors: AtomicU64,
     /// Mutations since load that tripped the owning shard's rebuild policy.
     rebuilds: AtomicU64,
@@ -581,44 +607,35 @@ impl ShardedDataset {
         }
     }
 
-    /// Opens the dataset at `dir` sharded `shards` ways. A persisted shard
-    /// manifest under `<dir>/shards/` is loaded at its recorded epochs when
-    /// intact *and* its shard count matches; otherwise the coordinator is
-    /// rebuilt from the dataset and re-persisted (a torn manifest is
-    /// detected, never silently served — the same discipline as the
-    /// single-index epoch check). A torn log tail is cut off, as in
-    /// [`LoadedDataset::open`].
-    pub fn open(name: &str, dir: &Path, shards: usize, seed: u64) -> Result<Self, ServeError> {
+    /// Opens the dataset at `dir` sharded `shards` ways: partitions the base
+    /// snapshot, builds every shard, then replays `<dir>/mutations.log`
+    /// through the coordinator's own routes, so the result holds the log's
+    /// inserts at the log's ids and its removes as tombstones — at any shard
+    /// count, whatever else the directory holds. A torn log tail is cut off,
+    /// as in [`LoadedDataset::open`].
+    pub fn open(name: &str, dir: &Path, shards: usize) -> Result<Self, ServeError> {
         let logged = store::load_logged(dir)
             .map_err(|e| ServeError::new(format!("loading {}: {e}", dir.display())))?;
-        let data = logged.data;
         let cfg = CoordConfig {
             shards,
-            seed,
-            ladder: data.default_ladder.clone(),
+            ladder: logged.data.default_ladder.clone(),
+            ..CoordConfig::default()
         };
-        let sdir = dir.join("shards");
-        let (coord, source) =
-            Coordinator::open_or_rebuild(&sdir, &data.db, GedConfig::default(), &cfg).map_err(
-                |e| ServeError::new(format!("opening shards at {}: {e:?}", sdir.display())),
-            )?;
-        let resharded = coord.shard_count() != shards.clamp(1, data.db.len().max(1));
-        let (coord, source) = if resharded {
-            (
-                Coordinator::build(&data.db, GedConfig::default(), &cfg),
-                format!("rebuilt (shard count changed to {shards})"),
-            )
-        } else {
-            let label = match source {
-                RestoreSource::Loaded => "loaded".to_owned(),
-                RestoreSource::Rebuilt(reason) => format!("rebuilt ({reason})"),
+        let base = logged.data.db.prefix(logged.base_len);
+        let coord = Coordinator::build(&base, GedConfig::default(), &cfg);
+        for record in &logged.records {
+            let replayed = match record {
+                LogRecord::Insert { id, graph, .. } => match coord.insert(graph.clone()) {
+                    Ok(r) if r.id == *id => Ok(()),
+                    Ok(r) => Err(format!("insert of graph {id} was assigned id {}", r.id)),
+                    Err(e) => Err(e.to_string()),
+                },
+                LogRecord::Remove { id } => coord.remove(*id).map(drop).map_err(|e| e.to_string()),
             };
-            (coord, label)
-        };
-        let ds = Self::from_parts(name, Some(dir.to_path_buf()), data, coord, source);
-        if resharded {
-            note_persist(&ds.persist_errors, ds.coord.save(&sdir));
+            replayed.map_err(|e| ServeError::new(format!("replaying mutations.log: {e}")))?;
         }
+        let source = format!("built, {} log records replayed", logged.records.len());
+        let ds = Self::from_parts(name, Some(dir.to_path_buf()), logged.data, coord, source);
         if logged.torn {
             let cut = store::truncate_log(dir, logged.intact_bytes);
             note_persist(&ds.persist_errors, cut);
@@ -688,19 +705,27 @@ impl ShardedDataset {
             data.family.push(EXTERNAL_FAMILY);
             receipt
         };
-        self.persist();
         Ok(self.receipt(receipt))
     }
 
     /// Tombstones graph `id` on its owning shard. The feature store keeps
-    /// the row so global ids stay aligned, mirroring the single-index path;
-    /// the tombstone persists in the shard layout, not in the store.
+    /// the row so global ids stay aligned, mirroring the single-index path.
+    /// The remove is logged under the `data` write guard, like an insert, so
+    /// records land in apply order.
     pub fn remove_graph(&self, id: GraphId) -> Result<MutationReceipt, ServeError> {
-        let receipt = self
-            .coord
-            .remove(id)
-            .map_err(|e| ServeError::new(e.to_string()))?;
-        self.persist();
+        let receipt = {
+            let _data = self.data.write();
+            let receipt = self
+                .coord
+                // graphrep: allow(G008, the data guard must span the routed remove so its log record lands in apply order -- readers keep their snapshots and only competing mutations of this dataset wait, same serialization as insert_graph)
+                .remove(id)
+                .map_err(|e| ServeError::new(e.to_string()))?;
+            if let Some(dir) = &self.dir {
+                let record = LogRecord::Remove { id };
+                note_persist(&self.persist_errors, store::append(dir, &record));
+            }
+            receipt
+        };
         Ok(self.receipt(receipt))
     }
 
@@ -718,14 +743,6 @@ impl ShardedDataset {
             shard: r.shard,
             shard_epochs: r.epochs,
         }
-    }
-
-    /// Best-effort re-persist of the shard layout after a mutation: every
-    /// shard payload, then the manifest — last, as the commit record, so a
-    /// torn save is detected on the next open.
-    fn persist(&self) {
-        let Some(dir) = &self.dir else { return };
-        note_persist(&self.persist_errors, self.coord.save(&dir.join("shards")));
     }
 
     /// Serializable statistics: aggregate oracle deltas plus the per-shard
@@ -880,9 +897,8 @@ impl DatasetRegistry {
         name: &str,
         dir: &Path,
         shards: usize,
-        seed: u64,
     ) -> Result<(), ServeError> {
-        let ds = ShardedDataset::open(name, dir, shards, seed)?;
+        let ds = ShardedDataset::open(name, dir, shards)?;
         self.insert_sharded(ds);
         Ok(())
     }

@@ -9,7 +9,7 @@
 use graphrep_datagen::store::{self, LogRecord};
 use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
 use graphrep_graph::generate::mutate;
-use graphrep_serve::registry::{load_in_memory, LoadedDataset, EXTERNAL_FAMILY};
+use graphrep_serve::registry::{load_in_memory, LoadedDataset, ShardedDataset, EXTERNAL_FAMILY};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -431,4 +431,196 @@ fn sidecar_era_directory_is_rebuilt_once() {
     assert_eq!(ds.index_arc().tree().len(), 17);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The answers a sharded dataset gives at the points [`answers`] uses.
+fn sharded_answers(ds: &ShardedDataset, theta: f64) -> String {
+    let session = ds.open_session(0.75);
+    [(theta, 3), (theta * 1.5, 5), (theta * 0.7, 8)]
+        .iter()
+        .map(|&(t, k)| format!("{:?}\n", session.run(t, k).0))
+        .collect()
+}
+
+/// The per-shard epoch vector of a sharded dataset.
+fn epochs(ds: &ShardedDataset) -> Vec<u64> {
+    ds.stats().shards.iter().map(|s| s.epoch).collect()
+}
+
+/// A graph the default query picks first: removing it changes answers.
+fn first_pick(ds: &LoadedDataset, theta: f64) -> u32 {
+    ds.index_arc().query(ds.relevant_for(0.75), theta, 3).0.ids[0]
+}
+
+/// A sharded dataset persists through the log alone: after an insert and a
+/// remove, a reopen at a *different* shard count keeps the removed graph
+/// removed and answers byte-identically to a single index on the same
+/// directory.
+#[test]
+fn sharded_mutations_reopen_at_any_shard_count() {
+    let dir = tmpdir("shardlog");
+    let data = DatasetSpec::new(DatasetKind::DudLike, 24, 606).generate();
+    let theta = data.default_theta;
+    store::save(&data, &dir).expect("save dataset");
+    let spec = DatasetSpec::new(DatasetKind::DudLike, 24, 606);
+    let victim = first_pick(&load_in_memory("d", spec.generate()), theta);
+
+    let ds = ShardedDataset::open("d", &dir, 4).expect("open");
+    let mut rng = SmallRng::seed_from_u64(6);
+    let g = mutate(&mut rng, data.db.graph(0), 2, &[0, 1], &[0]);
+    let r = ds
+        .insert_graph(g, data.db.features(0).to_vec())
+        .expect("insert");
+    assert_eq!(r.id, 24);
+    ds.remove_graph(victim).expect("remove");
+    assert_eq!(ds.stats().persist_errors, 0);
+    drop(ds);
+    assert_eq!(store::load_logged(&dir).expect("log").records.len(), 2);
+
+    let reopened = ShardedDataset::open("d", &dir, 2).expect("reopen at S = 2");
+    assert!(
+        !reopened.open_session(0.75).relevant().contains(&victim),
+        "the removed graph came back"
+    );
+    let single = LoadedDataset::open("d", &dir, false).expect("single-index open");
+    assert!(!single.index_arc().tree().is_live(victim));
+    assert_eq!(sharded_answers(&reopened, theta), answers(&single, theta));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Whatever `<dir>/shards/` holds — the layout an earlier version wrote
+/// before the last mutations, garbage, or nothing — a sharded reopen serves
+/// the log's state, and the next insert's id continues the log.
+#[test]
+fn sharded_reopen_serves_the_log_whatever_shards_dir_holds() {
+    let dir = tmpdir("shardstale");
+    let data = DatasetSpec::new(DatasetKind::DudLike, 20, 607).generate();
+    let theta = data.default_theta;
+    store::save(&data, &dir).expect("save dataset");
+    let ds = ShardedDataset::open("d", &dir, 3).expect("open");
+    // What the directory's shard layout held before the mutations, if
+    // anything: restoring it simulates a crash after the log appends.
+    let snapshot = tmpdir("shardstale-snapshot");
+    let had_layout = copy_tree(&dir.join("shards"), &snapshot);
+    let mut rng = SmallRng::seed_from_u64(7);
+    let mut next_id = 20;
+    let g = mutate(&mut rng, data.db.graph(1), 2, &[0, 1], &[0]);
+    let r = ds
+        .insert_graph(g, data.db.features(1).to_vec())
+        .expect("insert");
+    assert_eq!(r.id, next_id);
+    next_id += 1;
+    ds.remove_graph(4).expect("remove");
+    drop(ds);
+
+    for case in ["stale copy", "garbage", "nothing"] {
+        let shards = dir.join("shards");
+        let _ = std::fs::remove_dir_all(&shards);
+        match case {
+            "stale copy" if had_layout => {
+                copy_tree(&snapshot, &shards);
+            }
+            "garbage" => {
+                std::fs::create_dir_all(shards.join("shard0")).expect("mkdir");
+                std::fs::write(shards.join("manifest.txt"), "not a manifest\n").expect("write");
+                std::fs::write(shards.join("shard0").join("index.bin"), b"junk").expect("write");
+            }
+            _ => {}
+        }
+        let reopened = ShardedDataset::open("d", &dir, 3).expect(case);
+        let single = LoadedDataset::open("d", &dir, false).expect(case);
+        assert!(!single.index_arc().tree().is_live(4), "{case}");
+        assert_eq!(
+            sharded_answers(&reopened, theta),
+            answers(&single, theta),
+            "{case}"
+        );
+        let g = mutate(&mut rng, data.db.graph(2), 1, &[0, 1], &[0]);
+        let r = reopened
+            .insert_graph(g, data.db.features(2).to_vec())
+            .expect(case);
+        assert_eq!(r.id, next_id, "{case}: the insert id must continue the log");
+        next_id += 1;
+    }
+    // Every insert above is in the log, at its id, and the directory opens.
+    let logged = store::load_logged(&dir).expect("log stays consistent");
+    assert_eq!(logged.data.db.len(), next_id as usize);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&snapshot);
+}
+
+/// Copies the tree under `src` into `dst`; false when `src` does not exist.
+fn copy_tree(src: &Path, dst: &Path) -> bool {
+    let Ok(entries) = std::fs::read_dir(src) else {
+        return false;
+    };
+    std::fs::create_dir_all(dst).expect("mkdir");
+    for e in entries.flatten() {
+        let to = dst.join(e.file_name());
+        if e.path().is_dir() {
+            copy_tree(&e.path(), &to);
+        } else {
+            std::fs::copy(e.path(), to).expect("copy");
+        }
+    }
+    true
+}
+
+/// A reopen at the same shard count restores the pre-restart epoch vector
+/// and answers like before the restart; a torn last record is cut and the
+/// vector is the one before that record; persistence failures are counted
+/// as for a single index.
+#[test]
+fn sharded_restart_restores_epochs_and_cuts_a_torn_tail() {
+    let dir = tmpdir("shardrestart");
+    let data = DatasetSpec::new(DatasetKind::DudLike, 26, 608).generate();
+    let theta = data.default_theta;
+    store::save(&data, &dir).expect("save dataset");
+    let ds = ShardedDataset::open("d", &dir, 3).expect("open");
+    let mut rng = SmallRng::seed_from_u64(4242);
+    for i in 0..4 {
+        let g = mutate(&mut rng, data.db.graph(i), 2, &[0, 1], &[0]);
+        ds.insert_graph(g, data.db.features(i).to_vec())
+            .expect("insert");
+    }
+    let before_last = (
+        epochs(&ds),
+        sharded_answers(&ds, theta),
+        std::fs::read(dir.join("mutations.log")).expect("log").len(),
+    );
+    let r = ds.remove_graph(27).expect("remove");
+    let want = (epochs(&ds), sharded_answers(&ds, theta));
+    assert_eq!(r.shard_epochs, want.0);
+    drop(ds);
+
+    let ds = ShardedDataset::open("d", &dir, 3).expect("reopen");
+    assert_eq!(epochs(&ds), want.0, "the pre-restart epoch vector");
+    assert_eq!(sharded_answers(&ds, theta), want.1);
+    let single = LoadedDataset::open("d", &dir, false).expect("single");
+    assert_eq!(want.1, answers(&single, theta));
+    drop((ds, single));
+
+    // Tear the last record: the reopen serves the state before it.
+    let log = std::fs::read(dir.join("mutations.log")).expect("log");
+    std::fs::write(dir.join("mutations.log"), &log[..log.len() - 3]).expect("tear");
+    let ds = ShardedDataset::open("d", &dir, 3).expect("reopen torn");
+    assert_eq!(epochs(&ds), before_last.0);
+    assert_eq!(sharded_answers(&ds, theta), before_last.1);
+    assert_eq!(ds.stats().persist_errors, 0);
+    assert_eq!(
+        std::fs::metadata(dir.join("mutations.log"))
+            .expect("log")
+            .len() as usize,
+        before_last.2,
+        "the torn tail must be cut off"
+    );
+
+    // A write that fails is counted, and the mutation still applies.
+    std::fs::remove_dir_all(&dir).expect("pull the directory out");
+    let g = mutate(&mut rng, data.db.graph(5), 1, &[0, 1], &[0]);
+    let r = ds
+        .insert_graph(g, data.db.features(5).to_vec())
+        .expect("the insert itself must still apply");
+    assert_eq!(r.id, 30);
+    assert_eq!(ds.stats().persist_errors, 1);
 }

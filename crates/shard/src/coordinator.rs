@@ -19,9 +19,8 @@
 //! session snapshots every shard's `Arc` once at creation — an epoch
 //! *vector* — so its answers are serializable against one global state.
 
-use crate::manifest::{Manifest, ManifestError};
 use crate::partition::{partition, PartitionConfig};
-use crate::shard::{ShardIoError, ShardState};
+use crate::shard::ShardState;
 use graphrep_core::{
     AnswerSet, CancelToken, Cancelled, GraphDatabase, MutateError, MutationOutcome, PickEvent,
     RunStats, Session,
@@ -31,7 +30,6 @@ use graphrep_graph::{Graph, GraphId};
 use graphrep_lockaudit::TrackedRwLock;
 use graphrep_metric::Bitset;
 use std::collections::{BinaryHeap, HashMap};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -87,46 +85,12 @@ pub struct CoordReceipt {
     pub live: usize,
 }
 
-/// How [`Coordinator::open_or_rebuild`] obtained its state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RestoreSource {
-    /// Every shard loaded from disk at its manifest epoch.
-    Loaded,
-    /// Persisted state was absent, torn, or inconsistent; shards were
-    /// rebuilt from the source dataset (reason attached).
-    Rebuilt(String),
-}
-
-/// Why a persisted coordinator failed to load.
-#[derive(Debug)]
-pub enum CoordError {
-    /// Manifest missing, torn, or malformed.
-    Manifest(ManifestError),
-    /// A shard directory failed to restore.
-    Shard(usize, ShardIoError),
-}
-
-impl std::fmt::Display for CoordError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CoordError::Manifest(e) => write!(f, "{e}"),
-            CoordError::Shard(s, e) => write!(f, "shard {s}: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CoordError {}
-
 /// The sharded deployment: partition geometry plus one handle per shard.
 #[derive(Debug)]
 pub struct Coordinator {
     shards: Vec<ShardHandle>,
-    seed: u64,
-    /// Global center ids, fixed at partition time.
-    centers: Vec<GraphId>,
     /// Dense `S×S` center-to-center distances, row-major.
     center_dist: Vec<f64>,
-    ladder: Vec<f64>,
     /// Next global id an insert will claim — monotone, tracking exactly the
     /// id a single-index deployment would assign (`oracle.len()`).
     next_id: AtomicU64,
@@ -164,10 +128,7 @@ impl Coordinator {
             .collect();
         Coordinator {
             shards,
-            seed: cfg.seed,
-            centers: part.centers,
             center_dist: part.center_dist,
-            ladder: cfg.ladder.clone(),
             next_id: AtomicU64::new(db.len() as u64),
         }
     }
@@ -190,37 +151,6 @@ impl Coordinator {
     /// Per-shard mutation epochs right now.
     pub fn epochs(&self) -> Vec<u64> {
         self.snapshots().iter().map(|s| s.epoch()).collect()
-    }
-
-    /// Total live graphs across shards.
-    pub fn live_len(&self) -> usize {
-        self.snapshots().iter().map(|s| s.live_len()).sum()
-    }
-
-    /// Total member slots across shards (live + tombstoned).
-    pub fn len(&self) -> usize {
-        self.snapshots().iter().map(|s| s.len()).sum()
-    }
-
-    /// Global ids of every live member, ascending. Lets a single-index
-    /// reference replay this layout's tombstones, since liveness is
-    /// persisted per shard rather than in one `index.bin`.
-    pub fn live_ids(&self) -> Vec<GraphId> {
-        let mut ids: Vec<GraphId> = Vec::with_capacity(self.live_len());
-        for s in self.snapshots() {
-            ids.extend(
-                (0..s.len() as GraphId)
-                    .filter(|&l| s.is_live(l))
-                    .map(|l| s.global_of(l)),
-            );
-        }
-        ids.sort_unstable();
-        ids
-    }
-
-    /// True when no shard holds any member slot.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Opens a query session pinned to the current epoch vector. Tombstoned
@@ -326,76 +256,6 @@ impl Coordinator {
                 index_memory_bytes: s.index_memory_bytes(),
             })
             .collect()
-    }
-
-    /// Persists every shard (its `graphs.txt` + `index.bin`) and then the
-    /// manifest — last, as the commit record: a torn save leaves a missing
-    /// or unterminated manifest, which [`Coordinator::load`] detects.
-    pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let snaps = self.snapshots();
-        std::fs::create_dir_all(dir)?;
-        for (s, snap) in snaps.iter().enumerate() {
-            snap.save_dir(&dir.join(format!("shard{s}")))?;
-        }
-        let manifest = Manifest {
-            seed: self.seed,
-            // SeqCst: the persisted watermark must cover every id already
-            // handed out, or a restart could re-issue one.
-            next_id: self.next_id.load(Ordering::SeqCst),
-            ladder: self.ladder.clone(),
-            centers: self.centers.clone(),
-            center_dist: self.center_dist.clone(),
-            shards: snaps.iter().map(|s| s.record()).collect(),
-        };
-        std::fs::write(dir.join("manifest.txt"), manifest.encode())
-    }
-
-    /// Restores a coordinator from [`Coordinator::save`] output, verifying
-    /// each shard loads at its recorded epoch.
-    pub fn load(dir: &Path, ged: GedConfig) -> Result<Coordinator, CoordError> {
-        let text = std::fs::read_to_string(dir.join("manifest.txt"))
-            .map_err(|e| CoordError::Manifest(ManifestError::Io(e)))?;
-        let manifest = Manifest::decode(&text).map_err(CoordError::Manifest)?;
-        let mut shards = Vec::with_capacity(manifest.shards.len());
-        for (s, rec) in manifest.shards.iter().enumerate() {
-            let state = ShardState::load_dir(
-                &dir.join(format!("shard{s}")),
-                ged,
-                rec,
-                manifest.centers[s],
-            )
-            .map_err(|e| CoordError::Shard(s, e))?;
-            shards.push(ShardHandle {
-                state: TrackedRwLock::new("shard.coordinator.ShardHandle.state", Arc::new(state)),
-            });
-        }
-        Ok(Coordinator {
-            shards,
-            seed: manifest.seed,
-            centers: manifest.centers,
-            center_dist: manifest.center_dist,
-            ladder: manifest.ladder,
-            next_id: AtomicU64::new(manifest.next_id),
-        })
-    }
-
-    /// [`Coordinator::load`], falling back to a fresh build from `db` (which
-    /// is then saved to `dir`) when the persisted state is absent, torn, or
-    /// inconsistent — mirroring the serve layer's epoch check.
-    pub fn open_or_rebuild(
-        dir: &Path,
-        db: &GraphDatabase,
-        ged: GedConfig,
-        cfg: &CoordConfig,
-    ) -> std::io::Result<(Coordinator, RestoreSource)> {
-        match Coordinator::load(dir, ged) {
-            Ok(c) => Ok((c, RestoreSource::Loaded)),
-            Err(e) => {
-                let coord = Coordinator::build(db, ged, cfg);
-                coord.save(dir)?;
-                Ok((coord, RestoreSource::Rebuilt(e.to_string())))
-            }
-        }
     }
 }
 

@@ -9,19 +9,20 @@
 //! shard only while its bound can still beat the current pick. Answers are
 //! byte-identical to a single-index deployment; the payoff is the fraction
 //! of shards each pick never touches.
+//!
+//! The crate persists nothing: a sharded dataset's record on disk is the
+//! dataset directory's own mutation log, replayed through
+//! [`Coordinator::insert`] / [`Coordinator::remove`] at open.
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod coordinator;
-pub mod manifest;
 pub mod partition;
 pub mod shard;
 
 pub use coordinator::{
-    CoordConfig, CoordError, CoordReceipt, CoordRunStats, CoordSession, Coordinator, RestoreSource,
-    ShardOverview,
+    CoordConfig, CoordReceipt, CoordRunStats, CoordSession, Coordinator, ShardOverview,
 };
-pub use manifest::{Manifest, ManifestError, ShardRecord};
 pub use partition::{partition, Partition, PartitionConfig};
-pub use shard::{ShardIoError, ShardState};
+pub use shard::ShardState;

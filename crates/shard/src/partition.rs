@@ -52,13 +52,6 @@ pub struct Partition {
     pub radius: Vec<f64>,
 }
 
-impl Partition {
-    /// Distance between the centers of shards `s` and `t`.
-    pub fn center_distance(&self, s: usize, t: usize) -> f64 {
-        self.center_dist[s * self.shards + t]
-    }
-}
-
 /// Partitions `db` into `cfg.shards` shards. Builds a throwaway global
 /// oracle for the O(S·n) center selection and assignment distances; the
 /// per-shard oracles built afterwards are independent of it.

@@ -11,15 +11,13 @@
 //! fork-mutate and the coordinator swaps it in under its handle lock, so a
 //! session holding `Arc<ShardState>`s is pinned to one epoch vector.
 
-use crate::manifest::ShardRecord;
 use graphrep_core::{
-    GraphDatabase, MutateError, MutationOutcome, NbIndex, NbIndexConfig, PersistError,
-    PiHatVectors, ThresholdLadder,
+    GraphDatabase, MutateError, MutationOutcome, NbIndex, NbIndexConfig, PiHatVectors,
+    ThresholdLadder,
 };
 use graphrep_ged::{DistanceOracle, GedConfig, GedEngine, GraphProfile};
-use graphrep_graph::{io as gio, Graph, GraphId};
+use graphrep_graph::{Graph, GraphId};
 use graphrep_metric::Bitset;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -76,60 +74,6 @@ impl ShardState {
             center_local,
             radius,
             foreign_calls: AtomicU64::new(0),
-        }
-    }
-
-    /// Restores a shard from `dir` (its `graphs.txt` + `index.bin`) at the
-    /// epoch recorded in `rec`. Any failure — unreadable files, a snapshot
-    /// at the wrong epoch — is an error; the caller decides whether to fall
-    /// back to a full rebuild from the source dataset.
-    pub fn load_dir(
-        dir: &Path,
-        ged: GedConfig,
-        rec: &ShardRecord,
-        center: GraphId,
-    ) -> Result<ShardState, ShardIoError> {
-        let text = std::fs::read_to_string(dir.join("graphs.txt")).map_err(ShardIoError::Io)?;
-        let graphs = gio::read_graphs(&text).map_err(|e| ShardIoError::Graphs(e.to_string()))?;
-        if graphs.len() != rec.members.len() {
-            return Err(ShardIoError::Graphs(format!(
-                "graphs.txt holds {} graphs but the manifest records {} members",
-                graphs.len(),
-                rec.members.len()
-            )));
-        }
-        let oracle = Arc::new(DistanceOracle::new(Arc::new(graphs), GedEngine::new(ged)));
-        let bytes = std::fs::read(dir.join("index.bin")).map_err(ShardIoError::Io)?;
-        let index =
-            NbIndex::load_bin_at_epoch(&bytes, oracle, rec.epoch).map_err(ShardIoError::Persist)?;
-        let center_local = local_position(&rec.members, center).ok_or_else(|| {
-            ShardIoError::Graphs(format!("manifest center {center} is not a shard member"))
-        })?;
-        Ok(ShardState {
-            index: Arc::new(index),
-            members: rec.members.clone(),
-            to_center: rec.to_center.clone(),
-            center_local,
-            radius: rec.radius,
-            foreign_calls: AtomicU64::new(0),
-        })
-    }
-
-    /// Writes this shard's `graphs.txt` and succinct `index.bin` into `dir`.
-    pub fn save_dir(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let text = gio::write_graphs(self.index.oracle().graphs());
-        std::fs::write(dir.join("graphs.txt"), text)?;
-        std::fs::write(dir.join("index.bin"), self.index.save_bin())
-    }
-
-    /// The manifest record describing this snapshot.
-    pub fn record(&self) -> ShardRecord {
-        ShardRecord {
-            epoch: self.epoch(),
-            radius: self.radius,
-            members: self.members.clone(),
-            to_center: self.to_center.clone(),
         }
     }
 
@@ -365,29 +309,6 @@ impl ShardState {
         ))
     }
 }
-
-/// Why a shard failed to load from disk.
-#[derive(Debug)]
-pub enum ShardIoError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// Unreadable or inconsistent `graphs.txt`.
-    Graphs(String),
-    /// `index.bin` rejected (format, version, or epoch mismatch).
-    Persist(PersistError),
-}
-
-impl std::fmt::Display for ShardIoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardIoError::Io(e) => write!(f, "shard io: {e}"),
-            ShardIoError::Graphs(m) => write!(f, "shard graphs: {m}"),
-            ShardIoError::Persist(e) => write!(f, "shard index: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ShardIoError {}
 
 /// Index of `g` in the ascending `members` list.
 fn local_position(members: &[GraphId], g: GraphId) -> Option<GraphId> {
