@@ -376,8 +376,8 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
                 &mut in_answer,
                 &neigh,
             );
-            // Thm 6–8 preconditions are metric facts about the (immutable)
-            // tree; re-checking after each batch update costs only cache hits.
+            // The update trusts the (immutable) tree's diameter bounds for
+            // Thms 7–8 without asking a distance; the audit re-checks them.
             self.audit_tree();
             pi_trajectory.push(if self.relevant.is_empty() {
                 0.0
@@ -649,8 +649,14 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         Ok(best.map(|(_, _, pos)| pos))
     }
 
-    /// The update step: Thm 6 prunes unaffected clusters, Thms 7–8 subtract
-    /// newly covered members from whole subtrees via lazy deltas.
+    /// The update step, which asks no edit distance. It walks the tree over
+    /// the pick's newly covered set `new_c`: a node whose range holds none
+    /// of `new_c` is skipped, one with diameter ≤ θ subtracts its range
+    /// count from its whole subtree via a lazy delta (Thms 7–8), and any
+    /// other is descended. Ranges are contiguous and nested, so a skipped
+    /// subtree would have subtracted 0 everywhere. Thm 6's prune
+    /// (`d(g*, c) − r > 2θ`) only ever skipped such subtrees, so the bounds
+    /// are the ones its exact centroid distances gave.
     #[allow(clippy::too_many_arguments)]
     fn apply_update(
         &self,
@@ -663,55 +669,30 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         neigh: &HashMap<u32, Bitset>,
     ) {
         let tree = self.index.tree();
-        let vt = self.index.vantage();
-        let oracle = self.index.oracle();
-        let g_star = tree.graph_at(pos_star);
         #[expect(
             clippy::expect_used,
             reason = "search contract: next_graph only returns verified graphs, which are memoized"
         )]
-        let nb = neigh
-            .get(&pos_star)
-            .expect("selected graph was verified")
-            .clone();
+        let nb = neigh.get(&pos_star).expect("selected graph was verified");
         let mut new_c = nb.clone();
         new_c.subtract(covered);
-        covered.union_with(&nb);
+        covered.union_with(nb);
         in_answer.insert(pos_star as usize);
-        if new_c.is_empty() {
-            return;
-        }
-        let Some(root) = tree.root() else { return };
-        let mut stack = vec![root];
+        let mut stack: Vec<u32> = tree.root().into_iter().collect();
         while let Some(ni) = stack.pop() {
             let node = tree.node(ni);
-            if node.radius.is_finite() {
-                // Vantage lower bound first: d ≥ vlb, so the Thm 6 test can
-                // often prune without an edit distance.
-                let vlb = vt.lower_bound(g_star, node.centroid);
-                if vlb - node.radius > 2.0 * theta + EPS {
-                    continue;
-                }
-                let d = oracle.distance(g_star, node.centroid);
-                if d - node.radius > 2.0 * theta + EPS {
-                    continue; // Thm 6: no neighborhood in c can overlap N(g*).
-                }
-                if node.diameter <= theta + EPS {
-                    // Thms 7–8: every member g' of c has N(g') ⊇ c, hence
-                    // N(g') ∩ N(g*) ⊇ c ∩ N(g*); its uncovered part is
-                    // exactly the newly covered members of c.
-                    let sub = new_c.count_range(node.start as usize, node.end as usize) as i64;
-                    if sub > 0 {
-                        node_bound[ni as usize] = (node_bound[ni as usize] - sub).max(0);
-                        node_lazy[ni as usize] += sub;
-                    }
-                    continue;
-                }
+            let sub = new_c.count_range(node.start as usize, node.end as usize) as i64;
+            if sub == 0 {
+                continue;
             }
-            for &c in &node.children {
-                if self.pihat.node_relevant(c) > 0 {
-                    stack.push(c);
-                }
+            if node.diameter <= theta + EPS {
+                // Thms 7–8: every member g' of c has N(g') ⊇ c, hence
+                // N(g') ∩ N(g*) ⊇ c ∩ N(g*); its uncovered part is
+                // exactly the newly covered members of c.
+                node_bound[ni as usize] = (node_bound[ni as usize] - sub).max(0);
+                node_lazy[ni as usize] += sub;
+            } else {
+                stack.extend(&node.children);
             }
         }
     }

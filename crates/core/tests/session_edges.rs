@@ -90,6 +90,39 @@ fn stats_fields_are_consistent() {
     assert!(stats.wall.as_nanos() > 0);
 }
 
+/// The batch update after a pick asks no edit distance. On a cold oracle,
+/// a pick `g*` and a tree centroid whose vantage lower bound already
+/// exceeds θ are never a candidate pair of a verification (Thm 5), so no
+/// run may leave an exact distance for them behind. The tree audit computes
+/// centroid distances itself, so the check runs without `invariant-audit`.
+#[cfg(not(feature = "invariant-audit"))]
+#[test]
+fn batch_update_computes_no_centroid_distance() {
+    let (data, index) = small_index(809);
+    let relevant: Vec<u32> = (0..data.db.len() as u32).collect();
+    let (vt, oracle, tree) = (index.vantage(), index.oracle(), index.tree());
+    let mut checked = 0;
+    for scale in [0.25, 0.5, 0.75] {
+        let theta = data.default_theta * scale;
+        oracle.clear();
+        let (answer, _) = index.query(relevant.clone(), theta, relevant.len());
+        for &g in &answer.ids {
+            for node in tree.nodes() {
+                if vt.lower_bound(g, node.centroid) > theta {
+                    checked += 1;
+                    assert_eq!(
+                        oracle.cached_distance(g, node.centroid),
+                        None,
+                        "θ = {theta}: pick {g} and centroid {} hold an exact distance",
+                        node.centroid
+                    );
+                }
+            }
+        }
+    }
+    assert!(checked >= 100, "only {checked} pairs checked");
+}
+
 #[test]
 fn single_graph_database() {
     let data = DatasetSpec::new(DatasetKind::DudLike, 1, 808).generate();

@@ -210,11 +210,13 @@ impl ShardState {
     /// Exact θ-neighborhood of a *foreign* probe graph within this shard's
     /// slice of the relevant set, as ascending global ids.
     ///
-    /// `d_center` is the probe's exact distance to this shard's center (one
-    /// engine call, typically amortized across picks); each member is then
-    /// triangle-prescreened through its stored center distance —
-    /// `|d_center − to_center| > θ` rejects, `d_center + to_center ≤ θ`
-    /// accepts — and only the undecided remainder pays an edit distance.
+    /// `d_center` is the probe's exact distance to this shard's center, from
+    /// [`ShardState::center_distance`]: an unbounded exact edit distance
+    /// that nothing memoizes, paid once per verified candidate, touched
+    /// shard and run. Each member is then triangle-prescreened through its
+    /// stored center distance — `|d_center − to_center| > θ` rejects,
+    /// `d_center + to_center ≤ θ` accepts — and only the undecided remainder
+    /// pays an edit distance.
     /// The verdict arbiter is the same `distance_within_profiled` the home
     /// oracle bottoms out in — cheap profile tiers first — so membership is
     /// byte-identical across paths.
