@@ -544,8 +544,9 @@ fn rule_g010(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &
 /// entry points as methods (`.distance(…)`, `.within(…)`,
 /// `.within_verdict(…)`, `.within_facts(…)`, `.distance_within(…)`, or
 /// profiled variants).
-/// Wrapper methods with other names (`center_distance`, `home_members`)
-/// are the sanctioned surface.
+/// Wrapper methods with other names (`center_distance_within`,
+/// `home_members`) are the sanctioned surface: the rule matches whole
+/// identifiers, so a wrapper that merely contains a banned name is not one.
 fn rule_g011(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokenKind::Ident || in_test(t.line) {
@@ -821,13 +822,18 @@ mod tests {
             shard_coord("fn f() { o.distance_within(a, b, t); }"),
             vec!["G011"]
         );
+        // The engine entry the sanctioned wrapper is built on stays banned.
+        assert_eq!(
+            shard_coord("fn f() { e.distance_within_profiled(g, c, p, q, t); }"),
+            vec!["G011"]
+        );
     }
 
     #[test]
     fn g011_permits_wrappers_other_files_and_other_crates() {
         // The sanctioned shard-side surface has distinct method names.
         assert_eq!(
-            shard_coord("fn f() { let d = snap.center_distance(&g); }"),
+            shard_coord("fn f() { let d = snap.center_distance_within(&g, &p, t); }"),
             Vec::<&str>::new()
         );
         assert_eq!(

@@ -169,7 +169,10 @@ impl Coordinator {
 
     /// Inserts `graph`, routing it to the shard with the nearest center
     /// (ties toward the smaller shard index) and assigning the next global
-    /// id — exactly the id a single-index deployment would assign.
+    /// id — exactly the id a single-index deployment would assign. Each
+    /// shard is asked only whether its center is within the best distance
+    /// so far (unbounded for the first), so the owner's distance comes back
+    /// exact and every other shard's question can stop at that bound.
     pub fn insert(&self, graph: Graph) -> Result<CoordReceipt, MutateError> {
         // Routing distances probe fixed center graphs: no lock is held and
         // no later mutation can change the owner.
@@ -177,9 +180,10 @@ impl Coordinator {
         let profile = GraphProfile::new(&graph);
         let mut owner = (f64::INFINITY, 0usize);
         for (s, snap) in snaps.iter().enumerate() {
-            let d = snap.center_distance(&graph, &profile);
-            if d < owner.0 {
-                owner = (d, s);
+            if let Some(d) = snap.center_distance_within(&graph, &profile, owner.0) {
+                if d < owner.0 {
+                    owner = (d, s);
+                }
             }
         }
         let (d_center, s) = owner;
@@ -487,7 +491,12 @@ impl CoordSession {
                 continue;
             }
             touched[t] = true;
-            let d_center = snap.center_distance(probe, profile);
+            // Cut off at θ + radius_t: beyond it the triangle screen rejects
+            // every member of t, so `None` skips the shard.
+            let Some(d_center) = snap.center_distance_within(probe, profile, theta + snap.radius())
+            else {
+                continue;
+            };
             members.extend(snap.foreign_members(probe, profile, d_center, &self.locals[t], theta));
         }
         let mut nb = Bitset::new(self.id_space);

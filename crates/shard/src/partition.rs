@@ -53,8 +53,9 @@ pub struct Partition {
 }
 
 /// Partitions `db` into `cfg.shards` shards. Builds a throwaway global
-/// oracle for the O(S·n) center selection and assignment distances; the
-/// per-shard oracles built afterwards are independent of it.
+/// oracle for the O(S·n) center selection, whose bounded questions also
+/// yield the assignment; the per-shard oracles built afterwards are
+/// independent of it.
 pub fn partition(db: &GraphDatabase, ged: GedConfig, cfg: &PartitionConfig) -> Partition {
     let n = db.len();
     let shards = if n == 0 { 1 } else { cfg.shards.clamp(1, n) };
@@ -71,11 +72,15 @@ pub fn partition(db: &GraphDatabase, ged: GedConfig, cfg: &PartitionConfig) -> P
     }
     let oracle = db.oracle(ged);
 
-    // Farthest-point center selection (ties toward the smaller id).
+    // Farthest-point center selection (ties toward the smaller id). Each
+    // new center only asks whether it is nearer than the graph's nearest
+    // center so far, so `min_dist` and `nearest` end as the exact
+    // nearest-center distance and index (ties toward the smaller shard).
     let mut centers: Vec<GraphId> = vec![(cfg.seed % n as u64) as GraphId];
     let mut min_dist: Vec<f64> = (0..n as GraphId)
         .map(|g| oracle.distance(g, centers[0]))
         .collect();
+    let mut nearest: Vec<usize> = vec![0; n];
     while centers.len() < shards {
         let mut far: Option<(f64, GraphId)> = None;
         for g in 0..n as GraphId {
@@ -92,28 +97,23 @@ pub fn partition(db: &GraphDatabase, ged: GedConfig, cfg: &PartitionConfig) -> P
             reason = "centers.len() < shards <= n guarantees an unchosen graph exists"
         )]
         let (_, c) = far.expect("farthest-point: no candidate center left");
+        let s = centers.len();
         centers.push(c);
         for (g, slot) in min_dist.iter_mut().enumerate() {
-            let d = oracle.distance(g as GraphId, c);
-            if d < *slot {
-                *slot = d;
+            if let Some(d) = oracle.within(g as GraphId, c, *slot) {
+                if d < *slot {
+                    *slot = d;
+                    nearest[g] = s;
+                }
             }
         }
     }
 
-    // Nearest-center assignment (ties toward the smaller shard index).
     let mut members: Vec<Vec<GraphId>> = vec![Vec::new(); shards];
     let mut to_center: Vec<Vec<f64>> = vec![Vec::new(); shards];
-    for g in 0..n as GraphId {
-        let mut best = (f64::INFINITY, 0usize);
-        for (s, &c) in centers.iter().enumerate() {
-            let d = oracle.distance(g, c);
-            if d < best.0 {
-                best = (d, s);
-            }
-        }
-        members[best.1].push(g);
-        to_center[best.1].push(best.0);
+    for (g, (&s, &d)) in nearest.iter().zip(&min_dist).enumerate() {
+        members[s].push(g as GraphId);
+        to_center[s].push(d);
     }
 
     let radius = to_center

@@ -39,8 +39,10 @@ pub struct ShardState {
     /// Covering radius: max member-to-center distance ever admitted.
     radius: f64,
     /// Edit-distance computations served for foreign probes (candidates
-    /// owned by other shards), outside the oracle's own counters.
-    foreign_calls: AtomicU64,
+    /// owned by other shards), outside the oracle's own counters. Shared by
+    /// every generation, like the oracle's tally, so calls a session makes
+    /// through a superseded snapshot still count.
+    foreign_calls: Arc<AtomicU64>,
 }
 
 impl ShardState {
@@ -73,7 +75,7 @@ impl ShardState {
             to_center,
             center_local,
             radius,
-            foreign_calls: AtomicU64::new(0),
+            foreign_calls: Arc::default(),
         }
     }
 
@@ -122,16 +124,27 @@ impl ShardState {
         self.to_center[local as usize]
     }
 
-    /// Exact distance from an out-of-shard probe graph (and its profile) to
-    /// the shard center.
-    pub fn center_distance(&self, probe: &Graph, profile: &GraphProfile) -> f64 {
+    /// Distance from an out-of-shard probe graph (and its profile) to the
+    /// shard center, asked as a threshold question: `Some(d)` with the exact
+    /// distance iff `d ≤ tau`, `None` when it certainly exceeds `tau`.
+    /// Counts one foreign call per invocation, whatever the answer.
+    pub fn center_distance_within(
+        &self,
+        probe: &Graph,
+        profile: &GraphProfile,
+        tau: f64,
+    ) -> Option<f64> {
         // Relaxed: a monotone stats counter, never used for synchronization.
         self.foreign_calls.fetch_add(1, Ordering::Relaxed);
         let oracle = self.index.oracle();
         let center = &oracle.graphs()[self.center_local as usize];
-        oracle
-            .engine()
-            .distance_profiled(probe, center, profile, oracle.profile(self.center_local))
+        oracle.engine().distance_within_profiled(
+            probe,
+            center,
+            profile,
+            oracle.profile(self.center_local),
+            tau,
+        )
     }
 
     /// The graph owned at `local` (for cross-shard probes).
@@ -211,10 +224,11 @@ impl ShardState {
     /// slice of the relevant set, as ascending global ids.
     ///
     /// `d_center` is the probe's exact distance to this shard's center, from
-    /// [`ShardState::center_distance`]: an unbounded exact edit distance
-    /// that nothing memoizes, paid once per verified candidate, touched
-    /// shard and run. Each member is then triangle-prescreened through its
-    /// stored center distance — `|d_center − to_center| > θ` rejects,
+    /// [`ShardState::center_distance_within`] cut off at `θ + radius`: paid
+    /// once per verified candidate, touched shard and run, and the caller
+    /// skips the shard when it comes back `None`, because then every member
+    /// is farther than θ. Each member is then triangle-prescreened through
+    /// its stored center distance — `|d_center − to_center| > θ` rejects,
     /// `d_center + to_center ≤ θ` accepts — and only the undecided remainder
     /// pays an edit distance.
     /// The verdict arbiter is the same `distance_within_profiled` the home
@@ -283,7 +297,7 @@ impl ShardState {
                 to_center,
                 center_local: self.center_local,
                 radius: self.radius.max(d_center),
-                foreign_calls: AtomicU64::new(self.foreign_calls()),
+                foreign_calls: Arc::clone(&self.foreign_calls),
             },
             outcome,
         ))
@@ -305,7 +319,7 @@ impl ShardState {
                 // The radius is kept: a looser covering radius only costs
                 // pruning opportunities, never admissibility.
                 radius: self.radius,
-                foreign_calls: AtomicU64::new(self.foreign_calls()),
+                foreign_calls: Arc::clone(&self.foreign_calls),
             },
             outcome,
         ))
