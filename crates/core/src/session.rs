@@ -28,7 +28,6 @@ use graphrep_graph::GraphId;
 use graphrep_metric::{BandProjection, Bitset};
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -153,47 +152,46 @@ pub struct QuerySession<I: Deref<Target = NbIndex> = Arc<NbIndex>> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Node(u32),
-    Graph { pos: u32, verified: bool },
+    Graph { id: GraphId, verified: bool },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    bound: i64,
-    /// Tie-break key: graphs (by ascending id) come before nodes.
-    tie: u64,
-    kind: Kind,
-}
+/// A best-first search entry packed into one integer key, so the heap moves
+/// 16 bytes and compares once. High half: the bound (sign bit flipped, so
+/// unsigned order is signed order). Low half: the complement of the
+/// tie-break key — verified graphs `id`, unverified graphs `2³² | id`, nodes
+/// `2³³ | index` — so at equal bound the smaller key pops first: graphs by
+/// ascending id, then nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry(u128);
 
 impl Entry {
+    fn new(bound: i64, tie: u64) -> Self {
+        let high = (bound as u64) ^ (1 << 63);
+        Entry((u128::from(high) << 64) | u128::from(!tie))
+    }
     fn node(bound: i64, ni: u32) -> Self {
-        // Nodes after all graphs at equal bound (graphs carry smaller keys).
-        Entry {
-            bound,
-            tie: (1 << 33) | ni as u64,
-            kind: Kind::Node(ni),
-        }
+        Self::new(bound, (1 << 33) | u64::from(ni))
     }
-    fn graph(bound: i64, pos: u32, id: GraphId, verified: bool) -> Self {
+    fn graph(bound: i64, id: GraphId, verified: bool) -> Self {
         let v = if verified { 0u64 } else { 1 << 32 };
-        Entry {
-            bound,
-            tie: v | id as u64,
-            kind: Kind::Graph { pos, verified },
+        Self::new(bound, v | u64::from(id))
+    }
+    fn bound(self) -> i64 {
+        (((self.0 >> 64) as u64) ^ (1 << 63)) as i64
+    }
+    fn kind(self) -> Kind {
+        let tie = !(self.0 as u64);
+        match tie >> 32 {
+            0 => Kind::Graph {
+                id: tie as u32,
+                verified: true,
+            },
+            1 => Kind::Graph {
+                id: tie as u32,
+                verified: false,
+            },
+            _ => Kind::Node(tie as u32),
         }
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: larger bound first; then smaller tie key first.
-        self.bound
-            .cmp(&other.bound)
-            .then_with(|| other.tie.cmp(&self.tie))
-    }
-}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -329,7 +327,8 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
 
         let mut covered = Bitset::new(n);
         let mut in_answer = Bitset::new(n);
-        let mut neigh: HashMap<u32, Bitset> = HashMap::new();
+        let mut neigh: Vec<Option<Bitset>> = vec![None; n];
+        let mut heap_buf = Vec::new();
 
         let mut ids = Vec::new();
         let mut pi_trajectory = Vec::new();
@@ -346,6 +345,7 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
                 &covered,
                 &in_answer,
                 &mut neigh,
+                &mut heap_buf,
                 &mut stats,
                 cancel,
             )?
@@ -421,24 +421,22 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
     }
 
     /// Exact θ-neighborhood of the graph at `pos` as a position bitset,
-    /// memoized in `neigh`.
-    fn neighborhood(
+    /// memoized in `neigh` (one slot per leaf position).
+    fn neighborhood<'a>(
         &self,
         theta: f64,
         pos: u32,
-        neigh: &mut HashMap<u32, Bitset>,
+        neigh: &'a mut [Option<Bitset>],
         stats: &mut RunStats,
-    ) -> Bitset {
-        if let Some(nb) = neigh.get(&pos) {
-            return nb.clone();
-        }
-        let tree = self.index.tree();
-        let mut nb = Bitset::new(tree.len());
-        for c in self.verify(tree.graph_at(pos), theta, stats) {
-            nb.insert(tree.pos_of(c) as usize);
-        }
-        neigh.insert(pos, nb.clone());
-        nb
+    ) -> &'a Bitset {
+        neigh[pos as usize].get_or_insert_with(|| {
+            let tree = self.index.tree();
+            let mut nb = Bitset::new(tree.len());
+            for c in self.verify(tree.graph_at(pos), theta, stats) {
+                nb.insert(tree.pos_of(c) as usize);
+            }
+            nb
+        })
     }
 
     /// The verified members of `N_θ(g) ∩ L_q`, ascending by id, on the
@@ -542,7 +540,9 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
     ///
     /// The cancellation token is polled between heap pops — the loop's only
     /// unbounded dimension; everything inside one pop is bounded work plus
-    /// at most one candidate-set verification.
+    /// at most one candidate-set verification. `heap_buf` is the heap's
+    /// storage, handed back emptied-on-entry so the picks of one run share
+    /// one allocation.
     #[allow(clippy::too_many_arguments)]
     fn next_graph(
         &self,
@@ -552,30 +552,33 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         node_lazy: &mut [i64],
         covered: &Bitset,
         in_answer: &Bitset,
-        neigh: &mut HashMap<u32, Bitset>,
+        neigh: &mut [Option<Bitset>],
+        heap_buf: &mut Vec<Entry>,
         stats: &mut RunStats,
         cancel: &CancelToken,
     ) -> Result<Option<u32>, Cancelled> {
         let tree = self.index.tree();
-        let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
         let Some(root) = tree.root() else {
             return Ok(None);
         };
+        heap_buf.clear();
+        let mut heap = BinaryHeap::from(std::mem::take(heap_buf));
         if self.pihat.node_relevant(root) > 0 {
             heap.push(Entry::node(node_bound[root as usize], root));
         }
         let mut best: Option<(i64, GraphId, u32)> = None;
         while let Some(e) = heap.pop() {
             cancel.check()?;
+            let bound = e.bound();
             if let Some((bg, _, _)) = best {
-                if e.bound < bg {
+                if bound < bg {
                     break;
                 }
             }
-            match e.kind {
+            match e.kind() {
                 Kind::Node(ni) => {
                     let cur = node_bound[ni as usize];
-                    if e.bound > cur {
+                    if bound > cur {
                         heap.push(Entry::node(cur, ni));
                         continue;
                     }
@@ -596,7 +599,6 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
                             }
                             heap.push(Entry::graph(
                                 graph_bound[pos as usize],
-                                pos,
                                 tree.graph_at(pos),
                                 false,
                             ));
@@ -614,38 +616,36 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
                     }
                 }
                 Kind::Graph {
-                    pos,
+                    id,
                     verified: false,
                 } => {
+                    let pos = tree.pos_of(id);
                     let cur = graph_bound[pos as usize];
-                    if e.bound > cur {
-                        heap.push(Entry::graph(cur, pos, tree.graph_at(pos), false));
+                    if bound > cur {
+                        heap.push(Entry::graph(cur, id, false));
                         continue;
                     }
                     let nb = self.neighborhood(theta, pos, neigh, stats);
                     let gain = nb.difference_count(covered) as i64;
                     debug_assert!(
-                        gain <= e.bound,
+                        gain <= bound,
                         "verified gain must not exceed its upper bound"
                     );
                     graph_bound[pos as usize] = gain;
-                    heap.push(Entry::graph(gain, pos, tree.graph_at(pos), true));
+                    heap.push(Entry::graph(gain, id, true));
                 }
-                Kind::Graph {
-                    pos,
-                    verified: true,
-                } => {
-                    let id = tree.graph_at(pos);
+                Kind::Graph { id, verified: true } => {
                     let better = match best {
                         None => true,
-                        Some((bg, bid, _)) => e.bound > bg || (e.bound == bg && id < bid),
+                        Some((bg, bid, _)) => bound > bg || (bound == bg && id < bid),
                     };
                     if better {
-                        best = Some((e.bound, id, pos));
+                        best = Some((bound, id, tree.pos_of(id)));
                     }
                 }
             }
         }
+        *heap_buf = heap.into_vec();
         Ok(best.map(|(_, _, pos)| pos))
     }
 
@@ -666,14 +666,16 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
         node_lazy: &mut [i64],
         covered: &mut Bitset,
         in_answer: &mut Bitset,
-        neigh: &HashMap<u32, Bitset>,
+        neigh: &[Option<Bitset>],
     ) {
         let tree = self.index.tree();
         #[expect(
             clippy::expect_used,
             reason = "search contract: next_graph only returns verified graphs, which are memoized"
         )]
-        let nb = neigh.get(&pos_star).expect("selected graph was verified");
+        let nb = neigh[pos_star as usize]
+            .as_ref()
+            .expect("selected graph was verified");
         let mut new_c = nb.clone();
         new_c.subtract(covered);
         covered.union_with(nb);
@@ -861,6 +863,58 @@ mod tests {
     use graphrep_datagen::{DatasetKind, DatasetSpec};
     use graphrep_ged::GedConfig;
     use std::rc::Rc;
+
+    /// The packed key pops in the order of the two-field comparison it
+    /// replaced — larger bound first, then the smaller tie key (graphs by
+    /// ascending id, unverified after verified, nodes last) — and decodes
+    /// back to the bound and kind it was built from.
+    #[test]
+    fn packed_entry_orders_like_bound_then_tie() {
+        let mut entries = Vec::new();
+        for bound in [i64::MIN, -3, 0, 1, 2, 57, i64::MAX] {
+            for x in [0u32, 1, 9, u32::MAX] {
+                entries.push((bound, (1u64 << 33) | u64::from(x), Entry::node(bound, x)));
+                entries.push((bound, u64::from(x), Entry::graph(bound, x, true)));
+                entries.push((
+                    bound,
+                    (1u64 << 32) | u64::from(x),
+                    Entry::graph(bound, x, false),
+                ));
+            }
+        }
+        for &(bound, tie, e) in &entries {
+            assert_eq!(e.bound(), bound);
+            let want = match tie >> 32 {
+                0 => Kind::Graph {
+                    id: tie as u32,
+                    verified: true,
+                },
+                1 => Kind::Graph {
+                    id: tie as u32,
+                    verified: false,
+                },
+                _ => Kind::Node(tie as u32),
+            };
+            assert_eq!(e.kind(), want);
+            for &(b2, t2, e2) in &entries {
+                let reference = bound.cmp(&b2).then_with(|| t2.cmp(&tie));
+                assert_eq!(
+                    e.cmp(&e2),
+                    reference,
+                    "({bound}, {tie:#x}) vs ({b2}, {t2:#x})"
+                );
+            }
+        }
+        let mut heap: BinaryHeap<Entry> = entries.iter().map(|&(_, _, e)| e).collect();
+        let mut popped = Vec::new();
+        while let Some(e) = heap.pop() {
+            popped.push(e);
+        }
+        let mut reference: Vec<(i64, u64, Entry)> = entries.clone();
+        reference.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        let reference: Vec<Entry> = reference.into_iter().map(|(_, _, e)| e).collect();
+        assert_eq!(popped, reference);
+    }
 
     /// A session over an `Rc` handle is `!Sync`, so this compiles only while
     /// a run shares the session with no other thread — and it must answer
