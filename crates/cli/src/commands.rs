@@ -4,12 +4,9 @@
 use crate::args::Command;
 use crate::CliError;
 use graphrep_baselines::traditional_topk;
-use graphrep_core::{
-    CancelToken, GraphDatabase, NbIndex, NbIndexConfig, NbTreeConfig, RelevanceQuery, Scorer,
-    Session,
-};
+use graphrep_core::{CancelToken, GraphDatabase, NbIndex, RelevanceQuery, Scorer, Session};
 use graphrep_datagen::{store, Dataset, DatasetSpec};
-use graphrep_ged::{DistanceOracle, GedConfig, GedMode};
+use graphrep_ged::{GedConfig, GedMode};
 use graphrep_graph::stats::DatasetStats;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -24,54 +21,16 @@ type Handler = fn(&Command) -> Result<String, CliError>;
 const SUBCOMMANDS: &[(&str, Handler, &[&str])] = &[
     ("generate", generate, &["kind", "size", "seed", "out"]),
     ("stats", stats, &["data"]),
-    (
-        "index",
-        index,
-        &[
-            "data",
-            "vps",
-            "branching",
-            "ladder",
-            "seed",
-            "hybrid",
-            "index",
-            "out",
-            "format",
-        ],
-    ),
+    ("index", index, &["data"]),
     (
         "query",
         query,
-        &[
-            "data",
-            "theta",
-            "k",
-            "index",
-            "quantile",
-            "hybrid",
-            "shards",
-            "vps",
-            "branching",
-            "ladder",
-            "seed",
-        ],
+        &["data", "theta", "k", "quantile", "shards"],
     ),
     (
         "refine",
         refine,
-        &[
-            "data",
-            "theta",
-            "k",
-            "steps",
-            "index",
-            "quantile",
-            "hybrid",
-            "vps",
-            "branching",
-            "ladder",
-            "seed",
-        ],
+        &["data", "theta", "k", "steps", "quantile"],
     ),
     ("topk", topk, &["data", "k", "quantile"]),
     (
@@ -144,12 +103,9 @@ graphrep — top-k representative queries on graph databases (SIGMOD'14)
 subcommands:
   generate --kind dud|dblp|amazon --size N [--seed S] --out DIR
   stats    --data DIR
-  index    --data DIR [--vps N] [--branching B] [--ladder a,b,c] [--seed S]
-           [--hybrid MAXN] [--index FILE] [--out FILE] [--format bin|json]
-  query    --data DIR --theta T --k K [--index FILE] [--quantile Q] [--hybrid MAXN]
-           [--shards S]
-  refine   --data DIR --theta T --k K --steps t1,t2,... [--index FILE]
-           [--quantile Q] [--hybrid MAXN]
+  index    --data DIR
+  query    --data DIR --theta T --k K [--quantile Q] [--shards S]
+  refine   --data DIR --theta T --k K --steps t1,t2,... [--quantile Q]
   topk     --data DIR --k K [--quantile Q]
   compare  --data DIR --theta T --k K [--quantile Q] [--hybrid MAXN]
            (REP vs DIV vs DisC vs top-k)
@@ -164,14 +120,14 @@ subcommands:
   mutate   --data DIR [--insert N] [--remove id1,id2,...] [--seed S]
            [--addr HOST:PORT [--name NAME]] [--shards S]
 
-`query`/`refine` read a dataset directory the way `serve` does: they reuse
-`<DIR>/index.bin` when it sits at the epoch of `<DIR>/mutations.log`, and
-otherwise build over the base snapshot, replay the log (removed graphs stay
-removed) and write `index.bin` back (they take `index`'s --vps/--branching/
---ladder/--seed for that build). `index --out FILE` writes the succinct binary format
-by default, or a JSON dump with `--format json` (an `--out` path ending in
-.json also selects JSON). `--index FILE` accepts either format; the file's
-own magic bytes decide how it is read.
+`index`, `query` and `refine` read a dataset directory the way `serve`
+does: they reuse `<DIR>/index.bin` when it sits at the epoch of
+`<DIR>/mutations.log`, and otherwise build the index the server builds
+(exact GED, default parameters, the dataset's threshold ladder) over the
+base snapshot, replay the log (removed graphs stay removed) and write
+`index.bin` back. That file is the only index a dataset has, so every later
+`query`, `serve` and `load --verify-data` reads the same one. `compare
+--hybrid MAXN` trades exactness for speed in memory and writes nothing.
 
 `serve` keeps a materialized θ-neighborhood view store and a cross-session
 answer cache per dataset (epoch-keyed, invalidated on mutation).
@@ -238,103 +194,37 @@ fn ged_config(cmd: &Command) -> Result<GedConfig, CliError> {
     Ok(config)
 }
 
-/// Loads an index file in whichever format it is, sniffing the binary magic.
-fn load_index_bytes(bytes: &[u8], oracle: Arc<DistanceOracle>) -> Result<NbIndex, String> {
-    if graphrep_core::is_binary_index(bytes) {
-        NbIndex::load_bin(bytes, oracle).map_err(|e| e.to_string())
-    } else {
-        let json = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
-        NbIndex::load_json(json, oracle).map_err(|e| e.to_string())
-    }
-}
-
-/// Resolves the `--format bin|json` flag. When absent, a `.json` output path
-/// keeps the legacy format; everything else defaults to the binary format.
-fn index_format(cmd: &Command, out_path: Option<&str>) -> Result<&'static str, CliError> {
-    match cmd.opt("format") {
-        Some("bin") => Ok("bin"),
-        Some("json") => Ok("json"),
-        Some(other) => Err(CliError(format!(
-            "--format must be bin or json, got `{other}`"
-        ))),
-        None => Ok(match out_path {
-            Some(p) if p.ends_with(".json") => "json",
-            _ => "bin",
-        }),
-    }
-}
-
-/// Writes `index` to `path` in `format` ("bin" or "json").
-fn write_index(index: &NbIndex, path: &Path, format: &str) -> std::io::Result<()> {
-    if format == "json" {
-        std::fs::write(path, index.save_json())
-    } else {
-        std::fs::write(path, index.save_bin())
-    }
-}
-
-/// Loads or builds the index, returning it with a provenance line for the
-/// command output. An explicit `--index FILE` (either format, sniffed by
-/// magic) is loaded as is, or built over the whole database when the file
-/// does not exist. Without it the dataset directory is read the way the
-/// server reads it ([`graphrep_serve::registry::open_index`]): its
-/// `index.bin` only at the epoch of its mutation log, otherwise a build
-/// over the base snapshot with the log replayed, written back (tmp +
-/// rename) so the *next* invocation starts warm.
+/// Opens the index the way the server does
+/// ([`graphrep_serve::registry::open_index`]): `<DIR>/index.bin` only at the
+/// epoch of its mutation log, otherwise the server's build over the base
+/// snapshot with the log replayed, written back (tmp + rename) so the
+/// *next* invocation starts warm. Returns the index, a provenance line for
+/// the command output and, for a build, the outcome of the write-back.
 fn build_or_load_index(
     cmd: &Command,
     logged: &store::Logged,
-) -> Result<(NbIndex, String), CliError> {
-    use graphrep_serve::registry::{open_index, write_index};
-    let data_dir = Path::new(cmd.req("data")?);
-    index_format(cmd, None)?; // reject a bad --format before any load path
-    let ged = ged_config(cmd)?;
-    let config = NbIndexConfig {
-        num_vps: cmd.parsed_or("vps", 16usize)?,
-        tree: NbTreeConfig {
-            branching: cmd.parsed_or("branching", 8usize)?,
-            ..NbTreeConfig::default()
-        },
-        ladder: cmd
-            .float_list("ladder")?
-            .unwrap_or_else(|| logged.data.default_ladder.clone()),
-        seed: cmd.parsed_or("seed", 0x5eedu64)?,
-    };
-    let (index, source) = match cmd.opt("index") {
-        Some(path) if Path::new(path).exists() => {
-            let bytes =
-                std::fs::read(path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
-            let index = load_index_bytes(&bytes, logged.data.db.oracle(ged))
-                .map_err(|e| CliError(format!("loading index {path}: {e}")))?;
-            return Ok((index, format!("index: loaded {path} (0 build distances)\n")));
-        }
-        Some(_) => (
-            NbIndex::build(logged.data.db.oracle(ged), config),
-            "built".to_owned(),
-        ),
-        None => {
-            let (index, source) =
-                open_index(data_dir, logged, ged, config).map_err(|e| CliError(e.to_string()))?;
-            if source == "loaded" {
-                let path = data_dir.join("index.bin");
-                return Ok((
-                    index,
-                    format!("index: loaded {} (0 build distances)\n", path.display()),
-                ));
-            }
-            // Best effort: a read-only dataset directory must not fail the query.
-            let _ = write_index(data_dir, &index);
-            (index, source)
-        }
-    };
+) -> Result<(NbIndex, String, Option<std::io::Result<()>>), CliError> {
+    use graphrep_serve::registry::{default_index_config, open_index, write_index};
+    let dir = Path::new(cmd.req("data")?);
+    let (index, source) = open_index(
+        dir,
+        logged,
+        GedConfig::default(),
+        default_index_config(&logged.data),
+    )
+    .map_err(|e| CliError(e.to_string()))?;
+    if source == "loaded" {
+        let path = dir.join("index.bin");
+        let provenance = format!("index: loaded {} (0 build distances)\n", path.display());
+        return Ok((index, provenance, None));
+    }
+    let written = write_index(dir, &index);
     let b = index.build_stats();
-    Ok((
-        index,
-        format!(
-            "index: {source} ({} edit distances, {:.2?})\n",
-            b.distance_calls, b.wall
-        ),
-    ))
+    let provenance = format!(
+        "index: {source} ({} edit distances, {:.2?})\n",
+        b.distance_calls, b.wall
+    );
+    Ok((index, provenance, Some(written)))
 }
 
 fn default_query(cmd: &Command, data: &Dataset) -> Result<RelevanceQuery, CliError> {
@@ -376,9 +266,11 @@ fn stats(cmd: &Command) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `index`: builds the dataset directory's `index.bin` if it is missing or
+/// stale, and reports what it holds.
 fn index(cmd: &Command) -> Result<String, CliError> {
     let logged = load_logged(cmd)?;
-    let (index, provenance) = build_or_load_index(cmd, &logged)?;
+    let (index, provenance, written) = build_or_load_index(cmd, &logged)?;
     let b = index.build_stats();
     let mut out = provenance;
     let _ = writeln!(
@@ -390,11 +282,10 @@ fn index(cmd: &Command) -> Result<String, CliError> {
         index.vantage().num_vps(),
         index.memory_bytes(),
     );
-    if let Some(path) = cmd.opt("out") {
-        let format = index_format(cmd, Some(path))?;
-        write_index(&index, Path::new(path), format)
-            .map_err(|e| CliError(format!("writing {path}: {e}")))?;
-        let _ = writeln!(out, "saved to {path} ({format})");
+    if let Some(written) = written {
+        let path = Path::new(cmd.req("data")?).join("index.bin");
+        written.map_err(|e| CliError(format!("writing {}: {e}", path.display())))?;
+        let _ = writeln!(out, "saved to {}", path.display());
     }
     Ok(out)
 }
@@ -424,7 +315,8 @@ fn query(cmd: &Command) -> Result<String, CliError> {
             (Box::new(ds.open_session(quantile)), provenance)
         }
         None => {
-            let (index, provenance) = build_or_load_index(cmd, &logged)?;
+            // Best effort: a read-only dataset directory must not fail the query.
+            let (index, provenance, _) = build_or_load_index(cmd, &logged)?;
             let session = Arc::new(index).start_session_shared(relevant);
             (Box::new(session), provenance)
         }
@@ -484,7 +376,7 @@ fn refine(cmd: &Command) -> Result<String, CliError> {
     let steps = cmd
         .float_list("steps")?
         .ok_or_else(|| CliError("--steps is required (comma-separated θ values)".into()))?;
-    let (index, provenance) = build_or_load_index(cmd, &logged)?;
+    let (index, provenance, _) = build_or_load_index(cmd, &logged)?;
     let rq = default_query(cmd, data)?;
     let relevant = rq.relevant_set(&data.db);
     let session = index.start_session(relevant);
@@ -935,9 +827,13 @@ mod tests {
     use super::*;
     use crate::args::parse;
 
-    fn run_args(parts: &[&str]) -> Result<String, CliError> {
+    fn parse_q(parts: &[&str]) -> Command {
         let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        run(&parse(&argv).unwrap())
+        parse(&argv).unwrap()
+    }
+
+    fn run_args(parts: &[&str]) -> Result<String, CliError> {
+        run(&parse_q(parts))
     }
 
     fn tmp(name: &str) -> String {
@@ -959,22 +855,21 @@ mod tests {
         let out = run_args(&["stats", "--data", &dir]).unwrap();
         assert!(out.contains("60 graphs"));
 
-        let idx = format!("{dir}/index.json");
-        let out = run_args(&["index", "--data", &dir, "--vps", "4", "--out", &idx]).unwrap();
+        let idx = format!("{dir}/index.bin");
+        let out = run_args(&["index", "--data", &dir]).unwrap();
         assert!(out.contains("index built"));
+        assert!(out.contains(&format!("saved to {idx}")), "{out}");
         assert!(std::path::Path::new(&idx).exists());
 
-        let out = run_args(&[
-            "query", "--data", &dir, "--index", &idx, "--theta", "4", "--k", "5",
-        ])
-        .unwrap();
+        let out = run_args(&["query", "--data", &dir, "--theta", "4", "--k", "5"]).unwrap();
+        assert!(out.contains("index: loaded"), "{out}");
         assert!(out.contains("π(A)"), "{out}");
 
         let out = run_args(&[
-            "refine", "--data", &dir, "--index", &idx, "--theta", "4", "--k", "5", "--steps",
-            "3.6,4.4",
+            "refine", "--data", &dir, "--theta", "4", "--k", "5", "--steps", "3.6,4.4",
         ])
         .unwrap();
+        assert!(out.contains("index: loaded"), "{out}");
         assert!(out.matches("θ =").count() == 3, "{out}");
 
         let out = run_args(&["topk", "--data", &dir, "--k", "3"]).unwrap();
@@ -1071,53 +966,48 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The two persisted formats are interchangeable: the same query answers
-    /// come back whether the warm path reads `index.bin` or a `--format
-    /// json` index, and an explicit `--index` of either format is sniffed by
-    /// its magic bytes.
+    /// No invocation writes an `index.bin` other than the server's build:
+    /// a private build flag (here the non-metric `--hybrid`, whose bounds
+    /// break Thms 3–8) is rejected before any work, a `query` answers what
+    /// an in-memory default build answers, and the file `index` leaves
+    /// behind is byte for byte that build, which later queries load.
     #[test]
-    fn binary_and_json_indexes_answer_identically() {
-        let dir = tmp("fmteq");
+    fn every_index_bin_is_the_default_exact_build() {
+        use graphrep_serve::registry::default_index_config;
+        let dir = tmp("onlyexact");
         let _ = std::fs::remove_dir_all(&dir);
         run_args(&[
-            "generate", "--kind", "dud", "--size", "40", "--seed", "21", "--out", &dir,
+            "generate", "--kind", "dud", "--size", "160", "--seed", "7", "--out", &dir,
         ])
         .unwrap();
-        let answers = |out: &str| -> Vec<String> {
-            out.lines()
-                .filter(|l| l.contains(". graph") || l.contains("π(A)"))
-                .map(str::to_owned)
-                .collect()
-        };
-        let bin_idx = format!("{dir}/alt.bin");
-        let json_idx = format!("{dir}/alt.json");
-        run_args(&[
-            "index", "--data", &dir, "--vps", "4", "--out", &bin_idx, "--format", "bin",
-        ])
-        .unwrap();
-        let out = run_args(&[
-            "index", "--data", &dir, "--vps", "4", "--out", &json_idx, "--format", "json",
-        ])
-        .unwrap();
-        assert!(out.contains("(json)"), "{out}");
-        let bin_bytes = std::fs::read(&bin_idx).unwrap();
-        let json_bytes = std::fs::read(&json_idx).unwrap();
-        assert!(
-            bin_bytes.len() * 3 < json_bytes.len(),
-            "binary should be much smaller"
-        );
+        let index_bin = format!("{dir}/index.bin");
+        let q = ["query", "--data", &dir, "--theta", "4", "--k", "10"];
 
-        let via_bin = run_args(&[
-            "query", "--data", &dir, "--index", &bin_idx, "--theta", "4", "--k", "5",
-        ])
-        .unwrap();
-        let via_json = run_args(&[
-            "query", "--data", &dir, "--index", &json_idx, "--theta", "4", "--k", "5",
-        ])
-        .unwrap();
-        assert!(via_bin.contains("index: loaded"), "{via_bin}");
-        assert_eq!(answers(&via_bin), answers(&via_json));
-        assert!(run_args(&["index", "--data", &dir, "--format", "xml"]).is_err());
+        let err = run_args(&[&q[..], &["--hybrid", "3"]].concat()).unwrap_err();
+        assert!(err.0.contains("--hybrid"), "{err}");
+        assert!(!Path::new(&index_bin).exists(), "a rejected query wrote");
+
+        let data = store::load(Path::new(&dir)).unwrap();
+        let want = NbIndex::build(
+            data.db.oracle(GedConfig::default()),
+            default_index_config(&data),
+        );
+        let relevant = default_query(&parse_q(&q), &data)
+            .unwrap()
+            .relevant_set(&data.db);
+        let (answer, _) = want.start_session(relevant).run(4.0, 10);
+        let out = run_args(&q).unwrap();
+        let picks: Vec<u32> = out
+            .lines()
+            .filter(|l| l.contains(". graph"))
+            .map(|l| l.split_whitespace().nth(2).unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(picks, answer.ids, "{out}");
+
+        run_args(&["index", "--data", &dir]).unwrap();
+        assert!(std::fs::read(&index_bin).unwrap() == want.save_bin());
+        let again = run_args(&q).unwrap();
+        assert!(again.contains("index: loaded"), "{again}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

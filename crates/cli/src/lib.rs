@@ -7,10 +7,9 @@
 //! ```sh
 //! graphrep generate --kind dud --size 1000 --seed 7 --out data/dud
 //! graphrep stats    --data data/dud
-//! graphrep index    --data data/dud --vps 16 --out data/dud/index.bin
-//! graphrep query    --data data/dud --index data/dud/index.bin --theta 4 --k 10
-//! graphrep refine   --data data/dud --index data/dud/index.bin \
-//!                   --theta 4 --k 10 --steps 3.6,4.4,4.0
+//! graphrep index    --data data/dud
+//! graphrep query    --data data/dud --theta 4 --k 10
+//! graphrep refine   --data data/dud --theta 4 --k 10 --steps 3.6,4.4,4.0
 //! graphrep topk     --data data/dud --k 10
 //! ```
 //!

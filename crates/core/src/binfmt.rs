@@ -6,8 +6,9 @@
 //! magic "GRNBIDX1" (8) | version u32 (4) | payload_len u64 (8) | word-wise FNV-1a checksum u64 (8)
 //! ```
 //!
-//! followed by a checksummed payload holding exactly the state the JSON
-//! format persists, re-encoded for size and decode speed:
+//! followed by a checksummed payload holding exactly the index state —
+//! vantage table, NB-Tree with its tombstones, threshold ladder and mutation
+//! epoch — encoded for size and decode speed:
 //!
 //! * vantage coordinates as per-VP *columns*, each either raw f32 bit
 //!   patterns or a dictionary of distinct bit patterns plus bit-packed
@@ -18,10 +19,9 @@
 //! * the threshold ladder as a packed `u16` count plus tagged-width floats.
 //!
 //! Everything decodes by slice reads (`chunks_exact` + `from_le_bytes`) into
-//! the same in-memory structures the JSON path produces — coordinates and
+//! in-memory structures equal to the encoded ones — coordinates and
 //! thresholds round-trip bit-exactly (no lossy quantization anywhere), so a
-//! binary-loaded index answers byte-identically to a JSON-loaded or freshly
-//! built one. Vantage sort orders are *not* stored: they are the stable
+//! loaded index answers byte-identically to the one that was saved. Vantage sort orders are *not* stored: they are the stable
 //! argsort of the columns by construction (see `graphrep_metric::vantage`)
 //! and are rederived on load.
 //!
@@ -72,7 +72,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h.wrapping_mul(PRIME)
 }
 
-/// The parts [`decode_index`] reassembles; mirrors `PersistedIndex`.
+/// The parts [`decode_index`] reassembles.
 pub(crate) struct DecodedIndex {
     pub graphs: usize,
     pub epoch: u64,

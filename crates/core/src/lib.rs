@@ -44,7 +44,7 @@ pub use nbindex::{
     BuildStats, MutateError, MutationOutcome, MutationPolicy, NbIndex, NbIndexConfig,
 };
 pub use nbtree::{InsertOutcome, NbTree, NbTreeConfig, TreeNode};
-pub use persist::{is_binary_index, PersistError, PersistedIndex};
+pub use persist::PersistError;
 pub use pihat::{PiHatVectors, ThresholdLadder};
 pub use provider::NeighborhoodProvider;
 pub use relevance::{RelevanceQuery, Scorer};

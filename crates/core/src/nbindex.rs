@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 /// Vantage coordinate assigned to tombstoned graphs when the index is
 /// rebuilt: far outside any real edit distance, so dead graphs fall outside
 /// every band scan and their hint lower bounds reject any finite threshold.
-/// Kept finite (and exactly representable in `f32`) so the persisted JSON
-/// stays well-formed.
+/// Kept finite and exactly representable in `f32`, so it persists
+/// bit-exactly in a vantage column.
 const DEAD_COORD: f64 = 1e30;
 
 /// Construction parameters for the NB-Index.

@@ -17,35 +17,15 @@ use graphrep_graph::GraphId;
 use graphrep_metric::VantageTable;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-/// Serde adapter for the root's infinite radius/diameter: JSON has no
-/// `Infinity`, so non-finite values round-trip through `-1.0`.
-mod serde_radius {
-    use serde::{DeError, Value};
-
-    /// Maps non-finite radii to the `-1.0` sentinel.
-    pub fn serialize(v: &f64) -> Value {
-        serde::Serialize::to_value(&if v.is_finite() { *v } else { -1.0 })
-    }
-
-    /// Restores the `-1.0` sentinel back to `+inf`.
-    pub fn deserialize(v: &Value) -> Result<f64, DeError> {
-        let f = <f64 as serde::Deserialize>::from_value(v)?;
-        Ok(if f < 0.0 { f64::INFINITY } else { f })
-    }
-}
 
 /// One cluster node of the NB-Tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeNode {
     /// The pivot graph acting as cluster centroid.
     pub centroid: GraphId,
     /// Max distance from the centroid to any member (∞ at the root).
-    #[serde(with = "serde_radius")]
     pub radius: f64,
     /// Upper bound on the pairwise diameter (∞ at the root).
-    #[serde(with = "serde_radius")]
     pub diameter: f64,
     /// Child node indices; empty for bottom clusters whose children are the
     /// individual graphs in `start..end`.
@@ -76,7 +56,7 @@ impl TreeNode {
 /// excluded from per-node live counts. Inserted graphs are routed to their
 /// nearest bottom cluster with radius/diameter re-expansion along the path,
 /// which keeps the Thm 6–8 bounds admissible without restructuring.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NbTree {
     nodes: Vec<TreeNode>,
     /// `leaf_order[pos]` = graph id at leaf position `pos`.

@@ -6,45 +6,24 @@
 //! the same database files — so a saved index skips the entire NP-hard build
 //! phase on restart.
 //!
-//! Two formats persist the same state and answer byte-identically:
-//!
-//! * **binary** (`index.bin`, [`NbIndex::save_bin`]) — the succinct
-//!   checksummed layout in [`crate::binfmt`]; the default and the fast
-//!   cold-start path.
-//! * **JSON** ([`NbIndex::save_json`]) — the human-readable dump
-//!   (`graphrep index --format json`) and the reference the binary codec is
-//!   tested against; nothing loads it implicitly.
+//! There is one format: the succinct checksummed `index.bin` layout in
+//! [`crate::binfmt`] ([`NbIndex::save_bin`] / [`NbIndex::load_bin`]). It
+//! lives in a dataset directory as `index.bin`, and the dataset registry
+//! (`graphrep_serve::registry`) is its one writer: it persists only the
+//! build every open of that directory would make — exact GED, default
+//! parameters — so whatever loads the file serves the exact metric the
+//! paper's bounds assume.
 
 use crate::nbindex::{BuildStats, NbIndex};
-use crate::nbtree::NbTree;
-use crate::pihat::ThresholdLadder;
 use graphrep_ged::DistanceOracle;
-use graphrep_metric::VantageTable;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// The serializable portion of an NB-Index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PersistedIndex {
-    /// Format version for forward compatibility.
-    pub version: u32,
-    /// Number of graphs the index was built over.
-    pub graphs: usize,
-    /// Mutation epoch the snapshot describes (see [`NbIndex::epoch`]).
-    pub epoch: u64,
-    vantage: VantageTable,
-    tree: NbTree,
-    ladder: ThresholdLadder,
-}
 
 /// Errors raised when loading a persisted index.
 #[derive(Debug)]
 pub enum PersistError {
-    /// The JSON payload could not be parsed.
-    Format(serde_json::Error),
-    /// The binary file does not start with the `GRNBIDX1` magic — not an
-    /// index file, or one written byte-swapped (the magic is byte-order
-    /// sensitive on purpose, so a wrong-endian writer is caught here).
+    /// The file does not start with the `GRNBIDX1` magic — not an index
+    /// file, or one written byte-swapped (the magic is byte-order sensitive
+    /// on purpose, so a wrong-endian writer is caught here).
     Magic {
         /// The first eight bytes actually found.
         got: [u8; 8],
@@ -89,7 +68,6 @@ pub enum PersistError {
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::Format(e) => write!(f, "bad index payload: {e}"),
             PersistError::Magic { got } => {
                 write!(f, "not a binary index: magic bytes {got:02x?}")
             }
@@ -115,62 +93,25 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// Whether `bytes` begin with the binary index magic — the cheap format
-/// sniff tools use to route a file to [`NbIndex::load_bin`] vs
-/// [`NbIndex::load_json`].
-pub fn is_binary_index(bytes: &[u8]) -> bool {
-    bytes.len() >= 8 && bytes[..8] == crate::binfmt::MAGIC
-}
-
 /// Version 2 added the mutation `epoch` field plus the NB-Tree tombstone
-/// state; version-1 payloads are rejected (their trees predate liveness
-/// tracking), which every load site handles by rebuilding. The binary and
-/// JSON formats share the version counter — they persist the same state.
-pub(crate) const VERSION: u32 = 2;
+/// state. Version 3 changed no byte of the layout: it retires every file an
+/// older release could write, because those releases also wrote `index.bin`
+/// from builds under non-default parameters or a non-metric hybrid distance,
+/// whose bounds break Thms 3–8 and which a version-2 file cannot be told
+/// apart from. Every load site answers the typed [`PersistError::Version`]
+/// by rebuilding from the dataset, so such a file is replaced once.
+pub(crate) const VERSION: u32 = 3;
 
 impl NbIndex {
-    /// Serializes the index structure (not the oracle) to JSON.
-    #[expect(
-        clippy::expect_used,
-        reason = "persisted struct is plain owned data; serialization cannot fail"
-    )]
-    pub fn save_json(&self) -> String {
-        let p = PersistedIndex {
-            version: VERSION,
-            graphs: self.tree().len(),
-            epoch: self.epoch(),
-            vantage: self.vantage().clone(),
-            tree: self.tree().clone(),
-            ladder: self.ladder().clone(),
-        };
-        serde_json::to_string(&p).expect("index parts are serializable")
-    }
-
-    /// Restores an index from [`NbIndex::save_json`] output, attaching
-    /// `oracle` (which must hold the same database, in the same order).
-    ///
-    /// Accepts the snapshot at whatever epoch it records: JSON is a dump
-    /// format, not one a server warm-loads (that is
-    /// [`NbIndex::load_bin_at_epoch`]).
-    pub fn load_json(json: &str, oracle: Arc<DistanceOracle>) -> Result<Self, PersistError> {
-        let p: PersistedIndex = serde_json::from_str(json).map_err(PersistError::Format)?;
-        if p.version != VERSION {
-            return Err(PersistError::Version(p.version));
-        }
-        Self::attach(oracle, p.graphs, p.epoch, p.vantage, p.tree, p.ladder, None)
-    }
-
     /// Serializes the index structure (not the oracle) to the succinct
-    /// binary format (`index.bin`, see [`crate::binfmt`]) — byte-for-byte
-    /// the same state as [`NbIndex::save_json`], at a fraction of the size
-    /// and parse cost.
+    /// binary format (`index.bin`, see [`crate::binfmt`]).
     pub fn save_bin(&self) -> Vec<u8> {
         crate::binfmt::encode_index(self.epoch(), self.vantage(), self.tree(), self.ladder())
     }
 
-    /// Restores an index from [`NbIndex::save_bin`] output. The epoch policy
-    /// matches [`NbIndex::load_json`]: the snapshot is accepted at whatever
-    /// epoch it records.
+    /// Restores an index from [`NbIndex::save_bin`] output, attaching
+    /// `oracle` (which must hold the same database, in the same order). The
+    /// snapshot is accepted at whatever epoch it records.
     pub fn load_bin(bytes: &[u8], oracle: Arc<DistanceOracle>) -> Result<Self, PersistError> {
         Self::load_bin_checked(bytes, oracle, None)
     }
@@ -185,56 +126,35 @@ impl NbIndex {
         Self::load_bin_checked(bytes, oracle, Some(expected))
     }
 
+    /// The graph-count and epoch guards, then reassembly of the decoded
+    /// parts around the supplied oracle.
     fn load_bin_checked(
         bytes: &[u8],
         oracle: Arc<DistanceOracle>,
         expected_epoch: Option<u64>,
     ) -> Result<Self, PersistError> {
         let d = crate::binfmt::decode_index(bytes)?;
-        Self::attach(
-            oracle,
-            d.graphs,
-            d.epoch,
-            d.vantage,
-            d.tree,
-            d.ladder,
-            expected_epoch,
-        )
-    }
-
-    /// Shared tail of both load paths: graph-count and epoch guards, then
-    /// reassembly around the supplied oracle.
-    #[allow(clippy::too_many_arguments)]
-    fn attach(
-        oracle: Arc<DistanceOracle>,
-        graphs: usize,
-        epoch: u64,
-        vantage: VantageTable,
-        tree: NbTree,
-        ladder: ThresholdLadder,
-        expected_epoch: Option<u64>,
-    ) -> Result<Self, PersistError> {
-        if graphs != oracle.len() {
+        if d.graphs != oracle.len() {
             return Err(PersistError::GraphCountMismatch {
-                expected: graphs,
+                expected: d.graphs,
                 got: oracle.len(),
             });
         }
         if let Some(expected) = expected_epoch {
-            if epoch != expected {
+            if d.epoch != expected {
                 return Err(PersistError::EpochMismatch {
-                    snapshot: epoch,
+                    snapshot: d.epoch,
                     expected,
                 });
             }
         }
         Ok(Self::from_parts(
             oracle,
-            vantage,
-            tree,
-            ladder,
+            d.vantage,
+            d.tree,
+            d.ladder,
             BuildStats::default(),
-            epoch,
+            d.epoch,
         ))
     }
 }
@@ -261,17 +181,18 @@ mod tests {
         let relevant = data.default_query().relevant_set(&data.db);
         let (want, _) = index.query(relevant.clone(), data.default_theta, 4);
 
-        let json = index.save_json();
+        let bin = index.save_bin();
         let fresh_oracle = data.db.oracle(GedConfig::default());
-        let loaded = NbIndex::load_json(&json, fresh_oracle).unwrap();
+        let loaded = NbIndex::load_bin(&bin, fresh_oracle).unwrap();
         let (got, _) = loaded.query(relevant, data.default_theta, 4);
         assert_eq!(got.ids, want.ids);
         assert_eq!(got.pi_trajectory, want.pi_trajectory);
     }
 
-    /// Save → load → save must reproduce the exact payload bytes, and the
-    /// loaded index must answer a fixed query byte-identically (the full
-    /// `AnswerSet` debug form covers ids, coverage, and the π trajectory).
+    /// Save → load → save must reproduce the exact payload bytes, the
+    /// decoded parts must equal the in-memory ones, and the loaded index
+    /// must answer a fixed query byte-identically (the full `AnswerSet`
+    /// debug form covers ids, coverage, and the π trajectory).
     #[test]
     fn round_trip_is_byte_identical() {
         let data = DatasetSpec::new(DatasetKind::DudLike, 50, 904).generate();
@@ -287,13 +208,16 @@ mod tests {
         let relevant = data.default_query().relevant_set(&data.db);
         let (want, _) = index.query(relevant.clone(), data.default_theta, 5);
 
-        let json = index.save_json();
-        let loaded = NbIndex::load_json(&json, data.db.oracle(GedConfig::default())).unwrap();
+        let bin = index.save_bin();
+        let loaded = NbIndex::load_bin(&bin, data.db.oracle(GedConfig::default())).unwrap();
         assert_eq!(
-            loaded.save_json(),
-            json,
+            loaded.save_bin(),
+            bin,
             "re-serializing a loaded index must be byte-identical"
         );
+        assert_eq!(loaded.vantage(), index.vantage());
+        assert_eq!(loaded.tree(), index.tree());
+        assert_eq!(loaded.ladder(), index.ladder());
         let (got, _) = loaded.query(relevant, data.default_theta, 5);
         assert_eq!(
             format!("{got:?}"),
@@ -302,18 +226,19 @@ mod tests {
         );
     }
 
-    /// A bumped `version` field must surface as the typed
-    /// [`PersistError::Version`] — never a panic or a silent misread.
+    /// A file of the previous version — one an older release may have
+    /// written from a non-default or non-metric build — is the typed
+    /// [`PersistError::Version`], never a silent load.
     #[test]
     fn version_mismatch_is_typed_error() {
         let data = DatasetSpec::new(DatasetKind::DudLike, 12, 905).generate();
         let oracle = data.db.oracle(GedConfig::default());
         let index = NbIndex::build(oracle, NbIndexConfig::default());
-        let json = index.save_json();
-        let bumped = json.replacen("\"version\":2", "\"version\":999", 1);
-        assert_ne!(bumped, json, "fixture must actually bump the version");
-        match NbIndex::load_json(&bumped, data.db.oracle(GedConfig::default())) {
-            Err(PersistError::Version(v)) => assert_eq!(v, 999),
+        let mut old = index.save_bin();
+        assert_eq!(old[8..12], VERSION.to_le_bytes(), "version at offset 8..12");
+        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        match NbIndex::load_bin(&old, data.db.oracle(GedConfig::default())) {
+            Err(PersistError::Version(v)) => assert_eq!(v, 2),
             other => panic!("expected Version error, got {other:?}"),
         }
     }
@@ -323,9 +248,9 @@ mod tests {
         let data = DatasetSpec::new(DatasetKind::DudLike, 40, 902).generate();
         let oracle = data.db.oracle(GedConfig::default());
         let index = NbIndex::build(oracle, NbIndexConfig::default());
-        let json = index.save_json();
+        let bin = index.save_bin();
         let smaller = data.db.prefix(10).oracle(GedConfig::default());
-        match NbIndex::load_json(&json, smaller) {
+        match NbIndex::load_bin(&bin, smaller) {
             Err(PersistError::GraphCountMismatch { expected, got }) => {
                 assert_eq!(expected, 40);
                 assert_eq!(got, 10);
@@ -334,14 +259,20 @@ mod tests {
         }
     }
 
+    /// Foreign bytes (here a JSON document, the format older releases could
+    /// also dump) are the typed `Magic` error.
     #[test]
     fn garbage_payload_rejected() {
         let data = DatasetSpec::new(DatasetKind::DudLike, 10, 903).generate();
-        let oracle = data.db.oracle(GedConfig::default());
-        assert!(matches!(
-            NbIndex::load_json("{not json", oracle),
-            Err(PersistError::Format(_))
-        ));
+        for garbage in [
+            &b"{not json"[..],
+            b"{\"version\":2,\"graphs\":10,\"epoch\":0}",
+        ] {
+            assert!(matches!(
+                NbIndex::load_bin(garbage, data.db.oracle(GedConfig::default())),
+                Err(PersistError::Magic { .. })
+            ));
+        }
     }
 
     /// Builds a mutated index (insert + remove, so tombstones and a non-zero
@@ -363,8 +294,9 @@ mod tests {
     }
 
     /// Binary save → load must preserve answers, the epoch, tombstones, and
-    /// re-serialize to the exact same bytes; the binary file must also be
-    /// several times smaller than the JSON one.
+    /// re-serialize to the exact same bytes; the file must also be several
+    /// times smaller than the in-memory index it restores (it stores the
+    /// vantage columns once and rederives the sorted views on load).
     #[test]
     fn bin_round_trip_is_byte_identical_and_smaller() {
         let (data, index) = mutated_index(60, 910);
@@ -372,29 +304,23 @@ mod tests {
         let (want, _) = index.query(relevant.clone(), data.default_theta, 5);
 
         let bin = index.save_bin();
-        let json = index.save_json();
         assert!(
-            bin.len() * 3 < json.len(),
-            "binary ({}) should be well under a third of JSON ({})",
+            bin.len() * 3 < index.memory_bytes(),
+            "index.bin ({}) should be well under a third of the index in memory ({})",
             bin.len(),
-            json.len()
+            index.memory_bytes()
         );
 
         let loaded = NbIndex::load_bin(&bin, data.db.oracle(GedConfig::default())).unwrap();
         assert_eq!(loaded.epoch(), index.epoch());
         assert!(!loaded.tree().is_live(1) && !loaded.tree().is_live(30));
         assert_eq!(loaded.save_bin(), bin, "re-encoding must be byte-identical");
-        assert_eq!(
-            loaded.save_json(),
-            json,
-            "a binary-loaded index must serialize to the same JSON as the original"
-        );
         let (got, _) = loaded.query(relevant, data.default_theta, 5);
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]
-    fn bin_epoch_guard_matches_json_semantics() {
+    fn bin_epoch_guard_rejects_other_epochs() {
         let (data, index) = mutated_index(30, 911);
         let bin = index.save_bin();
         let at = index.epoch();
@@ -448,8 +374,8 @@ mod tests {
         ));
     }
 
-    /// Satellite: a bumped version field in the binary header is the same
-    /// typed `Version` error the JSON path raises.
+    /// Satellite: a bumped version field in the binary header is the typed
+    /// `Version` error.
     #[test]
     fn bin_wrong_version_is_typed_error() {
         let (data, index) = mutated_index(20, 914);
@@ -461,8 +387,8 @@ mod tests {
         }
     }
 
-    /// Satellite: byte-swapped magic (what a big-endian writer would emit)
-    /// and plain foreign bytes are both the typed `Magic` error.
+    /// Satellite: byte-swapped magic (what a big-endian writer would emit) is
+    /// the typed `Magic` error.
     #[test]
     fn bin_wrong_endian_magic_is_typed_error() {
         let (data, index) = mutated_index(20, 915);
@@ -472,12 +398,6 @@ mod tests {
             Err(PersistError::Magic { got }) => assert_eq!(&got, b"1XDIBNRG"),
             other => panic!("expected Magic, got {other:?}"),
         }
-        // A JSON index handed to the binary loader is also just a bad magic.
-        let json = index.save_json();
-        assert!(matches!(
-            NbIndex::load_bin(json.as_bytes(), data.db.oracle(GedConfig::default())),
-            Err(PersistError::Magic { .. })
-        ));
     }
 
     /// An intact, correctly checksummed header over a shape-violating

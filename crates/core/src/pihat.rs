@@ -13,12 +13,11 @@ use graphrep_graph::GraphId;
 use graphrep_metric::{BandProjection, Bitset, DistanceDistribution, VantageTable};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 const EPS: f64 = 1e-6;
 
 /// The sorted set of distance thresholds indexed in π̂-vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdLadder {
     thetas: Vec<f64>,
 }

@@ -1,7 +1,7 @@
-//! Differential persistence: the binary round-trip, the JSON round-trip, and
-//! the in-memory index must be indistinguishable — across dataset kinds and
-//! a randomized insert/remove mutation script, with answers and re-encoded
-//! bytes compared at every mutation epoch.
+//! Differential persistence: the binary round-trip and the in-memory index
+//! must be indistinguishable — across dataset kinds and a randomized
+//! insert/remove mutation script, with decoded parts, answers and
+//! re-encoded bytes compared at every mutation epoch.
 
 use graphrep_core::{NbIndex, NbIndexConfig};
 use graphrep_datagen::{DatasetKind, DatasetSpec};
@@ -11,59 +11,47 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Queries all three views of the same epoch (in-memory, JSON-reloaded,
-/// binary-reloaded) and asserts byte-identical answers plus cross-format
-/// re-encode stability.
+/// Queries both views of the same epoch (in-memory and binary-reloaded) and
+/// asserts equal parts, byte-identical answers and re-encode stability.
 fn assert_formats_agree(
     index: &NbIndex,
     relevant: &[u32],
     theta: f64,
     k: usize,
 ) -> Result<(), TestCaseError> {
-    let json = index.save_json();
     let bin = index.save_bin();
-    let from_json = NbIndex::load_json(&json, index.oracle_arc()).expect("json load");
     let from_bin =
         NbIndex::load_bin_at_epoch(&bin, index.oracle_arc(), index.epoch()).expect("bin load");
 
-    // Re-encoding from either loaded form reproduces the exact bytes of
-    // both formats — the persisted state is format-independent.
+    // The decoded parts are the in-memory parts, and re-encoding them
+    // reproduces the exact bytes.
+    prop_assert_eq!(from_bin.vantage(), index.vantage(), "vantage table drifted");
+    prop_assert_eq!(from_bin.tree(), index.tree(), "NB-Tree drifted");
     prop_assert_eq!(
-        from_bin.save_json(),
-        json.clone(),
-        "bin→json re-encode drifted"
-    );
-    prop_assert_eq!(
-        from_json.save_bin(),
-        bin.clone(),
-        "json→bin re-encode drifted"
+        from_bin.ladder(),
+        index.ladder(),
+        "threshold ladder drifted"
     );
     prop_assert_eq!(from_bin.save_bin(), bin, "bin→bin re-encode drifted");
-    prop_assert_eq!(from_json.save_json(), json, "json→json re-encode drifted");
 
     if relevant.is_empty() {
         return Ok(());
     }
     let (want, _) = index.query(relevant.to_vec(), theta, k);
-    let (via_json, _) = from_json.query(relevant.to_vec(), theta, k);
     let (via_bin, _) = from_bin.query(relevant.to_vec(), theta, k);
-    let want = format!("{want:?}");
     prop_assert_eq!(
-        format!("{via_json:?}"),
-        want.clone(),
-        "JSON-loaded answers differ"
+        format!("{via_bin:?}"),
+        format!("{want:?}"),
+        "binary-loaded answers differ"
     );
-    prop_assert_eq!(format!("{via_bin:?}"), want, "binary-loaded answers differ");
     Ok(())
 }
 
-/// The binary format's reason to exist, as sizes (deterministic, unlike
-/// load times): at the CLI's default index parameters it is at least 5×
-/// smaller than the JSON dump and at most 40 bytes per graph (reads 6.7× and
-/// 25 B/graph).
+/// The binary format's reason to exist, as a size (deterministic, unlike
+/// load times): at the default index parameters it is at most 40 bytes per
+/// graph (reads 25 B/graph).
 #[test]
 fn binary_index_is_succinct() {
-    const MIN_JSON_OVER_BIN: usize = 5;
     const MAX_BIN_BYTES_PER_GRAPH: usize = 40;
     let n = 120;
     let data = DatasetSpec::new(DatasetKind::DudLike, n, 42).generate();
@@ -74,11 +62,7 @@ fn binary_index_is_succinct() {
             ..Default::default()
         },
     );
-    let (json, bin) = (index.save_json().len(), index.save_bin().len());
-    assert!(
-        json >= MIN_JSON_OVER_BIN * bin,
-        "index.bin is {bin} bytes against {json} of JSON: under {MIN_JSON_OVER_BIN}x smaller"
-    );
+    let bin = index.save_bin().len();
     assert!(
         bin <= MAX_BIN_BYTES_PER_GRAPH * n,
         "index.bin is {bin} bytes for {n} graphs: over {MAX_BIN_BYTES_PER_GRAPH} per graph"
@@ -89,7 +73,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn binary_json_and_memory_agree_at_every_epoch(
+    fn binary_and_memory_agree_at_every_epoch(
         seed in 0u64..10_000,
         kind_pick in 0usize..3,
         script in proptest::collection::vec(0u8..3, 1..5),

@@ -37,7 +37,6 @@
 use crate::bitset::Bitset;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
 
 const EPS: f64 = 1e-6;
 
@@ -62,7 +61,7 @@ fn band_edges(center: f32, theta: f64) -> (f32, f32) {
 
 /// The vantage orderings of a database: per-VP distances and sorted orders,
 /// held in the SoA layout described at the [module level](self).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VantageTable {
     n: usize,
     vp_ids: Vec<u32>,
@@ -159,73 +158,6 @@ impl VantageTable {
         }
     }
 
-    /// Reassembles a table from raw per-VP coordinate columns (`cols[v][i]` =
-    /// d(VP v, item i)) — the binary persistence decode path. The sort
-    /// orders are *derived* (stable argsort), which is exact because every
-    /// construction and mutation path maintains `orders` as precisely that
-    /// argsort (see the module docs); nothing else needs to be stored.
-    pub fn from_columns(n: usize, vp_ids: Vec<u32>, cols: Vec<Vec<f32>>) -> Result<Self, String> {
-        if cols.len() != vp_ids.len() {
-            return Err(format!(
-                "vantage table has {} vp ids but {} coordinate columns",
-                vp_ids.len(),
-                cols.len()
-            ));
-        }
-        if let Some(bad) = cols.iter().find(|c| c.len() != n) {
-            return Err(format!(
-                "vantage column has {} coordinates, table has {n} items",
-                bad.len()
-            ));
-        }
-        Ok(Self::from_dists(n, vp_ids, cols))
-    }
-
-    /// Reassembles a table from coordinate columns plus externally supplied
-    /// sort orders — the cold-start fast path, where a decoder can derive
-    /// each order in O(n) (e.g. by counting sort over a value dictionary)
-    /// instead of paying a comparison sort per column. Every order is
-    /// validated to be an in-range, distance-non-decreasing arrangement of
-    /// the column before it is trusted; shape mismatches and violations are
-    /// reported as errors, never panics.
-    pub fn from_parts(
-        n: usize,
-        vp_ids: Vec<u32>,
-        cols: Vec<Vec<f32>>,
-        orders: Vec<Vec<u32>>,
-    ) -> Result<Self, String> {
-        if cols.len() != vp_ids.len() || orders.len() != vp_ids.len() {
-            return Err(format!(
-                "vantage table with {} vp ids has {} dist and {} order columns",
-                vp_ids.len(),
-                cols.len(),
-                orders.len()
-            ));
-        }
-        for (v, (d, ord)) in cols.iter().zip(&orders).enumerate() {
-            if d.len() != n || ord.len() != n {
-                return Err(format!(
-                    "vantage column {v} has {} dists / {} order entries, table has {n} items",
-                    d.len(),
-                    ord.len()
-                ));
-            }
-            let mut prev = f32::NEG_INFINITY;
-            for &id in ord {
-                let coord = *d
-                    .get(id as usize)
-                    .ok_or_else(|| format!("order entry {id} out of range 0..{n}"))?;
-                if coord < prev {
-                    return Err(format!(
-                        "vantage order {v} is not sorted by distance at item {id}"
-                    ));
-                }
-                prev = coord;
-            }
-        }
-        Ok(Self::assemble(n, vp_ids, cols, orders))
-    }
-
     /// Wraps pre-assembled SoA slabs directly — the binary decoder's
     /// zero-intermediate path, where the row-major transpose, the sorted
     /// coordinate arrays, and the orders are all produced in the decoder's
@@ -270,27 +202,6 @@ impl VantageTable {
             sorted,
             orders,
         })
-    }
-
-    /// Shared tail of the `from_parts*` constructors: builds the sorted
-    /// gather and the row-major transpose from already-validated parts.
-    fn assemble(n: usize, vp_ids: Vec<u32>, cols: Vec<Vec<f32>>, orders: Vec<Vec<u32>>) -> Self {
-        let num_vps = vp_ids.len();
-        let mut rows = vec![0.0f32; n * num_vps];
-        let mut sorted = Vec::with_capacity(num_vps);
-        for (v, (d, ord)) in cols.iter().zip(&orders).enumerate() {
-            sorted.push(ord.iter().map(|&id| d[id as usize]).collect());
-            for (i, &x) in d.iter().enumerate() {
-                rows[i * num_vps + v] = x;
-            }
-        }
-        Self {
-            n,
-            vp_ids,
-            rows,
-            sorted,
-            orders,
-        }
     }
 
     /// Appends one item to the embedding: `vp_dists[v]` is the distance from
@@ -338,12 +249,6 @@ impl VantageTable {
     /// Whether the table is empty (no VPs or no items).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Distance from VP index `v` (not id) to item `i`.
-    #[inline]
-    pub fn vp_dist(&self, v: usize, i: u32) -> f64 {
-        self.rows[i as usize * self.num_vps() + v] as f64
     }
 
     /// The item-major coordinate row of item `i` (one f32 per VP).
@@ -549,38 +454,6 @@ fn stable_argsort(n: usize, d: &[f32]) -> Vec<u32> {
     ord
 }
 
-// The JSON representation predates the SoA layout and is kept byte-stable as
-// the fallback/migration format: the same `{n, vp_ids, dists, orders}` shape
-// the old `Vec<Vec<f32>>`-backed derive produced, with `dists[v][i]` the raw
-// coordinate columns. Serialization gathers the columns out of the item-major
-// slab; deserialization honors the *stored* orders (defensively validated)
-// rather than re-deriving them, so any historical file round-trips
-// byte-identically.
-impl Serialize for VantageTable {
-    fn to_value(&self) -> Value {
-        let dists: Vec<Vec<f32>> = (0..self.num_vps()).map(|v| self.column(v)).collect();
-        Value::Obj(vec![
-            ("n".to_owned(), self.n.to_value()),
-            ("vp_ids".to_owned(), self.vp_ids.to_value()),
-            ("dists".to_owned(), dists.to_value()),
-            ("orders".to_owned(), self.orders.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for VantageTable {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| DeError::expected("object", v.kind()))?;
-        let n = usize::from_value(serde::field(obj, "n", "VantageTable")?)?;
-        let vp_ids = Vec::<u32>::from_value(serde::field(obj, "vp_ids", "VantageTable")?)?;
-        let dists = Vec::<Vec<f32>>::from_value(serde::field(obj, "dists", "VantageTable")?)?;
-        let orders = Vec::<Vec<u32>>::from_value(serde::field(obj, "orders", "VantageTable")?)?;
-        Self::from_parts(n, vp_ids, dists, orders).map_err(DeError)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,11 +572,13 @@ mod tests {
         let coord = |rng: &mut SmallRng| rng.gen_range(0u32..6) as f32;
         for num_vps in [0usize, 1, 3, 6] {
             for grown in [false, true] {
-                let cols = (0..num_vps)
+                let cols: Vec<Vec<f32>> = (0..num_vps)
                     .map(|_| (0..40).map(|_| coord(&mut rng)).collect())
                     .collect();
                 let mut t =
-                    VantageTable::from_columns(40, (0..num_vps as u32).collect(), cols).unwrap();
+                    VantageTable::build_with_vps(40, (0..num_vps as u32).collect(), &mut |v, i| {
+                        f64::from(cols[v as usize][i as usize])
+                    });
                 if grown {
                     for _ in 0..10 {
                         let row: Vec<f64> =
@@ -723,10 +598,13 @@ mod tests {
                     // A θ equal to some item's VP-0 offset from `i`.
                     let edge = match num_vps {
                         0 => 1.0,
-                        _ => (0..n as u32)
-                            .map(|c| (t.vp_dist(0, i) - t.vp_dist(0, c)).abs())
-                            .find(|&d| d > 0.0)
-                            .unwrap_or(1.0),
+                        _ => {
+                            let col = t.column(0);
+                            col.iter()
+                                .map(|&c| f64::from((col[i as usize] - c).abs()))
+                                .find(|&d| d > 0.0)
+                                .unwrap_or(1.0)
+                        }
                     };
                     for theta in [0.0, edge, 100.0] {
                         for keep in &keeps {
@@ -889,19 +767,10 @@ mod tests {
         assert_eq!(t.candidates(3, 0.0), full.candidates(3, 0.0));
     }
 
-    #[test]
-    fn serde_round_trip() {
-        let t = line_table(20, 3, 4);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: VantageTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.num_vps(), t.num_vps());
-        assert_eq!(back.candidates(5, 2.0), t.candidates(5, 2.0));
-        // Schema compatibility: re-serializing reproduces the bytes.
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-    }
-
-    /// The binary decode path: raw columns alone must reassemble the exact
-    /// table — orders, sorted slabs, and item-major rows all rederived.
+    /// The table is a pure function of its raw columns — the invariant the
+    /// binary format relies on when it stores only the columns: a table
+    /// grown by `push_item` equals one rebuilt from its columns, orders,
+    /// sorted slabs and item-major rows included.
     #[test]
     fn from_columns_reassembles_exactly() {
         let mut t = line_table(30, 4, 9);
@@ -909,40 +778,25 @@ mod tests {
         t.push_item(&[3.0, 7.0, 1.0, 4.0]);
         t.push_item(&[3.0, 7.0, 1.0, 4.0]);
         let cols: Vec<Vec<f32>> = (0..t.num_vps()).map(|v| t.column(v)).collect();
-        let back = VantageTable::from_columns(t.len(), t.vp_ids().to_vec(), cols).unwrap();
-        assert_eq!(back.len(), t.len());
-        for i in 0..t.len() as u32 {
-            assert_eq!(back.candidates(i, 2.0), t.candidates(i, 2.0));
-            for j in 0..t.len() as u32 {
-                assert_eq!(back.lower_bound(i, j), t.lower_bound(i, j));
-                assert_eq!(back.hint_bounds(i, j), t.hint_bounds(i, j));
-            }
-        }
-        // And the JSON forms agree byte-for-byte (same derived orders).
-        assert_eq!(
-            serde_json::to_string(&back).unwrap(),
-            serde_json::to_string(&t).unwrap()
-        );
+        let vp_ids = t.vp_ids().to_vec();
+        let back = VantageTable::build_with_vps(t.len(), vp_ids.clone(), &mut |vp, i| {
+            let v = vp_ids.iter().position(|&id| id == vp).unwrap();
+            f64::from(cols[v][i as usize])
+        });
+        assert_eq!(back, t);
     }
 
+    /// The decode constructor assembles the table from per-VP columns and
+    /// rejects any whose shape does not match the table's.
     #[test]
     fn from_columns_rejects_mismatched_shapes() {
-        assert!(VantageTable::from_columns(3, vec![0, 1], vec![vec![0.0; 3]]).is_err());
-        assert!(VantageTable::from_columns(3, vec![0], vec![vec![0.0; 2]]).is_err());
-    }
-
-    /// Corrupt JSON (orders not sorted by distance) is a typed error, not a
-    /// silently broken table.
-    #[test]
-    fn deserialize_rejects_unsorted_orders() {
-        let t = VantageTable::build_with_vps(5, vec![0], &mut |a: u32, b: u32| {
-            (a as f64 - b as f64).abs()
-        });
-        let json = serde_json::to_string(&t).unwrap();
-        // The identity order [0,1,2,3,4] is ascending on a line from VP 0 —
-        // swapping two entries makes it unsorted by distance.
-        let broken = json.replacen("[0,1,2", "[1,0,2", 1);
-        assert_ne!(broken, json);
-        assert!(serde_json::from_str::<VantageTable>(&broken).is_err());
+        let soa = |rows: usize, sorted: Vec<Vec<f32>>, orders: Vec<Vec<u32>>| {
+            VantageTable::from_raw_soa(3, vec![0], vec![0.0; rows], sorted, orders)
+        };
+        assert!(soa(3, vec![vec![0.0; 3]], vec![vec![0, 1, 2]]).is_ok());
+        assert!(soa(2, vec![vec![0.0; 3]], vec![vec![0, 1, 2]]).is_err());
+        assert!(soa(3, vec![vec![0.0; 2]], vec![vec![0, 1, 2]]).is_err());
+        assert!(soa(3, vec![vec![0.0; 3]], vec![vec![0, 1]]).is_err());
+        assert!(soa(3, vec![], vec![vec![0, 1, 2]]).is_err());
     }
 }

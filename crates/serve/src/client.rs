@@ -8,8 +8,10 @@ use crate::protocol::{
     PickBody, PingBody, RemoveBody, Request, Response, RunBody, ServeError, StatsBody, Tagged,
     TaggedResponse, WireEdge,
 };
-use crate::registry::LoadedDataset;
+use crate::registry::{self, LoadedDataset};
 use graphrep_core::AnswerSet;
+use graphrep_datagen::store;
+use graphrep_ged::GedConfig;
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::path::Path;
@@ -716,15 +718,21 @@ pub fn offline_reference(ds: &LoadedDataset, spec: &LoadSpec) -> HashMap<(u64, u
         .collect()
 }
 
-/// Loads the dataset at `dir` — base snapshot plus its mutation log, removes
-/// included — and computes [`offline_reference`] for it. A sharded server
-/// logs to the same file, so this single-index `QuerySession::run` is the
-/// ground truth for either kind of server.
+/// Rebuilds the dataset at `dir` from its base snapshot and mutation log —
+/// removes included — and computes [`offline_reference`] for it. It never
+/// reads `<dir>/index.bin`: that is the file a server on `dir` loaded, so
+/// it is under test, not ground truth. A sharded server logs to the same
+/// file, so this single-index `QuerySession::run` is the ground truth for
+/// either kind of server.
 pub fn offline_reference_from_dir(
     dir: &Path,
     spec: &LoadSpec,
 ) -> Result<HashMap<(u64, usize), AnswerSet>, ServeError> {
-    let ds = LoadedDataset::open(&spec.dataset, dir, false)?;
+    let logged = store::load_logged(dir)
+        .map_err(|e| ServeError::new(format!("loading {}: {e}", dir.display())))?;
+    let config = registry::default_index_config(&logged.data);
+    let index = registry::replay(&logged, GedConfig::default(), config)?;
+    let ds = LoadedDataset::from_parts(&spec.dataset, None, logged.data, index, "built".into());
     Ok(offline_reference(&ds, spec))
 }
 

@@ -3,11 +3,15 @@
 //!
 //! Warm start: if `<dir>/index.bin` (the succinct binary format) exists it
 //! is loaded through the persistence layer — the whole NP-hard build phase
-//! is skipped. Otherwise the index is built with the same defaults the CLI
-//! uses (so a CLI-built index and a server-built index are interchangeable)
-//! and, optionally, written back for the next start. `index.bin` is the one
-//! index file the registry reads or writes; JSON is an explicit dump format
-//! of the CLI only.
+//! is skipped. Otherwise the index is built under exact GED with
+//! [`default_index_config`] and, optionally, written back for the next
+//! start. `index.bin` is the only index a dataset has and this module is
+//! its only writer: the CLI's `index`, `query` and `refine` open a
+//! directory through [`open_index`] and [`write_index`] with the same
+//! parameters, so whatever loads the file serves the build the paper's
+//! exactness bounds hold for. The offline verifier
+//! ([`crate::offline_reference_from_dir`]) never reads it: it rebuilds from
+//! the base snapshot and the log (`replay`).
 //!
 //! Mutations (DESIGN.md §10) go through [`LoadedDataset::insert_graph`] /
 //! [`LoadedDataset::remove_graph`]: the current index is forked, the fork is
@@ -20,7 +24,7 @@
 //! of truth: its intact record count is the epoch an `index.bin` must carry
 //! to be loaded, so a crash between the two writes, or a torn record, is
 //! detected on the next open and answered by replaying the log
-//! ([`open_index`], which the CLI's implicit path shares).
+//! ([`open_index`]).
 //!
 //! A sharded dataset ([`ShardedDataset`]) keeps no state of its own on
 //! disk: its mutations append to the same log, and an open partitions the
@@ -47,8 +51,9 @@ use std::sync::Arc;
 /// real family.
 pub const EXTERNAL_FAMILY: u32 = u32::MAX;
 
-/// Index-build parameters shared by the server and the CLI's implicit path:
-/// the library defaults plus the dataset's own threshold ladder.
+/// The one set of index-build parameters, shared by the server, the CLI and
+/// the offline verifier: the library defaults plus the dataset's own
+/// threshold ladder.
 pub fn default_index_config(data: &Dataset) -> NbIndexConfig {
     NbIndexConfig {
         ladder: data.default_ladder.clone(),
@@ -263,7 +268,7 @@ pub fn open_index(
 /// record replayed in order. The result sits at the log's epoch with the
 /// log's tombstones, so removed graphs stay removed and the next mutation's
 /// `index.bin` matches the log again.
-fn replay(
+pub(crate) fn replay(
     logged: &store::Logged,
     ged: GedConfig,
     config: NbIndexConfig,
@@ -321,7 +326,7 @@ impl LoadedDataset {
 
     /// The one constructor: default caches, zeroed telemetry, and the
     /// oracle baseline taken now — after the load or build that made `index`.
-    fn from_parts(
+    pub(crate) fn from_parts(
         name: &str,
         dir: Option<PathBuf>,
         data: Dataset,

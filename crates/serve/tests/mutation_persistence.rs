@@ -143,16 +143,14 @@ fn policy_rebuilds_are_counted_in_stats() {
 }
 
 /// `index.bin` is the one index file the registry looks for: a JSON-era
-/// directory (only `index.json` on disk, here a perfectly loadable one) is
-/// never read — the open rebuilds once, writes `index.bin`, and the next
-/// open warm-loads that.
+/// directory (only `index.json` on disk) is never read — the open rebuilds
+/// once, writes `index.bin`, and the next open warm-loads that.
 #[test]
 fn json_era_directory_is_rebuilt_once_into_binary() {
     let dir = tmpdir("jsonmig");
     let data = DatasetSpec::new(DatasetKind::DudLike, 20, 515).generate();
     store::save(&data, &dir).expect("save dataset");
-    let json = load_in_memory("d", data).index_arc().save_json();
-    std::fs::write(dir.join("index.json"), json).expect("write json");
+    std::fs::write(dir.join("index.json"), b"{\"version\":2,\"graphs\":20}").expect("write json");
 
     let ds = LoadedDataset::open("d", &dir, true).expect("json-era open");
     assert_eq!(ds.index_source(), "built", "index.json must not be read");
@@ -191,6 +189,40 @@ fn corrupt_binary_index_rebuilds_with_provenance() {
     let _ = ds
         .index_arc()
         .query(ds.relevant_for(0.75), data.default_theta, 3);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An `index.bin` of format version 2 is never served: releases that wrote
+/// it could also build it under non-default parameters or hybrid distances,
+/// and such a file cannot be told apart from a default build. The open
+/// rebuilds with the version named, leaves a version-3 file behind, and the
+/// next open warm-loads that.
+#[test]
+fn version_2_index_is_rebuilt_once_into_version_3() {
+    let dir = tmpdir("v2purge");
+    let data = DatasetSpec::new(DatasetKind::DudLike, 16, 517).generate();
+    store::save(&data, &dir).expect("save dataset");
+    drop(LoadedDataset::open("d", &dir, true).expect("first open"));
+    let version = |dir: &Path| {
+        let bin = std::fs::read(dir.join("index.bin")).expect("read bin");
+        u32::from_le_bytes([bin[8], bin[9], bin[10], bin[11]])
+    };
+    assert_eq!(version(&dir), 3);
+    let mut bin = std::fs::read(dir.join("index.bin")).expect("read bin");
+    bin[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(dir.join("index.bin"), &bin).expect("write version 2");
+
+    let ds = LoadedDataset::open("d", &dir, true).expect("open over version 2");
+    assert_eq!(
+        ds.index_source(),
+        "built (stale index on disk: index.bin: unsupported index version 2)"
+    );
+    assert_eq!(ds.stats().persist_errors, 0);
+    drop(ds);
+    assert_eq!(version(&dir), 3, "the rebuild must write a version-3 file");
+    let ds = LoadedDataset::open("d", &dir, false).expect("reopen");
+    assert_eq!(ds.index_source(), "loaded");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

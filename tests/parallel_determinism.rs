@@ -24,7 +24,7 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 fn build_and_query(
     n_threads: usize,
     kind: DatasetKind,
-) -> (String, graphrep::core::AnswerSet, Vec<f64>) {
+) -> (Vec<u8>, graphrep::core::AnswerSet, Vec<f64>) {
     with_threads(n_threads, || {
         let data = DatasetSpec::new(kind, 120, 90125).generate();
         let oracle = data.db.oracle(GedConfig::default());
@@ -44,17 +44,17 @@ fn build_and_query(
         let (refined, _) = session.run(data.default_theta * 0.8, 6);
         let mut pis = answer.pi_trajectory.clone();
         pis.extend(&refined.pi_trajectory);
-        (index.save_json(), answer, pis)
+        (index.save_bin(), answer, pis)
     })
 }
 
 #[test]
 fn index_and_answers_identical_at_any_thread_count() {
-    let (json1, answer1, pis1) = build_and_query(1, DatasetKind::DudLike);
+    let (bin1, answer1, pis1) = build_and_query(1, DatasetKind::DudLike);
     for threads in [2, 4, 8] {
-        let (json_n, answer_n, pis_n) = build_and_query(threads, DatasetKind::DudLike);
+        let (bin_n, answer_n, pis_n) = build_and_query(threads, DatasetKind::DudLike);
         assert_eq!(
-            json_n, json1,
+            bin_n, bin1,
             "serialized index diverged at {threads} threads"
         );
         assert_eq!(
