@@ -1,7 +1,7 @@
 //! `graphrep-check`: workspace-native static analysis for the NB-Index repo.
 //!
 //! [`lint_workspace`] runs a handwritten lexer plus the lexical rules in
-//! [`rules`] (G002, G004, G006, G007, G010, G011) over every non-test file,
+//! [`rules`] (G002, G004, G006, G007, G011) over every non-test file,
 //! then the flow-aware lock analysis in [`lockgraph`] (G008/G009) across the
 //! whole workspace, with an inline per-site allow-directive escape hatch
 //! (syntax in [`rules`]). Conventions clippy or rustc already check are not

@@ -9,7 +9,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: graphrep-check lint [--budget FILE]
 
-  lint           run the lint rules (G002, G004, G006-G011) over all workspace
+  lint           run the lint rules (G002, G004, G006–G009, G011) over all workspace
                  sources and print the findings and the lock graph's edges
   --budget FILE  check the lock graph against a flat JSON budget file with
                  integer keys nodes_min, edges_exact (see ci/lock_analysis.json);

@@ -1,5 +1,5 @@
-//! The token-stream project lint rules (G002, G004, G006, G007, G010 and
-//! G011; the workspace-wide lock rules G008/G009 live in `lockgraph`).
+//! The token-stream project lint rules (G002, G004, G006, G007 and G011;
+//! the workspace-wide lock rules G008/G009 live in `lockgraph`).
 //!
 //! Rules are purely lexical: no type information, no macro expansion. That is
 //! enough for the project conventions they enforce, and it keeps the driver
@@ -59,10 +59,6 @@ pub struct Suppressed {
 /// serving layer owns all network I/O and shutdown-poll timing, and the CLI
 /// fronts it.
 const G007_EXEMPT: &[&str] = &["serve", "cli"];
-/// Crates where G010 (JSON stays behind the persistence seam) applies: the
-/// index data plane must stay format-agnostic, so `serde_json` may appear
-/// only in `persist.rs` (and tests).
-const G010_CRATES: &[&str] = &["core", "metric"];
 /// Distance-work idents G011 bans from the shard coordinator: the engine
 /// and oracle types themselves, plus their verification entry points when
 /// invoked as methods.
@@ -108,9 +104,6 @@ pub fn lint_source(file: &str, src: &str, scope: &Scope) -> (Vec<Finding>, Vec<S
     rule_g006(file, toks, comments, &in_test, &mut findings);
     if !G007_EXEMPT.iter().any(|c| c == &scope.crate_name) {
         rule_g007(file, toks, &in_test, &mut findings);
-    }
-    if G010_CRATES.iter().any(|c| c == &scope.crate_name) && !file.ends_with("persist.rs") {
-        rule_g010(file, toks, &in_test, &mut findings);
     }
     if scope.crate_name == "shard" && file.ends_with("coordinator.rs") {
         rule_g011(file, toks, &in_test, &mut findings);
@@ -511,29 +504,6 @@ fn rule_g007(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &
     }
 }
 
-/// G010: no `serde_json` outside the persistence seam in core/metric.
-///
-/// The index data plane (vantage columns, tree, π̂ ladders) is serialized by
-/// exactly one module per format — `crates/core/src/persist.rs` — so the
-/// rest of `core` and all of `metric` must not name `serde_json`. Anything
-/// else couples the hot path to one on-disk representation and silently
-/// breaks the binary/JSON byte-identity contract. Matched shape: the bare
-/// `serde_json` ident (imports, qualified paths, and `as` aliases alike).
-fn rule_g010(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
-    for t in toks {
-        if t.kind == TokenKind::Ident && t.text == "serde_json" && !in_test(t.line) {
-            out.push(Finding {
-                rule: "G010",
-                file: file.to_string(),
-                line: t.line,
-                message: "`serde_json` outside persist.rs: keep format-specific code behind the \
-                          persistence seam"
-                    .to_string(),
-            });
-        }
-    }
-}
-
 /// G011: the shard coordinator never does distance work itself.
 ///
 /// The scatter-gather design (DESIGN.md §14) keeps every GED computation
@@ -749,49 +719,6 @@ mod tests {
     fn g007_exempt_in_cfg_test_module() {
         let src = "#[cfg(test)]\nmod tests {\n fn f() { std::thread::sleep(d); }\n}\n";
         assert_eq!(rules_of(src), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn g010_flags_serde_json_outside_persist() {
-        assert_eq!(rules_of("use serde_json::Value;\nfn f() {}"), vec!["G010"]);
-        assert_eq!(
-            rules_of("fn f() { let v = serde_json::to_string(&x); }"),
-            vec!["G010"]
-        );
-        // The bare `serde` facade and other idents stay clean.
-        assert_eq!(
-            rules_of("use serde::Serialize;\nfn f() {}"),
-            Vec::<&str>::new()
-        );
-    }
-
-    #[test]
-    fn g010_exempt_in_persist_and_tests_and_other_crates() {
-        let src = "use serde_json::Value;\nfn f() {}";
-        // The persistence seam itself is the one allowed home.
-        let (f, _) = lint_source("crates/core/src/persist.rs", src, &core_scope());
-        assert!(f.is_empty(), "{f:?}");
-        // `#[cfg(test)]` modules may round-trip JSON freely.
-        let test_src = "#[cfg(test)]\nmod tests {\n use serde_json::Value;\n}\n";
-        assert_eq!(rules_of(test_src), Vec::<&str>::new());
-        // Crates outside core/metric (bench, serve, …) are out of scope.
-        for name in ["bench", "serve", "cli"] {
-            let scope = Scope {
-                crate_name: name.into(),
-                is_test_file: false,
-            };
-            let (f, _) = lint_source("t.rs", src, &scope);
-            assert!(f.is_empty(), "{name}: {f:?}");
-        }
-    }
-
-    #[test]
-    fn g010_suppressed_by_allow_directive() {
-        let src = "// graphrep: allow(G010, one-off debug dump behind a feature gate)\nuse serde_json::Value;\nfn f() {}";
-        let (f, s) = lint_source("t.rs", src, &core_scope());
-        assert!(f.is_empty());
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].rule, "G010");
     }
 
     fn shard_coord(src: &str) -> Vec<&'static str> {

@@ -9,7 +9,7 @@ use graphrep_check::rules::{lint_source, Finding, Scope, Suppressed};
 use std::path::Path;
 
 /// Fixtures are linted as if they lived in `crates/core/src/`, a scope
-/// where the scoped rules G007 and G010 are active.
+/// where the scoped rule G007 is active.
 fn core_scope() -> Scope {
     Scope {
         crate_name: "core".into(),
@@ -94,13 +94,6 @@ fn g007_fixtures() {
     assert_suppressed("g007_allow.rs", "G007", 4);
 }
 
-#[test]
-fn g010_fixtures() {
-    assert_violation("g010_violation.rs", "G010", 3);
-    assert_clean("g010_clean.rs");
-    assert_suppressed("g010_allow.rs", "G010", 4);
-}
-
 /// G011 is doubly scoped — crate `shard`, file `coordinator.rs` — so its
 /// fixtures are linted under that path explicitly.
 fn lint_shard_coordinator(name: &str) -> (Vec<Finding>, Vec<Suppressed>) {
@@ -154,16 +147,6 @@ fn g011_scoped_to_the_coordinator_file() {
         is_test_file: false,
     };
     let (findings, _) = lint_source("crates/serve/src/coordinator.rs", &src, &serve);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-/// G010 exempts the persistence seam itself: the same fixture linted under
-/// a `persist.rs` path produces nothing.
-#[test]
-fn g010_exempt_in_persist_module() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/g010_violation.rs");
-    let src = std::fs::read_to_string(path).unwrap();
-    let (findings, _) = lint_source("crates/core/src/persist.rs", &src, &core_scope());
     assert!(findings.is_empty(), "{findings:?}");
 }
 

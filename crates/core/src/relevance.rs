@@ -9,10 +9,9 @@
 
 use crate::db::GraphDatabase;
 use graphrep_graph::GraphId;
-use serde::{Deserialize, Serialize};
 
 /// Feature-space scoring functions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Scorer {
     /// Mean of the selected dimensions: `Σ_j g_j / |dims|` (DUD style).
     MeanOfDims(Vec<usize>),
@@ -72,7 +71,7 @@ impl Scorer {
 
 /// A relevance query: a graph is relevant iff its score is at least
 /// `threshold`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelevanceQuery {
     /// The feature-space scorer.
     pub scorer: Scorer,

@@ -77,10 +77,16 @@ impl From<std::io::Error> for StoreError {
 struct Meta {
     kind: String,
     seed: u64,
-    labels: LabelInterner,
+    labels: Labels,
     family: Vec<u32>,
     default_theta: f64,
     default_ladder: Vec<f64>,
+}
+
+/// The label names in id order, as `meta.json` stores them.
+#[derive(Serialize, Deserialize)]
+struct Labels {
+    names: Vec<String>,
 }
 
 fn kind_to_str(kind: DatasetKind) -> &'static str {
@@ -230,7 +236,9 @@ pub fn save(data: &Dataset, dir: &Path) -> Result<(), StoreError> {
     let meta = Meta {
         kind: kind_to_str(data.spec.kind).to_owned(),
         seed: data.spec.seed,
-        labels: data.db.labels().clone(),
+        labels: Labels {
+            names: data.db.labels().iter().map(|(_, n)| n.to_owned()).collect(),
+        },
         family: data.family.clone(),
         default_theta: data.default_theta,
         default_ladder: data.default_ladder.clone(),
@@ -291,7 +299,8 @@ pub fn load(dir: &Path) -> Result<Dataset, StoreError> {
 /// Reads the base snapshot and the mutation log under `dir`. Records are
 /// read in order up to the first torn or corrupt one. An insert whose id
 /// the base already holds is skipped; one that would leave a gap in the id
-/// space, or whose feature row has the wrong width, is an error.
+/// space, or whose feature row has the wrong width, is an error, as is a
+/// label name `meta.json` lists twice.
 pub fn load_logged(dir: &Path) -> Result<Logged, StoreError> {
     let mut graphs = gio::read_graphs(&fs::read_to_string(dir.join("graphs.txt"))?)
         .map_err(StoreError::Graphs)?;
@@ -319,6 +328,14 @@ pub fn load_logged(dir: &Path) -> Result<Logged, StoreError> {
     }
     let kind = kind_from_str(&meta.kind)
         .ok_or_else(|| StoreError::Inconsistent(format!("unknown kind {}", meta.kind)))?;
+    let mut labels = LabelInterner::new();
+    for (id, name) in meta.labels.names.iter().enumerate() {
+        if labels.intern(name) as usize != id {
+            return Err(StoreError::Inconsistent(format!(
+                "meta.json repeats label {name:?}"
+            )));
+        }
+    }
 
     let log = match fs::read(dir.join(LOG)) {
         Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
@@ -354,8 +371,6 @@ pub fn load_logged(dir: &Path) -> Result<Logged, StoreError> {
         records.push(record);
     }
 
-    let mut labels = meta.labels;
-    labels.rebuild_index();
     let size = graphs.len();
     Ok(Logged {
         data: Dataset {

@@ -1,7 +1,5 @@
 //! Edit-operation cost models.
 
-use serde::{Deserialize, Serialize};
-
 /// Costs of the six edit operations.
 ///
 /// The graph edit distance is the minimum total cost of an edit path turning
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Theorems 3–8 of the paper require — the costs must be symmetric (shared
 /// insert/delete costs, as modeled here) and substitutions must not exceed a
 /// delete + insert (`sub ≤ del + ins`), which [`CostModel::validate`] checks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Cost of relabeling a node (applied only when labels differ).
     pub node_sub: f64,

@@ -1,7 +1,6 @@
 //! The immutable labeled graph.
 
 use crate::labels::Label;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// Index of a graph within a database.
@@ -11,7 +10,7 @@ pub type GraphId = u32;
 pub type NodeId = u16;
 
 /// A reference to one undirected edge: `(u, v, label)` with `u < v`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeRef {
     /// Smaller endpoint.
     pub u: NodeId,
@@ -33,9 +32,8 @@ pub struct EdgeRef {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph(Arc<Parts>);
 
-/// The storage behind a [`Graph`] handle; its derived serde form is the
-/// graph's.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// The storage behind a [`Graph`] handle.
+#[derive(Debug, PartialEq, Eq)]
 struct Parts {
     node_labels: Vec<Label>,
     edges: Vec<EdgeRef>,
@@ -183,18 +181,6 @@ impl Graph {
             + self.0.edges.len() * std::mem::size_of::<EdgeRef>()
             + self.0.adj_off.len() * std::mem::size_of::<u32>()
             + self.0.adj.len() * std::mem::size_of::<(NodeId, Label)>()
-    }
-}
-
-impl Serialize for Graph {
-    fn to_value(&self) -> Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for Graph {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Parts::from_value(v).map(|p| Self(Arc::new(p)))
     }
 }
 

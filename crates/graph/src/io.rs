@@ -2,8 +2,7 @@
 //!
 //! The format is a minimal line-oriented exchange format (one graph per
 //! block), chosen over JSON for the hot path of persisting large synthetic
-//! databases. Serde (JSON etc.) also works on [`Graph`] directly for
-//! interoperability; this module is the compact native format:
+//! databases:
 //!
 //! ```text
 //! t <node_count> <edge_count>
@@ -14,13 +13,12 @@
 use crate::builder::GraphBuilder;
 use crate::graph::{Graph, NodeId};
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Errors raised while reading or parsing the text format.
 ///
 /// Every variant carries enough context (1-based line numbers, offending
-/// content, expected-vs-found counts, file paths) for the CLI to print an
-/// actionable message without additional lookups.
+/// content, expected-vs-found counts) for the CLI to print an actionable
+/// message without additional lookups.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphIoError {
     /// A line did not match any of `t`/`v`/`e`, or its fields were malformed.
@@ -51,13 +49,6 @@ pub enum GraphIoError {
         /// Builder-level description of the violation.
         detail: String,
     },
-    /// A filesystem read or write failed.
-    Io {
-        /// The path involved.
-        path: String,
-        /// Stringified OS error.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for GraphIoError {
@@ -80,7 +71,6 @@ impl std::fmt::Display for GraphIoError {
             GraphIoError::Structure { line, detail } => {
                 write!(f, "line {line}: invalid structure: {detail}")
             }
-            GraphIoError::Io { path, detail } => write!(f, "{path}: {detail}"),
         }
     }
 }
@@ -105,23 +95,6 @@ pub fn write_graphs(gs: &[Graph]) -> String {
         write_graph(g, &mut out);
     }
     out
-}
-
-/// Writes a collection of graphs to `path` in the text format.
-pub fn write_graphs_path(path: &Path, gs: &[Graph]) -> Result<(), GraphIoError> {
-    std::fs::write(path, write_graphs(gs)).map_err(|e| GraphIoError::Io {
-        path: path.display().to_string(),
-        detail: e.to_string(),
-    })
-}
-
-/// Reads a collection of graphs from the text file at `path`.
-pub fn read_graphs_path(path: &Path) -> Result<Vec<Graph>, GraphIoError> {
-    let text = std::fs::read_to_string(path).map_err(|e| GraphIoError::Io {
-        path: path.display().to_string(),
-        detail: e.to_string(),
-    })?;
-    read_graphs(&text)
 }
 
 /// One in-progress block: builder plus the `t` header's promises.
@@ -262,32 +235,5 @@ mod tests {
     fn structural_error_detected_with_line() {
         let err = read_graphs("t 2 2\nv 0 0\nv 1 0\ne 0 1 0\ne 1 0 0\n").unwrap_err();
         assert!(matches!(err, GraphIoError::Structure { line: 5, .. }));
-    }
-
-    #[test]
-    fn path_helpers_round_trip_and_report_paths() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let gs: Vec<Graph> = (0..3)
-            .map(|_| random_connected(&mut rng, 4, 1, &[0, 1], &[2]))
-            .collect();
-        let dir = std::env::temp_dir().join(format!("graphrep-io-{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
-        let file = dir.join("gs.txt");
-        write_graphs_path(&file, &gs).unwrap();
-        assert_eq!(read_graphs_path(&file).unwrap(), gs);
-        let missing = dir.join("nope.txt");
-        let err = read_graphs_path(&missing).unwrap_err();
-        assert!(matches!(err, GraphIoError::Io { .. }));
-        assert!(err.to_string().contains("nope.txt"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn serde_json_round_trip() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let g = random_connected(&mut rng, 6, 3, &[0, 1], &[2]);
-        let json = serde_json::to_string(&g).unwrap();
-        let back: Graph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g, back);
     }
 }

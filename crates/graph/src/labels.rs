@@ -1,6 +1,5 @@
 //! Interned labels shared across a graph database.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An interned label id. Vertex and edge labels share one namespace.
@@ -11,10 +10,9 @@ pub type Label = u32;
 /// A database owns one interner so that identical atom symbols, community
 /// names, or bond orders compare as integer equality in the edit-distance
 /// inner loops.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct LabelInterner {
     names: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, Label>,
 }
 
@@ -26,9 +24,6 @@ impl LabelInterner {
 
     /// Interns `name`, returning its id (existing or fresh).
     pub fn intern(&mut self, name: &str) -> Label {
-        if self.index.is_empty() && !self.names.is_empty() {
-            self.rebuild_index();
-        }
         if let Some(&id) = self.index.get(name) {
             return id;
         }
@@ -40,15 +35,7 @@ impl LabelInterner {
 
     /// Looks up the id of `name` without interning it.
     pub fn get(&self, name: &str) -> Option<Label> {
-        if !self.index.is_empty() || self.names.is_empty() {
-            self.index.get(name).copied()
-        } else {
-            // Deserialized interner: the index is skipped by serde.
-            self.names
-                .iter()
-                .position(|n| n == name)
-                .map(|p| p as Label)
-        }
+        self.index.get(name).copied()
     }
 
     /// Returns the string for label id `id`, if in range.
@@ -64,16 +51,6 @@ impl LabelInterner {
     /// Whether no labels have been interned.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// Rebuilds the lookup index (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as Label))
-            .collect();
     }
 
     /// Iterates over `(id, name)` pairs in id order.
@@ -116,20 +93,5 @@ mod tests {
         }
         let got: Vec<_> = it.iter().map(|(_, n)| n.to_owned()).collect();
         assert_eq!(got, ["a", "b", "c"]);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut it = LabelInterner::new();
-        it.intern("x");
-        it.intern("y");
-        let mut copy = LabelInterner {
-            names: it.names.clone(),
-            index: HashMap::new(),
-        };
-        assert_eq!(copy.get("y"), Some(1));
-        copy.rebuild_index();
-        assert_eq!(copy.get("y"), Some(1));
-        assert_eq!(copy.intern("z"), 2);
     }
 }

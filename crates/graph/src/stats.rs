@@ -1,10 +1,9 @@
 //! Structural statistics over graph collections (paper Table 3).
 
 use crate::graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a graph database.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Number of graphs.
     pub graphs: usize,

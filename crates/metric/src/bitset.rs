@@ -1,9 +1,7 @@
 //! Fixed-capacity bitsets used for θ-neighborhood and coverage bookkeeping.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-capacity bitset over `0..capacity`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitset {
     words: Vec<u64>,
     capacity: usize,

@@ -1,12 +1,10 @@
 //! Precomputed distance matrices (the paper's best-case comparator).
 
-use serde::{Deserialize, Serialize};
-
 /// A dense symmetric distance matrix over items `0..n`.
 ///
 /// Used by the "distance matrix" baseline of Fig 5(i)/6(k): fastest possible
 /// queries, quadratic storage and construction cost.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DistanceMatrix {
     n: usize,
     /// Upper triangle, row-major: entry `(i, j)` with `i < j` at

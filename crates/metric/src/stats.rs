@@ -1,9 +1,7 @@
 //! Distance-distribution statistics (paper Figs 5(a)–5(e)).
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a sample of pairwise distances.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistanceDistribution {
     values: Vec<f64>,
 }
