@@ -21,9 +21,9 @@
 //! Everything decodes by slice reads (`chunks_exact` + `from_le_bytes`) into
 //! in-memory structures equal to the encoded ones — coordinates and
 //! thresholds round-trip bit-exactly (no lossy quantization anywhere), so a
-//! loaded index answers byte-identically to the one that was saved. Vantage sort orders are *not* stored: they are the stable
-//! argsort of the columns by construction (see `graphrep_metric::vantage`)
-//! and are rederived on load.
+//! loaded index answers byte-identically to the one that was saved. Vantage
+//! sort orders are *not* stored: the decoded columns go to
+//! [`VantageTable::from_columns`], the derivation every build uses.
 //!
 //! Corruption surfaces as typed [`PersistError`]s: bad or byte-swapped magic,
 //! short files, checksum mismatches, and shape violations in an intact
@@ -214,33 +214,15 @@ fn decode_payload(payload: &[u8]) -> Result<DecodedIndex, String> {
     let epoch = r.varint()?;
 
     let num_vps = r.varint()? as usize;
-    let mut vp_ids = Vec::with_capacity(num_vps);
-    for chunk in r
-        .take(num_vps.checked_mul(4).ok_or("vp count overflows")?)?
-        .chunks_exact(4)
-    {
-        vp_ids.push(u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-    }
-    // The table's SoA slabs are filled directly as each column decodes —
-    // the row-major transpose, the sorted coordinate array, and the stable
-    // argsort all come out of the same pass, with no intermediate
-    // per-column buffers. Every order is self-derived (counting sort or
-    // comparison sort over the decoded values), never read from the file,
-    // so the raw SoA constructor is safe: it only re-checks shapes.
-    let mut rows = vec![
-        0.0f32;
-        graphs
-            .checked_mul(num_vps)
-            .ok_or("vantage size overflows")?
-    ];
-    let mut sorted = Vec::with_capacity(num_vps);
-    let mut orders = Vec::with_capacity(num_vps);
-    for v in 0..num_vps {
-        let (sorted_v, order) = decode_f32_column(&mut r, graphs, num_vps, v, &mut rows)?;
-        sorted.push(sorted_v);
-        orders.push(order);
-    }
-    let vantage = VantageTable::from_raw_soa(graphs, vp_ids, rows, sorted, orders)?;
+    let vp_ids: Vec<u32> =
+        u32s(r.take(num_vps.checked_mul(4).ok_or("vp count overflows")?)?).collect();
+    // Only the raw columns are stored; the table derives its sort orders,
+    // sorted coordinates and item-major rows from them exactly as a build
+    // does, and checks their shape.
+    let columns = (0..num_vps)
+        .map(|_| decode_f32_column(&mut r, graphs))
+        .collect::<Result<_, _>>()?;
+    let vantage = VantageTable::from_columns(graphs, vp_ids, columns)?;
 
     let branching = r.varint()? as usize;
     let node_count = r.varint()? as usize;
@@ -353,113 +335,49 @@ fn encode_f32_column(w: &mut Writer, col: &[f32]) {
     }
 }
 
-/// Decodes one coordinate column straight into the table's SoA slabs:
-/// values land in `rows` (the row-major transpose, at stride `num_vps`,
-/// offset `v`), and the sorted coordinate array plus the stable argsort are
-/// returned. For dictionary-mode columns over non-negative values both are
-/// derived in O(n): the dictionary is sorted by f32 bit pattern, which for
-/// sign-bit-clear floats is exactly the `total_cmp` order, so a counting
-/// sort over dictionary indices reproduces the tie-stable sort the table's
-/// invariant demands, and the sorted array is just the dictionary expanded
-/// by occurrence counts — no comparison sort, no intermediate column
-/// buffer. Raw-mode columns (and the never-in-practice negative-value
-/// dictionaries, where the bits-order equivalence breaks) pay a comparison
-/// sort instead.
-fn decode_f32_column(
-    r: &mut Reader<'_>,
-    n: usize,
-    num_vps: usize,
-    v: usize,
-    rows: &mut [f32],
-) -> Result<(Vec<f32>, Vec<u32>), String> {
+/// Decodes one `n`-entry coordinate column, raw or dictionary-coded,
+/// bit-exactly.
+fn decode_f32_column(r: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, String> {
     match r.byte()? {
-        COL_RAW => {
-            let raw = r.take(n.checked_mul(4).ok_or("column size overflows")?)?;
-            let col: Vec<f32> = raw
-                .chunks_exact(4)
-                .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-                .collect();
-            for (i, &x) in col.iter().enumerate() {
-                rows[i * num_vps + v] = x;
-            }
-            Ok(sorted_by_comparison(&col))
-        }
+        COL_RAW => Ok(f32s(
+            r.take(n.checked_mul(4).ok_or("column size overflows")?)?,
+        )),
         COL_DICT => {
             let dict_len = r.varint()? as usize;
             if dict_len > usize::from(u16::MAX) + 1 {
                 return Err(format!("column dictionary of {dict_len} entries too large"));
             }
-            let mut dict = Vec::with_capacity(dict_len);
-            for c in r
-                .take(dict_len.checked_mul(4).ok_or("dictionary size overflows")?)?
-                .chunks_exact(4)
-            {
-                dict.push(f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
-            }
+            let dict = f32s(r.take(dict_len.checked_mul(4).ok_or("dictionary size overflows")?)?);
             let width = r.byte()?;
             if width != index_width(dict_len) {
                 return Err(format!(
                     "column index width {width} does not fit a {dict_len}-entry dictionary"
                 ));
             }
-            let indices = r.unpacked(n, width)?;
-            // Single fused pass: range check (`get` is the guard against a
-            // corrupt index stream), transpose write, and histogram.
-            let mut counts = vec![0u32; dict_len + 1];
-            for (i, &ix) in indices.iter().enumerate() {
-                let val = *dict.get(ix as usize).ok_or_else(|| {
-                    format!("column index {ix} beyond {dict_len}-entry dictionary")
-                })?;
-                rows[i * num_vps + v] = val;
-                counts[ix as usize + 1] += 1;
-            }
-            // A sign bit anywhere (negative values, -0.0, negative NaN)
-            // breaks the bits-order == total_cmp-order equivalence; the
-            // dictionary is bits-ascending, so checking its last entry
-            // covers them all. Distances are non-negative, so in practice
-            // this path always fires.
-            if dict.last().is_none_or(|f| f.is_sign_negative()) {
-                let col: Vec<f32> = indices.iter().map(|&ix| dict[ix as usize]).collect();
-                return Ok(sorted_by_comparison(&col));
-            }
-            // Sorted coordinates = the dictionary expanded by counts.
-            let mut sorted_v = Vec::with_capacity(n);
-            for (d, &val) in dict.iter().enumerate() {
-                let upto = sorted_v.len() + counts[d + 1] as usize;
-                sorted_v.resize(upto, val);
-            }
-            // Counting argsort: prefix-sum the histogram into bucket
-            // cursors, then scatter item ids in id order (tie-stable).
-            for d in 0..dict_len {
-                counts[d + 1] += counts[d];
-            }
-            let mut order = vec![0u32; n];
-            for (item, &ix) in indices.iter().enumerate() {
-                order[counts[ix as usize] as usize] = item as u32;
-                counts[ix as usize] += 1;
-            }
-            Ok((sorted_v, order))
+            // `get` is the guard against a corrupt index stream.
+            r.unpacked(n, width)?
+                .into_iter()
+                .map(|ix| {
+                    dict.get(ix as usize).copied().ok_or_else(|| {
+                        format!("column index {ix} beyond {dict_len}-entry dictionary")
+                    })
+                })
+                .collect()
         }
         m => Err(format!("unknown column mode {m}")),
     }
 }
 
-/// Comparison-sort fallback for column orders: identical semantics to the
-/// table's own derivation (`total_cmp`, ties by id). Returns the sorted
-/// coordinates and the argsort.
-fn sorted_by_comparison(col: &[f32]) -> (Vec<f32>, Vec<u32>) {
-    let order = stable_argsort(col.len(), col);
-    let sorted_v = order.iter().map(|&id| col[id as usize]).collect();
-    (sorted_v, order)
+/// Little-endian `u32`s, four bytes each.
+fn u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
 }
 
-/// Identical comparison semantics to the table's own order derivation
-/// (`total_cmp`, ties by id) — the raw-column fallback when counting sort
-/// does not apply.
-fn stable_argsort(n: usize, d: &[f32]) -> Vec<u32> {
-    let mut ord: Vec<u32> = (0..n as u32).collect();
-    ord.sort_by(|&a, &b| d[a as usize].total_cmp(&d[b as usize]));
-    ord
+/// Little-endian f32 bit patterns, four bytes each.
+fn f32s(bytes: &[u8]) -> Vec<f32> {
+    u32s(bytes).map(f32::from_bits).collect()
 }
 
 /// Bits needed to index a `dict_len`-entry dictionary (0 when a single entry
@@ -726,15 +644,17 @@ mod tests {
         }
     }
 
-    /// Decodes one encoded column as a single-VP table and returns the
-    /// decoded values, the sorted coordinates, and the derived argsort —
-    /// asserting the reader consumed the column exactly.
-    fn decode_one(buf: &[u8], n: usize) -> (Vec<f32>, Vec<f32>, Vec<u32>) {
+    /// Decodes one encoded column, asserting the reader consumed it
+    /// exactly.
+    fn decode_one(buf: &[u8], n: usize) -> Vec<f32> {
         let mut r = Reader { buf, pos: 0 };
-        let mut rows = vec![0.0f32; n];
-        let (sorted_v, order) = decode_f32_column(&mut r, n, 1, 0, &mut rows).unwrap();
+        let col = decode_f32_column(&mut r, n).unwrap();
         assert_eq!(r.pos, buf.len());
-        (rows, sorted_v, order)
+        col
+    }
+
+    fn bits(col: &[f32]) -> Vec<u32> {
+        col.iter().map(|f| f.to_bits()).collect()
     }
 
     #[test]
@@ -749,18 +669,7 @@ mod tests {
             w.buf.len(),
             col.len()
         );
-        let (back, sorted_v, order) = decode_one(&w.buf, col.len());
-        assert_eq!(
-            back.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            col.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-        );
-        // Dict mode derives the stable argsort by counting sort, and it
-        // matches the comparison-sort derivation exactly (ties broken by
-        // id); the sorted coordinates are the gather through it.
-        let want = stable_argsort(col.len(), &col);
-        assert_eq!(order, want);
-        let want_sorted: Vec<f32> = want.iter().map(|&id| col[id as usize]).collect();
-        assert_eq!(sorted_v, want_sorted);
+        assert_eq!(bits(&decode_one(&w.buf, col.len())), bits(&col));
     }
 
     #[test]
@@ -770,32 +679,18 @@ mod tests {
         let mut w = Writer::default();
         encode_f32_column(&mut w, &col);
         assert_eq!(w.buf[0], COL_RAW);
-        let (back, _, order) = decode_one(&w.buf, col.len());
-        assert_eq!(
-            back.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            col.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-        );
-        // Raw columns derive the order by comparison sort.
-        assert_eq!(order, stable_argsort(col.len(), &col));
+        assert_eq!(bits(&decode_one(&w.buf, col.len())), bits(&col));
     }
 
     #[test]
-    fn dict_column_with_negatives_skips_counting_sort() {
-        // Sign-bit values break the bits-order == total_cmp-order mapping,
-        // so the decoder must refuse the counting-sort shortcut — and the
-        // comparison-sort fallback must still order negatives first.
-        let col: Vec<f32> = (0..40)
-            .map(|i| if i % 2 == 0 { -1.5 } else { 2.0 })
-            .collect();
+    fn dict_column_with_negatives_round_trips() {
+        // Sign-bit values (negatives, -0.0) sort last in the bit-pattern
+        // dictionary; every one must still decode to its own bits.
+        let col: Vec<f32> = (0..40).map(|i| [-1.5, 2.0, -0.0, 0.0][i % 4]).collect();
         let mut w = Writer::default();
         encode_f32_column(&mut w, &col);
         assert_eq!(w.buf[0], COL_DICT);
-        let (back, sorted_v, order) = decode_one(&w.buf, col.len());
-        assert_eq!(back, col);
-        assert_eq!(order, stable_argsort(col.len(), &col));
-        assert_eq!(order[0], 0);
-        assert_eq!(order[col.len() / 2], 1, "negatives sort before positives");
-        assert!(sorted_v[0] < 0.0 && sorted_v[col.len() - 1] > 0.0);
+        assert_eq!(bits(&decode_one(&w.buf, col.len())), bits(&col));
     }
 
     #[test]
@@ -803,10 +698,7 @@ mod tests {
         for col in [vec![], vec![4.25f32], vec![4.25f32; 9]] {
             let mut w = Writer::default();
             encode_f32_column(&mut w, &col);
-            let (back, sorted_v, order) = decode_one(&w.buf, col.len());
-            assert_eq!(back, col);
-            assert_eq!(sorted_v, col, "constant columns sort to themselves");
-            assert_eq!(order.len(), col.len());
+            assert_eq!(decode_one(&w.buf, col.len()), col);
         }
     }
 

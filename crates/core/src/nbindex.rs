@@ -179,14 +179,9 @@ impl NbIndex {
         let t0 = Instant::now();
         let calls0 = oracle.engine_calls();
         let mut rng = SmallRng::seed_from_u64(config.seed);
-        let n = oracle.len();
-        let mut vp_ids: Vec<u32> = (0..n as u32).collect();
-        {
-            use rand::seq::SliceRandom;
-            vp_ids.shuffle(&mut rng);
-        }
-        vp_ids.truncate(config.num_vps.min(n));
-        let vantage = VantageTable::build_with_vps_par(n, vp_ids, &|a, b| oracle.distance(a, b));
+        let vantage = VantageTable::build(oracle.len(), config.num_vps, &mut rng, |a, b| {
+            oracle.distance(a, b)
+        });
         let tree = NbTree::build(&oracle, Some(&vantage), config.tree, &mut rng);
         let ladder = ThresholdLadder::new(config.ladder.clone());
         let build_stats = BuildStats {
@@ -390,7 +385,7 @@ impl NbIndex {
             pool.shuffle(&mut rng);
         }
         vp_ids.extend(pool.into_iter().take(target - vp_ids.len()));
-        let vantage = VantageTable::build_with_vps_par(n, vp_ids, &|a, b| {
+        let vantage = VantageTable::build_with_vps(n, vp_ids, &|a, b| {
             if live[b as usize] {
                 oracle.distance(a, b)
             } else {

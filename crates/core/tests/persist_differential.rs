@@ -3,7 +3,7 @@
 //! insert/remove mutation script, with decoded parts, answers and
 //! re-encoded bytes compared at every mutation epoch.
 
-use graphrep_core::{NbIndex, NbIndexConfig};
+use graphrep_core::{fnv1a64, NbIndex, NbIndexConfig};
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_ged::GedConfig;
 use graphrep_graph::generate::mutate;
@@ -66,6 +66,31 @@ fn binary_index_is_succinct() {
     assert!(
         bin <= MAX_BIN_BYTES_PER_GRAPH * n,
         "index.bin is {bin} bytes for {n} graphs: over {MAX_BIN_BYTES_PER_GRAPH} per graph"
+    );
+}
+
+/// The bytes of the default index over a fixed dataset (the server's build:
+/// library defaults plus the dataset's ladder), pinned by length and
+/// checksum. Any change to the format, the encoder, or the build's
+/// decisions moves them; a change that must leave `index.bin` alone must
+/// leave this test alone.
+#[test]
+fn default_index_bin_is_golden() {
+    const GOLDEN_LEN: usize = 1364;
+    const GOLDEN_FNV1A64: u64 = 17_622_176_078_989_013_514;
+    let data = DatasetSpec::new(DatasetKind::DudLike, 60, 7).generate();
+    let index = NbIndex::build(
+        data.db.oracle(GedConfig::default()),
+        NbIndexConfig {
+            ladder: data.default_ladder.clone(),
+            ..Default::default()
+        },
+    );
+    let bin = index.save_bin();
+    assert_eq!(
+        (bin.len(), fnv1a64(&bin)),
+        (GOLDEN_LEN, GOLDEN_FNV1A64),
+        "index.bin bytes changed"
     );
 }
 

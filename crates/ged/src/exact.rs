@@ -84,11 +84,16 @@ pub(crate) struct AstarBufs {
     cols: Vec<u8>,
 }
 
+/// Largest graph, in nodes, the exact search supports: its state is a `u32`
+/// node bitmask. A larger graph panics the search, so callers that accept
+/// graphs from outside check against this first.
+pub const MAX_EXACT_NODES: usize = 32;
+
 /// Exact GED between `g1` and `g2` under `cost`, searching only edit paths of
 /// cost ≤ `cutoff` and at most `budget` expansions.
 ///
-/// Symmetric in its graph arguments. Both graphs must have ≤ 32 nodes
-/// (bitmask state, asserted) — our datasets are far below that.
+/// Symmetric in its graph arguments. Both graphs must have at most
+/// [`MAX_EXACT_NODES`] nodes (asserted) — our datasets are far below that.
 pub fn ged_exact(
     g1: &Graph,
     g2: &Graph,

@@ -59,10 +59,8 @@
 
 use crate::bounds::count_bound;
 use crate::cost::CostModel;
+use crate::exact::MAX_EXACT_NODES;
 use graphrep_graph::{Graph, NodeId};
-
-/// Largest graph (in nodes) the bitmask state supports.
-const MAX_NODES: usize = 32;
 
 /// Position of `label` among the sorted shared labels, or `shared.len()`
 /// (the "unshared" id) when it occurs in one graph only.
@@ -128,8 +126,8 @@ impl PairTables {
     pub(crate) fn rebuild(&mut self, a: &Graph, b: &Graph) {
         let (n1, n2) = (a.node_count(), b.node_count());
         assert!(
-            n1 <= n2 && n2 <= MAX_NODES,
-            "exact GED bitmask supports ≤ 32 nodes; use hybrid mode"
+            n1 <= n2 && n2 <= MAX_EXACT_NODES,
+            "exact GED bitmask supports ≤ {MAX_EXACT_NODES} nodes; use hybrid mode"
         );
         self.n1 = n1;
         self.n2 = n2;

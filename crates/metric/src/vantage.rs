@@ -23,10 +23,12 @@
 //! * `orders[v]` — the item ids sorted by distance to VP `v` (stable: ties
 //!   in ascending-id order), scanned to enumerate a band's members.
 //!
-//! The sort permutation is a pure function of the coordinates (stable
-//! argsort), an invariant every mutation path preserves — which is why the
-//! binary persistence format stores only the raw columns and rebuilds
-//! `orders`/`sorted`/`rows` on load.
+//! The sort permutation is a pure function of the coordinates (a stable
+//! `total_cmp` argsort: ties in ascending-id order), an invariant every
+//! mutation path preserves. One private derivation turns the raw per-VP
+//! columns into all three views, and every constructor ends in it: the
+//! builders, and [`VantageTable::from_columns`], through which the binary
+//! index decoder loads a table that stores only the raw columns.
 //!
 //! A fourth view lives outside the table, one per query session: a
 //! [`BandProjection`] keeps only the `sorted[v]`/`orders[v]` entries of an
@@ -75,31 +77,19 @@ pub struct VantageTable {
 }
 
 impl VantageTable {
-    /// Builds a table over items `0..n` with `num_vps` randomly chosen VPs,
-    /// using `dist` to compute `d(vp, item)`.
+    /// Builds a table over items `0..n` with `num_vps` randomly chosen VPs
+    /// (a seeded shuffle of `0..n`, truncated), using `dist` to compute
+    /// `d(vp, item)` as [`VantageTable::build_with_vps`] does.
     pub fn build<R: Rng + ?Sized>(
         n: usize,
         num_vps: usize,
         rng: &mut R,
-        mut dist: impl FnMut(u32, u32) -> f64,
+        dist: impl Fn(u32, u32) -> f64 + Sync,
     ) -> Self {
         let mut ids: Vec<u32> = (0..n as u32).collect();
         ids.shuffle(rng);
         ids.truncate(num_vps.min(n));
-        Self::build_with_vps(n, ids, &mut dist)
-    }
-
-    /// Builds a table with explicitly chosen vantage points.
-    pub fn build_with_vps(
-        n: usize,
-        vp_ids: Vec<u32>,
-        dist: &mut impl FnMut(u32, u32) -> f64,
-    ) -> Self {
-        let mut dists = Vec::with_capacity(vp_ids.len());
-        for &v in &vp_ids {
-            dists.push((0..n as u32).map(|i| dist(v, i) as f32).collect());
-        }
-        Self::from_dists(n, vp_ids, dists)
+        Self::build_with_vps(n, ids, &dist)
     }
 
     /// Builds a table with explicitly chosen vantage points, evaluating the
@@ -107,21 +97,15 @@ impl VantageTable {
     /// across rayon workers.
     ///
     /// Every matrix cell is an independent pure computation and results are
-    /// collected in index order, so the table is identical to the sequential
-    /// [`VantageTable::build_with_vps`] at any thread count.
-    pub fn build_with_vps_par(
+    /// collected in index order, so the table is identical at any thread
+    /// count.
+    pub fn build_with_vps(
         n: usize,
         vp_ids: Vec<u32>,
         dist: &(impl Fn(u32, u32) -> f64 + Sync),
     ) -> Self {
         use rayon::prelude::*;
         let num_vps = vp_ids.len();
-        if n == 0 {
-            // No items: the matrix is `|V|` empty rows. Guarded explicitly so
-            // the flat-index arithmetic below never divides by zero (and so a
-            // non-empty `vp_ids` cannot be silently dropped by `chunks`).
-            return Self::from_dists(0, vp_ids, vec![Vec::new(); num_vps]);
-        }
         let flat: Vec<f32> = (0..num_vps * n)
             .into_par_iter()
             .map(|cell| {
@@ -129,12 +113,37 @@ impl VantageTable {
                 dist(v, i) as f32
             })
             .collect();
-        let dists = flat.chunks(n).map(<[f32]>::to_vec).collect();
+        // Sliced per VP, so `n == 0` still yields `|V|` empty columns
+        // (`chunks(0)` would panic).
+        let dists = (0..num_vps)
+            .map(|v| flat[v * n..(v + 1) * n].to_vec())
+            .collect();
         Self::from_dists(n, vp_ids, dists)
     }
 
-    /// Shared tail of the builders: derives the stable sort orders and the
-    /// item-major/sorted slabs from the raw per-VP coordinate columns.
+    /// Assembles a table over items `0..n` from its raw per-VP coordinate
+    /// columns (`columns[v][i]` = d(VP v, item i)) — the constructor the
+    /// binary index decoder uses, so a loaded table is derived exactly as a
+    /// built one. Rejects columns whose shape does not match `n` items and
+    /// `vp_ids.len()` vantage points.
+    pub fn from_columns(
+        n: usize,
+        vp_ids: Vec<u32>,
+        columns: Vec<Vec<f32>>,
+    ) -> Result<Self, String> {
+        if columns.len() != vp_ids.len() || columns.iter().any(|c| c.len() != n) {
+            let lens: Vec<usize> = columns.iter().map(Vec::len).collect();
+            return Err(format!(
+                "vantage table of {} vp ids over {n} items has columns of lengths {lens:?}",
+                vp_ids.len()
+            ));
+        }
+        Ok(Self::from_dists(n, vp_ids, columns))
+    }
+
+    /// The one derivation of the table's views from its raw per-VP
+    /// coordinate columns: the stable sort orders, the sorted coordinates,
+    /// and the item-major slab. Every constructor ends here.
     fn from_dists(n: usize, vp_ids: Vec<u32>, dists: Vec<Vec<f32>>) -> Self {
         let num_vps = vp_ids.len();
         let orders: Vec<Vec<u32>> = dists.iter().map(|d| stable_argsort(n, d)).collect();
@@ -156,52 +165,6 @@ impl VantageTable {
             sorted,
             orders,
         }
-    }
-
-    /// Wraps pre-assembled SoA slabs directly — the binary decoder's
-    /// zero-intermediate path, where the row-major transpose, the sorted
-    /// coordinate arrays, and the orders are all produced in the decoder's
-    /// single pass over each column. Only shapes are validated; the caller
-    /// guarantees the slabs are mutually consistent (it derived every one of
-    /// them itself from the same decoded values — never hand this externally
-    /// sourced orders).
-    pub fn from_raw_soa(
-        n: usize,
-        vp_ids: Vec<u32>,
-        rows: Vec<f32>,
-        sorted: Vec<Vec<f32>>,
-        orders: Vec<Vec<u32>>,
-    ) -> Result<Self, String> {
-        let num_vps = vp_ids.len();
-        if sorted.len() != num_vps || orders.len() != num_vps {
-            return Err(format!(
-                "vantage table with {num_vps} vp ids has {} sorted and {} order columns",
-                sorted.len(),
-                orders.len()
-            ));
-        }
-        if rows.len() != n * num_vps {
-            return Err(format!(
-                "vantage row slab has {} entries, table needs {n} x {num_vps}",
-                rows.len()
-            ));
-        }
-        for (v, (s, ord)) in sorted.iter().zip(&orders).enumerate() {
-            if s.len() != n || ord.len() != n {
-                return Err(format!(
-                    "vantage column {v} has {} sorted / {} order entries, table has {n} items",
-                    s.len(),
-                    ord.len()
-                ));
-            }
-        }
-        Ok(Self {
-            n,
-            vp_ids,
-            rows,
-            sorted,
-            orders,
-        })
     }
 
     /// Appends one item to the embedding: `vp_dists[v]` is the distance from
@@ -481,8 +444,8 @@ mod tests {
     #[test]
     fn on_a_line_one_vp_lower_bound_is_often_exact() {
         // For collinear points on the same side of the VP the bound is exact.
-        let mut d = |a: u32, b: u32| (a as f64 - b as f64).abs();
-        let t = VantageTable::build_with_vps(10, vec![0], &mut d);
+        let d = |a: u32, b: u32| (a as f64 - b as f64).abs();
+        let t = VantageTable::build_with_vps(10, vec![0], &d);
         assert_eq!(t.lower_bound(3, 7), 4.0);
     }
 
@@ -507,12 +470,12 @@ mod tests {
         // exactly the items `passes_all_bands` accepts pair-by-pair: the
         // shard home verifier applies the pairwise predicate directly and
         // relies on this equivalence.
-        let mut d = |a: u32, b: u32| {
+        let d = |a: u32, b: u32| {
             let (ax, ay) = ((a % 9) as f64, (a / 9) as f64);
             let (bx, by) = ((b % 9) as f64, (b / 9) as f64);
             (ax - bx).abs() + (ay - by).abs()
         };
-        let t = VantageTable::build_with_vps(81, vec![0, 8, 72, 40], &mut d);
+        let t = VantageTable::build_with_vps(81, vec![0, 8, 72, 40], &d);
         for i in (0..81u32).step_by(7) {
             for theta in [0.0, 1.0, 2.5, 6.0] {
                 let mut got = t.candidates(i, theta);
@@ -530,12 +493,12 @@ mod tests {
         // The and-ed loop must decide exactly like a short-circuiting
         // `band_pass` over every VP, including θ on a band edge (every
         // coordinate gap of this table is itself tried as θ).
-        let mut d = |a: u32, b: u32| {
+        let d = |a: u32, b: u32| {
             let (ax, ay) = ((a % 7) as f64 * 0.7, (a / 7) as f64 * 1.3);
             let (bx, by) = ((b % 7) as f64 * 0.7, (b / 7) as f64 * 1.3);
             (ax - bx).abs() + (ay - by).abs()
         };
-        let t = VantageTable::build_with_vps(49, vec![0, 6, 24, 42, 48], &mut d);
+        let t = VantageTable::build_with_vps(49, vec![0, 6, 24, 42, 48], &d);
         let mut thetas = vec![0.0, 1e-7, 3.9];
         for j in 0..49u32 {
             for (&a, &b) in t.row(3).iter().zip(t.row(j)) {
@@ -576,7 +539,7 @@ mod tests {
                     .map(|_| (0..40).map(|_| coord(&mut rng)).collect())
                     .collect();
                 let mut t =
-                    VantageTable::build_with_vps(40, (0..num_vps as u32).collect(), &mut |v, i| {
+                    VantageTable::build_with_vps(40, (0..num_vps as u32).collect(), &|v, i| {
                         f64::from(cols[v as usize][i as usize])
                     });
                 if grown {
@@ -630,14 +593,14 @@ mod tests {
 
     #[test]
     fn more_vps_never_grow_candidates() {
-        let mut d = |a: u32, b: u32| {
+        let d = |a: u32, b: u32| {
             // 2-D grid metric (L1): decouples coordinates so one VP is weak.
             let (ax, ay) = ((a % 10) as f64, (a / 10) as f64);
             let (bx, by) = ((b % 10) as f64, (b / 10) as f64);
             (ax - bx).abs() + (ay - by).abs()
         };
-        let t1 = VantageTable::build_with_vps(100, vec![0], &mut d);
-        let t3 = VantageTable::build_with_vps(100, vec![0, 9, 90], &mut d);
+        let t1 = VantageTable::build_with_vps(100, vec![0], &d);
+        let t3 = VantageTable::build_with_vps(100, vec![0, 9, 90], &d);
         for i in (0..100u32).step_by(13) {
             let c1 = t1.candidates(i, 3.0).len();
             let c3 = t3.candidates(i, 3.0).len();
@@ -647,8 +610,8 @@ mod tests {
 
     #[test]
     fn empty_vp_set_returns_everything() {
-        let mut d = |a: u32, b: u32| (a as f64 - b as f64).abs();
-        let t = VantageTable::build_with_vps(5, vec![], &mut d);
+        let d = |a: u32, b: u32| (a as f64 - b as f64).abs();
+        let t = VantageTable::build_with_vps(5, vec![], &d);
         assert_eq!(t.candidates(2, 1.0), vec![0, 1, 2, 3, 4]);
     }
 
@@ -657,11 +620,11 @@ mod tests {
         // Regression: the flat-index arithmetic used `n.max(1)`, which on an
         // empty database produced a dists/vp_ids length mismatch instead of
         // `|V|` empty rows.
-        let t = VantageTable::build_with_vps_par(0, vec![], &|_, _| 0.0);
+        let t = VantageTable::build_with_vps(0, vec![], &|_, _| 0.0);
         assert!(t.is_empty());
         assert_eq!(t.num_vps(), 0);
         assert!(t.candidates(0, 1.0).is_empty());
-        let t2 = VantageTable::build_with_vps_par(0, vec![7, 9], &|_, _| 0.0);
+        let t2 = VantageTable::build_with_vps(0, vec![7, 9], &|_, _| 0.0);
         assert_eq!(t2.num_vps(), 2);
         assert_eq!(t2.len(), 0);
         assert_eq!(t2.memory_bytes(), 8);
@@ -677,7 +640,7 @@ mod tests {
         let ulp = (16_384.0_f32.next_up() - 16_384.0_f32) as f64;
         let pos = [0.0, base, base + ulp, base + 2.0 * ulp, base + 1000.0];
         let dist = |a: u32, b: u32| (pos[a as usize] - pos[b as usize]).abs();
-        let t = VantageTable::build_with_vps(pos.len(), vec![0], &mut { dist });
+        let t = VantageTable::build_with_vps(pos.len(), vec![0], &dist);
         for theta in [ulp, 2.0 * ulp, ulp / 2.0, 1000.0 - ulp] {
             for i in 0..pos.len() as u32 {
                 let cands = t.candidates(i, theta);
@@ -700,7 +663,7 @@ mod tests {
         // |dᵢ − dⱼ| would overshoot d(i, j). The margins must absorb it.
         let pos = [0.0_f64, 1.0e6, 1.0e6 + 0.01, 1.0e6 + 0.5, 2.0e6];
         let dist = |a: u32, b: u32| (pos[a as usize] - pos[b as usize]).abs();
-        let t = VantageTable::build_with_vps(pos.len(), vec![0, 4], &mut { dist });
+        let t = VantageTable::build_with_vps(pos.len(), vec![0, 4], &dist);
         for i in 0..pos.len() as u32 {
             for j in 0..pos.len() as u32 {
                 let d = dist(i, j);
@@ -715,9 +678,8 @@ mod tests {
 
     #[test]
     fn hint_bounds_empty_vps_are_vacuous() {
-        let t = VantageTable::build_with_vps(3, vec![], &mut |a: u32, b: u32| {
-            (a as f64 - b as f64).abs()
-        });
+        let t =
+            VantageTable::build_with_vps(3, vec![], &|a: u32, b: u32| (a as f64 - b as f64).abs());
         assert_eq!(t.hint_bounds(0, 2), (0.0, f64::INFINITY));
     }
 
@@ -731,15 +693,15 @@ mod tests {
     #[test]
     fn push_item_matches_full_rebuild() {
         let pos = |i: u32| i as f64 * 1.5;
-        let mut d = |a: u32, b: u32| (pos(a) - pos(b)).abs();
-        let mut t = VantageTable::build_with_vps(8, vec![0, 5], &mut d);
+        let d = |a: u32, b: u32| (pos(a) - pos(b)).abs();
+        let mut t = VantageTable::build_with_vps(8, vec![0, 5], &d);
         // Append items 8 and 9 one at a time …
         for id in 8u32..10 {
             let vp_dists: Vec<f64> = t.vp_ids().to_vec().iter().map(|&v| d(v, id)).collect();
             assert_eq!(t.push_item(&vp_dists), id);
         }
         // … and the result must equal a table built over all 10 from scratch.
-        let full = VantageTable::build_with_vps(10, vec![0, 5], &mut d);
+        let full = VantageTable::build_with_vps(10, vec![0, 5], &d);
         assert_eq!(t.len(), full.len());
         for i in 0..10u32 {
             for j in 0..10u32 {
@@ -756,10 +718,10 @@ mod tests {
         // item 3 shares that distance and must sort after both (stable-sort
         // discipline: ties in ascending-id order).
         let pos = [0.0_f64, 2.0, 2.0];
-        let mut d = |a: u32, b: u32| (pos[a as usize] - pos[b as usize]).abs();
-        let mut t = VantageTable::build_with_vps(3, vec![0], &mut d);
+        let d = |a: u32, b: u32| (pos[a as usize] - pos[b as usize]).abs();
+        let mut t = VantageTable::build_with_vps(3, vec![0], &d);
         t.push_item(&[2.0]);
-        let full = VantageTable::build_with_vps(4, vec![0], &mut |a: u32, b: u32| {
+        let full = VantageTable::build_with_vps(4, vec![0], &|a: u32, b: u32| {
             let q = [0.0_f64, 2.0, 2.0, 2.0];
             (q[a as usize] - q[b as usize]).abs()
         });
@@ -778,25 +740,34 @@ mod tests {
         t.push_item(&[3.0, 7.0, 1.0, 4.0]);
         t.push_item(&[3.0, 7.0, 1.0, 4.0]);
         let cols: Vec<Vec<f32>> = (0..t.num_vps()).map(|v| t.column(v)).collect();
-        let vp_ids = t.vp_ids().to_vec();
-        let back = VantageTable::build_with_vps(t.len(), vp_ids.clone(), &mut |vp, i| {
-            let v = vp_ids.iter().position(|&id| id == vp).unwrap();
-            f64::from(cols[v][i as usize])
-        });
+        let back = VantageTable::from_columns(t.len(), t.vp_ids().to_vec(), cols).unwrap();
         assert_eq!(back, t);
     }
 
-    /// The decode constructor assembles the table from per-VP columns and
-    /// rejects any whose shape does not match the table's.
+    /// Every column is ordered by the stable `total_cmp` argsort: negatives
+    /// first, `-0.0` before `0.0`, and ties in ascending-id order.
+    #[test]
+    fn from_columns_orders_negatives_signed_zeros_and_ties_stably() {
+        let col = vec![2.0f32, -1.5, 0.0, -0.0, -1.5, 2.0, 0.0, -0.0];
+        let t = VantageTable::from_columns(col.len(), vec![3], vec![col.clone()]).unwrap();
+        assert_eq!(t.orders[0], vec![1, 4, 3, 7, 2, 6, 0, 5]);
+        let bits = |c: &[f32]| c.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&t.sorted[0]),
+            bits(&[-1.5, -1.5, -0.0, -0.0, 0.0, 0.0, 2.0, 2.0])
+        );
+        assert_eq!(bits(&t.column(0)), bits(&col));
+    }
+
+    /// The decode constructor rejects columns whose shape does not match
+    /// the table's.
     #[test]
     fn from_columns_rejects_mismatched_shapes() {
-        let soa = |rows: usize, sorted: Vec<Vec<f32>>, orders: Vec<Vec<u32>>| {
-            VantageTable::from_raw_soa(3, vec![0], vec![0.0; rows], sorted, orders)
-        };
-        assert!(soa(3, vec![vec![0.0; 3]], vec![vec![0, 1, 2]]).is_ok());
-        assert!(soa(2, vec![vec![0.0; 3]], vec![vec![0, 1, 2]]).is_err());
-        assert!(soa(3, vec![vec![0.0; 2]], vec![vec![0, 1, 2]]).is_err());
-        assert!(soa(3, vec![vec![0.0; 3]], vec![vec![0, 1]]).is_err());
-        assert!(soa(3, vec![], vec![vec![0, 1, 2]]).is_err());
+        let table = |cols: Vec<Vec<f32>>| VantageTable::from_columns(3, vec![0], cols);
+        assert!(table(vec![vec![0.0; 3]]).is_ok());
+        assert!(table(vec![vec![0.0; 2]]).is_err());
+        assert!(table(vec![vec![0.0; 4]]).is_err());
+        assert!(table(vec![]).is_err());
+        assert!(table(vec![vec![0.0; 3], vec![0.0; 3]]).is_err());
     }
 }

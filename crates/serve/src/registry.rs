@@ -37,7 +37,7 @@ use graphrep_core::{
 };
 use graphrep_datagen::store::{self, LogRecord};
 use graphrep_datagen::Dataset;
-use graphrep_ged::{DistanceOracle, GedConfig, OracleStats, TierStats};
+use graphrep_ged::{DistanceOracle, GedConfig, OracleStats, TierStats, MAX_EXACT_NODES};
 use graphrep_graph::{Graph, GraphId};
 use graphrep_lockaudit::{TrackedReadGuard, TrackedRwLock};
 use graphrep_shard::{CoordConfig, CoordSession, Coordinator};
@@ -122,6 +122,29 @@ fn check_dims(db: &GraphDatabase, features: &[f64]) -> Result<(), ServeError> {
         features.len(),
         db.dims()
     )))
+}
+
+/// Rejects a graph too large for the exact GED search the registry serves
+/// with, before any distance is computed: the search would panic the
+/// worker that ran it.
+fn check_nodes(graph: &Graph) -> Result<(), ServeError> {
+    if graph.node_count() <= MAX_EXACT_NODES {
+        return Ok(());
+    }
+    Err(ServeError::new(format!(
+        "graph has {} nodes, exact GED supports at most {MAX_EXACT_NODES}",
+        graph.node_count()
+    )))
+}
+
+/// [`check_nodes`] over every graph a dataset directory holds, base
+/// snapshot and logged inserts alike.
+fn check_dir_nodes(dir: &Path, db: &GraphDatabase) -> Result<(), ServeError> {
+    for (id, graph) in db.graphs().iter().enumerate() {
+        check_nodes(graph)
+            .map_err(|e| ServeError::new(format!("{}: graph {id}: {e}", dir.display())))?;
+    }
+    Ok(())
 }
 
 /// Cumulative oracle counters (plus raw engine calls) at one instant: the
@@ -238,13 +261,15 @@ pub fn write_index(dir: &Path, index: &NbIndex) -> std::io::Result<()> {
 /// epoch (its intact record count), otherwise `"built"` — with what was
 /// wrong with the file on disk, if there was one — by replaying the log. A
 /// built index is not written back; callers that want the next open warm
-/// pass it to [`write_index`].
+/// pass it to [`write_index`]. A graph anywhere in the directory over
+/// [`MAX_EXACT_NODES`] nodes is an error before any file is read or built.
 pub fn open_index(
     dir: &Path,
     logged: &store::Logged,
     ged: GedConfig,
     config: NbIndexConfig,
 ) -> Result<(NbIndex, String), ServeError> {
+    check_dir_nodes(dir, &logged.data.db)?;
     let expected_epoch = logged.records.len() as u64;
     // `None`: no file to load; `Some(Err(_))`: a file that must not be served.
     let loaded = std::fs::read(dir.join("index.bin")).ok().map(|bytes| {
@@ -417,12 +442,14 @@ impl LoadedDataset {
 
     /// Adds `graph` with `features` to the dataset and index (DESIGN.md
     /// §10): fork-mutate-swap, so concurrent sessions keep their snapshot.
-    /// Dir-backed datasets log the insert (see module docs).
+    /// Dir-backed datasets log the insert (see module docs). A graph over
+    /// [`MAX_EXACT_NODES`] nodes is rejected before any GED work.
     pub fn insert_graph(
         &self,
         graph: Graph,
         features: Vec<f64>,
     ) -> Result<MutationReceipt, ServeError> {
+        check_nodes(&graph)?;
         let mut st = self.state.write();
         check_dims(&st.data.db, &features)?;
         let mut index = st.index.fork();
@@ -621,6 +648,7 @@ impl ShardedDataset {
     pub fn open(name: &str, dir: &Path, shards: usize) -> Result<Self, ServeError> {
         let logged = store::load_logged(dir)
             .map_err(|e| ServeError::new(format!("loading {}: {e}", dir.display())))?;
+        check_dir_nodes(dir, &logged.data.db)?;
         let cfg = CoordConfig {
             shards,
             ladder: logged.data.default_ladder.clone(),
@@ -689,6 +717,7 @@ impl ShardedDataset {
         graph: Graph,
         features: Vec<f64>,
     ) -> Result<MutationReceipt, ServeError> {
+        check_nodes(&graph)?;
         let receipt = {
             let mut data = self.data.write();
             check_dims(&data.db, &features)?;

@@ -477,3 +477,50 @@ fn fault_storm_conserves_counters_and_keeps_serving() {
     assert_eq!(picks.len(), body.ids.len());
     handle.shutdown();
 }
+
+/// An insert of a graph too large for exact GED is answered `bad_request`
+/// before any distance is computed: the only worker survives to serve a
+/// ping and a run, and the failure is counted as one insert error.
+#[test]
+fn oversized_insert_is_a_bad_request_not_a_dead_worker() {
+    let handle = server(1);
+    let addr = handle.addr().to_string();
+    let n = graphrep_ged::MAX_EXACT_NODES + 1;
+    let (mut s, mut dec) = raw(&addr);
+    s.write_all(&tagged(
+        1,
+        protocol::Request::Insert(protocol::InsertBody {
+            dataset: "f".into(),
+            nodes: vec![0; n],
+            edges: (1..n as u16)
+                .map(|v| protocol::WireEdge {
+                    u: v - 1,
+                    v,
+                    label: 0,
+                })
+                .collect(),
+            features: dataset().db.features(0).to_vec(),
+        }),
+    ))
+    .expect("insert");
+    match read_tagged(&mut s, &mut dec) {
+        TaggedResponse {
+            id: 1,
+            resp: Response::Error(e),
+        } => {
+            assert_eq!(e.code, protocol::codes::BAD_REQUEST);
+            assert!(e.message.contains("nodes"), "{}", e.message);
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+
+    let mut c = Client::connect(&addr).expect("connect");
+    assert!(matches!(c.ping(0), Ok(Response::Pong)));
+    let o = c.open("f", 0.75).expect("open");
+    c.run_answer(o.session, 3.0, 3).expect("run");
+    let stats = c.stats().expect("stats");
+    let insert = endpoint(&stats, "insert");
+    assert_eq!((insert.requests, insert.errors), (1, 1), "{insert:?}");
+    assert_conserved(&stats);
+    handle.shutdown();
+}

@@ -9,6 +9,7 @@
 use graphrep_datagen::store::{self, LogRecord};
 use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
 use graphrep_graph::generate::mutate;
+use graphrep_graph::GraphBuilder;
 use graphrep_serve::registry::{load_in_memory, LoadedDataset, ShardedDataset, EXTERNAL_FAMILY};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -189,6 +190,42 @@ fn corrupt_binary_index_rebuilds_with_provenance() {
     let _ = ds
         .index_arc()
         .query(ds.relevant_for(0.75), data.default_theta, 3);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A directory whose base snapshot holds a graph too large for exact GED is
+/// refused at open by both dataset kinds, with an error naming the graph,
+/// instead of a panic in the middle of the build.
+#[test]
+fn oversized_base_graph_is_an_open_error() {
+    let dir = tmpdir("oversized");
+    let mut data = DatasetSpec::new(DatasetKind::DudLike, 12, 517).generate();
+    let n = graphrep_ged::MAX_EXACT_NODES + 1;
+    let mut path = GraphBuilder::new();
+    for _ in 0..n {
+        path.add_node(0);
+    }
+    for v in 1..n as u16 {
+        path.add_edge(v - 1, v, 0).expect("path edge");
+    }
+    let features = data.db.features(0).to_vec();
+    data.db = data.db.pushed(path.build(), features);
+    data.family.push(EXTERNAL_FAMILY);
+    store::save(&data, &dir).expect("save dataset");
+
+    let errors = [
+        LoadedDataset::open("d", &dir, true).err(),
+        ShardedDataset::open("d", &dir, 2).err(),
+    ];
+    for e in errors {
+        let e = e.expect("open must refuse the directory");
+        assert!(
+            e.message.contains("graph 12") && e.message.contains(&format!("{n} nodes")),
+            "{e}"
+        );
+    }
+    assert!(!dir.join("index.bin").exists(), "nothing was built");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -53,7 +53,7 @@ fn arb_db() -> impl Strategy<Value = Arc<DistanceOracle>> {
 fn par_table(oracle: &DistanceOracle, vps: usize) -> VantageTable {
     let n = oracle.len();
     let vp_ids: Vec<u32> = (0..vps.min(n) as u32).collect();
-    VantageTable::build_with_vps_par(n, vp_ids, &|a, b| oracle.distance(a, b))
+    VantageTable::build_with_vps(n, vp_ids, &|a, b| oracle.distance(a, b))
 }
 
 proptest! {
