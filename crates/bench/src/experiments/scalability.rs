@@ -10,7 +10,7 @@ use super::standard_specs;
 use crate::harness::{f, timed, Ctx, Row};
 use graphrep_baselines::providers::{relevant_mask, CTreeProvider, MTreeProvider, MatrixProvider};
 use graphrep_baselines::{div_topk, greedy_disc, CTree, DivVariant, MTree, MatrixIndex};
-use graphrep_core::{baseline_greedy, NbIndex, NbIndexConfig, RelevanceQuery, Scorer};
+use graphrep_core::{baseline_greedy, NbIndex, NbIndexConfig};
 use graphrep_datagen::{Dataset, DatasetSpec};
 use graphrep_ged::DistanceOracle;
 use graphrep_graph::GraphId;
@@ -328,14 +328,4 @@ pub fn fig6h(ctx: &Ctx) {
         ],
         &rows,
     );
-}
-
-/// Helper reused by refinement experiments: a default query's relevant set.
-pub fn default_relevant(data: &Dataset) -> Vec<GraphId> {
-    RelevanceQuery::top_quantile(
-        &data.db,
-        Scorer::MeanOfDims((0..data.db.dims().max(1)).collect()),
-        0.75,
-    )
-    .relevant_set(&data.db)
 }

@@ -74,14 +74,6 @@ impl Bitset {
         }
     }
 
-    /// `self &= other`.
-    pub fn intersect_with(&mut self, other: &Bitset) {
-        debug_assert_eq!(self.capacity, other.capacity);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// `self &= !other`.
     pub fn subtract(&mut self, other: &Bitset) {
         debug_assert_eq!(self.capacity, other.capacity);
@@ -178,9 +170,6 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.count(), 6);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3]);
         let mut d = a.clone();
         d.subtract(&b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 70]);

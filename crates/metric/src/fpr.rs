@@ -1,9 +1,9 @@
 //! False-positive-rate theory for vantage points (paper Sec 6.2.1).
 //!
 //! The probability that a graph survives every vantage-point band test yet
-//! lies outside the true θ-neighborhood is bounded by Eq. 11 (Gaussian
-//! distances) and Eq. 12 (uniform distances). These bounds drive the choice
-//! of `|V|` and are validated empirically in the Fig 5(f)–(h) experiment.
+//! lies outside the true θ-neighborhood is bounded by Eq. 11 when pairwise
+//! distances are Gaussian. The bound is validated empirically in the
+//! Fig 5(f)–(h) experiment.
 
 /// Error function, Abramowitz & Stegun 7.1.26 (|error| ≤ 1.5e-7).
 pub fn erf(x: f64) -> f64 {
@@ -31,28 +31,6 @@ pub fn fpr_normal_bound(theta: f64, mu: f64, sigma: f64, num_vps: usize) -> f64 
     let reject = 1.0 - normal_cdf((theta - mu) / sigma);
     let band = (2.0 * normal_cdf(theta / sigma) - 1.0).clamp(0.0, 1.0);
     reject * band.powi(num_vps as i32)
-}
-
-/// Eq. 12: exact FPR when pairwise distances are `U(0, m·θ)`.
-///
-/// `FPR = ((m−1)/m) · (1/m)^|V|` where `m·θ` is the space diameter.
-pub fn fpr_uniform(m: f64, num_vps: usize) -> f64 {
-    assert!(m >= 1.0, "diameter must be at least θ");
-    (m - 1.0) / m * (1.0 / m).powi(num_vps as i32)
-}
-
-/// Smallest `|V| ≤ max_vps` whose Gaussian bound (Eq. 11) is ≤ `target`,
-/// or `max_vps` if no count reaches the target.
-///
-/// This is the paper's recipe ("to limit the FPR below 5% … we choose 100
-/// VPs"), applied to measured `μ, σ` of the dataset.
-pub fn choose_vp_count(target: f64, theta: f64, mu: f64, sigma: f64, max_vps: usize) -> usize {
-    for v in 1..=max_vps {
-        if fpr_normal_bound(theta, mu, sigma, v) <= target {
-            return v;
-        }
-    }
-    max_vps
 }
 
 #[cfg(test)]
@@ -93,32 +71,5 @@ mod tests {
                 assert!((0.0..=1.0).contains(&b), "theta={theta} v={v} b={b}");
             }
         }
-    }
-
-    #[test]
-    fn uniform_bound_matches_formula() {
-        // m = 4, |V| = 2: (3/4)·(1/16) = 0.046875
-        assert!((fpr_uniform(4.0, 2) - 0.046875).abs() < 1e-12);
-        // m = 1: band is the whole space, but no rejections → FPR 0.
-        assert_eq!(fpr_uniform(1.0, 3), 0.0);
-    }
-
-    #[test]
-    fn choose_vp_count_hits_target() {
-        let v = choose_vp_count(0.05, 10.0, 30.0, 8.0, 200);
-        assert!(v >= 1);
-        assert!(fpr_normal_bound(10.0, 30.0, 8.0, v) <= 0.05);
-        if v > 1 {
-            assert!(fpr_normal_bound(10.0, 30.0, 8.0, v - 1) > 0.05);
-        }
-    }
-
-    #[test]
-    fn choose_vp_count_saturates() {
-        // θ/σ huge ⇒ band probability ≈ 1, so extra VPs barely help, while
-        // θ < μ keeps the rejection factor large: the bound stays above the
-        // target for every |V| and the search saturates at max_vps.
-        let v = choose_vp_count(1e-12, 10.0, 10.5, 1.0, 16);
-        assert_eq!(v, 16);
     }
 }

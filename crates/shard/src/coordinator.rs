@@ -29,7 +29,7 @@ use graphrep_ged::{GedConfig, GraphProfile};
 use graphrep_graph::{Graph, GraphId};
 use graphrep_lockaudit::TrackedRwLock;
 use graphrep_metric::Bitset;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -393,6 +393,10 @@ pub struct CoordSession {
     cand: Vec<Candidate>,
     /// Ascending unique live relevant locals per shard.
     locals: Vec<Vec<GraphId>>,
+    /// Per shard, the largest stored center distance over its relevant
+    /// slice (`0` for an empty slice): how far past θ a foreign probe's
+    /// center distance can still matter to this session.
+    reach: Vec<f64>,
     /// Global-id bitset capacity.
     id_space: usize,
 }
@@ -421,6 +425,7 @@ impl CoordSession {
             locals[s].push(l);
         }
         let mut cand = Vec::new();
+        let mut reach = vec![0.0f64; snaps.len()];
         for (s, ls) in locals.iter_mut().enumerate() {
             ls.sort_unstable();
             ls.dedup();
@@ -430,6 +435,7 @@ impl CoordSession {
                     shard: s,
                     local: l,
                 });
+                reach[s] = reach[s].max(snaps[s].member_center_distance(l));
             }
         }
         CoordSession {
@@ -438,6 +444,7 @@ impl CoordSession {
             relevant,
             cand,
             locals,
+            reach,
             id_space,
         }
     }
@@ -463,48 +470,53 @@ impl CoordSession {
         cc - to_center - self.snaps[t].radius() > theta + THETA_EPS
     }
 
-    /// Exact θ-neighborhood of `cand` over the whole relevant set, as a
-    /// global-id bitset. Home members come from the shard's own tiered
-    /// oracle; foreign shards are contacted only when the center-distance
-    /// geometry cannot rule them out. Marks every shard that did fresh work
-    /// in `touched`.
-    fn neighborhood(
+    /// Exact θ-neighborhood of candidate `ci` over the whole relevant set,
+    /// as a global-id bitset memoized in `memo` (one slot per candidate).
+    /// Home members come from the shard's own tiered oracle; foreign shards
+    /// are contacted only when the center-distance geometry cannot rule
+    /// them out. Marks every shard that did fresh work in `touched`.
+    fn neighborhood<'a>(
         &self,
         ci: u32,
         theta: f64,
-        memo: &mut HashMap<u32, Bitset>,
+        memo: &'a mut [Option<Bitset>],
         touched: &mut [bool],
         stats: &mut CoordRunStats,
-    ) -> Bitset {
-        if let Some(nb) = memo.get(&ci) {
-            return nb.clone();
-        }
-        let cand = self.cand[ci as usize];
-        let home = cand.shard;
-        touched[home] = true;
-        stats.verified_candidates += 1;
-        let mut members = self.snaps[home].home_members(cand.local, &self.locals[home], theta);
-        let probe = self.snaps[home].graph(cand.local);
-        let profile = self.snaps[home].profile(cand.local);
-        for (t, snap) in self.snaps.iter().enumerate() {
-            if t == home || self.locals[t].is_empty() || self.geometry_prunes(&cand, t, theta) {
-                continue;
+    ) -> &'a Bitset {
+        memo[ci as usize].get_or_insert_with(|| {
+            let cand = self.cand[ci as usize];
+            let home = cand.shard;
+            touched[home] = true;
+            stats.verified_candidates += 1;
+            let mut members = self.snaps[home].home_members(cand.local, &self.locals[home], theta);
+            let probe = self.snaps[home].graph(cand.local);
+            let profile = self.snaps[home].profile(cand.local);
+            for (t, snap) in self.snaps.iter().enumerate() {
+                if t == home || self.locals[t].is_empty() || self.geometry_prunes(&cand, t, theta) {
+                    continue;
+                }
+                touched[t] = true;
+                // Cut off at θ + reach_t: past it, d(c, center_t) − to_center
+                // exceeds θ for every relevant member of t, so the triangle
+                // screen would reject them all and `None` skips the shard.
+                let tau = theta + self.reach[t];
+                let Some(d_center) = snap.center_distance_within(probe, profile, tau) else {
+                    continue;
+                };
+                members.extend(snap.foreign_members(
+                    probe,
+                    profile,
+                    d_center,
+                    &self.locals[t],
+                    theta,
+                ));
             }
-            touched[t] = true;
-            // Cut off at θ + radius_t: beyond it the triangle screen rejects
-            // every member of t, so `None` skips the shard.
-            let Some(d_center) = snap.center_distance_within(probe, profile, theta + snap.radius())
-            else {
-                continue;
-            };
-            members.extend(snap.foreign_members(probe, profile, d_center, &self.locals[t], theta));
-        }
-        let mut nb = Bitset::new(self.id_space);
-        for m in members {
-            nb.insert(m as usize);
-        }
-        memo.insert(ci, nb.clone());
-        nb
+            let mut nb = Bitset::new(self.id_space);
+            for m in members {
+                nb.insert(m as usize);
+            }
+            nb
+        })
     }
 
     /// Distance-free initial upper bounds: per candidate, the home shard's
@@ -571,7 +583,7 @@ impl CoordSession {
         let mut bound = self.initial_bounds(theta);
         let mut covered = Bitset::new(self.id_space);
         let mut in_answer = vec![false; self.cand.len()];
-        let mut memo: HashMap<u32, Bitset> = HashMap::new();
+        let mut memo: Vec<Option<Bitset>> = vec![None; self.cand.len()];
         let mut ids = Vec::new();
         let mut pi_trajectory = Vec::new();
         let budget = k.min(self.relevant.len());
@@ -638,11 +650,10 @@ impl CoordSession {
                 clippy::expect_used,
                 reason = "search contract: best is only set from verified entries, which are memoized"
             )]
-            let nb = memo
-                .get(&ci)
-                .expect("selected candidate was verified")
-                .clone();
-            covered.union_with(&nb);
+            let nb = memo[ci as usize]
+                .as_ref()
+                .expect("selected candidate was verified");
+            covered.union_with(nb);
             pi_trajectory.push(if self.relevant.is_empty() {
                 0.0
             } else {

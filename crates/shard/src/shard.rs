@@ -224,13 +224,15 @@ impl ShardState {
     /// slice of the relevant set, as ascending global ids.
     ///
     /// `d_center` is the probe's exact distance to this shard's center, from
-    /// [`ShardState::center_distance_within`] cut off at `θ + radius`: paid
-    /// once per verified candidate, touched shard and run, and the caller
-    /// skips the shard when it comes back `None`, because then every member
-    /// is farther than θ. Each member is then triangle-prescreened through
-    /// its stored center distance — `|d_center − to_center| > θ` rejects,
-    /// `d_center + to_center ≤ θ` accepts — and only the undecided remainder
-    /// pays an edit distance.
+    /// [`ShardState::center_distance_within`] cut off at `θ + reach`, where
+    /// reach is the largest stored center distance over `locals`: paid once
+    /// per verified candidate, touched shard and run, and the caller skips
+    /// the shard when it comes back `None`, because then
+    /// `d_center − to_center > θ` for every member of `locals` and the
+    /// reject screen below would turn each one away. Each member is then
+    /// triangle-prescreened through its stored center distance —
+    /// `|d_center − to_center| > θ` rejects, `d_center + to_center ≤ θ`
+    /// accepts — and only the undecided remainder pays an edit distance.
     /// The verdict arbiter is the same `distance_within_profiled` the home
     /// oracle bottoms out in — cheap profile tiers first — so membership is
     /// byte-identical across paths.

@@ -11,7 +11,7 @@ use graphrep_core::{CancelToken, Cancelled, NbIndex, NbIndexConfig, PickEvent, S
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_ged::{DistanceOracle, GedConfig, GedEngine};
 use graphrep_graph::{generate::mutate, Graph, GraphId};
-use graphrep_shard::{CoordConfig, Coordinator};
+use graphrep_shard::{partition, CoordConfig, Coordinator, PartitionConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -127,6 +127,87 @@ fn default_query_prunes_shards_and_matches_reference() {
         rates[3] >= MIN_PRUNE_RATE_AT_8,
         "S = 8: prune rate {} below the floor {MIN_PRUNE_RATE_AT_8}",
         rates[3]
+    );
+}
+
+/// `n`-graph database ids drawn without replacement, in draw order.
+fn random_subset(rng: &mut SmallRng, n: usize, size: usize) -> Vec<GraphId> {
+    let mut ids = Vec::with_capacity(size);
+    while ids.len() < size {
+        let g = rng.gen_range(0..n) as GraphId;
+        if !ids.contains(&g) {
+            ids.push(g);
+        }
+    }
+    ids
+}
+
+/// Relevant slices that reach only part of a shard's covering radius — so
+/// each foreign center question is cut off short of `θ + radius_t` — answer
+/// byte-identically to the single index: seeded random subsets of 1, 5 and
+/// 20 graphs, and the default query with shard 0's slice cut to its center
+/// alone, at every S ∈ {2, 4, 8} and every (θ, k) of the grid.
+#[test]
+fn short_reach_slices_match_single_index_reference() {
+    let data = DatasetSpec::new(DatasetKind::DudLike, 60, 20140622).generate();
+    let oracle = data.db.oracle(GedConfig::default());
+    let reference = NbIndex::build(oracle, index_config(&data.default_ladder));
+    let mut rng = SmallRng::seed_from_u64(4401);
+    let random: Vec<Vec<GraphId>> = [1, 5, 20]
+        .into_iter()
+        .map(|size| random_subset(&mut rng, data.db.len(), size))
+        .collect();
+    let default = data.default_query().relevant_set(&data.db);
+    let mut short_slices = 0usize;
+    for shards in [2, 4, 8] {
+        let cfg = coord_config(shards, &data.default_ladder);
+        let coord = Coordinator::build(&data.db, GedConfig::default(), &cfg);
+        let snaps = coord.snapshots();
+        let centers = partition(
+            &data.db,
+            GedConfig::default(),
+            &PartitionConfig {
+                shards,
+                seed: cfg.seed,
+            },
+        )
+        .centers;
+        let mut center_only: Vec<GraphId> = default
+            .iter()
+            .copied()
+            .filter(|&g| snaps[0].local_of(g).is_none())
+            .collect();
+        center_only.push(centers[0]);
+        for relevant in random.iter().chain([&center_only]) {
+            for snap in &snaps {
+                let reach = relevant
+                    .iter()
+                    .filter_map(|&g| snap.local_of(g))
+                    .map(|l| snap.member_center_distance(l))
+                    .reduce(f64::max);
+                if reach.is_some_and(|r| r < snap.radius()) {
+                    short_slices += 1;
+                }
+            }
+            let ref_session = reference.start_session(relevant.clone());
+            let session = coord.session(relevant.clone());
+            for &theta in &theta_grid(&data.default_ladder, data.default_theta) {
+                for k in K_GRID {
+                    let (want, _) = ref_session.run(theta, k);
+                    let (got, _) = session.run(theta, k);
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "|L_q| = {} diverged at S = {shards}, θ = {theta}, k = {k}",
+                        relevant.len()
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        short_slices > 0,
+        "no slice fell short of its shard's radius"
     );
 }
 

@@ -4,8 +4,9 @@
 //! replay the dataset's mutation log through these same routes;
 //! `graphrep-serve`'s `mutation_persistence` suite covers them. Also here:
 //! the bounded center question every route and probe asks, the engine
-//! entries the default query spends, and foreign calls made through a
-//! superseded snapshot.
+//! entries the default query spends, foreign calls made through a
+//! superseded snapshot, and the `θ + reach` cut-off of a session's foreign
+//! center questions.
 
 use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
 use graphrep_ged::{GedConfig, GedEngine};
@@ -252,4 +253,88 @@ fn calls_through_a_superseded_snapshot_reach_the_coordinator() {
         .collect();
     assert!(runs.iter().sum::<u64>() > 0, "the runs did engine work");
     assert_eq!(delta, runs, "the coordinator lost calls made by the runs");
+}
+
+/// A session asks a foreign shard t's center question only out to
+/// `θ + reach_t`, reach_t being the largest stored center distance over its
+/// relevant slice of t. That drops no member: whenever the exact distance
+/// `d` lies past the cut-off, `d − to_center > θ` for every slice member,
+/// so `foreign_members` handed the exact `d` rejects them all. Checked for
+/// every candidate, foreign shard and ladder θ over three relevant sets:
+/// the default query, a seeded random half, and the default query with
+/// shard 0's slice cut to its center alone (reach 0).
+#[test]
+fn reach_cut_off_never_drops_a_member() {
+    let data = DatasetSpec::new(DatasetKind::DudLike, 60, 20140622).generate();
+    let default = data.default_query().relevant_set(&data.db);
+    let mut rng = SmallRng::seed_from_u64(44);
+    let half: Vec<GraphId> = (0..data.db.len() as GraphId)
+        .filter(|_| rng.gen_bool(0.5))
+        .collect();
+    // Cases past θ + reach_t, and among them those still inside θ + radius_t.
+    let (mut cut, mut inside_radius) = (0usize, 0usize);
+    for shards in [2, 4] {
+        let coord = Coordinator::build(
+            &data.db,
+            GedConfig::default(),
+            &config(shards, &data.default_ladder),
+        );
+        let snaps = coord.snapshots();
+        let center = centers(&data, shards)[0];
+        let mut center_only: Vec<GraphId> = default
+            .iter()
+            .copied()
+            .filter(|&g| snaps[0].local_of(g).is_none())
+            .collect();
+        center_only.push(center);
+        for relevant in [&default, &half, &center_only] {
+            // Each shard's slice as a session holds it: ascending locals.
+            let slices: Vec<Vec<GraphId>> = snaps
+                .iter()
+                .map(|snap| {
+                    let mut ls: Vec<GraphId> =
+                        relevant.iter().filter_map(|&g| snap.local_of(g)).collect();
+                    ls.sort_unstable();
+                    ls.dedup();
+                    ls
+                })
+                .collect();
+            for (s, home) in snaps.iter().enumerate() {
+                for &c in &slices[s] {
+                    let (probe, profile) = (home.graph(c), home.profile(c));
+                    for (t, foreign) in snaps.iter().enumerate() {
+                        if t == s || slices[t].is_empty() {
+                            continue;
+                        }
+                        let d = foreign
+                            .center_distance_within(probe, profile, f64::INFINITY)
+                            .expect("an unbounded question has an answer");
+                        let reach = slices[t]
+                            .iter()
+                            .map(|&m| foreign.member_center_distance(m))
+                            .fold(0.0, f64::max);
+                        for &theta in &data.default_ladder {
+                            if d <= theta + reach + 1e-9 {
+                                continue;
+                            }
+                            cut += 1;
+                            if d <= theta + foreign.radius() + 1e-9 {
+                                inside_radius += 1;
+                            }
+                            let got = foreign.foreign_members(probe, profile, d, &slices[t], theta);
+                            assert!(
+                                got.is_empty(),
+                                "S = {shards}: shard {s} local {c} → shard {t} at θ = {theta} \
+                                 (d = {d}, reach = {reach}) kept {got:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        inside_radius > 0,
+        "no case separates the reach cut-off from the radius one ({cut} cut)"
+    );
 }
