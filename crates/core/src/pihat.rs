@@ -10,9 +10,7 @@
 
 use crate::nbtree::NbTree;
 use graphrep_graph::GraphId;
-use graphrep_metric::{BandProjection, Bitset, DistanceDistribution, VantageTable};
-use rand::seq::SliceRandom;
-use rand::Rng;
+use graphrep_metric::{BandProjection, Bitset, VantageTable};
 
 const EPS: f64 = 1e-6;
 
@@ -51,28 +49,6 @@ impl ThresholdLadder {
     pub fn slot_for(&self, theta: f64) -> Option<usize> {
         let i = self.thetas.partition_point(|&t| t < theta - EPS);
         (i < self.thetas.len()).then_some(i)
-    }
-
-    /// Sec 7.1 scheme 1: sample `count` thresholds (without replacement)
-    /// from a log of previously queried θ values.
-    pub fn from_query_log<R: Rng + ?Sized>(log: &[f64], count: usize, rng: &mut R) -> Self {
-        let mut pool = log.to_vec();
-        pool.shuffle(rng);
-        pool.truncate(count);
-        Self::new(pool)
-    }
-
-    /// Sec 7.1 scheme 2: no prior information — place thresholds where the
-    /// sampled distance CDF is steep by taking equal-probability quantiles
-    /// (equivalently, density-proportional placement).
-    pub fn from_distribution(dist: &DistanceDistribution, count: usize) -> Self {
-        if dist.is_empty() || count == 0 {
-            return Self::new(vec![]);
-        }
-        let thetas = (1..=count)
-            .map(|i| dist.quantile(i as f64 / count as f64))
-            .collect();
-        Self::new(thetas)
     }
 }
 
@@ -245,8 +221,6 @@ impl PiHatVectors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn ladder_sorts_and_dedupes() {
@@ -264,36 +238,5 @@ mod tests {
         assert_eq!(l.slot_for(3.0), Some(1));
         assert_eq!(l.slot_for(5.0), Some(2));
         assert_eq!(l.slot_for(5.1), None);
-    }
-
-    #[test]
-    fn from_query_log_samples_without_replacement() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let log = vec![2.0, 4.0, 6.0, 8.0];
-        let l = ThresholdLadder::from_query_log(&log, 3, &mut rng);
-        assert_eq!(l.len(), 3);
-        for t in l.thetas() {
-            assert!(log.contains(t));
-        }
-    }
-
-    #[test]
-    fn from_distribution_tracks_density() {
-        // Dense mass around 10, sparse tail to 100: most thresholds should
-        // land near 10.
-        let mut vals: Vec<f64> = (0..90).map(|i| 10.0 + (i % 10) as f64 * 0.1).collect();
-        vals.extend((0..10).map(|i| 20.0 + i as f64 * 8.0));
-        let dist = DistanceDistribution::new(vals);
-        let l = ThresholdLadder::from_distribution(&dist, 8);
-        assert!(!l.is_empty());
-        let near_ten = l.thetas().iter().filter(|&&t| t < 12.0).count();
-        assert!(near_ten >= l.len() / 2, "thetas: {:?}", l.thetas());
-    }
-
-    #[test]
-    fn empty_distribution_gives_empty_ladder() {
-        let l = ThresholdLadder::from_distribution(&DistanceDistribution::new(vec![]), 5);
-        assert!(l.is_empty());
-        assert_eq!(l.slot_for(1.0), None);
     }
 }

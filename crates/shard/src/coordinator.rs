@@ -7,7 +7,9 @@
 //! beat the best verified pick. Shards whose geometry proves they cannot
 //! contribute members (center-distance triangle test, DESIGN.md §14) are
 //! never contacted at all; the per-pick fraction of such silent shards is
-//! the subsystem's headline pruning metric.
+//! the subsystem's headline pruning metric. Every other foreign shard
+//! answers the engine's tiered θ-question once per relevant member, so
+//! membership is the engine's own verdict on every unpruned pair.
 //!
 //! Exactness: every accepted pick has a *verified* marginal gain at least
 //! every bound left in the frontier, with ties toward the smaller global
@@ -393,10 +395,6 @@ pub struct CoordSession {
     cand: Vec<Candidate>,
     /// Ascending unique live relevant locals per shard.
     locals: Vec<Vec<GraphId>>,
-    /// Per shard, the largest stored center distance over its relevant
-    /// slice (`0` for an empty slice): how far past θ a foreign probe's
-    /// center distance can still matter to this session.
-    reach: Vec<f64>,
     /// Global-id bitset capacity.
     id_space: usize,
 }
@@ -425,7 +423,6 @@ impl CoordSession {
             locals[s].push(l);
         }
         let mut cand = Vec::new();
-        let mut reach = vec![0.0f64; snaps.len()];
         for (s, ls) in locals.iter_mut().enumerate() {
             ls.sort_unstable();
             ls.dedup();
@@ -435,7 +432,6 @@ impl CoordSession {
                     shard: s,
                     local: l,
                 });
-                reach[s] = reach[s].max(snaps[s].member_center_distance(l));
             }
         }
         CoordSession {
@@ -444,7 +440,6 @@ impl CoordSession {
             relevant,
             cand,
             locals,
-            reach,
             id_space,
         }
     }
@@ -472,9 +467,10 @@ impl CoordSession {
 
     /// Exact θ-neighborhood of candidate `ci` over the whole relevant set,
     /// as a global-id bitset memoized in `memo` (one slot per candidate).
-    /// Home members come from the shard's own tiered oracle; foreign shards
-    /// are contacted only when the center-distance geometry cannot rule
-    /// them out. Marks every shard that did fresh work in `touched`.
+    /// Home members come from the shard's own tiered oracle; every foreign
+    /// shard the center-distance geometry cannot rule out answers one tiered
+    /// θ-question per relevant member. Marks every shard that did fresh work
+    /// in `touched`.
     fn neighborhood<'a>(
         &self,
         ci: u32,
@@ -496,27 +492,32 @@ impl CoordSession {
                     continue;
                 }
                 touched[t] = true;
-                // Cut off at θ + reach_t: past it, d(c, center_t) − to_center
-                // exceeds θ for every relevant member of t, so the triangle
-                // screen would reject them all and `None` skips the shard.
-                let tau = theta + self.reach[t];
-                let Some(d_center) = snap.center_distance_within(probe, profile, tau) else {
-                    continue;
-                };
-                members.extend(snap.foreign_members(
-                    probe,
-                    profile,
-                    d_center,
-                    &self.locals[t],
-                    theta,
-                ));
+                members.extend(snap.foreign_members(probe, profile, &self.locals[t], theta));
             }
-            let mut nb = Bitset::new(self.id_space);
-            for m in members {
-                nb.insert(m as usize);
-            }
+            let nb = Bitset::from_indices(self.id_space, members.iter().map(|&m| m as usize));
+            graphrep_ged::audit_invariant!(
+                nb == self.audit_neighborhood(&cand, theta),
+                "candidate {} at θ = {theta}: memoized neighborhood differs from \
+                 the one every slice answers without the geometry prune",
+                cand.id
+            );
             nb
         })
+    }
+
+    /// The θ-neighborhood of `cand` recomputed with no geometry prune and
+    /// no home path: every shard's slice, the home one included, answers
+    /// `foreign_members` on the candidate's graph.
+    #[cfg(feature = "invariant-audit")]
+    fn audit_neighborhood(&self, cand: &Candidate, theta: f64) -> Bitset {
+        let home = &self.snaps[cand.shard];
+        let (probe, profile) = (home.graph(cand.local), home.profile(cand.local));
+        let members = self
+            .snaps
+            .iter()
+            .zip(&self.locals)
+            .flat_map(|(snap, locals)| snap.foreign_members(probe, profile, locals, theta));
+        Bitset::from_indices(self.id_space, members.map(|m| m as usize))
     }
 
     /// Distance-free initial upper bounds: per candidate, the home shard's

@@ -21,10 +21,6 @@ use graphrep_metric::Bitset;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Accept/reject slop on θ-membership, matching the tiered oracle's
-/// boundary arithmetic (`d ≤ θ + 1e-9` is inside).
-const THETA_EPS: f64 = 1e-9;
-
 /// One shard's immutable snapshot.
 #[derive(Debug)]
 pub struct ShardState {
@@ -38,8 +34,9 @@ pub struct ShardState {
     center_local: GraphId,
     /// Covering radius: max member-to-center distance ever admitted.
     radius: f64,
-    /// Edit-distance computations served for foreign probes (candidates
-    /// owned by other shards), outside the oracle's own counters. Shared by
+    /// Engine questions served for foreign probes (candidates owned by
+    /// other shards, and graphs being routed), outside the oracle's own
+    /// counters: one per question, whichever tier settles it. Shared by
     /// every generation, like the oracle's tally, so calls a session makes
     /// through a superseded snapshot still count.
     foreign_calls: Arc<AtomicU64>,
@@ -127,7 +124,8 @@ impl ShardState {
     /// Distance from an out-of-shard probe graph (and its profile) to the
     /// shard center, asked as a threshold question: `Some(d)` with the exact
     /// distance iff `d ≤ tau`, `None` when it certainly exceeds `tau`.
-    /// Counts one foreign call per invocation, whatever the answer.
+    /// Counts one foreign call per invocation, whatever the answer. Insert
+    /// routing is its only caller; queries never ask it.
     pub fn center_distance_within(
         &self,
         probe: &Graph,
@@ -178,7 +176,7 @@ impl ShardState {
         self.index.oracle().tier_stats()
     }
 
-    /// Edit-distance computations served for foreign probes.
+    /// Engine questions served for foreign probes.
     pub fn foreign_calls(&self) -> u64 {
         // Relaxed: a monotone stats counter, never used for synchronization.
         self.foreign_calls.load(Ordering::Relaxed)
@@ -221,41 +219,28 @@ impl ShardState {
     }
 
     /// Exact θ-neighborhood of a *foreign* probe graph within this shard's
-    /// slice of the relevant set, as ascending global ids.
+    /// slice of the relevant set, as ascending global ids. `locals` must be
+    /// ascending, deduplicated, live local ids.
     ///
-    /// `d_center` is the probe's exact distance to this shard's center, from
-    /// [`ShardState::center_distance_within`] cut off at `θ + reach`, where
-    /// reach is the largest stored center distance over `locals`: paid once
-    /// per verified candidate, touched shard and run, and the caller skips
-    /// the shard when it comes back `None`, because then
-    /// `d_center − to_center > θ` for every member of `locals` and the
-    /// reject screen below would turn each one away. Each member is then
-    /// triangle-prescreened through its stored center distance —
-    /// `|d_center − to_center| > θ` rejects, `d_center + to_center ≤ θ`
-    /// accepts — and only the undecided remainder pays an edit distance.
-    /// The verdict arbiter is the same `distance_within_profiled` the home
-    /// oracle bottoms out in — cheap profile tiers first — so membership is
-    /// byte-identical across paths.
+    /// Each member is asked `distance_within_profiled(probe, m, θ)`, the
+    /// threshold question the home oracle bottoms out in: the size, label
+    /// and degree tiers settle most pairs before any search, and membership
+    /// is the engine's verdict, byte-identical across paths. Counts one
+    /// foreign call per member asked.
     pub fn foreign_members(
         &self,
         probe: &Graph,
         profile: &GraphProfile,
-        d_center: f64,
         locals: &[GraphId],
         theta: f64,
     ) -> Vec<GraphId> {
         let oracle = self.index.oracle();
         let engine = oracle.engine();
         let graphs = oracle.graphs();
-        let mut out = Vec::new();
-        for &c in locals {
-            let dc = self.to_center[c as usize];
-            if (d_center - dc).abs() > theta + THETA_EPS {
-                continue; // triangle lower bound: d ≥ |d_center − dc| > θ
-            }
-            let inside = if d_center + dc <= theta + THETA_EPS {
-                true // triangle upper bound certifies membership
-            } else {
+        locals
+            .iter()
+            .copied()
+            .filter(|&c| {
                 // Relaxed: a monotone stats counter, never synchronization.
                 self.foreign_calls.fetch_add(1, Ordering::Relaxed);
                 engine
@@ -267,12 +252,9 @@ impl ShardState {
                         theta,
                     )
                     .is_some()
-            };
-            if inside {
-                out.push(self.global_of(c));
-            }
-        }
-        out
+            })
+            .map(|c| self.global_of(c))
+            .collect()
     }
 
     /// Successor snapshot with `graph` inserted as global id `global`

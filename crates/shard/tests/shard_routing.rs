@@ -3,10 +3,9 @@
 //! exactly nearest, and receipts must carry the full epoch vector. Restarts
 //! replay the dataset's mutation log through these same routes;
 //! `graphrep-serve`'s `mutation_persistence` suite covers them. Also here:
-//! the bounded center question every route and probe asks, the engine
-//! entries the default query spends, foreign calls made through a
-//! superseded snapshot, and the `θ + reach` cut-off of a session's foreign
-//! center questions.
+//! the bounded center question every route asks, the engine entries the
+//! default query spends, foreign calls made through a superseded snapshot,
+//! and the foreign θ-question a session asks of every unpruned member.
 
 use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
 use graphrep_ged::{GedConfig, GedEngine};
@@ -186,10 +185,10 @@ fn center_distance_within_is_the_exact_threshold_answer() {
 }
 
 /// The default query's per-shard engine entries (oracle + foreign calls)
-/// and shard classification, pinned: bounding the center question makes
-/// each call cheaper, never fewer or more. The index audits compute
-/// distances of their own into the shared memo, so the pin holds only
-/// without `invariant-audit`.
+/// and shard classification, pinned: each unpruned foreign relevant member
+/// is asked one θ-question per verified candidate, and no center question
+/// is asked. The index and neighborhood audits compute distances of their
+/// own, so the pin holds only without `invariant-audit`.
 #[cfg(not(feature = "invariant-audit"))]
 #[test]
 fn default_query_engine_entries_are_pinned() {
@@ -197,8 +196,8 @@ fn default_query_engine_entries_are_pinned() {
     let data = DatasetSpec::new(DatasetKind::DudLike, 160, seed).generate();
     let relevant = data.default_query().relevant_set(&data.db);
     let pinned: [(usize, &[u64], u64, u64); 2] = [
-        (4, &[156, 18, 0, 45], 3, 13),
-        (8, &[134, 0, 0, 42, 74, 42, 0, 66], 9, 23),
+        (4, &[267, 222, 0, 195], 3, 13),
+        (8, &[184, 0, 0, 150, 168, 60, 0, 78], 9, 23),
     ];
     for (shards, entries, touched, pruned) in pinned {
         let cfg = CoordConfig {
@@ -255,24 +254,22 @@ fn calls_through_a_superseded_snapshot_reach_the_coordinator() {
     assert_eq!(delta, runs, "the coordinator lost calls made by the runs");
 }
 
-/// A session asks a foreign shard t's center question only out to
-/// `θ + reach_t`, reach_t being the largest stored center distance over its
-/// relevant slice of t. That drops no member: whenever the exact distance
-/// `d` lies past the cut-off, `d − to_center > θ` for every slice member,
-/// so `foreign_members` handed the exact `d` rejects them all. Checked for
-/// every candidate, foreign shard and ladder θ over three relevant sets:
-/// the default query, a seeded random half, and the default query with
-/// shard 0's slice cut to its center alone (reach 0).
+/// `foreign_members` is the engine's verdict: for every candidate, every
+/// foreign shard with a non-empty slice and every ladder θ it returns
+/// exactly the slice members `m` with `GedEngine::distance(probe, m) ≤ θ`,
+/// in ascending global id, and counts one foreign call per member asked.
+/// Checked over three relevant sets: the default query, a seeded random
+/// half, and the default query with shard 0's slice cut to its center.
 #[test]
-fn reach_cut_off_never_drops_a_member() {
+fn foreign_members_is_the_engine_verdict() {
     let data = DatasetSpec::new(DatasetKind::DudLike, 60, 20140622).generate();
+    let engine = GedEngine::new(GedConfig::default());
     let default = data.default_query().relevant_set(&data.db);
     let mut rng = SmallRng::seed_from_u64(44);
     let half: Vec<GraphId> = (0..data.db.len() as GraphId)
         .filter(|_| rng.gen_bool(0.5))
         .collect();
-    // Cases past θ + reach_t, and among them those still inside θ + radius_t.
-    let (mut cut, mut inside_radius) = (0usize, 0usize);
+    let (mut kept, mut dropped) = (0usize, 0usize);
     for shards in [2, 4] {
         let coord = Coordinator::build(
             &data.db,
@@ -280,13 +277,12 @@ fn reach_cut_off_never_drops_a_member() {
             &config(shards, &data.default_ladder),
         );
         let snaps = coord.snapshots();
-        let center = centers(&data, shards)[0];
         let mut center_only: Vec<GraphId> = default
             .iter()
             .copied()
             .filter(|&g| snaps[0].local_of(g).is_none())
             .collect();
-        center_only.push(center);
+        center_only.push(centers(&data, shards)[0]);
         for relevant in [&default, &half, &center_only] {
             // Each shard's slice as a session holds it: ascending locals.
             let slices: Vec<Vec<GraphId>> = snaps
@@ -306,35 +302,37 @@ fn reach_cut_off_never_drops_a_member() {
                         if t == s || slices[t].is_empty() {
                             continue;
                         }
-                        let d = foreign
-                            .center_distance_within(probe, profile, f64::INFINITY)
-                            .expect("an unbounded question has an answer");
-                        let reach = slices[t]
+                        let exact: Vec<(GraphId, f64)> = slices[t]
                             .iter()
-                            .map(|&m| foreign.member_center_distance(m))
-                            .fold(0.0, f64::max);
+                            .map(|&m| {
+                                let g = foreign.global_of(m);
+                                (g, engine.distance(probe, data.db.graph(g)))
+                            })
+                            .collect();
                         for &theta in &data.default_ladder {
-                            if d <= theta + reach + 1e-9 {
-                                continue;
-                            }
-                            cut += 1;
-                            if d <= theta + foreign.radius() + 1e-9 {
-                                inside_radius += 1;
-                            }
-                            let got = foreign.foreign_members(probe, profile, d, &slices[t], theta);
-                            assert!(
-                                got.is_empty(),
-                                "S = {shards}: shard {s} local {c} → shard {t} at θ = {theta} \
-                                 (d = {d}, reach = {reach}) kept {got:?}"
+                            let calls = foreign.foreign_calls();
+                            let got = foreign.foreign_members(probe, profile, &slices[t], theta);
+                            assert_eq!(
+                                foreign.foreign_calls() - calls,
+                                slices[t].len() as u64,
+                                "one foreign call per member asked"
                             );
+                            let want: Vec<GraphId> = exact
+                                .iter()
+                                .filter(|&&(_, d)| d <= theta + 1e-9)
+                                .map(|&(g, _)| g)
+                                .collect();
+                            assert_eq!(
+                                got, want,
+                                "S = {shards}: shard {s} local {c} → shard {t} at θ = {theta}"
+                            );
+                            kept += got.len();
+                            dropped += slices[t].len() - got.len();
                         }
                     }
                 }
             }
         }
     }
-    assert!(
-        inside_radius > 0,
-        "no case separates the reach cut-off from the radius one ({cut} cut)"
-    );
+    assert!(kept > 0 && dropped > 0, "{kept} kept, {dropped} dropped");
 }
