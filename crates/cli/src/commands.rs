@@ -282,6 +282,13 @@ fn index(cmd: &Command) -> Result<String, CliError> {
         index.vantage().num_vps(),
         index.memory_bytes(),
     );
+    // Zero on a loaded index: only a build searches.
+    let c = index.oracle().engine().counters().snapshot();
+    let _ = writeln!(
+        out,
+        "exact GED: {} searches, {} A* expansions, {} budget fallbacks",
+        c.exact_searches, c.expansions, c.budget_fallbacks,
+    );
     if let Some(written) = written {
         let path = Path::new(cmd.req("data")?).join("index.bin");
         written.map_err(|e| CliError(format!("writing {}: {e}", path.display())))?;

@@ -33,13 +33,26 @@ pub fn multiset_bound(a: &[u32], b: &[u32], sub: f64, indel: f64) -> f64 {
 }
 
 /// [`multiset_bound`] from the counts alone: multisets of `r1` and `r2`
-/// labels sharing `overlap` of them. The exact searches evaluate their
-/// heuristic through this (see [`crate::tables`]), so it is the one place
-/// the bound's arithmetic lives.
+/// labels sharing `overlap` of them.
 #[inline]
 pub(crate) fn count_bound(overlap: usize, r1: usize, r2: usize, sub: f64, indel: f64) -> f64 {
-    let pairs = r1.min(r2).saturating_sub(overlap);
-    pairs as f64 * sub.min(2.0 * indel) + r1.abs_diff(r2) as f64 * indel
+    split_bound(
+        r1.min(r2).saturating_sub(overlap),
+        r1.abs_diff(r2),
+        sub,
+        indel,
+    )
+}
+
+/// The bound of several disjoint multiset pairs at once, from two integer
+/// totals: `pairs` unmatched pairs and `diff` summed size difference. The
+/// sum of [`count_bound`] over the pairs, converted once, so its bits do not
+/// depend on the order the pairs were counted in. The exact searches
+/// evaluate their heuristic through this (see [`crate::tables`]), so it is
+/// the one place the bound's arithmetic lives.
+#[inline]
+pub(crate) fn split_bound(pairs: usize, diff: usize, sub: f64, indel: f64) -> f64 {
+    pairs as f64 * sub.min(2.0 * indel) + diff as f64 * indel
 }
 
 /// Label lower bound: node-label multiset bound + edge-label multiset bound.

@@ -3,9 +3,13 @@
 //! The classical formulation [Zeng et al. 2009; He & Singh 2006]: states are
 //! partial mappings of the first graph's nodes — in a fixed order — onto
 //! nodes of the second graph or onto ε (deletion). Each expansion pays the
-//! exactly attributable node and edge costs; an admissible label-multiset
-//! heuristic prunes the search. With symmetric costs the result is a metric,
-//! which the NB-Index theorems require.
+//! exactly attributable node and edge costs; an admissible heuristic prunes
+//! the search: the label-multiset bound on the remaining nodes, plus one per
+//! edge class — the pending edges of each mapped node against those of its
+//! image, and the edges among unmapped nodes ([`crate::tables`]). Any
+//! admissible heuristic finds an optimal edit path, so the heuristic decides
+//! only how many states are expanded. With symmetric costs the result is a
+//! metric, which the NB-Index theorems require.
 //!
 //! Computing GED is NP-hard, so the search takes both a `cutoff` (for
 //! θ-membership tests, Sec 5–6 of the paper) and an expansion `budget`
@@ -160,7 +164,7 @@ pub(crate) fn ged_exact_in(
         depth: 0,
         col: 0,
     });
-    frame.enter(t, 0, 0);
+    frame.enter(t, 0, &[]);
     let h0 = frame.heuristic(t, cost);
     if h0 > limit {
         return ExactResult {
@@ -205,23 +209,28 @@ pub(crate) fn ged_exact_in(
 
         // Children: the a-node at `depth` onto each unused b-node in
         // ascending id order, then onto ε (column n2). One frame for the
-        // expansion; each child is an O(1) step from it.
+        // expansion, with that a-node in flight; each child is an O(1) step
+        // from it. The last a-node's children are complete and need none.
         let complete = depth + 1 == n1;
-        frame.enter(t, depth + 1, node.used);
+        if !complete {
+            frame.enter(t, depth + 1, cols);
+        }
         for col in t.children(node.used) {
             let mut g = node.g + t.step_cost(depth, col, cols, cost);
             if g > limit {
                 // h ≥ 0, so f would exceed the limit as well.
                 continue;
             }
-            let (mut h, unused, pending) = frame.child(t, col, cost);
-            if complete {
+            let h = if complete {
                 // Completion: insert all unused b nodes and every b edge not
                 // fully inside the used set (edges among used nodes were paid
                 // pairwise).
+                let (unused, pending) = t.left_over(t.taking(node.used, col));
                 g += unused as f64 * cost.node_indel + pending as f64 * cost.edge_indel;
-                h = 0.0;
-            }
+                0.0
+            } else {
+                frame.child(t, col, cost)
+            };
             let f = g + h;
             if f <= limit {
                 let idx = ab.arena.len() as u32;

@@ -11,8 +11,9 @@
 //! stack the rest of the workspace builds on:
 //!
 //! * [`cost::CostModel`] — symmetric edit-operation costs (metric-validated),
-//! * [`exact`] — A\* exact GED with an admissible label-multiset heuristic,
-//!   cutoff support (for θ-membership tests) and an expansion budget,
+//! * [`exact`] — A\* exact GED with an admissible label-multiset heuristic
+//!   summed over edge classes, cutoff support (for θ-membership tests) and
+//!   an expansion budget,
 //! * [`bipartite`] — Riesen–Bunke style `O(n³)` upper bound via the
 //!   [`assignment`] (Hungarian) solver,
 //! * [`bounds`] — near-linear admissible lower bounds,

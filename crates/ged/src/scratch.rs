@@ -9,14 +9,12 @@
 //!
 //! For the exact search the scratch holds the pair's dense [`PairTables`] —
 //! label ids, `u32` node bitmasks, per-depth label counts and two adjacency
-//! matrices, rebuilt once per call — and one [`Frame`] of b-side counts: A\*
-//! positions it once per expansion and reads every child off it
+//! matrices, rebuilt once per call — and one [`Frame`] of per-class label
+//! counts: A\* positions it once per expansion and reads every child off it
 //! (`Frame::child`). It rests on every graph of a searched pair having ≤ 32
 //! nodes, which `PairTables::rebuild` asserts (larger graphs are
-//! `GedMode::Hybrid`'s business). The layout, what a child step subtracts,
-//! and the argument that every count — entered or stepped to — is the
-//! integer the sorted-slice evaluation produced are in the [`crate::tables`]
-//! module doc.
+//! `GedMode::Hybrid`'s business). The layout, the edge classes, and what a
+//! child step moves are in the [`crate::tables`] module doc.
 //!
 //! Borrow discipline: the public wrappers never nest (an `*_in` function
 //! takes `&mut` buffer parts and cannot re-enter [`with_scratch`]), so the
@@ -34,7 +32,7 @@ pub(crate) struct SearchScratch {
     /// Per-pair dense tables (label ids, bitmasks, counts, adjacency
     /// matrices) for A*.
     pub(crate) tables: PairTables,
-    /// b-side label counts of the state A* is expanding.
+    /// Edge-class label counts of the state A* is expanding.
     pub(crate) frame: Frame,
     /// A* arena, frontier heap, and map-reconstruction buffer.
     pub(crate) astar: AstarBufs,

@@ -161,6 +161,17 @@ impl ShardState {
         self.index.oracle().engine_calls()
     }
 
+    /// Exact searches of this shard's engine that ran out of budget and
+    /// stored the bipartite upper bound instead (build included).
+    pub fn budget_fallbacks(&self) -> u64 {
+        self.index
+            .oracle()
+            .engine()
+            .counters()
+            .snapshot()
+            .budget_fallbacks
+    }
+
     /// Resident bytes of this shard's NB-Index.
     pub fn index_memory_bytes(&self) -> usize {
         self.index.memory_bytes()
