@@ -44,13 +44,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// G008's blocking sinks: names that block regardless of arguments — GED
 /// engine entries (oracle and raw engine), socket/stream I/O, thread control.
 const SINKS: &[&str] = &[
+    "ask",
     "distance",
     "within",
-    "within_verdict",
-    "within_facts",
-    "distance_within",
-    "distance_profiled",
-    "distance_within_profiled",
     "connect",
     "accept",
     "read_message",

@@ -63,15 +63,7 @@ const G007_EXEMPT: &[&str] = &["serve", "cli"];
 /// and oracle types themselves, plus their verification entry points when
 /// invoked as methods.
 const G011_TYPES: &[&str] = &["GedEngine", "DistanceOracle"];
-const G011_METHODS: &[&str] = &[
-    "distance",
-    "within",
-    "within_verdict",
-    "within_facts",
-    "distance_within",
-    "distance_profiled",
-    "distance_within_profiled",
-];
+const G011_METHODS: &[&str] = &["ask", "distance", "within"];
 /// Atomic memory orderings that G002 requires a justification comment for.
 /// Restricting to these avoids flagging `std::cmp::Ordering::{Less,…}`.
 const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -511,9 +503,7 @@ fn rule_g007(file: &str, toks: &[Token], in_test: &dyn Fn(usize) -> bool, out: &
 /// pruning measurable and a future remote shard transport possible. So
 /// `crates/shard/src/coordinator.rs` must not name the engine or oracle
 /// types (`GedEngine`, `DistanceOracle`) nor invoke their verification
-/// entry points as methods (`.distance(…)`, `.within(…)`,
-/// `.within_verdict(…)`, `.within_facts(…)`, `.distance_within(…)`, or
-/// profiled variants).
+/// entry points as methods (`.ask(…)`, `.distance(…)`, `.within(…)`).
 /// Wrapper methods with other names (`center_distance_within`,
 /// `home_members`) are the sanctioned surface: the rule matches whole
 /// identifiers, so a wrapper that merely contains a banned name is not one.
@@ -742,16 +732,13 @@ mod tests {
             vec!["G011"]
         );
         assert_eq!(
-            shard_coord("fn f() { let v = o.within_verdict(a, b, t); }"),
+            shard_coord("fn f() { let v = o.ask(a, b, t).0; }"),
             vec!["G011"]
         );
-        assert_eq!(
-            shard_coord("fn f() { o.distance_within(a, b, t); }"),
-            vec!["G011"]
-        );
+        assert_eq!(shard_coord("fn f() { o.within(a, b, t); }"), vec!["G011"]);
         // The engine entry the sanctioned wrapper is built on stays banned.
         assert_eq!(
-            shard_coord("fn f() { e.distance_within_profiled(g, c, p, q, t); }"),
+            shard_coord("fn f() { e.ask(g, c, p, q, t); }"),
             vec!["G011"]
         );
     }

@@ -14,7 +14,7 @@ use graphrep_graph::GraphId;
 use graphrep_metric::Bitset;
 
 /// Brute-force provider: one θ-membership test per relevant graph, routed
-/// through the oracle's tiered [`DistanceOracle::within_verdict`] ladder so
+/// through the oracle's tiered [`DistanceOracle::ask`] ladder so
 /// cheap bounds answer most tests without an edit-distance computation.
 #[derive(Debug)]
 pub struct BruteForceProvider<'a> {
@@ -34,7 +34,7 @@ impl NeighborhoodProvider for BruteForceProvider<'_> {
         self.relevant
             .iter()
             .copied()
-            .filter(|&r| self.oracle.within_verdict(g, r, theta))
+            .filter(|&r| self.oracle.ask(g, r, theta).0)
             .collect()
     }
 }

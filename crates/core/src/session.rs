@@ -523,7 +523,7 @@ impl<I: Deref<Target = NbIndex>> QuerySession<I> {
                 _ if theta < row_theta && !vt.passes_all_bands(g, c, theta) => false,
                 Some(true) => true,
                 None => {
-                    let (inside, learned) = oracle.within_facts(g, c, theta);
+                    let (inside, learned) = oracle.ask(g, c, theta);
                     entries.to_mut()[i].1 = learned;
                     inside
                 }

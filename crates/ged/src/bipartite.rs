@@ -190,8 +190,9 @@ pub(crate) fn bp_lower_bound_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::label_lower_bound;
+    use crate::bounds::label_lower_bound_profiled;
     use crate::exact::ged_exact_full;
+    use crate::profile::GraphProfile;
     use graphrep_graph::generate::{mutate, random_connected};
     use graphrep_graph::GraphBuilder;
     use rand::rngs::SmallRng;
@@ -206,6 +207,10 @@ mod tests {
             b.add_edge(u, v, l).unwrap();
         }
         b.build()
+    }
+
+    fn label_bound(g1: &Graph, g2: &Graph, c: &CostModel) -> f64 {
+        label_lower_bound_profiled(&GraphProfile::new(g1), &GraphProfile::new(g2), c)
     }
 
     #[test]
@@ -250,7 +255,7 @@ mod tests {
             };
             let exact = ged_exact_full(&g1, &g2, &c, 2_000_000).unwrap().0;
             let ub = bp_upper_bound(&g1, &g2, &c);
-            let lb = label_lower_bound(&g1, &g2, &c);
+            let lb = label_bound(&g1, &g2, &c);
             assert!(
                 ub >= exact - 1e-9,
                 "ub {ub} < exact {exact} (trial {trial})"
@@ -306,7 +311,7 @@ mod tests {
         let path = build(&[0, 0, 0, 0], &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
         let star = build(&[0, 0, 0, 0], &[(0, 1, 1), (0, 2, 1), (0, 3, 1)]);
         let c = CostModel::uniform();
-        assert_eq!(label_lower_bound(&path, &star, &c), 0.0);
+        assert_eq!(label_bound(&path, &star, &c), 0.0);
         assert!(bp_lower_bound(&path, &star, &c) > 0.0);
     }
 

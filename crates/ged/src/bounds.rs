@@ -5,7 +5,6 @@
 
 use crate::cost::CostModel;
 use crate::profile::GraphProfile;
-use graphrep_graph::Graph;
 use std::cmp::Ordering;
 
 /// Size of the intersection of two sorted multisets.
@@ -55,28 +54,11 @@ pub(crate) fn split_bound(pairs: usize, diff: usize, sub: f64, indel: f64) -> f6
     pairs as f64 * sub.min(2.0 * indel) + diff as f64 * indel
 }
 
-/// Label lower bound: node-label multiset bound + edge-label multiset bound.
+/// Label lower bound: node-label multiset bound + edge-label multiset bound,
+/// an O(n) merge over the profiles' sorted label arrays.
 ///
 /// Valid because any edit path must reconcile both multisets, and node and
 /// edge operations are charged separately.
-pub fn label_lower_bound(g1: &Graph, g2: &Graph, cost: &CostModel) -> f64 {
-    let n1 = g1.sorted_node_labels();
-    let n2 = g2.sorted_node_labels();
-    let e1 = g1.sorted_edge_labels();
-    let e2 = g2.sorted_edge_labels();
-    multiset_bound(&n1, &n2, cost.node_sub, cost.node_indel)
-        + multiset_bound(&e1, &e2, cost.edge_sub, cost.edge_indel)
-}
-
-/// Size lower bound: count differences only (weaker than the label bound,
-/// provided for completeness and tests).
-pub fn size_lower_bound(g1: &Graph, g2: &Graph, cost: &CostModel) -> f64 {
-    g1.node_count().abs_diff(g2.node_count()) as f64 * cost.node_indel
-        + g1.edge_count().abs_diff(g2.edge_count()) as f64 * cost.edge_indel
-}
-
-/// [`label_lower_bound`] over precomputed profiles: identical value, but an
-/// O(n) merge over cached sorted arrays instead of four per-call sorts.
 pub fn label_lower_bound_profiled(p1: &GraphProfile, p2: &GraphProfile, cost: &CostModel) -> f64 {
     multiset_bound(
         &p1.node_labels,
@@ -91,7 +73,8 @@ pub fn label_lower_bound_profiled(p1: &GraphProfile, p2: &GraphProfile, cost: &C
     )
 }
 
-/// [`size_lower_bound`] over precomputed profiles (identical value).
+/// Size lower bound: node and edge count differences only (never above the
+/// label bound, and O(1)).
 pub fn size_lower_bound_profiled(p1: &GraphProfile, p2: &GraphProfile, cost: &CostModel) -> f64 {
     p1.node_count.abs_diff(p2.node_count) as f64 * cost.node_indel
         + p1.edge_count.abs_diff(p2.edge_count) as f64 * cost.edge_indel
@@ -128,7 +111,7 @@ mod tests {
     use super::*;
     use crate::exact::ged_exact_full;
     use graphrep_graph::generate::random_connected;
-    use graphrep_graph::GraphBuilder;
+    use graphrep_graph::{Graph, GraphBuilder};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -150,11 +133,19 @@ mod tests {
         assert_eq!(multiset_overlap(&[3, 3, 3], &[3, 3]), 2);
     }
 
+    fn label_bound(g1: &Graph, g2: &Graph, cost: &CostModel) -> f64 {
+        label_lower_bound_profiled(&GraphProfile::new(g1), &GraphProfile::new(g2), cost)
+    }
+
+    fn size_bound(g1: &Graph, g2: &Graph, cost: &CostModel) -> f64 {
+        size_lower_bound_profiled(&GraphProfile::new(g1), &GraphProfile::new(g2), cost)
+    }
+
     #[test]
     fn bound_zero_for_identical() {
         let g = build(&[0, 1], &[(0, 1, 2)]);
-        assert_eq!(label_lower_bound(&g, &g, &CostModel::uniform()), 0.0);
-        assert_eq!(size_lower_bound(&g, &g, &CostModel::uniform()), 0.0);
+        assert_eq!(label_bound(&g, &g, &CostModel::uniform()), 0.0);
+        assert_eq!(size_bound(&g, &g, &CostModel::uniform()), 0.0);
     }
 
     #[test]
@@ -165,8 +156,8 @@ mod tests {
             let g1 = random_connected(&mut rng, 5, 2, &[0, 1, 2], &[9, 8]);
             let g2 = random_connected(&mut rng, 6, 2, &[0, 1, 2], &[9, 8]);
             let exact = ged_exact_full(&g1, &g2, &c, 1_000_000).unwrap().0;
-            let lb = label_lower_bound(&g1, &g2, &c);
-            let sb = size_lower_bound(&g1, &g2, &c);
+            let lb = label_bound(&g1, &g2, &c);
+            let sb = size_bound(&g1, &g2, &c);
             assert!(lb <= exact + 1e-9, "label lb {lb} > exact {exact}");
             assert!(sb <= exact + 1e-9, "size lb {sb} > exact {exact}");
             assert!(sb <= lb + 1e-9, "size bound should not beat label bound");
@@ -178,7 +169,7 @@ mod tests {
         let g1 = build(&[0, 0], &[(0, 1, 1)]);
         let g2 = build(&[5, 5], &[(0, 1, 1)]);
         let c = CostModel::uniform();
-        assert_eq!(size_lower_bound(&g1, &g2, &c), 0.0);
-        assert_eq!(label_lower_bound(&g1, &g2, &c), 2.0);
+        assert_eq!(size_bound(&g1, &g2, &c), 0.0);
+        assert_eq!(label_bound(&g1, &g2, &c), 2.0);
     }
 }

@@ -73,5 +73,5 @@ macro_rules! audit_invariant {
 }
 pub use cost::CostModel;
 pub use counter::{CounterSnapshot, GedCounters};
-pub use engine::{GedConfig, GedEngine, GedMode};
+pub use engine::{Fact, GedConfig, GedEngine, GedMode};
 pub use exact::{ged_exact, ged_exact_full, ExactResult, Outcome, MAX_EXACT_NODES};

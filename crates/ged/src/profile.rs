@@ -1,11 +1,12 @@
 //! Per-graph profiles: precomputed sorted invariants for the cheap bound
 //! tiers.
 //!
-//! [`crate::bounds::label_lower_bound`] re-sorts both graphs' label multisets
-//! on every call, which dominates the cost of the filter tiers once the
-//! NP-hard verifier is mostly avoided. A [`GraphProfile`] is computed once
-//! per graph when the [`crate::DistanceOracle`] is created; the `*_profiled`
-//! bound entry points then reduce to O(n) merges over the cached arrays.
+//! Sorting a graph's label multisets on every bound evaluation would
+//! dominate the cost of the filter tiers once the NP-hard verifier is mostly
+//! avoided. A [`GraphProfile`] is computed once per graph when the
+//! [`crate::DistanceOracle`] is created (or once per probe graph); the
+//! `*_profiled` bounds and [`crate::GedEngine::ask`] then reduce to O(n)
+//! merges over the cached arrays.
 
 use graphrep_graph::Graph;
 

@@ -9,7 +9,7 @@
 //! the search, not just its speed, and must re-pin it on purpose.
 
 use graphrep_datagen::{DatasetKind, DatasetSpec};
-use graphrep_ged::{GedConfig, GedEngine};
+use graphrep_ged::{GedConfig, GedEngine, GraphProfile};
 
 /// The `ged` layer probe of `benchmark/src/probes.rs`: 160 DudLike graphs,
 /// seed 20140622, 2,000 fixed pairs.
@@ -43,12 +43,12 @@ fn full_distances_expand_the_recorded_states() {
 fn membership_tests_expand_the_recorded_states() {
     let data = DatasetSpec::new(DatasetKind::DudLike, N, SEED).generate();
     let graphs = data.db.graphs();
+    let profiles: Vec<GraphProfile> = graphs.iter().map(GraphProfile::new).collect();
     let engine = GedEngine::new(GedConfig::default());
     let accepted = pairs()
         .filter(|&(i, j)| {
-            engine
-                .distance_within(&graphs[i], &graphs[j], 4.0)
-                .is_some()
+            let (g, p) = ((&graphs[i], &graphs[j]), (&profiles[i], &profiles[j]));
+            engine.ask(g.0, g.1, p.0, p.1, 4.0).exact().is_some()
         })
         .count();
     let c = engine.counters().snapshot();

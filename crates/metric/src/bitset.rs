@@ -82,15 +82,6 @@ impl Bitset {
         }
     }
 
-    /// `|self ∩ other|` without allocating.
-    pub fn intersection_count(&self, other: &Bitset) -> usize {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// `|self \ other|` without allocating.
     pub fn difference_count(&self, other: &Bitset) -> usize {
         self.words
@@ -179,7 +170,6 @@ mod tests {
     fn counting_helpers() {
         let a = Bitset::from_indices(200, [1, 5, 64, 128, 199]);
         let b = Bitset::from_indices(200, [5, 64, 100]);
-        assert_eq!(a.intersection_count(&b), 2);
         assert_eq!(a.difference_count(&b), 3);
     }
 

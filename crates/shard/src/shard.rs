@@ -136,13 +136,11 @@ impl ShardState {
         self.foreign_calls.fetch_add(1, Ordering::Relaxed);
         let oracle = self.index.oracle();
         let center = &oracle.graphs()[self.center_local as usize];
-        oracle.engine().distance_within_profiled(
-            probe,
-            center,
-            profile,
-            oracle.profile(self.center_local),
-            tau,
-        )
+        let center_profile = oracle.profile(self.center_local);
+        let fact = oracle
+            .engine()
+            .ask(probe, center, profile, center_profile, tau);
+        fact.exact()
     }
 
     /// The graph owned at `local` (for cross-shard probes).
@@ -222,9 +220,7 @@ impl ShardState {
         locals
             .iter()
             .copied()
-            .filter(|&c| {
-                vt.passes_all_bands(cand, c, theta) && oracle.within_verdict(cand, c, theta)
-            })
+            .filter(|&c| vt.passes_all_bands(cand, c, theta) && oracle.ask(cand, c, theta).0)
             .map(|c| self.global_of(c))
             .collect()
     }
@@ -233,11 +229,11 @@ impl ShardState {
     /// slice of the relevant set, as ascending global ids. `locals` must be
     /// ascending, deduplicated, live local ids.
     ///
-    /// Each member is asked `distance_within_profiled(probe, m, θ)`, the
-    /// threshold question the home oracle bottoms out in: the size, label
-    /// and degree tiers settle most pairs before any search, and membership
-    /// is the engine's verdict, byte-identical across paths. Counts one
-    /// foreign call per member asked.
+    /// Each member is asked the engine's `ask(probe, m, θ)`, the threshold
+    /// question the home oracle bottoms out in: the size, label and degree
+    /// screens settle most pairs before any search, and membership is the
+    /// engine's verdict, byte-identical across paths. Counts one foreign
+    /// call per member asked.
     pub fn foreign_members(
         &self,
         probe: &Graph,
@@ -254,15 +250,9 @@ impl ShardState {
             .filter(|&c| {
                 // Relaxed: a monotone stats counter, never synchronization.
                 self.foreign_calls.fetch_add(1, Ordering::Relaxed);
-                engine
-                    .distance_within_profiled(
-                        probe,
-                        &graphs[c as usize],
-                        profile,
-                        oracle.profile(c),
-                        theta,
-                    )
-                    .is_some()
+                let member = &graphs[c as usize];
+                let fact = engine.ask(probe, member, profile, oracle.profile(c), theta);
+                fact.exact().is_some()
             })
             .map(|c| self.global_of(c))
             .collect()

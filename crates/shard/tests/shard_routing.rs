@@ -8,7 +8,7 @@
 //! and the foreign θ-question a session asks of every unpruned member.
 
 use graphrep_datagen::{Dataset, DatasetKind, DatasetSpec};
-use graphrep_ged::{GedConfig, GedEngine};
+use graphrep_ged::{GedConfig, GedEngine, GraphProfile};
 use graphrep_graph::generate::mutate;
 use graphrep_graph::GraphId;
 use graphrep_shard::{partition, CoordConfig, Coordinator, PartitionConfig};
@@ -298,6 +298,9 @@ fn foreign_members_is_the_engine_verdict() {
             for (s, home) in snaps.iter().enumerate() {
                 for &c in &slices[s] {
                     let (probe, profile) = (home.graph(c), home.profile(c));
+                    // The reference builds its profiles fresh
+                    // (`GedEngine::distance` profiles both graphs itself).
+                    assert_eq!(profile, &GraphProfile::new(probe));
                     for (t, foreign) in snaps.iter().enumerate() {
                         if t == s || slices[t].is_empty() {
                             continue;

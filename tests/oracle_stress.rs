@@ -5,7 +5,7 @@
 //! [`OracleStats`] counters exact — every non-self request increments
 //! exactly one of computations / rejections / hits / ub-accepts.
 //!
-//! The tiered `within_verdict` ladder gets the same treatment: under
+//! The tiered `ask` ladder gets the same treatment: under
 //! 8-thread racing its verdicts must equal the engine-only oracle's on every
 //! `(pair, τ)`, and the counters must still conserve.
 
@@ -337,9 +337,9 @@ fn tiered_verdicts_agree_with_engine_only_under_racing() {
                     for &tau in &taus {
                         // Mix argument orders: (i,j) and (j,i) share a key.
                         let v = if t % 2 == 0 {
-                            tiered.within_verdict(i, j, tau)
+                            tiered.ask(i, j, tau).0
                         } else {
-                            tiered.within_verdict(j, i, tau)
+                            tiered.ask(j, i, tau).0
                         };
                         assert_eq!(
                             v,
@@ -347,7 +347,7 @@ fn tiered_verdicts_agree_with_engine_only_under_racing() {
                             "tiered verdict diverged on pair ({i},{j}) τ={tau}"
                         );
                         // Self-verdicts stay free of charge and true.
-                        assert!(tiered.within_verdict(i, i, tau));
+                        assert!(tiered.ask(i, i, tau).0);
                     }
                 }
             });
@@ -409,7 +409,7 @@ fn tiers_never_change_cold_racing_verdicts() {
                         let mut seen = Vec::new();
                         for &(i, j) in &order {
                             for &tau in &taus {
-                                seen.push(((i, j), tau, o.within_verdict(i, j, tau)));
+                                seen.push(((i, j), tau, o.ask(i, j, tau).0));
                             }
                         }
                         seen

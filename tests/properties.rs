@@ -2,7 +2,7 @@
 //! theorems rely on: metric axioms of the edit distance, admissibility of
 //! every bound, Lipschitz embedding guarantees, and submodularity of π.
 
-use graphrep::ged::{bipartite, bounds, ged_exact_full, CostModel};
+use graphrep::ged::{bipartite, bounds, ged_exact_full, CostModel, GraphProfile};
 use graphrep::graph::{Graph, GraphBuilder};
 use graphrep::metric::Bitset;
 use proptest::prelude::*;
@@ -63,7 +63,8 @@ proptest! {
     fn bounds_sandwich_exact(a in arb_graph(5), b in arb_graph(6)) {
         let cost = CostModel::uniform();
         let exact = d(&a, &b);
-        let lb = bounds::label_lower_bound(&a, &b, &cost);
+        let (pa, pb) = (GraphProfile::new(&a), GraphProfile::new(&b));
+        let lb = bounds::label_lower_bound_profiled(&pa, &pb, &cost);
         let ub = bipartite::bp_upper_bound(&a, &b, &cost);
         prop_assert!(lb <= exact + 1e-9, "lb {} > exact {}", lb, exact);
         prop_assert!(ub >= exact - 1e-9, "ub {} < exact {}", ub, exact);
@@ -74,7 +75,8 @@ proptest! {
         use graphrep::ged::{GedConfig, GedEngine};
         let e = GedEngine::new(GedConfig::default());
         let exact = e.distance(&a, &b);
-        match e.distance_within(&a, &b, tau) {
+        let (pa, pb) = (GraphProfile::new(&a), GraphProfile::new(&b));
+        match e.ask(&a, &b, &pa, &pb, tau).exact() {
             Some(v) => {
                 prop_assert!((v - exact).abs() < 1e-9);
                 prop_assert!(exact <= tau + 1e-9);
@@ -94,9 +96,7 @@ proptest! {
     ) {
         let a = Bitset::from_indices(256, xs.iter().copied());
         let b = Bitset::from_indices(256, ys.iter().copied());
-        let inter = xs.intersection(&ys).count();
         let diff = xs.difference(&ys).count();
-        prop_assert_eq!(a.intersection_count(&b), inter);
         prop_assert_eq!(a.difference_count(&b), diff);
         let mut u = a.clone();
         u.union_with(&b);
