@@ -8,7 +8,7 @@
 //! DESIGN.md §3), which preserves the index's role in the evaluation: prune
 //! by lower bound, verify by exact distance.
 
-use graphrep_ged::{CostModel, DistanceOracle};
+use graphrep_ged::{inside, CostModel, DistanceOracle};
 use graphrep_graph::{Graph, GraphId};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -213,11 +213,11 @@ impl CTree {
         let mut stack = vec![0u32];
         while let Some(ni) = stack.pop() {
             let node = &self.nodes[ni as usize];
-            if node.closure.lower_bound(qg, &cost) > theta + 1e-9 {
+            if !inside(node.closure.lower_bound(qg, &cost), theta) {
                 continue;
             }
             for &e in &node.entries {
-                if oracle.within(q, e, theta).is_some() {
+                if oracle.ask(q, e, theta).0 {
                     out.push(e);
                 }
             }
@@ -280,9 +280,7 @@ mod tests {
         let tree = CTree::build(&oracle, &mut rng);
         for q in [0u32, 13, 44, 69] {
             let got = tree.range_query(&oracle, q, 4.0);
-            let want: Vec<GraphId> = (0..70)
-                .filter(|&j| oracle.within(q, j, 4.0).is_some())
-                .collect();
+            let want: Vec<GraphId> = (0..70).filter(|&j| oracle.ask(q, j, 4.0).0).collect();
             assert_eq!(got, want, "q={q}");
         }
     }

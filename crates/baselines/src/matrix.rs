@@ -71,9 +71,7 @@ mod tests {
         let oracle = data.db.oracle(GedConfig::default());
         let m = MatrixIndex::build(&oracle);
         for q in [0u32, 15, 29] {
-            let want: Vec<GraphId> = (0..30)
-                .filter(|&j| oracle.within(q, j, 4.0).is_some())
-                .collect();
+            let want: Vec<GraphId> = (0..30).filter(|&j| oracle.ask(q, j, 4.0).0).collect();
             assert_eq!(m.range_query(q, 4.0), want);
         }
     }

@@ -8,7 +8,7 @@
 //! orderings, no θ-neighborhood bounds — which is exactly the gap the paper
 //! demonstrates.
 
-use graphrep_ged::DistanceOracle;
+use graphrep_ged::{inside, DistanceOracle};
 use graphrep_graph::GraphId;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -121,11 +121,11 @@ impl MTree {
         while let Some(ni) = stack.pop() {
             let node = &self.nodes[ni as usize];
             let d = oracle.distance(q, node.routing);
-            if d - node.radius > theta + 1e-9 {
+            if !inside(d - node.radius, theta) {
                 continue; // the query ball misses the covering ball
             }
             for &e in &node.entries {
-                if oracle.within(q, e, theta).is_some() {
+                if oracle.ask(q, e, theta).0 {
                     out.push(e);
                 }
             }
@@ -161,9 +161,7 @@ mod tests {
         assert_eq!(tree.len(), 80);
         for q in [0u32, 7, 33, 79] {
             let got = tree.range_query(&oracle, q, 4.0);
-            let want: Vec<GraphId> = (0..80)
-                .filter(|&j| oracle.within(q, j, 4.0).is_some())
-                .collect();
+            let want: Vec<GraphId> = (0..80).filter(|&j| oracle.ask(q, j, 4.0).0).collect();
             assert_eq!(got, want, "q={q}");
         }
     }

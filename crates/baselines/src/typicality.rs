@@ -121,7 +121,7 @@ mod tests {
             let mut c = 0;
             for (i, &a) in ids.iter().enumerate() {
                 for &b in &ids[i + 1..] {
-                    if oracle.within(a, b, theta).is_some() {
+                    if oracle.ask(a, b, theta).0 {
                         c += 1;
                     }
                 }

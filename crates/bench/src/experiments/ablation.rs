@@ -114,9 +114,7 @@ impl NeighborhoodProvider for VoProvider<'_> {
         self.vt
             .candidates(g, theta)
             .into_iter()
-            .filter(|&c| {
-                self.relevant_mask.contains(c as usize) && self.oracle.within(g, c, theta).is_some()
-            })
+            .filter(|&c| self.relevant_mask.contains(c as usize) && self.oracle.ask(g, c, theta).0)
             .collect()
     }
 }

@@ -81,7 +81,7 @@ pub fn observed_fpr(
             if c == g {
                 continue;
             }
-            if oracle.within(g, c, theta).is_some() {
+            if oracle.ask(g, c, theta).0 {
                 true_n += 1;
             } else {
                 cand_fp += 1;

@@ -15,13 +15,14 @@
 //! sessions pinned to an old generation and sessions on the new one read and
 //! fill the same cells, and the counters are one continuous history.
 //!
-//! The table is sharded 64 ways by pair key so concurrent distance
-//! evaluation (the rayon-parallel index build, insert sweeps and offline
-//! baselines; the server's workers running sessions side by side) doesn't
-//! serialize on a global lock. A request the facts cannot answer
-//! rendezvouses on its pair's in-flight [`OnceLock`] cell: exactly one racer
-//! runs the ladder or the NP-hard engine, publishes what it learned as a
-//! fact and drops the cell; the rest block on the cell, then read the fact.
+//! The table, a [`FactTable`], is sharded 64 ways by pair key so
+//! concurrent distance evaluation (the rayon-parallel index build, insert
+//! sweeps and offline baselines; the server's workers running sessions side
+//! by side) doesn't serialize on a global lock. A request the facts cannot
+//! answer rendezvouses on its pair's in-flight [`OnceLock`] cell: exactly
+//! one racer runs the ladder or the NP-hard engine, publishes what it
+//! learned as a fact and drops the cell; the rest block on the cell, then
+//! read the fact.
 //! Engine-call accounting therefore stays exact under any interleaving —
 //! every non-self request increments exactly one of
 //! `distance_computations` / `within_rejections` / `cache_hits` /
@@ -193,6 +194,111 @@ struct Shard {
     facts: TrackedRwLock<HashMap<u64, PairFacts>>,
 }
 
+/// Facts about unordered pairs of ids, sharded [`NUM_SHARDS`] ways by pair
+/// key, with one in-flight rendezvous per pair: the table every
+/// [`DistanceOracle`] generation of one dataset shares, and the one a
+/// sharded deployment keeps for its cross-shard pairs, keyed by global id.
+///
+/// A fact about a pair holds for as long as its ids do, so a table needs no
+/// epoch: its owner only has to never give an id a second meaning.
+pub struct FactTable {
+    shards: [Shard; NUM_SHARDS],
+}
+
+impl Default for FactTable {
+    fn default() -> Self {
+        FactTable {
+            shards: std::array::from_fn(|_| Shard {
+                facts: TrackedRwLock::new("ged.cache.Shard.facts", HashMap::new()),
+            }),
+        }
+    }
+}
+
+impl std::fmt::Debug for FactTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pairs: usize = self.shards.iter().map(|s| s.facts.read().len()).sum();
+        f.debug_struct("FactTable").field("pairs", &pairs).finish()
+    }
+}
+
+impl FactTable {
+    /// Whether `d(i, j) ≤ tau`: read off the pair's facts when they decide
+    /// it ([`Facts::verdict`], ticking `hits`), else `engine`'s answer at
+    /// `tau`, which the pair's facts then keep. Concurrent askers the facts
+    /// cannot answer rendezvous on the pair: exactly one runs `engine`.
+    pub fn ask(
+        &self,
+        i: GraphId,
+        j: GraphId,
+        tau: f64,
+        hits: &AtomicU64,
+        engine: impl Fn() -> Fact,
+    ) -> bool {
+        let decide = || {
+            let fact = engine();
+            (Learned::Engine(fact), fact.exact().is_some())
+        };
+        self.resolve(key(i, j), |f| f.verdict(tau), decide, hits).0
+    }
+
+    /// Answers one request about pair `k`: from the facts if `known` reads
+    /// an answer off them (ticking `hits`), otherwise by running `decide`,
+    /// which returns the fact it learned beside the answer. Either way the
+    /// pair's facts as the answer left them come back with it.
+    ///
+    /// Requests the facts cannot answer rendezvous on the pair's in-flight
+    /// cell. Exactly one runs `decide`, publishes the fact and drops the
+    /// cell; the others wake and probe again — a hit, unless the fact does
+    /// not settle *their* question (another τ), in which case one of them
+    /// takes the next flight. No lock is held while `decide` runs.
+    fn resolve<T>(
+        &self,
+        k: u64,
+        known: impl Fn(&Facts) -> Option<T>,
+        decide: impl Fn() -> (Learned, T),
+        hits: &AtomicU64,
+    ) -> (T, Facts) {
+        let facts = &self.shards[shard_of(k)].facts;
+        let read = |pair: &PairFacts| known(&pair.facts).map(|t| (t, pair.facts));
+        loop {
+            let hit = facts.read().get(&k).and_then(read);
+            if let Some(t) = hit {
+                tick(hits);
+                return t;
+            }
+            let flight = {
+                let mut w = facts.write();
+                let pair = w.entry(k).or_default();
+                // Published between the probe above and this lock?
+                if let Some(t) = read(pair) {
+                    tick(hits);
+                    return t;
+                }
+                Arc::clone(pair.flight.get_or_insert_with(Arc::default))
+            };
+            let mut won = None;
+            flight.get_or_init(|| {
+                let (fact, t) = decide();
+                let mut w = facts.write();
+                let pair = w.entry(k).or_default();
+                pair.facts.learn(fact);
+                pair.flight = None;
+                won = Some((t, pair.facts));
+            });
+            if let Some(t) = won {
+                return t;
+            }
+        }
+    }
+
+    /// The pair's facts, if the table holds any. Counts nothing.
+    fn peek(&self, k: u64) -> Option<Facts> {
+        let facts = self.shards[shard_of(k)].facts.read();
+        facts.get(&k).map(|f| f.facts)
+    }
+}
+
 /// Ticks an outcome or tier counter.
 #[inline]
 fn tick(counter: &AtomicU64) {
@@ -204,7 +310,7 @@ fn tick(counter: &AtomicU64) {
 /// the per-pair facts and the counters.
 struct Memo {
     engine: GedEngine,
-    shards: [Shard; NUM_SHARDS],
+    table: FactTable,
     /// Ids this memo holds facts about; [`DistanceOracle::extended`] claims
     /// the next one.
     rows: AtomicUsize,
@@ -240,64 +346,25 @@ impl Memo {
     fn new(engine: GedEngine, rows: usize, tiers_enabled: bool) -> Memo {
         Memo {
             engine,
-            shards: std::array::from_fn(|_| Shard {
-                facts: TrackedRwLock::new("ged.cache.Shard.facts", HashMap::new()),
-            }),
+            table: FactTable::default(),
             rows: AtomicUsize::new(rows),
             tiers_enabled: AtomicBool::new(tiers_enabled),
             tally: Tally::default(),
         }
     }
 
-    /// Answers one non-self request about pair `k`: from the facts if
-    /// `known` reads an answer off them (a cache hit), otherwise by running
-    /// `decide`, which tallies its own outcome and returns the fact it
-    /// learned beside the answer. Either way the pair's facts as the answer
-    /// left them come back with it.
-    ///
-    /// Requests the facts cannot answer rendezvous on the pair's in-flight
-    /// cell. Exactly one runs `decide`, publishes the fact and drops the
-    /// cell; the others wake and probe again — a hit, unless the fact does
-    /// not settle *their* question (another τ), in which case one of them
-    /// takes the next flight. No lock is held while `decide` runs.
+    /// Answers one non-self request about pair `k` through the table
+    /// ([`FactTable::resolve`]), tallied: a cache hit when `known` reads an
+    /// answer off the facts, otherwise `decide` runs and tallies its own
+    /// outcome.
     fn resolve<T>(
         &self,
         k: u64,
         known: impl Fn(&Facts) -> Option<T>,
         decide: impl Fn() -> (Learned, T),
     ) -> (T, Facts) {
-        let facts = &self.shards[shard_of(k)].facts;
-        let read = |pair: &PairFacts| known(&pair.facts).map(|t| (t, pair.facts));
         self.note_request();
-        let answer = loop {
-            let hit = facts.read().get(&k).and_then(read);
-            if let Some(t) = hit {
-                tick(&self.tally.hits);
-                break t;
-            }
-            let flight = {
-                let mut w = facts.write();
-                let pair = w.entry(k).or_default();
-                // Published between the probe above and this lock?
-                if let Some(t) = read(pair) {
-                    tick(&self.tally.hits);
-                    break t;
-                }
-                Arc::clone(pair.flight.get_or_insert_with(Arc::default))
-            };
-            let mut won = None;
-            flight.get_or_init(|| {
-                let (fact, t) = decide();
-                let mut w = facts.write();
-                let pair = w.entry(k).or_default();
-                pair.facts.learn(fact);
-                pair.flight = None;
-                won = Some((t, pair.facts));
-            });
-            if let Some(t) = won {
-                break t;
-            }
-        };
+        let answer = self.table.resolve(k, known, decide, &self.tally.hits);
         self.note_settled();
         answer
     }
@@ -352,7 +419,7 @@ const _: () = _assert_send_sync::<DistanceOracle>();
 
 impl std::fmt::Debug for DistanceOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (pairs, exact) = self.memo.shards.iter().fold((0, 0), |(p, e), s| {
+        let (pairs, exact) = self.memo.table.shards.iter().fold((0, 0), |(p, e), s| {
             let facts = s.facts.read();
             let known = facts.values().filter(|f| f.facts.exact.is_some()).count();
             (p + facts.len(), e + known)
@@ -616,9 +683,7 @@ impl DistanceOracle {
         if i == j {
             return Some(0.0);
         }
-        let k = key(i, j);
-        let facts = self.memo.shards[shard_of(k)].facts.read();
-        facts.get(&k).and_then(|f| f.facts.exact)
+        self.memo.table.peek(key(i, j)).and_then(|f| f.exact)
     }
 
     /// Installs index-supplied metric bounds for [`Self::ask`]'s hint tier
@@ -749,7 +814,7 @@ impl DistanceOracle {
     /// every generation forgets; meant for single-generation oracles at
     /// quiescent points (experiments, tests).
     pub fn clear(&self) {
-        for shard in &self.memo.shards {
+        for shard in &self.memo.table.shards {
             shard.facts.write().clear();
         }
         self.reset_stats();
@@ -828,7 +893,7 @@ mod tests {
             }
         }
         let (mut entries, mut flights) = (0, 0);
-        for shard in &o.memo.shards {
+        for shard in &o.memo.table.shards {
             let facts = shard.facts.read();
             entries += facts.len();
             flights += facts.values().filter(|f| f.flight.is_some()).count();

@@ -13,9 +13,11 @@ use graphrep_graph::Graph;
 
 /// Whether `d` is inside `tau` under the GED layer's one verdict tolerance
 /// (`d ≤ tau + 1e-9`): every comparison of a distance or bound against a
-/// threshold, in the engine and the oracle's memo and tiers, goes through it.
+/// threshold, in the engine, the oracle's memo and tiers, the shard
+/// coordinator's geometry prune and the baselines' ball tests, goes
+/// through it.
 #[inline]
-pub(crate) fn inside(d: f64, tau: f64) -> bool {
+pub fn inside(d: f64, tau: f64) -> bool {
     d <= tau + 1e-9
 }
 

@@ -33,7 +33,7 @@ pub mod profile;
 pub(crate) mod scratch;
 pub(crate) mod tables;
 
-pub use cache::{DistanceOracle, Facts, MetricHints, OracleStats, TierStats};
+pub use cache::{DistanceOracle, FactTable, Facts, MetricHints, OracleStats, TierStats};
 pub use profile::GraphProfile;
 
 /// Asserts a paper-derived runtime invariant when the *consuming* crate is
@@ -73,5 +73,5 @@ macro_rules! audit_invariant {
 }
 pub use cost::CostModel;
 pub use counter::{CounterSnapshot, GedCounters};
-pub use engine::{Fact, GedConfig, GedEngine, GedMode};
+pub use engine::{inside, Fact, GedConfig, GedEngine, GedMode};
 pub use exact::{ged_exact, ged_exact_full, ExactResult, Outcome, MAX_EXACT_NODES};

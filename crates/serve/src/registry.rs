@@ -591,6 +591,8 @@ impl std::fmt::Debug for ShardedDataset {
 
 /// Sums the per-shard oracle counters of `coord` into workspace-wide totals
 /// (plus raw engine calls), for delta reporting against a load baseline.
+/// Foreign questions the cross-shard fact table answered count as cache
+/// hits beside the oracles' own.
 fn sharded_oracle_totals(coord: &Coordinator) -> OracleTotals {
     let mut stats = OracleStats::default();
     let mut tiers = TierStats::default();
@@ -599,7 +601,7 @@ fn sharded_oracle_totals(coord: &Coordinator) -> OracleTotals {
         let s = snap.oracle_stats();
         stats.distance_computations += s.distance_computations;
         stats.within_rejections += s.within_rejections;
-        stats.cache_hits += s.cache_hits;
+        stats.cache_hits += s.cache_hits + snap.foreign_hits();
         stats.ub_accepts += s.ub_accepts;
         let t = snap.oracle_tier_stats();
         tiers.size_rejects += t.size_rejects;

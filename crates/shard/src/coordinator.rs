@@ -8,8 +8,13 @@
 //! contribute members (center-distance triangle test, DESIGN.md §14) are
 //! never contacted at all; the per-pick fraction of such silent shards is
 //! the subsystem's headline pruning metric. Every other foreign shard
-//! answers the engine's tiered θ-question once per relevant member, so
-//! membership is the engine's own verdict on every unpruned pair.
+//! decides each relevant member by the engine's tiered θ-question, so
+//! membership is the engine's own verdict on every unpruned pair. The
+//! coordinator creates one fact table for those cross-shard pairs, keyed by
+//! global id and shared by every shard, generation and session: a pair
+//! reaches the engine only when the facts kept about it do not settle the
+//! θ asked, so a repeated `(θ, k)` asks the engine nothing. The table is
+//! read only behind `ShardState::foreign_members`.
 //!
 //! Exactness: every accepted pick has a *verified* marginal gain at least
 //! every bound left in the frontier, with ties toward the smaller global
@@ -27,18 +32,14 @@ use graphrep_core::{
     AnswerSet, CancelToken, Cancelled, GraphDatabase, MutateError, MutationOutcome, PickEvent,
     RunStats, Session,
 };
-use graphrep_ged::{GedConfig, GraphProfile};
+use graphrep_ged::{inside, FactTable, GedConfig, GraphProfile};
 use graphrep_graph::{Graph, GraphId};
 use graphrep_lockaudit::TrackedRwLock;
-use graphrep_metric::Bitset;
+use graphrep_metric::{BandProjection, Bitset};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Triangle-prune slop, matching the oracle's θ-membership boundary
-/// (`d ≤ θ + 1e-9` is inside, so only `bound > θ + 1e-9` may prune).
-const THETA_EPS: f64 = 1e-9;
 
 /// Coordinator build parameters.
 #[derive(Debug, Clone)]
@@ -109,21 +110,18 @@ impl Coordinator {
                 seed: cfg.seed,
             },
         );
-        let shards = part
-            .members
-            .iter()
-            .enumerate()
-            .map(|(s, members)| ShardHandle {
+        let foreign_facts = Arc::new(FactTable::default());
+        let shards = (0..part.members.len())
+            .map(|s| ShardHandle {
                 state: TrackedRwLock::new(
                     "shard.coordinator.ShardHandle.state",
                     Arc::new(ShardState::build(
                         db,
                         ged,
-                        members.clone(),
-                        part.to_center[s].clone(),
-                        part.centers[s],
-                        part.radius[s],
+                        &part,
+                        s,
                         &cfg.ladder,
+                        Arc::clone(&foreign_facts),
                     )),
                 ),
             })
@@ -395,6 +393,9 @@ pub struct CoordSession {
     cand: Vec<Candidate>,
     /// Ascending unique live relevant locals per shard.
     locals: Vec<Vec<GraphId>>,
+    /// Each shard's vantage orderings projected onto its slice of `locals`,
+    /// which every run's π̂ bounds scan.
+    projections: Vec<BandProjection>,
     /// Global-id bitset capacity.
     id_space: usize,
 }
@@ -434,12 +435,18 @@ impl CoordSession {
                 });
             }
         }
+        let projections = snaps
+            .iter()
+            .zip(&locals)
+            .map(|(snap, ls)| snap.project(ls))
+            .collect();
         CoordSession {
             snaps,
             center_dist,
             relevant,
             cand,
             locals,
+            projections,
             id_space,
         }
     }
@@ -462,15 +469,16 @@ impl CoordSession {
         let s_count = self.snaps.len();
         let cc = self.center_dist[cand.shard * s_count + t];
         let to_center = self.snaps[cand.shard].member_center_distance(cand.local);
-        cc - to_center - self.snaps[t].radius() > theta + THETA_EPS
+        // The GED layer's verdict tolerance: only a bound outside θ prunes.
+        !inside(cc - to_center - self.snaps[t].radius(), theta)
     }
 
     /// Exact θ-neighborhood of candidate `ci` over the whole relevant set,
     /// as a global-id bitset memoized in `memo` (one slot per candidate).
     /// Home members come from the shard's own tiered oracle; every foreign
-    /// shard the center-distance geometry cannot rule out answers one tiered
-    /// θ-question per relevant member. Marks every shard that did fresh work
-    /// in `touched`.
+    /// shard the center-distance geometry cannot rule out decides each
+    /// relevant member from the cross-shard fact table or, on a miss, by
+    /// the engine's tiered θ-question. Marks every shard asked in `touched`.
     fn neighborhood<'a>(
         &self,
         ci: u32,
@@ -492,7 +500,8 @@ impl CoordSession {
                     continue;
                 }
                 touched[t] = true;
-                members.extend(snap.foreign_members(probe, profile, &self.locals[t], theta));
+                let locals = &self.locals[t];
+                members.extend(snap.foreign_members(cand.id, probe, profile, locals, theta));
             }
             let nb = Bitset::from_indices(self.id_space, members.iter().map(|&m| m as usize));
             graphrep_ged::audit_invariant!(
@@ -505,9 +514,10 @@ impl CoordSession {
         })
     }
 
-    /// The θ-neighborhood of `cand` recomputed with no geometry prune and
-    /// no home path: every shard's slice, the home one included, answers
-    /// `foreign_members` on the candidate's graph.
+    /// The θ-neighborhood of `cand` recomputed with no geometry prune, no
+    /// home path and no fact table: every shard's slice, the home one
+    /// included, asks the engine about each member on the candidate's
+    /// graph.
     #[cfg(feature = "invariant-audit")]
     fn audit_neighborhood(&self, cand: &Candidate, theta: f64) -> Bitset {
         let home = &self.snaps[cand.shard];
@@ -516,7 +526,7 @@ impl CoordSession {
             .snaps
             .iter()
             .zip(&self.locals)
-            .flat_map(|(snap, locals)| snap.foreign_members(probe, profile, locals, theta));
+            .flat_map(|(snap, locals)| snap.engine_members(probe, profile, locals, theta));
         Bitset::from_indices(self.id_space, members.map(|m| m as usize))
     }
 
@@ -531,7 +541,7 @@ impl CoordSession {
             if ls.is_empty() {
                 continue;
             }
-            let home = self.snaps[s].pihat_bounds(ls, theta);
+            let home = self.snaps[s].pihat_bounds(ls, &self.projections[s], theta);
             for (j, _) in ls.iter().enumerate() {
                 let cand = self.cand[ci + j];
                 let mut b = home[j];
@@ -692,8 +702,11 @@ impl CoordSession {
     }
 }
 
-/// Scatter-gather sessions hold no caches (an answer key would need the
-/// whole epoch vector), so every run executes.
+/// Scatter-gather sessions hold no answer cache (an answer key would need
+/// the whole epoch vector), so every run executes its search. The pair
+/// facts a run learns outlive it: home pairs in each shard oracle's memo,
+/// cross-shard pairs in the coordinator's fact table, so a repeated run
+/// asks the engine nothing.
 impl Session for CoordSession {
     fn relevant(&self) -> &[GraphId] {
         &self.relevant

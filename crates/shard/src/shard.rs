@@ -10,14 +10,21 @@
 //! A `ShardState` is an immutable snapshot: mutations build a successor via
 //! fork-mutate and the coordinator swaps it in under its handle lock, so a
 //! session holding `Arc<ShardState>`s is pinned to one epoch vector.
+//!
+//! Pair facts live in two tables whose key spaces never meet: a home pair's
+//! in the shard oracle's memo, keyed by local id, and a cross-shard pair's
+//! in one [`FactTable`] keyed by global id, which every shard and every
+//! generation of a coordinator share. Global ids are never reused and
+//! graphs never change, so neither table needs an epoch.
 
+use crate::partition::Partition;
 use graphrep_core::{
     GraphDatabase, MutateError, MutationOutcome, NbIndex, NbIndexConfig, PiHatVectors,
     ThresholdLadder,
 };
-use graphrep_ged::{DistanceOracle, GedConfig, GedEngine, GraphProfile};
+use graphrep_ged::{DistanceOracle, Fact, FactTable, GedConfig, GedEngine, GraphProfile};
 use graphrep_graph::{Graph, GraphId};
-use graphrep_metric::Bitset;
+use graphrep_metric::{BandProjection, Bitset};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,24 +43,32 @@ pub struct ShardState {
     radius: f64,
     /// Engine questions served for foreign probes (candidates owned by
     /// other shards, and graphs being routed), outside the oracle's own
-    /// counters: one per question, whichever tier settles it. Shared by
+    /// counters: one per engine ask, whichever tier settles it. Shared by
     /// every generation, like the oracle's tally, so calls a session makes
     /// through a superseded snapshot still count.
     foreign_calls: Arc<AtomicU64>,
+    /// Foreign θ-questions about this shard's members that `foreign_facts`
+    /// answered without the engine; shared like `foreign_calls`.
+    foreign_hits: Arc<AtomicU64>,
+    /// Facts about cross-shard pairs, keyed by global id: one table for
+    /// every shard and generation of the coordinator.
+    foreign_facts: Arc<FactTable>,
 }
 
 impl ShardState {
-    /// Builds a shard over `db`'s graphs `members` (global ids, ascending),
-    /// centered on `center` (which must be a member).
+    /// Builds shard `s` of `part` over `db`'s graphs: its members (global
+    /// ids, ascending), centered on the partition's center for `s`.
+    /// `foreign_facts` is the coordinator's cross-shard table, shared with
+    /// every other shard.
     pub fn build(
         db: &GraphDatabase,
         ged: GedConfig,
-        members: Vec<GraphId>,
-        to_center: Vec<f64>,
-        center: GraphId,
-        radius: f64,
+        part: &Partition,
+        s: usize,
         ladder: &[f64],
+        foreign_facts: Arc<FactTable>,
     ) -> ShardState {
+        let members = part.members[s].clone();
         let graphs: Vec<Graph> = members.iter().map(|&g| db.graph(g).clone()).collect();
         let oracle = Arc::new(DistanceOracle::new(Arc::new(graphs), GedEngine::new(ged)));
         let config = NbIndexConfig {
@@ -65,14 +80,17 @@ impl ShardState {
             clippy::expect_used,
             reason = "partitioner assigns every center to its own shard"
         )]
-        let center_local = local_position(&members, center).expect("shard center must be a member");
+        let center_local =
+            local_position(&members, part.centers[s]).expect("shard center must be a member");
         ShardState {
             index,
             members,
-            to_center,
+            to_center: part.to_center[s].clone(),
             center_local,
-            radius,
+            radius: part.radius[s],
             foreign_calls: Arc::default(),
+            foreign_hits: Arc::default(),
+            foreign_facts,
         }
     }
 
@@ -132,15 +150,31 @@ impl ShardState {
         profile: &GraphProfile,
         tau: f64,
     ) -> Option<f64> {
+        self.foreign_call(probe, profile, self.center_local, tau)
+            .exact()
+    }
+
+    /// [`ShardState::engine_ask`], counted as one foreign call.
+    fn foreign_call(
+        &self,
+        probe: &Graph,
+        profile: &GraphProfile,
+        local: GraphId,
+        tau: f64,
+    ) -> Fact {
         // Relaxed: a monotone stats counter, never used for synchronization.
         self.foreign_calls.fetch_add(1, Ordering::Relaxed);
+        self.engine_ask(probe, profile, local, tau)
+    }
+
+    /// The engine's answer about a foreign probe against local member
+    /// `local` at `tau`, uncounted.
+    fn engine_ask(&self, probe: &Graph, profile: &GraphProfile, local: GraphId, tau: f64) -> Fact {
         let oracle = self.index.oracle();
-        let center = &oracle.graphs()[self.center_local as usize];
-        let center_profile = oracle.profile(self.center_local);
-        let fact = oracle
+        let member = &oracle.graphs()[local as usize];
+        oracle
             .engine()
-            .ask(probe, center, profile, center_profile, tau);
-        fact.exact()
+            .ask(probe, member, profile, oracle.profile(local), tau)
     }
 
     /// The graph owned at `local` (for cross-shard probes).
@@ -191,18 +225,38 @@ impl ShardState {
         self.foreign_calls.load(Ordering::Relaxed)
     }
 
+    /// Foreign θ-questions about this shard's members answered by the
+    /// cross-shard fact table, without an engine call.
+    pub fn foreign_hits(&self) -> u64 {
+        // Relaxed: a monotone stats counter, never used for synchronization.
+        self.foreign_hits.load(Ordering::Relaxed)
+    }
+
+    /// This shard's vantage orderings projected onto the local ids
+    /// `locals`: what [`ShardState::pihat_bounds`] scans, a function of a
+    /// session's slice alone.
+    pub fn project(&self, locals: &[GraphId]) -> BandProjection {
+        let by_id =
+            Bitset::from_indices(self.index.tree().len(), locals.iter().map(|&l| l as usize));
+        self.index.vantage().project(&by_id)
+    }
+
     /// Distance-free π̂ upper bounds at θ for the given local candidates
     /// (paper Sec 7.1, computed over this shard's vantage orderings alone):
     /// entry `i` bounds `|N_θ(locals[i]) ∩ L_shard|` from above.
-    pub fn pihat_bounds(&self, locals: &[GraphId], theta: f64) -> Vec<i64> {
+    /// `projection` is [`ShardState::project`] of `locals`.
+    pub fn pihat_bounds(
+        &self,
+        locals: &[GraphId],
+        projection: &BandProjection,
+        theta: f64,
+    ) -> Vec<i64> {
         let tree = self.index.tree();
-        let vt = self.index.vantage();
-        let by_id = Bitset::from_indices(tree.len(), locals.iter().map(|&l| l as usize));
         let pihat = PiHatVectors::initialize(
-            vt,
+            self.index.vantage(),
             tree,
             locals,
-            &vt.project(&by_id),
+            projection,
             &ThresholdLadder::new(vec![theta]),
         );
         locals
@@ -225,35 +279,54 @@ impl ShardState {
             .collect()
     }
 
-    /// Exact θ-neighborhood of a *foreign* probe graph within this shard's
-    /// slice of the relevant set, as ascending global ids. `locals` must be
-    /// ascending, deduplicated, live local ids.
+    /// Exact θ-neighborhood of a *foreign* probe graph, global id
+    /// `probe_id`, within this shard's slice of the relevant set, as
+    /// ascending global ids. `locals` must be ascending, deduplicated, live
+    /// local ids.
     ///
-    /// Each member is asked the engine's `ask(probe, m, θ)`, the threshold
-    /// question the home oracle bottoms out in: the size, label and degree
-    /// screens settle most pairs before any search, and membership is the
-    /// engine's verdict, byte-identical across paths. Counts one foreign
-    /// call per member asked.
+    /// Each member `m` is decided by the cross-shard fact table when its
+    /// facts about `(probe_id, m)` settle θ (a foreign hit), else by the
+    /// engine's `ask(probe, m, θ)` (a foreign call), whose answer the table
+    /// keeps: the threshold question the home oracle bottoms out in, so
+    /// membership is the engine's verdict, byte-identical across paths. The
+    /// size, label and degree screens settle most engine asks before any
+    /// search.
     pub fn foreign_members(
+        &self,
+        probe_id: GraphId,
+        probe: &Graph,
+        profile: &GraphProfile,
+        locals: &[GraphId],
+        theta: f64,
+    ) -> Vec<GraphId> {
+        let hits = &*self.foreign_hits;
+        locals
+            .iter()
+            .map(|&c| (c, self.global_of(c)))
+            .filter(|&(c, m)| {
+                let engine = || self.foreign_call(probe, profile, c, theta);
+                self.foreign_facts.ask(probe_id, m, theta, hits, engine)
+            })
+            .map(|(_, m)| m)
+            .collect()
+    }
+
+    /// [`ShardState::foreign_members`] with every member asked of the
+    /// engine and nothing read from or kept in the fact table: the audit's
+    /// reference, which must not check the table against itself. Counts no
+    /// foreign call, so audited runs report the calls unaudited ones make.
+    #[cfg(feature = "invariant-audit")]
+    pub(crate) fn engine_members(
         &self,
         probe: &Graph,
         profile: &GraphProfile,
         locals: &[GraphId],
         theta: f64,
     ) -> Vec<GraphId> {
-        let oracle = self.index.oracle();
-        let engine = oracle.engine();
-        let graphs = oracle.graphs();
         locals
             .iter()
             .copied()
-            .filter(|&c| {
-                // Relaxed: a monotone stats counter, never synchronization.
-                self.foreign_calls.fetch_add(1, Ordering::Relaxed);
-                let member = &graphs[c as usize];
-                let fact = engine.ask(probe, member, profile, oracle.profile(c), theta);
-                fact.exact().is_some()
-            })
+            .filter(|&c| self.engine_ask(probe, profile, c, theta).exact().is_some())
             .map(|c| self.global_of(c))
             .collect()
     }
@@ -283,6 +356,8 @@ impl ShardState {
                 center_local: self.center_local,
                 radius: self.radius.max(d_center),
                 foreign_calls: Arc::clone(&self.foreign_calls),
+                foreign_hits: Arc::clone(&self.foreign_hits),
+                foreign_facts: Arc::clone(&self.foreign_facts),
             },
             outcome,
         ))
@@ -305,6 +380,8 @@ impl ShardState {
                 // pruning opportunities, never admissibility.
                 radius: self.radius,
                 foreign_calls: Arc::clone(&self.foreign_calls),
+                foreign_hits: Arc::clone(&self.foreign_hits),
+                foreign_facts: Arc::clone(&self.foreign_facts),
             },
             outcome,
         ))

@@ -2,12 +2,14 @@
 //! threads opening sessions and running queries race mutator threads doing
 //! fork-mutate-swap inserts/removes. Every answer must be internally
 //! consistent with the session's pinned epoch vector, and id allocation
-//! must stay dense and unique under the race.
+//! must stay dense and unique under the race. Sessions racing one cold
+//! `(θ, k)` ask the engine about each cross-shard pair once between them.
 //!
 //! Under `--features lock-audit` the handle locks record acquisition
 //! orders, so this test doubles as the runtime witness for the static lock
 //! graph (DESIGN.md §12) — CI runs it with the feature on.
 
+use graphrep_core::{NbIndex, NbIndexConfig};
 use graphrep_datagen::{DatasetKind, DatasetSpec};
 use graphrep_ged::GedConfig;
 use graphrep_graph::generate::mutate;
@@ -15,7 +17,7 @@ use graphrep_shard::{CoordConfig, Coordinator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
 const READERS: usize = 4;
@@ -115,4 +117,65 @@ fn concurrent_queries_and_mutations_stay_consistent() {
     let expect: Vec<u32> =
         (data.db.len() as u32..(data.db.len() + MUTATORS * MUTATIONS_PER_THREAD) as u32).collect();
     assert_eq!(ids, expect, "global ids are allocated densely and uniquely");
+}
+
+/// Foreign engine entries summed over the shards of `coord`.
+fn foreign_calls(coord: &Coordinator) -> u64 {
+    coord.snapshots().iter().map(|s| s.foreign_calls()).sum()
+}
+
+/// Sessions that race one cold `(θ, k)` share the coordinator's fact
+/// table: every answer is the single index's, and between them they make
+/// exactly the foreign engine entries one sequential cold run makes — each
+/// cross-shard pair is asked of the engine once, the racers that lose its
+/// rendezvous read the winner's fact. The racers overlap only where the
+/// test gets two or more CPUs; on one they run one after another.
+#[test]
+fn racing_cold_sessions_ask_each_cross_shard_pair_once() {
+    let data = DatasetSpec::new(DatasetKind::DudLike, 60, 20140622).generate();
+    let cfg = CoordConfig {
+        shards: 4,
+        seed: 1,
+        ladder: data.default_ladder.clone(),
+    };
+    let relevant = data.default_query().relevant_set(&data.db);
+    let (theta, k) = (data.default_theta, 8);
+    let reference = NbIndex::build(
+        data.db.oracle(GedConfig::default()),
+        NbIndexConfig {
+            ladder: data.default_ladder.clone(),
+            ..NbIndexConfig::default()
+        },
+    );
+    let want = format!("{:?}", reference.query(relevant.clone(), theta, k).0);
+
+    let sequential = Coordinator::build(&data.db, GedConfig::default(), &cfg);
+    let before = foreign_calls(&sequential);
+    let (answer, _) = sequential.session(relevant.clone()).run(theta, k);
+    assert_eq!(format!("{answer:?}"), want);
+    let cold = foreign_calls(&sequential) - before;
+    assert!(cold > 0, "the cold run asked no foreign question");
+
+    let coord = Coordinator::build(&data.db, GedConfig::default(), &cfg);
+    let before = foreign_calls(&coord);
+    let start = Barrier::new(READERS);
+    thread::scope(|scope| {
+        let racers: Vec<_> = (0..READERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let session = coord.session(relevant.clone());
+                    start.wait();
+                    format!("{:?}", session.run(theta, k).0)
+                })
+            })
+            .collect();
+        for racer in racers {
+            assert_eq!(racer.join().expect("racer panicked"), want);
+        }
+    });
+    assert_eq!(
+        foreign_calls(&coord) - before,
+        cold,
+        "{READERS} racing cold sessions against one sequential cold run"
+    );
 }

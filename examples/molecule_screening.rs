@@ -55,7 +55,7 @@ fn main() {
         relevant
             .iter()
             .copied()
-            .filter(|&r| oracle.within(g, r, theta).is_some())
+            .filter(|&r| oracle.ask(g, r, theta).0)
             .collect()
     });
     println!(
